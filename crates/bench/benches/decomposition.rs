@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pref_bench::table;
 use pref_core::prelude::*;
 use pref_query::algorithms::bnl;
-use pref_query::decompose::{sigma_decomposed, yy};
+use pref_query::Engine;
 use pref_workload::Distribution;
 use std::hint::black_box;
 
@@ -16,13 +16,15 @@ fn bench_pareto_decomposition(c: &mut Criterion) {
     let mut group = c.benchmark_group("decomposition/pareto2");
     group.sample_size(10);
     let p = lowest("d0").pareto(highest("d1"));
+    // Capacity 0: every iteration decomposes from scratch.
+    let cold = Engine::new().with_capacity(0);
     for n in [500usize, 2_000, 8_000] {
         let r = table(n, 2, Distribution::Independent, 3);
         group.bench_with_input(BenchmarkId::new("direct-bnl", n), &r, |b, r| {
             b.iter(|| black_box(bnl::bnl(&p, r).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("prop12", n), &r, |b, r| {
-            b.iter(|| black_box(sigma_decomposed(&p, r).unwrap()))
+            b.iter(|| black_box(cold.sigma_decomposed(&p, r).unwrap()))
         });
     }
     group.finish();
@@ -33,12 +35,13 @@ fn bench_yy_cost(c: &mut Criterion) {
     // in general" — measure the quadratic YY scan in isolation.
     let mut group = c.benchmark_group("decomposition/yy");
     group.sample_size(10);
+    let cold = Engine::new().with_capacity(0);
     for n in [500usize, 2_000] {
         let r = table(n, 2, Distribution::Anticorrelated, 5);
         let p1 = lowest("d0").prior(highest("d1"));
         let p2 = highest("d1").prior(lowest("d0"));
         group.bench_with_input(BenchmarkId::new("yy", n), &r, |b, r| {
-            b.iter(|| black_box(yy(&p1, &p2, r).unwrap()))
+            b.iter(|| black_box(cold.yy(&p1, &p2, r).unwrap()))
         });
     }
     group.finish();

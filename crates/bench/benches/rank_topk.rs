@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pref_bench::table;
 use pref_core::prelude::*;
 use pref_core::term::Pref;
-use pref_query::quality::top_k;
-use pref_query::sigma;
+use pref_query::Engine;
 use pref_workload::Distribution;
 use std::hint::black_box;
 
@@ -22,13 +21,18 @@ fn bench_rank(c: &mut Criterion) {
     let mut group = c.benchmark_group("rank");
     group.sample_size(10);
     let p = rank_pref();
+    // Capacity 0: every iteration evaluates from scratch.
+    let cold = Engine::new().with_capacity(0);
     for n in [1_000usize, 8_000, 32_000] {
         let r = table(n, 3, Distribution::Independent, 17);
         group.bench_with_input(BenchmarkId::new("bmo", n), &r, |b, r| {
-            b.iter(|| black_box(sigma(&p, r).unwrap()))
+            b.iter(|| {
+                let q = cold.prepare(&p, r.schema()).unwrap();
+                black_box(q.execute(r).unwrap().into_rows())
+            })
         });
         group.bench_with_input(BenchmarkId::new("top-10", n), &r, |b, r| {
-            b.iter(|| black_box(top_k(&p, r, 10).unwrap()))
+            b.iter(|| black_box(cold.top_k(&p, r, 10).unwrap()))
         });
     }
     group.finish();

@@ -15,10 +15,9 @@ use pref_core::graph::BetterGraph;
 use pref_core::prelude::*;
 use pref_core::term::Pref;
 use pref_query::bmo::sigma_naive;
-use pref_query::decompose::{self, sigma_decomposed};
-use pref_query::quality::{perfect_match, top_k};
+use pref_query::quality::perfect_match;
 use pref_query::stats::{result_size, FilterEffectReport};
-use pref_query::{algorithms, sigma, sigma_rel, Engine, Optimizer};
+use pref_query::{algorithms, Engine, Explain};
 use pref_relation::{attr, AttrSet, Relation};
 use pref_sql::PrefSql;
 use pref_workload::{cars, paper, querylog, synthetic::Distribution, trips};
@@ -26,9 +25,22 @@ use pref_xpath::{parse_xml, PrefXPath};
 
 struct Harness {
     failures: Vec<String>,
+    /// The one engine every experiment evaluates through.
+    engine: Engine,
 }
 
 impl Harness {
+    /// `σ[P](R)`: row indices plus the execution's report.
+    fn sigma(&self, p: &Pref, r: &Relation) -> (Vec<usize>, Explain) {
+        let q = self.engine.prepare(p, r.schema()).expect("term compiles");
+        q.execute(r).expect("query runs").into_parts()
+    }
+
+    /// `σ[P](R)` as the sub-relation of best matches.
+    fn sigma_rel(&self, p: &Pref, r: &Relation) -> Relation {
+        r.take_rows(&self.sigma(p, r).0)
+    }
+
     fn check(&mut self, experiment: &str, what: &str, ok: bool) {
         let mark = if ok { "ok " } else { "FAIL" };
         println!("  [{mark}] {what}");
@@ -154,7 +166,7 @@ fn e6(h: &mut Harness) {
         ("Q1*", paper::example6_q1_star()),
         ("Q2*", paper::example6_q2_star()),
     ] {
-        let res = sigma_rel(&q, &stock).expect("catalog schema covers the scenario");
+        let res = h.sigma_rel(&q, &stock);
         println!("  σ[{name}] → {} best matches", res.len());
         h.check(
             "E6",
@@ -211,7 +223,7 @@ fn e8(h: &mut Harness) {
     heading("E8", "Example 8: BMO query σ[P](R) on R(Color)");
     let r = paper::example8_relation();
     let p = paper::example1_pref();
-    let res = sigma_rel(&p, &r).expect("fixture compiles");
+    let res = h.sigma_rel(&p, &r);
     let colors: Vec<&str> = res.iter().map(|t| t[0].as_str().unwrap()).collect();
     println!("  σ[P](R) = {colors:?}");
     h.check(
@@ -231,7 +243,7 @@ fn e9(h: &mut Harness) {
     let p = paper::example9_pref();
     let expected = [vec!["frog"], vec!["frog", "shark"], vec!["turtle"]];
     for (i, (r, want)) in paper::example9_series().iter().zip(&expected).enumerate() {
-        let res = sigma_rel(&p, r).expect("fixture compiles");
+        let res = h.sigma_rel(&p, r);
         let names: Vec<&str> = res.iter().map(|t| t[2].as_str().unwrap()).collect();
         println!("  |Cars| = {} → σ[P] = {names:?}", r.len());
         h.check("E9", &format!("step {} = {want:?}", i + 1), &names == want);
@@ -242,7 +254,7 @@ fn e10(h: &mut Harness) {
     heading("E10", "Example 10: prioritised accumulation via grouping");
     let r = paper::example10_relation();
     let q = antichain(["make"]).prior(around("price", 40_000));
-    let res = sigma_rel(&q, &r).expect("fixture compiles");
+    let res = h.sigma_rel(&q, &r);
     for t in res.iter() {
         println!("  {t}");
     }
@@ -251,7 +263,7 @@ fn e10(h: &mut Harness) {
     h.check(
         "E10",
         "Prop. 10 decomposition agrees",
-        sigma_decomposed(&q, &r).expect("compiles") == vec![0, 1, 2],
+        h.engine.sigma_decomposed(&q, &r).expect("compiles") == vec![0, 1, 2],
     );
 }
 
@@ -260,9 +272,12 @@ fn e11(h: &mut Harness) {
     let r = paper::example11_relation();
     let p1 = lowest("a");
     let p2 = highest("a");
-    let full = sigma(&Pref::Pareto(vec![p1.clone(), p2.clone()]), &r).expect("compiles");
+    let (full, _) = h.sigma(&Pref::Pareto(vec![p1.clone(), p2.clone()]), &r);
     h.check("E11", "σ[P1⊗P2](R) = R = {3,6,9}", full == vec![0, 1, 2]);
-    let yy = decompose::yy(&p1.clone().prior(p2.clone()), &p2.prior(p1), &r).expect("compiles");
+    let yy = h
+        .engine
+        .yy(&p1.clone().prior(p2.clone()), &p2.prior(p1), &r)
+        .expect("compiles");
     println!(
         "  YY(P1&P2, P2&P1)_R = {:?}",
         yy.iter().map(|&i| r.row(i)[0].clone()).collect::<Vec<_>>()
@@ -334,7 +349,7 @@ fn decomp_report(h: &mut Harness) {
     ];
     for p in terms {
         let naive = sigma_naive(&p, &r).expect("compiles");
-        let dec = sigma_decomposed(&p, &r).expect("compiles");
+        let dec = h.engine.sigma_decomposed(&p, &r).expect("compiles");
         h.check(
             "decomp",
             &format!("σ-decomposed ≡ σ-naive for {p}"),
@@ -458,7 +473,7 @@ fn filter_effect(h: &mut Harness) {
             highest("d1"),
         ),
     ] {
-        let rep = FilterEffectReport::measure(&Engine::new(), &p1, &p2, &r).expect("compiles");
+        let rep = FilterEffectReport::measure(&h.engine, &p1, &p2, &r).expect("compiles");
         println!(
             "{}",
             row(
@@ -492,14 +507,13 @@ fn eshop(h: &mut Harness) {
     // benchmark measured over real query logs.
     let catalog = cars::catalog(20_000, 7);
     let log = querylog::customer_log(200, 41);
-    let engine = Engine::new();
     let mut sizes: Vec<usize> = Vec::with_capacity(log.len());
     for q in &log {
         let candidates = q.candidates(&catalog);
         if candidates.is_empty() {
             continue; // the shop shows "no match" before preferences run
         }
-        sizes.push(result_size(&engine, &q.preference, &candidates).expect("compiles"));
+        sizes.push(result_size(&h.engine, &q.preference, &candidates).expect("compiles"));
     }
     sizes.sort_unstable();
     let n = sizes.len();
@@ -605,8 +619,8 @@ fn topk(h: &mut Harness) {
         vec![highest("d0"), highest("d1")],
     )
     .expect("score operands");
-    let bmo = sigma(&p, &r).expect("compiles");
-    let top = top_k(&p, &r, 10).expect("scored");
+    let (bmo, _) = h.sigma(&p, &r);
+    let top = h.engine.top_k(&p, &r, 10).expect("scored");
     println!(
         "  BMO result size: {} (rank(F) is almost a chain)",
         bmo.len()
@@ -710,7 +724,7 @@ fn optimizer_report(h: &mut Harness) {
             "block-nested-loops",
         ),
     ] {
-        let (rows, ex) = Optimizer::new().evaluate(&q, &r).expect("compiles");
+        let (rows, ex) = h.sigma(&q, &r);
         println!("  {} → {} ({} rows)", ex.original, ex.algorithm, rows.len());
         h.check(
             "OPT",
@@ -721,12 +735,10 @@ fn optimizer_report(h: &mut Harness) {
         h.check("OPT", "matches the naive oracle", rows == naive);
     }
     // Grouping entry point (Def. 16).
-    let grouped = pref_query::groupby::sigma_groupby(
-        &around("price", 12_000),
-        &AttrSet::single(attr("make")),
-        &r,
-    )
-    .expect("compiles");
+    let grouped = h
+        .engine
+        .sigma_groupby(&around("price", 12_000), &AttrSet::single(attr("make")), &r)
+        .expect("compiles");
     h.check(
         "OPT",
         "groupby returns one best offer per make (≥ #makes)",
@@ -741,7 +753,10 @@ fn main() {
     println!("repro — Foundations of Preferences in Database Systems (VLDB 2002)");
     println!("paper-expected vs. measured, per EXPERIMENTS.md");
 
-    let mut h = Harness { failures: vec![] };
+    let mut h = Harness {
+        failures: vec![],
+        engine: Engine::new(),
+    };
     if want("e1") {
         e1(&mut h);
     }

@@ -57,7 +57,9 @@ mod tests {
     fn prefs_compile_against_tables() {
         let r = table(50, 3, Distribution::Independent, 1);
         for p in [skyline_pref(3), around_pref(3)] {
-            assert!(!pref_query::sigma(&p, &r).unwrap().is_empty());
+            assert!(!pref_query::bmo::sigma_naive_generic(&p, &r)
+                .unwrap()
+                .is_empty());
         }
     }
 

@@ -359,7 +359,11 @@ impl PrefSql {
                             }
                             exec.execute(base)?.into_parts()
                         }
-                        None => self.engine.evaluate(&pref, base)?,
+                        None => self
+                            .engine
+                            .prepare(&pref, base.schema())?
+                            .execute(base)?
+                            .into_parts(),
                     };
                     (rows, Some(pref), Some(explain))
                 } else {
@@ -454,10 +458,8 @@ impl PrefSql {
         } else {
             let pref = Pref::prior_all(parts)?;
             if q.group_by.is_empty() {
-                let plan = self.engine.plan(&pref, base)?;
-                for l in plan.to_string().lines() {
-                    lines.push(l.to_string());
-                }
+                let plan = self.engine.prepare(&pref, base.schema())?.explain(base);
+                lines.extend(plan.lines());
                 (Some(pref), Some(plan))
             } else {
                 lines.push(format!("preference : {pref}"));

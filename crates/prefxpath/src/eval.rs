@@ -13,7 +13,7 @@
 
 use pref_core::base::{Around, Between, Neg, Pos, PosNeg, PosPos, Score};
 use pref_core::term::Pref;
-use pref_query::sigma;
+use pref_query::Engine;
 use pref_relation::{DataType, Relation, Schema, Value};
 
 use crate::error::XPathError;
@@ -26,11 +26,18 @@ use crate::xml::{Document, NodeId};
 #[derive(Debug)]
 pub struct PrefXPath<'a> {
     doc: &'a Document,
+    /// Capacity 0: every soft selection runs on a relation built from
+    /// that step's node set, which never recurs — caching it would only
+    /// pin dead matrices.
+    engine: Engine,
 }
 
 impl<'a> PrefXPath<'a> {
     pub fn new(doc: &'a Document) -> Self {
-        PrefXPath { doc }
+        PrefXPath {
+            doc,
+            engine: Engine::new().with_capacity(0),
+        }
     }
 
     /// Evaluate a path string, returning matching node ids in document
@@ -132,7 +139,11 @@ impl<'a> PrefXPath<'a> {
         let attrs = expr.attributes();
         let relation = self.node_relation(candidates, &attrs)?;
         let pref = soft_to_term(expr)?;
-        let winners = sigma(&pref, &relation)?;
+        let winners = self
+            .engine
+            .prepare(&pref, relation.schema())?
+            .execute(&relation)?
+            .into_rows();
         Ok(winners.into_iter().map(|i| candidates[i]).collect())
     }
 

@@ -59,18 +59,6 @@ pub fn sigma_naive_generic_compiled(c: &CompiledPref, r: &Relation) -> Vec<usize
         .collect()
 }
 
-/// Materialise a BMO result: the sub-relation of maximal tuples, by
-/// naive evaluation. Shares the engine's single result-materialization
-/// path with [`crate::sigma_rel`] — only the forced algorithm differs.
-pub fn sigma_relation(pref: &Pref, r: &Relation) -> Result<Relation, QueryError> {
-    crate::engine::Engine::with_optimizer(
-        crate::Optimizer::new().with_algorithm(crate::Algorithm::Naive),
-    )
-    .with_capacity(0)
-    .prepare(pref, r.schema())?
-    .execute_rel(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,7 +78,7 @@ mod tests {
             [("green", "yellow"), ("green", "red"), ("yellow", "white")],
         )
         .unwrap();
-        let result = sigma_relation(&p, &r).unwrap();
+        let result = r.take_rows(&sigma_naive(&p, &r).unwrap());
         let colors: Vec<&str> = result.iter().map(|t| t[0].as_str().unwrap()).collect();
         assert_eq!(colors, vec!["yellow", "red"]);
     }

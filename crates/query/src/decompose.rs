@@ -13,7 +13,7 @@
 //! sets `P↑v` of `YY` over `dom(A)`, but the appendix proof of Prop. 9 —
 //! and Example 11's computation — quantify the common dominator over
 //! `R[A]`. The R-relative reading is the one that makes Prop. 9 true for
-//! database preferences, and is what [`yy`] implements.
+//! database preferences, and is what [`Engine::yy`] implements.
 
 use std::collections::HashSet;
 
@@ -24,65 +24,21 @@ use crate::algorithms::bnl::{bnl_compiled, bnl_matrix};
 use crate::engine::Engine;
 use crate::error::QueryError;
 
-/// A transient engine for the one-shot free-function entry points:
-/// **capacity 0** — every call pays full materialization and nothing is
-/// retained, because the engine (and any matrix it could cache) dies
-/// with the call. Anything above 0 here only buys intra-call sub-term
-/// dedup at the cost of per-call allocation of cache machinery; callers
-/// issuing more than one query should hold a long-lived [`Engine`] and
-/// use the [`Engine`] methods instead, which amortize *across* calls too.
-fn transient_engine() -> Engine {
-    Engine::new().with_capacity(0)
-}
-
-/// Evaluate `σ[P](R)` by structural decomposition, falling back to BNL
-/// for sub-terms with no applicable theorem. Returns sorted row indices.
-///
-/// One-shot convenience over [`Engine::sigma_decomposed`], run on a
-/// transient capacity-0 engine: nothing is cached, within or across
-/// calls. Any query stream — and any caller that repeats terms or
-/// relations — should hold an [`Engine`] and call
-/// [`Engine::sigma_decomposed`] so recursive evaluations reuse the
-/// engine-cached (and windowed) matrices.
-pub fn sigma_decomposed(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    transient_engine().sigma_decomposed(pref, r)
-}
-
 impl Engine {
-    /// [`sigma_decomposed`] through this engine: every sub-query of the
-    /// recursion (the decomposed views, `YY` overlaps, the BNL
-    /// fallbacks) fetches its score matrix from the engine cache instead
-    /// of re-walking the term per tuple pair — and the σ\[P1\](R)
-    /// sub-relations of Prop. 11 cascades are derived views
-    /// ([`Relation::take_rows_derived`]), so repeating the decomposition
-    /// over an unchanged relation serves even the recursive stages warm.
+    /// Evaluate `σ[P](R)` by structural decomposition, falling back to
+    /// BNL for sub-terms with no applicable theorem. Returns sorted row
+    /// indices. Every sub-query of the recursion (the decomposed views,
+    /// `YY` overlaps, the BNL fallbacks) fetches its score matrix from
+    /// the engine cache instead of re-walking the term per tuple pair —
+    /// and the σ\[P1\](R) sub-relations of Prop. 11 cascades are derived
+    /// views ([`Relation::take_rows_derived`]), so repeating the
+    /// decomposition over an unchanged relation serves even the
+    /// recursive stages warm.
     pub fn sigma_decomposed(&self, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-        sigma_decomposed_inner(self, pref, r, true)
+        let mut out = eval(self, pref, r)?;
+        out.sort_unstable();
+        Ok(out)
     }
-
-    /// [`yy`] through this engine: the pairwise dominance tests run on
-    /// engine-cached score matrices where the terms materialize
-    /// (term-walk fallback otherwise) — the O(n²) common-dominator scan
-    /// is the hottest loop of the decomposition evaluator.
-    pub fn yy(&self, p1: &Pref, p2: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-        yy_inner(self, p1, p2, r, true)
-    }
-}
-
-/// [`Engine::sigma_decomposed`] with explicit cache-population control:
-/// `populate = false` threads an `execute_uncached` caller's choice down
-/// the whole recursion (sub-query matrices are still *read* from the
-/// cache, but never inserted), so uncached executions of decomposable
-/// terms cannot pin dead entries.
-pub(crate) fn sigma_decomposed_inner(
-    engine: &Engine,
-    pref: &Pref,
-    r: &Relation,
-    populate: bool,
-) -> Result<Vec<usize>, QueryError> {
-    let mut out = eval(engine, pref, r, populate)?;
-    out.sort_unstable();
-    Ok(out)
 }
 
 /// A stable fingerprint for the row subset `σ[P](R)` — the lineage a
@@ -91,26 +47,21 @@ fn sigma_fp(p: &Pref) -> u64 {
     predicate_fingerprint(format!("σ[{p}]").as_bytes())
 }
 
-fn eval(
-    engine: &Engine,
-    pref: &Pref,
-    r: &Relation,
-    populate: bool,
-) -> Result<Vec<usize>, QueryError> {
+fn eval(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
     match pref {
         // Prop. 8.
         Pref::Union(l, rt) => {
-            let a: HashSet<usize> = eval(engine, l, r, populate)?.into_iter().collect();
-            Ok(eval(engine, rt, r, populate)?
+            let a: HashSet<usize> = eval(engine, l, r)?.into_iter().collect();
+            Ok(eval(engine, rt, r)?
                 .into_iter()
                 .filter(|i| a.contains(i))
                 .collect())
         }
         // Prop. 9.
         Pref::Inter(l, rt) => {
-            let mut set: HashSet<usize> = eval(engine, l, r, populate)?.into_iter().collect();
-            set.extend(eval(engine, rt, r, populate)?);
-            set.extend(yy_inner(engine, l, rt, r, populate)?);
+            let mut set: HashSet<usize> = eval(engine, l, r)?.into_iter().collect();
+            set.extend(eval(engine, rt, r)?);
+            set.extend(engine.yy(l, rt, r)?);
             Ok(set.into_iter().collect())
         }
         Pref::Prior(children) if children.len() >= 2 => {
@@ -129,26 +80,22 @@ fn eval(
                 // set-built intermediates cannot leak nondeterministic
                 // row order into the lineage contract), so the tail's
                 // matrices stay cache-servable across repetitions.
-                let mut s1 = eval(engine, &p1, r, populate)?;
+                let mut s1 = eval(engine, &p1, r)?;
                 s1.sort_unstable();
                 let sub = r.take_rows_derived(&s1, sigma_fp(&p1));
-                let inner = eval(engine, &rest, &sub, populate)?;
+                let inner = eval(engine, &rest, &sub)?;
                 return Ok(inner.into_iter().map(|i| s1[i]).collect());
             }
             if a1.is_disjoint(&rest.attributes()) {
                 // Prop. 10: grouping — over the engine's shared matrix.
-                let s1: HashSet<usize> = eval(engine, &p1, r, populate)?.into_iter().collect();
-                let grouped = if populate {
-                    engine.sigma_groupby(&rest, &a1, r)?
-                } else {
-                    engine.sigma_groupby_uncached(&rest, &a1, r)?
-                };
+                let s1: HashSet<usize> = eval(engine, &p1, r)?.into_iter().collect();
+                let grouped = engine.sigma_groupby(&rest, &a1, r)?;
                 return Ok(grouped.into_iter().filter(|i| s1.contains(i)).collect());
             }
             // Shared attributes: no decomposition theorem — evaluate
             // directly (the optimizer's rewrite pass usually removes
             // this case via Prop. 4a first).
-            direct(engine, pref, r, populate)
+            direct(engine, pref, r)
         }
         Pref::Pareto(children) if children.len() >= 2 => {
             // Prop. 5 / Prop. 12: ⊗ → (&, &) ♦-composition, then recurse.
@@ -162,86 +109,74 @@ fn eval(
                 Pref::Prior(vec![p1.clone(), p2.clone()]).into(),
                 Pref::Prior(vec![p2, p1]).into(),
             );
-            eval(engine, &nondiscrimination, r, populate)
+            eval(engine, &nondiscrimination, r)
         }
         // Leaves and terms without a decomposition: direct evaluation.
-        _ => direct(engine, pref, r, populate),
+        _ => direct(engine, pref, r),
     }
 }
 
 /// BNL over the engine-cached matrix when the sub-term materializes,
-/// generic BNL otherwise. Deliberately *not* `engine.evaluate`: that
+/// generic BNL otherwise. Deliberately *not* `Prepared::execute`: that
 /// would re-enter algorithm selection (infinite recursion under a forced
 /// `Decomposed`), while the decomposition's fallback is BNL by
 /// construction.
-fn direct(
-    engine: &Engine,
-    pref: &Pref,
-    r: &Relation,
-    populate: bool,
-) -> Result<Vec<usize>, QueryError> {
+fn direct(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
     let q = engine.prepare(pref, r.schema())?;
-    Ok(match q.matrix_with(r, populate) {
+    Ok(match q.matrix(r) {
         Some(m) => bnl_matrix(&m),
         None => bnl_compiled(q.compiled(), r),
     })
 }
 
-/// `YY(P1, P2)_R` (Def. 17c, R-relative reading): tuples non-maximal in
-/// both database preferences whose better-than sets within R share no
-/// common dominator — exactly the extra maxima intersection `♦` creates.
-///
-/// One-shot convenience on a transient capacity-0 engine; query streams
-/// should use [`Engine::yy`] through a long-lived [`Engine`].
-pub fn yy(p1: &Pref, p2: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    transient_engine().yy(p1, p2, r)
-}
-
-fn yy_inner(
-    engine: &Engine,
-    p1: &Pref,
-    p2: &Pref,
-    r: &Relation,
-    populate: bool,
-) -> Result<Vec<usize>, QueryError> {
-    let q1 = engine.prepare(p1, r.schema())?;
-    let q2 = engine.prepare(p2, r.schema())?;
-    let m1 = q1.matrix_with(r, populate);
-    let m2 = q2.matrix_with(r, populate);
-    let better1 = |x: usize, y: usize| match &m1 {
-        Some(m) => m.better(x, y),
-        None => q1.compiled().better(r.row(x), r.row(y)),
-    };
-    let better2 = |x: usize, y: usize| match &m2 {
-        Some(m) => m.better(x, y),
-        None => q2.compiled().better(r.row(x), r.row(y)),
-    };
-    let max1: HashSet<usize> = match &m1 {
-        Some(m) => bnl_matrix(m),
-        None => bnl_compiled(q1.compiled(), r),
-    }
-    .into_iter()
-    .collect();
-    let max2: HashSet<usize> = match &m2 {
-        Some(m) => bnl_matrix(m),
-        None => bnl_compiled(q2.compiled(), r),
-    }
-    .into_iter()
-    .collect();
-
-    let n = r.len();
-    let mut out = Vec::new();
-    for i in 0..n {
-        if max1.contains(&i) || max2.contains(&i) {
-            continue;
+impl Engine {
+    /// `YY(P1, P2)_R` (Def. 17c, R-relative reading): tuples non-maximal
+    /// in both database preferences whose better-than sets within R
+    /// share no common dominator — exactly the extra maxima intersection
+    /// `♦` creates. The pairwise dominance tests run on engine-cached
+    /// score matrices where the terms materialize (term-walk fallback
+    /// otherwise) — the O(n²) common-dominator scan is the hottest loop
+    /// of the decomposition evaluator.
+    pub fn yy(&self, p1: &Pref, p2: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
+        let q1 = self.prepare(p1, r.schema())?;
+        let q2 = self.prepare(p2, r.schema())?;
+        let m1 = q1.matrix(r);
+        let m2 = q2.matrix(r);
+        let better1 = |x: usize, y: usize| match &m1 {
+            Some(m) => m.better(x, y),
+            None => q1.compiled().better(r.row(x), r.row(y)),
+        };
+        let better2 = |x: usize, y: usize| match &m2 {
+            Some(m) => m.better(x, y),
+            None => q2.compiled().better(r.row(x), r.row(y)),
+        };
+        let max1: HashSet<usize> = match &m1 {
+            Some(m) => bnl_matrix(m),
+            None => bnl_compiled(q1.compiled(), r),
         }
-        // P1↑t ∩ P2↑t ∩ R[A] = ∅ ?
-        let has_common_dominator = (0..n).any(|v| better1(i, v) && better2(i, v));
-        if !has_common_dominator {
-            out.push(i);
+        .into_iter()
+        .collect();
+        let max2: HashSet<usize> = match &m2 {
+            Some(m) => bnl_matrix(m),
+            None => bnl_compiled(q2.compiled(), r),
         }
+        .into_iter()
+        .collect();
+
+        let n = r.len();
+        let mut out = Vec::new();
+        for i in 0..n {
+            if max1.contains(&i) || max2.contains(&i) {
+                continue;
+            }
+            // P1↑t ∩ P2↑t ∩ R[A] = ∅ ?
+            let has_common_dominator = (0..n).any(|v| better1(i, v) && better2(i, v));
+            if !has_common_dominator {
+                out.push(i);
+            }
+        }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// The three components of the Pareto decomposition theorem (Prop. 12),
@@ -276,21 +211,9 @@ impl ParetoDecomposition {
     }
 }
 
-/// Compute the Prop. 12 decomposition of `σ[P1 ⊗ P2](R)` for preferences
-/// over disjoint attribute sets. One-shot wrapper over
-/// [`Engine::pareto_decomposition`] on a transient capacity-0 engine —
-/// nothing is cached; hold an [`Engine`] and use the method for anything
-/// beyond a single call.
-pub fn pareto_decomposition(
-    p1: &Pref,
-    p2: &Pref,
-    r: &Relation,
-) -> Result<ParetoDecomposition, QueryError> {
-    transient_engine().pareto_decomposition(p1, p2, r)
-}
-
 impl Engine {
-    /// [`pareto_decomposition`] through this engine: the two prioritised
+    /// Compute the Prop. 12 decomposition of `σ[P1 ⊗ P2](R)` for
+    /// preferences over disjoint attribute sets: the two prioritised
     /// views, both groupings, and the `YY` overlap all run on
     /// engine-cached score matrices.
     pub fn pareto_decomposition(
@@ -309,8 +232,8 @@ impl Engine {
             });
         }
 
-        let s1: HashSet<usize> = direct(self, p1, r, true)?.into_iter().collect();
-        let s2: HashSet<usize> = direct(self, p2, r, true)?.into_iter().collect();
+        let s1: HashSet<usize> = direct(self, p1, r)?.into_iter().collect();
+        let s2: HashSet<usize> = direct(self, p2, r)?.into_iter().collect();
         let g1 = self.sigma_groupby(p2, &a1, r)?; // σ[P2 groupby A1](R)
         let g2 = self.sigma_groupby(p1, &a2, r)?; // σ[P1 groupby A2](R)
 
@@ -337,6 +260,10 @@ mod tests {
     use pref_core::prelude::*;
     use pref_relation::rel;
 
+    fn sigma_decomposed(p: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
+        Engine::new().sigma_decomposed(p, r)
+    }
+
     #[test]
     fn example11_decomposition() {
         // P1 = LOWEST(A), P2 = HIGHEST(A) = P1∂, R = {3, 6, 9}.
@@ -351,12 +278,13 @@ mod tests {
 
         // The paper's countercheck: σ[P2](σ[P1](R)) = {3}, σ[P1](σ[P2](R))
         // = {9}, and YY(P1&P2, P2&P1)_R = {6}.
-        let yy_set = yy(
-            &Pref::Prior(vec![p1.clone(), p2.clone()]),
-            &Pref::Prior(vec![p2, p1]),
-            &r,
-        )
-        .unwrap();
+        let yy_set = Engine::new()
+            .yy(
+                &Pref::Prior(vec![p1.clone(), p2.clone()]),
+                &Pref::Prior(vec![p2, p1]),
+                &r,
+            )
+            .unwrap();
         assert_eq!(yy_set, vec![1]); // row of value 6
     }
 
@@ -383,7 +311,9 @@ mod tests {
             (40_000, 15_000), (35_000, 30_000), (20_000, 10_000),
             (15_000, 35_000), (15_000, 30_000),
         };
-        let d = pareto_decomposition(&lowest("price"), &lowest("mileage"), &r).unwrap();
+        let d = Engine::new()
+            .pareto_decomposition(&lowest("price"), &lowest("mileage"), &r)
+            .unwrap();
         // P1&P2 chain: val5 is its maximum; P2&P1 chain: val3.
         assert_eq!(d.first, vec![4]);
         assert_eq!(d.second, vec![2]);
@@ -395,7 +325,7 @@ mod tests {
     fn prop12_rejects_shared_attributes() {
         let r = rel! { ("a": Int); (1,) };
         assert!(matches!(
-            pareto_decomposition(&lowest("a"), &highest("a"), &r),
+            Engine::new().pareto_decomposition(&lowest("a"), &highest("a"), &r),
             Err(QueryError::AlgorithmMismatch { .. })
         ));
     }

@@ -4,9 +4,9 @@
 //! The BMO model assumes users fire *streams* of preference queries
 //! against slowly-changing relations (the paper's e-shopping sessions;
 //! Chomicki's changing-preferences setting formalizes the same reuse).
-//! The free-function entry points ([`crate::sigma`], [`Optimizer::evaluate`])
-//! re-plan, re-compile and re-materialize the [`ScoreMatrix`] on every
-//! call; an [`Engine`] amortizes all three:
+//! `Engine::prepare → Prepared::execute` is the one way `σ[P](R)` is
+//! evaluated, and an [`Engine`] amortizes planning, compilation and
+//! [`ScoreMatrix`] materialization across calls:
 //!
 //! * [`Engine::prepare`] rewrites and compiles a term **once**, producing
 //!   a [`Prepared`] query that carries the compiled form plus its stable
@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use pref_core::algebra::simplify_traced;
+use pref_core::algebra::{simplify, simplify_traced};
 use pref_core::eval::{CompiledPref, MatrixWindow, ScoreMatrix};
 use pref_core::term::Pref;
 use pref_core::CoreError;
@@ -481,11 +481,7 @@ impl Engine {
     /// against relations with the same schema.
     pub fn prepare(&self, pref: &Pref, schema: &Schema) -> Result<Prepared, QueryError> {
         let original = pref.to_string();
-        let (simplified, trace) = if self.inner.optimizer.no_rewrite {
-            (pref.clone(), Vec::new())
-        } else {
-            simplify_traced(pref)
-        };
+        let (simplified, trace) = simplify_traced(pref);
         let simplified_str = simplified.to_string();
         let compiled = CompiledPref::compile(&simplified, schema)?;
         let fingerprint = compiled.fingerprint();
@@ -511,70 +507,18 @@ impl Engine {
         })
     }
 
-    /// One-shot `σ[P](R)` through the engine: prepare + execute. The
-    /// matrix cache still applies, so repeating the same term over the
-    /// same relation generation hits even without keeping the
-    /// [`Prepared`] around.
-    pub fn evaluate(&self, pref: &Pref, r: &Relation) -> Result<(Vec<usize>, Explain), QueryError> {
-        Ok(self.prepare(pref, r.schema())?.execute(r)?.into_parts())
-    }
-
-    /// [`Engine::evaluate`] without populating the matrix cache — see
-    /// [`Prepared::execute_uncached`].
-    pub fn evaluate_uncached(
-        &self,
-        pref: &Pref,
-        r: &Relation,
-    ) -> Result<(Vec<usize>, Explain), QueryError> {
-        Ok(self
-            .prepare(pref, r.schema())?
-            .execute_uncached(r)?
-            .into_parts())
-    }
-
-    /// Plan without executing (the `EXPLAIN` path): rewrite with the
-    /// derivation recorded, run the constraint-registry semantic
-    /// analysis, and cost-rank the algorithms from the engine's
-    /// maintained statistics. The returned [`Explain`] carries the full
-    /// derivation; no matrix is materialized and no algorithm runs.
-    pub fn plan(&self, pref: &Pref, r: &Relation) -> Result<Explain, QueryError> {
-        let prepared = self.prepare(pref, r.schema())?;
-        let plan = prepared.plan(r);
-        let materialized = !self.inner.optimizer.no_materialize
-            && Optimizer::uses_matrix(plan.algorithm)
-            && prepared.compiled.supports_matrix(r);
-        Ok(Explain {
-            original: prepared.original.clone(),
-            simplified: prepared.simplified_str.clone(),
-            rewritten: prepared.rewritten,
-            derivation: plan.lines(),
-            algorithm: plan.algorithm,
-            materialized,
-            explicit_bitsets: materialized && prepared.compiled.has_explicit(),
-            cache: CacheStatus::Bypass,
-            cache_shard: None,
-            generation: r.generation(),
-            lineage: r.lineage(),
-            shape_fingerprint: None,
-            binding: None,
-            reason: plan.reason.clone(),
-        })
-    }
-
     /// The planner's statistics view of `r`: served from the
     /// per-generation snapshot cache when possible, advanced
     /// incrementally over the relation's delta when a predecessor
     /// snapshot exists, approximated by the base table's snapshot for
     /// derived views (their generations never recur, so exact per-view
-    /// stats would be recomputed forever), and fully scanned only for a
-    /// base-table state the cache will keep (`populate` gates insertion
-    /// exactly like the matrix cache's flag). `None` means nothing
-    /// reusable exists and the state is ephemeral — a derived view, or
-    /// an uncached execution: scanning those per request costs more
-    /// than stats-driven choice saves (a per-column scan of every
+    /// stats would be recomputed forever), and fully scanned otherwise.
+    /// `None` means the state is a derived view whose base has no
+    /// snapshot: scanning those per request costs more than
+    /// stats-driven choice saves (a per-column scan of every
     /// WHERE-narrowed candidate set, keyed to a generation that never
     /// recurs), so the planner falls back to row-count heuristics.
-    fn stats_for(&self, r: &Relation, populate: bool) -> Option<Arc<ColumnStats>> {
+    fn stats_for(&self, r: &Relation) -> Option<Arc<ColumnStats>> {
         let gen = r.generation();
         let prev: Option<Arc<ColumnStats>> = {
             let m = self.inner.stats.read();
@@ -602,39 +546,19 @@ impl Engine {
                 },
             }
         };
-        if prev.is_none() && !populate {
-            // Never-seen state on the uncached path: its generation
-            // will not recur, so the scan could never be amortized.
-            return None;
-        }
         // Compute outside every lock (the scan is O(rows · arity)).
         let s = Arc::new(ColumnStats::advance(prev.as_deref(), r));
-        if populate {
-            let mut m = self.inner.stats.write();
-            if m.len() >= STATS_CAPACITY && !m.contains_key(&gen) {
-                // Generations are monotone: evict the oldest half.
-                let mut gens: Vec<u64> = m.keys().copied().collect();
-                gens.sort_unstable();
-                for g in &gens[..gens.len() / 2] {
-                    m.remove(g);
-                }
+        let mut m = self.inner.stats.write();
+        if m.len() >= STATS_CAPACITY && !m.contains_key(&gen) {
+            // Generations are monotone: evict the oldest half.
+            let mut gens: Vec<u64> = m.keys().copied().collect();
+            gens.sort_unstable();
+            for g in &gens[..gens.len() / 2] {
+                m.remove(g);
             }
-            m.insert(gen, Arc::clone(&s));
         }
+        m.insert(gen, Arc::clone(&s));
         Some(s)
-    }
-
-    /// Optimized `σ[P](R)` returning row indices.
-    pub fn sigma(&self, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-        Ok(self.evaluate(pref, r)?.0)
-    }
-
-    /// Optimized `σ[P](R)` returning the materialized sub-relation of
-    /// best matches — *the* result-materialization path shared by every
-    /// public entry point ([`crate::sigma_rel`], [`crate::bmo::sigma_relation`],
-    /// Preference SQL).
-    pub fn sigma_rel(&self, pref: &Pref, r: &Relation) -> Result<Relation, QueryError> {
-        self.prepare(pref, r.schema())?.execute_rel(r)
     }
 
     /// `σ[P groupby A](R)` (Def. 16) on the columnar path: partition row
@@ -650,37 +574,10 @@ impl Engine {
         group_attrs: &AttrSet,
         r: &Relation,
     ) -> Result<Vec<usize>, QueryError> {
-        self.groupby_inner(pref, group_attrs, r, true)
-    }
-
-    /// [`Engine::sigma_groupby`] without populating the matrix cache —
-    /// for derived/ephemeral relations whose generation will never
-    /// recur (see [`Prepared::execute_uncached`]).
-    pub fn sigma_groupby_uncached(
-        &self,
-        pref: &Pref,
-        group_attrs: &AttrSet,
-        r: &Relation,
-    ) -> Result<Vec<usize>, QueryError> {
-        self.groupby_inner(pref, group_attrs, r, false)
-    }
-
-    fn groupby_inner(
-        &self,
-        pref: &Pref,
-        group_attrs: &AttrSet,
-        r: &Relation,
-        populate: bool,
-    ) -> Result<Vec<usize>, QueryError> {
         let group_cols = r.schema().resolve(group_attrs)?;
         let prepared = self.prepare(pref, r.schema())?;
         let (ids, n_groups) = r.group_ids(&group_cols);
-        let matrix = if self.inner.optimizer.no_materialize {
-            None
-        } else {
-            self.cached_matrix(prepared.fingerprint, &prepared.compiled, r, populate)
-                .0
-        };
+        let matrix = prepared.matrix(r);
 
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
         for (i, &g) in ids.iter().enumerate() {
@@ -765,20 +662,16 @@ impl Engine {
     /// 5. build ([`CacheStatus::Miss`]).
     ///
     /// Returns [`CacheStatus::Bypass`] when the term does not materialize
-    /// on `r`, so callers can tell "reused" from "not applicable". The
-    /// cache is always consulted (when enabled); `populate` controls
-    /// whether a freshly built matrix is inserted. Lineage-carrying
-    /// relations insert under their lineage key (re-derivations recur);
-    /// lineage-less relations insert under the generation key — callers
-    /// evaluating an ephemeral relation whose generation will never recur
-    /// pass `populate = false` so dead entries cannot evict reusable
-    /// ones.
+    /// on `r`, so callers can tell "reused" from "not applicable". A
+    /// freshly built matrix is inserted (when caching is enabled):
+    /// lineage-carrying relations under their lineage key
+    /// (re-derivations recur), lineage-less relations under the
+    /// generation key.
     fn cached_matrix(
         &self,
         fp: u64,
         c: &CompiledPref,
         r: &Relation,
-        populate: bool,
     ) -> (Option<MatrixWindow>, CacheStatus) {
         let inner = &self.inner;
         let opt = &inner.optimizer;
@@ -880,7 +773,7 @@ impl Engine {
                 let m = Arc::new(m);
                 // Relaxed: statistic only.
                 inner.shard_hits.fetch_add(1, Ordering::Relaxed);
-                if populate && inner.capacity > 0 {
+                if inner.capacity > 0 {
                     inner.insert_bounded(derived.unwrap_or(primary), &m);
                 }
                 return (Some(MatrixWindow::full(m)), CacheStatus::ShardHit);
@@ -894,7 +787,7 @@ impl Engine {
                 // Count every fresh build, cached or not, so stats stay
                 // consistent with the `Miss` the Explain reports.
                 inner.misses.fetch_add(1, Ordering::Relaxed);
-                if populate && inner.capacity > 0 {
+                if inner.capacity > 0 {
                     inner.insert_bounded(derived.unwrap_or(primary), &m);
                 }
                 (Some(MatrixWindow::full(m)), CacheStatus::Miss)
@@ -925,7 +818,6 @@ impl Engine {
         fp: u64,
         c: &CompiledPref,
         r: &Relation,
-        populate: bool,
     ) -> Option<(Vec<usize>, CacheStatus, bool, bool)> {
         let inner = &self.inner;
         if inner.capacity == 0 || inner.optimizer.no_result_cache {
@@ -969,7 +861,7 @@ impl Engine {
         let rows = self.maintain_result(c, r, &state, base_idx)?;
         // Relaxed: statistic only.
         inner.maintained_hits.fetch_add(1, Ordering::Relaxed);
-        if populate && r.len() <= u32::MAX as usize {
+        if r.len() <= u32::MAX as usize {
             inner.insert_result_bounded(
                 (r.generation(), fp),
                 &Arc::new(ResultState {
@@ -1154,7 +1046,7 @@ fn groupby_windows(members: &[Vec<usize>], better: impl Fn(usize, usize) -> bool
 /// The result of one [`Prepared::execute`]: the BMO row set plus the
 /// identity it was computed at — the relation generation and the term
 /// fingerprint, i.e. exactly the engine's result-cache key. The same
-/// row set is cached inside the engine (when populating), so re-asking
+/// row set is cached inside the engine, so re-asking
 /// the same prepared query over the same content state serves this
 /// result verbatim, and re-asking it after a mutation *maintains* it
 /// against the relation's delta instead of re-running the algorithm
@@ -1317,7 +1209,7 @@ impl Prepared {
         // Binding can introduce syntactic equalities the shape didn't
         // have; only then does the slot patch diverge from a fresh
         // prepare, and only then do we pay a recompilation.
-        let resimplified = self.engine.inner.optimizer.rewrite(&bound);
+        let resimplified = simplify(&bound);
         let (simplified, rewritten, compiled) = if resimplified == bound {
             (bound, self.rewritten, self.compiled.bind(values)?)
         } else {
@@ -1356,55 +1248,19 @@ impl Prepared {
     /// warmed base returns a [`MatrixWindow`] onto the base's matrix
     /// even when the subset itself was never seen.
     pub fn matrix(&self, r: &Relation) -> Option<MatrixWindow> {
-        self.matrix_with(r, true)
-    }
-
-    /// [`Prepared::matrix`] with explicit control over cache population —
-    /// the decomposition evaluator threads its caller's
-    /// `execute`/`execute_uncached` choice through here so an uncached
-    /// execution's sub-queries cannot pin dead entries either.
-    pub(crate) fn matrix_with(&self, r: &Relation, populate: bool) -> Option<MatrixWindow> {
         if self.engine.inner.optimizer.no_materialize {
             return None;
         }
         self.engine
-            .cached_matrix(self.fingerprint, &self.compiled, r, populate)
+            .cached_matrix(self.fingerprint, &self.compiled, r)
             .0
-    }
-
-    /// Evaluate `σ[P](R)`, returning a [`MaintainedResult`]: the sorted
-    /// row indices, the [`Explain`] (including cache outcome and
-    /// relation generation), and the `(generation, fingerprint)`
-    /// identity under which the engine keeps maintaining the result
-    /// across mutations.
-    ///
-    /// `r` must have the schema the query was prepared against; a
-    /// mismatch surfaces as a schema error instead of silently reading
-    /// the wrong columns.
-    pub fn execute(&self, r: &Relation) -> Result<MaintainedResult, QueryError> {
-        self.run(r, true)
-    }
-
-    /// [`Prepared::execute`] without populating the engine caches. Use
-    /// for *derived* relations whose generation will never recur — a
-    /// WHERE-filtered base, a per-request sub-relation: their matrices
-    /// and results can never be re-served, so inserting them would only
-    /// pin dead memory and evict reusable entries. The caches are still
-    /// *read* (hits on a clone of a cached state are legitimate), and
-    /// the `Explain` still reports a fresh build as a miss.
-    pub fn execute_uncached(&self, r: &Relation) -> Result<MaintainedResult, QueryError> {
-        self.run(r, false)
     }
 
     /// The relation-level [`Plan`] of this query over `r`: reuses the
     /// cached plan while the row count stays within
-    /// [`PLANNER_REPLAN_DRIFT`] of the planned snapshot (the cost
+    /// `PLANNER_REPLAN_DRIFT` (2×) of the planned snapshot (the cost
     /// ranking cannot flip on smaller drift), replans otherwise.
     pub fn plan(&self, r: &Relation) -> Arc<Plan> {
-        self.plan_with(r, true)
-    }
-
-    fn plan_with(&self, r: &Relation, populate: bool) -> Arc<Plan> {
         {
             let cell = self.plan_cell.lock();
             if let Some(p) = cell.as_ref() {
@@ -1422,12 +1278,12 @@ impl Prepared {
         }
         // Plan (and fetch stats) outside the cell guard: planning takes
         // the engine's stats lock and may scan the relation.
-        let plan = Arc::new(self.compute_plan(r, populate));
+        let plan = Arc::new(self.compute_plan(r));
         *self.plan_cell.lock() = Some(Arc::clone(&plan));
         plan
     }
 
-    fn compute_plan(&self, r: &Relation, populate: bool) -> Plan {
+    fn compute_plan(&self, r: &Relation) -> Plan {
         let opt = &self.engine.inner.optimizer;
         if self.semantic.redundant && opt.force.is_none() {
             // Redundant winnow: no stats, no cost table — nothing runs.
@@ -1445,9 +1301,9 @@ impl Prepared {
                     .to_string(),
             };
         }
-        // Ephemeral states (derived views, uncached executions) plan
-        // from the row count alone — see [`Engine::stats_for`].
-        let stats = self.engine.stats_for(r, populate);
+        // Derived views plan from their base's snapshot, or from the
+        // row count alone — see [`Engine::stats_for`].
+        let stats = self.engine.stats_for(r);
         let view = StatsView {
             rows: r.len(),
             generation: r.generation(),
@@ -1475,7 +1331,65 @@ impl Prepared {
         }
     }
 
-    fn run(&self, r: &Relation, populate: bool) -> Result<MaintainedResult, QueryError> {
+    /// The one place an [`Explain`] is built: this query's identity,
+    /// the plan it ran (or would run) under, and what the execution
+    /// observed — the algorithm that actually ran, the dominance
+    /// backend `(materialized, explicit_bitsets)`, the cache outcome.
+    fn report(
+        &self,
+        r: &Relation,
+        plan: Arc<Plan>,
+        algorithm: Algorithm,
+        (materialized, explicit_bitsets): (bool, bool),
+        cache: CacheStatus,
+        reason: String,
+    ) -> Explain {
+        Explain {
+            original: self.original.clone(),
+            simplified: self.simplified_str.clone(),
+            rewritten: self.rewritten,
+            plan,
+            algorithm,
+            materialized,
+            explicit_bitsets,
+            cache,
+            // Which lock shard the lookup ran through — every key a
+            // term can probe lives in the shard its fingerprint
+            // selects, so this is exact for hits, misses and
+            // incremental rebuilds alike. `None` when no cache lookup
+            // happened at all (Bypass).
+            cache_shard: (cache != CacheStatus::Bypass).then(|| cache_shard_of(self.fingerprint)),
+            generation: r.generation(),
+            lineage: r.lineage(),
+            shape_fingerprint: self.binding.as_ref().map(|(fp, _)| *fp),
+            binding: self.binding.as_ref().map(|(_, values)| values.clone()),
+            reason,
+        }
+    }
+
+    /// Plan without executing — the report behind `EXPLAIN SELECT`: the
+    /// derivation, the cost table and the backend the chosen algorithm
+    /// would run on. No matrix is materialized and no algorithm runs.
+    pub fn explain(&self, r: &Relation) -> Explain {
+        let plan = self.plan(r);
+        let materialized = !self.engine.inner.optimizer.no_materialize
+            && Optimizer::uses_matrix(plan.algorithm)
+            && self.compiled.supports_matrix(r);
+        let backend = (materialized, materialized && self.compiled.has_explicit());
+        let (algorithm, reason) = (plan.algorithm, plan.reason.clone());
+        self.report(r, plan, algorithm, backend, CacheStatus::Bypass, reason)
+    }
+
+    /// Evaluate `σ[P](R)`, returning a [`MaintainedResult`]: the sorted
+    /// row indices, the [`Explain`] (including cache outcome and
+    /// relation generation), and the `(generation, fingerprint)`
+    /// identity under which the engine keeps maintaining the result
+    /// across mutations.
+    ///
+    /// `r` must have the schema the query was prepared against; a
+    /// mismatch surfaces as a schema error instead of silently reading
+    /// the wrong columns.
+    pub fn execute(&self, r: &Relation) -> Result<MaintainedResult, QueryError> {
         // An unbound shape denotes the empty order — evaluating it would
         // silently return every row. Refuse instead of guessing.
         if let Some(&slot) = self.param_slots.first() {
@@ -1487,42 +1401,41 @@ impl Prepared {
                 right: r.schema().to_string(),
             }));
         }
+        let (rows, explain) = self.run(r)?;
+        Ok(MaintainedResult {
+            rows,
+            explain,
+            generation: r.generation(),
+            fingerprint: self.fingerprint,
+        })
+    }
+
+    fn run(&self, r: &Relation) -> Result<(Vec<usize>, Explain), QueryError> {
         let opt = &self.engine.inner.optimizer;
-        let plan = self.plan_with(r, populate);
+        let plan = self.plan(r);
+        let algorithm = plan.algorithm;
         if plan.redundant {
             // Chomicki elimination: the constraint registry proves
             // σ[P](R) = R, so answer with every row — no algorithm, no
             // matrix, no cache traffic at all.
-            return Ok(MaintainedResult {
-                explain: Explain {
-                    original: self.original.clone(),
-                    simplified: self.simplified_str.clone(),
-                    rewritten: self.rewritten,
-                    derivation: plan.lines(),
-                    algorithm: Algorithm::Elided,
-                    materialized: false,
-                    explicit_bitsets: false,
-                    cache: CacheStatus::Bypass,
-                    cache_shard: None,
-                    generation: r.generation(),
-                    lineage: r.lineage(),
-                    shape_fingerprint: self.binding.as_ref().map(|(fp, _)| *fp),
-                    binding: self.binding.as_ref().map(|(_, values)| values.clone()),
-                    reason: plan.reason.clone(),
-                },
-                generation: r.generation(),
-                fingerprint: self.fingerprint,
-                rows: (0..r.len()).collect(),
-            });
+            let reason = plan.reason.clone();
+            let explain = self.report(
+                r,
+                plan,
+                algorithm,
+                (false, false),
+                CacheStatus::Bypass,
+                reason,
+            );
+            return Ok(((0..r.len()).collect(), explain));
         }
-        let (algorithm, reason) = (plan.algorithm, plan.reason.clone());
         // Result tier first: an exact or delta-maintained previous
         // result answers without touching the matrix cache or running
         // any algorithm at all.
         if !opt.no_materialize {
             if let Some((rows, cache, materialized, explicit_bitsets)) =
                 self.engine
-                    .cached_result(self.fingerprint, &self.compiled, r, populate)
+                    .cached_result(self.fingerprint, &self.compiled, r)
             {
                 let reason = match cache {
                     CacheStatus::Hit => "result cached for this exact content state".to_string(),
@@ -1530,51 +1443,33 @@ impl Prepared {
                           classified against the previous skyline"
                         .to_string(),
                 };
-                return Ok(MaintainedResult {
-                    explain: Explain {
-                        original: self.original.clone(),
-                        simplified: self.simplified_str.clone(),
-                        rewritten: self.rewritten,
-                        derivation: plan.lines(),
-                        algorithm,
-                        materialized,
-                        explicit_bitsets,
-                        cache,
-                        cache_shard: Some(cache_shard_of(self.fingerprint)),
-                        generation: r.generation(),
-                        lineage: r.lineage(),
-                        shape_fingerprint: self.binding.as_ref().map(|(fp, _)| *fp),
-                        binding: self.binding.as_ref().map(|(_, values)| values.clone()),
-                        reason,
-                    },
-                    generation: r.generation(),
-                    fingerprint: self.fingerprint,
+                let backend = (materialized, explicit_bitsets);
+                return Ok((
                     rows,
-                });
+                    self.report(r, plan, algorithm, backend, cache, reason),
+                ));
             }
         }
         let (matrix, cache) = if opt.no_materialize || !Optimizer::uses_matrix(algorithm) {
             (None, CacheStatus::Bypass)
         } else {
             self.engine
-                .cached_matrix(self.fingerprint, &self.compiled, r, populate)
+                .cached_matrix(self.fingerprint, &self.compiled, r)
         };
         let (rows, algorithm, reason) = run_algorithm(
             &self.engine,
             &self.simplified,
             &self.compiled,
             matrix.as_ref(),
-            (algorithm, reason),
+            (algorithm, plan.reason.clone()),
             r,
-            populate,
         )?;
         let materialized = matrix.is_some();
         let explicit_bitsets = matrix.as_ref().is_some_and(MatrixWindow::explicit_backend);
         // Seed the result tier for future executions (and for the
         // maintenance classifier after the next mutation). Gated the
-        // same way the probe is, plus the caller's populate choice.
-        if populate
-            && !opt.no_materialize
+        // same way the probe is.
+        if !opt.no_materialize
             && !opt.no_result_cache
             && self.engine.inner.capacity > 0
             && r.len() <= u32::MAX as usize
@@ -1588,33 +1483,11 @@ impl Prepared {
                 }),
             );
         }
-        Ok(MaintainedResult {
-            explain: Explain {
-                original: self.original.clone(),
-                simplified: self.simplified_str.clone(),
-                rewritten: self.rewritten,
-                derivation: plan.lines(),
-                algorithm,
-                materialized,
-                explicit_bitsets,
-                cache,
-                // Which lock shard the lookup ran through — every key a
-                // term can probe lives in the shard its fingerprint
-                // selects, so this is exact for hits, misses and
-                // incremental rebuilds alike. `None` when no cache
-                // lookup happened at all (Bypass).
-                cache_shard: (cache != CacheStatus::Bypass)
-                    .then(|| cache_shard_of(self.fingerprint)),
-                generation: r.generation(),
-                lineage: r.lineage(),
-                shape_fingerprint: self.binding.as_ref().map(|(fp, _)| *fp),
-                binding: self.binding.as_ref().map(|(_, values)| values.clone()),
-                reason,
-            },
-            generation: r.generation(),
-            fingerprint: self.fingerprint,
+        let backend = (materialized, explicit_bitsets);
+        Ok((
             rows,
-        })
+            self.report(r, plan, algorithm, backend, cache, reason),
+        ))
     }
 
     /// Evaluate and materialize the sub-relation of best matches.
@@ -1881,7 +1754,8 @@ mod tests {
         let engine = Engine::new();
         let r = sample();
         let p = explicit("c", [("z", "x")]).unwrap();
-        let (rows, ex) = engine.evaluate(&p, &r).unwrap();
+        let q = engine.prepare(&p, r.schema()).unwrap();
+        let (rows, ex) = q.execute(&r).unwrap().into_parts();
         assert!(ex.materialized, "EXPLICIT now materializes");
         assert!(ex.explicit_bitsets);
         assert!(ex.to_string().contains("reachability bitsets"));
@@ -1933,25 +1807,6 @@ mod tests {
         assert_eq!(q2.execute(&r).unwrap().cache(), CacheStatus::Miss);
         assert_eq!(small.cache_stats().entries, 1);
         assert_eq!(q1.execute(&r).unwrap().cache(), CacheStatus::Miss);
-    }
-
-    #[test]
-    fn uncached_execution_reads_but_never_populates() {
-        let engine = Engine::new();
-        let r = sample();
-        let p = pos("c", ["x"]).pareto(neg("c", ["z"]));
-        let q = engine.prepare(&p, r.schema()).unwrap();
-
-        // Uncached: builds, counts the miss, inserts nothing.
-        let (rows, ex) = q.execute_uncached(&r).unwrap().into_parts();
-        assert_eq!(ex.cache, CacheStatus::Miss);
-        assert_eq!(engine.cache_stats().entries, 0);
-        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
-
-        // But it does read entries a caching execution left behind.
-        q.execute(&r).unwrap();
-        assert_eq!(q.execute_uncached(&r).unwrap().cache(), CacheStatus::Hit);
-        assert_eq!(engine.cache_stats().entries, 1);
     }
 
     #[test]
@@ -2148,27 +2003,6 @@ mod tests {
     }
 
     #[test]
-    fn uncached_decomposed_execution_pins_nothing() {
-        let engine = Engine::new();
-        let r = sample();
-        // Chain head → Cascade: the recursion evaluates sub-queries (and
-        // derived sub-relations) that would otherwise populate the cache.
-        let p = lowest("a").prior(pos("c", ["x"]).pareto(neg("c", ["z"])));
-        let (rows, ex) = engine.evaluate_uncached(&p, &r).unwrap();
-        assert_eq!(ex.algorithm, Algorithm::Cascade);
-        assert_eq!(
-            engine.cache_stats().entries,
-            0,
-            "uncached decomposed execution must not pin sub-query matrices"
-        );
-        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
-
-        // The cached flavor of the same execution does populate.
-        engine.evaluate(&p, &r).unwrap();
-        assert!(engine.cache_stats().entries > 0);
-    }
-
-    #[test]
     fn groupby_honors_the_ablation_knob() {
         let engine = Engine::with_optimizer(Optimizer::new().without_materialization());
         let r = sample();
@@ -2294,12 +2128,14 @@ mod tests {
         let oracle = sigma_naive_generic(&p, &r).unwrap();
 
         let ablated = Engine::with_optimizer(Optimizer::new().without_materialization());
-        let (rows, ex) = ablated.evaluate(&p, &r).unwrap();
+        let q = ablated.prepare(&p, r.schema()).unwrap();
+        let (rows, ex) = q.execute(&r).unwrap().into_parts();
         assert_eq!(rows, oracle);
         assert!(!ex.materialized);
         assert_eq!(ex.cache, CacheStatus::Bypass);
 
         let forced = Engine::with_optimizer(Optimizer::new().with_algorithm(Algorithm::Naive));
-        assert_eq!(forced.sigma(&p, &r).unwrap(), oracle);
+        let q = forced.prepare(&p, r.schema()).unwrap();
+        assert_eq!(q.execute(&r).unwrap().into_rows(), oracle);
     }
 }

@@ -2,7 +2,8 @@
 //! `σ[P groupby A](R) := σ[A↔ & P](R)`.
 //!
 //! Operationally "a grouping of R by equal A-values, evaluating for each
-//! group Gi of tuples the preference query σ\[P\](Gi)" — implemented on
+//! group Gi of tuples the preference query σ\[P\](Gi)" — implemented by
+//! [`Engine::sigma_groupby`](crate::engine::Engine::sigma_groupby) on
 //! the columnar path: [`Relation::group_ids`] partitions the row ids
 //! once (dictionary/fingerprint encoding, no per-row `Tuple` projection
 //! keys), and every group's BMO window runs over the engine-cached score
@@ -14,21 +15,7 @@ use pref_core::term::Pref;
 use pref_relation::{AttrSet, Relation};
 
 use crate::algorithms::bnl;
-use crate::engine::Engine;
 use crate::error::QueryError;
-
-/// `σ[P groupby A](R)`: per-group BMO evaluation. Returns sorted row
-/// indices of tuples maximal within their A-group.
-///
-/// One-shot convenience over [`Engine::sigma_groupby`]; hold an engine
-/// to reuse the cached matrix across a query stream.
-pub fn sigma_groupby(
-    pref: &Pref,
-    group_attrs: &AttrSet,
-    r: &Relation,
-) -> Result<Vec<usize>, QueryError> {
-    Engine::new().sigma_groupby(pref, group_attrs, r)
-}
 
 /// The definitional form `σ[A↔ & P](R)` (Def. 16), for cross-checking.
 pub fn sigma_groupby_definitional(
@@ -43,8 +30,17 @@ pub fn sigma_groupby_definitional(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use pref_core::prelude::*;
     use pref_relation::{attr, rel};
+
+    fn sigma_groupby(
+        pref: &Pref,
+        group_attrs: &AttrSet,
+        r: &Relation,
+    ) -> Result<Vec<usize>, QueryError> {
+        Engine::new().sigma_groupby(pref, group_attrs, r)
+    }
 
     fn cars() -> pref_relation::Relation {
         // Example 10's Cars(Make, Price, Oid).

@@ -6,6 +6,12 @@
 //! constraints with automatic query relaxation — no empty-result problem,
 //! no flooding effect.
 //!
+//! One way in: [`Engine::prepare`] compiles a term once and
+//! [`Prepared::execute`] evaluates `σ[P](R)`; [`bmo`] holds the naive
+//! Def. 15 oracle every route is checked against. One report out:
+//! every execution returns an [`Explain`], rendered by
+//! [`Explain::lines`].
+//!
 //! * [`bmo`] — the declarative O(n²) reference semantics (Def. 15);
 //! * [`algorithms`] — BNL, parallel BNL, divide & conquer maxima, and
 //!   sort-filter-skyline;
@@ -19,8 +25,8 @@
 //! * [`negotiate`] — §7 e-negotiation groundwork: level-based
 //!   relaxation and two-party negotiation tables over the Pareto
 //!   frontier;
-//! * [`optimizer`] — law-based rewriting (sound by Prop. 7) plus
-//!   algorithm selection, with `EXPLAIN` output;
+//! * [`optimizer`] — the engine's configuration ([`Optimizer`]), the
+//!   algorithm dispatch, and the [`Explain`] report;
 //! * [`plan`] — the cost-based semantic planner: rewrite derivations,
 //!   constraint-registry redundancy proofs, and stats-driven algorithm
 //!   choice materialized as a [`plan::Plan`];
@@ -30,7 +36,7 @@
 //!
 //! ```
 //! use pref_core::prelude::*;
-//! use pref_query::optimizer::sigma_rel;
+//! use pref_query::Engine;
 //! use pref_relation::rel;
 //!
 //! let cars = rel! {
@@ -39,7 +45,8 @@
 //!     (15_000, 35_000), (15_000, 30_000),
 //! };
 //! let p = lowest("price").pareto(lowest("mileage"));
-//! let best = sigma_rel(&p, &cars).unwrap();
+//! let query = Engine::new().prepare(&p, cars.schema()).unwrap();
+//! let best = query.execute_rel(&cars).unwrap();
 //! assert_eq!(best.len(), 2); // the Pareto-optimal offers
 //! ```
 
@@ -57,5 +64,5 @@ pub mod stats;
 
 pub use engine::{CacheStats, Engine, Prepared};
 pub use error::QueryError;
-pub use optimizer::{sigma, sigma_rel, Algorithm, CacheStatus, Explain, Optimizer};
+pub use optimizer::{Algorithm, CacheStatus, Explain, Optimizer};
 pub use plan::{selection_commutes, CostEstimate, Plan, PlanStep};

@@ -15,19 +15,24 @@
 //!    score-representable, and every downstream algorithm runs its
 //!    pairwise tests on that columnar backend instead of term-tree walks.
 //!
-//! Every evaluation returns an [`Explain`] recording what was chosen and
-//! why — the `EXPLAIN` of Preference SQL.
+//! [`Optimizer`] itself is the engine's configuration struct; queries
+//! run through [`Engine::prepare`](crate::engine::Engine::prepare) →
+//! [`Prepared::execute`](crate::engine::Prepared::execute), and every
+//! execution returns an [`Explain`] recording what was chosen and why —
+//! the `EXPLAIN` of Preference SQL.
 
 use std::fmt;
+use std::sync::Arc;
 
-use pref_core::algebra::simplify;
 use pref_core::eval::{CompiledPref, MatrixWindow};
 use pref_core::term::Pref;
 use pref_relation::{Lineage, Relation, Value};
 
 use crate::algorithms::{bnl, dnc, sfs};
 use crate::bmo::{sigma_naive_generic_compiled, sigma_naive_matrix};
+use crate::engine::Engine;
 use crate::error::QueryError;
+use crate::plan::Plan;
 
 /// Evaluation strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,14 +154,15 @@ pub struct Explain {
     pub simplified: String,
     /// Whether rewriting changed the term.
     pub rewritten: bool,
-    /// The planner's derivation: one pre-formatted line per recorded
-    /// step — algebra laws fired (with before/after terms), semantic
-    /// rewrites, the constraints they used, and the per-algorithm cost
-    /// table ([`Plan::lines`](crate::plan::Plan::lines)). Empty when the
-    /// execution bypassed the planner (forced algorithm, result-tier
-    /// hit before planning, legacy paths).
-    pub derivation: Vec<String>,
-    /// The chosen evaluation strategy.
+    /// The plan this report was produced from: the derivation (algebra
+    /// laws fired with before/after terms, semantic rewrites, the
+    /// constraints they used), the statistics snapshot and the
+    /// per-algorithm cost table. Every execution carries one — the plan
+    /// is shared with the [`Prepared`](crate::engine::Prepared) that
+    /// cached it and only rendered when [`Explain::lines`] is asked for.
+    pub plan: Arc<Plan>,
+    /// The evaluation strategy that ran (the plan's choice, or the
+    /// fallback when the chosen algorithm did not apply to the input).
     pub algorithm: Algorithm,
     /// Whether dominance tests ran on a materialized score matrix
     /// (`false` = generic term-walk backend).
@@ -202,14 +208,49 @@ impl Explain {
     /// drift because there is only one serializer (a parity test in the
     /// server crate pins this).
     pub fn lines(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(7);
+        let mut out = Vec::new();
         out.push(format!("preference : {}", self.original));
         if self.rewritten {
             out.push(format!("rewritten  : {}", self.simplified));
         }
-        // The planner's derivation, already line-formatted by
-        // `Plan::lines` — laws fired, constraints used, cost table.
-        out.extend(self.derivation.iter().cloned());
+        // The planner's derivation: laws fired, constraints used, the
+        // statistics snapshot and the cost table.
+        let plan = &self.plan;
+        for s in &plan.steps {
+            if s.before == s.after {
+                out.push(format!("{:<11}: {}", s.kind, s.rule));
+            } else {
+                out.push(format!(
+                    "{:<11}: {}: {} ⇒ {}",
+                    s.kind, s.rule, s.before, s.after
+                ));
+            }
+        }
+        for c in &plan.constraints_used {
+            out.push(format!("constraint : {c}"));
+        }
+        out.push(format!(
+            "stats      : {} rows at generation {}, est. result {:.1} rows (Def. 18)",
+            plan.rows, plan.generation, plan.estimated_result
+        ));
+        for e in &plan.estimates {
+            if e.eligible {
+                let chosen = if e.algorithm == plan.algorithm {
+                    "  ← chosen"
+                } else {
+                    ""
+                };
+                out.push(format!(
+                    "cost       : {} = {:.0} ({}){chosen}",
+                    e.algorithm, e.cost, e.detail
+                ));
+            } else {
+                out.push(format!(
+                    "cost       : {} ineligible ({})",
+                    e.algorithm, e.detail
+                ));
+            }
+        }
         out.push(format!("algorithm  : {}", self.algorithm));
         out.push(format!(
             "dominance  : {}",
@@ -276,7 +317,8 @@ impl fmt::Display for Explain {
     }
 }
 
-/// Optimizer configuration.
+/// The engine's configuration
+/// ([`Engine::with_optimizer`](crate::engine::Engine::with_optimizer)).
 #[derive(Debug, Clone, Default)]
 pub struct Optimizer {
     /// Force a specific algorithm (skips selection, not rewriting).
@@ -290,8 +332,6 @@ pub struct Optimizer {
     /// the default layout
     /// ([`ScoreMatrix::DEFAULT_SHARD_ROWS`](pref_core::eval::ScoreMatrix::DEFAULT_SHARD_ROWS)).
     pub shard_rows: usize,
-    /// Skip the algebraic rewrite pass.
-    pub no_rewrite: bool,
     /// Skip score-matrix materialization at the top level (forces the
     /// term-walk backend); benchmark ablation and debugging knob. Does
     /// not reach the decomposition evaluator's per-subquery BNL calls,
@@ -353,14 +393,6 @@ impl Optimizer {
         self
     }
 
-    pub(crate) fn rewrite(&self, pref: &Pref) -> Pref {
-        if self.no_rewrite {
-            pref.clone()
-        } else {
-            simplify(pref)
-        }
-    }
-
     /// Does `algorithm` run its *top-level* pairwise dominance tests on
     /// a score matrix? D&C builds its own columnar skyline vectors, and
     /// the cascade/decomposition evaluators recurse into sub-queries
@@ -372,51 +404,20 @@ impl Optimizer {
             Algorithm::Naive | Algorithm::Bnl | Algorithm::BnlParallel | Algorithm::Sfs
         )
     }
-
-    /// Plan only: rewrite (recording the derivation), run the semantic
-    /// constraint analysis, and cost-rank the algorithms without
-    /// evaluating — the `EXPLAIN` path of Preference SQL. Runs through a
-    /// transient capacity-0 [`Engine`](crate::engine::Engine) so the
-    /// planner sees (freshly computed) statistics; engine-held queries
-    /// should use [`Engine::plan`](crate::engine::Engine::plan), whose
-    /// statistics are maintained incrementally across mutations.
-    pub fn plan(&self, pref: &Pref, r: &Relation) -> Result<Explain, QueryError> {
-        crate::engine::Engine::with_optimizer(self.clone())
-            .with_capacity(0)
-            .plan(pref, r)
-    }
-
-    /// Evaluate `σ[P](R)`, returning sorted row indices and the
-    /// explanation.
-    ///
-    /// This is the one-shot convenience path: it runs through a
-    /// transient [`Engine`](crate::engine::Engine), so the term is
-    /// compiled once and the score matrix materialized once per call —
-    /// but nothing is reused *across* calls. Query streams should hold a
-    /// long-lived engine and [`prepare`](crate::engine::Engine::prepare)
-    /// instead.
-    pub fn evaluate(&self, pref: &Pref, r: &Relation) -> Result<(Vec<usize>, Explain), QueryError> {
-        // Capacity 0: the transient engine dies with this call, so
-        // inserting the matrix into its cache would be pure overhead.
-        crate::engine::Engine::with_optimizer(self.clone())
-            .with_capacity(0)
-            .evaluate(pref, r)
-    }
 }
 
 /// Run the selected algorithm over an already-compiled term and an
-/// optionally materialized matrix — the dispatch shared by
-/// [`Optimizer::evaluate`] and the prepared-query engine. Returns the
+/// optionally materialized matrix — the dispatch behind
+/// [`Prepared::execute`](crate::engine::Prepared::execute). Returns the
 /// result rows plus the (possibly fallback-adjusted) algorithm and
 /// rationale.
 pub(crate) fn run_algorithm(
-    engine: &crate::engine::Engine,
+    engine: &Engine,
     simplified: &Pref,
     c: &CompiledPref,
     matrix: Option<&MatrixWindow>,
     selection: (Algorithm, String),
     r: &Relation,
-    populate: bool,
 ) -> Result<(Vec<usize>, Algorithm, String), QueryError> {
     let opt = engine.optimizer();
     let (mut algorithm, mut reason) = selection;
@@ -494,9 +495,7 @@ pub(crate) fn run_algorithm(
                 }
             }
         }
-        Algorithm::Cascade | Algorithm::Decomposed => {
-            crate::decompose::sigma_decomposed_inner(engine, simplified, r, populate)?
-        }
+        Algorithm::Cascade | Algorithm::Decomposed => engine.sigma_decomposed(simplified, r)?,
         // Only the planner may elide the winnow — it holds the
         // constraint-registry proof that σ[P](R) = R. A caller forcing
         // it would silently get every row on arbitrary preferences.
@@ -512,33 +511,19 @@ pub(crate) fn run_algorithm(
     Ok((rows, algorithm, reason))
 }
 
-/// Convenience entry point: optimized `σ[P](R)` returning row indices.
-///
-/// Deprecated style: every call re-plans, re-compiles, and re-builds the
-/// score matrix. Hold an [`Engine`](crate::engine::Engine) and
-/// [`prepare`](crate::engine::Engine::prepare) to amortize query streams.
-pub fn sigma(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    Ok(Optimizer::new().evaluate(pref, r)?.0)
-}
-
-/// Convenience entry point: optimized `σ[P](R)` returning the
-/// sub-relation of best matches.
-///
-/// Deprecated style: see [`sigma`]. Thin wrapper over the engine's
-/// single result-materialization path
-/// ([`Prepared::execute_rel`](crate::engine::Prepared::execute_rel)).
-pub fn sigma_rel(pref: &Pref, r: &Relation) -> Result<Relation, QueryError> {
-    crate::engine::Engine::new()
-        .with_capacity(0)
-        .prepare(pref, r.schema())?
-        .execute_rel(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pref_core::prelude::*;
     use pref_relation::rel;
+
+    /// One `prepare → execute` on a fresh engine configured by `opt`.
+    fn run(opt: Optimizer, p: &Pref, r: &Relation) -> Result<(Vec<usize>, Explain), QueryError> {
+        Ok(Engine::with_optimizer(opt)
+            .prepare(p, r.schema())?
+            .execute(r)?
+            .into_parts())
+    }
 
     fn sample() -> Relation {
         rel! {
@@ -573,7 +558,7 @@ mod tests {
                         ..Optimizer::default()
                     };
                     assert_eq!(
-                        opt.evaluate(&p, &r).unwrap().0,
+                        run(opt, &p, &r).unwrap().0,
                         baseline,
                         "{algo} (no_materialize={no_materialize}) diverged on {p}"
                     );
@@ -586,7 +571,7 @@ mod tests {
     fn selection_picks_dnc_for_skylines() {
         let r = sample();
         let p = lowest("a").pareto(highest("b"));
-        let (_, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (_, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert_eq!(ex.algorithm, Algorithm::Dnc);
         // D&C runs on its own columnar skyline vectors; no score matrix
         // is (or should be) materialized for it.
@@ -612,14 +597,14 @@ mod tests {
             "NULL row is incomparable, stays maximal"
         );
 
-        let (rows, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert_eq!(rows, oracle);
         assert_eq!(ex.algorithm, Algorithm::Bnl);
         assert!(ex.reason.contains("fell back"));
 
         let forced = Optimizer::new().with_algorithm(Algorithm::Dnc);
         assert!(matches!(
-            forced.evaluate(&p, &r),
+            run(forced, &p, &r),
             Err(QueryError::AlgorithmMismatch { .. })
         ));
     }
@@ -634,14 +619,14 @@ mod tests {
         // Forced: clean mismatch error.
         let forced = Optimizer::new().with_algorithm(Algorithm::Sfs);
         assert!(matches!(
-            forced.evaluate(&lowest("a"), &r),
+            run(forced, &lowest("a"), &r),
             Err(QueryError::AlgorithmMismatch { .. })
         ));
 
         // Auto-selected (scored, non-chain shape so selection probes
         // utility): falls back to BNL and still answers correctly.
         let p = around("a", 1).pareto(lowest("a"));
-        let (rows, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert_eq!(ex.algorithm, Algorithm::Bnl);
         assert!(ex.reason.contains("fell back"));
         assert_eq!(rows, crate::bmo::sigma_naive_generic(&p, &r).unwrap());
@@ -651,7 +636,7 @@ mod tests {
     fn selection_picks_cascade_for_chain_head() {
         let r = sample();
         let p = lowest("a").prior(pos("c", ["x"]));
-        let (_, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (_, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert_eq!(ex.algorithm, Algorithm::Cascade);
     }
 
@@ -659,7 +644,7 @@ mod tests {
     fn selection_picks_sfs_for_scored_non_chain() {
         let r = sample();
         let p = around("a", 3).pareto(lowest("b"));
-        let (_, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (_, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert_eq!(ex.algorithm, Algorithm::Sfs);
     }
 
@@ -667,7 +652,7 @@ mod tests {
     fn selection_falls_back_to_bnl() {
         let r = sample();
         let p = pos("c", ["x"]).pareto(neg("c", ["z"]));
-        let (_, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (_, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert_eq!(ex.algorithm, Algorithm::Bnl);
         // POS/NEG are level-representable: still a matrix backend.
         assert!(ex.materialized);
@@ -677,7 +662,7 @@ mod tests {
     fn explicit_terms_use_the_reachability_bitset_backend() {
         let r = sample();
         let p = explicit("c", [("z", "x")]).unwrap();
-        let (rows, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert!(ex.materialized);
         assert!(ex.explicit_bitsets);
         assert_eq!(rows, crate::bmo::sigma_naive_generic(&p, &r).unwrap());
@@ -685,7 +670,7 @@ mod tests {
 
         // A non-materializable shape still reports the generic backend.
         let p = lowest("c"); // string chain: off the f64 axis
-        let (_, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (_, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert!(!ex.materialized && !ex.explicit_bitsets);
         assert!(ex.to_string().contains("generic term-walk"));
     }
@@ -695,12 +680,12 @@ mod tests {
         let r = sample();
         let opt = Optimizer::new().with_algorithm(Algorithm::Dnc);
         assert!(matches!(
-            opt.evaluate(&pos("c", ["x"]), &r),
+            run(opt, &pos("c", ["x"]), &r),
             Err(QueryError::AlgorithmMismatch { .. })
         ));
         let opt = Optimizer::new().with_algorithm(Algorithm::Sfs);
         assert!(matches!(
-            opt.evaluate(&pos("c", ["x"]), &r),
+            run(opt, &pos("c", ["x"]), &r),
             Err(QueryError::AlgorithmMismatch { .. })
         ));
     }
@@ -710,7 +695,7 @@ mod tests {
         let r = sample();
         // P & P on the same attribute set rewrites to P (Prop. 4a).
         let p = pos("c", ["x"]).prior(neg("c", ["z"]));
-        let (rows, ex) = Optimizer::new().evaluate(&p, &r).unwrap();
+        let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert!(ex.rewritten);
         assert_eq!(ex.simplified, pos("c", ["x"]).to_string());
         assert_eq!(rows, crate::bmo::sigma_naive(&p, &r).unwrap());
@@ -719,22 +704,21 @@ mod tests {
 
     #[test]
     fn prop7_rewrites_preserve_results() {
-        // σ[P1](R) = σ[P2](R) whenever P1 ≡ P2 — spot-check via simplify.
+        // σ[P1](R) = σ[P2](R) whenever P1 ≡ P2: the engine evaluates the
+        // simplified term, the Def. 15 oracle the term as submitted.
         let r = sample();
         for p in [
             Pref::Pareto(vec![lowest("a"), lowest("a"), highest("b")]),
-            Pref::Prior(vec![lowest("a"), antichain(["b"])]),
+            pos("c", ["x"]).prior(neg("c", ["z"])),
             lowest("a").dual().dual(),
         ] {
-            let with = Optimizer::new().evaluate(&p, &r).unwrap().0;
-            let without = Optimizer {
-                no_rewrite: true,
-                ..Default::default()
-            }
-            .evaluate(&p, &r)
-            .unwrap()
-            .0;
-            assert_eq!(with, without, "Prop. 7 violated for {p}");
+            let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
+            assert!(ex.rewritten, "{p} must be rewritten");
+            assert_eq!(
+                rows,
+                crate::bmo::sigma_naive_generic(&p, &r).unwrap(),
+                "Prop. 7 violated for {p}"
+            );
         }
     }
 }

@@ -26,8 +26,6 @@
 //! whole decision — laws fired, constraints used, per-algorithm costs —
 //! is recorded on the [`Plan`] and printed by `EXPLAIN`.
 
-use std::fmt;
-
 use pref_core::algebra::RewriteStep;
 use pref_core::eval::CompiledPref;
 use pref_core::term::Pref;
@@ -99,6 +97,7 @@ pub struct CostEstimate {
 /// The complete plan of one preference query over one relation state:
 /// the derivation that produced the evaluated term, the semantic
 /// verdict, the per-algorithm cost table and the chosen algorithm.
+/// Rendered only through [`Explain::lines`](crate::Explain::lines).
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Derivation steps: algebraic trace first, semantic steps after.
@@ -121,58 +120,6 @@ pub struct Plan {
     pub algorithm: Algorithm,
     /// Selection rationale, reported through [`Explain`](crate::Explain).
     pub reason: String,
-}
-
-impl Plan {
-    /// The derivation lines `EXPLAIN` splices into
-    /// [`Explain::lines`](crate::Explain::lines) — each already carries
-    /// its column prefix so the Rust view, `Display`, and the server
-    /// wire format all render identically.
-    pub fn lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for s in &self.steps {
-            if s.before == s.after {
-                out.push(format!("{:<11}: {}", s.kind, s.rule));
-            } else {
-                out.push(format!(
-                    "{:<11}: {}: {} ⇒ {}",
-                    s.kind, s.rule, s.before, s.after
-                ));
-            }
-        }
-        for c in &self.constraints_used {
-            out.push(format!("constraint : {c}"));
-        }
-        out.push(format!(
-            "stats      : {} rows at generation {}, est. result {:.1} rows (Def. 18)",
-            self.rows, self.generation, self.estimated_result
-        ));
-        for e in &self.estimates {
-            if e.eligible {
-                let chosen = if e.algorithm == self.algorithm {
-                    "  ← chosen"
-                } else {
-                    ""
-                };
-                out.push(format!(
-                    "cost       : {} = {:.0} ({}){chosen}",
-                    e.algorithm, e.cost, e.detail
-                ));
-            } else {
-                out.push(format!(
-                    "cost       : {} ineligible ({})",
-                    e.algorithm, e.detail
-                ));
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for Plan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.lines().join("\n"))
-    }
 }
 
 // ---- semantic analysis (prepare time, schema-level) --------------------
@@ -646,22 +593,14 @@ mod tests {
 
     #[test]
     fn plan_lines_render_derivation_and_costs() {
-        let s = constrained_schema();
+        let r =
+            Relation::from_rows(constrained_schema(), sample().iter().cloned().collect()).unwrap();
         let p = Pref::Pareto(vec![pos("c", ["x"]), pos("c", ["x"])]);
-        let info = analyze(&p, &s);
-        assert!(info.redundant);
-        let plan = Plan {
-            steps: info.steps,
-            constraints_used: info.constraints_used,
-            redundant: true,
-            rows: 8,
-            generation: 1,
-            estimated_result: 8.0,
-            estimates: Vec::new(),
-            algorithm: Algorithm::Elided,
-            reason: "test".into(),
-        };
-        let text = plan.to_string();
+        let q = crate::Engine::new().prepare(&p, r.schema()).unwrap();
+        let plan = q.plan(&r);
+        assert!(plan.redundant);
+        assert_eq!(plan.algorithm, Algorithm::Elided);
+        let text = q.explain(&r).to_string();
         assert!(text.contains("Prop. 3l"), "algebra trace rendered: {text}");
         assert!(text.contains("redundant winnow eliminated"));
         assert!(text.contains("zero algorithm runs"));

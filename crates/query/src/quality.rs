@@ -4,9 +4,10 @@
 //!   (§6.1), used by the `BUT ONLY` clause "to supervise required quality
 //!   levels" and for query explanation;
 //! * perfect-match detection (Def. 14b);
-//! * `top_k` — the "k-best" relaxation of BMO used by multi-feature and
-//!   full-text engines (§6.2), which deliberately returns some
-//!   non-maximal tuples when the best-matches-only set is too small.
+//! * [`Engine::k_best`] / [`Engine::top_k`] — the "k-best" relaxation
+//!   of BMO used by multi-feature and full-text engines (§6.2), which
+//!   deliberately returns some non-maximal tuples when the
+//!   best-matches-only set is too small.
 
 use pref_core::base::BaseRef;
 use pref_core::eval::MatrixWindow;
@@ -302,24 +303,14 @@ fn all_tops<'a>(
     Ok(all)
 }
 
-/// The "k-best" query model by quality level: all of `σ[P](R)` (level 1),
-/// then level 2, and so on until `k` rows are collected — "in BMO-terms
-/// this amounts to retrieve some non-maximal objects, too" (§6.2). Works
-/// for *any* preference, not just scored ones; ties within the cutting
-/// level break by row order.
-pub fn k_best(pref: &Pref, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
-    let c = pref_core::eval::CompiledPref::compile(pref, r.schema())?;
-    let g = BetterGraph::from_relation(&c, r).map_err(|_| QueryError::AlgorithmMismatch {
-        algorithm: "k-best",
-        term: pref.to_string(),
-        reason: "preference violates the strict-partial-order axioms",
-    })?;
-    k_best_of_graph(&g, r.len(), k)
-}
-
 impl Engine {
-    /// [`k_best`] through this engine: the O(n²) better-than graph is
-    /// built from the engine-cached
+    /// The "k-best" query model by quality level: all of `σ[P](R)`
+    /// (level 1), then level 2, and so on until `k` rows are collected —
+    /// "in BMO-terms this amounts to retrieve some non-maximal objects,
+    /// too" (§6.2). Works for *any* preference, not just scored ones;
+    /// ties within the cutting level break by row order.
+    ///
+    /// The O(n²) better-than graph is built from the engine-cached
     /// [`ScoreMatrix`](pref_core::eval::ScoreMatrix) when the term
     /// materializes (numeric key comparisons instead of per-pair term
     /// walks), with the compiled-term walk as fallback.
@@ -334,53 +325,35 @@ impl Engine {
             term: pref.to_string(),
             reason: "preference violates the strict-partial-order axioms",
         })?;
-        k_best_of_graph(&g, r.len(), k)
+        let mut idx: Vec<usize> = (0..r.len()).collect();
+        idx.sort_by_key(|&i| (g.level(i), i));
+        idx.truncate(k);
+        Ok(idx)
     }
 
-    /// [`top_k`] through this engine: rewrite + compile happen once via
-    /// [`Engine::prepare`] (the utility scan itself needs no matrix — it
-    /// is a single O(n) pass, not a pairwise loop).
+    /// The "k-best" ranked query model (§6.2): order by the preference's
+    /// monotone utility, return the top `k` row indices (best first).
+    /// For a chain-valued `rank(F)` this returns the k best matches;
+    /// BMO-maximal tuples always precede non-maximal ones. The utility
+    /// scan needs no matrix — it is a single O(n) pass, not a pairwise
+    /// loop.
     pub fn top_k(&self, pref: &Pref, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
         let q = self.prepare(pref, r.schema())?;
-        top_k_compiled(q.compiled(), pref, r, k)
+        let mut scored: Vec<(f64, usize)> = Vec::with_capacity(r.len());
+        for i in 0..r.len() {
+            let u =
+                q.compiled()
+                    .utility(r.row(i))
+                    .ok_or_else(|| QueryError::AlgorithmMismatch {
+                        algorithm: "top-k",
+                        term: pref.to_string(),
+                        reason: "preference admits no monotone utility",
+                    })?;
+            scored.push((u, i));
+        }
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        Ok(scored.into_iter().take(k).map(|(_, i)| i).collect())
     }
-}
-
-fn k_best_of_graph(g: &BetterGraph, n: usize, k: usize) -> Result<Vec<usize>, QueryError> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| (g.level(i), i));
-    idx.truncate(k);
-    Ok(idx)
-}
-
-/// The "k-best" ranked query model (§6.2): order by the preference's
-/// monotone utility, return the top `k` row indices (best first). For a
-/// chain-valued `rank(F)` this returns the k best matches; BMO-maximal
-/// tuples always precede non-maximal ones.
-pub fn top_k(pref: &Pref, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
-    let c = pref_core::eval::CompiledPref::compile(pref, r.schema())?;
-    top_k_compiled(&c, pref, r, k)
-}
-
-fn top_k_compiled(
-    c: &pref_core::eval::CompiledPref,
-    pref: &Pref,
-    r: &Relation,
-    k: usize,
-) -> Result<Vec<usize>, QueryError> {
-    let mut scored: Vec<(f64, usize)> = Vec::with_capacity(r.len());
-    for i in 0..r.len() {
-        let u = c
-            .utility(r.row(i))
-            .ok_or_else(|| QueryError::AlgorithmMismatch {
-                algorithm: "top-k",
-                term: pref.to_string(),
-                reason: "preference admits no monotone utility",
-            })?;
-        scored.push((u, i));
-    }
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    Ok(scored.into_iter().take(k).map(|(_, i)| i).collect())
 }
 
 #[cfg(test)]
@@ -500,6 +473,12 @@ mod tests {
         assert!(bad.filter_rows(&p, &r, &all).is_err());
     }
 
+    /// The term-walk reference: the same operators with the score-matrix
+    /// backend switched off.
+    fn term_walk() -> Engine {
+        Engine::with_optimizer(crate::Optimizer::new().without_materialization())
+    }
+
     #[test]
     fn k_best_with_engine_agrees_and_reuses_matrices() {
         let r = rel! { ("a": Int, "b": Int); (1, 9), (2, 8), (9, 1), (5, 5) };
@@ -508,37 +487,31 @@ mod tests {
         for k in 0..=r.len() {
             assert_eq!(
                 engine.k_best(&p, &r, k).unwrap(),
-                k_best(&p, &r, k).unwrap()
+                term_walk().k_best(&p, &r, k).unwrap()
             );
         }
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "one matrix serves every k");
         assert!(stats.hits >= 1);
-        // And the ranked model too.
-        let ranked = Pref::rank(CombineFn::sum(), vec![highest("a"), highest("b")]).unwrap();
-        assert_eq!(
-            engine.top_k(&ranked, &r, 3).unwrap(),
-            top_k(&ranked, &r, 3).unwrap()
-        );
     }
 
     #[test]
-    fn engine_methods_agree_with_the_one_shot_free_functions() {
+    fn engine_operators_agree_with_their_term_walk_references() {
         let r = rel! { ("a": Int, "b": Int); (1, 9), (2, 8), (9, 1), (5, 5) };
         let p = around("a", 1).pareto(lowest("b"));
         let engine = Engine::new();
         assert_eq!(
             engine.k_best(&p, &r, 3).unwrap(),
-            k_best(&p, &r, 3).unwrap()
+            term_walk().k_best(&p, &r, 3).unwrap()
         );
         let ranked = Pref::rank(CombineFn::sum(), vec![highest("a"), highest("b")]).unwrap();
         assert_eq!(
             engine.top_k(&ranked, &r, 3).unwrap(),
-            top_k(&ranked, &r, 3).unwrap()
+            term_walk().top_k(&ranked, &r, 3).unwrap()
         );
         assert_eq!(
             engine.sigma_decomposed(&p, &r).unwrap(),
-            crate::decompose::sigma_decomposed(&p, &r).unwrap()
+            crate::bmo::sigma_naive_generic(&p, &r).unwrap()
         );
     }
 
@@ -571,14 +544,15 @@ mod tests {
     fn k_best_walks_down_the_levels() {
         let r = rel! { ("a": Int); (3,), (1,), (2,), (1,) };
         let p = lowest("a");
+        let engine = Engine::new();
         // Levels: the two 1s, then 2, then 3.
-        assert_eq!(k_best(&p, &r, 1).unwrap(), vec![1]);
-        assert_eq!(k_best(&p, &r, 2).unwrap(), vec![1, 3]);
-        assert_eq!(k_best(&p, &r, 3).unwrap(), vec![1, 3, 2]);
-        assert_eq!(k_best(&p, &r, 99).unwrap().len(), 4);
+        assert_eq!(engine.k_best(&p, &r, 1).unwrap(), vec![1]);
+        assert_eq!(engine.k_best(&p, &r, 2).unwrap(), vec![1, 3]);
+        assert_eq!(engine.k_best(&p, &r, 3).unwrap(), vec![1, 3, 2]);
+        assert_eq!(engine.k_best(&p, &r, 99).unwrap().len(), 4);
         // Works for non-scored preferences too (unlike utility top_k).
         let q = pos("a", [2i64]);
-        assert_eq!(k_best(&q, &r, 1).unwrap(), vec![2]);
+        assert_eq!(engine.k_best(&q, &r, 1).unwrap(), vec![2]);
     }
 
     #[test]
@@ -586,7 +560,7 @@ mod tests {
         let r = rel! { ("a": Int, "b": Int); (1, 9), (2, 8), (9, 1), (5, 5) };
         let p = lowest("a").pareto(lowest("b"));
         let bmo = crate::bmo::sigma_naive(&p, &r).unwrap();
-        let kb = k_best(&p, &r, r.len()).unwrap();
+        let kb = Engine::new().k_best(&p, &r, r.len()).unwrap();
         assert_eq!(
             {
                 let mut head: Vec<usize> = kb[..bmo.len()].to_vec();
@@ -603,10 +577,11 @@ mod tests {
         // more alternative choices, the k-best query model is applied".
         let r = rel! { ("a": Int, "b": Int); (1, 1), (2, 2), (3, 3), (4, 4) };
         let p = Pref::rank(CombineFn::sum(), vec![highest("a"), highest("b")]).unwrap();
-        assert_eq!(top_k(&p, &r, 1).unwrap(), vec![3]);
-        assert_eq!(top_k(&p, &r, 3).unwrap(), vec![3, 2, 1]);
-        assert_eq!(top_k(&p, &r, 99).unwrap().len(), 4);
+        let engine = Engine::new();
+        assert_eq!(engine.top_k(&p, &r, 1).unwrap(), vec![3]);
+        assert_eq!(engine.top_k(&p, &r, 3).unwrap(), vec![3, 2, 1]);
+        assert_eq!(engine.top_k(&p, &r, 99).unwrap().len(), 4);
         // Non-scorable terms are rejected.
-        assert!(top_k(&pos("a", [1i64]), &r, 1).is_err());
+        assert!(engine.top_k(&pos("a", [1i64]), &r, 1).is_err());
     }
 }

@@ -20,10 +20,8 @@ use crate::error::QueryError;
 /// pair) serves every evaluation after the first from the engine's
 /// matrix/result caches instead of re-walking the term per tuple pair.
 pub fn result_size(engine: &Engine, pref: &Pref, r: &Relation) -> Result<usize, QueryError> {
-    let (rows, _) = engine.evaluate(pref, r)?;
-    let attrs = pref.attributes();
-    let sub = r.take_rows(&rows);
-    Ok(sub.distinct_count(&attrs)?)
+    let sub = engine.prepare(pref, r.schema())?.execute_rel(r)?;
+    Ok(sub.distinct_count(&pref.attributes())?)
 }
 
 /// Is `p1` a stronger (or equal) preference filter than `p2` on `R`
@@ -158,8 +156,9 @@ mod tests {
         // {a, b}; compare against each operand measured on that same set
         // (Def. 19 fixes one A for the comparison).
         let on_union_attrs = |p: &Pref| {
-            let rows = crate::optimizer::sigma(p, &r2).unwrap();
-            r2.take_rows(&rows)
+            let q = engine.prepare(p, r2.schema()).unwrap();
+            q.execute_rel(&r2)
+                .unwrap()
                 .distinct_count(&union.attributes())
                 .unwrap()
         };

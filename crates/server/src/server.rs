@@ -5,11 +5,13 @@
 //!
 //! Connections speak the line protocol of [`crate::protocol`]: one
 //! request per line, dot-terminated replies. A connection ends on
-//! `QUIT`, on EOF, or on an unreadable stream; the server ends when
+//! `QUIT`, on EOF, on an unreadable stream, or on a request line longer
+//! than [`MAX_REQUEST_LINE`]; the server ends when
 //! [`Server::shutdown`] flips the stop flag and nudges the listener
 //! with a wake-up connection.
 
-use std::io::{BufRead, BufReader};
+use std::fmt;
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,7 +19,30 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
+use crate::protocol::Reply;
 use crate::session::{ServerState, WatchSink};
+
+/// The longest request line a connection may send, newline excluded.
+/// Requests are read into memory whole, so without a cap a client that
+/// never sends `\n` grows one buffer without limit; 1 MiB is three
+/// orders of magnitude above any statement the protocol carries.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// A request line exceeded [`MAX_REQUEST_LINE`]: the connection is sent
+/// this as an `ERR` reply and closed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestLineTooLong;
+
+impl fmt::Display for RequestLineTooLong {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "request line too long (limit {MAX_REQUEST_LINE} bytes); closing connection"
+        )
+    }
+}
+
+impl std::error::Error for RequestLineTooLong {}
 
 /// A running TCP server. Dropping it without calling
 /// [`Server::shutdown`] leaves the listener thread running for the
@@ -115,10 +140,25 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>) {
         Err(_) => return,
     };
     let mut session = state.session_with_sink(sink.clone());
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let reply = session.handle_line(&line);
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells "exactly at the limit" (newline
+        // read) from "over it" (no newline within the allowance).
+        let mut bounded = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1);
+        match bounded.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.last() != Some(&b'\n') && line.len() > MAX_REQUEST_LINE {
+            let _ = sink.write_frame(&Reply::err(RequestLineTooLong).frame());
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let reply = session.handle_line(text);
         if sink.write_frame(&reply.frame()).is_err() {
             break;
         }

@@ -10,7 +10,7 @@
 //! drives one per connection, and tests or the load generator can
 //! drive one directly with no socket at all.
 //!
-//! `WATCH` turns a session into a push consumer: the [`WatchHub`]
+//! `WATCH` turns a session into a push consumer: the `WatchHub`
 //! re-evaluates every watched statement under each mutation's write
 //! guard (cheap — the engine's maintained-result tier serves the
 //! re-execution incrementally), diffs it against the last pushed
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 use parking_lot::{Mutex, RwLock};
-use pref_query::Engine;
+use pref_query::{Engine, Explain};
 use pref_relation::{Relation, Value};
 use pref_sql::executor::QueryResult;
 use pref_sql::{PrefSql, PreparedStatement};
@@ -257,7 +257,10 @@ pub struct Session {
     state: Arc<ServerState>,
     statements: HashMap<String, PreparedStatement>,
     bindings: HashMap<String, Vec<Value>>,
-    last_explain: Option<Vec<String>>,
+    /// The report of the last executed statement, rendered only when
+    /// `EXPLAIN` asks for it: `None` until a statement has run,
+    /// `Some(None)` after an exact-match statement (no BMO stage).
+    last_explain: Option<Option<Explain>>,
     closed: bool,
     /// Where this session's push frames go; `None` on transports that
     /// cannot carry asynchronous frames.
@@ -317,8 +320,13 @@ impl Session {
                 let result = stmt.execute(&self.state.db.read(), &params);
                 self.reply_result(result)
             }
+            // `Explain::lines` is the one serialization: Display, the
+            // wire EXPLAIN body, and the bench reports all render
+            // through it (a parity test pins this).
             Command::Explain => match &self.last_explain {
-                Some(lines) => Reply::ok("explain").with_body(lines.clone()),
+                Some(Some(ex)) => Reply::ok("explain").with_body(ex.lines()),
+                Some(None) => Reply::ok("explain")
+                    .with_body(vec!["exact-match statement (no BMO stage)".to_string()]),
                 None => Reply::err("no statement has executed in this session yet"),
             },
             Command::Append(table, values) => {
@@ -415,22 +423,16 @@ impl Session {
         &self.state
     }
 
-    /// Render a query result (or error) as a reply, recording the
-    /// EXPLAIN lines for the next `EXPLAIN` request. The body is the
+    /// Render a query result (or error) as a reply, keeping its report
+    /// for the next `EXPLAIN` request. The body is the
     /// relation's own display — header plus one line per tuple — so
     /// replies are comparable byte-for-byte across sessions.
     fn reply_result(&mut self, result: Result<QueryResult, pref_sql::SqlError>) -> Reply {
         match result {
             Ok(res) => {
-                // `Explain::lines` is the one serialization: Display,
-                // the wire EXPLAIN body, and the bench reports all
-                // render through it (a parity test pins this).
-                self.last_explain = Some(match &res.explain {
-                    Some(ex) => ex.lines(),
-                    None => vec!["exact-match statement (no BMO stage)".to_string()],
-                });
                 let body: Vec<String> =
                     res.relation.to_string().lines().map(String::from).collect();
+                self.last_explain = Some(res.explain);
                 Reply::ok(format!("{} row(s)", res.relation.len())).with_body(body)
             }
             Err(e) => Reply::err(e),

@@ -122,6 +122,44 @@ fn tcp_errors_are_replies_not_disconnects() {
 }
 
 #[test]
+fn overlong_request_line_is_refused_and_only_that_connection_closes() {
+    use std::io::{Read, Write};
+    use std::time::Duration;
+
+    let server = start_server();
+    let addr = server.local_addr();
+
+    // 2 MiB and never a newline: the server must answer ERR at its
+    // 1 MiB cap and hang up instead of buffering without limit.
+    let mut hostile = std::net::TcpStream::connect(addr).expect("connects");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout set");
+    // The server may hang up mid-write; that is the point.
+    let _ = hostile.write_all(&vec![b'x'; 2 * pref_server::server::MAX_REQUEST_LINE]);
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 4096];
+    // Read to EOF / reset; a timeout (the unbounded server never
+    // replies) leaves `reply` empty and fails the assertion below.
+    while let Ok(n) = hostile.read(&mut buf) {
+        if n == 0 {
+            break;
+        }
+        reply.extend_from_slice(&buf[..n]);
+    }
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.starts_with("ERR request line too long"),
+        "expected the typed ERR, got {reply:?}"
+    );
+
+    // Everyone else is still served.
+    let mut c = Client::connect(addr).expect("second connection connects");
+    assert!(c.request("PING").expect("ping").is_ok());
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_tcp_clients_agree() {
     let server = start_server();
     let addr = server.local_addr();

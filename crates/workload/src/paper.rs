@@ -196,7 +196,7 @@ pub fn example11_relation() -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pref_query::sigma;
+    use pref_query::bmo::sigma_naive_generic as sigma;
 
     #[test]
     fn all_fixtures_compile_against_their_relations() {

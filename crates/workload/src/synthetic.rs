@@ -91,7 +91,7 @@ mod tests {
     use super::*;
     use pref_core::prelude::*;
     use pref_core::term::Pref;
-    use pref_query::sigma;
+    use pref_query::bmo::sigma_naive_generic as sigma;
 
     fn maximize_all(d: usize) -> Pref {
         Pref::pareto_all((0..d).map(|i| highest(format!("d{i}").as_str())).collect()).unwrap()

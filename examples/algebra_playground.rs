@@ -10,7 +10,6 @@ use preferences::core::algebra::laws;
 use preferences::core::algebra::{equivalent_on, simplify};
 use preferences::core::graph::BetterGraph;
 use preferences::prelude::*;
-use preferences::query::decompose;
 use preferences::workload::paper;
 
 fn main() {
@@ -69,18 +68,24 @@ fn main() {
     let r = paper::example11_relation();
     let low = lowest("a");
     let high = highest("a");
-    let yy = decompose::yy(
-        &low.clone().prior(high.clone()),
-        &high.clone().prior(low.clone()),
-        &r,
-    )
-    .expect("compiles");
+    let engine = Engine::new();
+    let yy = engine
+        .yy(
+            &low.clone().prior(high.clone()),
+            &high.clone().prior(low.clone()),
+            &r,
+        )
+        .expect("compiles");
     println!("  σ[P2](σ[P1](R)) keeps 3, σ[P1](σ[P2](R)) keeps 9,");
     println!(
         "  YY(P1&P2, P2&P1) = {:?}  (row of value 6 — maximal in neither view)",
         yy.iter().map(|&i| r.row(i)[0].clone()).collect::<Vec<_>>()
     );
-    let full = sigma(&low.pareto(high), &r).expect("compiles");
+    let full = engine
+        .prepare(&low.pareto(high), r.schema())
+        .and_then(|q| q.execute(&r))
+        .expect("compiles")
+        .into_rows();
     println!(
         "  σ[P1⊗P2](R) = all {} values — the conflict left everything unranked,",
         full.len()

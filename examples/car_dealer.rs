@@ -36,33 +36,28 @@ fn main() {
     //   P4 = LOWEST(price)
     //   P5 = NEG(color; gray)
     //   Q1 = P5 & ((P1 ⊗ P2 ⊗ P3) & P4)
+    let engine = Engine::new();
+    let best = |q: &Pref| {
+        engine
+            .prepare(q, stock.schema())
+            .and_then(|prepared| prepared.execute_rel(&stock))
+            .expect("catalog schema covers the scenario")
+    };
     let q1 = paper::example6_q1();
     println!("Julia's Q1 = {q1}\n");
-    show(
-        "σ[Q1](stock)",
-        &sigma_rel(&q1, &stock).expect("catalog schema covers Q1"),
-        5,
-    );
+    show("σ[Q1](stock)", &best(&q1), 5);
 
     // Michael adds domain knowledge P6 = HIGHEST(year) and his own
     // interest P7 = HIGHEST(commission): Q2 = (Q1 & P6) & P7.
     let q2 = paper::example6_q2();
     println!("Michael's Q2 = {q2}\n");
-    show(
-        "σ[Q2](stock)",
-        &sigma_rel(&q2, &stock).expect("catalog schema covers Q2"),
-        5,
-    );
+    show("σ[Q2](stock)", &best(&q2), 5);
 
     // Leslie enters: money matters as much as color now.
     //   Q1* = (P5 ⊗ P8 ⊗ P4) & (P1 ⊗ P2 ⊗ P3)
     let q1_star = paper::example6_q1_star();
     println!("Renegotiated Q1* = {q1_star}\n");
-    show(
-        "σ[Q2*](stock)",
-        &sigma_rel(&paper::example6_q2_star(), &stock).expect("catalog schema covers Q2*"),
-        5,
-    );
+    show("σ[Q2*](stock)", &best(&paper::example6_q2_star()), 5);
 
     // The same story in Preference SQL. "Note that when mixing customer
     // with vendor preferences Michael had not to worry that potential

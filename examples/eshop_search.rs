@@ -8,7 +8,6 @@
 
 use preferences::prelude::*;
 use preferences::query::stats::result_size;
-use preferences::query::Engine;
 use preferences::workload::{cars, querylog};
 
 fn main() {
@@ -41,7 +40,11 @@ fn main() {
         .pareto(pos("color", ["yellow"]))
         .pareto(around("price", 9_000))
         .pareto(highest("year"));
-    let best = sigma_rel(&wish, &catalog).expect("catalog schema covers the wish");
+    let engine = Engine::new();
+    let best = engine
+        .prepare(&wish, catalog.schema())
+        .and_then(|q| q.execute_rel(&catalog))
+        .expect("catalog schema covers the wish");
     println!("BMO query σ[{wish}]:");
     println!(
         "  {} best matches — never empty, never flooding\n",
@@ -57,7 +60,6 @@ fn main() {
     println!("\nResult-size distribution over 200 synthetic customer queries");
     println!("(reproducing the Preference SQL experience report [KFH01]):\n");
     let log = querylog::customer_log(200, 41);
-    let engine = Engine::new();
     let mut sizes: Vec<usize> = log
         .iter()
         .filter_map(|q| {

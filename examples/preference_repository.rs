@@ -50,7 +50,10 @@ q2 = ($color & (($category ⊗ $transmission ⊗ $power) & $budget) \
     // Run the composed query against today's stock.
     let stock = cars::catalog(2_000, 2002);
     let q1 = reloaded.get("q1").expect("q1 defined");
-    let best = sigma_rel(q1, &stock).expect("catalog schema covers q1");
+    let best = Engine::new()
+        .prepare(q1, stock.schema())
+        .and_then(|q| q.execute_rel(&stock))
+        .expect("catalog schema covers q1");
     println!("\nσ[q1](stock) → {} best matches, e.g.:", best.len());
     for t in best.iter().take(3) {
         println!("  {t}");

@@ -25,20 +25,26 @@ fn main() {
     println!("Preference term: {wish}\n");
 
     // Best-Matches-Only: all maximal tuples, and only those (Def. 15).
-    let best = sigma_rel(&wish, &cars).expect("schema matches the preference");
+    // One way in: prepare the term once, execute it as often as needed.
+    let engine = Engine::new();
+    let query = engine
+        .prepare(&wish, cars.schema())
+        .expect("schema matches the preference");
+    let best = query.execute_rel(&cars).expect("same schema");
     println!("σ[P](R) — best matches only:\n{best}");
 
-    // The optimizer explains itself.
-    let (rows, explain) = Optimizer::new()
-        .evaluate(&wish, &cars)
-        .expect("schema matches the preference");
+    // Every execution explains itself (the repeat is a cache hit).
+    let (rows, explain) = query.execute(&cars).expect("same schema").into_parts();
     println!("EXPLAIN:\n{explain}\n");
     println!("result row indices: {rows:?}\n");
 
     // Hard constraints would have failed here — there is no car matching
     // every wish exactly, yet BMO never returns an empty answer:
     let impossible = pos("make", ["Ferrari"]).pareto(around("price", 1_000));
-    let relaxed = sigma_rel(&impossible, &cars).expect("schema matches");
+    let relaxed = engine
+        .prepare(&impossible, cars.schema())
+        .and_then(|q| q.execute_rel(&cars))
+        .expect("schema matches");
     println!(
         "Even σ[{impossible}](R) relaxes to {} best compromise(s) instead of 0 rows.",
         relaxed.len()

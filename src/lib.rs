@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`relation`] | values, attributes, schemas, tuples, relations |
 //! | [`core`] | preference terms, base + complex constructors, algebra |
-//! | [`query`] | BMO evaluation: algorithms, decomposition, optimizer |
+//! | [`query`] | BMO evaluation: `Engine::prepare → Prepared::execute`, algorithms, decomposition, planner |
 //! | [`prefsql`] | Preference SQL (`PREFERRING … CASCADE … BUT ONLY`) |
 //! | [`prefxpath`] | Preference XPath (`#[ … ]#` soft selections) |
 //! | [`server`] | concurrent query service (TCP + in-process sessions) |
@@ -32,8 +32,12 @@
 //! // "no gray, then as cheap and low-mileage as equally-important wishes"
 //! let wish = neg("color", ["gray"])
 //!     .prior(lowest("price").pareto(lowest("mileage")));
-//! let best = sigma_rel(&wish, &cars).unwrap();
+//! // One way in: prepare the term once, execute it as often as needed.
+//! let query = Engine::new().prepare(&wish, cars.schema()).unwrap();
+//! let best = query.execute_rel(&cars).unwrap();
 //! assert_eq!(best.len(), 2);
+//! // One report out: every execution explains itself.
+//! println!("{}", query.execute(&cars).unwrap().explain());
 //! ```
 
 pub use pref_core as core;
@@ -48,9 +52,7 @@ pub use pref_xpath as prefxpath;
 pub mod prelude {
     pub use pref_core::prelude::*;
     pub use pref_query::quality::{self, QualityCond, QualityFilter};
-    pub use pref_query::{
-        sigma, sigma_rel, Algorithm, CacheStatus, Engine, Optimizer, Prepared, QueryError,
-    };
+    pub use pref_query::{Algorithm, CacheStatus, Engine, Optimizer, Prepared, QueryError};
     pub use pref_relation::{
         attr, predicate_fingerprint, rel, Attr, AttrSet, DataType, Date, Lineage, Relation, Schema,
         Tuple, Value,

@@ -8,10 +8,9 @@ mod common;
 use common::{arb_pref, arb_relation, test_schema};
 use preferences::prelude::*;
 use preferences::query::bmo::{sigma_naive, sigma_naive_generic};
-use preferences::query::decompose::{pareto_decomposition, sigma_decomposed};
-use preferences::query::groupby::{sigma_groupby, sigma_groupby_definitional};
+use preferences::query::groupby::sigma_groupby_definitional;
 use preferences::query::stats::FilterEffectReport;
-use preferences::query::{algorithms, Engine, Optimizer};
+use preferences::query::{algorithms, Engine};
 use proptest::prelude::*;
 
 proptest! {
@@ -65,12 +64,13 @@ proptest! {
             "parallel BNL diverged for {}", p
         );
         prop_assert_eq!(
-            sigma_decomposed(&p, &r).expect("term compiles"),
+            Engine::new().sigma_decomposed(&p, &r).expect("term compiles"),
             oracle.clone(),
             "decomposition (Prop. 8-12) diverged for {}", p
         );
-        let (opt, explain) = Optimizer::new().evaluate(&p, &r).expect("term compiles");
-        prop_assert_eq!(opt, oracle, "optimizer ({}) diverged for {}", explain.algorithm, p);
+        let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
+        let (opt, explain) = q.execute(&r).expect("engine runs").into_parts();
+        prop_assert_eq!(opt, oracle, "engine ({}) diverged for {}", explain.algorithm, p);
     }
 
     #[test]
@@ -89,7 +89,7 @@ proptest! {
         // Def. 16: σ[P groupby A](R) = σ[A↔ & P](R), grouping by `c`.
         let by = AttrSet::single(attr("c"));
         prop_assert_eq!(
-            sigma_groupby(&p, &by, &r).expect("term compiles"),
+            Engine::new().sigma_groupby(&p, &by, &r).expect("term compiles"),
             sigma_groupby_definitional(&p, &by, &r).expect("term compiles")
         );
     }
@@ -98,7 +98,9 @@ proptest! {
     fn prop12_decomposition_reconstructs_pareto(r in arb_relation(14)) {
         let p1 = around("a", 2);
         let p2 = lowest("b");
-        let d = pareto_decomposition(&p1, &p2, &r).expect("disjoint attributes");
+        let d = Engine::new()
+            .pareto_decomposition(&p1, &p2, &r)
+            .expect("disjoint attributes");
         let direct = sigma_naive(&p1.pareto(p2), &r).expect("term compiles");
         prop_assert_eq!(d.combined(), direct);
     }

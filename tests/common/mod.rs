@@ -14,6 +14,18 @@ pub fn test_schema() -> Schema {
     .expect("static schema")
 }
 
+/// `σ[P](R)` through `engine` — the one product entry point,
+/// `Engine::prepare → Prepared::execute`.
+#[allow(dead_code)] // not every suite that shares this module runs queries
+pub fn sigma(engine: &Engine, p: &Pref, r: &Relation) -> Vec<usize> {
+    engine
+        .prepare(p, r.schema())
+        .expect("term compiles")
+        .execute(r)
+        .expect("prepared execution runs")
+        .into_rows()
+}
+
 /// Strategy: a relation over [`test_schema`] with `0..=max_rows` rows and
 /// deliberately narrow domains (collisions exercise the equality paths of
 /// Pareto/prioritised accumulation).

@@ -6,13 +6,13 @@
 
 mod common;
 
-use common::{arb_pref, arb_relation, test_schema};
+use common::{arb_pref, arb_relation, sigma, test_schema};
 use preferences::core::eval::CompiledPref;
 use preferences::prefsql::PrefSql;
 use preferences::prelude::*;
 use preferences::query::bmo::sigma_naive_generic;
 use preferences::query::engine::Engine;
-use preferences::query::groupby::{sigma_groupby, sigma_groupby_definitional};
+use preferences::query::groupby::sigma_groupby_definitional;
 use preferences::query::CacheStatus;
 use preferences::relation::Constraint;
 use proptest::prelude::*;
@@ -84,8 +84,8 @@ proptest! {
         mut thresholds in proptest::collection::vec(0i64..6, 1..4),
     ) {
         // Distinct predicates over the same base generation must cache
-        // independently, and every cached answer must equal an uncached
-        // execution over a lineage-less materialized copy of the same
+        // independently, and every cached answer must equal the Def. 15
+        // oracle over a lineage-less materialized copy of the same
         // filtered rows.
         thresholds.sort_unstable();
         thresholds.dedup();
@@ -98,10 +98,7 @@ proptest! {
             let fp = pref_relation::predicate_fingerprint(format!("a <= {th}").as_bytes());
             let pred = |t: &pref_relation::Tuple| t[0] <= Value::from(th);
 
-            let oracle = q
-                .execute_uncached(&r.select(pred))
-                .expect("uncached copy runs")
-                .into_rows();
+            let oracle = sigma_naive_generic(&p, &r.select(pred)).expect("oracle runs");
             let d1 = r.select_derived(pred, fp);
             let (rows1, ex1) = q.execute(&d1).expect("derived execution runs").into_parts();
             assert_eq!(rows1, oracle, "first derivation diverged for {p}");
@@ -146,7 +143,7 @@ proptest! {
         stack_seed in proptest::collection::vec(0usize..64, 0..8),
     ) {
         // Windowed execution over arbitrary row subsets of a warmed base
-        // must equal a fresh uncached materialization of the same rows —
+        // must equal the Def. 15 oracle over a materialized copy of the same rows —
         // across base mutations (the generation bump must sever every
         // window) and across stacked derivations. The result tier is
         // ablated: this property exercises the matrix window route, and
@@ -172,14 +169,12 @@ proptest! {
                 assert!(d.shares_storage_with(r), "derivation copied tuples for {p}");
                 assert_eq!(d.row_ids().map(<[u32]>::len), Some(idx.len()));
 
-                // Oracle: a lineage-less materialized copy, uncached.
-                let oracle = q
-                    .execute_uncached(&Relation::from_rows(
-                        test_schema(),
-                        d.to_owned_rows(),
-                    ).expect("copy of valid rows"))
-                    .expect("oracle runs")
-                    .into_rows();
+                // Oracle: Def. 15 over a lineage-less materialized copy.
+                let oracle = sigma_naive_generic(
+                    &p,
+                    &Relation::from_rows(test_schema(), d.to_owned_rows())
+                        .expect("copy of valid rows"),
+                ).expect("oracle runs");
                 let (rows, ex) = q.execute(&d).expect("windowed execution runs").into_parts();
                 assert_eq!(rows, oracle, "windowed result diverged for {p}");
                 if base_materialized {
@@ -194,13 +189,11 @@ proptest! {
                     let idx2: Vec<usize> = stack_seed.iter().map(|s| s % d.len()).collect();
                     let dd = d.take_rows_derived(&idx2, fp_salt ^ 0x5157);
                     assert!(dd.shares_storage_with(r));
-                    let oracle2 = q
-                        .execute_uncached(&Relation::from_rows(
-                            test_schema(),
-                            dd.to_owned_rows(),
-                        ).expect("copy of valid rows"))
-                        .expect("oracle runs")
-                        .into_rows();
+                    let oracle2 = sigma_naive_generic(
+                        &p,
+                        &Relation::from_rows(test_schema(), dd.to_owned_rows())
+                            .expect("copy of valid rows"),
+                    ).expect("oracle runs");
                     let (rows2, ex2) = q.execute(&dd).expect("stacked execution runs").into_parts();
                     assert_eq!(rows2, oracle2, "stacked window diverged for {p}");
                     if base_materialized {
@@ -227,7 +220,7 @@ proptest! {
             v.push_values(vec![Value::from(1), Value::from(1), Value::from("x")])
                 .expect("row matches test schema");
             assert!(v.window_ids().is_none(), "mutation must sever the window");
-            let oracle = q.execute_uncached(&v).expect("oracle runs").into_rows();
+            let oracle = sigma_naive_generic(&p, &v).expect("oracle runs");
             let (rows, _) = q.execute(&v).expect("mutated view runs").into_parts();
             assert_eq!(rows, oracle);
         }
@@ -242,7 +235,7 @@ proptest! {
         // on the group_ids + engine-cached-matrix path, the right on
         // generic BNL over the derived term.
         let attrs = AttrSet::new(["c"]);
-        let a = sigma_groupby(&p, &attrs, &r).expect("term compiles");
+        let a = Engine::new().sigma_groupby(&p, &attrs, &r).expect("term compiles");
         let b = sigma_groupby_definitional(&p, &attrs, &r).expect("term compiles");
         prop_assert_eq!(a, b, "groupby paths diverged for {}", p);
     }
@@ -281,7 +274,7 @@ proptest! {
         let engine = Engine::with_optimizer(
             Optimizer::new().with_shard_rows(shard_rows).with_threads(threads));
         prop_assert_eq!(
-            engine.sigma(&p, &r).expect("engine runs"),
+            sigma(&engine, &p, &r),
             sigma_naive_generic(&p, &r).expect("term compiles"),
             "sharded engine diverged for {}", p);
     }
@@ -359,7 +352,7 @@ proptest! {
     ) {
         // A row-id window over a finely sharded base matrix gathers rows
         // from many shards through the shard-local addressing; its reads
-        // must equal an uncached materialization of the same rows.
+        // must equal the Def. 15 oracle over a materialized copy.
         if r.is_empty() {
             return Ok(());
         }
@@ -369,13 +362,11 @@ proptest! {
 
         let idx: Vec<usize> = seeds.iter().map(|s| s % r.len()).collect();
         let d = r.take_rows_derived(&idx, 0xD1CE);
-        let oracle = q
-            .execute_uncached(
-                &Relation::from_rows(test_schema(), d.to_owned_rows())
-                    .expect("copy of valid rows"),
-            )
-            .expect("oracle runs")
-            .into_rows();
+        let oracle = sigma_naive_generic(
+            &p,
+            &Relation::from_rows(test_schema(), d.to_owned_rows()).expect("copy of valid rows"),
+        )
+        .expect("oracle runs");
         let (rows, ex) = q.execute(&d).expect("windowed execution runs").into_parts();
         prop_assert_eq!(rows, oracle,
             "cross-shard window diverged for {} (shard_rows={})", p, shard_rows);
@@ -486,8 +477,8 @@ proptest! {
         let pinned = Engine::with_optimizer(
             Optimizer::new().with_algorithm(preferences::query::Algorithm::Bnl));
         prop_assert_eq!(
-            planned.sigma(&p, &r).expect("planned engine runs"),
-            pinned.sigma(&p, &r).expect("pinned engine runs"),
+            sigma(&planned, &p, &r),
+            sigma(&pinned, &p, &r),
             "planner-chosen algorithm diverged from forced BNL for {}", p);
     }
 
@@ -544,12 +535,12 @@ proptest! {
             Optimizer::new().with_algorithm(preferences::query::Algorithm::Bnl));
         prop_assert_eq!(
             &rows,
-            &pinned.sigma(&p, &r).expect("pinned engine runs"),
+            &sigma(&pinned, &p, &r),
             "elision changed σ[P](R) for {}", p);
         // All-attributes-constant proves any constructor redundant, so
         // the plan must report the elimination and skip every algorithm.
         prop_assert_eq!(rows, (0..r.len()).collect::<Vec<_>>());
-        prop_assert!(ex.derivation.iter().any(|l| l.contains("eliminated")),
+        prop_assert!(ex.plan.steps.iter().any(|s| s.rule.contains("eliminated")),
             "derivation must record the elimination for {}", p);
         let stats = planned.cache_stats();
         prop_assert_eq!(stats.misses + stats.hits, 0,

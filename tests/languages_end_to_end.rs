@@ -43,8 +43,11 @@ fn sql_and_xpath_agree_on_a_skyline() {
         .expect("valid path");
 
     // Builder side.
-    let direct = sigma(&lowest("price").pareto(lowest("mileage")), &catalog)
-        .expect("catalog schema covers the preference");
+    let direct = Engine::new()
+        .prepare(&lowest("price").pareto(lowest("mileage")), catalog.schema())
+        .and_then(|q| q.execute(&catalog))
+        .expect("catalog schema covers the preference")
+        .into_rows();
 
     assert_eq!(sql.relation.len(), hits.len());
     assert_eq!(sql.relation.len(), direct.len());

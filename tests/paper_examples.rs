@@ -6,9 +6,21 @@
 use preferences::core::algebra::equivalent_on;
 use preferences::core::graph::BetterGraph;
 use preferences::prelude::*;
-use preferences::query::decompose;
 use preferences::query::quality::perfect_match;
 use preferences::workload::paper;
+
+/// `σ[P](R)` through the one product entry point, `prepare → execute`.
+fn sigma(p: &Pref, r: &Relation) -> Vec<usize> {
+    let q = Engine::new()
+        .prepare(p, r.schema())
+        .expect("fixture compiles");
+    q.execute(r).expect("fixture runs").into_rows()
+}
+
+/// `σ[P](R)` as the sub-relation of best matches.
+fn sigma_rel(p: &Pref, r: &Relation) -> Relation {
+    r.take_rows(&sigma(p, r))
+}
 
 fn graph_of(pref: &Pref, r: &Relation) -> BetterGraph {
     let c = CompiledPref::compile(pref, r.schema()).expect("fixture compiles");
@@ -94,7 +106,7 @@ fn example6_scenario_runs_on_a_catalog() {
         paper::example6_q1_star(),
         paper::example6_q2_star(),
     ] {
-        let res = sigma_rel(&q, &stock).expect("catalog schema covers the scenario");
+        let res = sigma_rel(&q, &stock);
         assert!(!res.is_empty(), "σ[{q}] must not be empty");
         // Conflicting multi-party preferences never crash (desideratum 4)
         // and never flood: the result is a tiny fraction of the catalog.
@@ -139,7 +151,7 @@ fn example7_non_discrimination_on_cardb() {
 fn example8_bmo_and_perfect_match() {
     let r = paper::example8_relation();
     let p = paper::example1_pref();
-    let res = sigma_rel(&p, &r).expect("fixture compiles");
+    let res = sigma_rel(&p, &r);
     let colors: Vec<&str> = res.iter().map(|t| t[0].as_str().unwrap()).collect();
     assert_eq!(colors, vec!["yellow", "red"]);
     // "Note that red is a perfect match."
@@ -158,7 +170,7 @@ fn example9_nonmonotonic_series() {
     let p = paper::example9_pref();
     let expected: Vec<Vec<&str>> = vec![vec!["frog"], vec!["frog", "shark"], vec!["turtle"]];
     for (r, want) in paper::example9_series().into_iter().zip(expected) {
-        let res = sigma_rel(&p, &r).expect("fixture compiles");
+        let res = sigma_rel(&p, &r);
         let names: Vec<&str> = res.iter().map(|t| t[2].as_str().unwrap()).collect();
         assert_eq!(names, want);
     }
@@ -169,13 +181,15 @@ fn example10_grouped_query() {
     // σ[P1&P2](Cars) = {(Audi,40000,1), (BMW,35000,2), (VW,20000,3)}.
     let r = paper::example10_relation();
     let q = antichain(["make"]).prior(around("price", 40_000));
-    let res = sigma_rel(&q, &r).expect("fixture compiles");
+    let res = sigma_rel(&q, &r);
     let oids: Vec<i64> = res.iter().map(|t| t[2].as_int().unwrap()).collect();
     assert_eq!(oids, vec![1, 2, 3]);
 
     // And via the decomposition (Prop. 10) and via Preference SQL.
     assert_eq!(
-        decompose::sigma_decomposed(&q, &r).expect("fixture compiles"),
+        Engine::new()
+            .sigma_decomposed(&q, &r)
+            .expect("fixture compiles"),
         vec![0, 1, 2]
     );
     let mut db = PrefSql::new();
@@ -194,14 +208,15 @@ fn example11_pareto_decomposition() {
 
     // σ[P1⊗P2](R) = R: the dual pair conflicts everywhere.
     let pareto = Pref::Pareto(vec![p1.clone(), p2.clone()]);
-    assert_eq!(sigma(&pareto, &r).expect("fixture compiles"), vec![0, 1, 2]);
+    assert_eq!(sigma(&pareto, &r), vec![0, 1, 2]);
 
     // The countercheck via Prop. 12's three components.
-    let first = sigma(&p1.clone().prior(p2.clone()), &r).expect("fixture compiles");
-    let second = sigma(&p2.clone().prior(p1.clone()), &r).expect("fixture compiles");
+    let first = sigma(&p1.clone().prior(p2.clone()), &r);
+    let second = sigma(&p2.clone().prior(p1.clone()), &r);
     assert_eq!(first, vec![0]); // value 3
     assert_eq!(second, vec![2]); // value 9
-    let yy =
-        decompose::yy(&p1.clone().prior(p2.clone()), &p2.prior(p1), &r).expect("fixture compiles");
+    let yy = Engine::new()
+        .yy(&p1.clone().prior(p2.clone()), &p2.prior(p1), &r)
+        .expect("fixture compiles");
     assert_eq!(yy, vec![1]); // value 6
 }

@@ -6,14 +6,14 @@
 
 mod common;
 
-use common::{arb_pref, arb_relation, test_schema};
+use common::{arb_pref, arb_relation, sigma, test_schema};
 use preferences::prelude::*;
 use preferences::query::algorithms::bnl::{
     bnl_generic, bnl_matrix, bnl_parallel_generic, bnl_parallel_matrix,
 };
 use preferences::query::algorithms::{dnc, sfs};
 use preferences::query::bmo::{sigma_naive_generic, sigma_naive_matrix};
-use preferences::query::{Optimizer, QueryError};
+use preferences::query::QueryError;
 use proptest::prelude::*;
 
 proptest! {
@@ -70,14 +70,12 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected SFS error: {e}"),
         }
 
-        // The optimizer end-to-end, with and without materialization.
-        let (with, explain) = Optimizer::new().evaluate(&p, &r).expect("term compiles");
-        prop_assert_eq!(with, oracle.clone(), "optimizer ({}) vs oracle for {}", explain.algorithm, p);
-        let (without, _) = Optimizer::new()
-            .without_materialization()
-            .evaluate(&p, &r)
-            .expect("term compiles");
-        prop_assert_eq!(without, oracle, "ablated optimizer vs oracle for {}", p);
+        // The engine end-to-end, with and without materialization.
+        let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
+        let (with, explain) = q.execute(&r).expect("engine runs").into_parts();
+        prop_assert_eq!(with, oracle.clone(), "engine ({}) vs oracle for {}", explain.algorithm, p);
+        let ablated = Engine::with_optimizer(Optimizer::new().without_materialization());
+        prop_assert_eq!(sigma(&ablated, &p, &r), oracle, "ablated engine vs oracle for {}", p);
     }
 
     #[test]
