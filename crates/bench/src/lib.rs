@@ -1,7 +1,9 @@
 //! # pref-bench — benchmark harness and experiment reproduction
 //!
 //! Shared setup code for the criterion benches (`benches/`) and the
-//! `repro` binary that regenerates every experiment of EXPERIMENTS.md.
+//! `repro` binary that regenerates the paper's experiments (its `main`
+//! lists the sections: Examples 1–11, laws, decomposition, hierarchy,
+//! and the `x1`–`x4` measurements).
 
 pub mod loadgen;
 

@@ -106,9 +106,11 @@ pub enum CmpOp {
 
 /// Literal values as parsed (dates arrive as strings and are coerced
 /// against the column type during rewriting). `Param` is a prepared
-/// statement's `$n` placeholder: it survives parsing and is substituted
-/// by [`crate::executor::PreparedStatement::execute`]; reaching the
-/// rewriter unbound is an error.
+/// statement's `$n` placeholder: it survives parsing, becomes a typed
+/// slot of the statement's compiled shape (preference clauses) or is
+/// substituted per execution (WHERE clauses) by
+/// [`crate::executor::PreparedStatement::execute`]; evaluating it
+/// unbound is an error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     Int(i64),
@@ -222,16 +224,9 @@ impl Query {
         }
     }
 
-    /// The number of `$n` parameters this query expects: the highest
-    /// placeholder index used anywhere — literals, `LIMIT` and `TOP`
-    /// positions included (0 when unparameterized).
-    pub fn param_count(&self) -> usize {
-        self.param_slots().last().copied().unwrap_or(0)
-    }
-
     /// Every `$n` placeholder index this query reads, across literals
     /// and the `LIMIT`/`TOP` positions (sorted, deduplicated). A gap in
-    /// the sequence `1..=param_count()` means a slot a binding can never
+    /// the sequence from `$1` to the highest index means a slot a binding can never
     /// reach — [`crate::executor::PrefSql::prepare`] rejects it.
     pub fn param_slots(&self) -> Vec<usize> {
         let mut out = Vec::new();
@@ -249,36 +244,6 @@ impl Query {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Rebuild the query with every literal passed through `f` — the
-    /// substitution step of parameter binding. Literal-free fields are
-    /// cloned exactly once (no struct-update `self.clone()`, which would
-    /// deep-clone the expression trees a second time just to drop them).
-    pub fn map_literals<E>(
-        &self,
-        f: &mut impl FnMut(&Literal) -> Result<Literal, E>,
-    ) -> Result<Query, E> {
-        Ok(Query {
-            explain: self.explain,
-            select: self.select.clone(),
-            table: self.table.clone(),
-            hard: self.hard.as_ref().map(|h| h.map_literals(f)).transpose()?,
-            preferring: self
-                .preferring
-                .as_ref()
-                .map(|p| p.map_literals(f))
-                .transpose()?,
-            group_by: self.group_by.clone(),
-            cascade: self
-                .cascade
-                .iter()
-                .map(|c| c.map_literals(f))
-                .collect::<Result<_, E>>()?,
-            but_only: self.but_only.clone(),
-            limit: self.limit,
-            top: self.top,
-        })
     }
 }
 
@@ -436,27 +401,6 @@ impl PrefExpr {
             PrefExpr::Atom(a) => a.walk_literals(f),
         }
     }
-
-    fn map_literals<E>(
-        &self,
-        f: &mut impl FnMut(&Literal) -> Result<Literal, E>,
-    ) -> Result<PrefExpr, E> {
-        Ok(match self {
-            PrefExpr::Prior(children) => PrefExpr::Prior(
-                children
-                    .iter()
-                    .map(|c| c.map_literals(f))
-                    .collect::<Result<_, E>>()?,
-            ),
-            PrefExpr::Pareto(children) => PrefExpr::Pareto(
-                children
-                    .iter()
-                    .map(|c| c.map_literals(f))
-                    .collect::<Result<_, E>>()?,
-            ),
-            PrefExpr::Atom(a) => PrefExpr::Atom(a.map_literals(f)?),
-        })
-    }
 }
 
 impl PrefAtom {
@@ -486,52 +430,6 @@ impl PrefAtom {
                 }
             }
         }
-    }
-
-    fn map_literals<E>(
-        &self,
-        f: &mut impl FnMut(&Literal) -> Result<Literal, E>,
-    ) -> Result<PrefAtom, E> {
-        let map_vec = |ls: &[Literal], f: &mut dyn FnMut(&Literal) -> Result<Literal, E>| {
-            ls.iter().map(f).collect::<Result<Vec<_>, E>>()
-        };
-        Ok(match self {
-            PrefAtom::Pos { attr, values } => PrefAtom::Pos {
-                attr: attr.clone(),
-                values: map_vec(values, f)?,
-            },
-            PrefAtom::Neg { attr, values } => PrefAtom::Neg {
-                attr: attr.clone(),
-                values: map_vec(values, f)?,
-            },
-            PrefAtom::PosPos { attr, pos1, pos2 } => PrefAtom::PosPos {
-                attr: attr.clone(),
-                pos1: map_vec(pos1, f)?,
-                pos2: map_vec(pos2, f)?,
-            },
-            PrefAtom::PosNeg { attr, pos, neg } => PrefAtom::PosNeg {
-                attr: attr.clone(),
-                pos: map_vec(pos, f)?,
-                neg: map_vec(neg, f)?,
-            },
-            PrefAtom::Around { attr, target } => PrefAtom::Around {
-                attr: attr.clone(),
-                target: f(target)?,
-            },
-            PrefAtom::Between { attr, low, up } => PrefAtom::Between {
-                attr: attr.clone(),
-                low: f(low)?,
-                up: f(up)?,
-            },
-            PrefAtom::Lowest { .. } | PrefAtom::Highest { .. } => self.clone(),
-            PrefAtom::Explicit { attr, edges } => PrefAtom::Explicit {
-                attr: attr.clone(),
-                edges: edges
-                    .iter()
-                    .map(|(w, b)| Ok((f(w)?, f(b)?)))
-                    .collect::<Result<_, E>>()?,
-            },
-        })
     }
 }
 

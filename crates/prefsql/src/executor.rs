@@ -1,27 +1,34 @@
 //! The Preference SQL execution pipeline:
 //!
 //! ```text
-//! parse → catalog lookup → WHERE (hard σ) → PREFERRING/CASCADE (BMO σ[P])
+//! parse → catalog lookup → compile to a shape (once per statement and schema)
+//!       → bind → WHERE (hard σ) → PREFERRING/CASCADE (BMO σ[P])
 //!       → BUT ONLY (quality filter) → SELECT (π) → LIMIT
 //! ```
 //!
 //! Hard constraints narrow the database set *before* match-making — they
 //! are the exact world; the preference clauses then retrieve the best
 //! matches from whatever survives, per the BMO query model.
+//!
+//! There is one statement path: [`PrefSql::execute`] compiles and runs
+//! with no parameters, [`PreparedStatement::execute`] keeps the compiled
+//! statement across calls and binds per call (`bind`); stage 1
+//! is `pushdown`.
 
-use std::borrow::Cow;
+use std::sync::Arc;
 
+use parking_lot::Mutex;
 use pref_core::term::Pref;
-use pref_core::CoreError;
-use pref_query::{Engine, Explain, Optimizer, Prepared, QueryError};
+use pref_query::{Engine, Explain, Optimizer};
 use pref_relation::{AttrSet, DataType, Relation, Schema, Value};
 
-use crate::ast::{DeleteStmt, HardExpr, LimitSpec, Literal, Query, SelectList, Statement};
+use crate::ast::{DeleteStmt, Query, SelectList, Statement};
+use crate::bind::{bind_literal, check_params, resolve_limit, CompiledStatement};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
 use crate::parser::{parse, parse_statement};
-use crate::rewrite::{hard_to_predicate, pref_to_term, quality_to_filter};
-use crate::shape::pref_to_shape_term;
+use crate::pushdown::candidates;
+use crate::rewrite::{hard_to_predicate, quality_to_filter};
 
 /// The result of a Preference SQL query.
 #[derive(Debug)]
@@ -159,9 +166,9 @@ impl PrefSql {
     /// executions only patch slots with bound values
     /// ([`pref_query::Prepared::bind`]) — no re-lex, no re-parse, no
     /// AST→term rewrite per binding. Re-registering the table with an
-    /// *identical* schema keeps the prepare-time shape; a different
-    /// schema (or a table unknown at prepare time) recompiles the shape
-    /// lazily — once per schema change, not once per execution.
+    /// *identical* schema keeps the compiled shape; a different schema
+    /// (or a table unknown at prepare time) compiles it lazily — once
+    /// per schema change, not once per execution.
     ///
     /// Placeholder numbering must be gapless from `$1`: an index the
     /// statement never reads ([`SqlError::UnusedParam`]) would make
@@ -175,197 +182,68 @@ impl PrefSql {
                 return Err(SqlError::UnusedParam { index: n });
             }
         }
-        let compiled = self.compile_statement(&query);
+        let compiled = (self.catalog.get(&query.table).ok())
+            .map(|table| Arc::new(CompiledStatement::compile(&self.engine, &query, table)));
         Ok(PreparedStatement {
             query,
             param_count,
-            compiled,
-            recompiled: Default::default(),
+            compiled: Arc::new(Mutex::new(compiled)),
         })
     }
 
-    /// Prepare-time compilation: build the preference term (a
-    /// parameterized statement yields a slot-bearing *shape*) once, and —
-    /// for the plain BMO path — the engine-prepared query too. `None`
-    /// when the statement has nothing to prebuild or its table is not
-    /// (yet) registered; any rewrite error is deferred to execution,
-    /// where it surfaces through the identical per-execution path.
-    fn compile_statement(&self, q: &Query) -> Option<CompiledStatement> {
-        if q.explain || (q.preferring.is_none() && q.cascade.is_empty()) {
-            return None;
-        }
-        let table = self.catalog.get(&q.table).ok()?;
-        let schema = table.schema().clone();
-        let pref = assemble_shape(q, &schema)?;
-        let prepared = if q.top.is_none() && q.group_by.is_empty() {
-            Some(self.engine.prepare(&pref, &schema).ok()?)
-        } else {
-            None
-        };
-        let hard_has_params = q.hard.as_ref().is_some_and(|h| {
-            let mut found = false;
-            h.walk_literals(&mut |l| found |= matches!(l, Literal::Param(_)));
-            found
-        });
-        Some(CompiledStatement {
-            schema,
-            pref_has_params: pref.has_params(),
-            pref,
-            prepared,
-            hard_has_params,
-            seen_bindings: Default::default(),
-        })
-    }
-
-    /// Execute a parsed query.
+    /// Execute a parsed query: compile it against its table's schema,
+    /// then run it with nothing to bind.
     pub fn run(&self, q: &Query) -> Result<QueryResult, SqlError> {
-        self.run_inner(q, None, &[])
+        let table = self.catalog.get(&q.table)?;
+        let compiled = CompiledStatement::compile(&self.engine, q, table);
+        self.run_compiled(q, &compiled, table, &[])
     }
 
-    fn run_inner(
+    /// The one statement pipeline: `q`, compiled as `c` against `table`'s
+    /// schema, bound to `params`.
+    fn run_compiled(
         &self,
         q: &Query,
-        pre: Option<&CompiledStatement>,
+        c: &CompiledStatement,
+        table: &Relation,
         params: &[Value],
     ) -> Result<QueryResult, SqlError> {
-        let table = self.catalog.get(&q.table)?;
-        // A statement compiled at prepare time is only valid against the
-        // schema it was built for; a re-registered table falls back to
-        // the per-execution path.
-        let pre = pre.filter(|c| table.schema().same_as(&c.schema));
-
-        // No prepare-time shape to bind (table unknown at prepare time,
-        // schema changed since, EXPLAIN): substitute the literals and run
-        // the plain per-execution path.
-        if pre.is_none() && !params.is_empty() {
-            let mut bound = q.map_literals(&mut |lit| bind_literal(lit, params))?;
-            bound.top = resolve_limit(&q.top, params)?.map(LimitSpec::Count);
-            bound.limit = resolve_limit(&q.limit, params)?.map(LimitSpec::Count);
-            return self.run_inner(&bound, None, &[]);
-        }
-
         let top = resolve_limit(&q.top, params)?;
         let limit = resolve_limit(&q.limit, params)?;
 
-        // 1. Hard selection (exact-match world). With no WHERE clause the
-        //    whole pipeline runs on a borrow of the catalog table — row
-        //    indices flow through the BMO stage and only the final result
-        //    is materialized. A WHERE clause produces a zero-copy *row-id
-        //    view* (shared tuple storage, O(k) id construction) carrying
-        //    `(table generation, predicate fingerprint)` lineage, so the
-        //    engine serves its score matrices warm instead of rebuilding
-        //    per call: a repeated statement resolves via the lineage key,
-        //    and even a *first-time* WHERE clause over a table whose full
-        //    matrix is cached resolves by windowing that matrix onto the
-        //    view (`CacheStatus::WindowHit`). Parameterized conditions
-        //    bind their `$n` literals here — a per-binding map over the
-        //    WHERE tree only, never the whole statement.
-        let bound_hard;
-        let hard: Option<&HardExpr> = match (&q.hard, params.is_empty()) {
-            (Some(h), false) => {
-                bound_hard = h.map_literals(&mut |lit| bind_literal(lit, params))?;
-                Some(&bound_hard)
+        // 1. Hard selection (exact-match world). Parameterized
+        //    conditions bind their `$n` literals here — a per-binding
+        //    map over the WHERE tree only, never the whole statement.
+        let bound_hard = match &q.hard {
+            Some(h) if !params.is_empty() => {
+                Some(h.map_literals(&mut |lit| bind_literal(lit, params))?)
             }
-            (Some(h), true) => Some(h),
-            (None, _) => None,
+            _ => None,
         };
-        //    Hard-selection pushdown (Chomicki-style σ/ω commutation):
-        //    when every WHERE attribute is CONSTANT-constrained in the
-        //    schema's registry, the predicate evaluates identically on
-        //    every stored tuple, so σ_C(R) is all of R or none of it and
-        //    σ_C(ω_P(R)) = ω_P(σ_C(R)). In the all-rows case the winnow
-        //    runs on the base table itself — reusing its cached matrices
-        //    and results instead of deriving a same-content view.
-        let pushed = hard.is_some_and(|h| selection_commutes_for(h, table.schema()));
-        let base: Cow<'_, Relation> = match hard {
-            Some(h) => {
-                let pred = hard_to_predicate(h, table.schema(), &q.table)?;
-                if pushed && table.iter().next().is_none_or(&pred) {
-                    Cow::Borrowed(table)
-                } else if pushed {
-                    Cow::Owned(table.select_derived(|_| false, h.fingerprint()))
-                } else {
-                    Cow::Owned(table.select_derived(|t| pred(t), h.fingerprint()))
-                }
-            }
-            None => Cow::Borrowed(table),
-        };
+        let hard = bound_hard.as_ref().or(q.hard.as_ref());
+        let (base, pushed) = candidates(table, hard, &q.table)?;
         let base = base.as_ref();
         let candidates = base.len();
 
+        // 2. The preference term: compiled once, its slots bound now.
+        let stage = c.pref.as_ref().map_err(Clone::clone)?.as_ref();
+        let preference = stage.map(|s| s.bind_term(params)).transpose()?;
         if q.explain {
-            return self.explain(q, base, candidates, pushed);
+            return self.explain(q, base, candidates, pushed, preference);
         }
 
-        // 2. Assemble the preference term: PREFERRING ... CASCADE ... is
-        //    prioritised accumulation, outer clause most important —
-        //    prebuilt at prepare time; a parameterized shape binds its
-        //    slots (a tree patch, no AST→term rewrite).
-        let assembled = match pre {
-            Some(c) if c.pref_has_params => Some(c.pref.bind_params(params).map_err(bind_error)?),
-            Some(c) => Some(c.pref.clone()),
-            None => {
-                let mut parts: Vec<Pref> = Vec::new();
-                if let Some(p) = &q.preferring {
-                    parts.push(pref_to_term(p, base.schema(), &q.table)?);
-                }
-                for c in &q.cascade {
-                    parts.push(pref_to_term(c, base.schema(), &q.table)?);
-                }
-                if parts.is_empty() {
-                    None
-                } else {
-                    Some(Pref::prior_all(parts)?)
-                }
-            }
-        };
-
-        let (rows, preference, explain) = match assembled {
-            None => ((0..base.len()).collect::<Vec<_>>(), None, None),
-            Some(pref) => {
+        let (rows, explain) = match (stage, &preference) {
+            (Some(stage), Some(pref)) => {
                 if let Some(k) = top {
                     // §6.2 k-best: BMO first, then deeper quality levels —
                     // the level graph runs on the engine-cached matrix.
-                    let rows = self.engine.k_best(&pref, base, k)?;
-                    (rows, Some(pref), None)
-                } else if q.group_by.is_empty() {
-                    let (rows, explain) = match pre.and_then(|c| c.prepared.as_ref()) {
-                        Some(prepared) => {
-                            let bound;
-                            let exec: &Prepared = if params.is_empty() {
-                                prepared
-                            } else {
-                                bound = prepared.bind(params).map_err(bind_error)?;
-                                &bound
-                            };
-                            // A parameterized WHERE clause derives a
-                            // fresh, never-seen predicate per binding;
-                            // keep the whole-table matrix resident so
-                            // such views resolve through the window tier
-                            // (row-id indirection over the cached matrix)
-                            // instead of building a subset matrix per
-                            // binding. When the preference side is
-                            // parameterized too, the table matrix is
-                            // per-preference-binding — only pay its
-                            // O(table) materialization once a binding
-                            // proves to recur, so a one-shot binding
-                            // over a tiny view stays O(view).
-                            if let Some(c) = pre.filter(|c| c.hard_has_params) {
-                                let keep_warm =
-                                    !c.pref_has_params || c.recurred(exec.fingerprint());
-                                if keep_warm {
-                                    let _ = exec.matrix(table);
-                                }
-                            }
-                            exec.execute(base)?.into_parts()
-                        }
-                        None => self
-                            .engine
-                            .prepare(&pref, base.schema())?
-                            .execute(base)?
-                            .into_parts(),
-                    };
-                    (rows, Some(pref), Some(explain))
+                    (self.engine.k_best(pref, base, k)?, None)
+                } else if let Some(exec) = stage.bind_query(params)? {
+                    if c.hard_has_params && stage.binding_recurs(&exec) {
+                        let _ = exec.matrix(table);
+                    }
+                    let (rows, explain) = exec.execute(base)?.into_parts();
+                    (rows, Some(explain))
                 } else {
                     let attrs = AttrSet::new(q.group_by.iter().map(String::as_str));
                     for a in attrs.iter() {
@@ -376,10 +254,10 @@ impl PrefSql {
                             });
                         }
                     }
-                    let rows = self.engine.sigma_groupby(&pref, &attrs, base)?;
-                    (rows, Some(pref), None)
+                    (self.engine.sigma_groupby(pref, &attrs, base)?, None)
                 }
             }
+            _ => ((0..base.len()).collect::<Vec<_>>(), None),
         };
 
         // 3. BUT ONLY quality supervision — on the matrix the BMO stage
@@ -432,15 +310,8 @@ impl PrefSql {
         base: &Relation,
         candidates: usize,
         pushed: bool,
+        preference: Option<Pref>,
     ) -> Result<QueryResult, SqlError> {
-        let mut parts: Vec<Pref> = Vec::new();
-        if let Some(p) = &q.preferring {
-            parts.push(pref_to_term(p, base.schema(), &q.table)?);
-        }
-        for c in &q.cascade {
-            parts.push(pref_to_term(c, base.schema(), &q.table)?);
-        }
-
         let mut lines: Vec<String> = vec![format!(
             "scan       : {} ({} candidate rows after WHERE)",
             q.table, candidates
@@ -452,22 +323,23 @@ impl PrefSql {
                     .to_string(),
             );
         }
-        let (preference, explain) = if parts.is_empty() {
-            lines.push("preference : none (exact-match query)".to_string());
-            (None, None)
-        } else {
-            let pref = Pref::prior_all(parts)?;
-            if q.group_by.is_empty() {
-                let plan = self.engine.prepare(&pref, base.schema())?.explain(base);
+        let explain = match &preference {
+            None => {
+                lines.push("preference : none (exact-match query)".to_string());
+                None
+            }
+            Some(pref) if q.group_by.is_empty() => {
+                let plan = self.engine.prepare(pref, base.schema())?.explain(base);
                 lines.extend(plan.lines());
-                (Some(pref), Some(plan))
-            } else {
+                Some(plan)
+            }
+            Some(pref) => {
                 lines.push(format!("preference : {pref}"));
                 lines.push(format!(
                     "algorithm  : hash grouping by {} (Def. 16)",
                     q.group_by.join(", ")
                 ));
-                (Some(pref), None)
+                None
             }
         };
         // Post-BMO stages must appear in the plan exactly as — and in
@@ -503,85 +375,11 @@ impl PrefSql {
     }
 }
 
-/// The executor-side face of the planner's commutation gate: collect the
-/// WHERE clause's column names and ask `pref_query` whether a selection
-/// over exactly those attributes commutes with any winnow under
-/// `schema`'s constraint registry. Unknown columns resolve to `false`
-/// here — the predicate builder reports them properly right after.
-fn selection_commutes_for(h: &HardExpr, schema: &Schema) -> bool {
-    let mut cols: Vec<String> = Vec::new();
-    h.walk_columns(&mut |c| {
-        if !cols.iter().any(|seen| seen == c) {
-            cols.push(c.to_string());
-        }
-    });
-    let attrs: Vec<pref_relation::Attr> = cols.iter().map(|c| c.as_str().into()).collect();
-    attrs.iter().all(|a| schema.index_of(a).is_some())
-        && pref_query::selection_commutes(schema, attrs.iter())
-}
-
-/// Build the PREFERRING/CASCADE term of `q` against `schema`, with `$n`
-/// placeholders becoming typed slots; `None` when the statement has no
-/// preference clauses or rewriting fails (the caller defers the error to
-/// the per-execution path, which reports it identically).
-fn assemble_shape(q: &Query, schema: &Schema) -> Option<Pref> {
-    let mut parts: Vec<Pref> = Vec::new();
-    if let Some(p) = &q.preferring {
-        parts.push(pref_to_shape_term(p, schema, &q.table).ok()?);
-    }
-    for c in &q.cascade {
-        parts.push(pref_to_shape_term(c, schema, &q.table).ok()?);
-    }
-    Pref::prior_all(parts).ok()
-}
-
-/// The prepare-time artifacts of a statement: the AST→term rewriter
-/// output (a slot-bearing *shape* for parameterized statements) and
-/// (for the plain BMO path) the compiled engine query, built once in
-/// [`PrefSql::prepare`] instead of on every execution.
-#[derive(Debug, Clone)]
-struct CompiledStatement {
-    /// Schema snapshot the plan was built against; executions against a
-    /// re-registered table with a different schema fall back.
-    schema: Schema,
-    /// The assembled PREFERRING/CASCADE term (shape).
-    pref: Pref,
-    /// Does `pref` contain slots that must bind per execution?
-    pref_has_params: bool,
-    /// The engine-prepared query (plain BMO statements only — TOP and
-    /// GROUP BY run through their dedicated engine entry points). For a
-    /// parameterized statement this is the compiled *shape*, patched per
-    /// binding by [`Prepared::bind`].
-    prepared: Option<Prepared>,
-    /// Does the WHERE clause contain `$n` placeholders? Every binding
-    /// then derives a fresh predicate, so executions keep the table's
-    /// whole-relation matrix warm for the window tier.
-    hard_has_params: bool,
-    /// Preference-binding fingerprints seen by executions of this
-    /// statement — the recurrence signal gating the whole-table
-    /// warm-keep when the preference side is parameterized.
-    seen_bindings: std::sync::Arc<parking_lot::Mutex<std::collections::HashSet<u64>>>,
-}
-
-impl CompiledStatement {
-    /// Record a preference-binding fingerprint; `true` once it has been
-    /// seen before (i.e. the binding recurs). The set is bounded —
-    /// a pathological stream of one-shot bindings resets it rather than
-    /// growing without bound.
-    fn recurred(&self, fingerprint: u64) -> bool {
-        let mut seen = self.seen_bindings.lock();
-        if seen.len() > 1024 {
-            seen.clear();
-        }
-        !seen.insert(fingerprint)
-    }
-}
-
 /// A parsed Preference SQL statement with `$n` parameter placeholders —
 /// the lexer, parser, AST→term rewriter and engine compiler run once per
 /// statement, not once per call. Each [`PreparedStatement::execute`]
 /// validates and binds the parameter values (a slot patch over the
-/// precompiled shape), runs through the session's engine, and therefore
+/// compiled shape), runs through the session's engine, and therefore
 /// shares the score-matrix cache: the same binding over an unchanged
 /// table hits exactly, a fresh WHERE binding windows onto the warmed
 /// table matrix, and `QueryResult::explain` reports the shape
@@ -590,13 +388,10 @@ impl CompiledStatement {
 pub struct PreparedStatement {
     query: Query,
     param_count: usize,
-    compiled: Option<CompiledStatement>,
-    /// Lazily (re)compiled artifacts for a table whose schema no longer
-    /// matches the prepare-time snapshot (or was unknown at prepare
-    /// time). Compiled at most once per schema change, then reused by
-    /// every execution — the fallback used to substitute literals and
-    /// re-run the AST→term rewriter on *every* call instead.
-    recompiled: std::sync::Arc<parking_lot::Mutex<Option<CompiledStatement>>>,
+    /// The statement compiled against the schema its table had when last
+    /// looked at (`None` until the table is registered). Compiled at
+    /// most once per schema change, then reused by every execution.
+    compiled: Arc<Mutex<Option<Arc<CompiledStatement>>>>,
 }
 
 impl PreparedStatement {
@@ -611,13 +406,13 @@ impl PreparedStatement {
         &self.query
     }
 
-    /// Did [`PrefSql::prepare`] build the preference term — a
-    /// slot-bearing shape for parameterized statements — (and, for plain
-    /// BMO statements, the compiled engine query) ahead of time? True
-    /// for preference statements whose table was registered at prepare
-    /// time, parameterized or not.
+    /// Is the statement compiled — the preference term built (a
+    /// slot-bearing shape for parameterized statements) and, for plain
+    /// BMO statements, the engine query prepared? True from
+    /// [`PrefSql::prepare`] on when the table was registered by then,
+    /// otherwise from the first execution that finds it.
     pub fn is_precompiled(&self) -> bool {
-        self.compiled.is_some()
+        self.compiled.lock().is_some()
     }
 
     /// Bind `params` ($1 = `params[0]`, …) and run the statement on
@@ -625,123 +420,23 @@ impl PreparedStatement {
     /// NULL, non-finite floats, types the slot's column rejects —
     /// surface as [`SqlError::BadParam`] naming the parameter.
     pub fn execute(&self, db: &PrefSql, params: &[Value]) -> Result<QueryResult, SqlError> {
-        if params.len() != self.param_count {
-            return Err(SqlError::ParamCount {
-                expected: self.param_count,
-                got: params.len(),
-            });
-        }
-        // Bind-time validation, before any value flows anywhere: NULL
-        // can never stand in for a literal, and a non-finite float would
-        // poison WHERE comparisons and the NaN-filtered dominance-key
-        // materialization alike.
-        for (i, v) in params.iter().enumerate() {
-            let unusable = match v {
-                Value::Null => true,
-                Value::Float(f) => !f.is_finite(),
-                _ => false,
-            };
-            if unusable {
-                return Err(SqlError::BadParam {
-                    index: i + 1,
-                    value: v.to_string(),
-                });
-            }
-        }
-        // Resolve compiled artifacts against the table's *current*
-        // schema: the prepare-time snapshot while it still matches,
-        // otherwise a lazily recompiled statement cached until the
-        // schema changes again. Only when the statement has nothing to
-        // compile (EXPLAIN, no preference, unresolvable columns) does
-        // execution fall back to per-call literal substitution.
-        let current = db
-            .catalog()
-            .get(&self.query.table)
-            .ok()
-            .map(Relation::schema);
-        let guard;
-        let pre: Option<&CompiledStatement> = match (&self.compiled, current) {
-            (Some(c), Some(schema)) if schema.same_as(&c.schema) => Some(c),
-            (_, Some(schema)) => {
-                let mut cached = self.recompiled.lock();
-                if !cached.as_ref().is_some_and(|c| schema.same_as(&c.schema)) {
-                    *cached = db.compile_statement(&self.query);
-                }
-                guard = cached;
-                guard.as_ref()
-            }
-            (c, None) => c.as_ref(),
-        };
-        db.run_inner(&self.query, pre, params)
-    }
-}
-
-/// Substitute one literal position during fallback binding.
-fn bind_literal(lit: &Literal, params: &[Value]) -> Result<Literal, SqlError> {
-    match lit {
-        Literal::Param(n) => match params.get(*n - 1) {
-            Some(v) => value_to_literal(v, *n),
-            None => Err(SqlError::UnboundParam { index: *n }),
-        },
-        other => Ok(other.clone()),
-    }
-}
-
-/// Resolve a `LIMIT` / `TOP` position against the binding: a literal
-/// count passes through, `$n` must bind a non-negative integer.
-fn resolve_limit(spec: &Option<LimitSpec>, params: &[Value]) -> Result<Option<usize>, SqlError> {
-    Ok(match spec {
-        None => None,
-        Some(LimitSpec::Count(k)) => Some(*k),
-        Some(LimitSpec::Param(n)) => {
-            let v = params
-                .get(*n - 1)
-                .ok_or(SqlError::UnboundParam { index: *n })?;
-            match v.as_int() {
-                Some(k) if k >= 0 => Some(k as usize),
+        check_params(self.param_count, params)?;
+        let table = db.catalog.get(&self.query.table)?;
+        // The compiled statement is only valid against the schema it was
+        // built for: keep it while the table's *current* schema still
+        // matches, compile afresh (and keep that) when it does not.
+        let compiled = {
+            let mut cell = self.compiled.lock();
+            match cell.as_ref() {
+                Some(c) if c.schema.same_as(table.schema()) => Arc::clone(c),
                 _ => {
-                    return Err(SqlError::BadParam {
-                        index: *n,
-                        value: v.to_string(),
-                    })
+                    let c = CompiledStatement::compile(&db.engine, &self.query, table);
+                    Arc::clone(cell.insert(Arc::new(c)))
                 }
             }
-        }
-    })
-}
-
-/// Map bind-time core errors onto parameter errors: a value that cannot
-/// inhabit its slot is the caller's `$n` argument at fault, so it
-/// surfaces as [`SqlError::BadParam`] naming the parameter.
-fn bind_error<E: Into<SqlError>>(e: E) -> SqlError {
-    match e.into() {
-        SqlError::Core(CoreError::BadBinding { slot, value, .. })
-        | SqlError::Query(QueryError::Core(CoreError::BadBinding { slot, value, .. })) => {
-            SqlError::BadParam { index: slot, value }
-        }
-        other => other,
+        };
+        db.run_compiled(&self.query, &compiled, table, params)
     }
-}
-
-/// Turn a bound parameter value into the literal the rewriter expects
-/// (the fallback path for statements without a precompiled shape); type
-/// coercion against the column happens later, exactly as for inline
-/// literals. Dates bind as *typed* date literals — no string
-/// round-trip — and non-finite floats are rejected outright.
-fn value_to_literal(v: &Value, index: usize) -> Result<Literal, SqlError> {
-    let bad = || SqlError::BadParam {
-        index,
-        value: v.to_string(),
-    };
-    Ok(match v {
-        Value::Int(i) => Literal::Int(*i),
-        Value::Float(f) if f.is_finite() => Literal::Float(*f),
-        Value::Float(_) => return Err(bad()),
-        Value::Str(s) => Literal::Str(s.to_string()),
-        Value::Bool(b) => Literal::Bool(*b),
-        Value::Date(d) => Literal::Date(*d),
-        Value::Null => return Err(bad()),
-    })
 }
 
 #[cfg(test)]
@@ -1632,6 +1327,120 @@ mod tests {
         // cache exactly.
         let warm = stmt.execute(&s, &[Value::from(21_000)]).unwrap();
         assert!(warm.explain.unwrap().cache.is_warm());
+    }
+
+    #[test]
+    fn adhoc_and_prepared_execution_are_one_path() {
+        // (statement, fingerprint its term had before ad hoc and
+        // prepared execution shared one compile step).
+        let cases: [(&str, Option<u64>); 16] = [
+            (
+                "SELECT * FROM car PREFERRING price AROUND 40000 AND LOWEST(mileage)",
+                Some(0x7c28_d4f8_91e4_cbdd),
+            ),
+            (
+                "SELECT * FROM car PREFERRING category = 'roadster' ELSE category <> 'passenger' \
+                 PRIOR TO HIGHEST(power) CASCADE color IN ('red', 'blue')",
+                Some(0x9762_5922_9a24_bd7f),
+            ),
+            (
+                "SELECT * FROM car PREFERRING price BETWEEN 38000 AND 40000 \
+                 AND EXPLICIT(color, ('gray', 'red'))",
+                Some(0x10c3_94f4_4e26_8821),
+            ),
+            (
+                "SELECT make FROM car WHERE make = 'Opel' PREFERRING LOWEST(price)",
+                None,
+            ),
+            ("SELECT TOP 3 * FROM car PREFERRING LOWEST(price)", None),
+            (
+                "SELECT * FROM car PREFERRING HIGHEST(power) AND LOWEST(price) LIMIT 2",
+                None,
+            ),
+            (
+                "SELECT * FROM car PREFERRING price AROUND 40000 GROUP BY make",
+                None,
+            ),
+            ("SELECT * FROM car WHERE price < 40000", None),
+            // Malformed: both spellings must fail the same way.
+            ("SELECT * FROM nope PREFERRING LOWEST(x)", None),
+            ("SELECT * FROM car PREFERRING LOWEST(wheels)", None),
+            ("SELECT * FROM car PREFERRING price = 'cheap'", None),
+            ("SELECT * FROM car PREFERRING make AROUND 5", None),
+            (
+                "SELECT * FROM car PREFERRING make = 'BMW' ELSE make <> 'BMW'",
+                None,
+            ),
+            (
+                "SELECT * FROM car PREFERRING price AROUND 1 GROUP BY nope",
+                None,
+            ),
+            // Two defects: both spellings report the one the pipeline
+            // meets first (WHERE before PREFERRING before SELECT).
+            (
+                "SELECT * FROM car WHERE wheels = 4 PREFERRING make AROUND 5",
+                None,
+            ),
+            ("SELECT nope FROM car PREFERRING price = 'cheap'", None),
+        ];
+        for (sql, fingerprint) in cases {
+            let s = session();
+            let adhoc = s.execute(sql);
+            let prepared = s.prepare(sql).and_then(|stmt| stmt.execute(&s, &[]));
+            match (adhoc, prepared) {
+                (Ok(a), Ok(p)) => {
+                    assert_eq!(a.relation.to_string(), p.relation.to_string(), "{sql}");
+                    assert_eq!(a.preference, p.preference, "{sql}");
+                    if let Some(fp) = fingerprint {
+                        let schema = s.catalog().get("car").unwrap().schema();
+                        let term = a.preference.expect("preference statement");
+                        let q = s.engine().prepare(&term, schema).unwrap();
+                        assert_eq!(q.fingerprint(), fp, "fingerprint moved: {sql}");
+                        // Same term, same table: one cache entry for both.
+                        assert_eq!(
+                            p.explain.expect("BMO stage ran").cache,
+                            pref_query::CacheStatus::Hit,
+                            "{sql}"
+                        );
+                    }
+                }
+                (Err(a), Err(p)) => {
+                    assert_eq!(format!("{a:?}"), format!("{p:?}"), "{sql}");
+                    if sql.contains("wheels") {
+                        assert!(
+                            matches!(&a, SqlError::UnknownColumn { column, .. } if column == "wheels"),
+                            "{sql}: {a:?}"
+                        );
+                    } else if sql.starts_with("SELECT nope") {
+                        assert!(matches!(a, SqlError::BadLiteral { .. }), "{sql}: {a:?}");
+                    }
+                }
+                (a, p) => panic!("{sql}: ad hoc {a:?} but prepared {p:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn explain_through_a_prepared_statement_matches_the_inline_literal() {
+        let s = session();
+        let lines = |res: QueryResult| -> Vec<String> {
+            res.relation
+                .iter()
+                .map(|t| t[0].as_str().unwrap().to_string())
+                .collect()
+        };
+        let stmt = s
+            .prepare("EXPLAIN SELECT * FROM car PREFERRING price AROUND $1")
+            .unwrap();
+        let bound = lines(stmt.execute(&s, &[Value::from(40_000)]).unwrap());
+        let inline = lines(
+            s.execute("EXPLAIN SELECT * FROM car PREFERRING price AROUND 40000")
+                .unwrap(),
+        );
+        assert!(bound
+            .iter()
+            .any(|l| l == "preference : AROUND(price; 40000)"));
+        assert_eq!(bound, inline);
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //! (the product's plug-and-go route), queries compile into the native
 //! preference algebra and run under the BMO query model of `pref-query`.
 //!
+//! Every statement — ad hoc, prepared, `EXPLAIN` — takes one path,
+//! *compile to a shape once per (statement, schema), then bind and run*:
+//! [`parser`] → `shape` (the one atom table: atoms to base preferences,
+//! `$n` to typed slots; [`rewrite`] holds literal coercion, WHERE
+//! predicates and BUT ONLY filters) → `bind` (the compiled statement,
+//! parameter binding) → `pushdown` (hard selection and its commutation
+//! past the winnow) → [`executor`] ([`PrefSql`], [`PreparedStatement`],
+//! the pipeline, `EXPLAIN SELECT`).
+//!
 //! ## Example
 //!
 //! ```
@@ -33,10 +42,12 @@
 //! ```
 
 pub mod ast;
+mod bind;
 pub mod catalog;
 pub mod error;
 pub mod executor;
 pub mod parser;
+mod pushdown;
 pub mod rewrite;
 mod shape;
 mod token;

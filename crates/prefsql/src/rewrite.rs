@@ -2,13 +2,13 @@
 //! predicates — the "clever rewriting of Preference SQL queries" of §6.1,
 //! except that we target the native algebra instead of SQL92.
 
-use pref_core::base::{Around, Between, Explicit, Highest, Lowest, Neg, Pos, PosNeg, PosPos};
 use pref_core::term::Pref;
 use pref_query::quality::{QualityCond, QualityFilter};
 use pref_relation::{attr, DataType, Date, Schema, Tuple, Value};
 
-use crate::ast::{CmpOp, HardExpr, Literal, PrefAtom, PrefExpr, QualityCondAst};
+use crate::ast::{CmpOp, HardExpr, Literal, PrefExpr, QualityCondAst};
 use crate::error::SqlError;
+use crate::shape::pref_to_shape_term;
 
 /// Coerce a literal against a column type. String literals coerce to
 /// dates for Date columns (the paper writes `'2001/11/23'`), integers
@@ -33,7 +33,11 @@ pub fn literal_to_value(lit: &Literal, column: &str, dtype: DataType) -> Result<
     })
 }
 
-fn column_type(schema: &Schema, table: &str, column: &str) -> Result<DataType, SqlError> {
+pub(crate) fn column_type(
+    schema: &Schema,
+    table: &str,
+    column: &str,
+) -> Result<DataType, SqlError> {
     schema
         .field(&attr(column))
         .map(|f| f.dtype)
@@ -55,87 +59,17 @@ fn values(
         .collect()
 }
 
-/// Translate a preference expression into a [`Pref`] term:
+/// Translate a preference expression into a concrete [`Pref`] term:
 /// `AND` → Pareto `⊗`, `PRIOR TO` → prioritised `&`, atoms → Def. 6/7
-/// base constructors.
+/// base constructors — the statement's shape (`shape`) with no
+/// slot left open. A `$n` placeholder has nothing to bind here and is
+/// reported as [`SqlError::UnboundParam`].
 pub fn pref_to_term(expr: &PrefExpr, schema: &Schema, table: &str) -> Result<Pref, SqlError> {
-    Ok(match expr {
-        PrefExpr::Prior(children) => Pref::prior_all(
-            children
-                .iter()
-                .map(|c| pref_to_term(c, schema, table))
-                .collect::<Result<Vec<_>, _>>()?,
-        )?,
-        PrefExpr::Pareto(children) => Pref::pareto_all(
-            children
-                .iter()
-                .map(|c| pref_to_term(c, schema, table))
-                .collect::<Result<Vec<_>, _>>()?,
-        )?,
-        PrefExpr::Atom(atom) => atom_to_term(atom, schema, table)?,
-    })
-}
-
-fn atom_to_term(atom: &PrefAtom, schema: &Schema, table: &str) -> Result<Pref, SqlError> {
-    Ok(match atom {
-        PrefAtom::Pos { attr: a, values: v } => {
-            Pref::base(a.as_str(), Pos::new(values(v, schema, table, a)?))
-        }
-        PrefAtom::Neg { attr: a, values: v } => {
-            Pref::base(a.as_str(), Neg::new(values(v, schema, table, a)?))
-        }
-        PrefAtom::PosPos {
-            attr: a,
-            pos1,
-            pos2,
-        } => Pref::base(
-            a.as_str(),
-            PosPos::new(
-                values(pos1, schema, table, a)?,
-                values(pos2, schema, table, a)?,
-            )?,
-        ),
-        PrefAtom::PosNeg { attr: a, pos, neg } => Pref::base(
-            a.as_str(),
-            PosNeg::new(
-                values(pos, schema, table, a)?,
-                values(neg, schema, table, a)?,
-            )?,
-        ),
-        PrefAtom::Around { attr: a, target } => {
-            let dt = column_type(schema, table, a)?;
-            if !dt.is_ordinal() {
-                return Err(SqlError::BadLiteral {
-                    column: a.clone(),
-                    literal: format!("AROUND on non-ordinal column of type {dt}"),
-                });
-            }
-            Pref::base(a.as_str(), Around::new(literal_to_value(target, a, dt)?))
-        }
-        PrefAtom::Between { attr: a, low, up } => {
-            let dt = column_type(schema, table, a)?;
-            Pref::base(
-                a.as_str(),
-                Between::new(literal_to_value(low, a, dt)?, literal_to_value(up, a, dt)?)?,
-            )
-        }
-        PrefAtom::Lowest { attr: a } => {
-            column_type(schema, table, a)?;
-            Pref::base(a.as_str(), Lowest::new())
-        }
-        PrefAtom::Highest { attr: a } => {
-            column_type(schema, table, a)?;
-            Pref::base(a.as_str(), Highest::new())
-        }
-        PrefAtom::Explicit { attr: a, edges } => {
-            let dt = column_type(schema, table, a)?;
-            let pairs: Vec<(Value, Value)> = edges
-                .iter()
-                .map(|(w, b)| Ok((literal_to_value(w, a, dt)?, literal_to_value(b, a, dt)?)))
-                .collect::<Result<Vec<_>, SqlError>>()?;
-            Pref::base(a.as_str(), Explicit::new(pairs)?)
-        }
-    })
+    let term = pref_to_shape_term(expr, schema, table)?;
+    match term.param_slots().first() {
+        Some(&index) => Err(SqlError::UnboundParam { index }),
+        None => Ok(term),
+    }
 }
 
 /// A compiled hard-selection predicate.

@@ -1,82 +1,55 @@
-//! Statement *shapes*: the AST→term rewrite of a parameterized
-//! statement, performed once at prepare time.
+//! Statement *shapes*: the one AST→term rewrite of Preference SQL
+//! atoms, performed once per (statement, schema).
 //!
-//! A `$n` placeholder in a preference atom becomes a typed
-//! [`ParamSpec`] capturing the constructor, the target column's
-//! [`DataType`] and the mix of constants (coerced now, exactly like
-//! inline literals) and slots (coerced at bind time against the same
-//! column type). The resulting term carries
-//! [`ParamBase`](pref_core::param::ParamBase) leaves and compiles,
-//! fingerprints and rewrites like any other — executions just
-//! [bind](pref_core::eval::CompiledPref::bind) it instead of re-running
-//! the rewriter.
-//!
-//! Atoms without placeholders go through the ordinary
-//! [`atom rewriting`](crate::rewrite::pref_to_term) path, so an
-//! unparameterized statement's shape term is *identical* (same
-//! fingerprints, shared matrix cache entries) to what ad-hoc execution
-//! builds.
+//! Every literal-carrying atom becomes a typed [`AtomShape`] capturing
+//! the constructor, the target column's [`DataType`] and the mix of
+//! constants (coerced now) and `$n` slots (coerced at bind time against
+//! the same column type, by the same literal coercion). An atom without
+//! placeholders is instantiated on the spot, so an unparameterized
+//! statement's term is *identical* (same fingerprints, shared cache
+//! entries) whether it runs ad hoc or prepared; an atom with
+//! placeholders stays a [`ParamBase`](pref_core::param::ParamBase) leaf
+//! that compiles, fingerprints and rewrites like any other — executions
+//! just [bind](pref_core::eval::CompiledPref::bind) it instead of
+//! re-running the rewriter.
 
 use std::sync::Arc;
 
-use pref_core::base::{Around, BaseRef, Between, Explicit, Neg, Pos, PosNeg, PosPos};
+use pref_core::base::{
+    Around, BaseRef, Between, Explicit, Highest, Lowest, Neg, Pos, PosNeg, PosPos,
+};
 use pref_core::param::{ParamBase, ParamSpec, SlotValue};
 use pref_core::term::Pref;
 use pref_core::CoreError;
-use pref_relation::{DataType, Date, Schema, Value};
+use pref_relation::{DataType, Schema, Value};
 
 use crate::ast::{Literal, PrefAtom, PrefExpr};
+use crate::bind::value_to_literal;
 use crate::error::SqlError;
-use crate::rewrite::{literal_to_value, pref_to_term};
+use crate::rewrite::{column_type, literal_to_value};
 
-/// Does the expression contain `$n` placeholders anywhere?
-pub(crate) fn expr_has_params(expr: &PrefExpr) -> bool {
-    let mut found = false;
-    expr.walk_literals(&mut |l| found |= matches!(l, Literal::Param(_)));
-    found
-}
-
-/// Like [`pref_to_term`], but `$n` placeholders become typed slot shapes
-/// instead of erroring: the prepare-time rewrite of a parameterized
-/// statement. Sub-expressions without placeholders delegate to the
-/// ordinary rewriter, so their sub-terms match ad-hoc execution exactly.
+/// Translate a preference expression into a [`Pref`] term: `AND` →
+/// Pareto `⊗`, `PRIOR TO` → prioritised `&`, atoms → Def. 6/7 base
+/// constructors, `$n` placeholders → typed slot shapes.
 pub(crate) fn pref_to_shape_term(
     expr: &PrefExpr,
     schema: &Schema,
     table: &str,
 ) -> Result<Pref, SqlError> {
-    if !expr_has_params(expr) {
-        return pref_to_term(expr, schema, table);
-    }
+    let children = |cs: &[PrefExpr]| {
+        cs.iter()
+            .map(|c| pref_to_shape_term(c, schema, table))
+            .collect::<Result<Vec<_>, _>>()
+    };
     Ok(match expr {
-        PrefExpr::Prior(children) => Pref::prior_all(
-            children
-                .iter()
-                .map(|c| pref_to_shape_term(c, schema, table))
-                .collect::<Result<Vec<_>, _>>()?,
-        )?,
-        PrefExpr::Pareto(children) => Pref::pareto_all(
-            children
-                .iter()
-                .map(|c| pref_to_shape_term(c, schema, table))
-                .collect::<Result<Vec<_>, _>>()?,
-        )?,
+        PrefExpr::Prior(cs) => Pref::prior_all(children(cs)?)?,
+        PrefExpr::Pareto(cs) => Pref::pareto_all(children(cs)?)?,
         PrefExpr::Atom(atom) => atom_to_shape(atom, schema, table)?,
     })
 }
 
-fn column_type(schema: &Schema, table: &str, column: &str) -> Result<DataType, SqlError> {
-    schema
-        .field(&pref_relation::attr(column))
-        .map(|f| f.dtype)
-        .ok_or_else(|| SqlError::UnknownColumn {
-            table: table.to_string(),
-            column: column.to_string(),
-        })
-}
-
-/// One literal position of a shape: constants coerce now (identically to
-/// inline literals), placeholders defer to bind time.
+/// One literal position of a shape: constants coerce now, placeholders
+/// defer to bind time.
 fn slot_value(lit: &Literal, column: &str, dtype: DataType) -> Result<SlotValue, SqlError> {
     Ok(match lit {
         Literal::Param(n) => SlotValue::Slot(*n),
@@ -92,69 +65,71 @@ fn slot_values(
     lits.iter().map(|l| slot_value(l, column, dtype)).collect()
 }
 
+/// The one atom table: every [`PrefAtom`] to its base preference.
 fn atom_to_shape(atom: &PrefAtom, schema: &Schema, table: &str) -> Result<Pref, SqlError> {
-    let shaped = |attr: &str, ctor: ShapeCtor| -> Result<Pref, SqlError> {
-        let dtype = column_type(schema, table, attr)?;
-        Ok(Pref::base(attr, ParamBase::new(AtomShape { dtype, ctor })))
-    };
-    match atom {
+    let type_of = |attr: &str| column_type(schema, table, attr);
+    let (attr, dtype, ctor) = match atom {
         PrefAtom::Pos { attr, values } => {
-            let dt = column_type(schema, table, attr)?;
-            shaped(attr, ShapeCtor::Pos(slot_values(values, attr, dt)?))
+            let dt = type_of(attr)?;
+            (attr, dt, ShapeCtor::Pos(slot_values(values, attr, dt)?))
         }
         PrefAtom::Neg { attr, values } => {
-            let dt = column_type(schema, table, attr)?;
-            shaped(attr, ShapeCtor::Neg(slot_values(values, attr, dt)?))
+            let dt = type_of(attr)?;
+            (attr, dt, ShapeCtor::Neg(slot_values(values, attr, dt)?))
         }
         PrefAtom::PosPos { attr, pos1, pos2 } => {
-            let dt = column_type(schema, table, attr)?;
-            shaped(
-                attr,
-                ShapeCtor::PosPos(slot_values(pos1, attr, dt)?, slot_values(pos2, attr, dt)?),
-            )
+            let dt = type_of(attr)?;
+            let ctor =
+                ShapeCtor::PosPos(slot_values(pos1, attr, dt)?, slot_values(pos2, attr, dt)?);
+            (attr, dt, ctor)
         }
         PrefAtom::PosNeg { attr, pos, neg } => {
-            let dt = column_type(schema, table, attr)?;
-            shaped(
-                attr,
-                ShapeCtor::PosNeg(slot_values(pos, attr, dt)?, slot_values(neg, attr, dt)?),
-            )
+            let dt = type_of(attr)?;
+            let ctor = ShapeCtor::PosNeg(slot_values(pos, attr, dt)?, slot_values(neg, attr, dt)?);
+            (attr, dt, ctor)
         }
         PrefAtom::Around { attr, target } => {
-            let dt = column_type(schema, table, attr)?;
+            let dt = type_of(attr)?;
             if !dt.is_ordinal() {
                 return Err(SqlError::BadLiteral {
                     column: attr.clone(),
                     literal: format!("AROUND on non-ordinal column of type {dt}"),
                 });
             }
-            shaped(attr, ShapeCtor::Around(slot_value(target, attr, dt)?))
+            (attr, dt, ShapeCtor::Around(slot_value(target, attr, dt)?))
         }
         PrefAtom::Between { attr, low, up } => {
-            let dt = column_type(schema, table, attr)?;
-            shaped(
-                attr,
-                ShapeCtor::Between(slot_value(low, attr, dt)?, slot_value(up, attr, dt)?),
-            )
+            let dt = type_of(attr)?;
+            let ctor = ShapeCtor::Between(slot_value(low, attr, dt)?, slot_value(up, attr, dt)?);
+            (attr, dt, ctor)
         }
-        // LOWEST/HIGHEST carry no literals; a parameterized expression
-        // can still contain them as concrete siblings.
-        PrefAtom::Lowest { .. } | PrefAtom::Highest { .. } => {
-            pref_to_term(&PrefExpr::Atom(atom.clone()), schema, table)
+        // LOWEST/HIGHEST carry no literals, hence no slots to shape.
+        PrefAtom::Lowest { attr } => {
+            type_of(attr)?;
+            return Ok(Pref::base(attr.as_str(), Lowest::new()));
+        }
+        PrefAtom::Highest { attr } => {
+            type_of(attr)?;
+            return Ok(Pref::base(attr.as_str(), Highest::new()));
         }
         PrefAtom::Explicit { attr, edges } => {
-            let dt = column_type(schema, table, attr)?;
-            shaped(
-                attr,
-                ShapeCtor::Explicit(
-                    edges
-                        .iter()
-                        .map(|(w, b)| Ok((slot_value(w, attr, dt)?, slot_value(b, attr, dt)?)))
-                        .collect::<Result<Vec<_>, SqlError>>()?,
-                ),
-            )
+            let dt = type_of(attr)?;
+            let edges = edges
+                .iter()
+                .map(|(w, b)| Ok((slot_value(w, attr, dt)?, slot_value(b, attr, dt)?)))
+                .collect::<Result<Vec<_>, SqlError>>()?;
+            (attr, dt, ShapeCtor::Explicit(edges))
         }
-    }
+    };
+    let shape = AtomShape { dtype, ctor };
+    let mut slots = Vec::new();
+    shape.collect_slots(&mut slots);
+    Ok(if slots.is_empty() {
+        // Nothing to bind: the concrete constructor itself.
+        Pref::base_ref(attr.as_str(), shape.instantiate(&[])?)
+    } else {
+        Pref::base(attr.as_str(), ParamBase::new(shape))
+    })
 }
 
 /// The constructor half of a typed shape, mirroring [`PrefAtom`] with
@@ -170,35 +145,14 @@ enum ShapeCtor {
     Explicit(Vec<(SlotValue, SlotValue)>),
 }
 
-/// A parameterized Preference SQL atom: constructor + target column type.
-/// Bind-time values coerce against `dtype` with the same rules inline
-/// literals follow ([`literal_to_value`]), except typed — a
-/// [`Value::Date`] binds a Date column directly, no string round-trip.
+/// A Preference SQL atom's shape: constructor + target column type.
+/// Bind-time values coerce against `dtype` through the inline-literal
+/// coercion itself ([`literal_to_value`]); a [`Value::Date`] stays a
+/// typed date literal on the way, no string round-trip.
 #[derive(Debug, Clone)]
 struct AtomShape {
     dtype: DataType,
     ctor: ShapeCtor,
-}
-
-/// Coerce a bound parameter value against a column type. Mirrors the
-/// literal coercion matrix: integers widen to floats, strings parse as
-/// dates for Date columns; a typed [`Value::Date`] passes through.
-fn coerce_param(v: &Value, dtype: DataType, slot: usize) -> Result<Value, CoreError> {
-    let bad = || CoreError::BadBinding {
-        slot,
-        value: v.to_string(),
-        expected: format!("a value for a {dtype} column"),
-    };
-    Ok(match (v, dtype) {
-        (Value::Int(i), DataType::Int) => Value::from(*i),
-        (Value::Int(i), DataType::Float) => Value::from(*i as f64),
-        (Value::Float(x), DataType::Float) => Value::from(*x),
-        (Value::Str(s), DataType::Str) => Value::from(s.as_ref()),
-        (Value::Str(s), DataType::Date) => Value::from(Date::parse(s).ok_or_else(bad)?),
-        (Value::Date(d), DataType::Date) => Value::from(*d),
-        (Value::Bool(b), DataType::Bool) => Value::from(*b),
-        _ => return Err(bad()),
-    })
 }
 
 impl AtomShape {
@@ -206,8 +160,16 @@ impl AtomShape {
         match sv {
             SlotValue::Const(v) => Ok(v.clone()),
             SlotValue::Slot(n) => {
+                // A bound value coerces exactly like the inline literal
+                // it stands for.
                 let v = sv.resolve(values)?;
-                coerce_param(v, self.dtype, *n)
+                value_to_literal(v, *n)
+                    .and_then(|lit| literal_to_value(&lit, "", self.dtype))
+                    .map_err(|_| CoreError::BadBinding {
+                        slot: *n,
+                        value: v.to_string(),
+                        expected: format!("a value for a {} column", self.dtype),
+                    })
             }
         }
     }
@@ -312,6 +274,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::rewrite::pref_to_term;
+    use pref_relation::Date;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -344,12 +307,19 @@ mod tests {
 
     #[test]
     fn unparameterized_expressions_delegate_to_the_plain_rewriter() {
+        // One atom table serves both spellings: without placeholders the
+        // shape instantiates on the spot into the concrete constructors
+        // (the terms — hence fingerprints — inline literals always had).
         let q = parse("SELECT * FROM t PREFERRING price AROUND 5 AND LOWEST(rating)").unwrap();
         let expr = q.preferring.unwrap();
         let shaped = pref_to_shape_term(&expr, &schema(), "t").unwrap();
         let plain = pref_to_term(&expr, &schema(), "t").unwrap();
         assert_eq!(shaped, plain);
         assert!(!shaped.has_params());
+        assert_eq!(
+            shaped,
+            pref_core::prelude::around("price", 5).pareto(pref_core::prelude::lowest("rating"))
+        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub fn bnl_compiled(c: &CompiledPref, r: &Relation) -> Vec<usize> {
 pub fn bnl_matrix<M: Dominance>(m: &M) -> Vec<usize> {
     let mut window = match m.pareto_access() {
         Some(acc) => bnl_batch(&acc, 0..acc.len()),
-        None => bnl_window(|x, y| m.better(x, y), 0..m.len()),
+        None => bnl_window(|x, y| m.better(x, y), Vec::new(), 0..m.len()),
     };
     window.sort_unstable();
     window
@@ -151,18 +151,23 @@ fn bnl_batch(acc: &ParetoAccess<'_>, range: Range<usize>) -> Vec<usize> {
 
 /// BNL over the generic term-walk dominance backend.
 pub fn bnl_generic(c: &CompiledPref, r: &Relation) -> Vec<usize> {
-    let mut window = bnl_window(|x, y| c.better(r.row(x), r.row(y)), 0..r.len());
+    let mut window = bnl_window(|x, y| c.better(r.row(x), r.row(y)), Vec::new(), 0..r.len());
     window.sort_unstable();
     window
 }
 
-/// The window loop over an arbitrary strict-partial-order test on row
-/// indices; returns unsorted candidates.
-fn bnl_window(
+/// The one plain BNL window loop, over an arbitrary strict-partial-order
+/// test on row indices: insert `indices` into `window`, returning the
+/// unsorted candidates. `window` seeds the loop and must already be
+/// mutually incomparable — empty for a fresh evaluation, one operand's
+/// local maxima for a pairwise merge, or a previous result that is being
+/// maintained across a mutation (Chomicki's
+/// `max(P, A ∪ B) = max(P, max(P, A) ∪ B)`).
+pub(crate) fn bnl_window(
     better: impl Fn(usize, usize) -> bool,
+    mut window: Vec<usize>,
     indices: impl IntoIterator<Item = usize>,
 ) -> Vec<usize> {
-    let mut window: Vec<usize> = Vec::new();
     'next: for i in indices {
         let mut j = 0;
         while j < window.len() {
@@ -216,7 +221,7 @@ pub fn bnl_parallel_matrix<M: Dominance + Sync>(m: &M, threads: usize) -> Vec<us
         |x, y| m.better(x, y),
         |range| match m.pareto_access() {
             Some(acc) => bnl_batch(&acc, range),
-            None => bnl_window(|x, y| m.better(x, y), range),
+            None => bnl_window(|x, y| m.better(x, y), Vec::new(), range),
         },
         m.len(),
         threads,
@@ -233,7 +238,7 @@ pub fn bnl_parallel_generic(c: &CompiledPref, r: &Relation, threads: usize) -> V
     let better = |x: usize, y: usize| c.better(r.row(x), r.row(y));
     partitioned(
         better,
-        |range| bnl_window(better, range),
+        |range| bnl_window(better, Vec::new(), range),
         r.len(),
         threads,
         1,
@@ -283,7 +288,7 @@ fn partitioned(
                 .chunks(2)
                 .map(|pair| {
                     scope.spawn(move || match pair {
-                        [a, b] => bnl_window(better, a.iter().chain(b.iter()).copied()),
+                        [a, b] => bnl_window(better, a.clone(), b.iter().copied()),
                         [odd] => odd.clone(),
                         _ => unreachable!("chunks(2) yields one or two"),
                     })

@@ -3,9 +3,9 @@
 //!
 //! Operationally "a grouping of R by equal A-values, evaluating for each
 //! group Gi of tuples the preference query σ\[P\](Gi)" — implemented by
-//! [`Engine::sigma_groupby`](crate::engine::Engine::sigma_groupby) on
-//! the columnar path: [`Relation::group_ids`] partitions the row ids
-//! once (dictionary/fingerprint encoding, no per-row `Tuple` projection
+//! [`Engine::sigma_groupby`] on the columnar path:
+//! [`Relation::group_ids`] partitions the row ids once
+//! (dictionary/fingerprint encoding, no per-row `Tuple` projection
 //! keys), and every group's BMO window runs over the engine-cached score
 //! matrix of the *whole* relation, so one materialization serves all
 //! groups — and all repetitions of the query on an unchanged relation.
@@ -14,8 +14,56 @@
 use pref_core::term::Pref;
 use pref_relation::{AttrSet, Relation};
 
-use crate::algorithms::bnl;
+use crate::algorithms::bnl::{bnl, bnl_window};
+use crate::engine::Engine;
 use crate::error::QueryError;
+
+impl Engine {
+    /// `σ[P groupby A](R)` (Def. 16) on the columnar path: partition row
+    /// ids once via [`Relation::group_ids`], then run the per-group BMO
+    /// windows over the engine-cached score matrix, so the same matrix
+    /// serves every group — and every later query on the same relation
+    /// generation. Falls back to the generic term-walk backend when the
+    /// term does not materialize (or the optimizer disables
+    /// materialization).
+    pub fn sigma_groupby(
+        &self,
+        pref: &Pref,
+        group_attrs: &AttrSet,
+        r: &Relation,
+    ) -> Result<Vec<usize>, QueryError> {
+        let group_cols = r.schema().resolve(group_attrs)?;
+        let prepared = self.prepare(pref, r.schema())?;
+        let (ids, n_groups) = r.group_ids(&group_cols);
+        let matrix = prepared.matrix(r);
+
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+        for (i, &g) in ids.iter().enumerate() {
+            members[g as usize].push(i);
+        }
+
+        let mut result = match &matrix {
+            Some(m) => group_windows(members, |x, y| m.better(x, y)),
+            None => group_windows(members, |x, y| {
+                prepared.compiled().better(r.row(x), r.row(y))
+            }),
+        };
+        result.sort_unstable();
+        Ok(result)
+    }
+}
+
+/// One BNL window per group of pre-partitioned (global) row ids, with a
+/// pluggable dominance backend.
+fn group_windows(
+    members: Vec<Vec<usize>>,
+    better: impl Fn(usize, usize) -> bool + Copy,
+) -> Vec<usize> {
+    members
+        .into_iter()
+        .flat_map(|group| bnl_window(better, Vec::new(), group))
+        .collect()
+}
 
 /// The definitional form `σ[A↔ & P](R)` (Def. 16), for cross-checking.
 pub fn sigma_groupby_definitional(
@@ -30,7 +78,6 @@ pub fn sigma_groupby_definitional(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
     use pref_core::prelude::*;
     use pref_relation::{attr, rel};
 

@@ -17,9 +17,15 @@
 //!   sort-filter-skyline;
 //! * [`decompose`] — the decomposition theorems (Prop. 8–12) as an
 //!   executable divide & conquer evaluator, incl. `YY` sets;
-//! * [`engine`] — the prepared-query engine: compile once, cache score
-//!   matrices by `(relation generation, term fingerprint)`, execute many;
-//! * [`groupby`] — `σ[P groupby A](R)` (Def. 16);
+//! * [`engine`] — the prepared-query engine's tier resolution: score
+//!   matrices by `(relation generation, term fingerprint)`, maintained
+//!   results and column statistics, all stored in the one bounded
+//!   fingerprint-sharded LRU type of `cache`, with the Chomicki
+//!   result-maintenance classifier a pure function in `maintain`;
+//! * `prepared` — [`Prepared`] and its `MaintainedResult` (re-exported
+//!   from [`engine`]): plan, probe the tiers, run the algorithm, report;
+//! * [`groupby`] — `σ[P groupby A](R)` (Def. 16), on the engine-cached
+//!   matrix;
 //! * [`quality`] — LEVEL/DISTANCE quality functions, `BUT ONLY` filters,
 //!   perfect matches (Def. 14b), top-k ranked queries (§6.2);
 //! * [`negotiate`] — §7 e-negotiation groundwork: level-based
@@ -52,13 +58,16 @@
 
 pub mod algorithms;
 pub mod bmo;
+mod cache;
 pub mod decompose;
 pub mod engine;
 pub mod error;
 pub mod groupby;
+mod maintain;
 pub mod negotiate;
 pub mod optimizer;
 pub mod plan;
+mod prepared;
 pub mod quality;
 pub mod stats;
 
