@@ -703,6 +703,42 @@ mod tests {
     }
 
     #[test]
+    fn pushdown_stays_right_because_constant_is_enforced() {
+        use pref_relation::{attr, Constraint, RelationError};
+        let schema = Schema::new(vec![("cat", DataType::Str), ("price", DataType::Int)])
+            .unwrap()
+            .with_constraint(Constraint::Constant { attr: attr("cat") })
+            .unwrap();
+        let mut t = Relation::empty(schema);
+        for p in [10, 20, 30] {
+            t.push_values(vec![Value::from("used"), Value::from(p)])
+                .unwrap();
+        }
+        let mut s = PrefSql::new();
+        s.register("car", t);
+        let generation = s.catalog().get("car").unwrap().generation();
+
+        // The pushdown probes one row and winnows the whole table, so a
+        // ('new', 5) row in it would be answered under `cat = 'used'`.
+        let err = s
+            .append_row("car", vec![Value::from("new"), Value::from(5)])
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SqlError::Relation(RelationError::ConstraintViolation { .. })
+        ));
+        let car = s.catalog().get("car").unwrap();
+        assert_eq!((car.len(), car.generation()), (3, generation));
+        let res = s
+            .execute("SELECT * FROM car WHERE cat = 'used' PREFERRING LOWEST(price)")
+            .unwrap();
+        assert_eq!(
+            res.relation.to_string(),
+            "(cat: Str, price: Int)\n  ('used', 10)\n"
+        );
+    }
+
+    #[test]
     fn prepared_statement_binds_and_reexecutes() {
         let s = session();
         let stmt = s

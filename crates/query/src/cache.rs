@@ -1,10 +1,9 @@
 //! The engine's one bounded cache type: a fingerprint-sharded,
 //! LRU-evicted map behind read/write locks.
 //!
-//! Score matrices, maintained BMO results and per-generation column
-//! statistics all live in a [`ShardedLru`]; there is exactly one insert
-//! and one eviction routine ([`ShardedLru::insert`]) for the three of
-//! them.
+//! Score matrices and maintained BMO results both live in a
+//! [`ShardedLru`]; there is exactly one insert and one eviction routine
+//! ([`ShardedLru::insert`]) for the two of them.
 //!
 //! Concurrency: a cache is split into fingerprint-selected
 //! read/write-locked shards (see `CACHE_SHARDS`), so a whole multi-tier
@@ -291,8 +290,8 @@ mod tests {
     #[test]
     fn every_lock_of_the_type_is_in_the_build_scope_group() {
         // Only observable under `--cfg lock_diag` (the CI lock-diag job):
-        // whatever a cache stores — matrices, results, column stats —
-        // holding one of its locks makes `build_scope` panic.
+        // whatever a cache stores — matrices or results — holding one
+        // of its locks makes `build_scope` panic.
         if !parking_lot::lock_diag::enabled() {
             return;
         }

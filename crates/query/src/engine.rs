@@ -21,9 +21,9 @@
 //!   the cache outcome ([`CacheStatus`]) and the generation it ran
 //!   against, so callers can assert amortization instead of guessing.
 //!
-//! This module is the engine's *tier resolution*: which cached matrix,
-//! cached result or statistics snapshot answers a request. The storage
-//! behind all three is the one bounded cache type of `cache`
+//! This module is the engine's *tier resolution*: which cached matrix
+//! or cached result answers a request. The storage behind both is the
+//! one bounded cache type of `cache`
 //! (16 fingerprint-keyed read/write-locked shards — the warm path takes
 //! exactly one shard's *read* lock, and materialization always runs
 //! outside every lock); the result-maintenance classifier is
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use pref_core::eval::{CompiledPref, MatrixWindow, ScoreMatrix};
 use pref_core::term::Pref;
-use pref_relation::{ColumnStats, Relation, Schema};
+use pref_relation::{Relation, Schema};
 
 use crate::cache::{build_scope, ShardedLru};
 use crate::error::QueryError;
@@ -52,12 +52,6 @@ pub use crate::prepared::{MaintainedResult, Prepared};
 
 /// Default number of cached score matrices per engine.
 const DEFAULT_CAPACITY: usize = 64;
-
-/// Bound on the engine's per-generation [`ColumnStats`] snapshots. A
-/// snapshot is a per-column value-count map — far smaller than a matrix
-/// but not free; 64 generations comfortably covers the live relations
-/// of a session while keeping the worst case bounded.
-const STATS_CAPACITY: usize = 64;
 
 /// Aggregate cache counters of an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -181,13 +175,6 @@ struct EngineInner {
     /// orders of magnitude smaller than a matrix, so one must never
     /// evict the other.
     results: ShardedLru<(u64, u64), Arc<ResultState>>,
-    /// Per-relation column statistics, keyed (and sharded) by relation
-    /// generation and advanced *incrementally* over each relation's
-    /// [`Delta`](pref_relation::Delta) ([`ColumnStats::advance`]) — the
-    /// planner's Def. 18 cardinality inputs. Never held across a matrix
-    /// build or another lock: probes read-lock, computation runs
-    /// unlocked, inserts write-lock.
-    stats: ShardedLru<u64, Arc<ColumnStats>>,
     hits: AtomicU64,
     derived_hits: AtomicU64,
     window_hits: AtomicU64,
@@ -233,7 +220,6 @@ impl Engine {
                 optimizer,
                 matrices: ShardedLru::new(DEFAULT_CAPACITY),
                 results: ShardedLru::new(DEFAULT_CAPACITY),
-                stats: ShardedLru::new(STATS_CAPACITY),
                 hits: AtomicU64::new(0),
                 derived_hits: AtomicU64::new(0),
                 window_hits: AtomicU64::new(0),
@@ -267,43 +253,6 @@ impl Engine {
     /// against relations with the same schema.
     pub fn prepare(&self, pref: &Pref, schema: &Schema) -> Result<Prepared, QueryError> {
         Prepared::new(self, pref, schema)
-    }
-
-    /// The planner's statistics view of `r`: served from the
-    /// per-generation snapshot cache when possible, advanced
-    /// incrementally over the relation's delta when a predecessor
-    /// snapshot exists, approximated by the base table's snapshot for
-    /// derived views (their generations never recur, so exact per-view
-    /// stats would be recomputed forever), and fully scanned otherwise.
-    /// `None` means the state is a derived view whose base has no
-    /// snapshot: scanning those per request costs more than
-    /// stats-driven choice saves (a per-column scan of every
-    /// WHERE-narrowed candidate set, keyed to a generation that never
-    /// recurs), so the planner falls back to row-count heuristics.
-    pub(crate) fn stats_for(&self, r: &Relation) -> Option<Arc<ColumnStats>> {
-        let stats = &self.inner.stats;
-        let snapshot = |gen: u64| stats.read(gen).get(&gen).cloned();
-        let gen = r.generation();
-        if let Some(s) = snapshot(gen) {
-            return Some(s);
-        }
-        // A snapshot of a recorded delta base can be advanced by
-        // scanning only the appended suffix.
-        let prev = r
-            .delta()
-            .and_then(|d| d.bases().iter().find_map(|&(g, _)| snapshot(g)));
-        if prev.is_none() {
-            // Derived view: approximate with the base's snapshot
-            // (distinct counts are upper bounds; the planner caps
-            // them at the view's row count).
-            if let Some(l) = r.lineage() {
-                return snapshot(l.base_generation());
-            }
-        }
-        // Compute outside every lock (the scan is O(rows · arity)).
-        let s = Arc::new(ColumnStats::advance(prev.as_deref(), r));
-        stats.insert(gen, gen, Arc::clone(&s));
-        Some(s)
     }
 
     /// Current cache counters. Lock-free: every counter (including the
@@ -642,6 +591,37 @@ mod tests {
         // cache entry: the fingerprint, not the Prepared identity, keys it.
         let ex3 = engine.prepare(&p, r.schema()).unwrap().execute(&r).unwrap();
         assert_eq!(ex3.cache(), CacheStatus::Hit);
+    }
+
+    #[test]
+    fn an_elided_plan_stays_right_because_constraints_are_enforced() {
+        use pref_relation::{attr, Constraint};
+        let schema = sample()
+            .schema()
+            .clone()
+            .with_constraint(Constraint::Constant { attr: attr("c") })
+            .unwrap();
+        let mut r = Relation::empty(schema);
+        for a in 0..4 {
+            r.push_values(vec![Value::from(a), Value::from(a), Value::from("x")])
+                .unwrap();
+        }
+        let p = pos("c", ["y"]);
+        let q = Engine::new().prepare(&p, r.schema()).unwrap();
+        let (rows, ex) = q.execute(&r).unwrap().into_parts();
+        assert_eq!(ex.algorithm, Algorithm::Elided);
+        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
+
+        // A 'y' row would dominate every stored one while the elided
+        // plan kept answering with all of them; the table refuses it.
+        let err = r
+            .push_values(vec![Value::from(9), Value::from(9), Value::from("y")])
+            .unwrap_err();
+        assert!(matches!(err, RelationError::ConstraintViolation { .. }));
+        let (rows, ex) = q.execute(&r).unwrap().into_parts();
+        assert_eq!(ex.algorithm, Algorithm::Elided);
+        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
+        assert_eq!(rows.len(), 4);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`decompose`] — the decomposition theorems (Prop. 8–12) as an
 //!   executable divide & conquer evaluator, incl. `YY` sets;
 //! * [`engine`] — the prepared-query engine's tier resolution: score
-//!   matrices by `(relation generation, term fingerprint)`, maintained
-//!   results and column statistics, all stored in the one bounded
+//!   matrices by `(relation generation, term fingerprint)` and
+//!   maintained results, both stored in the one bounded
 //!   fingerprint-sharded LRU type of `cache`, with the Chomicki
 //!   result-maintenance classifier a pure function in `maintain`;
 //! * `prepared` — [`Prepared`] and its `MaintainedResult` (re-exported
@@ -34,8 +34,9 @@
 //! * [`optimizer`] — the engine's configuration ([`Optimizer`]), the
 //!   algorithm dispatch, and the [`Explain`] report;
 //! * [`plan`] — the cost-based semantic planner: rewrite derivations,
-//!   constraint-registry redundancy proofs, and stats-driven algorithm
-//!   choice materialized as a [`plan::Plan`];
+//!   constraint-registry redundancy proofs, and algorithm choice from
+//!   the relation's own row count and column statistics, materialized
+//!   as a [`plan::Plan`];
 //! * [`stats`] — result sizes and filter strength (Def. 18/19, Prop. 13).
 //!
 //! ## Example

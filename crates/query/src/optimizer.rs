@@ -156,7 +156,7 @@ pub struct Explain {
     pub rewritten: bool,
     /// The plan this report was produced from: the derivation (algebra
     /// laws fired with before/after terms, semantic rewrites, the
-    /// constraints they used), the statistics snapshot and the
+    /// constraints they used), the result estimate and the
     /// per-algorithm cost table. Every execution carries one — the plan
     /// is shared with the [`Prepared`](crate::engine::Prepared) that
     /// cached it and only rendered when [`Explain::lines`] is asked for.
@@ -214,7 +214,7 @@ impl Explain {
             out.push(format!("rewritten  : {}", self.simplified));
         }
         // The planner's derivation: laws fired, constraints used, the
-        // statistics snapshot and the cost table.
+        // result estimate and the cost table.
         let plan = &self.plan;
         for s in &plan.steps {
             if s.before == s.after {

@@ -19,17 +19,19 @@
 //!    and filter afterwards ([`selection_commutes`]).
 //!
 //! Algorithm choice is no longer a fixed shape heuristic: every eligible
-//! algorithm gets a [`CostEstimate`] from maintained per-relation
-//! statistics ([`ColumnStats`], row counts and per-attribute distinct
-//! counts kept incrementally on the relation's `Delta`) and a Def. 18
-//! style result-size estimate; the cheapest eligible plan wins. The
-//! whole decision — laws fired, constraints used, per-algorithm costs —
-//! is recorded on the [`Plan`] and printed by `EXPLAIN`.
+//! algorithm gets a [`CostEstimate`] from the relation's row count and a
+//! Def. 18 style result-size estimate; the cheapest eligible plan wins.
+//! The estimate asks the relation for its column statistics
+//! ([`Relation::column_stats`]) only where it reads a distinct count —
+//! under a base or `rank(F)` node outside a Pareto accumulation — so a
+//! Pareto-only term plans from the row count alone and counts nothing.
+//! The whole decision — laws fired, constraints used, per-algorithm
+//! costs — is recorded on the [`Plan`] and printed by `EXPLAIN`.
 
 use pref_core::algebra::RewriteStep;
 use pref_core::eval::CompiledPref;
 use pref_core::term::Pref;
-use pref_relation::{Attr, ColumnStats, Constraint, Relation, Schema};
+use pref_relation::{Attr, Constraint, Relation, Schema};
 
 use crate::optimizer::{Algorithm, Optimizer};
 
@@ -108,9 +110,9 @@ pub struct Plan {
     /// `σ[P](R) = R` proven from the constraint registry: the winnow is
     /// eliminated and no algorithm runs.
     pub redundant: bool,
-    /// Row count of the statistics snapshot the costs were computed on.
+    /// Row count of the relation state the costs were computed on.
     pub rows: usize,
-    /// Relation generation of that snapshot.
+    /// Generation of that relation state.
     pub generation: u64,
     /// Def. 18-style estimated BMO result size, in rows.
     pub estimated_result: f64,
@@ -275,22 +277,13 @@ pub fn selection_commutes<'a>(schema: &Schema, attrs: impl IntoIterator<Item = &
 
 // ---- statistics-driven algorithm choice (execute time) -----------------
 
-/// The statistics the cost model consumes: the relation's row count plus
-/// a distinct-count source. `cols` may describe a *superset* of the rows
-/// (a derived view approximated by its base table's statistics), so
-/// distinct counts are capped at `rows`.
-pub(crate) struct StatsView<'a> {
-    pub rows: usize,
-    pub generation: u64,
-    pub cols: Option<&'a ColumnStats>,
-}
-
-impl StatsView<'_> {
-    fn distinct(&self, schema: &Schema, attr: &Attr) -> Option<usize> {
-        self.cols
-            .and_then(|c| c.distinct(schema, attr))
-            .map(|d| d.clamp(1, self.rows.max(1)))
-    }
+/// Distinct values of `attr` in `r`, when the relation has statistics
+/// to ask ([`Relation::column_stats`]). They may describe a *superset*
+/// of the rows (a derived view answering with its base table's counts),
+/// so the count is capped at the row count.
+fn distinct(r: &Relation, attr: &Attr) -> Option<usize> {
+    let d = r.column_stats()?.distinct(r.schema(), attr)?;
+    Some(d.clamp(1, r.len().max(1)))
 }
 
 /// Def. 18-style estimate of `|σ[P](R)|` from per-attribute distinct
@@ -300,18 +293,18 @@ impl StatsView<'_> {
 /// accumulation refines the head's maxima by the tail's selectivity.
 /// All heuristic, all clamped to `[1, n]` — the planner needs relative
 /// magnitudes, not exact cardinalities.
-fn estimated_result(p: &Pref, schema: &Schema, stats: &StatsView<'_>) -> f64 {
-    let n = stats.rows as f64;
-    if stats.rows <= 1 {
+fn estimated_result(p: &Pref, r: &Relation) -> f64 {
+    let n = r.len() as f64;
+    if r.len() <= 1 {
         return n;
     }
     let est = match p {
-        Pref::Base(b) => match stats.distinct(schema, &b.attr) {
+        Pref::Base(b) => match distinct(r, &b.attr) {
             Some(d) => n / d as f64,
             None => n.ln().max(1.0),
         },
         Pref::Antichain(_) => n,
-        Pref::Dual(x) => estimated_result(x, schema, stats),
+        Pref::Dual(x) => estimated_result(x, r),
         Pref::Pareto(cs) => {
             let k = cs.len().max(1) as f64;
             n.ln().max(1.0).powf(k - 1.0)
@@ -319,7 +312,7 @@ fn estimated_result(p: &Pref, schema: &Schema, stats: &StatsView<'_>) -> f64 {
         Pref::Prior(cs) => {
             let mut est = n;
             for c in cs {
-                est *= estimated_result(c, schema, stats) / n;
+                est *= estimated_result(c, r) / n;
             }
             est
         }
@@ -327,18 +320,14 @@ fn estimated_result(p: &Pref, schema: &Schema, stats: &StatsView<'_>) -> f64 {
         // whose distinct count is the coarsest operand's.
         Pref::Rank(_, bases) => bases
             .iter()
-            .filter_map(|b| stats.distinct(schema, &b.attr))
+            .filter_map(|b| distinct(r, &b.attr))
             .map(|d| n / d as f64)
             .fold(n.ln().max(1.0), f64::min),
         // Intersection keeps a pair comparable only when both operands
         // agree — fewer comparable pairs, more maxima than either side.
-        Pref::Inter(l, r) => {
-            estimated_result(l, schema, stats).max(estimated_result(r, schema, stats))
-        }
+        Pref::Inter(l, rhs) => estimated_result(l, r).max(estimated_result(rhs, r)),
         // Disjoint union adds comparable pairs — fewer maxima.
-        Pref::Union(l, r) => {
-            estimated_result(l, schema, stats).min(estimated_result(r, schema, stats))
-        }
+        Pref::Union(l, rhs) => estimated_result(l, r).min(estimated_result(rhs, r)),
     };
     est.clamp(1.0, n)
 }
@@ -352,11 +341,10 @@ pub(crate) fn choose(
     pref: &Pref,
     c: &CompiledPref,
     r: &Relation,
-    stats: &StatsView<'_>,
 ) -> (Algorithm, String, Vec<CostEstimate>, f64) {
-    let n = stats.rows as f64;
+    let n = r.len() as f64;
     let lg = n.max(2.0).log2();
-    let d = estimated_result(pref, r.schema(), stats).max(1.0);
+    let d = estimated_result(pref, r).max(1.0);
     let threads = opt.effective_threads();
 
     let mut estimates = Vec::with_capacity(5);
@@ -440,12 +428,14 @@ pub(crate) fn choose(
         Some(r2) => format!(
             "cost-based: {algorithm} estimated {cost:.0} dominance-test units vs \
              {} at {:.0} over {} rows (est. result {d:.1})",
-            r2.algorithm, r2.cost, stats.rows
+            r2.algorithm,
+            r2.cost,
+            r.len()
         ),
         None => format!(
             "cost-based: {algorithm} estimated {cost:.0} dominance-test units over \
              {} rows (est. result {d:.1})",
-            stats.rows
+            r.len()
         ),
     };
     (algorithm, reason, estimates, d)
@@ -550,18 +540,12 @@ mod tests {
     #[test]
     fn estimates_rank_algorithms_sanely() {
         let r = sample();
-        let stats_owned = ColumnStats::of(&r);
-        let stats = StatsView {
-            rows: r.len(),
-            generation: r.generation(),
-            cols: Some(&stats_owned),
-        };
         let opt = Optimizer::new();
 
         // Chain skyline → D&C cheapest.
         let p = lowest("a").pareto(highest("b"));
         let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, reason, table, _) = choose(&opt, &p, &c, &r, &stats);
+        let (alg, reason, table, _) = choose(&opt, &p, &c, &r);
         assert_eq!(alg, Algorithm::Dnc);
         assert!(reason.contains("cost-based"));
         assert_eq!(table.len(), 5, "every candidate gets an estimate");
@@ -569,20 +553,20 @@ mod tests {
         // Chain-headed prioritisation → cascade cheapest.
         let p = lowest("a").prior(pos("c", ["x"]));
         let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, _, _, _) = choose(&opt, &p, &c, &r, &stats);
+        let (alg, _, _, _) = choose(&opt, &p, &c, &r);
         assert_eq!(alg, Algorithm::Cascade);
 
         // Scored non-chain → SFS beats BNL whenever d̂ > 1.
         let p = around("a", 3).pareto(lowest("b"));
         let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, _, _, d) = choose(&opt, &p, &c, &r, &stats);
+        let (alg, _, _, d) = choose(&opt, &p, &c, &r);
         assert_eq!(alg, Algorithm::Sfs);
         assert!(d > 1.0);
 
         // No utility, small input → serial BNL (parallel overhead too big).
         let p = pos("c", ["x"]).pareto(neg("c", ["z"]));
         let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, _, table, _) = choose(&opt, &p, &c, &r, &stats);
+        let (alg, _, table, _) = choose(&opt, &p, &c, &r);
         assert_eq!(alg, Algorithm::Bnl);
         let sfs = table
             .iter()
@@ -593,8 +577,12 @@ mod tests {
 
     #[test]
     fn plan_lines_render_derivation_and_costs() {
-        let r =
-            Relation::from_rows(constrained_schema(), sample().iter().cloned().collect()).unwrap();
+        // CONSTANT(c) is enforced, so the table carries one `c` value.
+        let mut r = Relation::empty(constrained_schema());
+        for t in sample().iter() {
+            r.push_values(vec![t[0].clone(), t[1].clone(), Value::from("x")])
+                .unwrap();
+        }
         let p = Pref::Pareto(vec![pos("c", ["x"]), pos("c", ["x"])]);
         let q = crate::Engine::new().prepare(&p, r.schema()).unwrap();
         let plan = q.plan(&r);

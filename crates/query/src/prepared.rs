@@ -22,7 +22,7 @@ use crate::cache::cache_shard_of;
 use crate::engine::Engine;
 use crate::error::QueryError;
 use crate::optimizer::{run_algorithm, Algorithm, CacheStatus, Explain, Optimizer};
-use crate::plan::{self, Plan, SemanticInfo, StatsView, PLANNER_REPLAN_DRIFT};
+use crate::plan::{self, Plan, SemanticInfo, PLANNER_REPLAN_DRIFT};
 
 /// The result of one [`Prepared::execute`]: the BMO row set plus the
 /// identity it was computed at — the relation generation and the term
@@ -114,9 +114,9 @@ pub struct Prepared {
     /// derivation trace plus the constraint-registry semantic verdict.
     semantic: Arc<SemanticInfo>,
     /// The relation-level [`Plan`] of the most recent execution, shared
-    /// across clones. Replaced lazily when the statistics drift past
-    /// [`PLANNER_REPLAN_DRIFT`]; the guard is never held across stats
-    /// computation, matrix builds, or any other lock.
+    /// across clones. Replaced lazily when the row count drifts past
+    /// [`PLANNER_REPLAN_DRIFT`]; the guard is never held across
+    /// planning, matrix builds, or any other lock.
     plan_cell: Arc<Mutex<Option<Arc<Plan>>>>,
 }
 
@@ -132,8 +132,8 @@ impl Prepared {
         let param_slots = compiled.param_slots();
         // Schema-level planning happens once, here: fold the rewrite
         // trace into derivation steps and decide redundancy from the
-        // schema's constraint registry. The relation-level half (stats,
-        // cost ranking) is computed lazily on first execution.
+        // schema's constraint registry. The relation-level half (result
+        // estimate, cost ranking) is computed lazily on first execution.
         let semantic = Arc::new(SemanticInfo::analyze(&simplified, schema, trace));
         Ok(Prepared {
             engine: engine.clone(),
@@ -269,7 +269,7 @@ impl Prepared {
 
     /// The relation-level [`Plan`] of this query over `r`: reuses the
     /// cached plan while the row count stays within
-    /// `PLANNER_REPLAN_DRIFT` (2×) of the planned snapshot (the cost
+    /// `PLANNER_REPLAN_DRIFT` (2×) of the planned state (the cost
     /// ranking cannot flip on smaller drift), replans otherwise.
     pub fn plan(&self, r: &Relation) -> Arc<Plan> {
         {
@@ -287,8 +287,8 @@ impl Prepared {
                 }
             }
         }
-        // Plan (and fetch stats) outside the cell guard: planning takes
-        // the engine's stats lock and may scan the relation.
+        // Plan outside the cell guard: an estimate that reads a distinct
+        // count may scan the relation to fill its statistics cell.
         let plan = Arc::new(self.compute_plan(r));
         *self.plan_cell.lock() = Some(Arc::clone(&plan));
         plan
@@ -312,14 +312,6 @@ impl Prepared {
                     .to_string(),
             };
         }
-        // Derived views plan from their base's snapshot, or from the
-        // row count alone — see [`Engine::stats_for`].
-        let stats = self.engine.stats_for(r);
-        let view = StatsView {
-            rows: r.len(),
-            generation: r.generation(),
-            cols: stats.as_deref(),
-        };
         let (algorithm, reason, estimates, estimated_result) = match opt.force {
             Some(a) => (
                 a,
@@ -327,14 +319,14 @@ impl Prepared {
                 Vec::new(),
                 r.len() as f64,
             ),
-            None => plan::choose(opt, &self.simplified, &self.compiled, r, &view),
+            None => plan::choose(opt, &self.simplified, &self.compiled, r),
         };
         Plan {
             steps: self.semantic.steps.clone(),
             constraints_used: self.semantic.constraints_used.clone(),
             redundant: false,
             rows: r.len(),
-            generation: view.generation,
+            generation: r.generation(),
             estimated_result,
             estimates,
             algorithm,

@@ -1,22 +1,16 @@
-//! Per-relation column statistics, maintained incrementally over the
-//! relation's [`Delta`](crate::Delta).
+//! Column statistics: one object per relation, owned by the relation it
+//! describes.
 //!
-//! A [`ColumnStats`] snapshot records, for one relation generation, the
-//! row count and a per-column value multiset (value → occurrence count)
-//! — enough to answer `distinct(attr)` exactly and to feed Def. 18-style
-//! result-size estimates in the query planner. Advancing a snapshot to a
-//! newer generation is **incremental when the delta allows it**: if the
-//! relation's [`Delta`](crate::Delta) proves the old prefix unchanged
-//! (the snapshot's generation is a recorded base with no dirty rows and
-//! no tombstones since), only the appended suffix is counted — work
-//! proportional to the mutation, exactly like the engine's shard-hit
-//! matrix rebuilds. Anything the delta cannot vouch for (updates,
-//! deletes, reorderings, an overflowed delta) falls back to a full
-//! recount.
-//!
-//! The snapshot is a value: *storage* of snapshots (one per live
-//! relation) is the query layer's job, keeping this crate free of cache
-//! policy.
+//! A [`ColumnStats`] records a row count and a per-column value multiset
+//! (value → occurrence count) — enough to answer `distinct(attr)`
+//! exactly, which is the one number the query planner's Def. 18-style
+//! result-size estimates read. A [`Relation`] fills its statistics cell
+//! on first demand ([`Relation::column_stats`]) and from then on keeps
+//! it **exact in place**: every mutation counts the rows it adds
+//! (`add_row`) and removes (`remove_row`), O(arity) each, and restamps
+//! the generation. There is exactly one counting loop — `add_row` — and
+//! the out-of-place constructors [`ColumnStats::of`] /
+//! [`ColumnStats::advance`] are written over it.
 
 use std::collections::HashMap;
 
@@ -25,66 +19,73 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// A per-generation snapshot of one relation's column statistics.
+/// The column statistics of one relation content state.
 #[derive(Debug, Clone)]
 pub struct ColumnStats {
     generation: u64,
     rows: usize,
-    /// Whether the last advance reused a previous snapshot's counts and
-    /// only scanned the appended rows (vs a full recount).
-    incremental: bool,
     /// One value-count multiset per schema column, in column order.
     per_column: Vec<HashMap<Value, u32>>,
 }
 
 impl ColumnStats {
-    /// Compute a fresh snapshot of `r` (full scan of every column).
+    /// Count `r` from scratch (full scan of every column).
     pub fn of(r: &Relation) -> ColumnStats {
         ColumnStats::advance(None, r)
     }
 
-    /// Advance `prev` to `r`'s current state, incrementally when the
-    /// relation's delta proves the previously counted prefix unchanged.
-    /// `prev = None` (or an unusable delta) means a full recount.
+    /// The statistics of `r`'s current state, as a fresh value: when
+    /// `r`'s delta proves the rows `prev` counted an unchanged prefix,
+    /// `prev`'s counts are copied and only the appended suffix is
+    /// scanned; anything the delta cannot vouch for (`prev = None`,
+    /// updates, deletes, reorderings, an overflowed delta) is a full
+    /// recount.
     pub fn advance(prev: Option<&ColumnStats>, r: &Relation) -> ColumnStats {
-        let arity = r.schema().arity();
-        if let Some(prev) = prev {
-            if prev.generation == r.generation() && prev.per_column.len() == arity {
-                let mut same = prev.clone();
-                same.incremental = true;
-                return same;
-            }
-            if let Some(base_len) = claimable_prefix(prev, r) {
-                let mut per_column = prev.per_column.clone();
-                for i in base_len..r.len() {
-                    let row = r.row(i);
-                    for (col, counts) in per_column.iter_mut().enumerate() {
-                        *counts.entry(row[col].clone()).or_insert(0) += 1;
-                    }
-                }
-                return ColumnStats {
-                    generation: r.generation(),
-                    rows: r.len(),
-                    incremental: true,
+        let (mut stats, counted) = prev
+            .and_then(|p| claimable_prefix(p, r).map(|base_len| (p.clone(), base_len)))
+            .unwrap_or_else(|| {
+                let per_column = vec![HashMap::new(); r.schema().arity()];
+                let empty = ColumnStats {
+                    generation: 0,
+                    rows: 0,
                     per_column,
                 };
-            }
+                (empty, 0)
+            });
+        for i in counted..r.len() {
+            stats.add_row(r.row(i).values());
         }
-        let mut per_column: Vec<HashMap<Value, u32>> = vec![HashMap::new(); arity];
-        for row in r.iter() {
-            for (col, counts) in per_column.iter_mut().enumerate() {
-                *counts.entry(row[col].clone()).or_insert(0) += 1;
-            }
-        }
-        ColumnStats {
-            generation: r.generation(),
-            rows: r.len(),
-            incremental: false,
-            per_column,
+        stats.generation = r.generation();
+        stats
+    }
+
+    /// Count one more row. O(arity).
+    pub(crate) fn add_row(&mut self, row: &[Value]) {
+        self.rows += 1;
+        for (counts, v) in self.per_column.iter_mut().zip(row) {
+            *counts.entry(v.clone()).or_insert(0) += 1;
         }
     }
 
-    /// The relation generation this snapshot describes.
+    /// Forget one previously counted row. O(arity).
+    pub(crate) fn remove_row(&mut self, row: &[Value]) {
+        self.rows -= 1;
+        for (counts, v) in self.per_column.iter_mut().zip(row) {
+            match counts.get_mut(v) {
+                Some(n) if *n > 1 => *n -= 1,
+                _ => {
+                    counts.remove(v);
+                }
+            }
+        }
+    }
+
+    /// Move to the relation's new generation after an in-place update.
+    pub(crate) fn restamp(&mut self, generation: u64) {
+        self.generation = generation;
+    }
+
+    /// The relation generation these statistics describe.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -92,12 +93,6 @@ impl ColumnStats {
     /// Row count at that generation.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Did the last [`ColumnStats::advance`] reuse previous counts and
-    /// scan only the appended rows?
-    pub fn was_incremental(&self) -> bool {
-        self.incremental
     }
 
     /// Exact number of distinct values in column `col` (by index).
@@ -154,7 +149,6 @@ mod tests {
         assert_eq!(s.distinct_by_index(0), 3);
         assert_eq!(s.distinct_by_index(1), 2);
         assert_eq!(s.distinct(r.schema(), &crate::attr::attr("b")), Some(2));
-        assert!(!s.was_incremental());
     }
 
     #[test]
@@ -164,8 +158,8 @@ mod tests {
         r.push(Tuple::new(vec![Value::from(9), Value::from("z")]))
             .unwrap();
         let s1 = ColumnStats::advance(Some(&s0), &r);
-        assert!(s1.was_incremental(), "append must not trigger a recount");
         assert_eq!(s1.rows(), 5);
+        assert_eq!(s1.generation(), r.generation());
         assert_eq!(s1.distinct_by_index(0), 4);
         assert_eq!(s1.distinct_by_index(1), 3);
         // The incremental counts match a full recount exactly.
@@ -181,7 +175,6 @@ mod tests {
         r.update_row(0, vec![Value::from(7), Value::from("q")])
             .unwrap();
         let s1 = ColumnStats::advance(Some(&s0), &r);
-        assert!(!s1.was_incremental(), "dirty rows invalidate the prefix");
         assert_eq!(s1.distinct_by_index(0), 4); // 7, 2, 1, 3
         assert_eq!(s1.distinct_by_index(1), 3); // q, y, x
     }
@@ -192,8 +185,9 @@ mod tests {
         let s0 = ColumnStats::of(&r);
         r.delete_row(0);
         let s1 = ColumnStats::advance(Some(&s0), &r);
-        assert!(!s1.was_incremental());
         assert_eq!(s1.rows(), 3);
+        assert_eq!(s1.distinct_by_index(0), 3); // 2, 1, 3
+        assert_eq!(s1.distinct_by_index(1), 2); // y, x
     }
 
     #[test]
@@ -202,6 +196,7 @@ mod tests {
         let s0 = ColumnStats::of(&r);
         let s1 = ColumnStats::advance(Some(&s0), &r);
         assert_eq!(s1.rows(), s0.rows());
-        assert!(s1.was_incremental());
+        assert_eq!(s1.generation(), s0.generation());
+        assert_eq!(s1.distinct_by_index(0), s0.distinct_by_index(0));
     }
 }

@@ -1,18 +1,23 @@
 //! Integrity constraints on stored relations — the semantic knowledge
 //! Chomicki-style preference-query optimization is gated on.
 //!
-//! A [`Constraint`] is a fact the application promises holds for every
-//! tuple of every relation stored under a [`Schema`](crate::Schema)
-//! (e.g. "this catalog only ever contains `category = 'used'` rows", or
-//! "`fuel` is one of {gas, diesel, hybrid}"). The query layer uses them
-//! to prove a winnow redundant (the preference cannot discriminate
-//! between any two stored tuples, so `σ[P](R) = R`) or a hard selection
-//! commutable with the winnow — see `pref-query`'s plan module.
+//! A [`Constraint`] is a fact that holds for every tuple of every
+//! relation stored under a [`Schema`](crate::Schema) (e.g. "this catalog
+//! only ever contains `category = 'used'` rows", or "`fuel` is one of
+//! {gas, diesel, hybrid}"). The query layer uses them to prove a winnow
+//! redundant (the preference cannot discriminate between any two stored
+//! tuples, so `σ[P](R) = R`) or a hard selection commutable with the
+//! winnow — see `pref-query`'s plan module.
 //!
-//! Constraints are *declared*, not enforced on every insert: they are
-//! optimizer hints with a checkable witness ([`Constraint::holds_on`])
-//! so tests and loaders can validate a relation against its schema's
-//! registry.
+//! Constraints are *enforced*: every way a row becomes visible in a
+//! relation ([`Relation::push`], [`Relation::update_row`],
+//! [`Relation::union_all`]) asks [`Constraint::admits`] first and refuses
+//! the mutation with [`RelationError::ConstraintViolation`](crate::RelationError::ConstraintViolation)
+//! — the relation, its generation and its delta stay untouched — so the
+//! plans that reason from a declaration can never be made wrong by a
+//! later write. Deleting and selecting only shrink the row set, which
+//! keeps both constraint kinds true. [`Constraint::holds_on`] remains as
+//! the whole-relation witness for tests.
 
 use std::fmt;
 
@@ -45,28 +50,25 @@ impl Constraint {
         }
     }
 
-    /// Does the constraint actually hold on `r`? A validation witness
-    /// for loaders and property tests — the optimizer itself trusts the
-    /// declaration.
-    pub fn holds_on(&self, r: &Relation) -> Result<bool> {
+    /// Would a row carrying `value` in [`Constraint::attr`] keep the
+    /// constraint true? `other` is the value any other stored row
+    /// carries there (`None` when the row stands alone): a `CONSTANT`
+    /// attribute admits exactly that value, or any value for a lone row;
+    /// a `DOMAIN` admits the declared set whatever else is stored.
+    pub fn admits(&self, value: &Value, other: Option<&Value>) -> bool {
         match self {
-            Constraint::Constant { attr } => {
-                let i = r.schema().require(attr)?;
-                let mut first: Option<&Value> = None;
-                for t in r.iter() {
-                    match first {
-                        None => first = Some(&t[i]),
-                        Some(v) if *v == t[i] => {}
-                        Some(_) => return Ok(false),
-                    }
-                }
-                Ok(true)
-            }
-            Constraint::Domain { attr, values } => {
-                let i = r.schema().require(attr)?;
-                Ok(r.iter().all(|t| values.contains(&t[i])))
-            }
+            Constraint::Constant { .. } => other.is_none_or(|o| o == value),
+            Constraint::Domain { values, .. } => values.contains(value),
         }
+    }
+
+    /// Does the constraint actually hold on `r`? The whole-relation
+    /// witness for property tests — mutations enforce it row by row
+    /// through [`Constraint::admits`].
+    pub fn holds_on(&self, r: &Relation) -> Result<bool> {
+        let i = r.schema().require(self.attr())?;
+        let first = r.iter().next().map(|t| &t[i]);
+        Ok(r.iter().all(|t| self.admits(&t[i], first)))
     }
 }
 

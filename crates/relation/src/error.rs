@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::attr::Attr;
+use crate::constraint::Constraint;
 use crate::schema::DataType;
 use crate::value::Value;
 
@@ -23,6 +24,9 @@ pub enum RelationError {
     },
     /// Two schemas that were required to match do not.
     SchemaMismatch { left: String, right: String },
+    /// A mutation would have made a declared integrity constraint false;
+    /// it was refused and the relation is unchanged.
+    ConstraintViolation { constraint: Constraint, got: Value },
 }
 
 impl fmt::Display for RelationError {
@@ -48,6 +52,9 @@ impl fmt::Display for RelationError {
             ),
             RelationError::SchemaMismatch { left, right } => {
                 write!(f, "schema mismatch: {left} vs {right}")
+            }
+            RelationError::ConstraintViolation { constraint, got } => {
+                write!(f, "constraint {constraint} violated by value {got}")
             }
         }
     }

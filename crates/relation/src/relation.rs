@@ -3,9 +3,10 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::attr::AttrSet;
+use crate::colstats::ColumnStats;
 use crate::error::RelationError;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -190,6 +191,21 @@ impl Delta {
 /// the base's. Mutating either side is copy-on-write: the mutated
 /// relation flattens (or `Arc::make_mut`s) its own storage, the other
 /// keeps reading the old tuples.
+///
+/// ## The statistics cell
+///
+/// A relation owns the one [`ColumnStats`] object that describes it, in
+/// a write-once cell that stays empty until somebody asks
+/// ([`Relation::column_stats`]) — construction, derivation and mutation
+/// of a relation nobody plans over count nothing. Once filled, every
+/// mutation keeps the counts **exact in place**, O(arity) per row added
+/// or removed, and restamps them with the new generation; a clone shares
+/// the handle and copies on its first write, like storage. Views follow
+/// their lineage: a lineage-carrying view ([`Relation::select_derived`],
+/// [`Relation::take_rows_derived`]) carries the handle its parent had
+/// when it was derived and answers with it — an approximation by the
+/// base table, or nothing when the base had none — while a lineage-less
+/// derivation starts empty and counts itself on first demand.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Arc<Schema>,
@@ -213,6 +229,8 @@ pub struct Relation {
     lineage: Option<Lineage>,
     /// See [`Relation::delta`].
     delta: Option<Delta>,
+    /// See [`Relation::column_stats`].
+    stats: OnceLock<Arc<ColumnStats>>,
 }
 
 /// Iterator over a relation's tuples (dense storage or a row-id view).
@@ -259,6 +277,7 @@ impl Relation {
             generation: next_generation(),
             lineage: None,
             delta: None,
+            stats: OnceLock::new(),
         }
     }
 
@@ -446,13 +465,66 @@ impl Relation {
         d.push_base(old_gen, old_len);
     }
 
+    /// This relation's column statistics: counted on first demand, kept
+    /// exact in place by every later mutation (see the type-level docs).
+    /// A lineage-carrying view answers with the handle its parent had
+    /// when it was derived — `None` when the parent had never been asked,
+    /// because counting a per-request view whose generation never recurs
+    /// costs more than a statistics-driven plan saves. Such inherited
+    /// counts describe a *superset* of the view's rows, so callers cap
+    /// them at [`Relation::len`].
+    pub fn column_stats(&self) -> Option<Arc<ColumnStats>> {
+        if self.lineage.is_some() {
+            return self.stats.get().cloned();
+        }
+        let stats = self.stats.get_or_init(|| Arc::new(ColumnStats::of(self)));
+        Some(Arc::clone(stats))
+    }
+
+    /// The tail of every mutation: draw a fresh generation, sever the
+    /// lineage, and bring the statistics cell along — `recount` gets the
+    /// (restamped) statistics and the storage, to count the rows the
+    /// mutation added or removed. Nothing runs for an empty cell, and a
+    /// view's inherited handle is dropped instead: it describes the
+    /// base, not the view being mutated.
+    fn restamp(&mut self, recount: impl FnOnce(&mut ColumnStats, &[Tuple])) {
+        self.generation = next_generation();
+        if self.lineage.take().is_some() {
+            self.stats = OnceLock::new();
+        }
+        if let Some(stats) = self.stats.get_mut() {
+            // Copy-on-write: a clone (or a view) may still share the handle.
+            let stats = Arc::make_mut(stats);
+            stats.restamp(self.generation);
+            recount(stats, &self.rows);
+        }
+    }
+
+    /// Would a (schema-valid) row keep every declared constraint true?
+    /// `other` is any row that stays visible beside it — stored rows
+    /// agree on every `CONSTANT` attribute, so one witness speaks for
+    /// all of them. O(declared constraints): free on unconstrained
+    /// schemas.
+    fn check_constraints(&self, values: &[Value], other: Option<&Tuple>) -> Result<()> {
+        for c in self.schema.constraints() {
+            let col = self.schema.require(c.attr())?;
+            if !c.admits(&values[col], other.map(|t| &t[col])) {
+                return Err(RelationError::ConstraintViolation {
+                    constraint: c.clone(),
+                    got: values[col].clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Append a validated tuple.
     pub fn push(&mut self, row: Tuple) -> Result<()> {
         self.schema.check_row(row.values())?;
+        self.check_constraints(row.values(), self.iter().next())?;
         let (old_gen, old_len) = (self.generation, self.len());
         self.rows_mut().push(row);
-        self.generation = next_generation();
-        self.lineage = None;
+        self.restamp(|stats, rows| stats.add_row(rows[old_len].values()));
         self.record_extension(old_gen, old_len);
         Ok(())
     }
@@ -466,10 +538,14 @@ impl Relation {
     pub fn update_row(&mut self, i: usize, values: Vec<Value>) -> Result<()> {
         self.schema.check_row(&values)?;
         assert!(i < self.len(), "update_row index {i} out of bounds");
+        let other = (0..self.len().min(2)).find(|&k| k != i);
+        self.check_constraints(&values, other.map(|k| self.row(k)))?;
         let (old_gen, old_len) = (self.generation, self.len());
-        self.rows_mut()[i] = Tuple::new(values);
-        self.generation = next_generation();
-        self.lineage = None;
+        let old = std::mem::replace(&mut self.rows_mut()[i], Tuple::new(values));
+        self.restamp(|stats, rows| {
+            stats.remove_row(old.values());
+            stats.add_row(rows[i].values());
+        });
         self.record_extension(old_gen, old_len);
         let d = self.delta.as_mut().expect("record_extension ensures delta");
         d.dirty.push(i as u32);
@@ -529,8 +605,7 @@ impl Relation {
         };
         self.row_ids = Some(ids);
         self.windowable = false;
-        self.generation = next_generation();
-        self.lineage = None;
+        self.restamp(|stats, rows| stats.remove_row(rows[victim as usize].values()));
         if trackable {
             let d = self.delta.get_or_insert_with(Delta::default);
             d.push_base(old_gen, old_len);
@@ -578,6 +653,12 @@ impl Relation {
             row_ids: Some(ids),
             windowable: lineage.is_some() && self.derivable_window(),
             generation: next_generation(),
+            // A derived view answers with its parent's statistics; a
+            // lineage-less one counts itself (`column_stats`).
+            stats: match lineage {
+                Some(_) => self.stats.clone(),
+                None => OnceLock::new(),
+            },
             lineage,
             delta: None,
         }
@@ -647,6 +728,7 @@ impl Relation {
             generation: next_generation(),
             lineage: None,
             delta: None,
+            stats: OnceLock::new(),
         })
     }
 
@@ -682,11 +764,18 @@ impl Relation {
                 right: other.schema().to_string(),
             });
         }
+        let witness = self.iter().chain(other.iter()).next();
+        for t in other.iter() {
+            self.check_constraints(t.values(), witness)?;
+        }
         let extra: Vec<Tuple> = other.iter().cloned().collect();
         let (old_gen, old_len) = (self.generation, self.len());
         self.rows_mut().extend(extra);
-        self.generation = next_generation();
-        self.lineage = None;
+        self.restamp(|stats, rows| {
+            for t in &rows[old_len..] {
+                stats.add_row(t.values());
+            }
+        });
         self.record_extension(old_gen, old_len);
         Ok(())
     }
@@ -700,8 +789,7 @@ impl Relation {
         K: Ord,
     {
         self.rows_mut().sort_by_key(f);
-        self.generation = next_generation();
-        self.lineage = None;
+        self.restamp(|_, _| {});
         self.delta = None;
     }
 }
@@ -1149,6 +1237,128 @@ mod tests {
 
         // Dense relations have no window.
         assert!(r.window_ids().is_none());
+    }
+
+    #[test]
+    fn views_answer_with_the_statistics_their_lineage_names() {
+        let r = cars();
+        // A base nobody asked has nothing for a derived view to inherit…
+        let blank = r.select_derived(|t| t[0] == Value::from("BMW"), 7);
+        assert!(blank.column_stats().is_none());
+        // …a plain selection counts itself…
+        let own = r.select(|t| t[0] == Value::from("BMW"));
+        let s = own.column_stats().unwrap();
+        assert_eq!((s.rows(), s.generation()), (2, own.generation()));
+        assert_eq!(s.distinct_by_index(0), 1);
+        // …and neither of them made the base count anything.
+        assert!(r.select_derived(|_| true, 8).column_stats().is_none());
+
+        // Once the base has statistics, a derived view answers with the
+        // base's counts, and so does a derivation stacked on it.
+        let base_stats = r.column_stats().unwrap();
+        assert_eq!(base_stats.distinct_by_index(0), 3);
+        let d = r.select_derived(|t| t[0] == Value::from("BMW"), 7);
+        let inherited = d.column_stats().unwrap();
+        assert!(Arc::ptr_eq(&inherited, &base_stats));
+        let dd = d.take_rows_derived(&[0], 9);
+        assert!(Arc::ptr_eq(&dd.column_stats().unwrap(), &base_stats));
+        // The view derived earlier keeps what it was derived with.
+        assert!(blank.column_stats().is_none());
+
+        // Pushing into a derived view drops the inherited handle: the
+        // view is a relation of its own now and counts itself.
+        let mut d = d;
+        d.push_values(vec![Value::from("Opel"), Value::from(1)])
+            .unwrap();
+        let s = d.column_stats().unwrap();
+        assert_eq!((s.rows(), s.generation()), (3, d.generation()));
+        assert_eq!(s.distinct_by_index(0), 2);
+        // The base's own object was never written through the view.
+        assert_eq!(r.column_stats().unwrap().rows(), 4);
+    }
+
+    #[test]
+    fn declared_constraints_are_enforced_on_every_mutation() {
+        use crate::constraint::Constraint;
+        let schema = cars()
+            .schema()
+            .clone()
+            .with_constraint(Constraint::Constant { attr: attr("make") })
+            .unwrap()
+            .with_constraint(Constraint::Domain {
+                attr: attr("price"),
+                values: vec![Value::from(10), Value::from(20)],
+            })
+            .unwrap();
+        let mut r = Relation::empty(schema.clone());
+        // A lone row fixes the CONSTANT value; the DOMAIN binds at once.
+        assert!(r
+            .push_values(vec![Value::from("BMW"), Value::from(30)])
+            .is_err());
+        r.push_values(vec![Value::from("BMW"), Value::from(10)])
+            .unwrap();
+        r.push_values(vec![Value::from("BMW"), Value::from(20)])
+            .unwrap();
+        r.column_stats();
+
+        let refused = |r: &mut Relation, f: &dyn Fn(&mut Relation) -> Result<()>| {
+            let before = (r.generation(), r.to_owned_rows(), r.delta().cloned());
+            let err = f(r).unwrap_err();
+            assert!(matches!(err, RelationError::ConstraintViolation { .. }));
+            assert_eq!(r.generation(), before.0, "a refused mutation moves nothing");
+            assert_eq!(r.to_owned_rows(), before.1);
+            assert_eq!(
+                r.delta().map(Delta::bases),
+                before.2.as_ref().map(Delta::bases)
+            );
+            assert_eq!(r.column_stats().unwrap().rows(), r.len());
+            err
+        };
+        let err = refused(&mut r, &|r| {
+            r.push_values(vec![Value::from("VW"), Value::from(10)])
+        });
+        assert_eq!(
+            err.to_string(),
+            "constraint CONSTANT(make) violated by value 'VW'"
+        );
+        refused(&mut r, &|r| {
+            r.push_values(vec![Value::from("BMW"), Value::from(15)])
+        });
+        refused(&mut r, &|r| {
+            r.update_row(0, vec![Value::from("VW"), Value::from(10)])
+        });
+        refused(&mut r, &|r| {
+            r.update_row(1, vec![Value::from("BMW"), Value::from(99)])
+        });
+        let mut strangers = Relation::empty(cars().schema().clone());
+        strangers
+            .push_values(vec![Value::from("BMW"), Value::from(10)])
+            .unwrap();
+        strangers
+            .push_values(vec![Value::from("VW"), Value::from(20)])
+            .unwrap();
+        refused(&mut r, &|r| r.union_all(&strangers));
+
+        // What keeps the constraints true still goes through.
+        r.update_row(0, vec![Value::from("BMW"), Value::from(20)])
+            .unwrap();
+        r.union_all(&strangers.select(|t| t[0] == Value::from("BMW")))
+            .unwrap();
+        assert_eq!(r.len(), 3);
+        for c in schema.constraints() {
+            assert!(c.holds_on(&r).unwrap());
+        }
+        // The only row of a table may change its CONSTANT value, and an
+        // empty table takes a union that agrees with itself.
+        let mut one = Relation::empty(schema.clone());
+        one.push_values(vec![Value::from("BMW"), Value::from(10)])
+            .unwrap();
+        one.update_row(0, vec![Value::from("VW"), Value::from(10)])
+            .unwrap();
+        let mut empty = Relation::empty(schema);
+        assert!(empty.union_all(&strangers).is_err());
+        assert!(empty.is_empty());
+        empty.union_all(&one).unwrap();
     }
 
     #[test]

@@ -1,0 +1,67 @@
+//! The statistics a relation maintains in place are exactly what a
+//! recount would find — after every mutation, on the relation and on a
+//! clone that diverged from it.
+
+use pref_relation::{rel, ColumnStats, Relation, Value};
+use proptest::prelude::*;
+
+fn row(a: i64, b: usize) -> Vec<Value> {
+    vec![Value::from(a), Value::from(["x", "y", "z"][b])]
+}
+
+proptest! {
+    /// Random histories of push / update_row / delete_row / union_all /
+    /// sort_by_key over a relation and (from a random step on) a clone
+    /// of it, with `column_stats()` first requested at a random step:
+    /// from then on the cell equals `ColumnStats::of` after every step.
+    #[test]
+    fn in_place_statistics_equal_a_recount(
+        ops in proptest::collection::vec(
+            (0usize..6, any::<bool>(), 0i64..4, 0usize..3, 0usize..16), 1..24),
+        ask_at in 0usize..12,
+    ) {
+        let mut rs: Vec<Relation> = vec![rel! {
+            ("a": Int, "b": Str);
+            (1, "x"), (2, "y"), (1, "x"), (3, "y"),
+        }];
+        for (step, (kind, on_clone, a, b, at)) in ops.into_iter().enumerate() {
+            let target = usize::from(on_clone).min(rs.len() - 1);
+            let r = &mut rs[target];
+            match kind {
+                0 => r.push_values(row(a, b)).expect("row matches schema"),
+                1 if !r.is_empty() => {
+                    r.update_row(at % r.len(), row(a, b)).expect("row matches schema");
+                }
+                2 if !r.is_empty() => r.delete_row(at % r.len()),
+                3 => {
+                    let mut other = Relation::empty(r.schema().clone());
+                    for k in 0..at % 3 {
+                        other.push_values(row(a + k as i64, b)).expect("row matches schema");
+                    }
+                    r.union_all(&other).expect("same schema");
+                }
+                4 => r.sort_by_key(|t| t[0].clone()),
+                5 if rs.len() == 1 => {
+                    let fork = rs[0].clone();
+                    rs.push(fork);
+                }
+                _ => {}
+            }
+            if step < ask_at {
+                continue;
+            }
+            for r in &rs {
+                let got = r.column_stats().expect("a lineage-less relation always answers");
+                let want = ColumnStats::of(r);
+                prop_assert_eq!(got.rows(), want.rows());
+                prop_assert_eq!(got.rows(), r.len());
+                prop_assert_eq!(got.generation(), r.generation());
+                for c in 0..r.schema().arity() {
+                    prop_assert_eq!(
+                        got.distinct_by_index(c), want.distinct_by_index(c),
+                        "column {} after step {} (kind {})", c, step, kind);
+                }
+            }
+        }
+    }
+}
