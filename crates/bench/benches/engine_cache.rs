@@ -11,7 +11,6 @@
 //! round, forcing a fresh generation (every execution misses).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pref_core::eval::CompiledPref;
 use pref_core::term::{around, lowest, Pref};
 use pref_query::{Algorithm, CacheStatus, Engine};
 use pref_relation::{attr, predicate_fingerprint, Constraint, DataType, Relation, Schema, Value};
@@ -25,9 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const LOG_LEN: usize = 24;
 const CATALOG_ROWS: usize = 4_000;
-/// Rows of the large catalog driving the sharded-build scenarios — big
-/// enough that the default 4096-row shard layout spans many shards.
-const SHARD_ROWS_INPUT: usize = 32_768;
+/// Rows of the large catalog driving the append scenarios.
+const APPEND_INPUT_ROWS: usize = 32_768;
 /// Fresh predicates per measured window round.
 const WINDOW_PREDICATES: i64 = 8;
 /// Rows of the identically-priced fleet behind the planner scenarios —
@@ -303,81 +301,15 @@ fn bench_engine_cache(c: &mut Criterion) {
             black_box(total)
         })
     });
-    // Sharded storage: parallel shard builds and incremental appends.
-    // `shard-single-build` is the single-threaded whole-matrix baseline:
-    // the row-major per-row vectors (one heap `Vec<f64>` per tuple)
-    // skyline evaluation consumed before row-range sharding landed.
-    // `shard-parallel-build` materializes the same dominance data as
-    // chunked structure-of-arrays lanes, fanning the shards out over
-    // worker threads — fewer, larger allocations and contiguous per-slot
-    // lanes, so it wins even on one core and scales with the core count.
-    let big = cars::catalog(SHARD_ROWS_INPUT, 9);
+    // Incremental matrix rebuilds.
+    let big = cars::catalog(APPEND_INPUT_ROWS, 9);
     let shard_pref = around("price", 20_000).pareto(lowest("mileage"));
-    let sky_pref = lowest("price").pareto(lowest("mileage"));
-    let sky_c = CompiledPref::compile(&sky_pref, big.schema()).expect("skyline compiles");
-    let sky_dims = sky_c
-        .chain_dims()
-        .expect("SKYLINE OF shape exposes chain dimensions");
-    let threads = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
-
-    // The whole-matrix baseline build, exactly as `maxima()`-era callers
-    // assembled it: per-column dominance keys, transposed into one
-    // row-major vector per tuple.
-    let rowmajor_build = |r: &pref_relation::Relation| -> Vec<Vec<f64>> {
-        let columns: Vec<Vec<f64>> = sky_dims
-            .iter()
-            .map(|(col, base)| {
-                r.column(*col)
-                    .map_f64(|v| base.dominance_key(v))
-                    .expect("numeric skyline columns embed")
-            })
-            .collect();
-        (0..r.len())
-            .map(|i| columns.iter().map(|col| col[i]).collect())
-            .collect()
-    };
-
-    // Smoke guard (runs under `-- --test` in CI): the parallel build must
-    // produce the identical dominance relation — checked end to end via
-    // the batch BNL kernel over both layouts — and the row-major baseline
-    // must cover every tuple.
-    let single = sky_c
-        .score_matrix_with(&big, 1, 0)
-        .expect("scored term materializes");
-    let parallel = sky_c
-        .score_matrix_with(&big, threads, 0)
-        .expect("scored term materializes");
-    assert!(
-        parallel.shard_count() > 1,
-        "a {SHARD_ROWS_INPUT}-row input must span multiple shards"
-    );
-    assert_eq!(
-        pref_query::algorithms::bnl::bnl_matrix(&single),
-        pref_query::algorithms::bnl::bnl_matrix(&parallel),
-        "parallel shard build must not change the BMO set"
-    );
-    assert_eq!(rowmajor_build(&big).len(), big.len());
-    drop((single, parallel));
-
-    group.bench_function("shard-single-build", |b| {
-        b.iter(|| black_box(rowmajor_build(&big).len()))
-    });
-    group.bench_function("shard-parallel-build", |b| {
-        b.iter(|| {
-            black_box(
-                sky_c
-                    .score_matrix_with(&big, threads, 0)
-                    .expect("scored term materializes")
-                    .len(),
-            )
-        })
-    });
 
     // Append amortization: every round appends one row and re-executes.
     // `shard-append-cold` clears the cache first, paying a whole-matrix
     // rebuild per round; `shard-append-warm` keeps the engine's cache, so
     // the relation's delta resolves against the previous round's matrix
-    // and only the tail shard is recomputed (`CacheStatus::ShardHit`).
+    // and only the appended row is encoded (`CacheStatus::ShardHit`).
     //
     // The appended row is dominated by the whole catalog (price far from
     // the AROUND target, worst-case mileage), so the BMO — and with it
@@ -398,10 +330,9 @@ fn bench_engine_cache(c: &mut Criterion) {
         Value::from(8),
         Value::from(20),
     ]);
-    // Both arms pin the batch-BNL kernel (the lane-at-a-time compare the
-    // shards were laid out for) so the scenario contrasts matrix
-    // *acquisition* — incremental tail rebuild vs whole-matrix rebuild —
-    // rather than the planner's per-run algorithm choice.
+    // Both arms pin the batch-BNL kernel so the scenario contrasts
+    // matrix *acquisition* — incremental rebuild vs whole-matrix rebuild
+    // — rather than the planner's per-run algorithm choice.
     let cold_engine =
         Engine::with_optimizer(pref_query::Optimizer::new().with_algorithm(Algorithm::Bnl));
     let q_shard_cold = cold_engine
@@ -421,16 +352,10 @@ fn bench_engine_cache(c: &mut Criterion) {
         .expect("shard preference compiles");
 
     // Smoke guard (runs under `-- --test` in CI): an append over the
-    // warmed matrix must take the incremental route, restamp only the
-    // tail shard, and agree with the cold rebuild.
+    // warmed matrix must take the incremental route and agree with the
+    // cold rebuild.
     let mut probe = big.clone();
     q_shard_warm.execute(&probe).expect("warm-up runs");
-    let gens_before = q_shard_warm
-        .matrix(&probe)
-        .expect("matrix resident")
-        .matrix()
-        .shard_generations()
-        .to_vec();
     probe
         .push(dominated_row.clone())
         .expect("append keeps the schema");
@@ -442,20 +367,6 @@ fn bench_engine_cache(c: &mut Criterion) {
         ex.cache,
         CacheStatus::ShardHit,
         "append over a warmed matrix must rebuild incrementally, got {ex}"
-    );
-    let gens_after = q_shard_warm
-        .matrix(&probe)
-        .expect("matrix resident")
-        .matrix()
-        .shard_generations()
-        .to_vec();
-    // `big` is an exact multiple of the shard size, so the appended row
-    // opens a fresh tail shard and every pre-existing shard keeps its
-    // original build stamp.
-    assert_eq!(
-        &gens_after[..gens_before.len()],
-        &gens_before[..],
-        "an append must leave every full shard's build stamp untouched"
     );
     assert!(warm_engine.cache_stats().shard_hits > 0);
     let (cold_rows, ex) = q_shard_cold
@@ -510,7 +421,7 @@ fn bench_engine_cache(c: &mut Criterion) {
     // (`CacheStatus::MaintainedHit`), re-running no algorithm and
     // touching no matrix. `maintain-append` against `shard-append-warm`
     // is the tier's headline: O(|result|) dominance tests per append
-    // instead of a tail-shard rebuild plus a full BMO pass.
+    // instead of an incremental rebuild plus a full BMO pass.
     let maintain_engine =
         Engine::with_optimizer(pref_query::Optimizer::new().with_algorithm(Algorithm::Bnl));
     let q_maintain = maintain_engine

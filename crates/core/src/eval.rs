@@ -11,14 +11,15 @@
 //! Example 2 (disjoint attribute sets) and Example 3 (shared attribute
 //! sets) of the paper.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use pref_relation::{Relation, Schema, Tuple, Value};
 
-use crate::base::{base_eq, BaseRef, Reachability};
+use crate::base::BaseRef;
 use crate::error::CoreError;
+use crate::matrix::Reuse;
 use crate::term::{CombineFn, Pref};
+
+pub use crate::dominance::{Dominance, MatrixWindow, ParetoAccess};
+pub use crate::matrix::ScoreMatrix;
 
 /// A preference term compiled against a schema.
 #[derive(Debug, Clone)]
@@ -27,7 +28,7 @@ pub struct CompiledPref {
 }
 
 #[derive(Debug, Clone)]
-enum Node {
+pub(crate) enum Node {
     Base {
         col: usize,
         base: BaseRef,
@@ -47,9 +48,9 @@ enum Node {
 /// A Pareto/Prior operand together with the columns its attribute
 /// projection spans (for the `xi = yi` test).
 #[derive(Debug, Clone)]
-struct Child {
-    node: Node,
-    eq_cols: Vec<usize>,
+pub(crate) struct Child {
+    pub(crate) node: Node,
+    pub(crate) eq_cols: Vec<usize>,
 }
 
 impl CompiledPref {
@@ -90,12 +91,13 @@ impl CompiledPref {
 
     /// Materialize a [`ScoreMatrix`] for this preference over `r`: a
     /// one-pass, columnar encoding of everything `better` needs, so the
-    /// O(n²)-ish dominance loops of BMO evaluation become plain `f64`/`u32`
+    /// O(n²)-ish dominance loops of BMO evaluation become plain `f64`/`u64`
     /// comparisons instead of term-tree walks over [`Value`]s.
     ///
     /// EXPLICIT base preferences materialize too, via per-row vertex ids
-    /// plus the graph's reachability bitset ([`Reachability`]); the
-    /// matrix reports that through [`ScoreMatrix::explicit_backend`].
+    /// plus the graph's reachability bitset
+    /// ([`Reachability`](crate::base::Reachability)); the matrix reports
+    /// that through [`ScoreMatrix::explicit_backend`].
     ///
     /// Returns `None` when the term (or a value in the relation) is not
     /// representable — intersection and disjoint-union aggregation,
@@ -103,55 +105,37 @@ impl CompiledPref {
     /// to the generic [`CompiledPref::better`] path.
     ///
     /// `r` must have the schema this preference was compiled against.
-    ///
-    /// [`Value`]: pref_relation::Value
     pub fn score_matrix(&self, r: &Relation) -> Option<ScoreMatrix> {
-        self.score_matrix_with(r, 1, 0)
+        self.score_matrix_parallel(r, 1)
     }
 
-    /// [`CompiledPref::score_matrix`] with the key-lane materialization
-    /// fanned out over `threads` scoped worker threads (shard-granular;
-    /// `0` and `1` both mean sequential — callers resolve "auto" to a
-    /// concrete count, e.g. via `std::thread::available_parallelism`).
+    /// [`CompiledPref::score_matrix`] with the key lanes filled over
+    /// disjoint row ranges on up to `threads` scoped worker threads (`0`
+    /// and `1` both mean sequential — callers resolve "auto" to a
+    /// concrete count; small relations stay on the calling thread).
     pub fn score_matrix_parallel(&self, r: &Relation, threads: usize) -> Option<ScoreMatrix> {
-        self.score_matrix_with(r, threads, 0)
-    }
-
-    /// Fully parameterized matrix build: `threads` workers over shards of
-    /// `shard_rows` rows (rounded up to a power of two; `0` = the default
-    /// of [`ScoreMatrix::DEFAULT_SHARD_ROWS`]). Small shard sizes exist
-    /// for tests that must exercise shard boundaries on tiny relations.
-    pub fn score_matrix_with(
-        &self,
-        r: &Relation,
-        threads: usize,
-        shard_rows: usize,
-    ) -> Option<ScoreMatrix> {
-        ScoreMatrix::build(&self.node, r, threads, shard_shift(shard_rows), None)
+        ScoreMatrix::build(&self.node, r, threads, None)
     }
 
     /// Incremental rebuild against `prev`, a matrix this same preference
     /// materialized for an earlier content state of `r`: rows
     /// `0..prefix_len` of `r` are identical to `prev`'s rows except those
-    /// listed in `dirty`, and rows `prefix_len..` are appended. Key lanes
-    /// of *clean* shards — fully inside the prefix, no dirty row — are
-    /// reused by `Arc` clone (keys are pure per-row functions), so only
-    /// dirty and tail shards pay the per-value `dominance_key` dispatch.
-    /// Equality lanes with row-pure encodings (value fingerprints,
-    /// EXPLICIT vertex ids) are patched the same way — prefix copied,
-    /// dirty and appended rows re-encoded; only dictionary lanes
-    /// (strings, multi-attribute projections) pay a full re-encode,
-    /// because their dense first-seen ids are a whole-column property an
-    /// in-place update can perturb.
-    ///
-    /// Reused shards keep their [`ScoreMatrix::shard_generations`] stamp;
-    /// rebuilt shards are stamped with `r.generation()` — which is what
-    /// makes per-shard invalidation observable.
+    /// listed in `dirty`, and rows `prefix_len..` are appended. Every
+    /// lane whose codes are pure per-row functions — dominance keys,
+    /// value fingerprints, EXPLICIT vertex ids — copies its clean prefix
+    /// from `prev` and re-encodes only the dirty and appended rows, so
+    /// the per-value work is proportional to the mutation; only
+    /// dictionary lanes (strings, multi-attribute projections) pay a
+    /// full re-encode, because their dense first-seen ids are a
+    /// whole-column property an in-place update can perturb. The result
+    /// equals a fresh build lane for lane. (A patch runs on the calling
+    /// thread; `threads` only matters when the build degenerates to a
+    /// full one.)
     ///
     /// Returns `None` when the term does not materialize on `r` or the
-    /// prefix claim is inconsistent. A `prev` with a mismatched layout
-    /// (different shard size or key-slot count) is not an error — it
-    /// simply reuses nothing and degenerates to a full build.
+    /// prefix claim is inconsistent. A `prev` with a mismatched slot
+    /// count is not an error — it simply reuses nothing and degenerates
+    /// to a full build.
     pub fn score_matrix_incremental(
         &self,
         r: &Relation,
@@ -163,26 +147,21 @@ impl CompiledPref {
         if prefix_len > prev.len() || prefix_len > r.len() {
             return None;
         }
-        ScoreMatrix::build(
-            &self.node,
-            r,
-            threads,
-            prev.shard_shift,
-            Some(Reuse {
-                prev,
-                prefix_len,
-                dirty,
-            }),
-        )
+        let reuse = Reuse {
+            prev,
+            prefix_len,
+            dirty,
+        };
+        ScoreMatrix::build(&self.node, r, threads, Some(reuse))
     }
 
-    /// Would [`CompiledPref::score_matrix`] succeed on `r`? An
-    /// allocation-free probe (per-column scan with early exit) for
-    /// planners that must report the backend without paying for the
-    /// materialization — `EXPLAIN` latency stays O(n) scans, not
-    /// matrix assembly.
+    /// Would [`CompiledPref::score_matrix`] succeed on `r`? The build's
+    /// own success condition — same structural plan, same per-row key
+    /// function — run as a lane-free probe with early exit, for planners
+    /// that must report the backend without paying for the
+    /// materialization (`EXPLAIN` stays an O(n) scan).
     pub fn supports_matrix(&self, r: &Relation) -> bool {
-        supports(&self.node, r)
+        crate::matrix::supports(&self.node, r)
     }
 
     /// A stable *structural fingerprint* of the compiled term: equal for
@@ -586,951 +565,12 @@ impl Node {
     }
 }
 
-fn rank_value(combine: &CombineFn, inputs: &[(usize, BaseRef)], t: &Tuple) -> f64 {
+pub(crate) fn rank_value(combine: &CombineFn, inputs: &[(usize, BaseRef)], t: &Tuple) -> f64 {
     let scores: Vec<f64> = inputs
         .iter()
         .map(|(col, base)| base.score(&t[*col]).unwrap_or(f64::NEG_INFINITY))
         .collect();
     combine.apply(&scores)
-}
-
-/// A score-materialized, columnar form of a compiled preference over one
-/// concrete relation.
-///
-/// Per row, the matrix stores:
-///
-/// * one `f64` **dominance key** per score-representable sub-term (base
-///   preferences with a [`crate::base::BasePreference::dominance_key`],
-///   `rank(F)` terms), with the exact per-term guarantee
-///   `better(x, y) ⟺ key(x) < key(y)`;
-/// * one dense `u32` **equality id** per Pareto/prioritised operand,
-///   encoding the operand's attribute projection (`xi = yi` of Def. 8/9)
-///   via [`Relation::group_ids`].
-///
-/// `better(x, y)` then runs the Def. 8–12 recursion over row *indices*
-/// touching only these vectors — branch-light numeric comparisons with no
-/// `Value` dispatch, no hash-set membership tests, no distance
-/// recomputation.
-///
-/// ## Sharded structure-of-arrays storage
-///
-/// Keys are stored as **per-shard lanes**, `shards[row >> shift]
-/// .lanes[slot][row & mask]`, not row-major strips: the relation's row
-/// range is cut into fixed-size shards (a power of two,
-/// [`ScoreMatrix::DEFAULT_SHARD_ROWS`] by default) and each shard holds
-/// one contiguous `f64` lane per key slot behind an `Arc`. This buys
-/// three things:
-///
-/// * **parallel build** — shards materialize independently on scoped
-///   threads (the per-value `dominance_key` dispatch dominates build
-///   cost);
-/// * **incremental rebuild** — an append or targeted update re-derives
-///   only the affected shards and `Arc`-clones the clean ones
-///   ([`CompiledPref::score_matrix_incremental`]);
-/// * **batch dominance** — a lane is contiguous per slot, so the BNL
-///   inner loop can compare one candidate's key vector against a lane of
-///   window keys with no per-row stride arithmetic
-///   ([`Dominance::pareto_access`]).
-///
-/// Equality lanes are slot-major over the whole relation (`eqs[slot]
-/// [row]`): dictionary encodings need globally consistent first-seen
-/// ids, so they build in one sequential hash pass and are recomputed on
-/// every incremental rebuild, while the row-pure encodings (value
-/// fingerprints, EXPLICIT vertex ids) are patched — prefix copied,
-/// dirty and appended rows re-encoded.
-#[derive(Debug, Clone)]
-pub struct ScoreMatrix {
-    rows: usize,
-    /// log2 of the shard row count.
-    shard_shift: u32,
-    /// Per-shard key lanes: `shards[row >> shard_shift]`.
-    shards: Vec<KeyShard>,
-    /// Per shard: the relation generation whose build (re)materialized
-    /// it. A full build stamps every shard alike; an incremental rebuild
-    /// stamps only the shards it actually recomputed.
-    shard_gens: Vec<u64>,
-    /// Per key slot: the `(column, base preference)` whose
-    /// `dominance_key` filled it, for slots that came from a base
-    /// preference (`None` for `rank(F)` slots). Lets quality functions
-    /// (LEVEL/DISTANCE of `BUT ONLY`) read the materialized keys back
-    /// instead of re-walking values.
-    key_bases: Vec<Option<(usize, BaseRef)>>,
-    /// Slot-major equality codes: `eqs[slot][row]`. A slot is either a
-    /// lossless value fingerprint (numeric columns) or a dense dictionary
-    /// id (strings, multi-attribute projections); both compare by `==`.
-    eqs: Vec<Vec<u64>>,
-    /// Per eq slot: which encoding filled it. Incremental rebuilds reuse
-    /// the row-pure encodings (fingerprints, EXPLICIT vertex ids) by
-    /// patching only dirty and appended rows; dictionary lanes always
-    /// re-encode, because dense first-seen ids are a whole-column
-    /// property an in-place update can perturb.
-    eq_kinds: Vec<EqEncoding>,
-    plan: ScorePlan,
-}
-
-/// How one equality lane was encoded — decides whether an incremental
-/// rebuild may reuse it row-wise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EqEncoding {
-    /// Lossless per-value fingerprint ([`pref_relation::Column::fingerprints`]):
-    /// a pure per-row function, reusable under patching.
-    Fingerprint,
-    /// Dense dictionary ids in first-seen order: only valid as a whole
-    /// column, never patched.
-    Dictionary,
-    /// EXPLICIT-graph vertex ids: a pure per-row function, reusable
-    /// under patching.
-    Vertex,
-}
-
-/// One shard's key storage: a contiguous `f64` lane per key slot,
-/// covering a fixed row range. Lanes sit behind `Arc` so incremental
-/// rebuilds reuse clean shards without copying.
-#[derive(Debug, Clone)]
-struct KeyShard {
-    lanes: Vec<Arc<[f64]>>,
-}
-
-/// Reuse directive for an incremental build: `prev` covers rows
-/// `0..prefix_len` of the new relation, identically except rows in
-/// `dirty`.
-#[derive(Clone, Copy)]
-struct Reuse<'a> {
-    prev: &'a ScoreMatrix,
-    prefix_len: usize,
-    dirty: &'a [u32],
-}
-
-/// Convert a requested shard row count to the shift (0 = default;
-/// otherwise rounded up to a power of two, min 1 row).
-fn shard_shift(shard_rows: usize) -> u32 {
-    if shard_rows == 0 {
-        ScoreMatrix::DEFAULT_SHARD_ROWS.trailing_zeros()
-    } else {
-        shard_rows.next_power_of_two().trailing_zeros()
-    }
-}
-
-/// The structural skeleton `better` interprets over the materialized
-/// columns. Mirrors [`Node`] restricted to score-representable shapes.
-#[derive(Debug, Clone)]
-enum ScorePlan {
-    /// `better ⟺ key[x] < key[y]`.
-    Key(usize),
-    /// Never better.
-    Antichain,
-    /// Argument swap.
-    Dual(Box<ScorePlan>),
-    /// Flat Pareto over key children — the skyline-critical fast path.
-    ParetoKeys(Vec<(usize, usize)>),
-    /// General Pareto: `(child, eq slot)` per operand.
-    Pareto(Vec<(ScorePlan, usize)>),
-    /// Prioritised accumulation: `(child, eq slot)` per operand.
-    Prior(Vec<(ScorePlan, usize)>),
-    /// EXPLICIT sub-term: per-row vertex ids in slot `ids`, dominance via
-    /// the graph's reachability bitset. A genuine partial order — the one
-    /// base shape with no `f64` embedding that still materializes.
-    Explicit { ids: usize, reach: Reachability },
-}
-
-impl ScoreMatrix {
-    /// Default rows per shard (a power of two). Sized so one shard's key
-    /// lanes stay cache-resident during a batch compare while still
-    /// giving parallel builds enough shards to spread across cores.
-    pub const DEFAULT_SHARD_ROWS: usize = 4096;
-
-    fn build(
-        node: &Node,
-        r: &Relation,
-        threads: usize,
-        shift: u32,
-        reuse: Option<Reuse<'_>>,
-    ) -> Option<ScoreMatrix> {
-        let mut b = MatrixBuilder {
-            key_specs: Vec::new(),
-            key_bases: Vec::new(),
-            eq_specs: Vec::new(),
-            eq_cache: HashMap::new(),
-        };
-        let plan = b.plan(node)?;
-        // Key lanes validate per value (every dominance key must embed),
-        // so they run first: non-embeddable relations bail before paying
-        // for the equality pass.
-        let (shards, shard_gens) = build_key_shards(&b.key_specs, r, shift, threads, reuse)?;
-        let (eqs, eq_kinds) = build_eqs(&b.eq_specs, r, reuse);
-        Some(ScoreMatrix {
-            rows: r.len(),
-            shard_shift: shift,
-            shards,
-            shard_gens,
-            key_bases: b.key_bases,
-            eqs,
-            eq_kinds,
-            plan,
-        })
-    }
-
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// Is the matrix over an empty relation?
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Number of materialized key columns.
-    pub fn key_slots(&self) -> usize {
-        self.key_bases.len()
-    }
-
-    /// Number of materialized equality-id columns.
-    pub fn eq_slots(&self) -> usize {
-        self.eqs.len()
-    }
-
-    /// Rows per shard (a power of two; the last shard may be partial).
-    pub fn shard_rows(&self) -> usize {
-        1 << self.shard_shift
-    }
-
-    /// Number of row-range shards (`0` on an empty relation).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard build stamps: the relation generation whose (re)build
-    /// materialized each shard's key lanes. After an incremental rebuild
-    /// only the recomputed shards carry the new generation — the
-    /// observable form of per-shard invalidation.
-    pub fn shard_generations(&self) -> &[u64] {
-        &self.shard_gens
-    }
-
-    #[inline]
-    fn key(&self, row: usize, slot: usize) -> f64 {
-        let mask = (1usize << self.shard_shift) - 1;
-        self.shards[row >> self.shard_shift].lanes[slot][row & mask]
-    }
-
-    /// The key slot filled by `base`'s `dominance_key` over column
-    /// `col`, when this matrix materialized that base preference
-    /// (identified like [`crate::base::base_eq`]: name + printed
-    /// parameters).
-    pub fn base_key_slot(&self, col: usize, base: &BaseRef) -> Option<usize> {
-        self.key_bases.iter().position(|slot| {
-            slot.as_ref()
-                .is_some_and(|(c, b)| *c == col && base_eq(b, base))
-        })
-    }
-
-    /// The materialized dominance key of `row` in `slot` (a
-    /// [`ScoreMatrix::base_key_slot`] result). The inverse quality
-    /// lookups [`crate::base::BasePreference::level_from_key`] /
-    /// [`distance_from_key`](crate::base::BasePreference::distance_from_key)
-    /// apply to exactly these values.
-    pub fn key_at(&self, row: usize, slot: usize) -> f64 {
-        self.key(row, slot)
-    }
-
-    #[inline]
-    fn eq(&self, row: usize, slot: usize) -> u64 {
-        self.eqs[slot][row]
-    }
-
-    /// The strict better-than test on row indices: is `y` better than
-    /// `x`? Agrees exactly with [`CompiledPref::better`] on the rows of
-    /// the relation this matrix was built from.
-    #[inline]
-    pub fn better(&self, x: usize, y: usize) -> bool {
-        self.eval(&self.plan, x, y)
-    }
-
-    fn eval(&self, plan: &ScorePlan, x: usize, y: usize) -> bool {
-        match plan {
-            ScorePlan::Key(s) => self.key(x, *s) < self.key(y, *s),
-            ScorePlan::Antichain => false,
-            ScorePlan::Dual(inner) => self.eval(inner, y, x),
-            // Def. 8 over keys: a key child is strictly better exactly on
-            // `<`; on unequal projections with no strict win, y cannot
-            // dominate. (Equal eq ids imply equal keys, so the equality
-            // branch is only reachable with `key(x) == key(y)`.)
-            ScorePlan::ParetoKeys(slots) => {
-                let mut any_strict = false;
-                for &(k, e) in slots {
-                    if self.key(x, k) < self.key(y, k) {
-                        any_strict = true;
-                    } else if self.eq(x, e) != self.eq(y, e) {
-                        return false;
-                    }
-                }
-                any_strict
-            }
-            ScorePlan::Pareto(children) => {
-                let mut any_strict = false;
-                for (child, e) in children {
-                    if self.eval(child, x, y) {
-                        any_strict = true;
-                    } else if self.eq(x, *e) != self.eq(y, *e) {
-                        return false;
-                    }
-                }
-                any_strict
-            }
-            // Def. 9: first operand whose projections differ decides.
-            ScorePlan::Prior(children) => {
-                for (child, e) in children {
-                    if self.eval(child, x, y) {
-                        return true;
-                    }
-                    if self.eq(x, *e) != self.eq(y, *e) {
-                        return false;
-                    }
-                }
-                false
-            }
-            ScorePlan::Explicit { ids, reach } => {
-                reach.better_ids(self.eq(x, *ids) as usize, self.eq(y, *ids) as usize)
-            }
-        }
-    }
-
-    /// Does this matrix run any sub-term on the EXPLICIT reachability
-    /// bitset backend (as opposed to pure `f64` dominance keys)?
-    pub fn explicit_backend(&self) -> bool {
-        fn walk(p: &ScorePlan) -> bool {
-            match p {
-                ScorePlan::Explicit { .. } => true,
-                ScorePlan::Dual(inner) => walk(inner),
-                ScorePlan::Pareto(children) | ScorePlan::Prior(children) => {
-                    children.iter().any(|(c, _)| walk(c))
-                }
-                ScorePlan::Key(_) | ScorePlan::Antichain | ScorePlan::ParetoKeys(_) => false,
-            }
-        }
-        walk(&self.plan)
-    }
-}
-
-/// A pairwise dominance backend over row indices — the interface the
-/// BMO inner loops (BNL windows, SFS filter passes, naive scans) are
-/// generic over, implemented by the [`ScoreMatrix`] itself and by
-/// [`MatrixWindow`] views onto one.
-pub trait Dominance {
-    /// Number of rows covered.
-    fn len(&self) -> usize;
-
-    /// Is `y` better than `x`?
-    fn better(&self, x: usize, y: usize) -> bool;
-
-    /// Is the backend over an empty relation?
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Batch-gather access to the backend's flat Pareto dimensions, when
-    /// the order is a pure `ParetoKeys` plan (every operand a dominance
-    /// key). `None` — the default — means the backend has no such lanes
-    /// and callers must stay on the pairwise [`Dominance::better`] path.
-    fn pareto_access(&self) -> Option<ParetoAccess<'_>> {
-        None
-    }
-
-    /// Preferred row-chunk alignment for parallel partitioning (`1` = no
-    /// preference). Sharded matrices report their shard size so chunk
-    /// boundaries coincide with lane boundaries.
-    fn chunk_alignment(&self) -> usize {
-        1
-    }
-}
-
-/// Gather-based access to the key/equality lanes of a flat Pareto order
-/// — the batch-dominance interface of [`Dominance::pareto_access`].
-///
-/// One call to [`ParetoAccess::gather`] copies a row's per-dimension
-/// `(key, eq)` pairs into caller-owned buffers; the caller then compares
-/// that row against *its own* contiguous structure-of-arrays copies of
-/// whatever row set it maintains (e.g. a BNL window), which is where the
-/// auto-vectorizable inner loops live. Only the gather pays the window
-/// indirection of a [`MatrixWindow`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParetoAccess<'m> {
-    matrix: &'m ScoreMatrix,
-    /// `(key slot, eq slot)` per Pareto dimension.
-    slots: &'m [(usize, usize)],
-    /// Window indirection: row `i` here is matrix row `ids[i]`.
-    ids: Option<&'m [u32]>,
-}
-
-impl ParetoAccess<'_> {
-    /// Number of Pareto dimensions.
-    pub fn dims(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of rows covered (window rows when windowed).
-    pub fn len(&self) -> usize {
-        match self.ids {
-            Some(ids) => ids.len(),
-            None => self.matrix.len(),
-        }
-    }
-
-    /// Is the row set empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy row `row`'s per-dimension dominance keys and equality codes
-    /// into `keys` / `eqs` (each at least [`ParetoAccess::dims`] long).
-    /// Keys are never NaN — the matrix build rejects NaN embeddings.
-    #[inline]
-    pub fn gather(&self, row: usize, keys: &mut [f64], eqs: &mut [u64]) {
-        let base = match self.ids {
-            Some(ids) => ids[row] as usize,
-            None => row,
-        };
-        for (d, &(k, e)) in self.slots.iter().enumerate() {
-            keys[d] = self.matrix.key(base, k);
-            eqs[d] = self.matrix.eq(base, e);
-        }
-    }
-}
-
-impl Dominance for ScoreMatrix {
-    fn len(&self) -> usize {
-        ScoreMatrix::len(self)
-    }
-
-    fn better(&self, x: usize, y: usize) -> bool {
-        ScoreMatrix::better(self, x, y)
-    }
-
-    fn pareto_access(&self) -> Option<ParetoAccess<'_>> {
-        match &self.plan {
-            ScorePlan::ParetoKeys(slots) => Some(ParetoAccess {
-                matrix: self,
-                slots,
-                ids: None,
-            }),
-            _ => None,
-        }
-    }
-
-    fn chunk_alignment(&self) -> usize {
-        self.shard_rows()
-    }
-}
-
-/// A view of a shared [`ScoreMatrix`], optionally *windowed* onto a row
-/// subset by an index vector.
-///
-/// Every per-row quantity the matrix materializes — dominance keys,
-/// equality ids, EXPLICIT vertex ids — is a pure function of that row's
-/// values (equality ids compare only for equality, which restriction
-/// preserves), so the matrix built for a whole relation answers
-/// dominance questions for **any** subset of its rows: evaluating row
-/// `i` of a subset is evaluating base row `ids[i]` of the full matrix.
-/// A windowed view is therefore semantically identical to the matrix a
-/// fresh materialization of the subset would produce, at the cost of
-/// one index indirection per row access — which is how a *never-seen*
-/// selection over an already-materialized base runs warm.
-#[derive(Debug, Clone)]
-pub struct MatrixWindow {
-    matrix: Arc<ScoreMatrix>,
-    /// `None` = the identity view (the full matrix).
-    ids: Option<Arc<[u32]>>,
-}
-
-impl MatrixWindow {
-    /// The identity view over a whole matrix.
-    pub fn full(matrix: Arc<ScoreMatrix>) -> Self {
-        MatrixWindow { matrix, ids: None }
-    }
-
-    /// Window `matrix` onto the subset selected by `ids` (row `i` of the
-    /// window is base row `ids[i]`).
-    ///
-    /// Every id must be `< matrix.len()`; out-of-range ids panic on
-    /// first access, exactly like out-of-range row indices on the
-    /// matrix itself.
-    pub fn windowed(matrix: Arc<ScoreMatrix>, ids: Arc<[u32]>) -> Self {
-        MatrixWindow {
-            matrix,
-            ids: Some(ids),
-        }
-    }
-
-    /// Is this a genuine window (index indirection), as opposed to the
-    /// identity view?
-    pub fn is_windowed(&self) -> bool {
-        self.ids.is_some()
-    }
-
-    /// The shared underlying matrix.
-    pub fn matrix(&self) -> &Arc<ScoreMatrix> {
-        &self.matrix
-    }
-
-    /// The base-matrix row backing window row `row`.
-    #[inline]
-    fn base_row(&self, row: usize) -> usize {
-        match &self.ids {
-            Some(ids) => ids[row] as usize,
-            None => row,
-        }
-    }
-
-    /// Number of rows in the view.
-    pub fn len(&self) -> usize {
-        match &self.ids {
-            Some(ids) => ids.len(),
-            None => self.matrix.len(),
-        }
-    }
-
-    /// Is the view empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The strict better-than test on *view* row indices.
-    #[inline]
-    pub fn better(&self, x: usize, y: usize) -> bool {
-        self.matrix.better(self.base_row(x), self.base_row(y))
-    }
-
-    /// [`ScoreMatrix::base_key_slot`], unchanged by windowing (slots are
-    /// per-term, not per-row).
-    pub fn base_key_slot(&self, col: usize, base: &BaseRef) -> Option<usize> {
-        self.matrix.base_key_slot(col, base)
-    }
-
-    /// The materialized dominance key of *view* row `row` in `slot`.
-    pub fn key_at(&self, row: usize, slot: usize) -> f64 {
-        self.matrix.key_at(self.base_row(row), slot)
-    }
-
-    /// Does the underlying matrix run EXPLICIT sub-terms on the
-    /// reachability-bitset backend?
-    pub fn explicit_backend(&self) -> bool {
-        self.matrix.explicit_backend()
-    }
-}
-
-impl Dominance for MatrixWindow {
-    fn len(&self) -> usize {
-        MatrixWindow::len(self)
-    }
-
-    fn better(&self, x: usize, y: usize) -> bool {
-        MatrixWindow::better(self, x, y)
-    }
-
-    fn pareto_access(&self) -> Option<ParetoAccess<'_>> {
-        match &self.matrix.plan {
-            ScorePlan::ParetoKeys(slots) => Some(ParetoAccess {
-                matrix: &self.matrix,
-                slots,
-                ids: self.ids.as_deref(),
-            }),
-            _ => None,
-        }
-    }
-
-    fn chunk_alignment(&self) -> usize {
-        // A windowed view's row indices do not map onto contiguous base
-        // rows, so shard alignment means nothing there.
-        match self.ids {
-            Some(_) => 1,
-            None => self.matrix.shard_rows(),
-        }
-    }
-}
-
-/// Mirror of [`MatrixBuilder::plan`]'s success condition, minus every
-/// allocation: keys must embed (non-`None`, non-NaN) for each base and
-/// rank term, EXPLICIT graphs always materialize (vertex-id encoding),
-/// and equality encodings always exist.
-fn supports(node: &Node, r: &Relation) -> bool {
-    match node {
-        Node::Base { col, base } => {
-            base.as_explicit().is_some()
-                || r.column(*col)
-                    .iter()
-                    .all(|v| base.dominance_key(v).is_some_and(|k| !k.is_nan()))
-        }
-        Node::Antichain => true,
-        Node::Dual(inner) => supports(inner, r),
-        Node::Rank { combine, inputs } => {
-            r.iter().all(|t| !rank_value(combine, inputs, t).is_nan())
-        }
-        Node::Pareto(children) | Node::Prior(children) => {
-            children.iter().all(|c| supports(&c.node, r))
-        }
-        Node::Inter(..) | Node::Union(..) => false,
-    }
-}
-
-/// How one key slot's lane is computed from a row. Structural — carries
-/// no relation data, so a plan compiles once and its lanes materialize
-/// per shard, on whichever thread owns the shard.
-enum KeySpec {
-    /// `base.dominance_key(row[col])`.
-    Base { col: usize, base: BaseRef },
-    /// `F(f1(row[c1]), …)` of `rank(F)`.
-    Rank {
-        combine: CombineFn,
-        inputs: Vec<(usize, BaseRef)>,
-    },
-}
-
-/// How one equality slot's codes are computed. Equality lanes are
-/// relation-wide (dictionary ids need globally consistent first-seen
-/// order), so these evaluate in one sequential pass.
-enum EqSpec {
-    /// Projection equality over `cols`: value fingerprints for a single
-    /// numeric column, dictionary group ids otherwise.
-    Projection(Vec<usize>),
-    /// EXPLICIT vertex ids: `base`'s graph-vertex index of `row[col]`,
-    /// with every outside value collapsed onto `outside`.
-    ExplicitIds {
-        col: usize,
-        base: BaseRef,
-        outside: u64,
-    },
-}
-
-struct MatrixBuilder {
-    key_specs: Vec<KeySpec>,
-    /// Per key slot: origin `(col, base)` for base-preference slots.
-    key_bases: Vec<Option<(usize, BaseRef)>>,
-    eq_specs: Vec<EqSpec>,
-    /// Dedup equality slots by their column signature — Pareto and Prior
-    /// operands over the same attribute set share one encoding.
-    eq_cache: HashMap<Vec<usize>, usize>,
-}
-
-impl MatrixBuilder {
-    /// Compile `node` into a [`ScorePlan`] plus the key/eq lane specs the
-    /// build phases execute. Purely structural: data-dependent failures
-    /// (non-embeddable values) surface later, in [`build_key_shards`].
-    fn plan(&mut self, node: &Node) -> Option<ScorePlan> {
-        match node {
-            Node::Base { col, base } => {
-                if let Some(e) = base.as_explicit() {
-                    // EXPLICIT has no f64 embedding (genuine partial
-                    // order), but values resolve to graph-vertex ids once
-                    // and dominance becomes a reachability-bitset probe.
-                    let reach = e.reachability();
-                    let outside = reach.outside_id() as u64;
-                    self.eq_specs.push(EqSpec::ExplicitIds {
-                        col: *col,
-                        base: base.clone(),
-                        outside,
-                    });
-                    return Some(ScorePlan::Explicit {
-                        ids: self.eq_specs.len() - 1,
-                        reach,
-                    });
-                }
-                Some(ScorePlan::Key(self.push_key(
-                    KeySpec::Base {
-                        col: *col,
-                        base: base.clone(),
-                    },
-                    Some((*col, base.clone())),
-                )))
-            }
-            Node::Antichain => Some(ScorePlan::Antichain),
-            Node::Dual(inner) => Some(ScorePlan::Dual(Box::new(self.plan(inner)?))),
-            Node::Rank { combine, inputs } => Some(ScorePlan::Key(self.push_key(
-                KeySpec::Rank {
-                    combine: combine.clone(),
-                    inputs: inputs.clone(),
-                },
-                None,
-            ))),
-            Node::Pareto(children) => {
-                let built = self.children(children)?;
-                // Flatten all-key Pareto terms into the tight loop.
-                if built.iter().all(|(c, _)| matches!(c, ScorePlan::Key(_))) {
-                    Some(ScorePlan::ParetoKeys(
-                        built
-                            .into_iter()
-                            .map(|(c, e)| match c {
-                                ScorePlan::Key(k) => (k, e),
-                                _ => unreachable!("all children checked to be keys"),
-                            })
-                            .collect(),
-                    ))
-                } else {
-                    Some(ScorePlan::Pareto(built))
-                }
-            }
-            Node::Prior(children) => Some(ScorePlan::Prior(self.children(children)?)),
-            // Intersection / disjoint union compare two full sub-orders
-            // per pair; no per-row embedding exists in general.
-            Node::Inter(..) | Node::Union(..) => None,
-        }
-    }
-
-    fn children(&mut self, children: &[Child]) -> Option<Vec<(ScorePlan, usize)>> {
-        children
-            .iter()
-            .map(|c| {
-                let plan = self.plan(&c.node)?;
-                let eq = self.eq_slot(&c.eq_cols);
-                Some((plan, eq))
-            })
-            .collect()
-    }
-
-    fn push_key(&mut self, spec: KeySpec, origin: Option<(usize, BaseRef)>) -> usize {
-        self.key_specs.push(spec);
-        self.key_bases.push(origin);
-        self.key_specs.len() - 1
-    }
-
-    fn eq_slot(&mut self, cols: &[usize]) -> usize {
-        if let Some(&slot) = self.eq_cache.get(cols) {
-            return slot;
-        }
-        self.eq_specs.push(EqSpec::Projection(cols.to_vec()));
-        let slot = self.eq_specs.len() - 1;
-        self.eq_cache.insert(cols.to_vec(), slot);
-        slot
-    }
-}
-
-/// Materialize one shard's lane for `spec` over rows `lo..hi`. `None`
-/// when any value fails to embed (no dominance key, or a NaN key that
-/// would order inconsistently under `<`) — which aborts the whole build,
-/// exactly like the former whole-column validation.
-fn compute_lane(spec: &KeySpec, r: &Relation, lo: usize, hi: usize) -> Option<Vec<f64>> {
-    let mut lane = Vec::with_capacity(hi - lo);
-    match spec {
-        KeySpec::Base { col, base } => {
-            for i in lo..hi {
-                lane.push(
-                    base.dominance_key(&r.row(i)[*col])
-                        .filter(|k| !k.is_nan())?,
-                );
-            }
-        }
-        KeySpec::Rank { combine, inputs } => {
-            for i in lo..hi {
-                let k = rank_value(combine, inputs, r.row(i));
-                if k.is_nan() {
-                    return None;
-                }
-                lane.push(k);
-            }
-        }
-    }
-    Some(lane)
-}
-
-/// Materialize the equality lanes, one sequential pass per slot — or,
-/// on an incremental rebuild, patch the row-pure lanes of `reuse.prev`
-/// in place of a full pass: the fingerprint and EXPLICIT-vertex
-/// encodings are pure per-row functions, so copying the clean prefix and
-/// re-encoding only dirty and appended rows agrees bit-for-bit with a
-/// fresh build. Dictionary lanes (strings, multi-attribute projections)
-/// always re-encode: their dense first-seen ids are a whole-column
-/// property.
-fn build_eqs(
-    specs: &[EqSpec],
-    r: &Relation,
-    reuse: Option<Reuse<'_>>,
-) -> (Vec<Vec<u64>>, Vec<EqEncoding>) {
-    // Lane-shape mismatch (a structurally different `prev`) reuses
-    // nothing, mirroring the key-shard layout guard.
-    let prev = reuse.filter(|ru| ru.prev.eq_slots() == specs.len());
-    let mut lanes = Vec::with_capacity(specs.len());
-    let mut kinds = Vec::with_capacity(specs.len());
-    for (slot, spec) in specs.iter().enumerate() {
-        let patched = prev.and_then(|ru| patch_eq_lane(spec, r, ru, slot));
-        let (lane, kind) = patched.unwrap_or_else(|| encode_eq_lane(spec, r));
-        lanes.push(lane);
-        kinds.push(kind);
-    }
-    (lanes, kinds)
-}
-
-/// One full sequential encoding pass for `spec` over `r`.
-fn encode_eq_lane(spec: &EqSpec, r: &Relation) -> (Vec<u64>, EqEncoding) {
-    match spec {
-        EqSpec::Projection(cols) => {
-            // Prefer the hash-free fingerprint encoding for single
-            // numeric columns; dictionary-encode strings and wider
-            // projections.
-            let fp = match cols.as_slice() {
-                [col] => r.column(*col).fingerprints(),
-                _ => None,
-            };
-            match fp {
-                Some(lane) => (lane, EqEncoding::Fingerprint),
-                None => {
-                    let (ids, _) = r.group_ids(cols);
-                    (
-                        ids.into_iter().map(u64::from).collect(),
-                        EqEncoding::Dictionary,
-                    )
-                }
-            }
-        }
-        EqSpec::ExplicitIds { col, base, outside } => {
-            let e = base
-                .as_explicit()
-                .expect("ExplicitIds specs are built from EXPLICIT bases");
-            (
-                r.column(*col)
-                    .iter()
-                    .map(|v| e.vertex_index(v).map_or(*outside, |i| i as u64))
-                    .collect(),
-                EqEncoding::Vertex,
-            )
-        }
-    }
-}
-
-/// Try to derive slot `slot` of an incremental rebuild by patching the
-/// previous lane: copy rows `0..prefix_len`, re-encode the dirty rows
-/// inside the prefix, extend with the appended rows. `None` (fall back
-/// to [`encode_eq_lane`]) when the previous lane used a non-row-pure
-/// encoding or a patched value stops being encodable (e.g. a NULL
-/// written into a fingerprint lane).
-fn patch_eq_lane(
-    spec: &EqSpec,
-    r: &Relation,
-    ru: Reuse<'_>,
-    slot: usize,
-) -> Option<(Vec<u64>, EqEncoding)> {
-    let kind = *ru.prev.eq_kinds.get(slot)?;
-    let encode_row: Box<dyn Fn(usize) -> Option<u64>> = match (spec, kind) {
-        (EqSpec::Projection(cols), EqEncoding::Fingerprint) => match cols.as_slice() {
-            [col] => {
-                let col = *col;
-                Box::new(move |row| r.column(col).fingerprint_at(row))
-            }
-            _ => return None,
-        },
-        (EqSpec::ExplicitIds { col, base, outside }, EqEncoding::Vertex) => {
-            let e = base
-                .as_explicit()
-                .expect("ExplicitIds specs are built from EXPLICIT bases");
-            let (col, outside) = (*col, *outside);
-            Box::new(move |row| {
-                Some(
-                    e.vertex_index(&r.row(row)[col])
-                        .map_or(outside, |i| i as u64),
-                )
-            })
-        }
-        _ => return None,
-    };
-    let mut lane = ru.prev.eqs[slot][..ru.prefix_len].to_vec();
-    for &d in ru.dirty {
-        let d = d as usize;
-        if d < ru.prefix_len {
-            lane[d] = encode_row(d)?;
-        }
-    }
-    for row in ru.prefix_len..r.len() {
-        lane.push(encode_row(row)?);
-    }
-    Some((lane, kind))
-}
-
-/// Materialize the key shards for `specs` over `r`, fanning independent
-/// shards out over up to `threads` scoped worker threads and `Arc`-reusing
-/// any shard `reuse` proves clean. `None` when any value fails to embed.
-fn build_key_shards(
-    specs: &[KeySpec],
-    r: &Relation,
-    shift: u32,
-    threads: usize,
-    reuse: Option<Reuse<'_>>,
-) -> Option<(Vec<KeyShard>, Vec<u64>)> {
-    let rows = r.len();
-    let shard_rows = 1usize << shift;
-    let n_shards = rows.div_ceil(shard_rows);
-    let gen = r.generation();
-
-    // A layout-mismatched `prev` (different shard size or slot count)
-    // reuses nothing and degenerates to a full build.
-    let prev =
-        reuse.filter(|ru| ru.prev.shard_shift == shift && ru.prev.key_slots() == specs.len());
-
-    let mut shards: Vec<Option<(KeyShard, u64)>> = Vec::with_capacity(n_shards);
-    let mut todo: Vec<usize> = Vec::new();
-    for s in 0..n_shards {
-        let lo = s * shard_rows;
-        let hi = (lo + shard_rows).min(rows);
-        let clean = prev.as_ref().is_some_and(|ru| {
-            // Clean ⟺ the shard lies fully inside the unchanged prefix,
-            // covers the same row range in `prev` (a partial tail shard
-            // that grew must rebuild), and contains no dirty row.
-            hi <= ru.prefix_len
-                && ((s + 1) * shard_rows).min(ru.prev.len()) == hi
-                && !ru
-                    .dirty
-                    .iter()
-                    .any(|&d| (d as usize) >= lo && (d as usize) < hi)
-        });
-        match clean.then(|| prev.as_ref().unwrap()) {
-            Some(ru) => shards.push(Some((ru.prev.shards[s].clone(), ru.prev.shard_gens[s]))),
-            None => {
-                shards.push(None);
-                todo.push(s);
-            }
-        }
-    }
-
-    let compute = |s: usize| -> Option<KeyShard> {
-        let lo = s * shard_rows;
-        let hi = (lo + shard_rows).min(rows);
-        let mut lanes = Vec::with_capacity(specs.len());
-        for spec in specs {
-            lanes.push(Arc::from(compute_lane(spec, r, lo, hi)?));
-        }
-        Some(KeyShard { lanes })
-    };
-
-    let workers = threads.max(1).min(todo.len());
-    let computed: Vec<Option<KeyShard>> = if workers <= 1 {
-        todo.iter().map(|&s| compute(s)).collect()
-    } else {
-        let chunk = todo.len().div_ceil(workers);
-        let mut out = Vec::with_capacity(todo.len());
-        std::thread::scope(|scope| {
-            let compute = &compute;
-            let handles: Vec<_> = todo
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || group.iter().map(|&s| compute(s)).collect::<Vec<_>>())
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("shard build worker panicked"));
-            }
-        });
-        out
-    };
-    for (&s, shard) in todo.iter().zip(computed) {
-        shards[s] = Some((shard?, gen));
-    }
-
-    let mut out_shards = Vec::with_capacity(n_shards);
-    let mut gens = Vec::with_capacity(n_shards);
-    for entry in shards {
-        let (shard, g) = entry.expect("every shard either reused or computed");
-        out_shards.push(shard);
-        gens.push(g);
-    }
-    Some((out_shards, gens))
 }
 
 #[cfg(test)]
@@ -1539,6 +579,7 @@ mod tests {
     use crate::spo::check_spo;
     use crate::term::{around, highest, lowest, neg, pos, Pref};
     use pref_relation::{rel, Relation};
+    use std::sync::Arc;
 
     fn compile(p: &Pref, r: &Relation) -> CompiledPref {
         CompiledPref::compile(p, r.schema()).unwrap()
@@ -1862,6 +903,29 @@ mod tests {
         let r2 = example2_rel();
         let m = compile(&lowest("A1"), &r2).score_matrix(&r2).unwrap();
         assert!(!m.explicit_backend());
+
+        // The probe is the build's success condition on data-dependent
+        // failures too: one late non-embeddable value, and a rank(F)
+        // that is NaN on a single row.
+        let nan_on_one_row = crate::term::score("A1", "nan-at-5", |v| {
+            v.ordinal().map(|o| if o == 5.0 { f64::NAN } else { o })
+        });
+        let ranked = Pref::rank(CombineFn::sum(), vec![nan_on_one_row, highest("A2")]).unwrap();
+        let late_null = big_rel_with_a_late_null();
+        for (p, r, builds) in [
+            (example2_pref(), &late_null, false),
+            (lowest("A1").pareto(highest("A3")), &late_null, true),
+            (ranked.clone(), &r2, false),
+            (ranked, &r2.select(|t| t[0] != Value::from(5)), true),
+        ] {
+            let c = compile(&p, r);
+            assert_eq!(c.score_matrix(r).is_some(), builds, "{p}");
+            assert_eq!(
+                c.supports_matrix(r),
+                builds,
+                "probe must mirror build for {p}"
+            );
+        }
     }
 
     #[test]
@@ -1909,108 +973,140 @@ mod tests {
         let r = rel! { ("a": Int); };
         let m = compile(&lowest("a"), &r).score_matrix(&r).unwrap();
         assert!(m.is_empty());
-        assert_eq!(m.shard_count(), 0);
+        assert_eq!(m.key_slots(), 1);
+    }
+
+    /// `n` deterministic rows over R(A1, A2, A3) with plenty of ties.
+    fn big_rel(n: usize) -> Relation {
+        let mut r = rel! { ("A1": Int, "A2": Int, "A3": Int); };
+        for i in 0..n as i64 {
+            r.push_values(vec![
+                Value::from(i % 97 - 48),
+                Value::from((i * 31) % 101),
+                Value::from(i % 7),
+            ])
+            .unwrap();
+        }
+        r
+    }
+
+    /// Rows for three workers' ranges plus a one-row remainder.
+    const BIG: usize = 3 * 4096 + 1;
+
+    /// `big_rel(BIG)` with a NULL — no dominance key under a chain — in
+    /// its last row, i.e. in the last worker's range of every split.
+    fn big_rel_with_a_late_null() -> Relation {
+        let mut r = big_rel(BIG);
+        r.update_row(BIG - 1, vec![Value::from(0), Value::Null, Value::from(0)])
+            .unwrap();
+        r
     }
 
     #[test]
-    fn sharded_layouts_agree_with_the_default_build() {
-        let r = example2_rel();
+    fn parallel_builds_equal_the_sequential_build_lane_for_lane() {
+        let r = big_rel(BIG);
         for p in [
             example2_pref(),
             around("A1", 0).prior(lowest("A2")),
-            example2_pref().dual(),
             Pref::rank(CombineFn::sum(), vec![lowest("A1"), highest("A2")]).unwrap(),
         ] {
             let c = compile(&p, &r);
-            let whole = c.score_matrix(&r).unwrap();
-            assert_eq!(whole.shard_count(), 1, "7 rows fit one default shard");
-            for (shard_rows, threads) in [(1, 1), (2, 1), (2, 3), (3, 2), (64, 4)] {
-                let m = c.score_matrix_with(&r, threads, shard_rows).unwrap();
-                let rounded: usize = shard_rows.next_power_of_two();
-                assert_eq!(m.shard_rows(), rounded);
-                assert_eq!(m.shard_count(), r.len().div_ceil(rounded));
-                assert!(m.shard_generations().iter().all(|&g| g == r.generation()));
-                for x in 0..r.len() {
-                    for y in 0..r.len() {
+            let seq = c.score_matrix(&r).unwrap();
+            for threads in [1, 2, 3, 8] {
+                let m = c.score_matrix_parallel(&r, threads).unwrap();
+                assert_eq!((m.len(), m.key_slots()), (BIG, seq.key_slots()));
+                for slot in 0..seq.key_slots() {
+                    for row in 0..BIG {
                         assert_eq!(
-                            m.better(x, y),
-                            whole.better(x, y),
-                            "sharded build diverged for {p} at shard_rows={shard_rows}"
+                            m.key_at(row, slot).to_bits(),
+                            seq.key_at(row, slot).to_bits(),
+                            "{p}: {threads} threads diverged at row {row}, slot {slot}"
                         );
+                    }
+                }
+                for x in (0..BIG).step_by(397) {
+                    for y in (0..BIG).step_by(401) {
+                        assert_eq!(m.better(x, y), seq.better(x, y));
+                        assert_eq!(m.better(x, y), c.better(r.row(x), r.row(y)));
                     }
                 }
             }
         }
+
+        // One value that cannot embed, in the last worker's range, fails
+        // the whole build whichever worker meets it.
+        let r = big_rel_with_a_late_null();
+        let c = compile(&example2_pref(), &r);
+        for threads in [1, 2, 3, 8] {
+            assert!(c.score_matrix_parallel(&r, threads).is_none());
+        }
+        assert!(!c.supports_matrix(&r));
     }
 
+    /// Work proportional to the mutation, observed directly: a SCORE base
+    /// whose closure counts its calls.
     #[test]
-    fn incremental_rebuild_reuses_clean_shards_and_restamps_the_rest() {
-        let r1 = rel! {
-            ("A1": Int, "A2": Int);
-            (1, 9), (2, 8), (3, 7), (4, 6), (5, 5), (6, 4),
+    fn incremental_rebuild_scores_only_dirty_and_appended_rows() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = {
+            let calls = Arc::clone(&calls);
+            crate::term::score("A1", "counted", move |v| {
+                // Relaxed: a plain counter, read between builds.
+                calls.fetch_add(1, Ordering::Relaxed);
+                v.ordinal()
+            })
         };
-        let mut r2 = r1.clone();
-        r2.push(pref_relation::Tuple::new(vec![
-            Value::from(0),
-            Value::from(0),
-        ]))
-        .unwrap();
-
-        let p = lowest("A1").pareto(lowest("A2"));
+        // Relaxed: as above. Reads the count and resets it.
+        let take = || calls.swap(0, Ordering::Relaxed);
+        // The closure feeds one key slot directly and one through rank(F):
+        // c = 2 calls per row.
+        let p = counted.clone().pareto(
+            Pref::rank(
+                CombineFn::sum(),
+                vec![counted, crate::term::score("A2", "plain", |v| v.ordinal())],
+            )
+            .unwrap(),
+        );
+        let n = 50;
+        let r1 = big_rel(n);
         let c = compile(&p, &r1);
-        let prev = c.score_matrix_with(&r1, 1, 2).unwrap();
-        assert_eq!(prev.shard_count(), 3);
-        let prev_gens = prev.shard_generations().to_vec();
+        let prev = c.score_matrix(&r1).unwrap();
+        assert_eq!(prev.key_slots(), 2);
+        assert_eq!(take(), 2 * n);
 
-        // Pure append: shards 0..3 reused (old stamps), tail shard new.
-        let m = c
-            .score_matrix_incremental(&r2, &prev, prev.len(), &[], 2)
+        let mut r2 = r1.clone();
+        r2.push_values(vec![Value::from(-100), Value::from(0), Value::from(0)])
             .unwrap();
-        assert_eq!(m.len(), 7);
-        assert_eq!(m.shard_count(), 4);
-        assert_eq!(&m.shard_generations()[..3], &prev_gens[..]);
-        assert_eq!(m.shard_generations()[3], r2.generation());
-        let fresh = c.score_matrix_with(&r2, 1, 2).unwrap();
-        for x in 0..7 {
-            for y in 0..7 {
+        r2.update_row(7, vec![Value::from(100), Value::from(0), Value::from(0)])
+            .unwrap();
+        let m = c.score_matrix_incremental(&r2, &prev, n, &[7], 2).unwrap();
+        assert_eq!(take(), 2 * 2, "one appended and one dirty row, c = 2");
+        let fresh = c.score_matrix(&r2).unwrap();
+        take();
+        assert_eq!(m.len(), n + 1);
+        for x in 0..=n {
+            for slot in 0..2 {
+                assert_eq!(m.key_at(x, slot), fresh.key_at(x, slot));
+            }
+            for y in 0..=n {
                 assert_eq!(m.better(x, y), fresh.better(x, y));
             }
         }
 
-        // Dirty row 2 lives in shard 1: only that shard restamps.
-        let r3 = rel! {
-            ("A1": Int, "A2": Int);
-            (1, 9), (2, 8), (9, 9), (4, 6), (5, 5), (6, 4),
-        };
-        let m = c
-            .score_matrix_incremental(&r3, &prev, prev.len(), &[2], 1)
-            .unwrap();
-        assert_eq!(m.shard_generations()[0], prev_gens[0]);
-        assert_eq!(m.shard_generations()[1], r3.generation());
-        assert_eq!(m.shard_generations()[2], prev_gens[2]);
-        let fresh = c.score_matrix_with(&r3, 1, 2).unwrap();
-        for x in 0..6 {
-            for y in 0..6 {
-                assert_eq!(m.better(x, y), fresh.better(x, y));
-            }
-        }
+        // A `prev` with another slot count reuses nothing: a full build.
+        let other = compile(&lowest("A2"), &r1).score_matrix(&r1).unwrap();
+        let m = c.score_matrix_incremental(&r2, &other, n, &[7], 1).unwrap();
+        assert_eq!(take(), 2 * (n + 1));
+        assert!((0..=n).all(|x| m.key_at(x, 0) == fresh.key_at(x, 0)));
 
-        // An incremental rebuild inherits `prev`'s shard layout: the full
-        // leading shard is reused, the partial tail shard that grew is
-        // rebuilt.
-        let coarse = c.score_matrix_with(&r1, 1, 4).unwrap();
-        let m = c
-            .score_matrix_incremental(&r2, &coarse, coarse.len(), &[], 1)
-            .unwrap();
-        assert_eq!(m.shard_rows(), 4);
-        assert_eq!(m.shard_count(), 2);
-        assert_eq!(m.shard_generations()[0], coarse.shard_generations()[0]);
-        assert_eq!(m.shard_generations()[1], r2.generation());
-
-        // A prefix claim longer than the relation is refused outright.
+        // A prefix claim longer than `prev` or than the relation is
+        // refused outright.
         assert!(c
-            .score_matrix_incremental(&r1, &m, m.len(), &[], 1)
+            .score_matrix_incremental(&r2, &prev, n + 1, &[], 1)
             .is_none());
+        assert!(c.score_matrix_incremental(&r1, &m, n + 1, &[], 1).is_none());
+        assert_eq!(take(), 0);
     }
 
     /// Eq-lane patching is where incremental correctness is subtle:
@@ -2022,11 +1118,11 @@ mod tests {
     fn incremental_rebuild_patches_eq_lanes_consistently() {
         let check = |p: &Pref, prev_rel: &Relation, next: &Relation, dirty: &[u32]| {
             let c = compile(p, prev_rel);
-            let prev = c.score_matrix_with(prev_rel, 1, 2).unwrap();
+            let prev = c.score_matrix(prev_rel).unwrap();
             let m = c
                 .score_matrix_incremental(next, &prev, prev_rel.len(), dirty, 1)
                 .unwrap();
-            let fresh = c.score_matrix_with(next, 1, 2).unwrap();
+            let fresh = c.score_matrix(next).unwrap();
             for x in 0..next.len() {
                 for y in 0..next.len() {
                     assert_eq!(
@@ -2051,7 +1147,7 @@ mod tests {
         let p = around("A1", 5).pareto(lowest("A2"));
         check(&p, &r1, &r2, &[0]);
 
-        // Append across the shard boundary: the appended row mirrors an
+        // Append: the appended row mirrors an
         // existing key, so its fingerprint must extend the reused lane.
         let mut r3 = r1.clone();
         r3.push(pref_relation::Tuple::new(vec![
@@ -2079,7 +1175,7 @@ mod tests {
     fn pareto_access_gathers_matrix_and_window_rows() {
         let r = example2_rel();
         let c = compile(&example2_pref(), &r);
-        let m = Arc::new(c.score_matrix_with(&r, 1, 2).unwrap());
+        let m = Arc::new(c.score_matrix(&r).unwrap());
         let acc = Dominance::pareto_access(&*m).expect("flat Pareto exposes lanes");
         assert_eq!(acc.dims(), 3);
         assert_eq!(acc.len(), r.len());
@@ -2107,7 +1203,7 @@ mod tests {
             }
         }
 
-        // Windowed access crosses shard boundaries through the ids map.
+        // Windowed access goes through the ids map.
         let ids: Arc<[u32]> = Arc::from(vec![6u32, 0, 3].as_slice());
         let w = MatrixWindow::windowed(Arc::clone(&m), ids);
         let wacc = Dominance::pareto_access(&w).unwrap();

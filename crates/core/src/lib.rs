@@ -53,9 +53,11 @@
 
 pub mod algebra;
 pub mod base;
+mod dominance;
 pub mod error;
 pub mod eval;
 pub mod graph;
+mod matrix;
 pub mod param;
 pub mod repo;
 pub mod spo;

@@ -33,7 +33,7 @@ impl Catalog {
     /// returned reference (e.g. [`Relation::push_values`]) bumps the
     /// table's generation, so cached score matrices can never serve
     /// stale data — the engine either rebuilds or takes the
-    /// incremental shard route.
+    /// incremental route, which re-encodes only dirty and appended rows.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Relation, SqlError> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())

@@ -24,11 +24,11 @@
 //! auto-vectorizes, paying no per-row stride arithmetic and no plan
 //! interpretation.
 //!
-//! [`bnl_parallel`] partitions the input (shard-aligned when the backend
-//! is sharded), computes per-chunk windows on scoped threads, and
-//! **tree-merges** the local windows pairwise — O(log k) merge rounds,
-//! each round's merges in parallel, instead of one sequential pass over
-//! the full union. Sound because `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)`
+//! [`bnl_parallel`] partitions the input (`chunk_ranges`, rounded to the
+//! backend's [`Dominance::chunk_alignment`]), computes per-chunk windows
+//! on scoped threads, and **tree-merges** the local windows pairwise —
+//! O(log k) merge rounds, each round's merges in parallel, instead of one
+//! sequential pass over the full union. Sound because `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)`
 //! for any chunking. Threads come from `std::thread::scope`; the `rayon`
 //! cargo feature is reserved for swapping in a work-stealing pool once
 //! that dependency is available offline.
@@ -187,31 +187,25 @@ pub(crate) fn bnl_window(
     window
 }
 
-/// Parallel partitioned BNL: split the row range into `threads` shards,
-/// compute local maxima per scoped thread (sharing the compiled
-/// preference and, when available, one score matrix), then run a final
-/// merge pass over the union of the local windows.
+/// Parallel partitioned BNL: split the row range into up to `threads`
+/// chunks, compute local maxima per scoped thread (sharing the compiled
+/// preference and, when available, one score matrix — whose build fans
+/// out over the same thread budget), then merge the local windows.
 ///
 /// Sound because `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)` for any chunking
 /// `R = R1 ∪ … ∪ Rk`: a globally maximal tuple is maximal in its chunk.
 pub fn bnl_parallel(pref: &Pref, r: &Relation, threads: usize) -> Result<Vec<usize>, QueryError> {
     let c = CompiledPref::compile(pref, r.schema())?;
-    Ok(bnl_parallel_compiled(&c, r, threads))
-}
-
-/// Parallel partitioned BNL with a pre-compiled preference. The matrix
-/// build itself fans out over the same thread budget as the skyline.
-pub fn bnl_parallel_compiled(c: &CompiledPref, r: &Relation, threads: usize) -> Vec<usize> {
-    match c.score_matrix_parallel(r, threads) {
+    Ok(match c.score_matrix_parallel(r, threads) {
         Some(m) => bnl_parallel_matrix(&m, threads),
-        None => bnl_parallel_generic(c, r, threads),
-    }
+        None => bnl_parallel_generic(&c, r, threads),
+    })
 }
 
 /// Parallel partitioned BNL over a materialized dominance backend.
-/// Chunks align to the backend's shard boundaries so each local window
-/// sweeps whole key lanes, and each chunk takes the batch kernel when
-/// the order is flat Pareto.
+/// Chunk boundaries round to the backend's
+/// [`Dominance::chunk_alignment`], and each chunk takes the batch kernel
+/// when the order is flat Pareto.
 pub fn bnl_parallel_matrix<M: Dominance + Sync>(m: &M, threads: usize) -> Vec<usize> {
     let threads = threads.max(1);
     if threads == 1 || m.len() < 2 * threads {
@@ -245,16 +239,56 @@ pub fn bnl_parallel_generic(c: &CompiledPref, r: &Relation, threads: usize) -> V
     )
 }
 
-/// Partition `0..rows` into up to `threads` chunks (boundaries rounded
-/// to `align`), solve each locally on a scoped thread, then pairwise
-/// tree-merge the local windows.
+/// The one place a BNL chunk is chosen: cut `0..rows` into up to
+/// `threads` chunks whose size is rounded up to a multiple of `align`.
+fn chunk_ranges(rows: usize, threads: usize, align: usize) -> Vec<Range<usize>> {
+    let mut chunk = rows.div_ceil(threads).max(1);
+    if align > 1 {
+        chunk = chunk.div_ceil(align) * align;
+    }
+    let n_chunks = rows.div_ceil(chunk);
+    (0..n_chunks)
+        .map(|t| {
+            let lo = t * chunk;
+            let hi = ((t + 1) * chunk).min(rows);
+            lo..hi
+        })
+        .collect()
+}
+
+/// Run `job` over every item and collect the results in item order: the
+/// first item on the calling thread, each further one on a scoped thread
+/// of its own — a single item spawns nothing.
+fn fan_out<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I>,
+    job: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let job = &job;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || job(item))).collect();
+        let mut out = vec![job(first)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("BNL worker panicked")),
+        );
+        out
+    })
+}
+
+/// Partition `0..rows` by [`chunk_ranges`], solve each chunk locally,
+/// then pairwise tree-merge the local windows.
 ///
 /// The merge is a reduction tree: each round halves the window count,
-/// running its pairwise merges on scoped threads, so merge latency is
-/// O(log k) rounds instead of one sequential pass over the union of all
-/// local windows. Pairwise merging is sound for the same reason
-/// chunking is — `max(max(A) ∪ max(B)) = max(A ∪ B)` for strict partial
-/// orders.
+/// running its pairwise merges side by side ([`fan_out`]), so merge
+/// latency is O(log k) rounds instead of one sequential pass over the
+/// union of all local windows. Pairwise merging is sound for the same
+/// reason chunking is — `max(max(A) ∪ max(B)) = max(A ∪ B)` for strict
+/// partial orders.
 fn partitioned(
     better: impl Fn(usize, usize) -> bool + Sync,
     local: impl Fn(Range<usize>) -> Vec<usize> + Sync,
@@ -262,42 +296,12 @@ fn partitioned(
     threads: usize,
     align: usize,
 ) -> Vec<usize> {
-    let mut chunk = rows.div_ceil(threads).max(1);
-    if align > 1 {
-        chunk = chunk.div_ceil(align) * align;
-    }
-    let n_chunks = rows.div_ceil(chunk);
-    let (better, local) = (&better, &local);
-    let mut queue: Vec<Vec<usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_chunks)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(rows);
-                scope.spawn(move || local(lo..hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("BNL worker panicked"))
-            .collect()
-    });
-
+    let mut queue = fan_out(chunk_ranges(rows, threads, align), local);
     while queue.len() > 1 {
-        queue = std::thread::scope(|scope| {
-            let handles: Vec<_> = queue
-                .chunks(2)
-                .map(|pair| {
-                    scope.spawn(move || match pair {
-                        [a, b] => bnl_window(better, a.clone(), b.iter().copied()),
-                        [odd] => odd.clone(),
-                        _ => unreachable!("chunks(2) yields one or two"),
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("BNL merge worker panicked"))
-                .collect()
+        queue = fan_out(queue.chunks(2), |pair| match pair {
+            [a, b] => bnl_window(&better, a.clone(), b.iter().copied()),
+            [odd] => odd.clone(),
+            _ => unreachable!("chunks(2) yields one or two"),
         });
     }
 
@@ -310,8 +314,10 @@ fn partitioned(
 mod tests {
     use super::*;
     use crate::bmo::sigma_naive;
+    use pref_core::eval::MatrixWindow;
     use pref_core::prelude::*;
     use pref_relation::rel;
+    use std::sync::Arc;
 
     fn sample() -> pref_relation::Relation {
         rel! {
@@ -375,23 +381,143 @@ mod tests {
     }
 
     #[test]
-    fn batch_kernel_agrees_across_shard_layouts() {
-        // Tiny shard sizes force lane boundaries inside the 8-row input,
-        // exercising gather, batch flags, and shard-aligned partitioning.
+    fn batch_kernel_agrees_across_views_and_chunkings() {
+        // A whole matrix of 8 rows is one chunk; windowed views and the
+        // generic backend (alignment 1) split it into real chunks, so the
+        // gather, the batch flags and the merge tree all run.
         let r = sample();
+        let ids: Vec<u32> = vec![6, 0, 3, 7, 4];
+        let sub = r.take_rows(&ids.iter().map(|&i| i as usize).collect::<Vec<_>>());
         for p in prefs() {
             let c = CompiledPref::compile(&p, r.schema()).unwrap();
             let oracle = bnl_generic(&c, &r);
-            for (threads, shard_rows) in [(1, 1), (1, 2), (2, 2), (3, 4), (8, 2)] {
-                if let Some(m) = c.score_matrix_with(&r, threads, shard_rows) {
-                    assert_eq!(bnl_matrix(&m), oracle, "batch path diverged for {p}");
-                    assert_eq!(
-                        bnl_parallel_matrix(&m, threads),
-                        oracle,
-                        "sharded parallel path diverged for {p} ({threads} threads)"
-                    );
-                }
+            let m = Arc::new(c.score_matrix(&r).expect("every sample term materializes"));
+            assert_eq!(bnl_matrix(&*m), oracle, "batch path diverged for {p}");
+            let all = MatrixWindow::windowed(Arc::clone(&m), (0..r.len() as u32).collect());
+            let some = MatrixWindow::windowed(Arc::clone(&m), ids.clone().into());
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(bnl_parallel_matrix(&*m, threads), oracle, "{p}");
+                assert_eq!(bnl_parallel_matrix(&all, threads), oracle, "{p}");
+                assert_eq!(bnl_parallel_generic(&c, &r, threads), oracle, "{p}");
+                assert_eq!(
+                    bnl_parallel_matrix(&some, threads),
+                    bnl_generic(&c, &sub),
+                    "windowed parallel path diverged for {p} ({threads} threads)"
+                );
             }
+        }
+    }
+
+    /// The schedule is frozen: these are the boundaries the 4096-row
+    /// shard layout produced, and two measured replacements each moved a
+    /// benchmark workload (ROADMAP item 2).
+    #[test]
+    fn chunk_boundaries_are_pinned() {
+        assert_eq!(
+            chunk_ranges(4096, 2, 4096),
+            vec![Range {
+                start: 0,
+                end: 4096
+            }]
+        );
+        assert_eq!(chunk_ranges(5000, 2, 4096), [0..4096, 4096..5000]);
+        assert_eq!(chunk_ranges(9000, 2, 4096), [0..8192, 8192..9000]);
+        assert_eq!(chunk_ranges(9000, 2, 1), [0..4500, 4500..9000]);
+        assert_eq!(chunk_ranges(12289, 3, 4096), [0..8192, 8192..12289]);
+        assert!(chunk_ranges(0, 2, 4096).is_empty());
+
+        let r = sample();
+        let c = CompiledPref::compile(&lowest("a").pareto(lowest("b")), r.schema()).unwrap();
+        let m = Arc::new(c.score_matrix(&r).unwrap());
+        assert_eq!(m.chunk_alignment(), 4096);
+        assert_eq!(MatrixWindow::full(Arc::clone(&m)).chunk_alignment(), 4096);
+        assert_eq!(
+            MatrixWindow::windowed(m, vec![0, 1].into()).chunk_alignment(),
+            1
+        );
+    }
+
+    #[test]
+    fn first_chunk_and_first_merges_run_on_the_calling_thread() {
+        use parking_lot::Mutex;
+        use std::thread::{current, ThreadId};
+        let me = current().id();
+
+        // One chunk: nothing is spawned.
+        let chunks: Mutex<Vec<(Range<usize>, ThreadId)>> = Mutex::new(Vec::new());
+        let local = |range: Range<usize>| {
+            chunks.lock().push((range.clone(), current().id()));
+            range.collect::<Vec<_>>()
+        };
+        partitioned(|_, _| false, local, 4096, 2, 4096);
+        assert_eq!(*chunks.lock(), [(0..4096, me)]);
+
+        // Four chunks of two rows: chunk 0 here, the rest elsewhere; the
+        // merge of chunks 0 and 1 and the final merge here — every test
+        // that involves a row below 4 — the merge of chunks 2 and 3
+        // elsewhere.
+        chunks.lock().clear();
+        let tests: Mutex<Vec<(bool, bool, ThreadId)>> = Mutex::new(Vec::new());
+        let better = |x: usize, y: usize| {
+            tests.lock().push((x < 4, y < 4, current().id()));
+            false
+        };
+        assert_eq!(
+            partitioned(better, local, 8, 4, 1),
+            (0..8).collect::<Vec<_>>()
+        );
+        let mut chunks = chunks.into_inner();
+        chunks.sort_by_key(|(range, _)| range.start);
+        assert_eq!(chunks.len(), 4);
+        for (range, thread) in chunks {
+            assert_eq!(thread == me, range == (0..2), "chunk {range:?}");
+        }
+        let tests = tests.into_inner();
+        assert!(tests
+            .iter()
+            .all(|&(x_low, y_low, thread)| thread == me || !(x_low || y_low)));
+        assert!(tests.iter().any(|&(.., thread)| thread != me));
+    }
+
+    #[test]
+    fn full_matrices_split_only_above_the_chunk_granularity() {
+        // A low skyline keeps the quadratic oracle cheap: every bulk row
+        // is dominated by three maxima placed in three different chunks.
+        let build = |n: usize| {
+            let mut r = rel! { ("a": Int, "b": Int); };
+            for i in 0..n as i64 {
+                let (a, b) = match i {
+                    100 => (0, 10),
+                    5000 => (5, 5),
+                    8192 => (10, 0),
+                    _ => (1000 + i % 50, 1000 + (i * 7) % 50),
+                };
+                r.push_values(vec![a.into(), b.into()]).unwrap();
+            }
+            r
+        };
+        let p = lowest("a").pareto(lowest("b"));
+
+        // 2 × 4096 + 1 rows: chunks 0..8192 | 8192..8193 on two threads,
+        // 0..4096 | 4096..8192 | 8192..8193 on three and on eight.
+        let r = build(2 * 4096 + 1);
+        let c = CompiledPref::compile(&p, r.schema()).unwrap();
+        let m = c.score_matrix(&r).unwrap();
+        let sequential = bnl_matrix(&m);
+        assert_eq!(sequential, vec![100, 5000, 8192]);
+        assert_eq!(sequential, bnl_generic(&c, &r));
+        for threads in [2, 3, 8] {
+            assert_eq!(bnl_parallel_matrix(&m, threads), sequential);
+            assert_eq!(bnl_parallel(&p, &r, threads).unwrap(), sequential);
+        }
+
+        // Exactly 4096 rows: a single chunk, the sequential result.
+        let r = build(4096);
+        let c = CompiledPref::compile(&p, r.schema()).unwrap();
+        let m = c.score_matrix(&r).unwrap();
+        assert_eq!(chunk_ranges(m.len(), 8, m.chunk_alignment()).len(), 1);
+        for threads in [2, 3, 8] {
+            assert_eq!(bnl_parallel_matrix(&m, threads), bnl_matrix(&m));
         }
     }
 

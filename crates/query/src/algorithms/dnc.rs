@@ -35,16 +35,6 @@ pub fn dnc(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
     })
 }
 
-/// D&C with a pre-compiled skyline-shaped preference.
-///
-/// # Panics
-/// If the preference is not skyline-shaped or a chain column holds a
-/// non-embeddable value; use [`dnc`] or [`try_dnc_compiled`] for the
-/// checked entries.
-pub fn dnc_compiled(c: &CompiledPref, r: &Relation) -> Vec<usize> {
-    try_dnc_compiled(c, r).expect("preference is not D&C-evaluable on this input")
-}
-
 /// Checked D&C: `None` when the term is not skyline-shaped or some chain
 /// value lacks a numeric embedding (then coordinate-wise dominance would
 /// diverge from Def. 8 and callers must use another algorithm).

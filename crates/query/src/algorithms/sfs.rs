@@ -27,28 +27,10 @@ pub fn sfs(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
     })
 }
 
-/// SFS with a pre-compiled preference; materializes a score matrix for
-/// the filtering pass when possible.
-///
-/// # Panics
-/// If some row has no utility; use [`sfs`] for the checked entry.
-pub fn sfs_compiled(c: &CompiledPref, r: &Relation) -> Vec<usize> {
-    sfs_with(c, r, c.score_matrix(r).as_ref())
-}
-
-/// SFS with the dominance backend chosen by the caller (`matrix` from
-/// [`CompiledPref::score_matrix`], or `None` for the generic path).
-///
-/// # Panics
-/// If some row has no utility; use [`sfs`] or [`try_sfs_with`] for the
-/// checked entries.
-pub fn sfs_with<M: Dominance>(c: &CompiledPref, r: &Relation, matrix: Option<&M>) -> Vec<usize> {
-    try_sfs_with(c, r, matrix).expect("preference admits no monotone utility on this input")
-}
-
-/// Checked SFS: `None` when any row lacks a utility (the sort order
-/// would not be topologically compatible and silent misresults could
-/// follow).
+/// Checked SFS with the dominance backend chosen by the caller (`matrix`
+/// from [`CompiledPref::score_matrix`], or `None` for the generic path):
+/// `None` when any row lacks a utility (the sort order would not be
+/// topologically compatible and silent misresults could follow).
 pub fn try_sfs_with<M: Dominance>(
     c: &CompiledPref,
     r: &Relation,
@@ -173,18 +155,9 @@ mod tests {
         let c = CompiledPref::compile(&p, r.schema()).unwrap();
         let m = c.score_matrix(&r).expect("scored term materializes");
         assert_eq!(
-            sfs_with(&c, &r, Some(&m)),
-            sfs_with::<pref_core::eval::ScoreMatrix>(&c, &r, None)
+            try_sfs_with(&c, &r, Some(&m)).unwrap(),
+            try_sfs_with::<pref_core::eval::ScoreMatrix>(&c, &r, None).unwrap()
         );
-        // The batch filter pass must agree across shard boundaries too.
-        for shard_rows in [1, 2, 4] {
-            let m = c.score_matrix_with(&r, 2, shard_rows).unwrap();
-            assert_eq!(
-                sfs_with(&c, &r, Some(&m)),
-                sfs_with::<pref_core::eval::ScoreMatrix>(&c, &r, None),
-                "batch filter diverged at shard_rows={shard_rows}"
-            );
-        }
     }
 
     #[test]

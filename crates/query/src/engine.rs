@@ -68,9 +68,9 @@ pub struct CacheStats {
     /// predicate) running warm through index indirection
     /// ([`CacheStatus::WindowHit`]).
     pub window_hits: u64,
-    /// Executions served by an *incremental shard rebuild*: the relation
+    /// Executions served by an *incremental rebuild*: the relation
     /// mutated, but its [`Delta`](pref_relation::Delta) matched a cached
-    /// prior state, so only the affected shards were recomputed
+    /// prior state, so the build re-encoded only dirty and appended rows
     /// ([`CacheStatus::ShardHit`]). Counted separately from both `hits`
     /// (some keys were built) and `misses` (most were not).
     pub shard_hits: u64,
@@ -79,7 +79,7 @@ pub struct CacheStats {
     /// classified against the previous skyline instead of re-running the
     /// algorithm — no matrix was consulted at all. Counted separately
     /// from `hits` (the result was patched, not served verbatim) and
-    /// from `shard_hits` (no matrix shard was rebuilt either).
+    /// from `shard_hits` (no matrix was rebuilt either).
     pub maintained_hits: u64,
     /// Executions that had to build (and then cached) a matrix.
     pub misses: u64,
@@ -214,7 +214,13 @@ impl Engine {
 
     /// Engine with a custom optimizer configuration (forced algorithms,
     /// thread counts, materialization ablation — all honored per query).
-    pub fn with_optimizer(optimizer: Optimizer) -> Self {
+    pub fn with_optimizer(mut optimizer: Optimizer) -> Self {
+        // "Auto" is resolved here, once: `available_parallelism` reads
+        // the affinity mask and the cgroup quota files (~15 µs), several
+        // times what a warm request costs.
+        if optimizer.threads == 0 {
+            optimizer.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        }
         Engine {
             inner: Arc::new(EngineInner {
                 optimizer,
@@ -242,7 +248,8 @@ impl Engine {
         self
     }
 
-    /// The engine's optimizer configuration.
+    /// The engine's optimizer configuration, with `threads` resolved to
+    /// a concrete count (≥ 1).
     pub fn optimizer(&self) -> &Optimizer {
         &self.inner.optimizer
     }
@@ -298,9 +305,9 @@ impl Engine {
     ///    never-before-seen predicate still skips materialization;
     /// 4. for mutated relations carrying a [`Delta`](pref_relation::Delta),
     ///    any remembered prior content state with a resident matrix —
-    ///    the matrix is rebuilt *incrementally*, recomputing only the
-    ///    shards the mutation touched and carrying every clean shard's
-    ///    key lanes over by reference ([`CacheStatus::ShardHit`]);
+    ///    the matrix is rebuilt *incrementally*, copying that matrix's
+    ///    lanes and re-encoding only dirty and appended rows
+    ///    ([`CacheStatus::ShardHit`]);
     /// 5. build ([`CacheStatus::Miss`]).
     ///
     /// Returns [`CacheStatus::Bypass`] when the term does not materialize
@@ -316,8 +323,7 @@ impl Engine {
         r: &Relation,
     ) -> (Option<MatrixWindow>, CacheStatus) {
         let inner = &self.inner;
-        let opt = &inner.optimizer;
-        let threads = opt.effective_threads();
+        let threads = inner.optimizer.threads;
         let primary = MatrixKey::Generation(r.generation(), fp);
         let derived = r
             .lineage()
@@ -375,8 +381,8 @@ impl Engine {
             // Shard tier: the relation mutated, but its delta names prior
             // content states it extends. If any of them has a resident
             // matrix of exactly the recorded prefix length, seed an
-            // incremental rebuild from it: only the shards the mutation
-            // touched are recomputed (outside the lock, below).
+            // incremental rebuild from it: only dirty and appended rows
+            // are re-encoded (outside the lock, below).
             //
             // Dense relations only: the incremental build is positional
             // (base state = unchanged storage prefix of `r`), and a
@@ -409,7 +415,7 @@ impl Engine {
             }
         }
         build_scope();
-        match c.score_matrix_with(r, threads, opt.shard_rows) {
+        match c.score_matrix_parallel(r, threads) {
             None => (None, CacheStatus::Bypass),
             Some(m) => {
                 let m = Arc::new(m);
@@ -675,7 +681,7 @@ mod tests {
     #[test]
     fn result_cache_ablation_exposes_the_matrix_shard_route() {
         // Same mutation shape as above, but with the result tier
-        // disabled: the append must fall back to the PR 6 incremental
+        // disabled: the append must fall back to the incremental
         // matrix rebuild (ShardHit), proving the knob keeps that route
         // measurable.
         let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
@@ -736,12 +742,11 @@ mod tests {
     }
 
     #[test]
-    fn appends_and_updates_rebuild_only_their_shards() {
-        // shard_rows = 4 over 10 rows → shards [0..4), [4..8), [8..10).
+    fn appends_and_updates_rebuild_incrementally() {
         // Result maintenance would answer these mutations before the
-        // matrix path; ablate it so the shard rebuilds stay observable.
-        let engine =
-            Engine::with_optimizer(Optimizer::new().with_shard_rows(4).without_result_cache());
+        // matrix path; ablate it so the incremental rebuilds stay
+        // observable.
+        let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
         let mut r = rel! { ("a": Int, "b": Int); (0, 0) };
         for i in 1..10i64 {
             r.push_values(vec![Value::from(i), Value::from(100 - i)])
@@ -750,42 +755,28 @@ mod tests {
         let p = around("a", 4).pareto(lowest("b"));
         let q = engine.prepare(&p, r.schema()).unwrap();
         assert_eq!(q.execute(&r).unwrap().cache(), CacheStatus::Miss);
-        let gens_before = q.matrix(&r).unwrap().matrix().shard_generations().to_vec();
-        assert_eq!(gens_before.len(), 3);
 
-        // Append within the tail shard: shards 0 and 1 carry over.
         r.push_values(vec![Value::from(99), Value::from(99)])
             .unwrap();
         let (rows, ex) = q.execute(&r).unwrap().into_parts();
         assert_eq!(ex.cache, CacheStatus::ShardHit);
         assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
-        let gens_after = q.matrix(&r).unwrap().matrix().shard_generations().to_vec();
-        assert_eq!(
-            &gens_after[..2],
-            &gens_before[..2],
-            "clean shards keep their stamps"
-        );
-        assert_ne!(
-            gens_after[2], gens_before[2],
-            "the grown tail shard was rebuilt"
-        );
 
-        // In-place update of row 1: only shard 0 is recomputed.
         r.update_row(1, vec![Value::from(4), Value::from(0)])
             .unwrap();
         let (rows, ex) = q.execute(&r).unwrap().into_parts();
         assert_eq!(ex.cache, CacheStatus::ShardHit);
         assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
-        let gens_updated = q.matrix(&r).unwrap().matrix().shard_generations().to_vec();
-        assert_ne!(gens_updated[0], gens_after[0], "dirty shard rebuilt");
-        assert_eq!(
-            &gens_updated[1..],
-            &gens_after[1..],
-            "untouched shards survive"
-        );
         let stats = engine.cache_stats();
         assert_eq!(stats.shard_hits, 2);
         assert_eq!(stats.misses, 1, "only the cold build was a full miss");
+    }
+
+    #[test]
+    fn auto_threads_resolve_once_at_construction() {
+        assert!(Engine::new().optimizer().threads >= 1);
+        let pinned = Engine::with_optimizer(Optimizer::new().with_threads(3));
+        assert_eq!(pinned.optimizer().threads, 3);
     }
 
     #[test]

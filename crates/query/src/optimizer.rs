@@ -96,10 +96,9 @@ pub enum CacheStatus {
     /// Rebuilt *incrementally*: the relation mutated since the cached
     /// matrix was built, but its [`Delta`](pref_relation::Delta) proved
     /// the old rows unchanged (appends) or named the few that did change,
-    /// so only the affected tail/dirty shards were recomputed and every
-    /// clean shard's key lanes were carried over by reference. Not a warm
-    /// serve — keys *were* computed — but the work was proportional to
-    /// the mutation, not the relation.
+    /// so the build copied the cached lanes and re-encoded only dirty and
+    /// appended rows. Not a warm serve — keys *were* computed — but the
+    /// per-value work was proportional to the mutation, not the relation.
     ShardHit,
     /// Served by *maintaining* a cached BMO result across a mutation:
     /// the relation's [`Delta`](pref_relation::Delta) proved the old
@@ -135,7 +134,9 @@ impl fmt::Display for CacheStatus {
             CacheStatus::Hit => "hit",
             CacheStatus::DerivedHit => "derived-hit",
             CacheStatus::WindowHit => "window-hit (base matrix via row-id indirection)",
-            CacheStatus::ShardHit => "shard-hit (incremental rebuild of mutated shards only)",
+            CacheStatus::ShardHit => {
+                "shard-hit (incremental rebuild: only dirty and appended rows re-encoded)"
+            }
             CacheStatus::MaintainedHit => {
                 "maintained-hit (previous result patched against the delta)"
             }
@@ -324,14 +325,12 @@ pub struct Optimizer {
     /// Force a specific algorithm (skips selection, not rewriting).
     pub force: Option<Algorithm>,
     /// Number of worker threads for parallel evaluation and parallel
-    /// shard builds. `0` = auto: use
-    /// [`std::thread::available_parallelism`] (resolved per call by
-    /// [`Optimizer::effective_threads`]).
+    /// matrix builds. `0` = auto: [`std::thread::available_parallelism`],
+    /// resolved once by
+    /// [`Engine::with_optimizer`](crate::engine::Engine::with_optimizer)
+    /// — [`Engine::optimizer`](crate::engine::Engine::optimizer) always
+    /// reports a concrete count.
     pub threads: usize,
-    /// Rows per score-matrix shard, rounded up to a power of two. `0` =
-    /// the default layout
-    /// ([`ScoreMatrix::DEFAULT_SHARD_ROWS`](pref_core::eval::ScoreMatrix::DEFAULT_SHARD_ROWS)).
-    pub shard_rows: usize,
     /// Skip score-matrix materialization at the top level (forces the
     /// term-walk backend); benchmark ablation and debugging knob. Does
     /// not reach the decomposition evaluator's per-subquery BNL calls,
@@ -340,8 +339,9 @@ pub struct Optimizer {
     /// Disable the engine's maintained-result tier (exact result hits
     /// and delta maintenance, [`CacheStatus::MaintainedHit`]); matrix
     /// caching is unaffected. Benchmark ablation and debugging knob —
-    /// this is how the shard-hit matrix route stays measurable once
-    /// result maintenance would otherwise answer first.
+    /// this is how the shard-hit matrix route (an incremental rebuild
+    /// that re-encodes only dirty and appended rows) stays measurable
+    /// once result maintenance would otherwise answer first.
     pub no_result_cache: bool,
 }
 
@@ -360,23 +360,6 @@ impl Optimizer {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// Set the score-matrix shard granularity (`0` = default layout).
-    pub fn with_shard_rows(mut self, shard_rows: usize) -> Self {
-        self.shard_rows = shard_rows;
-        self
-    }
-
-    /// The worker-thread count after resolving `threads == 0` to the
-    /// machine's [`std::thread::available_parallelism`] (1 when that is
-    /// unknowable).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
     }
 
     /// Disable the score-matrix backend (ablation knob).
@@ -431,7 +414,7 @@ pub(crate) fn run_algorithm(
             None => bnl::bnl_generic(c, r),
         },
         Algorithm::BnlParallel => {
-            let threads = opt.effective_threads().max(2);
+            let threads = opt.threads.max(2);
             match matrix {
                 Some(m) => bnl::bnl_parallel_matrix(m, threads),
                 None => bnl::bnl_parallel_generic(c, r, threads),
@@ -442,11 +425,7 @@ pub(crate) fn run_algorithm(
             // per-value (a NULL in a chain column has no embedding), so
             // the checked entry decides. Large inputs partition the
             // top-level recursion over worker threads.
-            let threads = if r.len() >= 4096 {
-                opt.effective_threads()
-            } else {
-                1
-            };
+            let threads = if r.len() >= 4096 { opt.threads } else { 1 };
             match dnc::try_dnc_compiled_parallel(c, r, threads) {
                 Some(rows) => rows,
                 None if opt.force.is_some() => {
@@ -468,8 +447,8 @@ pub(crate) fn run_algorithm(
         }
         Algorithm::Sfs => {
             // Utility is per-row (a NULL under a scored chain has none),
-            // so the checked entry decides; a first-row probe would let
-            // `sfs_with` panic on later rows.
+            // so the checked entry decides; a first-row probe would miss
+            // later rows.
             match sfs::try_sfs_with(c, r, matrix) {
                 Some(rows) => rows,
                 // Forced by the caller: surface the mismatch.

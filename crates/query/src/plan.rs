@@ -345,7 +345,7 @@ pub(crate) fn choose(
     let n = r.len() as f64;
     let lg = n.max(2.0).log2();
     let d = estimated_result(pref, r).max(1.0);
-    let threads = opt.effective_threads();
+    let threads = opt.threads;
 
     let mut estimates = Vec::with_capacity(5);
 
@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn estimates_rank_algorithms_sanely() {
         let r = sample();
-        let opt = Optimizer::new();
+        let opt = crate::Engine::new().optimizer().clone();
 
         // Chain skyline → D&C cheapest.
         let p = lowest("a").pareto(highest("b"));

@@ -133,9 +133,9 @@ pub struct Delta {
 impl Delta {
     /// How many prior content states a relation remembers.
     pub const MAX_BASES: usize = 4;
-    /// Dirty-row budget: past this much in-place churn an incremental
-    /// rebuild would touch most shards anyway, so tracking stops and the
-    /// relation reports no delta.
+    /// Dirty-row budget: an incremental matrix rebuild re-encodes only
+    /// dirty and appended rows; past this much in-place churn a full
+    /// rebuild is as cheap, so tracking stops and there is no delta.
     pub const MAX_DIRTY: usize = 64;
     /// Tombstone budget, in the spirit of [`Delta::MAX_DIRTY`]: once
     /// this many rows have been deleted a rebuild is cheap relative to

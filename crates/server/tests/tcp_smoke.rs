@@ -58,8 +58,8 @@ fn tcp_mixed_workload_zero_errors_and_every_tier_warms() {
         &mut a,
         "APPEND car\t'VW'\t'compact'\t'red'\t'manual'\t8800\t75\t9000\t2000\t350\t38\t3",
     );
-    // 7. …so the next whole-table execution rebuilds only the tail
-    //    shard (shard hit), not the whole matrix.
+    // 7. …so the next whole-table execution re-encodes only the
+    //    appended row (shard hit), not the whole matrix.
     ok(&mut a, &format!("EXEC SELECT * FROM car {PREF}"));
 
     // Prepared statements over the wire, for good measure.

@@ -241,122 +241,105 @@ proptest! {
     }
 
     #[test]
-    fn sharded_matrices_agree_with_the_default_layout(
+    fn threaded_builds_agree_with_the_sequential_build(
         p in arb_pref(),
         r in arb_relation(14),
-        shard_rows in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
         threads in 1usize..4,
     ) {
-        // The shard layout is storage, not semantics: every (shard_rows,
-        // threads) build must expose the identical dominance relation —
-        // and drive BNL to the identical BMO set — as the default build.
+        // The thread budget is scheduling, not semantics: every build
+        // must expose the identical dominance relation — and drive BNL
+        // to the identical BMO set — as the sequential build.
         let c = CompiledPref::compile(&p, &test_schema()).expect("term compiles");
         let default = c.score_matrix(&r);
-        let sharded = c.score_matrix_with(&r, threads, shard_rows);
-        prop_assert_eq!(default.is_some(), sharded.is_some(),
-            "sharding changed representability for {}", p);
-        if let (Some(d), Some(s)) = (&default, &sharded) {
+        let threaded = c.score_matrix_parallel(&r, threads);
+        prop_assert_eq!(default.is_some(), threaded.is_some(),
+            "threads changed representability for {}", p);
+        if let (Some(d), Some(s)) = (&default, &threaded) {
             for x in 0..r.len() {
                 for y in 0..r.len() {
                     prop_assert_eq!(d.better(x, y), s.better(x, y),
-                        "dominance diverged at ({}, {}) for {} (shard_rows={})",
-                        x, y, p, shard_rows);
+                        "dominance diverged at ({}, {}) for {} (threads={})",
+                        x, y, p, threads);
                 }
             }
             prop_assert_eq!(
                 preferences::query::algorithms::bnl::bnl_matrix(s),
                 preferences::query::algorithms::bnl::bnl_matrix(d),
-                "batch BNL diverged across layouts for {}", p);
+                "batch BNL diverged across builds for {}", p);
         }
 
-        // End to end: an engine forced onto this layout answers like the
+        // End to end: an engine on this thread budget answers like the
         // oracle.
-        let engine = Engine::with_optimizer(
-            Optimizer::new().with_shard_rows(shard_rows).with_threads(threads));
+        let engine = Engine::with_optimizer(Optimizer::new().with_threads(threads));
         prop_assert_eq!(
             sigma(&engine, &p, &r),
             sigma_naive_generic(&p, &r).expect("term compiles"),
-            "sharded engine diverged for {}", p);
+            "threaded engine diverged for {}", p);
     }
 
     #[test]
-    fn incremental_shard_rebuilds_are_correct_and_targeted(
+    fn incremental_rebuilds_equal_fresh_builds(
         p in arb_pref(),
         mut r in arb_relation(12),
-        extra in arb_relation(6),
-        update in (0usize..12, 0i64..6, 0i64..6, 0usize..4),
+        history in proptest::collection::vec(
+            (0usize..3, 0usize..12, 0i64..6, 0i64..6, 0usize..4), 1..6),
     ) {
-        // Mutations must never yield stale BMO sets, and when the prior
-        // matrix is resident, the rebuild must be incremental (ShardHit)
-        // with every clean shard's build stamp carried over. The result
-        // tier is ablated: maintenance would answer these mutations
-        // before the incremental matrix route this property targets.
-        let engine = Engine::with_optimizer(
-            Optimizer::new().with_shard_rows(4).without_result_cache());
+        // Incremental ≡ fresh: over any append/update history, when the
+        // prior matrix is resident every step is served by an incremental
+        // rebuild (ShardHit), never yields a stale BMO set, and leaves a
+        // matrix equal to a fresh build — on `better` for all pairs and
+        // on every key. The result tier is ablated: maintenance would
+        // answer these mutations before the matrix route this property
+        // targets.
+        let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
         let q = engine.prepare(&p, &test_schema()).expect("term compiles");
-        let (_, ex0) = q.execute(&r).expect("cold execution runs").into_parts();
-        let gens_before = q.matrix(&r).map(|w| w.matrix().shard_generations().to_vec());
-        let old_len = r.len();
-
-        // Append-shaped mutation: old rows untouched.
-        r.union_all(&extra).expect("same schema");
-        let oracle = sigma_naive_generic(&p, &r).expect("term compiles");
-        let (rows, ex1) = q.execute(&r).expect("post-append execution runs").into_parts();
-        prop_assert_eq!(&rows, &oracle, "stale result after append for {}", p);
-        if ex0.materialized && ex1.materialized {
-            prop_assert_eq!(ex1.cache, CacheStatus::ShardHit,
-                "append over a resident matrix must rebuild incrementally for {}", p);
-            let gens_after = q.matrix(&r).expect("matrix resident");
-            let gens_after = gens_after.matrix().shard_generations();
-            // Shards fully inside the old prefix are clean: stamps survive.
-            let full = old_len / 4;
-            prop_assert_eq!(
-                &gens_after[..full],
-                &gens_before.as_ref().expect("cold build materialized")[..full],
-                "clean shards lost their stamps for {}", p);
-        }
-
-        // In-place update: only the dirty row's shard may restamp.
-        if !r.is_empty() {
-            let (i, a, b, ci) = update;
-            let i = i % r.len();
-            let cats = ["x", "y", "z", "w"];
-            let gens_pre = q.matrix(&r).map(|w| w.matrix().shard_generations().to_vec());
-            r.update_row(i, vec![Value::from(a), Value::from(b), Value::from(cats[ci])])
-                .expect("row matches test schema");
+        let (_, mut prev) = q.execute(&r).expect("cold execution runs").into_parts();
+        let cats = ["x", "y", "z", "w"];
+        for (kind, i, a, b, ci) in history {
+            let row = vec![Value::from(a), Value::from(b), Value::from(cats[ci])];
+            if kind == 2 && !r.is_empty() {
+                r.update_row(i % r.len(), row).expect("row matches test schema");
+            } else {
+                r.push_values(row).expect("row matches test schema");
+            }
             let oracle = sigma_naive_generic(&p, &r).expect("term compiles");
-            let (rows, ex2) = q.execute(&r).expect("post-update execution runs").into_parts();
-            prop_assert_eq!(&rows, &oracle, "stale result after update for {}", p);
-            if ex1.materialized && ex2.materialized {
-                prop_assert_eq!(ex2.cache, CacheStatus::ShardHit,
-                    "update over a resident matrix must rebuild incrementally for {}", p);
-                let gens_now = q.matrix(&r).expect("matrix resident");
-                let gens_now = gens_now.matrix().shard_generations();
-                let gens_pre = gens_pre.expect("matrix was resident");
-                for (s, (now, pre)) in gens_now.iter().zip(&gens_pre).enumerate() {
-                    if s != i / 4 {
-                        prop_assert_eq!(now, pre,
-                            "shard {} restamped without a dirty row for {}", s, p);
+            let (rows, ex) = q.execute(&r).expect("post-mutation execution runs").into_parts();
+            prop_assert_eq!(&rows, &oracle, "stale result after a mutation for {}", p);
+            if prev.materialized && ex.materialized {
+                prop_assert_eq!(ex.cache, CacheStatus::ShardHit,
+                    "a mutation over a resident matrix must rebuild incrementally for {}", p);
+                let served = q.matrix(&r).expect("matrix resident");
+                let served = served.matrix();
+                let fresh = q.compiled().score_matrix(&r).expect("the engine materialized it");
+                prop_assert_eq!(served.key_slots(), fresh.key_slots());
+                for x in 0..r.len() {
+                    for slot in 0..fresh.key_slots() {
+                        prop_assert_eq!(served.key_at(x, slot), fresh.key_at(x, slot),
+                            "key ({}, {}) diverged from a fresh build for {}", x, slot, p);
+                    }
+                    for y in 0..r.len() {
+                        prop_assert_eq!(served.better(x, y), fresh.better(x, y),
+                            "dominance ({}, {}) diverged from a fresh build for {}", x, y, p);
                     }
                 }
             }
+            prev = ex;
         }
     }
 
     #[test]
-    fn windows_read_correctly_across_shard_boundaries(
+    fn windows_read_base_rows_through_the_id_map(
         p in arb_pref(),
         r in arb_relation(14),
         seeds in proptest::collection::vec(0usize..64, 1..10),
-        shard_rows in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        // A row-id window over a finely sharded base matrix gathers rows
-        // from many shards through the shard-local addressing; its reads
-        // must equal the Def. 15 oracle over a materialized copy.
+        // A row-id window over a base matrix gathers arbitrary (repeated,
+        // unordered) base rows through its id map; its reads must equal
+        // the Def. 15 oracle over a materialized copy.
         if r.is_empty() {
             return Ok(());
         }
-        let engine = Engine::with_optimizer(Optimizer::new().with_shard_rows(shard_rows));
+        let engine = Engine::new();
         let q = engine.prepare(&p, &test_schema()).expect("term compiles");
         let (_, ex_base) = q.execute(&r).expect("base execution runs").into_parts();
 
@@ -368,11 +351,10 @@ proptest! {
         )
         .expect("oracle runs");
         let (rows, ex) = q.execute(&d).expect("windowed execution runs").into_parts();
-        prop_assert_eq!(rows, oracle,
-            "cross-shard window diverged for {} (shard_rows={})", p, shard_rows);
+        prop_assert_eq!(rows, oracle, "window diverged for {}", p);
         if ex_base.materialized {
             prop_assert_eq!(ex.cache, CacheStatus::WindowHit,
-                "warmed sharded base must serve the subset via a window for {}", p);
+                "warmed base must serve the subset via a window for {}", p);
         }
     }
 
