@@ -13,12 +13,17 @@
 //! * [`sfs::sfs`] — Sort-Filter-Skyline: presort by a monotone utility,
 //!   then a single filtering pass against accepted maxima.
 //!
+//! SFS's filter pass and D&C's merge ask the same question — does any
+//! accepted row dominate this one? — of one private early-exit window
+//! (`window`).
+//!
 //! All algorithms return sorted row-index vectors and are
 //! property-checked against the naive oracle.
 
 pub mod bnl;
 pub mod dnc;
 pub mod sfs;
+mod window;
 
 pub use bnl::{bnl, bnl_generic, bnl_matrix, bnl_parallel};
 pub use dnc::dnc;

@@ -9,14 +9,17 @@
 //! Pareto order of Def. 8.
 //!
 //! d = 1 and d = 2 use the classic sort-and-sweep; d ≥ 3 splits on the
-//! first dimension and filters the lower half's maxima against the upper
-//! half's (a simplification of the full KLP75 marriage step with the same
-//! O(n log n) behaviour on d = 2..3 and good practical performance).
+//! first dimension and keeps a lower-half maximum iff no upper-half
+//! maximum dominates it. That merge is a filter, not the recursive
+//! KLP75 marriage step: the upper maxima are loaded into the early-exit
+//! `AcceptedWindow` in descending coordinate-sum order (likely
+//! dominators first) and every lower maximum asks it once.
 
 use pref_core::eval::CompiledPref;
 use pref_core::term::Pref;
 use pref_relation::Relation;
 
+use super::window::AcceptedWindow;
 use crate::error::QueryError;
 
 /// BMO evaluation by divide & conquer over score vectors. Fails with
@@ -39,161 +42,88 @@ pub fn dnc(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
 /// value lacks a numeric embedding (then coordinate-wise dominance would
 /// diverge from Def. 8 and callers must use another algorithm).
 ///
-/// The score vectors are materialized column-at-a-time: one pass per
-/// chain dimension over the relation's columnar view, rather than one
-/// term-tree walk per tuple. The per-dimension embedding is
-/// [`dominance_key`](pref_core::base::BasePreference::dominance_key),
+/// The score vectors fill one flat row-major buffer a column at a time
+/// through [`dominance_key`](pref_core::base::BasePreference::dominance_key),
 /// whose `None`s flag exactly the values (off-axis, `-0.0`) where plain
 /// `f64` comparisons disagree with the chain's order.
 pub fn try_dnc_compiled(c: &CompiledPref, r: &Relation) -> Option<Vec<usize>> {
-    try_dnc_compiled_parallel(c, r, 1)
-}
-
-/// [`try_dnc_compiled`] with the recursion's top level partitioned over
-/// `threads` scoped worker threads: each chunk of the row range computes
-/// its local maxima independently, and the locals pairwise tree-merge
-/// with a mutual coordinate-wise filter. Sound for the same reason
-/// partitioned BNL is — a globally maximal vector is maximal in its
-/// chunk (`max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)`).
-pub fn try_dnc_compiled_parallel(
-    c: &CompiledPref,
-    r: &Relation,
-    threads: usize,
-) -> Option<Vec<usize>> {
     let dims = c.chain_dims()?;
-    let columns: Vec<Vec<f64>> = dims
-        .iter()
-        .map(|(col, base)| r.column(*col).map_f64(|v| base.dominance_key(v)))
-        .collect::<Option<_>>()?;
-    let vectors: Vec<Vec<f64>> = (0..r.len())
-        .map(|i| columns.iter().map(|col| col[i]).collect())
-        .collect();
-
-    let threads = threads.max(1);
-    let mut result = if threads == 1 || vectors.len() < 2 * threads {
-        let mut idx: Vec<usize> = (0..vectors.len()).collect();
-        maxima(&vectors, &mut idx)
-    } else {
-        let chunk = vectors.len().div_ceil(threads);
-        let vectors = &vectors;
-        let mut queue: Vec<Vec<usize>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..vectors.len().div_ceil(chunk))
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(vectors.len());
-                    scope.spawn(move || {
-                        let mut idx: Vec<usize> = (lo..hi).collect();
-                        maxima(vectors, &mut idx)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("D&C worker panicked"))
-                .collect()
-        });
-        // Pairwise tree merge: each side keeps what the other side's
-        // maxima fail to dominate.
-        while queue.len() > 1 {
-            queue = std::thread::scope(|scope| {
-                let handles: Vec<_> = queue
-                    .chunks(2)
-                    .map(|pair| {
-                        scope.spawn(move || match pair {
-                            [a, b] => merge_maxima(vectors, a, b),
-                            [odd] => odd.clone(),
-                            _ => unreachable!("chunks(2) yields one or two"),
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("D&C merge worker panicked"))
-                    .collect()
-            });
+    let d = dims.len();
+    let mut flat = vec![0.0f64; r.len() * d];
+    for (k, (col, base)) in dims.iter().enumerate() {
+        let column = r.column(*col).map_f64(|v| base.dominance_key(v))?;
+        for (i, key) in column.into_iter().enumerate() {
+            flat[i * d + k] = key;
         }
-        queue.pop().unwrap_or_default()
-    };
+    }
+    let vectors = Vectors { d, flat };
+    let mut idx: Vec<usize> = (0..r.len()).collect();
+    let mut result = maxima(&vectors, &mut idx);
     result.sort_unstable();
     Some(result)
 }
 
-/// Merge two local maxima sets by mutual filtering: a vector survives
-/// iff no vector of the *other* side dominates it (its own side already
-/// proved it locally maximal).
-fn merge_maxima(vectors: &[Vec<f64>], a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out: Vec<usize> = a
-        .iter()
-        .copied()
-        .filter(|&i| b.iter().all(|&j| !dominates(&vectors[j], &vectors[i])))
-        .collect();
-    out.extend(
-        b.iter()
-            .copied()
-            .filter(|&i| a.iter().all(|&j| !dominates(&vectors[j], &vectors[i]))),
-    );
-    out
+/// The score vectors, row-major in one allocation.
+struct Vectors {
+    d: usize,
+    flat: Vec<f64>,
+}
+
+impl Vectors {
+    fn row(&self, i: usize) -> &[f64] {
+        &self.flat[i * self.d..(i + 1) * self.d]
+    }
 }
 
 /// `a` dominates `b`: every coordinate ≥, at least one >.
 fn dominates(a: &[f64], b: &[f64]) -> bool {
-    let mut strict = false;
-    for (x, y) in a.iter().zip(b) {
-        if x < y {
-            return false;
-        }
-        if x > y {
-            strict = true;
-        }
-    }
-    strict
+    a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
 }
 
-fn maxima(vectors: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
-    if idx.is_empty() {
-        return Vec::new();
-    }
-    let d = vectors[idx[0]].len();
-    match d {
+/// The quadratic scan behind the small and the degenerate case.
+fn scan(v: &Vectors, idx: &[usize]) -> Vec<usize> {
+    let undominated = |&i: &usize| !idx.iter().any(|&j| dominates(v.row(j), v.row(i)));
+    idx.iter().copied().filter(undominated).collect()
+}
+
+fn maxima(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
+    match v.d {
         0 => idx.to_vec(), // no dimensions: nothing dominates anything
         1 => {
             let best = idx
                 .iter()
-                .map(|&i| vectors[i][0])
+                .map(|&i| v.flat[i])
                 .fold(f64::NEG_INFINITY, f64::max);
-            idx.iter()
-                .copied()
-                .filter(|&i| vectors[i][0] == best)
-                .collect()
+            idx.iter().copied().filter(|&i| v.flat[i] == best).collect()
         }
-        2 => sweep_2d(vectors, idx),
-        _ => split_nd(vectors, idx),
+        2 => sweep_2d(v, idx),
+        _ => split_nd(v, idx),
     }
 }
 
 /// Classic 2-d sweep: sort descending by (dim0, dim1); within each group
 /// of equal dim0, survivors are the group's dim1-maxima, provided they
 /// strictly exceed the best dim1 seen in higher-dim0 groups.
-fn sweep_2d(vectors: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
+fn sweep_2d(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
     idx.sort_by(|&a, &b| {
-        vectors[b][0]
-            .total_cmp(&vectors[a][0])
-            .then(vectors[b][1].total_cmp(&vectors[a][1]))
+        v.row(b)[0]
+            .total_cmp(&v.row(a)[0])
+            .then(v.row(b)[1].total_cmp(&v.row(a)[1]))
     });
     let mut result = Vec::new();
     let mut best1 = f64::NEG_INFINITY;
     let mut i = 0;
     while i < idx.len() {
         // Group of equal dim0.
-        let d0 = vectors[idx[i]][0];
+        let d0 = v.row(idx[i])[0];
         let mut j = i;
-        while j < idx.len() && vectors[idx[j]][0] == d0 {
+        while j < idx.len() && v.row(idx[j])[0] == d0 {
             j += 1;
         }
-        let group_max = vectors[idx[i]][1]; // sorted desc on dim1 within group
+        let group_max = v.row(idx[i])[1]; // sorted desc on dim1 within group
         if group_max > best1 {
             for &k in &idx[i..j] {
-                if vectors[k][1] == group_max {
+                if v.row(k)[1] == group_max {
                     result.push(k);
                 }
             }
@@ -206,51 +136,38 @@ fn sweep_2d(vectors: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
 
 /// d ≥ 3: split by the median of dim0; the upper half's maxima filter the
 /// lower half's.
-fn split_nd(vectors: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
+fn split_nd(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
     if idx.len() <= 32 {
-        // Small base case: quadratic scan.
-        return idx
-            .iter()
-            .copied()
-            .filter(|&i| {
-                idx.iter()
-                    .all(|&j| j == i || !dominates(&vectors[j], &vectors[i]))
-            })
-            .collect();
+        return scan(v, idx);
     }
-    idx.sort_by(|&a, &b| vectors[b][0].total_cmp(&vectors[a][0]));
+    idx.sort_by(|&a, &b| v.row(b)[0].total_cmp(&v.row(a)[0]));
     let mid = idx.len() / 2;
     // Keep equal-dim0 runs on one side so "upper ≥ lower on dim0" holds.
-    let split_val = vectors[idx[mid]][0];
+    let split_val = v.row(idx[mid])[0];
     let mut split = mid;
-    while split < idx.len() && vectors[idx[split]][0] == split_val {
+    while split < idx.len() && v.row(idx[split])[0] == split_val {
         split += 1;
     }
     if split == idx.len() {
         // Degenerate: everything from mid on shares dim0; fall back.
-        return idx
-            .iter()
-            .copied()
-            .filter(|&i| {
-                idx.iter()
-                    .all(|&j| j == i || !dominates(&vectors[j], &vectors[i]))
-            })
-            .collect();
+        return scan(v, idx);
     }
 
     let (upper_slice, lower_slice) = idx.split_at_mut(split);
-    let upper_max = maxima(vectors, upper_slice);
-    let lower_max = maxima(vectors, lower_slice);
+    let mut result = maxima(v, upper_slice);
+    let lower_max = maxima(v, lower_slice);
 
-    let mut result = upper_max.clone();
-    for i in lower_max {
-        if upper_max
-            .iter()
-            .all(|&u| !dominates(&vectors[u], &vectors[i]))
-        {
-            result.push(i);
-        }
+    let sum = |i: usize| v.row(i).iter().sum::<f64>();
+    result.sort_by(|&a, &b| sum(b).total_cmp(&sum(a)));
+    let mut window = AcceptedWindow::new(v.d);
+    for &u in &result {
+        window.push(v.row(u), &[]);
     }
+    result.extend(
+        lower_max
+            .into_iter()
+            .filter(|&i| !window.dominates(v.row(i), &[])),
+    );
     result
 }
 
@@ -350,30 +267,6 @@ mod tests {
         let r = pseudo_random_relation(800, 3, 7);
         let p = skyline_pref(3);
         assert_eq!(dnc(&p, &r).unwrap(), sigma_naive(&p, &r).unwrap());
-    }
-
-    #[test]
-    fn parallel_partitioning_agrees_with_sequential() {
-        for d in 1..=4 {
-            let r = pseudo_random_relation(500, d, 13 + d as u64);
-            let p = skyline_pref(d);
-            let c = CompiledPref::compile(&p, r.schema()).unwrap();
-            let sequential = try_dnc_compiled(&c, &r).unwrap();
-            for threads in [2, 3, 8] {
-                assert_eq!(
-                    try_dnc_compiled_parallel(&c, &r, threads).unwrap(),
-                    sequential,
-                    "d={d}, threads={threads}"
-                );
-            }
-        }
-        // Tiny inputs take the sequential fallback but stay correct.
-        let r = pseudo_random_relation(3, 2, 99);
-        let c = CompiledPref::compile(&skyline_pref(2), r.schema()).unwrap();
-        assert_eq!(
-            try_dnc_compiled_parallel(&c, &r, 8).unwrap(),
-            try_dnc_compiled(&c, &r).unwrap()
-        );
     }
 
     #[test]

@@ -5,19 +5,33 @@
 //! descending utility guarantees no tuple is dominated by a later one.
 //! A single pass comparing each tuple against the already-accepted maxima
 //! therefore computes the BMO result, and accepted tuples are final —
-//! the progressive behaviour of \[TEO01\]. The filtering pass runs on the
-//! score-matrix dominance backend whenever the term materializes.
+//! the progressive behaviour of \[TEO01\].
+//!
+//! On a flat Pareto order over a score matrix the utility is the sum of
+//! the dominance keys the matrix already holds (a SCORE-family key *is*
+//! the score: the term walk's sum without the walk) and the filter pass
+//! asks the early-exit `AcceptedWindow`; other shapes walk the term
+//! per row and filter pairwise.
+//!
+//! **Ties.** Float addition is monotone but not strictly: `(1e16, 1.0)`
+//! and `(1e16, 0.5)` under `AROUND 0 ⊗ AROUND 0` both sum to `-1e16`,
+//! and the dominated row must not be accepted first. Equal utilities
+//! are ordered by descending lexicographic keys (a dominator is `≥`
+//! everywhere and `>` somewhere, so lexicographically greater), then
+//! row index; the pairwise path has no keys and winnows each run of
+//! equal utilities as a BNL window of its own.
 
 use pref_core::eval::{CompiledPref, Dominance, ParetoAccess};
 use pref_core::term::Pref;
 use pref_relation::Relation;
 
+use super::bnl::bnl_window;
+use super::window::AcceptedWindow;
 use crate::error::QueryError;
 
 /// BMO evaluation by sort-filter. Fails when the preference has no
 /// monotone utility on *every* row — utility is per-value (e.g. a NULL
-/// under a scored chain has none), so all rows are checked, not just the
-/// first.
+/// under a scored chain has none).
 pub fn sfs(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
     let c = CompiledPref::compile(pref, r.schema())?;
     try_sfs_with(&c, r, c.score_matrix(r).as_ref()).ok_or_else(|| QueryError::AlgorithmMismatch {
@@ -36,75 +50,68 @@ pub fn try_sfs_with<M: Dominance>(
     r: &Relation,
     matrix: Option<&M>,
 ) -> Option<Vec<usize>> {
-    let mut order: Vec<(f64, usize)> = Vec::with_capacity(r.len());
-    for i in 0..r.len() {
-        order.push((c.utility(r.row(i))?, i));
+    if let Some(acc) = matrix.and_then(|m| m.pareto_access()) {
+        // A constructor that scores at all scores every value it has a
+        // key for, so row 0 speaks for the term. (The key sum is monotone
+        // regardless; the probe keeps score-less terms ineligible.)
+        if !r.is_empty() {
+            c.utility(r.row(0))?;
+        }
+        return Some(filter_pass_batch(&acc));
     }
-    // Descending utility; ties broken by row index for determinism.
+    let scored = (0..r.len()).map(|i| Some((c.utility(r.row(i))?, i)));
+    let mut order: Vec<(f64, usize)> = scored.collect::<Option<_>>()?;
     order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-
     Some(match matrix {
-        Some(m) => match m.pareto_access() {
-            Some(acc) => filter_pass_batch(&order, &acc),
-            None => filter_pass(&order, |x, y| m.better(x, y)),
-        },
+        Some(m) => filter_pass(&order, |x, y| m.better(x, y)),
         None => filter_pass(&order, |x, y| c.better(r.row(x), r.row(y))),
     })
 }
 
+/// The pairwise filter pass. A run of equal utilities may hold a row
+/// before its dominator, so each run drops what the accepted maxima
+/// dominate, then winnows itself; higher-utility maxima are never evicted.
 fn filter_pass(order: &[(f64, usize)], better: impl Fn(usize, usize) -> bool) -> Vec<usize> {
     let mut maxima: Vec<usize> = Vec::new();
-    'next: for &(_, i) in order {
-        for &m in &maxima {
-            if better(i, m) {
-                continue 'next;
-            }
-        }
-        maxima.push(i);
+    for run in order.chunk_by(|a, b| a.0 == b.0) {
+        let undominated = run
+            .iter()
+            .map(|&(_, i)| i)
+            .filter(|&i| !maxima.iter().any(|&m| better(i, m)));
+        maxima.extend(bnl_window(&better, Vec::new(), undominated));
     }
     maxima.sort_unstable();
     maxima
 }
 
-/// The filter pass over the structure-of-arrays lanes of a flat Pareto
-/// order. SFS only ever asks one direction — can an *accepted* maximum
-/// dominate the candidate? (accepted tuples are final under the sort) —
-/// so two flag bits per accepted row suffice: strictly-better-somewhere
-/// and blocked-somewhere. The accepted lanes are grow-only copies swept
-/// contiguously per dimension, like the batch BNL window.
-fn filter_pass_batch(order: &[(f64, usize)], acc: &ParetoAccess<'_>) -> Vec<usize> {
+/// Sort and filter over the key lanes of a flat Pareto order: gather,
+/// ask the window, accept on `false`.
+fn filter_pass_batch(acc: &ParetoAccess<'_>) -> Vec<usize> {
     let dims = acc.dims();
+    let (mut keys, mut other) = (vec![0.0f64; dims], vec![0.0f64; dims]);
+    let mut eqs = vec![0u64; dims];
+    let mut order: Vec<(f64, usize)> = (0..acc.len())
+        .map(|i| {
+            acc.gather(i, &mut keys, &mut eqs);
+            (keys.iter().fold(0.0, |sum, k| sum + k), i)
+        })
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then_with(|| {
+                acc.gather(a.1, &mut keys, &mut eqs);
+                acc.gather(b.1, &mut other, &mut eqs);
+                other.partial_cmp(&keys).expect("keys are never NaN")
+            })
+            .then(a.1.cmp(&b.1))
+    });
+    let mut window = AcceptedWindow::new(dims);
     let mut maxima: Vec<usize> = Vec::new();
-    let mut mkeys: Vec<Vec<f64>> = vec![Vec::new(); dims];
-    let mut meqs: Vec<Vec<u64>> = vec![Vec::new(); dims];
-    let mut ckeys = vec![0.0f64; dims];
-    let mut ceqs = vec![0u64; dims];
-    let mut flags: Vec<u8> = Vec::new();
-    'next: for &(_, i) in order {
-        acc.gather(i, &mut ckeys, &mut ceqs);
-        let w = maxima.len();
-        flags.clear();
-        flags.resize(w, 0);
-        for d in 0..dims {
-            let (ck, ce) = (ckeys[d], ceqs[d]);
-            let lane = &mkeys[d][..w];
-            let elane = &meqs[d][..w];
-            let f = &mut flags[..w];
-            for j in 0..w {
-                let lt = (ck < lane[j]) as u8;
-                let ne = (ce != elane[j]) as u8;
-                f[j] |= lt | (((lt ^ 1) & ne) << 1);
-            }
-        }
-        // Accepted j dominates the candidate iff strictly better
-        // somewhere (bit 0) and blocked nowhere (bit 1).
-        if flags.contains(&0b01) {
-            continue 'next;
-        }
-        maxima.push(i);
-        for d in 0..dims {
-            mkeys[d].push(ckeys[d]);
-            meqs[d].push(ceqs[d]);
+    for &(_, i) in &order {
+        acc.gather(i, &mut keys, &mut eqs);
+        if !window.dominates(&keys, &eqs) {
+            window.push(&keys, &eqs);
+            maxima.push(i);
         }
     }
     maxima.sort_unstable();
@@ -166,6 +173,34 @@ mod tests {
         let r = rel! { ("a": Int); (-5,), (5,), (7,) };
         let p = around("a", 0);
         assert_eq!(sfs(&p, &r).unwrap(), vec![0, 1]);
+    }
+
+    #[test]
+    fn rounding_ties_do_not_admit_dominated_rows() {
+        use crate::bmo::sigma_naive_generic;
+        use crate::{Algorithm, Engine, Optimizer};
+        use pref_core::eval::ScoreMatrix;
+
+        // Both rows sum to exactly -1e16; the one with b = 0.5 dominates.
+        let p = around("a", 0.0).pareto(around("b", 0.0));
+        for r in [
+            rel! { ("a": Float, "b": Float); (1.0e16, 1.0), (1.0e16, 0.5) },
+            rel! { ("a": Float, "b": Float); (1.0e16, 0.5), (1.0e16, 1.0) },
+        ] {
+            let oracle = sigma_naive_generic(&p, &r).unwrap();
+            assert_eq!(oracle.len(), 1);
+            assert_eq!(sfs(&p, &r).unwrap(), oracle, "matrix path");
+            let c = CompiledPref::compile(&p, r.schema()).unwrap();
+            assert_eq!(
+                try_sfs_with::<ScoreMatrix>(&c, &r, None).unwrap(),
+                oracle,
+                "generic path"
+            );
+            let forced = Engine::with_optimizer(Optimizer::new().with_algorithm(Algorithm::Sfs));
+            let out = forced.prepare(&p, r.schema()).unwrap().execute(&r).unwrap();
+            assert_eq!(out.explain().algorithm, Algorithm::Sfs);
+            assert_eq!(out.rows(), oracle, "engine");
+        }
     }
 
     #[test]

@@ -423,10 +423,8 @@ pub(crate) fn run_algorithm(
         Algorithm::Dnc => {
             // Selection checks the term's *shape*, but evaluability is
             // per-value (a NULL in a chain column has no embedding), so
-            // the checked entry decides. Large inputs partition the
-            // top-level recursion over worker threads.
-            let threads = if r.len() >= 4096 { opt.threads } else { 1 };
-            match dnc::try_dnc_compiled_parallel(c, r, threads) {
+            // the checked entry decides.
+            match dnc::try_dnc_compiled(c, r) {
                 Some(rows) => rows,
                 None if opt.force.is_some() => {
                     return Err(QueryError::AlgorithmMismatch {

@@ -11,7 +11,68 @@ use preferences::query::bmo::{sigma_naive, sigma_naive_generic};
 use preferences::query::groupby::sigma_groupby_definitional;
 use preferences::query::stats::FilterEffectReport;
 use preferences::query::{algorithms, Engine};
+use preferences::workload::cars;
+use preferences::workload::synthetic::{self, Distribution};
 use proptest::prelude::*;
+
+/// SFS, D&C (where the shape admits them) and the engine against both
+/// the generic BNL and Def. 15 — on relations large enough that the
+/// accepted window crosses its block boundaries and D&C's merge runs.
+fn check_large(p: &Pref, r: &Relation, dnc_applies: bool) -> Result<(), TestCaseError> {
+    let c = CompiledPref::compile(p, r.schema()).expect("term compiles");
+    let oracle = sigma_naive_generic(p, r).expect("term compiles");
+    prop_assert_eq!(
+        algorithms::bnl_generic(&c, r),
+        oracle.clone(),
+        "BNL for {}",
+        p
+    );
+    prop_assert_eq!(
+        algorithms::sfs(p, r).expect("scored shape"),
+        oracle.clone(),
+        "SFS for {}",
+        p
+    );
+    if dnc_applies {
+        prop_assert_eq!(
+            algorithms::dnc(p, r).expect("skyline shape"),
+            oracle.clone(),
+            "D&C for {}",
+            p
+        );
+    }
+    let q = Engine::new().prepare(p, r.schema()).expect("term compiles");
+    let (rows, explain) = q.execute(r).expect("engine runs").into_parts();
+    prop_assert_eq!(rows, oracle, "engine ({}) for {}", explain.algorithm, p);
+    Ok(())
+}
+
+proptest! {
+    // Each case winnows 14 relations of 3 000 rows quadratically.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn sfs_and_dnc_agree_with_the_oracles_across_window_blocks(seed in 0u64..1_000_000) {
+        for d in [3usize, 5] {
+            let col = |i: usize| format!("d{i}");
+            let dims = |base: fn(&str) -> Pref| (0..d).map(|i| base(col(i).as_str())).collect();
+            let skyline = Pref::pareto_all(dims(|a| highest(a))).expect("d >= 1");
+            let around = Pref::pareto_all(dims(|a| around(a, 0.5))).expect("d >= 1");
+            for dist in Distribution::all() {
+                let r = synthetic::table(3_000, d, dist, seed);
+                check_large(&skyline, &r, true)?;
+                check_large(&around, &r, false)?;
+            }
+        }
+        // Integer columns with heavy ties: D&C's equal-dim0 runs and the
+        // window's ≥ / > distinction both matter; utilities tie often.
+        let r = cars::catalog(3_000, seed);
+        let watch = lowest("price").pareto(lowest("mileage")).pareto(highest("horsepower"));
+        check_large(&watch, &r, true)?;
+        let near = around("price", 20_000).pareto(around("mileage", 60_000)).pareto(highest("horsepower"));
+        check_large(&near, &r, false)?;
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
