@@ -1,26 +1,79 @@
 //! Per-cell times of the `skyline-scan` grid — the table an algorithm PR
 //! quotes at parent and change (`perfbench` reports one number per pass):
-//! `cells [--rows N] [--seed N]`, {independent, correlated,
-//! anti-correlated} × d ∈ {2, 4, 6} × {skyline, around}, every cell a
-//! fresh `Engine::new().prepare → execute → take_rows`, best of 3.
-//! Exits non-zero when any cell's rows differ from `bnl_generic`.
+//! `cells [--rows N] [--seed N] [--algorithm sfs|dnc|bnl]`, {independent,
+//! correlated, anti-correlated} × d ∈ {2, 4, 6} × {skyline, around}, every
+//! cell a fresh engine's `prepare → execute → take_rows`, best of 3.
+//! `--algorithm` forces one algorithm on every cell it applies to (`n/a`
+//! elsewhere) — the SFS-vs-D&C table a routing change is argued from;
+//! unforced, the planner chooses. A 19th line, outside the pass total,
+//! times the skyline of a table whose first dimension has four values
+//! (D&C cannot split below the median there). Exits non-zero when any
+//! cell's rows differ from `bnl_generic`.
 
 use pref_bench::{around_pref, skyline_pref, time_ms};
 use pref_core::eval::CompiledPref;
+use pref_core::term::Pref;
 use pref_query::algorithms::bnl::bnl_generic;
-use pref_query::Engine;
+use pref_query::{Algorithm, Engine, Optimizer};
+use pref_relation::{Relation, Value};
 use pref_workload::synthetic::{self, Distribution};
 
+/// Print one cell — `name |σ| algorithm ms`, best of 3 through a fresh
+/// engine each, `n/a` when the forced algorithm rejects the term — and
+/// return its time and whether its rows equal `bnl_generic`'s.
+fn cell(name: &str, force: Option<Algorithm>, pref: &Pref, r: &Relation) -> (f64, bool) {
+    let optimizer = force.map_or_else(Optimizer::new, |a| Optimizer::new().with_algorithm(a));
+    let (mut best, mut report) = (f64::INFINITY, None);
+    for _ in 0..3 {
+        let (out, ms) = time_ms(|| {
+            let engine = Engine::with_optimizer(optimizer.clone());
+            let p = engine.prepare(pref, r.schema()).expect("compiles");
+            let (rows, explain) = p.execute(r).ok()?.into_parts();
+            Some((r.take_rows(&rows).len(), rows, explain.algorithm))
+        });
+        best = best.min(ms);
+        report = out;
+    }
+    let Some((n, got, algorithm)) = report else {
+        println!("{name} - n/a -");
+        return (0.0, true);
+    };
+    let c = CompiledPref::compile(pref, r.schema()).expect("cell compiles");
+    let ok = got == bnl_generic(&c, r);
+    let mark = if ok { "" } else { "  ≠ bnl_generic" };
+    println!("{name} {n} {algorithm} {best:.2}{mark}");
+    (best, ok)
+}
+
+/// `d0` of an independent 3-d table cut to {0, 1, 2, 3} with `zeros` of
+/// the rows at 0, `d2` bent to trade off against `d1` (a wide skyline).
+fn low_cardinality(rows: usize, zeros: f64, seed: u64) -> Relation {
+    let base = synthetic::table(rows, 3, Distribution::Independent, seed);
+    let mut r = Relation::empty(base.schema().clone());
+    for t in base.iter() {
+        let u = |i: usize| t[i].as_f64().expect("float column");
+        let level = (1.0 + (u(0) - zeros) / (1.0 - zeros) * 3.0).floor();
+        let a = if u(0) < zeros { 0.0 } else { level };
+        let row = [a, u(1), 1.0 - u(1) + 0.05 * u(2)];
+        r.push_values(row.into_iter().map(Value::from).collect())
+            .expect("row matches schema");
+    }
+    r
+}
+
 fn main() {
-    let (mut rows, mut seed) = (25_000usize, 1u64);
+    let (mut rows, mut seed, mut force) = (25_000usize, 1u64, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (arg.as_str(), value) {
-            ("--rows", Some(v)) => rows = v as usize,
-            ("--seed", Some(v)) => seed = v,
+        let value = args.next().unwrap_or_default();
+        match (arg.as_str(), value.as_str(), value.parse::<u64>()) {
+            ("--rows", _, Ok(v)) => rows = v as usize,
+            ("--seed", _, Ok(v)) => seed = v,
+            ("--algorithm", "sfs", _) => force = Some(Algorithm::Sfs),
+            ("--algorithm", "dnc", _) => force = Some(Algorithm::Dnc),
+            ("--algorithm", "bnl", _) => force = Some(Algorithm::Bnl),
             _ => {
-                eprintln!("usage: cells [--rows N] [--seed N]");
+                eprintln!("usage: cells [--rows N] [--seed N] [--algorithm sfs|dnc|bnl]");
                 std::process::exit(2);
             }
         }
@@ -31,27 +84,18 @@ fn main() {
         for d in [2, 4, 6] {
             let r = synthetic::table(rows, d, dist, seed);
             for (shape, pref) in [("skyline", skyline_pref(d)), ("around", around_pref(d))] {
-                let (mut best, mut report) = (f64::INFINITY, None);
-                for _ in 0..3 {
-                    let (out, ms) = time_ms(|| {
-                        let p = Engine::new().prepare(&pref, r.schema()).expect("compiles");
-                        let (rows, explain) = p.execute(&r).expect("evaluates").into_parts();
-                        (r.take_rows(&rows).len(), rows, explain.algorithm)
-                    });
-                    best = best.min(ms);
-                    report = Some(out);
-                }
-                let (n, got, algorithm) = report.expect("three runs");
-                let c = CompiledPref::compile(&pref, r.schema()).expect("cell compiles");
-                let ok = got == bnl_generic(&c, &r);
+                let name = format!("{} {d} {shape}", dist.name());
+                let (ms, ok) = cell(&name, force, &pref, &r);
+                total += ms;
                 wrong += usize::from(!ok);
-                total += best;
-                let mark = if ok { "" } else { "  ≠ bnl_generic" };
-                let name = dist.name();
-                println!("{name} {d} {shape} {n} {algorithm} {best:.2}{mark}");
             }
         }
     }
     println!("pass total {total:.1} ms");
+    for zeros in [0.3, 0.7] {
+        let r = low_cardinality(rows, zeros, seed);
+        let name = format!("unscored: four-valued d0 ({zeros} zeros) 3 skyline");
+        wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r).1);
+    }
     std::process::exit(i32::from(wrong > 0));
 }

@@ -13,9 +13,12 @@
 //! * [`sfs::sfs`] — Sort-Filter-Skyline: presort by a monotone utility,
 //!   then a single filtering pass against accepted maxima.
 //!
-//! SFS's filter pass and D&C's merge ask the same question — does any
+//! SFS's filter pass and D&C's merge (and D&C's fallback on a slice its
+//! first dimension cannot split) ask the same question — does any
 //! accepted row dominate this one? — of one private early-exit window
-//! (`window`).
+//! (`window`): a flat head of the first 256 accepted rows, then
+//! partitions by a bit mask against the head's median, of which a
+//! candidate sweeps only those whose mask is a subset of its own.
 //!
 //! All algorithms return sorted row-index vectors and are
 //! property-checked against the naive oracle.

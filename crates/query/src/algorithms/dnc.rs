@@ -80,10 +80,38 @@ fn dominates(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
 }
 
-/// The quadratic scan behind the small and the degenerate case.
+/// The quadratic scan behind the small case.
 fn scan(v: &Vectors, idx: &[usize]) -> Vec<usize> {
     let undominated = |&i: &usize| !idx.iter().any(|&j| dominates(v.row(j), v.row(i)));
     idx.iter().copied().filter(undominated).collect()
+}
+
+/// Likely dominators first: descending coordinate sum, each sum taken
+/// once. Equal float sums can hide a dominator behind its victim (see
+/// `sfs`'s module doc), so ties go by descending lexicographic
+/// coordinates — after which no row is dominated by a later one.
+fn sort_by_descending_sum(v: &Vectors, idx: &mut [usize]) {
+    let mut keyed: Vec<(f64, usize)> = (idx.iter()).map(|&i| (v.row(i).iter().sum(), i)).collect();
+    keyed.sort_unstable_by(|a, b| {
+        let lexicographic = || v.row(b.1).partial_cmp(v.row(a.1));
+        (b.0.total_cmp(&a.0)).then_with(|| lexicographic().expect("keys are never NaN"))
+    });
+    (idx.iter_mut().zip(keyed)).for_each(|(slot, (_, i))| *slot = i);
+}
+
+/// The maxima of a slice that does not split on dim0 (every row from the
+/// median down shares it): the sort-filter pass through the window.
+fn filter_by_sum(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
+    sort_by_descending_sum(v, idx);
+    let mut window = AcceptedWindow::new(v.d);
+    let accept = |&i: &usize| {
+        let undominated = !window.dominates(v.row(i), &[]);
+        if undominated {
+            window.push(v.row(i), &[]);
+        }
+        undominated
+    };
+    idx.iter().copied().filter(accept).collect()
 }
 
 fn maxima(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
@@ -135,7 +163,9 @@ fn sweep_2d(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
 }
 
 /// d ≥ 3: split by the median of dim0; the upper half's maxima filter the
-/// lower half's.
+/// lower half's. A slice with no split point below the median (a
+/// low-cardinality dim0) is filtered whole — all-pairs `scan` there was a
+/// quadratic cliff.
 fn split_nd(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
     if idx.len() <= 32 {
         return scan(v, idx);
@@ -149,16 +179,14 @@ fn split_nd(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
         split += 1;
     }
     if split == idx.len() {
-        // Degenerate: everything from mid on shares dim0; fall back.
-        return scan(v, idx);
+        return filter_by_sum(v, idx);
     }
 
     let (upper_slice, lower_slice) = idx.split_at_mut(split);
     let mut result = maxima(v, upper_slice);
     let lower_max = maxima(v, lower_slice);
 
-    let sum = |i: usize| v.row(i).iter().sum::<f64>();
-    result.sort_by(|&a, &b| sum(b).total_cmp(&sum(a)));
+    sort_by_descending_sum(v, &mut result);
     let mut window = AcceptedWindow::new(v.d);
     for &u in &result {
         window.push(v.row(u), &[]);
@@ -267,6 +295,28 @@ mod tests {
         let r = pseudo_random_relation(800, 3, 7);
         let p = skyline_pref(3);
         assert_eq!(dnc(&p, &r).unwrap(), sigma_naive(&p, &r).unwrap());
+    }
+
+    #[test]
+    fn a_four_valued_first_dimension_goes_through_the_sum_filter() {
+        // Every row from the median down shares d0 — at the top (70 %
+        // zeros) or one level in (30 %) — so no split exists there; d2
+        // trades off against d1, which keeps the skyline wide.
+        let p = highest("d0").pareto(highest("d1")).pareto(highest("d2"));
+        for zeros in [300, 700] {
+            let draws = pseudo_random_relation(2_000, 3, zeros as u64);
+            let mut r = Relation::empty(draws.schema().clone());
+            for t in draws.iter() {
+                let [a, b, c] = [0, 1, 2].map(|i| t[i].as_int().unwrap());
+                let a = if a < zeros { 0 } else { 1 + a % 3 };
+                let row = [a, b, 1_000 - b + c / 20];
+                r.push_values(row.into_iter().map(Value::from).collect())
+                    .unwrap();
+            }
+            let got = dnc(&p, &r).unwrap();
+            assert!(got.len() > 32, "{zeros}: |σ| = {}", got.len());
+            assert_eq!(got, sigma_naive(&p, &r).unwrap(), "{zeros} zeros");
+        }
     }
 
     #[test]

@@ -3,54 +3,88 @@
 //! row dominate this candidate?
 //!
 //! Both callers insert likely dominators first (SFS by descending
-//! utility, the merge by descending coordinate sum), so the sweep runs
-//! over growing blocks in insertion order and stops after the first block
-//! that holds a dominator; inside a block it is the batch BNL window's
-//! branch-free per-lane flag accumulation.
+//! utility, the merge by descending coordinate sum), so the first
+//! [`HEAD`] accepted rows — the killers — stay one flat run of lanes, the
+//! *head*, swept over growing blocks in insertion order with a stop after
+//! the first block that holds a dominator; inside a block it is the batch
+//! BNL window's branch-free per-lane flag accumulation.
+//!
+//! **Pivot-mask partitions.** The moment the head fills, its per-lane
+//! median becomes the *pivot* `v`, and every later row `x` joins the
+//! partition of its mask `mask(x) = {d : key_x[d] < v[d]}` (the first
+//! [`MASK_LANES`] lanes; each partition is the same lanes, swept by the
+//! same blocked loop). A candidate `q` sweeps the head and then only the
+//! partitions whose mask is a subset of `mask(q)`, fewest bits first
+//! (better than the pivot on more lanes: likelier dominators). Sound for
+//! both arms of the kernel and for *any* `v` — the pivot need not be a
+//! row: a dominator `p` of `q` has `key_p[d] ≥ key_q[d]` on every lane
+//! (equal codes imply equal keys), so `key_p[d] < v[d] ⇒ key_q[d] < v[d]`,
+//! i.e. `mask(p) ⊆ mask(q)`; a partition with a bit the candidate lacks
+//! holds no dominator and is skipped unseen. (This is the point-based
+//! space partitioning of BSkyTree/OSP, one level deep.)
+//!
+//! **Why one level, and what remains.** Counted on the largest
+//! `skyline-scan` cell (anti-correlated d = 6 skyline, 25 000 rows,
+//! |σ| = 8 849): an SFS pass drops from 44.0 M member tests in 236 k
+//! blocks to 11.7 M in 366 k, the D&C merges from 54.2 M in 448 k to
+//! 15.9 M in 581 k. Tried on the 18 cells and dropped: re-pivoting a
+//! partition when it fills (partitions average ~140 rows, so a second
+//! level almost never forms, and a 32/64-row head loses the saved tests to
+//! per-block overhead), whole-partition sweeps instead of the 16 → 256
+//! doubling, and a one-compare-per-lane "blocked only, check strictness
+//! on the survivors" kernel. What is left on that cell is the blocks —
+//! ~32 members each, × 6 lane loops: loop overhead, not compares. The
+//! next step is fewer, fuller blocks, not fewer member tests.
 
 /// A sweep's first block and the cap its doubling stops at. Measured on
 /// the 18 `skyline-scan` cells at 25 000 rows: first ∈ {8, 16, 32, 64} ×
 /// cap ∈ {128 … whole window} all land within run-to-run noise of one
-/// another (250–275 ms a pass); 16/256 keeps the flag scratch at 2 KB.
+/// another; 16/256 keeps the flag scratch at 2 KB.
 const FIRST_BLOCK: usize = 16;
 const MAX_BLOCK: usize = 256;
+/// Accepted rows kept flat before the pivot is taken.
+const HEAD: usize = 256;
+/// Lanes that contribute a mask bit: at most `2^MASK_LANES` partitions.
+const MASK_LANES: usize = 8;
 
-/// Structure-of-arrays copies of the accepted rows' dominance keys and
+/// Structure-of-arrays copies of some accepted rows' dominance keys and
 /// equality codes (equal codes imply equal keys, never the converse).
 /// Value-injective keys need no codes: such callers pass empty `eqs`.
-pub(super) struct AcceptedWindow {
-    /// `keys[d][j]`: dimension `d` of the `j`-th accepted row.
+struct Lanes {
+    /// `keys[d][j]`: dimension `d` of the `j`-th row.
     keys: Vec<Vec<f64>>,
     eqs: Vec<Vec<u64>>,
-    flags: [u64; MAX_BLOCK],
 }
 
-impl AcceptedWindow {
-    pub(super) fn new(dims: usize) -> Self {
-        AcceptedWindow {
+impl Lanes {
+    fn new(dims: usize) -> Self {
+        Lanes {
             keys: vec![Vec::new(); dims],
             eqs: vec![Vec::new(); dims],
-            flags: [0; MAX_BLOCK],
         }
     }
 
-    /// Accept a row: it joins the end of every lane.
-    pub(super) fn push(&mut self, keys: &[f64], eqs: &[u64]) {
+    fn len(&self) -> usize {
+        self.keys.first().map_or(0, Vec::len)
+    }
+
+    /// The row joins the end of every lane.
+    fn push(&mut self, keys: &[f64], eqs: &[u64]) {
         (self.keys.iter_mut().zip(keys)).for_each(|(lane, &k)| lane.push(k));
         (self.eqs.iter_mut().zip(eqs)).for_each(|(lane, &e)| lane.push(e));
     }
 
-    /// Does an accepted row dominate the candidate (Def. 8)? Two flag
+    /// Does one of these rows dominate the candidate (Def. 8)? Two flag
     /// bits per member: strictly better somewhere (bit 0), and blocked
     /// somewhere — not better there and another value (bit 1); it
     /// dominates iff it ends a block as `01`. Flags are as wide as the
     /// lanes, so the loops vectorize unnarrowed (`u8`: 2× slower a pass).
-    pub(super) fn dominates(&mut self, keys: &[f64], eqs: &[u64]) -> bool {
-        let len = self.keys.first().map_or(0, Vec::len);
+    fn dominates(&self, flags: &mut [u64; MAX_BLOCK], keys: &[f64], eqs: &[u64]) -> bool {
+        let len = self.len();
         let (mut lo, mut block) = (0, FIRST_BLOCK);
         while lo < len {
             let hi = (lo + block).min(len);
-            let flags = &mut self.flags[..hi - lo];
+            let flags = &mut flags[..hi - lo];
             flags.fill(0);
             for (d, (lane, &ck)) in self.keys.iter().zip(keys).enumerate() {
                 let members = flags.iter_mut().zip(&lane[lo..hi]);
@@ -74,6 +108,72 @@ impl AcceptedWindow {
     }
 }
 
+/// The accepted rows: the head, then — once it is full — one [`Lanes`]
+/// per pivot mask in use.
+pub(super) struct AcceptedWindow {
+    head: Lanes,
+    /// Per-lane median of the full head; empty until then.
+    pivot: Vec<f64>,
+    /// Non-empty partitions, ascending by (mask bit count, mask).
+    parts: Vec<(usize, Lanes)>,
+    flags: [u64; MAX_BLOCK],
+}
+
+/// `{d : keys[d] < pivot[d]}` over the first [`MASK_LANES`] lanes.
+fn mask(pivot: &[f64], keys: &[f64]) -> usize {
+    let lanes = pivot.iter().zip(keys).take(MASK_LANES).enumerate();
+    lanes.fold(0, |m, (d, (v, k))| m | (usize::from(k < v) << d))
+}
+
+impl AcceptedWindow {
+    pub(super) fn new(dims: usize) -> Self {
+        AcceptedWindow {
+            head: Lanes::new(dims),
+            pivot: Vec::new(),
+            parts: Vec::new(),
+            flags: [0; MAX_BLOCK],
+        }
+    }
+
+    /// Accept a row: into the head while it has room, else into its
+    /// mask's partition.
+    pub(super) fn push(&mut self, keys: &[f64], eqs: &[u64]) {
+        if self.pivot.is_empty() {
+            self.head.push(keys, eqs);
+            if self.head.len() == HEAD {
+                self.pivot = (self.head.keys.iter().cloned())
+                    .map(|mut lane| *lane.select_nth_unstable_by(HEAD / 2, f64::total_cmp).1)
+                    .collect();
+            }
+            return;
+        }
+        let m = mask(&self.pivot, keys);
+        let rank = |m: usize| (m.count_ones(), m);
+        let at = match self.parts.binary_search_by_key(&rank(m), |p| rank(p.0)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.parts.insert(at, (m, Lanes::new(keys.len())));
+                at
+            }
+        };
+        self.parts[at].1.push(keys, eqs);
+    }
+
+    /// Does an accepted row dominate the candidate? The head, then the
+    /// partitions that can hold a dominator.
+    pub(super) fn dominates(&mut self, keys: &[f64], eqs: &[u64]) -> bool {
+        let parts = reachable(&self.parts, mask(&self.pivot, keys));
+        std::iter::once(&self.head)
+            .chain(parts.map(|(_, lanes)| lanes))
+            .any(|lanes| lanes.dominates(&mut self.flags, keys, eqs))
+    }
+}
+
+/// The partitions whose mask is a subset of the candidate's mask `m`.
+fn reachable(parts: &[(usize, Lanes)], m: usize) -> impl Iterator<Item = &(usize, Lanes)> {
+    parts.iter().filter(move |(p, _)| p & !m == 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,17 +193,50 @@ mod tests {
         w
     }
 
-    /// The unblocked reference: every member, every dimension.
+    /// The unblocked, unpartitioned reference: every member, every
+    /// dimension.
     fn full_sweep(w: &AcceptedWindow, keys: &[f64], eqs: &[u64]) -> bool {
-        (0..w.keys[0].len()).any(|j| {
-            let differs = |d: usize| match eqs.get(d) {
-                Some(&e) => w.eqs[d][j] != e,
-                None => w.keys[d][j] != keys[d],
-            };
-            let dims = 0..keys.len();
-            dims.clone().any(|d| keys[d] < w.keys[d][j])
-                && dims.clone().all(|d| keys[d] < w.keys[d][j] || !differs(d))
-        })
+        let all = std::iter::once(&w.head).chain(w.parts.iter().map(|(_, lanes)| lanes));
+        all.flat_map(|l| (0..l.len()).map(move |j| (l, j)))
+            .any(|(l, j)| {
+                let differs = |d: usize| match eqs.get(d) {
+                    Some(&e) => l.eqs[d][j] != e,
+                    None => l.keys[d][j] != keys[d],
+                };
+                let dims = 0..keys.len();
+                dims.clone().any(|d| keys[d] < l.keys[d][j])
+                    && dims.clone().all(|d| keys[d] < l.keys[d][j] || !differs(d))
+            })
+    }
+
+    /// A window whose full head puts the pivot at 128 on every lane but
+    /// the last and cannot dominate a row that is ≥ 0 there: lane `l` of
+    /// head row `i` is `i · (2l + 1) mod 256` (a permutation of 0..256),
+    /// the last lane is −1000. `code` derives a row's equality codes.
+    fn pivoted(dims: usize, code: Option<fn(f64) -> u64>) -> AcceptedWindow {
+        let mut w = AcceptedWindow::new(dims);
+        for i in 0..HEAD {
+            let mut row: Vec<f64> = (0..dims)
+                .map(|l| ((i * (2 * l + 1)) % 256) as f64)
+                .collect();
+            row[dims - 1] = -1000.0;
+            w.push(&row, &codes(&row, code));
+        }
+        assert!(w.pivot[..dims - 1].iter().all(|&v| v == 128.0));
+        w
+    }
+
+    fn codes(row: &[f64], code: Option<fn(f64) -> u64>) -> Vec<u64> {
+        code.map_or(Vec::new(), |f| row.iter().map(|&k| f(k)).collect())
+    }
+
+    fn masks(w: &AcceptedWindow) -> Vec<usize> {
+        w.parts.iter().map(|(m, _)| *m).collect()
+    }
+
+    fn swept(w: &AcceptedWindow, keys: &[f64]) -> Vec<usize> {
+        let parts = reachable(&w.parts, mask(&w.pivot, keys));
+        parts.map(|(m, _)| *m).collect()
     }
 
     #[test]
@@ -142,6 +275,138 @@ mod tests {
             let eqs = [5, u64::MAX];
             assert!(full_sweep(&w, &keys, &eqs));
             assert!(w.dominates(&keys, &eqs), "dominating member at {at}");
+        }
+    }
+
+    #[test]
+    fn the_head_fills_before_the_first_partition_forms() {
+        for (len, in_parts) in [(255, 0), (256, 0), (257, 1), (2_000, 1_744)] {
+            let w = window_with_dominator(len, None);
+            assert_eq!(w.head.len(), len.min(HEAD), "head of {len}");
+            assert_eq!(w.pivot.is_empty(), len < HEAD, "pivot of {len}");
+            let held: usize = w.parts.iter().map(|(_, lanes)| lanes.len()).sum();
+            assert_eq!(held, in_parts, "partitioned rows of {len}");
+        }
+        // (j + 1, −j) against the pivot (129, −128): later rows are all
+        // better on lane 0 and worse on lane 1 — one partition.
+        assert_eq!(masks(&window_with_dominator(2_000, None)), [0b10]);
+    }
+
+    #[test]
+    fn sweeps_subset_masks_only_and_finds_the_dominator_there() {
+        let mut w = pivoted(3, None);
+        // One member per mask over lanes 0 and 1; lane 2 keeps the head
+        // out of it.
+        let members = [
+            [200.0, 200.0, 5.0], // {}
+            [100.0, 300.0, 5.0], // {0}
+            [300.0, 100.0, 5.0], // {1}
+            [100.0, 100.0, 9.0], // {0, 1}
+        ];
+        members.iter().for_each(|p| w.push(p, &[]));
+        assert_eq!(masks(&w), [0b00, 0b01, 0b10, 0b11], "fewest bits first");
+
+        // Mask {}: every other partition has a bit the candidate lacks —
+        // none is swept, and none held a dominator.
+        let q = [150.0, 150.0, 6.0];
+        assert_eq!(swept(&w, &q), [0b00]);
+        assert!(!full_sweep(&w, &q, &[]));
+        assert!(!w.dominates(&q, &[]));
+        // Mask {0, 1}: its dominator sits in the strict-subset partition
+        // {}, which a superset test (`m ⊆ p`) would never visit.
+        let q = [90.0, 90.0, 1.0];
+        assert_eq!(swept(&w, &q), [0b00, 0b01, 0b10, 0b11]);
+        assert!(full_sweep(&w, &q, &[]));
+        assert!(w.dominates(&q, &[]));
+        // Mask {1}: {0} and {0, 1} are skipped; the dominator is in {1}.
+        let q = [250.0, 90.0, 5.0];
+        assert_eq!(swept(&w, &q), [0b00, 0b10]);
+        assert!(full_sweep(&w, &q, &[]));
+        assert!(w.dominates(&q, &[]));
+    }
+
+    #[test]
+    fn keys_equal_to_the_pivot_carry_no_bit() {
+        let mut w = pivoted(3, None);
+        // On the pivot on lane 0: mask {}, and it dominates rows below
+        // the pivot there (mask {0}) and rows on it.
+        w.push(&[128.0, 200.0, 5.0], &[]);
+        assert_eq!(masks(&w), [0b00]);
+        for q in [
+            [127.0, 200.0, 5.0],
+            [128.0, 199.0, 5.0],
+            [128.0, 100.0, 5.0],
+        ] {
+            assert!(full_sweep(&w, &q, &[]), "{q:?}");
+            assert!(w.dominates(&q, &[]), "{q:?}");
+        }
+        // A candidate on the pivot is not reached from the {0} partition
+        // and no row there dominates it; its duplicate does not either.
+        w.push(&[127.0, 300.0, 9.0], &[]);
+        for q in [[128.0, 250.0, 5.0], [128.0, 200.0, 5.0]] {
+            assert_eq!(swept(&w, &q), [0b00]);
+            assert!(!full_sweep(&w, &q, &[]), "{q:?}");
+            assert!(!w.dominates(&q, &[]), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn equality_codes_decide_across_partitions() {
+        // AROUND 0: the key is −|x|, the code tells −5 from 5. Lane 0 is
+        // far above its pivot for every row here (no bit); lane 1 picks
+        // the partition; lane 2 shields from the head.
+        let code: fn(f64) -> u64 = |k| k.to_bits();
+        let mut w = pivoted(3, Some(code));
+        let minus_five = |rest: [f64; 2]| ([995.0, rest[0], rest[1]], [5, 0, 0]);
+        w.push(&minus_five([200.0, 5.0]).0, &[5, 200, 5]); // mask {}
+        w.push(&minus_five([100.0, 5.0]).0, &[5, 100, 5]); // mask {1}
+        assert_eq!(masks(&w), [0b00, 0b10]);
+        for (lane1, what) in [(90.0, "another partition"), (150.0, "the same partition")] {
+            let keys = [995.0, lane1, 5.0];
+            // +5 on lane 0: equal key, another value — blocked everywhere.
+            let eqs = [6, lane1 as u64, 5];
+            assert!(!full_sweep(&w, &keys, &eqs), "+5, {what}");
+            assert!(!w.dominates(&keys, &eqs), "+5, {what}");
+            // −5 on lane 0: the same value — dominated.
+            let eqs = [5, lane1 as u64, 5];
+            assert!(full_sweep(&w, &keys, &eqs), "−5, {what}");
+            assert!(w.dominates(&keys, &eqs), "−5, {what}");
+        }
+    }
+
+    /// Deterministic rows in `[0, 256)^dims`, last lane ≥ 0.
+    fn lcg_rows(n: usize, dims: usize, mut state: u64) -> Vec<Vec<f64>> {
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 256) as f64
+        };
+        (0..n)
+            .map(|_| (0..dims).map(|_| next()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn agrees_with_the_full_sweep_on_many_partitions_and_lanes() {
+        // d = 10 has more lanes than mask bits: lanes 8 and 9 decide
+        // inside a partition. Integer keys tie often, so the strict and
+        // the blocked bit both matter in either arm.
+        let bits: fn(f64) -> u64 = |k| k.to_bits();
+        for (dims, code) in [(3, None), (6, None), (6, Some(bits)), (10, None)] {
+            let mut w = pivoted(dims, code);
+            let rows = lcg_rows(2_000, dims, dims as u64);
+            let (members, candidates) = rows.split_at(1_744);
+            members.iter().for_each(|p| w.push(p, &codes(p, code)));
+            assert!(w.parts.len() > dims, "{dims} lanes: {:?}", masks(&w));
+            let mut dominated = 0;
+            for q in candidates.iter().chain(members.iter().step_by(7)) {
+                let eqs = codes(q, code);
+                let expected = full_sweep(&w, q, &eqs);
+                assert_eq!(w.dominates(q, &eqs), expected, "{dims} lanes, {q:?}");
+                dominated += usize::from(expected);
+            }
+            assert!(dominated > 0, "{dims} lanes: some candidate is dominated");
         }
     }
 }

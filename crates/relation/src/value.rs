@@ -16,7 +16,6 @@ use std::sync::Arc;
 /// ordered SQL types like Date"); a day count gives dates both the total
 /// order and the subtraction operator the numerical base preferences need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Date {
     days: i32,
 }
@@ -112,7 +111,6 @@ impl fmt::Display for Date {
 /// relations can be sorted/deduplicated deterministically; preference
 /// semantics never compare across types.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// SQL NULL / missing value.
     Null,

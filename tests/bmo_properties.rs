@@ -18,7 +18,8 @@ use proptest::prelude::*;
 /// SFS, D&C (where the shape admits them) and the engine against both
 /// the generic BNL and Def. 15 — on relations large enough that the
 /// accepted window crosses its block boundaries and D&C's merge runs.
-fn check_large(p: &Pref, r: &Relation, dnc_applies: bool) -> Result<(), TestCaseError> {
+/// Returns |σ|.
+fn check_large(p: &Pref, r: &Relation, dnc_applies: bool) -> Result<usize, TestCaseError> {
     let c = CompiledPref::compile(p, r.schema()).expect("term compiles");
     let oracle = sigma_naive_generic(p, r).expect("term compiles");
     prop_assert_eq!(
@@ -43,26 +44,53 @@ fn check_large(p: &Pref, r: &Relation, dnc_applies: bool) -> Result<(), TestCase
     }
     let q = Engine::new().prepare(p, r.schema()).expect("term compiles");
     let (rows, explain) = q.execute(r).expect("engine runs").into_parts();
-    prop_assert_eq!(rows, oracle, "engine ({}) for {}", explain.algorithm, p);
-    Ok(())
+    prop_assert_eq!(&rows, &oracle, "engine ({}) for {}", explain.algorithm, p);
+    Ok(oracle.len())
+}
+
+/// `d0` of an independent 3-d table cut to {0, 1, 2, 3} with `zeros` of
+/// the rows at 0, `d2` bent to trade off against `d1` (a wide skyline).
+fn four_valued_d0(rows: usize, zeros: f64, seed: u64) -> Relation {
+    let base = synthetic::table(rows, 3, Distribution::Independent, seed);
+    let mut r = Relation::empty(base.schema().clone());
+    for t in base.iter() {
+        let u = |i: usize| t[i].as_f64().expect("float column");
+        let level = (1.0 + (u(0) - zeros) / (1.0 - zeros) * 3.0).floor();
+        let a = if u(0) < zeros { 0.0 } else { level };
+        let row = [a, u(1), 1.0 - u(1) + 0.05 * u(2)];
+        r.push_values(row.into_iter().map(Value::from).collect())
+            .expect("row matches schema");
+    }
+    r
 }
 
 proptest! {
-    // Each case winnows 14 relations of 3 000 rows quadratically.
+    // Each case winnows 18 relations of up to 3 000 rows quadratically.
     #![proptest_config(ProptestConfig::with_cases(2))]
 
     #[test]
     fn sfs_and_dnc_agree_with_the_oracles_across_window_blocks(seed in 0u64..1_000_000) {
+        let pareto = |d: usize, base: fn(&str) -> Pref| {
+            Pref::pareto_all((0..d).map(|i| base(format!("d{i}").as_str())).collect()).expect("d >= 1")
+        };
         for d in [3usize, 5] {
-            let col = |i: usize| format!("d{i}");
-            let dims = |base: fn(&str) -> Pref| (0..d).map(|i| base(col(i).as_str())).collect();
-            let skyline = Pref::pareto_all(dims(|a| highest(a))).expect("d >= 1");
-            let around = Pref::pareto_all(dims(|a| around(a, 0.5))).expect("d >= 1");
             for dist in Distribution::all() {
                 let r = synthetic::table(3_000, d, dist, seed);
-                check_large(&skyline, &r, true)?;
-                check_large(&around, &r, false)?;
+                check_large(&pareto(d, |a| highest(a)), &r, true)?;
+                check_large(&pareto(d, |a| around(a, 0.5)), &r, false)?;
             }
+        }
+        // Past the window's 256-row head, where accepted rows are
+        // partitioned by pivot mask: the equality-code arm (d = 6), more
+        // lanes than mask bits (d = 10), and a four-valued first
+        // dimension, which D&C cannot split below the median.
+        let r = synthetic::table(3_000, 6, Distribution::Anticorrelated, seed);
+        prop_assert!(check_large(&pareto(6, |a| around(a, 0.2)), &r, false)? > 256);
+        let r = synthetic::table(1_500, 10, Distribution::Independent, seed);
+        prop_assert!(check_large(&pareto(10, |a| highest(a)), &r, true)? > 256);
+        for zeros in [0.3, 0.7] {
+            let r = four_valued_d0(3_000, zeros, seed);
+            prop_assert!(check_large(&pareto(3, |a| highest(a)), &r, true)? > 256);
         }
         // Integer columns with heavy ties: D&C's equal-dim0 runs and the
         // window's ≥ / > distinction both matter; utilities tie often.
