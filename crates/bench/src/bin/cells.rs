@@ -5,17 +5,23 @@
 //! cell a fresh engine's `prepare → execute → take_rows`, best of 3.
 //! `--algorithm` forces one algorithm on every cell it applies to (`n/a`
 //! elsewhere) — the SFS-vs-D&C table a routing change is argued from;
-//! unforced, the planner chooses. A 19th line, outside the pass total,
-//! times the skyline of a table whose first dimension has four values
-//! (D&C cannot split below the median there). Exits non-zero when any
-//! cell's rows differ from `bnl_generic`.
+//! unforced, the planner chooses. Unscored lines after the pass total
+//! time the skyline of a table whose first dimension has four values
+//! (D&C cannot split below the median there), then the three car-table
+//! terms `mutate-watch` runs over `cars::catalog(rows · 4/5, seed)` (20 000
+//! rows by default): the 2-d and 3-d watch terms (D&C; the 3-d one is
+//! where the pre-filter bails) and the BMW rows under `price AROUND 15000
+//! ⊗ LOWEST(mileage)` (SFS). Exits non-zero when any cell's rows differ
+//! from `bnl_generic`.
 
 use pref_bench::{around_pref, skyline_pref, time_ms};
 use pref_core::eval::CompiledPref;
+use pref_core::prelude::{around, highest, lowest};
 use pref_core::term::Pref;
 use pref_query::algorithms::bnl::bnl_generic;
 use pref_query::{Algorithm, Engine, Optimizer};
 use pref_relation::{Relation, Value};
+use pref_workload::cars;
 use pref_workload::synthetic::{self, Distribution};
 
 /// Print one cell — `name |σ| algorithm ms`, best of 3 through a fresh
@@ -96,6 +102,23 @@ fn main() {
         let r = low_cardinality(rows, zeros, seed);
         let name = format!("unscored: four-valued d0 ({zeros} zeros) 3 skyline");
         wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r).1);
+    }
+    let car = cars::catalog(rows * 4 / 5, seed);
+    let make = car.schema().index_of(&"make".into()).expect("car schema");
+    let bmw = car.select(|t| t[make] == Value::from("BMW"));
+    let watch2 = lowest("price").pareto(lowest("mileage"));
+    let watch3 = watch2.clone().pareto(highest("horsepower"));
+    let near = around("price", 15_000).pareto(lowest("mileage"));
+    for (name, pref, r) in [
+        (
+            "car 2-d watch: LOWEST(price) ⊗ LOWEST(mileage)",
+            &watch2,
+            &car,
+        ),
+        ("car 3-d watch: … ⊗ HIGHEST(horsepower)", &watch3, &car),
+        ("car BMW: price AROUND 15000 ⊗ LOWEST(mileage)", &near, &bmw),
+    ] {
+        wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r).1);
     }
     std::process::exit(i32::from(wrong > 0));
 }

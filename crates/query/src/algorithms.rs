@@ -18,7 +18,10 @@
 //! accepted row dominate this one? — of one private early-exit window
 //! (`window`): a flat head of the first 256 accepted rows, then
 //! partitions by a bit mask against the head's median, of which a
-//! candidate sweeps only those whose mask is a subset of its own.
+//! candidate sweeps only those whose mask is a subset of its own. Ahead
+//! of SFS's presort and D&C's split (d ≥ 3), the same module's linear
+//! pre-filter drops every row that one of the 64 rows of best normalised
+//! key sum dominates, so the n log n work sees only the survivors.
 //!
 //! All algorithms return sorted row-index vectors and are
 //! property-checked against the naive oracle.
@@ -31,3 +34,82 @@ mod window;
 pub use bnl::{bnl, bnl_generic, bnl_matrix, bnl_parallel};
 pub use dnc::dnc;
 pub use sfs::sfs;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bmo::sigma_naive_generic;
+    use crate::{Algorithm, Engine, Optimizer, QueryError};
+    use pref_core::eval::{CompiledPref, ScoreMatrix};
+    use pref_core::prelude::*;
+    use pref_relation::{rel, Relation};
+
+    const INF: f64 = f64::INFINITY;
+
+    /// Every algorithm, free and through the engine (unforced and forced
+    /// to each), against Def. 15. `sfs_applies = false`: SFS has no
+    /// usable utility and must refuse rather than answer.
+    fn agree(p: &Pref, r: &Relation, sfs_applies: bool) {
+        let oracle = sigma_naive_generic(p, r).unwrap();
+        let c = CompiledPref::compile(p, r.schema()).unwrap();
+        assert_eq!(bnl(p, r).unwrap(), oracle, "BNL, {p}");
+        assert_eq!(bnl_generic(&c, r), oracle, "generic BNL, {p}");
+        assert_eq!(bnl_parallel(p, r, 2).unwrap(), oracle, "parallel BNL, {p}");
+        match sfs(p, r) {
+            Ok(rows) => assert!(sfs_applies && rows == oracle, "SFS, {p}: {rows:?}"),
+            Err(e) => assert!(!sfs_applies, "SFS, {p}: {e}"),
+        }
+        let generic = sfs::try_sfs_with::<ScoreMatrix>(&c, r, None);
+        assert!(
+            generic.is_none_or(|rows| rows == oracle),
+            "generic SFS, {p}"
+        );
+        if let Ok(rows) = dnc(p, r) {
+            assert_eq!(rows, oracle, "D&C, {p}");
+        }
+        let unforced = Engine::new().prepare(p, r.schema()).unwrap();
+        assert_eq!(unforced.execute(r).unwrap().rows(), oracle, "engine, {p}");
+        for a in [
+            Algorithm::Bnl,
+            Algorithm::BnlParallel,
+            Algorithm::Sfs,
+            Algorithm::Dnc,
+        ] {
+            let engine = Engine::with_optimizer(Optimizer::new().with_algorithm(a));
+            match engine.prepare(p, r.schema()).and_then(|q| q.execute(r)) {
+                Ok(out) => assert_eq!(out.rows(), oracle, "forced {a}, {p}"),
+                Err(e) => assert!(
+                    matches!(e, QueryError::AlgorithmMismatch { .. })
+                        && (a == Algorithm::Dnc || !sfs_applies),
+                    "forced {a}, {p}: {e}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_keys_agree_with_the_oracle_through_every_algorithm() {
+        // `+∞ + −∞` is a NaN key sum, and −∞ is a legal best dim1 of the
+        // 2-d sweep.
+        let r = rel! { ("a": Float, "b": Float); (5.0, -INF), (INF, -INF) };
+        agree(&highest("a").pareto(highest("b")), &r, true);
+        let r = rel! {
+            ("a": Float, "b": Float, "c": Float);
+            (5.0, -INF, 1.0), (INF, -INF, 1.0),
+        };
+        let p = highest("a").pareto(highest("b")).pareto(highest("c"));
+        agree(&p, &r, true);
+        // A constant first column sends D&C through its sum-sorted
+        // filter: the last row dominates every other one.
+        let mut r = Relation::empty(r.schema().clone());
+        for b in (0..40).map(f64::from).chain([INF]) {
+            r.push_values(vec![1.0.into(), b.into(), (-INF).into()])
+                .unwrap();
+        }
+        agree(&p, &r, true);
+        // The dual has no key lanes: SFS walks the term, whose utility of
+        // (+∞, −∞) is NaN.
+        let r = rel! { ("a": Float, "b": Float); (INF, -INF), (INF, 0.0) };
+        agree(&lowest("a").pareto(lowest("b")).dual(), &r, false);
+    }
+}

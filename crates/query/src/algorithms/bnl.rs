@@ -29,9 +29,8 @@
 //! on scoped threads, and **tree-merges** the local windows pairwise —
 //! O(log k) merge rounds, each round's merges in parallel, instead of one
 //! sequential pass over the full union. Sound because `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)`
-//! for any chunking. Threads come from `std::thread::scope`; the `rayon`
-//! cargo feature is reserved for swapping in a work-stealing pool once
-//! that dependency is available offline.
+//! for any chunking. Threads come from `std::thread::scope`; there is no
+//! thread-pool dependency and no cargo feature.
 
 use std::ops::Range;
 

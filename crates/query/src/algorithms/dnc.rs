@@ -8,18 +8,22 @@
 //! chain scores are value-injective, coincides exactly with the strict
 //! Pareto order of Def. 8.
 //!
-//! d = 1 and d = 2 use the classic sort-and-sweep; d ≥ 3 splits on the
-//! first dimension and keeps a lower-half maximum iff no upper-half
-//! maximum dominates it. That merge is a filter, not the recursive
-//! KLP75 marriage step: the upper maxima are loaded into the early-exit
-//! `AcceptedWindow` in descending coordinate-sum order (likely
-//! dominators first) and every lower maximum asks it once.
+//! d = 1 is a max scan and d = 2 the classic sort-and-sweep. At d ≥ 3 the
+//! input first goes through the window's linear pre-filter (the rows the
+//! 64 best dominate are dropped before any sort; not at d = 2, whose
+//! sweep is n log n already), then splits on the first dimension and
+//! keeps a lower-half maximum iff no upper-half maximum dominates it.
+//! That merge is a filter, not the recursive KLP75 marriage step: the
+//! upper maxima are loaded into the early-exit `AcceptedWindow` in
+//! descending coordinate-sum order (likely dominators first) and every
+//! lower maximum asks it once.
 
 use pref_core::eval::CompiledPref;
 use pref_core::term::Pref;
 use pref_relation::Relation;
 
-use super::window::AcceptedWindow;
+use super::sfs::key_sum;
+use super::window::{prefilter, widened, AcceptedWindow, NO_SPAN};
 use crate::error::QueryError;
 
 /// BMO evaluation by divide & conquer over score vectors. Fails with
@@ -50,14 +54,26 @@ pub fn try_dnc_compiled(c: &CompiledPref, r: &Relation) -> Option<Vec<usize>> {
     let dims = c.chain_dims()?;
     let d = dims.len();
     let mut flat = vec![0.0f64; r.len() * d];
+    // Pre-filter from d = 3 up: the 2-d sweep is one sort, and filtering
+    // first took the car table's 2-d watch term 1.6 → 1.9–2.0 ms.
+    let (prefiltered, mut spans) = (d >= 3, Vec::new());
     for (k, (col, base)) in dims.iter().enumerate() {
         let column = r.column(*col).map_f64(|v| base.dominance_key(v))?;
+        if prefiltered {
+            spans.push(column.iter().copied().fold(NO_SPAN, widened));
+        }
         for (i, key) in column.into_iter().enumerate() {
             flat[i * d + k] = key;
         }
     }
     let vectors = Vectors { d, flat };
-    let mut idx: Vec<usize> = (0..r.len()).collect();
+    let mut idx: Vec<usize> = if prefiltered {
+        prefilter(r.len(), &spans, 0, |i, keys, _| {
+            keys.copy_from_slice(vectors.row(i))
+        })
+    } else {
+        (0..r.len()).collect()
+    };
     let mut result = maxima(&vectors, &mut idx);
     result.sort_unstable();
     Some(result)
@@ -86,12 +102,13 @@ fn scan(v: &Vectors, idx: &[usize]) -> Vec<usize> {
     idx.iter().copied().filter(undominated).collect()
 }
 
-/// Likely dominators first: descending coordinate sum, each sum taken
-/// once. Equal float sums can hide a dominator behind its victim (see
-/// `sfs`'s module doc), so ties go by descending lexicographic
-/// coordinates — after which no row is dominated by a later one.
+/// Likely dominators first: descending coordinate sum (SFS's clamped
+/// [`key_sum`]), each sum taken once. Equal float sums can hide a
+/// dominator behind its victim (see `sfs`'s module doc), so ties go by
+/// descending lexicographic coordinates — after which no row is
+/// dominated by a later one.
 fn sort_by_descending_sum(v: &Vectors, idx: &mut [usize]) {
-    let mut keyed: Vec<(f64, usize)> = (idx.iter()).map(|&i| (v.row(i).iter().sum(), i)).collect();
+    let mut keyed: Vec<(f64, usize)> = (idx.iter()).map(|&i| (key_sum(v.row(i)), i)).collect();
     keyed.sort_unstable_by(|a, b| {
         let lexicographic = || v.row(b.1).partial_cmp(v.row(a.1));
         (b.0.total_cmp(&a.0)).then_with(|| lexicographic().expect("keys are never NaN"))
@@ -131,7 +148,8 @@ fn maxima(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
 
 /// Classic 2-d sweep: sort descending by (dim0, dim1); within each group
 /// of equal dim0, survivors are the group's dim1-maxima, provided they
-/// strictly exceed the best dim1 seen in higher-dim0 groups.
+/// strictly exceed the best dim1 seen in higher-dim0 groups (none before
+/// the first group: a −∞ there is still a maximum).
 fn sweep_2d(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
     idx.sort_by(|&a, &b| {
         v.row(b)[0]
@@ -139,7 +157,7 @@ fn sweep_2d(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
             .then(v.row(b)[1].total_cmp(&v.row(a)[1]))
     });
     let mut result = Vec::new();
-    let mut best1 = f64::NEG_INFINITY;
+    let mut best1: Option<f64> = None;
     let mut i = 0;
     while i < idx.len() {
         // Group of equal dim0.
@@ -149,13 +167,13 @@ fn sweep_2d(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
             j += 1;
         }
         let group_max = v.row(idx[i])[1]; // sorted desc on dim1 within group
-        if group_max > best1 {
+        if best1.is_none_or(|best| group_max > best) {
             for &k in &idx[i..j] {
                 if v.row(k)[1] == group_max {
                     result.push(k);
                 }
             }
-            best1 = group_max;
+            best1 = Some(group_max);
         }
         i = j;
     }

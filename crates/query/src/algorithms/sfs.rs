@@ -9,9 +9,12 @@
 //!
 //! On a flat Pareto order over a score matrix the utility is the sum of
 //! the dominance keys the matrix already holds (a SCORE-family key *is*
-//! the score: the term walk's sum without the walk) and the filter pass
-//! asks the early-exit `AcceptedWindow`; other shapes walk the term
-//! per row and filter pairwise.
+//! the score: the term walk's sum without the walk), each clamped to
+//! `±f64::MAX` so that `+∞ + −∞` cannot make it NaN, and the filter pass
+//! asks the early-exit `AcceptedWindow`. Before the presort, the window's
+//! linear pre-filter drops the rows its 64 best rows dominate, so only
+//! the survivors are sorted. Other shapes walk the term per row (a NaN
+//! utility counts as none) and filter pairwise.
 //!
 //! **Ties.** Float addition is monotone but not strictly: `(1e16, 1.0)`
 //! and `(1e16, 0.5)` under `AROUND 0 ⊗ AROUND 0` both sum to `-1e16`,
@@ -26,7 +29,7 @@ use pref_core::term::Pref;
 use pref_relation::Relation;
 
 use super::bnl::bnl_window;
-use super::window::AcceptedWindow;
+use super::window::{prefilter, widened, AcceptedWindow, NO_SPAN};
 use crate::error::QueryError;
 
 /// BMO evaluation by sort-filter. Fails when the preference has no
@@ -59,7 +62,9 @@ pub fn try_sfs_with<M: Dominance>(
         }
         return Some(filter_pass_batch(&acc));
     }
-    let scored = (0..r.len()).map(|i| Some((c.utility(r.row(i))?, i)));
+    // A NaN utility (`+∞ + −∞`) orders nothing: no utility at all.
+    let utility = |i| c.utility(r.row(i)).filter(|u| !u.is_nan());
+    let scored = (0..r.len()).map(|i| Some((utility(i)?, i)));
     let mut order: Vec<(f64, usize)> = scored.collect::<Option<_>>()?;
     order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     Some(match matrix {
@@ -84,18 +89,31 @@ fn filter_pass(order: &[(f64, usize)], better: impl Fn(usize, usize) -> bool) ->
     maxima
 }
 
-/// Sort and filter over the key lanes of a flat Pareto order: gather,
-/// ask the window, accept on `false`.
+/// The presort key of a row of dominance keys: their sum, each key
+/// clamped to `±f64::MAX` first. Clamping is monotone, and a sum of
+/// finite terms is never NaN (`+∞ + −∞` would be).
+pub(super) fn key_sum(keys: &[f64]) -> f64 {
+    keys.iter()
+        .fold(0.0, |sum, k| sum + k.clamp(-f64::MAX, f64::MAX))
+}
+
+/// Sort and filter over the key lanes of a flat Pareto order: sum and
+/// range every lane, pre-filter, sort the survivors, then gather, ask
+/// the window, accept on `false`.
 fn filter_pass_batch(acc: &ParetoAccess<'_>) -> Vec<usize> {
     let dims = acc.dims();
     let (mut keys, mut other) = (vec![0.0f64; dims], vec![0.0f64; dims]);
     let mut eqs = vec![0u64; dims];
-    let mut order: Vec<(f64, usize)> = (0..acc.len())
+    let mut spans = vec![NO_SPAN; dims];
+    let sums: Vec<f64> = (0..acc.len())
         .map(|i| {
             acc.gather(i, &mut keys, &mut eqs);
-            (keys.iter().fold(0.0, |sum, k| sum + k), i)
+            (spans.iter_mut().zip(&keys)).for_each(|(s, &k)| *s = widened(*s, k));
+            key_sum(&keys)
         })
         .collect();
+    let rows = prefilter(acc.len(), &spans, dims, |i, k, e| acc.gather(i, k, e));
+    let mut order: Vec<(f64, usize)> = rows.into_iter().map(|i| (sums[i], i)).collect();
     order.sort_unstable_by(|a, b| {
         b.0.total_cmp(&a.0)
             .then_with(|| {

@@ -27,14 +27,21 @@
 //! `skyline-scan` cell (anti-correlated d = 6 skyline, 25 000 rows,
 //! |σ| = 8 849): an SFS pass drops from 44.0 M member tests in 236 k
 //! blocks to 11.7 M in 366 k, the D&C merges from 54.2 M in 448 k to
-//! 15.9 M in 581 k. Tried on the 18 cells and dropped: re-pivoting a
-//! partition when it fills (partitions average ~140 rows, so a second
-//! level almost never forms, and a 32/64-row head loses the saved tests to
-//! per-block overhead), whole-partition sweeps instead of the 16 → 256
-//! doubling, and a one-compare-per-lane "blocked only, check strictness
-//! on the survivors" kernel. What is left on that cell is the blocks —
-//! ~32 members each, × 6 lane loops: loop overhead, not compares. The
-//! next step is fewer, fuller blocks, not fewer member tests.
+//! 15.9 M in 581 k. Re-pivoting full partitions (a second level almost
+//! never forms), whole-partition sweeps and a "blocked only" kernel lost;
+//! what is left is loop overhead over ~32-member blocks, not compares.
+//!
+//! **The pre-filter** ([`prefilter`], LESS's elimination filter) runs
+//! before SFS's presort and D&C's split (at d ≥ 3: the 2-d sweep is
+//! n log n already): the [`FILTER_ROWS`] rows of highest key sum, each
+//! not dominated by an earlier one, fill a window, and one pass drops the
+//! rows it dominates. Sound for any filter rows: a dominated row has a
+//! maximal dominator and a maximal row has none, so `max(P, survivors) =
+//! max(P, R)`. Keys are min-max normalised per lane (a lane of zero or
+//! non-finite range adds 0: no NaN): mileages dwarf car prices, and raw
+//! sums took the BMW `price AROUND ⊗ LOWEST(mileage)` SFS 0.16 → 0.24 ms.
+//! It bails on a sample that mostly survives ([`SAMPLE`]); 62 % of the
+//! anti-correlated d = 6 skyline survives it.
 
 /// A sweep's first block and the cap its doubling stops at. Measured on
 /// the 18 `skyline-scan` cells at 25 000 rows: first ∈ {8, 16, 32, 64} ×
@@ -46,6 +53,14 @@ const MAX_BLOCK: usize = 256;
 const HEAD: usize = 256;
 /// Lanes that contribute a mask bit: at most `2^MASK_LANES` partitions.
 const MASK_LANES: usize = 8;
+/// The pre-filter's rows (inputs of up to [`HEAD`] rows go unfiltered).
+/// E = 16/32/64/128/256: D&C on the 18 `skyline-scan` cells 98/84–92/82–85/
+/// 81–82/82–83 ms, SFS 109–122 ms throughout (25 000 rows, 2-core Xeon).
+const FILTER_ROWS: usize = 64;
+/// It bails when under a quarter of the first `n / SAMPLE` rows (`n / 8`,
+/// `n / 32` alike) fall. Never bailing: four-valued-d0 D&C 6.4 → 8.5–8.9
+/// ms; bailing under half (anti-correlated d = 6): cells' D&C 82 → 94 ms.
+const SAMPLE: usize = 16;
 
 /// Structure-of-arrays copies of some accepted rows' dominance keys and
 /// equality codes (equal codes imply equal keys, never the converse).
@@ -174,6 +189,63 @@ fn reachable(parts: &[(usize, Lanes)], m: usize) -> impl Iterator<Item = &(usize
     parts.iter().filter(move |(p, _)| p & !m == 0)
 }
 
+/// A lane's key range `(lo, hi)`, widened in a pass the caller makes anyway.
+pub(super) type Span = (f64, f64);
+pub(super) const NO_SPAN: Span = (f64::INFINITY, f64::NEG_INFINITY);
+pub(super) fn widened((lo, hi): Span, k: f64) -> Span {
+    (lo.min(k), hi.max(k))
+}
+
+/// `(lane, lo, 1 / range)` of every lane where that is finite and > 0.
+fn scaled(spans: &[Span]) -> Vec<(usize, f64, f64)> {
+    let scale = |(d, &(lo, hi)): (usize, &Span)| (d, lo, 1.0 / (hi - lo));
+    let lanes = spans.iter().enumerate().map(scale);
+    lanes.filter(|l| l.2.is_finite() && l.2 > 0.0).collect()
+}
+
+/// The rows of `0..n` that no filter row dominates, ascending — all of
+/// them when `n ≤ HEAD` or the sample bails. `gather(i, keys, eqs)` fills
+/// row `i`'s keys and its `eq_lanes` equality codes (0: value-injective).
+pub(super) fn prefilter(
+    n: usize,
+    spans: &[Span],
+    eq_lanes: usize,
+    gather: impl Fn(usize, &mut [f64], &mut [u64]),
+) -> Vec<usize> {
+    if n <= HEAD {
+        return (0..n).collect();
+    }
+    let (mut keys, mut eqs) = (vec![0.0; spans.len()], vec![0; eq_lanes]);
+    let lanes = scaled(spans);
+    let mut scored: Vec<(f64, usize)> = (0..n)
+        .map(|i| {
+            gather(i, &mut keys, &mut eqs);
+            (lanes.iter().map(|&(d, lo, s)| (keys[d] - lo) * s).sum(), i)
+        })
+        .collect();
+    let descending = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0);
+    scored.select_nth_unstable_by(FILTER_ROWS - 1, descending);
+    scored[..FILTER_ROWS].sort_unstable_by(descending);
+    let mut window = AcceptedWindow::new(spans.len());
+    for &(_, i) in &scored[..FILTER_ROWS] {
+        gather(i, &mut keys, &mut eqs);
+        if !window.dominates(&keys, &eqs) {
+            window.push(&keys, &eqs);
+        }
+    }
+    let (sample, mut kept) = (n / SAMPLE, Vec::new());
+    for i in 0..n {
+        if i == sample && 4 * (sample - kept.len()) < sample {
+            return (0..n).collect();
+        }
+        gather(i, &mut keys, &mut eqs);
+        if !window.dominates(&keys, &eqs) {
+            kept.push(i);
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,19 +265,32 @@ mod tests {
         w
     }
 
+    /// Does the row `(pk, pe)` dominate `(keys, eqs)` (Def. 8)? Codes
+    /// decide equality where the candidate has them, keys elsewhere.
+    fn beats(pk: &[f64], pe: &[u64], keys: &[f64], eqs: &[u64]) -> bool {
+        let differs = |d: usize| match eqs.get(d) {
+            Some(&e) => pe[d] != e,
+            None => pk[d] != keys[d],
+        };
+        let dims = 0..keys.len();
+        dims.clone().any(|d| keys[d] < pk[d])
+            && dims.clone().all(|d| keys[d] < pk[d] || !differs(d))
+    }
+
     /// The unblocked, unpartitioned reference: every member, every
     /// dimension.
     fn full_sweep(w: &AcceptedWindow, keys: &[f64], eqs: &[u64]) -> bool {
         let all = std::iter::once(&w.head).chain(w.parts.iter().map(|(_, lanes)| lanes));
         all.flat_map(|l| (0..l.len()).map(move |j| (l, j)))
             .any(|(l, j)| {
-                let differs = |d: usize| match eqs.get(d) {
-                    Some(&e) => l.eqs[d][j] != e,
-                    None => l.keys[d][j] != keys[d],
-                };
-                let dims = 0..keys.len();
-                dims.clone().any(|d| keys[d] < l.keys[d][j])
-                    && dims.clone().all(|d| keys[d] < l.keys[d][j] || !differs(d))
+                let pk: Vec<f64> = l.keys.iter().map(|lane| lane[j]).collect();
+                let pe: Vec<u64> = l
+                    .eqs
+                    .iter()
+                    .filter_map(|lane| lane.get(j))
+                    .copied()
+                    .collect();
+                beats(&pk, &pe, keys, eqs)
             })
     }
 
@@ -408,5 +493,136 @@ mod tests {
             }
             assert!(dominated > 0, "{dims} lanes: some candidate is dominated");
         }
+    }
+
+    /// The pre-filter over `rows` with per-row codes `eqs` (all empty:
+    /// keys only), checked against the unfiltered answer: the survivors
+    /// hold every maximum, and their maxima are the maxima.
+    fn filtered(rows: &[Vec<f64>], eqs: &[Vec<u64>]) -> Vec<usize> {
+        let dims = rows[0].len();
+        let lane = |d: usize| rows.iter().map(move |r| r[d]);
+        let spans: Vec<Span> = (0..dims).map(|d| lane(d).fold(NO_SPAN, widened)).collect();
+        let kept = prefilter(rows.len(), &spans, eqs[0].len(), |i, k, e| {
+            k.copy_from_slice(&rows[i]);
+            e.copy_from_slice(&eqs[i]);
+        });
+        let maxima = |ids: &[usize]| -> Vec<usize> {
+            let beaten = |q: usize| {
+                ids.iter()
+                    .any(|&p| beats(&rows[p], &eqs[p], &rows[q], &eqs[q]))
+            };
+            ids.iter().copied().filter(|&q| !beaten(q)).collect()
+        };
+        let all: Vec<usize> = (0..rows.len()).collect();
+        let expected = maxima(&all);
+        assert!(kept.windows(2).all(|w| w[0] < w[1]), "ascending");
+        for i in &expected {
+            assert!(kept.binary_search(i).is_ok(), "maximum {i} was dropped");
+        }
+        assert_eq!(maxima(&kept), expected);
+        kept
+    }
+
+    fn no_codes(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        vec![Vec::new(); rows.len()]
+    }
+
+    #[test]
+    fn the_prefilter_keeps_every_maximum_and_drops_the_bulk() {
+        let bits: fn(f64) -> u64 = |k| k.to_bits();
+        for (dims, code) in [(3, None), (6, None), (3, Some(bits)), (6, Some(bits))] {
+            let rows = lcg_rows(1_000, dims, 7 * dims as u64);
+            let eqs: Vec<Vec<u64>> = rows.iter().map(|r| codes(r, code)).collect();
+            let kept = filtered(&rows, &eqs);
+            assert!(kept.len() < rows.len() / 2, "{dims} lanes: {}", kept.len());
+        }
+    }
+
+    #[test]
+    fn exact_duplicates_of_a_filter_row_both_survive() {
+        let mut rows = lcg_rows(1_000, 3, 3);
+        rows[5] = vec![300.0; 3];
+        rows[700] = vec![300.0; 3];
+        assert_eq!(filtered(&rows, &no_codes(&rows)), [5, 700]);
+    }
+
+    #[test]
+    fn equal_keys_with_other_codes_never_eliminate_each_other() {
+        // AROUND 0.5 over 0.4 (code 4) and 0.6 (code 6): key −0.1 either
+        // way. Row 0 (0.4) beats every row on lanes 1 and 2; the others
+        // are an antichain there, alternating 0.4 and 0.6.
+        let row = |j: usize| vec![-0.1, j as f64, 999.0 - j as f64];
+        let rows: Vec<Vec<f64>> = std::iter::once(vec![-0.1, 1_000.0, 1_000.0])
+            .chain((0..1_000).map(row))
+            .collect();
+        let value = |i: usize| if i == 0 || i % 2 == 1 { 4 } else { 6 };
+        let eqs = |value: &dyn Fn(usize) -> u64| -> Vec<Vec<u64>> {
+            let code = |i: usize, d: usize| rows[i][d].to_bits();
+            (0..rows.len())
+                .map(|i| vec![value(i), code(i, 1), code(i, 2)])
+                .collect()
+        };
+        let kept = filtered(&rows, &eqs(&value));
+        let sixes: Vec<usize> = (0..rows.len()).filter(|&i| value(i) == 6).collect();
+        assert_eq!(kept, [vec![0], sixes].concat(), "every 0.6 survives");
+        // Every row at 0.4: row 0 eliminates the rest.
+        assert_eq!(filtered(&rows, &eqs(&|_| 4)), [0]);
+    }
+
+    #[test]
+    fn lanes_of_zero_or_non_finite_range_do_not_score() {
+        let (inf, max) = (f64::INFINITY, f64::MAX);
+        let rows: Vec<Vec<f64>> = lcg_rows(1_000, 3, 11)
+            .into_iter()
+            .enumerate()
+            .map(|(j, r)| {
+                let wide = [max, -max, r[1]][j % 3];
+                let ragged = if j % 10 == 0 { -inf } else { r[2] };
+                vec![7.0, inf, wide, ragged, r[0], r[1], r[2]]
+            })
+            .collect();
+        let spans: Vec<Span> = (0..7)
+            .map(|d| rows.iter().fold(NO_SPAN, |s, r| widened(s, r[d])))
+            .collect();
+        // Constant (0), ∞ − ∞ (1), overflowing (2), infinite (3): none.
+        let lanes = scaled(&spans);
+        assert_eq!(lanes.iter().map(|l| l.0).collect::<Vec<_>>(), [4, 5, 6]);
+        assert!(lanes
+            .iter()
+            .all(|&(_, lo, s)| lo.is_finite() && s.is_finite() && s > 0.0));
+        let kept = filtered(&rows, &no_codes(&rows));
+        assert!(kept.len() < rows.len() / 2, "{}", kept.len());
+    }
+
+    #[test]
+    fn the_prefilter_skips_inputs_that_fit_the_head() {
+        // Row 0 dominates every other row.
+        let mut rows = lcg_rows(HEAD + 1, 3, 5);
+        rows[0] = vec![1_000.0; 3];
+        let head = &rows[..HEAD];
+        assert_eq!(
+            filtered(head, &no_codes(head)),
+            (0..HEAD).collect::<Vec<_>>()
+        );
+        assert_eq!(filtered(&rows, &no_codes(&rows)), [0]);
+    }
+
+    #[test]
+    fn a_sample_that_survives_returns_the_input_whole() {
+        // The first n/16 rows are an antichain that the filter rows
+        // cannot touch; row 30 dominates the whole bulk behind it.
+        let n = 1_000;
+        let front = (0..n / SAMPLE).map(|j| vec![j as f64, (61 - j) as f64, 100.0]);
+        let bulk = lcg_rows(n - n / SAMPLE, 3, 9).into_iter();
+        let rows: Vec<Vec<f64>> = front
+            .chain(bulk.map(|r| r.iter().map(|k| k % 10.0).collect()))
+            .collect();
+        assert_eq!(
+            filtered(&rows, &no_codes(&rows)),
+            (0..n).collect::<Vec<_>>()
+        );
+        // Without the front the same bulk is filtered.
+        let bulk = &rows[n / SAMPLE..];
+        assert!(filtered(bulk, &no_codes(bulk)).len() < bulk.len() / 2);
     }
 }
