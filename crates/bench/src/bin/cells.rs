@@ -12,21 +12,29 @@
 //! rows by default): the 2-d and 3-d watch terms (D&C; the 3-d one is
 //! where the pre-filter bails) and the BMW rows under `price AROUND 15000
 //! ⊗ LOWEST(mileage)` (SFS). Exits non-zero when any cell's rows differ
-//! from `bnl_generic`.
+//! from `bnl_generic` or any execution fails other than by a forced
+//! algorithm rejecting the term.
 
 use pref_bench::{around_pref, skyline_pref, time_ms};
 use pref_core::eval::CompiledPref;
 use pref_core::prelude::{around, highest, lowest};
 use pref_core::term::Pref;
 use pref_query::algorithms::bnl::bnl_generic;
-use pref_query::{Algorithm, Engine, Optimizer};
+use pref_query::{Algorithm, Engine, Optimizer, QueryError};
 use pref_relation::{Relation, Value};
 use pref_workload::cars;
 use pref_workload::synthetic::{self, Distribution};
 
+/// Whether a failed execution is `n/a` rather than a wrong cell: only a
+/// forced algorithm rejecting the term is.
+fn not_applicable(force: Option<Algorithm>, e: &QueryError) -> bool {
+    force.is_some() && matches!(e, QueryError::AlgorithmMismatch { .. })
+}
+
 /// Print one cell — `name |σ| algorithm ms`, best of 3 through a fresh
-/// engine each, `n/a` when the forced algorithm rejects the term — and
-/// return its time and whether its rows equal `bnl_generic`'s.
+/// engine each, `n/a` when the forced algorithm rejects the term, the
+/// error on any other failure — and return its time and whether its
+/// rows equal `bnl_generic`'s.
 fn cell(name: &str, force: Option<Algorithm>, pref: &Pref, r: &Relation) -> (f64, bool) {
     let optimizer = force.map_or_else(Optimizer::new, |a| Optimizer::new().with_algorithm(a));
     let (mut best, mut report) = (f64::INFINITY, None);
@@ -34,15 +42,22 @@ fn cell(name: &str, force: Option<Algorithm>, pref: &Pref, r: &Relation) -> (f64
         let (out, ms) = time_ms(|| {
             let engine = Engine::with_optimizer(optimizer.clone());
             let p = engine.prepare(pref, r.schema()).expect("compiles");
-            let (rows, explain) = p.execute(r).ok()?.into_parts();
-            Some((r.take_rows(&rows).len(), rows, explain.algorithm))
+            let (rows, explain) = p.execute(r)?.into_parts();
+            Ok::<_, QueryError>((r.take_rows(&rows).len(), rows, explain.algorithm))
         });
         best = best.min(ms);
-        report = out;
+        report = Some(out);
     }
-    let Some((n, got, algorithm)) = report else {
-        println!("{name} - n/a -");
-        return (0.0, true);
+    let (n, got, algorithm) = match report.expect("three runs") {
+        Ok(out) => out,
+        Err(e) if not_applicable(force, &e) => {
+            println!("{name} - n/a -");
+            return (0.0, true);
+        }
+        Err(e) => {
+            println!("{name} - error -  {e}");
+            return (0.0, false);
+        }
     };
     let c = CompiledPref::compile(pref, r.schema()).expect("cell compiles");
     let ok = got == bnl_generic(&c, r);
@@ -121,4 +136,40 @@ fn main() {
         wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r).1);
     }
     std::process::exit(i32::from(wrong > 0));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn mismatch() -> QueryError {
+        QueryError::AlgorithmMismatch {
+            algorithm: "dnc",
+            term: "AROUND(d0; 0.5)".into(),
+            reason: "not a skyline",
+        }
+    }
+
+    fn other() -> QueryError {
+        QueryError::NoQualityFunction {
+            attr: "d0".into(),
+            quality: "level",
+        }
+    }
+
+    #[test]
+    fn a_forced_algorithm_rejecting_the_term_is_not_applicable() {
+        assert!(not_applicable(Some(Algorithm::Dnc), &mismatch()));
+    }
+
+    #[test]
+    fn any_unforced_error_is_a_wrong_cell() {
+        assert!(!not_applicable(None, &mismatch()));
+        assert!(!not_applicable(None, &other()));
+    }
+
+    #[test]
+    fn any_other_error_under_force_is_a_wrong_cell() {
+        assert!(!not_applicable(Some(Algorithm::Sfs), &other()));
+    }
 }

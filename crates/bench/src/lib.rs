@@ -1,9 +1,11 @@
-//! # pref-bench — benchmark harness and experiment reproduction
+//! # pref-bench — experiment reproduction
 //!
-//! Shared setup code for the criterion benches (`benches/`) and the
-//! `repro` binary that regenerates the paper's experiments (its `main`
-//! lists the sections: Examples 1–11, laws, decomposition, hierarchy,
-//! and the `x1`–`x4` measurements).
+//! Shared setup code for the two binaries — `repro`, which regenerates
+//! the paper's experiments (its `main` lists the sections: Examples
+//! 1–11, laws, decomposition, hierarchy, and the `x1`–`x4`
+//! measurements), and `cells`, the per-cell `skyline-scan` table — and
+//! for `perfbench`, which imports [`skyline_pref`], [`around_pref`] and
+//! [`loadgen::interleave_sessions`].
 
 pub mod loadgen;
 

@@ -1,208 +1,4 @@
-//! Open-loop load generation with honest latency accounting.
-//!
-//! The generator precomputes an *arrival schedule* (fixed-interval or
-//! Poisson) for the target request rate and never lets a slow response
-//! delay the next arrival: workers pull requests off the shared
-//! schedule, sleep until each one's due time, and measure latency from
-//! the *scheduled* arrival — not from when a worker finally got around
-//! to sending. A closed loop (send, wait, send) under-reports latency
-//! exactly when the server saturates (coordinated omission); an open
-//! loop keeps the pressure and charges queueing delay to the server.
-//!
-//! The harness is transport-agnostic: each worker gets its own executor
-//! closure, so the same run drives in-process [`Session`]s, TCP
-//! clients, or a bare function in tests.
-//!
-//! [`Session`]: pref_server::Session
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-/// Arrival process shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arrival {
-    /// Evenly spaced: request `i` is due at `i / rate`.
-    Fixed,
-    /// Poisson process: exponential inter-arrivals at the target rate —
-    /// the independent-clients model, bursts included.
-    Poisson,
-}
-
-/// Load run parameters.
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Target arrival rate, requests per second.
-    pub rate: f64,
-    /// Total requests to issue.
-    pub requests: usize,
-    /// Concurrent workers draining the schedule.
-    pub workers: usize,
-    /// Arrival process.
-    pub arrival: Arrival,
-    /// Seed for the Poisson schedule.
-    pub seed: u64,
-}
-
-/// The measured outcome of one load run.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    pub target_rps: f64,
-    pub achieved_rps: f64,
-    pub requests: usize,
-    pub errors: usize,
-    pub duration_s: f64,
-    pub mean_us: f64,
-    pub p50_us: f64,
-    pub p95_us: f64,
-    pub p99_us: f64,
-    pub max_us: f64,
-    /// The first few failing requests, as `"statement -> error"` — so a
-    /// non-zero error count is diagnosable from the report alone (CI
-    /// can print *what* failed, not just how many).
-    pub error_samples: Vec<String>,
-}
-
-/// How many failing requests a report keeps verbatim.
-const ERROR_SAMPLE_CAP: usize = 5;
-
-impl LoadReport {
-    /// Render as a JSON object (no external serializer offline).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"target_rps\": {:.1},\n",
-                "  \"achieved_rps\": {:.1},\n",
-                "  \"requests\": {},\n",
-                "  \"errors\": {},\n",
-                "  \"duration_s\": {:.3},\n",
-                "  \"latency_us\": {{ \"mean\": {:.1}, \"p50\": {:.1}, \"p95\": {:.1}, ",
-                "\"p99\": {:.1}, \"max\": {:.1} }}\n",
-                "}}"
-            ),
-            self.target_rps,
-            self.achieved_rps,
-            self.requests,
-            self.errors,
-            self.duration_s,
-            self.mean_us,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-        )
-    }
-}
-
-/// Build the arrival schedule (nanosecond offsets from run start).
-pub fn schedule(cfg: &LoadConfig) -> Vec<u64> {
-    assert!(cfg.rate > 0.0, "target rate must be positive");
-    match cfg.arrival {
-        Arrival::Fixed => (0..cfg.requests)
-            .map(|i| (i as f64 / cfg.rate * 1e9) as u64)
-            .collect(),
-        Arrival::Poisson => {
-            pref_workload::sessions::poisson_arrivals(cfg.requests, cfg.rate, cfg.seed)
-        }
-    }
-}
-
-/// Run the load: `make_worker` is called once per worker (on the caller
-/// thread) to build that worker's executor; request `i` executes
-/// `statements[i % statements.len()]`. Returns the merged report.
-pub fn run<F, M>(cfg: &LoadConfig, statements: &[String], mut make_worker: M) -> LoadReport
-where
-    F: FnMut(&str) -> Result<(), String> + Send,
-    M: FnMut() -> F,
-{
-    assert!(!statements.is_empty(), "need at least one statement");
-    assert!(cfg.workers > 0, "need at least one worker");
-    let schedule = schedule(cfg);
-    let next = AtomicUsize::new(0);
-    let workers: Vec<F> = (0..cfg.workers).map(|_| make_worker()).collect();
-
-    let start = Instant::now();
-    // (latency_ns, ok) per request, merged across workers afterwards;
-    // error texts are sampled separately (first few per worker) so the
-    // happy path never allocates.
-    let mut samples: Vec<(u64, bool)> = Vec::with_capacity(schedule.len());
-    let mut error_samples: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|mut exec| {
-                let next = &next;
-                let schedule = &schedule;
-                scope.spawn(move || {
-                    let mut local: Vec<(u64, bool)> = Vec::new();
-                    let mut local_errors: Vec<String> = Vec::new();
-                    loop {
-                        // Relaxed: the ticket counter only needs atomic
-                        // uniqueness; the schedule slice is immutable.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&due_ns) = schedule.get(i) else {
-                            return (local, local_errors);
-                        };
-                        let due = Duration::from_nanos(due_ns);
-                        let now = start.elapsed();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let stmt = &statements[i % statements.len()];
-                        let result = exec(stmt);
-                        if let Err(e) = &result {
-                            if local_errors.len() < ERROR_SAMPLE_CAP {
-                                local_errors.push(format!("{stmt} -> {e}"));
-                            }
-                        }
-                        // Latency from the *scheduled* arrival: waiting
-                        // for a free worker counts against the server.
-                        let lat = start.elapsed().saturating_sub(due);
-                        local.push((lat.as_nanos() as u64, result.is_ok()));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            let (local, local_errors) = h.join().expect("load worker panicked");
-            samples.extend(local);
-            if error_samples.len() < ERROR_SAMPLE_CAP {
-                error_samples.extend(local_errors);
-            }
-        }
-    });
-    error_samples.truncate(ERROR_SAMPLE_CAP);
-    let duration_s = start.elapsed().as_secs_f64();
-
-    let errors = samples.iter().filter(|(_, ok)| !ok).count();
-    let mut lats: Vec<u64> = samples.iter().map(|(ns, _)| *ns).collect();
-    lats.sort_unstable();
-    let pct = |q: f64| -> f64 {
-        if lats.is_empty() {
-            return 0.0;
-        }
-        let idx = ((lats.len() - 1) as f64 * q).round() as usize;
-        lats[idx] as f64 / 1e3
-    };
-    let mean_us = if lats.is_empty() {
-        0.0
-    } else {
-        lats.iter().sum::<u64>() as f64 / lats.len() as f64 / 1e3
-    };
-    LoadReport {
-        target_rps: cfg.rate,
-        achieved_rps: samples.len() as f64 / duration_s.max(1e-9),
-        requests: samples.len(),
-        errors,
-        duration_s,
-        mean_us,
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-        max_us: pct(1.0),
-        error_samples,
-    }
-}
+//! Session traffic as one request stream.
 
 /// Interleave session scripts round-robin into one request stream:
 /// arrival order mixes clients, but each session's own statements stay
@@ -227,93 +23,6 @@ pub fn interleave_sessions(scripts: &[pref_workload::sessions::SessionScript]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn open_loop_runs_everything_and_reports_sane_numbers() {
-        let cfg = LoadConfig {
-            rate: 50_000.0,
-            requests: 400,
-            workers: 4,
-            arrival: Arrival::Fixed,
-            seed: 1,
-        };
-        let executed = AtomicUsize::new(0);
-        let statements = vec!["a".to_string(), "b".to_string()];
-        let report = run(&cfg, &statements, || {
-            |sql: &str| {
-                // Relaxed: test-only call counter, read after join.
-                executed.fetch_add(1, Ordering::Relaxed);
-                if sql == "a" || sql == "b" {
-                    Ok(())
-                } else {
-                    Err("unexpected".into())
-                }
-            }
-        });
-        assert_eq!(report.requests, 400);
-        // Relaxed: the scope join above already ordered all increments.
-        assert_eq!(executed.load(Ordering::Relaxed), 400);
-        assert_eq!(report.errors, 0);
-        assert!(report.achieved_rps > 0.0);
-        assert!(report.p50_us <= report.p95_us);
-        assert!(report.p95_us <= report.p99_us);
-        assert!(report.p99_us <= report.max_us);
-        let json = report.to_json();
-        assert!(json.contains("\"achieved_rps\""), "{json}");
-        assert!(json.contains("\"p99\""), "{json}");
-    }
-
-    #[test]
-    fn errors_are_counted_not_fatal() {
-        let cfg = LoadConfig {
-            rate: 100_000.0,
-            requests: 100,
-            workers: 2,
-            arrival: Arrival::Poisson,
-            seed: 3,
-        };
-        let statements = vec!["ok".to_string(), "fail".to_string()];
-        let report = run(&cfg, &statements, || {
-            |sql: &str| {
-                if sql == "ok" {
-                    Ok(())
-                } else {
-                    Err("nope".into())
-                }
-            }
-        });
-        assert_eq!(report.requests, 100);
-        assert_eq!(report.errors, 50);
-        assert!(!report.error_samples.is_empty(), "failures are sampled");
-        assert!(report.error_samples.len() <= 5, "sampling is capped");
-        assert!(
-            report.error_samples.iter().all(|s| s == "fail -> nope"),
-            "{:?}",
-            report.error_samples
-        );
-    }
-
-    #[test]
-    fn schedules_match_the_arrival_shape() {
-        let fixed = schedule(&LoadConfig {
-            rate: 1_000.0,
-            requests: 5,
-            workers: 1,
-            arrival: Arrival::Fixed,
-            seed: 0,
-        });
-        assert_eq!(fixed, vec![0, 1_000_000, 2_000_000, 3_000_000, 4_000_000]);
-        let poisson = schedule(&LoadConfig {
-            rate: 1_000.0,
-            requests: 50,
-            workers: 1,
-            arrival: Arrival::Poisson,
-            seed: 7,
-        });
-        assert!(poisson.windows(2).all(|w| w[0] <= w[1]));
-        assert_ne!(poisson.first(), Some(&0), "poisson arrivals jitter");
-    }
 
     #[test]
     fn interleaving_preserves_per_session_order() {

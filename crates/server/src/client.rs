@@ -1,5 +1,5 @@
 //! A minimal blocking client for the line protocol — what the TCP
-//! tests and the load generator's socket mode use. One request in
+//! tests and `perfbench` use. One request in
 //! flight at a time, replies read until the `.` terminator and
 //! dot-unstuffed back into [`Reply`].
 //!

@@ -15,8 +15,8 @@
 //!   `STATS` / `TABLES` / `PING` / `QUIT`), dot-terminated replies.
 //! - [`session`] — [`ServerState`] (the shared database behind a
 //!   read/write lock) and [`Session`] (per-client statement handles and
-//!   bindings). A `Session` is plain in-process state: tests and the
-//!   load generator drive it directly, no socket needed.
+//!   bindings). A `Session` is plain in-process state: tests drive it
+//!   directly, no socket needed.
 //! - [`server`] / [`client`] — the `std::net` TCP front end
 //!   (thread-per-connection) and a small blocking client.
 //!

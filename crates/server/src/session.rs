@@ -7,8 +7,8 @@
 //! take the write lock for the in-place mutation. [`Session`] is the
 //! per-connection state machine (prepared-statement handles, staged
 //! bindings, the last EXPLAIN, registered watches) — the TCP server
-//! drives one per connection, and tests or the load generator can
-//! drive one directly with no socket at all.
+//! drives one per connection, and tests can drive one directly with no
+//! socket at all.
 //!
 //! `WATCH` turns a session into a push consumer: the `WatchHub`
 //! re-evaluates every watched statement under each mutation's write
@@ -216,7 +216,7 @@ impl ServerState {
     }
 
     /// Open a new session on this state with no push sink: `WATCH` is
-    /// refused, everything else works (tests, the in-process loadgen).
+    /// refused, everything else works (tests, in-process replays).
     pub fn session(self: &Arc<ServerState>) -> Session {
         Session {
             state: Arc::clone(self),
@@ -320,9 +320,9 @@ impl Session {
                 let result = stmt.execute(&self.state.db.read(), &params);
                 self.reply_result(result)
             }
-            // `Explain::lines` is the one serialization: Display, the
-            // wire EXPLAIN body, and the bench reports all render
-            // through it (a parity test pins this).
+            // `Explain::lines` is the one serialization: Display and
+            // the wire EXPLAIN body both render through it (a parity
+            // test pins this).
             Command::Explain => match &self.last_explain {
                 Some(Some(ex)) => Reply::ok("explain").with_body(ex.lines()),
                 Some(None) => Reply::ok("explain")

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use pref_query::Engine;
 use pref_server::{ServerState, Session};
 use pref_sql::PrefSql;
 use pref_workload::cars;
@@ -117,4 +118,40 @@ fn refinement_sessions_replay_identically_and_window_hit() {
     // See the note in the log-replay test: meaningful under
     // `--cfg lock_diag`, trivially true otherwise.
     assert!(parking_lot::lock_diag::cycle_report().is_none());
+}
+
+#[test]
+fn a_capacity_zero_engine_serves_sessions_cold_and_a_shared_one_warm() {
+    // Session traffic twice over: a capacity-0 engine retains nothing,
+    // so no request may be served from a warm tier; the default shared
+    // engine, once warmed by the first pass, must serve the replay
+    // mostly warm. Both give the same bytes.
+    let scripts = session_scripts(4, 10, 23);
+    let run = |state: &Arc<ServerState>| -> Vec<Vec<String>> {
+        (0..2)
+            .flat_map(|_| {
+                scripts
+                    .iter()
+                    .map(|s| replay(&mut state.session(), &s.statements))
+            })
+            .collect()
+    };
+
+    let mut db = PrefSql::new().with_engine(Engine::new().with_capacity(0));
+    db.register("car", cars::catalog(400, 5));
+    let cold = ServerState::new(db);
+    let warm = serve_cars(400, 5);
+    assert_eq!(run(&cold), run(&warm));
+
+    let s = cold.engine().cache_stats();
+    assert_eq!(
+        s.hits + s.derived_hits + s.window_hits + s.shard_hits + s.maintained_hits,
+        0,
+        "a capacity-0 engine never serves warm: {s:?}"
+    );
+    let s = warm.engine().cache_stats();
+    assert!(
+        s.hits + s.derived_hits + s.window_hits > s.misses,
+        "a warmed shared engine serves session traffic mostly warm: {s:?}"
+    );
 }

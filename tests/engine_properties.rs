@@ -522,6 +522,8 @@ proptest! {
         // All-attributes-constant proves any constructor redundant, so
         // the plan must report the elimination and skip every algorithm.
         prop_assert_eq!(rows, (0..r.len()).collect::<Vec<_>>());
+        prop_assert_eq!(ex.algorithm, preferences::query::Algorithm::Elided);
+        prop_assert_eq!(ex.cache, CacheStatus::Bypass);
         prop_assert!(ex.plan.steps.iter().any(|s| s.rule.contains("eliminated")),
             "derivation must record the elimination for {}", p);
         let stats = planned.cache_stats();
