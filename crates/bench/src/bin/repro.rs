@@ -16,10 +16,10 @@ use pref_core::algebra::{equivalent_on, laws};
 use pref_core::graph::BetterGraph;
 use pref_core::prelude::*;
 use pref_core::term::Pref;
-use pref_query::bmo::sigma_naive;
+use pref_query::bmo::sigma_naive_generic;
 use pref_query::quality::perfect_match;
 use pref_query::stats::{result_size, FilterEffectReport};
-use pref_query::{algorithms, Engine, Explain, Optimizer};
+use pref_query::{Algorithm, Engine, Explain, Optimizer};
 use pref_relation::{attr, AttrSet, Relation};
 use pref_sql::PrefSql;
 use pref_workload::{cars, paper, querylog, synthetic::Distribution, trips};
@@ -350,7 +350,7 @@ fn decomp_report(h: &mut Harness) {
             .expect("same attrs"),
     ];
     for p in terms {
-        let naive = sigma_naive(&p, &r).expect("compiles");
+        let naive = sigma_naive_generic(&p, &r).expect("compiles");
         let dec = h.engine.sigma_decomposed(&p, &r).expect("compiles");
         h.check(
             "decomp",
@@ -557,22 +557,23 @@ fn scaling(h: &mut Harness) {
         "naive O(n²) vs. BNL vs. D&C vs. SFS (3-d skyline, ms)",
     );
     let d = 3;
-    let p = skyline_pref(d);
+    let p = &skyline_pref(d);
     let widths = [14usize, 8, 9, 9, 9, 9];
-    println!(
-        "{}",
-        row(
-            &[
-                "distribution".into(),
-                "n".into(),
-                "naive".into(),
-                "bnl".into(),
-                "dnc".into(),
-                "sfs".into()
-            ],
-            &widths
-        )
-    );
+    let head = ["distribution", "n", "naive", "bnl", "dnc", "sfs"].map(String::from);
+    println!("{}", row(&head, &widths));
+    // One engine per algorithm, forced and without a cache: every run
+    // compiles, builds what its algorithm needs and evaluates.
+    let [naive, bnl, dnc, sfs] = [
+        Algorithm::Naive,
+        Algorithm::Bnl,
+        Algorithm::Dnc,
+        Algorithm::Sfs,
+    ]
+    .map(|a| Engine::with_optimizer(Optimizer::new().with_algorithm(a)).with_capacity(0));
+    let run = |engine: &Engine, r: &Relation| {
+        let q = engine.prepare(p, r.schema()).expect("compiles");
+        q.execute(r).expect("the algorithm applies").into_rows()
+    };
     let mut sane = true;
     for dist in [
         Distribution::Correlated,
@@ -582,14 +583,14 @@ fn scaling(h: &mut Harness) {
         for n in [1_000usize, 4_000, 16_000] {
             let r = table(n, d, dist, 42);
             let (res_naive, t_naive) = if n <= 4_000 {
-                let (out, t) = time_ms(|| sigma_naive(&p, &r).expect("compiles"));
+                let (out, t) = time_ms(|| run(&naive, &r));
                 (Some(out), format!("{t:.1}"))
             } else {
                 (None, "—".into())
             };
-            let (res_bnl, t_bnl) = time_ms(|| algorithms::bnl(&p, &r).expect("compiles"));
-            let (res_dnc, t_dnc) = time_ms(|| algorithms::dnc(&p, &r).expect("skyline shape"));
-            let (res_sfs, t_sfs) = time_ms(|| algorithms::sfs(&p, &r).expect("scored shape"));
+            let (res_bnl, t_bnl) = time_ms(|| run(&bnl, &r));
+            let (res_dnc, t_dnc) = time_ms(|| run(&dnc, &r));
+            let (res_sfs, t_sfs) = time_ms(|| run(&sfs, &r));
             sane &= res_bnl == res_dnc && res_dnc == res_sfs;
             if let Some(rn) = res_naive {
                 sane &= rn == res_bnl;
@@ -738,7 +739,7 @@ fn optimizer_report(h: &mut Harness) {
             &format!("{} picked for {}", expect_algo, ex.original),
             ex.algorithm.to_string() == expect_algo,
         );
-        let naive = sigma_naive(&q, &r).expect("compiles");
+        let naive = sigma_naive_generic(&q, &r).expect("compiles");
         h.check("OPT", "matches the naive oracle", rows == naive);
     }
     // Grouping entry point (Def. 16).

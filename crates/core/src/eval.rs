@@ -76,19 +76,6 @@ impl CompiledPref {
         self.node.utility(t)
     }
 
-    /// Per-dimension score vector for Pareto-of-chains terms — the input
-    /// format of the divide & conquer skyline algorithms (\[KLP75\]/\[BKS01\],
-    /// which require every dimension to be a LOWEST/HIGHEST-style chain).
-    /// `None` when the term is not of that restricted shape.
-    pub fn score_vector(&self, t: &Tuple) -> Option<Vec<f64>> {
-        let dims = self.chain_dims()?;
-        Some(
-            dims.iter()
-                .map(|(col, base)| base.score(&t[*col]).unwrap_or(f64::NEG_INFINITY))
-                .collect(),
-        )
-    }
-
     /// Materialize a [`ScoreMatrix`] for this preference over `r`: a
     /// one-pass, columnar encoding of everything `better` needs, so the
     /// O(n²)-ish dominance loops of BMO evaluation become plain `f64`/`u64`
@@ -779,18 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn score_vector_for_skyline_shape() {
-        let r = rel! { ("a": Int, "b": Int); (1, 2) };
-        let sky = lowest("a").pareto(highest("b"));
-        let c = compile(&sky, &r);
-        assert_eq!(c.score_vector(r.row(0)), Some(vec![-1.0, 2.0]));
-        // AROUND is not score-injective → not skyline-shaped
-        let not_sky = around("a", 0).pareto(highest("b"));
-        let c2 = compile(&not_sky, &r);
-        assert_eq!(c2.score_vector(r.row(0)), None);
-    }
-
-    #[test]
     fn score_matrix_agrees_with_generic_better() {
         let r = example2_rel();
         for p in [
@@ -976,18 +951,27 @@ mod tests {
         assert_eq!(m.key_slots(), 1);
     }
 
-    /// `n` deterministic rows over R(A1, A2, A3) with plenty of ties.
-    fn big_rel(n: usize) -> Relation {
+    /// The rows of [`big_rel`], with row `i` replaced where `patch`
+    /// returns a replacement.
+    fn big_rel_patched(n: usize, patch: impl Fn(usize) -> Option<Vec<Value>>) -> Relation {
         let mut r = rel! { ("A1": Int, "A2": Int, "A3": Int); };
-        for i in 0..n as i64 {
-            r.push_values(vec![
-                Value::from(i % 97 - 48),
-                Value::from((i * 31) % 101),
-                Value::from(i % 7),
-            ])
-            .unwrap();
+        for i in 0..n {
+            let k = i as i64;
+            let row = patch(i).unwrap_or_else(|| {
+                vec![
+                    Value::from(k % 97 - 48),
+                    Value::from((k * 31) % 101),
+                    Value::from(k % 7),
+                ]
+            });
+            r.push_values(row).unwrap();
         }
         r
+    }
+
+    /// `n` deterministic rows over R(A1, A2, A3) with plenty of ties.
+    fn big_rel(n: usize) -> Relation {
+        big_rel_patched(n, |_| None)
     }
 
     /// Rows for three workers' ranges plus a one-row remainder.
@@ -996,10 +980,9 @@ mod tests {
     /// `big_rel(BIG)` with a NULL — no dominance key under a chain — in
     /// its last row, i.e. in the last worker's range of every split.
     fn big_rel_with_a_late_null() -> Relation {
-        let mut r = big_rel(BIG);
-        r.update_row(BIG - 1, vec![Value::from(0), Value::Null, Value::from(0)])
-            .unwrap();
-        r
+        big_rel_patched(BIG, |i| {
+            (i == BIG - 1).then(|| vec![Value::from(0), Value::Null, Value::from(0)])
+        })
     }
 
     #[test]
@@ -1075,10 +1058,11 @@ mod tests {
         assert_eq!(prev.key_slots(), 2);
         assert_eq!(take(), 2 * n);
 
-        let mut r2 = r1.clone();
+        // `r1` with row 7 rewritten and one row appended.
+        let mut r2 = big_rel_patched(n, |i| {
+            (i == 7).then(|| vec![Value::from(100), Value::from(0), Value::from(0)])
+        });
         r2.push_values(vec![Value::from(-100), Value::from(0), Value::from(0)])
-            .unwrap();
-        r2.update_row(7, vec![Value::from(100), Value::from(0), Value::from(0)])
             .unwrap();
         let m = c.score_matrix_incremental(&r2, &prev, n, &[7], 2).unwrap();
         assert_eq!(take(), 2 * 2, "one appended and one dirty row, c = 2");

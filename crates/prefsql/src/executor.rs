@@ -90,9 +90,13 @@ impl PrefSql {
 
     /// Append one row to a registered table **in place**. Unlike
     /// re-registering a rebuilt table, this keeps the relation's
-    /// mutation [`Delta`](pref_relation::Relation) intact, so the next
-    /// query over the table rebuilds only the touched score-matrix
-    /// shard (`CacheStatus::ShardHit`) instead of the whole matrix.
+    /// mutation [`Delta`](pref_relation::Delta) intact, so the next
+    /// query over the table first *maintains* its cached BMO result
+    /// against the appended row (`CacheStatus::MaintainedHit`). Only the
+    /// callers that read the score matrix directly — `GROUP BY`, `TOP`,
+    /// `BUT ONLY`, and a parameterized `WHERE` keeping the table's matrix
+    /// warm for its windows — rebuild it, and incrementally: the appended
+    /// row is the only one encoded (`CacheStatus::ShardHit`).
     pub fn append_row(&mut self, table: &str, values: Vec<Value>) -> Result<(), SqlError> {
         self.catalog.get_mut(table)?.push_values(values)?;
         Ok(())

@@ -2,16 +2,21 @@
 //!
 //! The paper defers efficiency but points at the skyline literature for
 //! the restricted Pareto case ("efficient evaluation algorithms have been
-//! given in \[KLP75\], \[BKS01\] and \[TEO01\]", §6.1). This module implements:
+//! given in \[KLP75\], \[BKS01\] and \[TEO01\]", §6.1). This module holds
+//! the kernels behind [`Engine`](crate::Engine): each is handed a
+//! compiled term and its dominance backend (a score matrix or the term
+//! walk) and neither compiles nor materializes anything itself.
 //!
-//! * [`bnl::bnl`] — Block-Nested-Loops (\[BKS01\]), correct for *any*
-//!   strict partial order, the general-purpose workhorse;
-//! * [`bnl::bnl_parallel`] — chunked BNL merging local maxima
-//!   (maxima of a union are contained in the union of local maxima);
-//! * [`dnc::dnc`] — divide & conquer maxima (\[KLP75\]) for `SKYLINE OF`
-//!   shaped terms (Pareto over LOWEST/HIGHEST chains);
-//! * [`sfs::sfs`] — Sort-Filter-Skyline: presort by a monotone utility,
-//!   then a single filtering pass against accepted maxima.
+//! * [`bnl::bnl_matrix`] / [`bnl::bnl_generic`] — Block-Nested-Loops
+//!   (\[BKS01\]), correct for *any* strict partial order, the
+//!   general-purpose workhorse;
+//! * [`bnl::bnl_parallel_matrix`] / [`bnl::bnl_parallel_generic`] —
+//!   chunked BNL merging local maxima (maxima of a union are contained
+//!   in the union of local maxima);
+//! * [`dnc::try_dnc_compiled`] — divide & conquer maxima (\[KLP75\]) for
+//!   `SKYLINE OF` shaped terms (Pareto over LOWEST/HIGHEST chains);
+//! * [`sfs::try_sfs_with`] — Sort-Filter-Skyline: presort by a monotone
+//!   utility, then a single filtering pass against accepted maxima.
 //!
 //! SFS's filter pass and D&C's merge (and D&C's fallback on a slice its
 //! first dimension cannot split) ask the same question — does any
@@ -31,10 +36,6 @@ pub mod dnc;
 pub mod sfs;
 mod window;
 
-pub use bnl::{bnl, bnl_generic, bnl_matrix, bnl_parallel};
-pub use dnc::dnc;
-pub use sfs::sfs;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,25 +47,30 @@ mod tests {
 
     const INF: f64 = f64::INFINITY;
 
-    /// Every algorithm, free and through the engine (unforced and forced
-    /// to each), against Def. 15. `sfs_applies = false`: SFS has no
-    /// usable utility and must refuse rather than answer.
+    /// Every kernel on both backends, and the engine (unforced and forced
+    /// to each algorithm), against Def. 15. `sfs_applies = false`: SFS
+    /// has no usable utility and must refuse rather than answer.
     fn agree(p: &Pref, r: &Relation, sfs_applies: bool) {
         let oracle = sigma_naive_generic(p, r).unwrap();
         let c = CompiledPref::compile(p, r.schema()).unwrap();
-        assert_eq!(bnl(p, r).unwrap(), oracle, "BNL, {p}");
-        assert_eq!(bnl_generic(&c, r), oracle, "generic BNL, {p}");
-        assert_eq!(bnl_parallel(p, r, 2).unwrap(), oracle, "parallel BNL, {p}");
-        match sfs(p, r) {
-            Ok(rows) => assert!(sfs_applies && rows == oracle, "SFS, {p}: {rows:?}"),
-            Err(e) => assert!(!sfs_applies, "SFS, {p}: {e}"),
+        let m = c.score_matrix(r);
+        assert_eq!(bnl::bnl_generic(&c, r), oracle, "generic BNL, {p}");
+        let parallel = bnl::bnl_parallel_generic(&c, r, 2);
+        assert_eq!(parallel, oracle, "generic parallel BNL, {p}");
+        if let Some(m) = &m {
+            assert_eq!(bnl::bnl_matrix(m), oracle, "BNL, {p}");
+            assert_eq!(bnl::bnl_parallel_matrix(m, 2), oracle, "parallel BNL, {p}");
+        }
+        match sfs::try_sfs_with(&c, r, m.as_ref()) {
+            Some(rows) => assert!(sfs_applies && rows == oracle, "SFS, {p}: {rows:?}"),
+            None => assert!(!sfs_applies, "SFS, {p}"),
         }
         let generic = sfs::try_sfs_with::<ScoreMatrix>(&c, r, None);
         assert!(
             generic.is_none_or(|rows| rows == oracle),
             "generic SFS, {p}"
         );
-        if let Ok(rows) = dnc(p, r) {
+        if let Some(rows) = dnc::try_dnc_compiled(&c, r) {
             assert_eq!(rows, oracle, "D&C, {p}");
         }
         let unforced = Engine::new().prepare(p, r.schema()).unwrap();

@@ -6,7 +6,9 @@
 //! transitivity, which guarantees a tuple dominated by an evicted
 //! candidate is also dominated by the evictor.
 //!
-//! Two dominance backends drive the same window logic:
+//! Every kernel here is handed its dominance backend; none compiles a
+//! term or builds a matrix (that is `Engine`'s job). Two backends drive
+//! the same window logic:
 //!
 //! * the **score-matrix path** ([`bnl_matrix`]) — dominance tests are
 //!   `f64`/`u32` comparisons over the columnar
@@ -24,37 +26,20 @@
 //! auto-vectorizes, paying no per-row stride arithmetic and no plan
 //! interpretation.
 //!
-//! [`bnl_parallel`] partitions the input (`chunk_ranges`, rounded to the
-//! backend's [`Dominance::chunk_alignment`]), computes per-chunk windows
-//! on scoped threads, and **tree-merges** the local windows pairwise —
-//! O(log k) merge rounds, each round's merges in parallel, instead of one
-//! sequential pass over the full union. Sound because `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)`
-//! for any chunking. Threads come from `std::thread::scope`; there is no
-//! thread-pool dependency and no cargo feature.
+//! [`bnl_parallel_matrix`] and [`bnl_parallel_generic`] partition the
+//! input (`chunk_ranges`, rounded to the backend's
+//! [`Dominance::chunk_alignment`]), compute per-chunk windows on scoped
+//! threads, and **tree-merge** the local windows pairwise — O(log k)
+//! merge rounds, each round's merges in parallel, instead of one
+//! sequential pass over the full union. Sound because
+//! `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)` for any chunking. Threads come
+//! from `std::thread::scope`; there is no thread-pool dependency and no
+//! cargo feature.
 
 use std::ops::Range;
 
 use pref_core::eval::{CompiledPref, Dominance, ParetoAccess};
-use pref_core::term::Pref;
 use pref_relation::Relation;
-
-use crate::error::QueryError;
-
-/// BMO evaluation by Block-Nested-Loops. Returns sorted row indices.
-/// Picks the score-matrix dominance backend when the term materializes.
-pub fn bnl(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    let c = CompiledPref::compile(pref, r.schema())?;
-    Ok(bnl_compiled(&c, r))
-}
-
-/// BNL with a pre-compiled preference; materializes a score matrix when
-/// possible and falls back to the generic term-walk path otherwise.
-pub fn bnl_compiled(c: &CompiledPref, r: &Relation) -> Vec<usize> {
-    match c.score_matrix(r) {
-        Some(m) => bnl_matrix(&m),
-        None => bnl_generic(c, r),
-    }
-}
 
 /// BNL over a materialized dominance backend — the [`ScoreMatrix`]
 /// itself or a [`MatrixWindow`] onto a cached one (the warm path for
@@ -186,22 +171,11 @@ pub(crate) fn bnl_window(
     window
 }
 
-/// Parallel partitioned BNL: split the row range into up to `threads`
-/// chunks, compute local maxima per scoped thread (sharing the compiled
-/// preference and, when available, one score matrix — whose build fans
-/// out over the same thread budget), then merge the local windows.
-///
-/// Sound because `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)` for any chunking
+/// Parallel partitioned BNL over a materialized dominance backend: split
+/// the row range into up to `threads` chunks, compute local maxima per
+/// scoped thread, then merge the local windows. Sound because
+/// `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)` for any chunking
 /// `R = R1 ∪ … ∪ Rk`: a globally maximal tuple is maximal in its chunk.
-pub fn bnl_parallel(pref: &Pref, r: &Relation, threads: usize) -> Result<Vec<usize>, QueryError> {
-    let c = CompiledPref::compile(pref, r.schema())?;
-    Ok(match c.score_matrix_parallel(r, threads) {
-        Some(m) => bnl_parallel_matrix(&m, threads),
-        None => bnl_parallel_generic(&c, r, threads),
-    })
-}
-
-/// Parallel partitioned BNL over a materialized dominance backend.
 /// Chunk boundaries round to the backend's
 /// [`Dominance::chunk_alignment`], and each chunk takes the batch kernel
 /// when the order is flat Pareto.
@@ -312,7 +286,7 @@ fn partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmo::sigma_naive;
+    use crate::bmo::sigma_naive_generic;
     use pref_core::eval::MatrixWindow;
     use pref_core::prelude::*;
     use pref_relation::rel;
@@ -342,11 +316,12 @@ mod tests {
     fn bnl_matches_naive_oracle() {
         let r = sample();
         for p in prefs() {
-            assert_eq!(
-                bnl(&p, &r).unwrap(),
-                sigma_naive(&p, &r).unwrap(),
-                "BNL diverged for {p}"
-            );
+            let c = CompiledPref::compile(&p, r.schema()).unwrap();
+            let oracle = sigma_naive_generic(&p, &r).unwrap();
+            assert_eq!(bnl_generic(&c, &r), oracle, "generic BNL diverged for {p}");
+            if let Some(m) = c.score_matrix(&r) {
+                assert_eq!(bnl_matrix(&m), oracle, "matrix BNL diverged for {p}");
+            }
         }
     }
 
@@ -369,12 +344,21 @@ mod tests {
     fn parallel_bnl_matches_naive_oracle() {
         let r = sample();
         for p in prefs() {
+            let c = CompiledPref::compile(&p, r.schema()).unwrap();
+            let oracle = sigma_naive_generic(&p, &r).unwrap();
             for threads in [1, 2, 3, 8] {
                 assert_eq!(
-                    bnl_parallel(&p, &r, threads).unwrap(),
-                    sigma_naive(&p, &r).unwrap(),
-                    "parallel BNL ({threads} threads) diverged for {p}"
+                    bnl_parallel_generic(&c, &r, threads),
+                    oracle,
+                    "generic parallel BNL ({threads} threads) diverged for {p}"
                 );
+                if let Some(m) = c.score_matrix_parallel(&r, threads) {
+                    assert_eq!(
+                        bnl_parallel_matrix(&m, threads),
+                        oracle,
+                        "matrix parallel BNL ({threads} threads) diverged for {p}"
+                    );
+                }
             }
         }
     }
@@ -507,7 +491,7 @@ mod tests {
         assert_eq!(sequential, bnl_generic(&c, &r));
         for threads in [2, 3, 8] {
             assert_eq!(bnl_parallel_matrix(&m, threads), sequential);
-            assert_eq!(bnl_parallel(&p, &r, threads).unwrap(), sequential);
+            assert_eq!(bnl_parallel_generic(&c, &r, threads), sequential);
         }
 
         // Exactly 4096 rows: a single chunk, the sequential result.
@@ -524,13 +508,19 @@ mod tests {
     fn duplicates_all_survive() {
         // Duplicate maximal tuples are mutually unranked — both stay.
         let r = rel! { ("a": Int); (1,), (1,), (2,) };
-        assert_eq!(bnl(&lowest("a"), &r).unwrap(), vec![0, 1]);
+        let c = CompiledPref::compile(&lowest("a"), r.schema()).unwrap();
+        assert_eq!(bnl_generic(&c, &r), vec![0, 1]);
+        assert_eq!(bnl_matrix(&c.score_matrix(&r).unwrap()), vec![0, 1]);
     }
 
     #[test]
     fn empty_input() {
         let r = rel! { ("a": Int); };
-        assert!(bnl(&lowest("a"), &r).unwrap().is_empty());
-        assert!(bnl_parallel(&lowest("a"), &r, 4).unwrap().is_empty());
+        let c = CompiledPref::compile(&lowest("a"), r.schema()).unwrap();
+        let m = c.score_matrix(&r).unwrap();
+        assert!(bnl_generic(&c, &r).is_empty());
+        assert!(bnl_matrix(&m).is_empty());
+        assert!(bnl_parallel_generic(&c, &r, 4).is_empty());
+        assert!(bnl_parallel_matrix(&m, 4).is_empty());
     }
 }

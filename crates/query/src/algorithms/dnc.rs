@@ -19,32 +19,17 @@
 //! lower maximum asks it once.
 
 use pref_core::eval::CompiledPref;
-use pref_core::term::Pref;
 use pref_relation::Relation;
 
 use super::sfs::key_sum;
 use super::window::{prefilter, widened, AcceptedWindow, NO_SPAN};
-use crate::error::QueryError;
 
-/// BMO evaluation by divide & conquer over score vectors. Fails with
-/// [`QueryError::AlgorithmMismatch`] when the term is not a Pareto
-/// accumulation of score-injective chains, or when some value in a chain
-/// column has no numeric embedding (NULLs, strings) — scoring such a row
-/// `-∞` would silently drop it, while the strict Pareto order of Def. 8
-/// keeps it as incomparable.
-pub fn dnc(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    let c = CompiledPref::compile(pref, r.schema())?;
-    try_dnc_compiled(&c, r).ok_or_else(|| QueryError::AlgorithmMismatch {
-        algorithm: "divide & conquer",
-        term: pref.to_string(),
-        reason: "not a Pareto accumulation of LOWEST/HIGHEST chains \
-                 over numerically embeddable columns",
-    })
-}
-
-/// Checked D&C: `None` when the term is not skyline-shaped or some chain
-/// value lacks a numeric embedding (then coordinate-wise dominance would
-/// diverge from Def. 8 and callers must use another algorithm).
+/// BMO evaluation by divide & conquer over score vectors: `None` when
+/// the term is not a Pareto accumulation of score-injective chains, or
+/// when some value in a chain column has no numeric embedding (NULLs,
+/// strings) — scoring such a row `-∞` would silently drop it, while the
+/// strict Pareto order of Def. 8 keeps it as incomparable, so callers
+/// must use another algorithm.
 ///
 /// The score vectors fill one flat row-major buffer a column at a time
 /// through [`dominance_key`](pref_core::base::BasePreference::dominance_key),
@@ -220,17 +205,20 @@ fn split_nd(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmo::sigma_naive;
+    use crate::bmo::sigma_naive_generic;
     use pref_core::prelude::*;
     use pref_relation::{rel, Relation, Schema, Value};
+
+    fn dnc_on(p: &Pref, r: &Relation) -> Option<Vec<usize>> {
+        try_dnc_compiled(&CompiledPref::compile(p, r.schema()).unwrap(), r)
+    }
 
     #[test]
     fn rejects_non_skyline_terms() {
         let r = rel! { ("a": Int); (1,) };
-        let err = dnc(&pos("a", [1i64]), &r).unwrap_err();
-        assert!(matches!(err, QueryError::AlgorithmMismatch { .. }));
-        let err = dnc(&around("a", 0).pareto(highest("a")), &r).unwrap_err();
-        assert!(matches!(err, QueryError::AlgorithmMismatch { .. }));
+        assert!(dnc_on(&pos("a", [1i64]), &r).is_none());
+        // AROUND is not score-injective: not skyline-shaped.
+        assert!(dnc_on(&around("a", 0).pareto(highest("a")), &r).is_none());
     }
 
     #[test]
@@ -242,8 +230,8 @@ mod tests {
             (15_000, 35_000), (15_000, 30_000),
         };
         let p = lowest("price").pareto(lowest("mileage"));
-        let got = dnc(&p, &r).unwrap();
-        assert_eq!(got, sigma_naive(&p, &r).unwrap());
+        let got = dnc_on(&p, &r).unwrap();
+        assert_eq!(got, sigma_naive_generic(&p, &r).unwrap());
         // Paper: the Pareto-optimal set is {val3, val5}.
         assert_eq!(got, vec![2, 4]);
     }
@@ -289,8 +277,8 @@ mod tests {
                 let r = pseudo_random_relation(120, d, seed * 31 + d as u64);
                 let p = skyline_pref(d);
                 assert_eq!(
-                    dnc(&p, &r).unwrap(),
-                    sigma_naive(&p, &r).unwrap(),
+                    dnc_on(&p, &r).unwrap(),
+                    sigma_naive_generic(&p, &r).unwrap(),
                     "d={d}, seed={seed}"
                 );
             }
@@ -304,15 +292,21 @@ mod tests {
             (1, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 2),
         };
         let p = highest("a").pareto(highest("b"));
-        assert_eq!(dnc(&p, &r).unwrap(), sigma_naive(&p, &r).unwrap());
-        assert_eq!(dnc(&p, &r).unwrap(), vec![4, 5]);
+        assert_eq!(
+            dnc_on(&p, &r).unwrap(),
+            sigma_naive_generic(&p, &r).unwrap()
+        );
+        assert_eq!(dnc_on(&p, &r).unwrap(), vec![4, 5]);
     }
 
     #[test]
     fn large_input_exercises_recursive_split() {
         let r = pseudo_random_relation(800, 3, 7);
         let p = skyline_pref(3);
-        assert_eq!(dnc(&p, &r).unwrap(), sigma_naive(&p, &r).unwrap());
+        assert_eq!(
+            dnc_on(&p, &r).unwrap(),
+            sigma_naive_generic(&p, &r).unwrap()
+        );
     }
 
     #[test]
@@ -331,15 +325,15 @@ mod tests {
                 r.push_values(row.into_iter().map(Value::from).collect())
                     .unwrap();
             }
-            let got = dnc(&p, &r).unwrap();
+            let got = dnc_on(&p, &r).unwrap();
             assert!(got.len() > 32, "{zeros}: |σ| = {}", got.len());
-            assert_eq!(got, sigma_naive(&p, &r).unwrap(), "{zeros} zeros");
+            assert_eq!(got, sigma_naive_generic(&p, &r).unwrap(), "{zeros} zeros");
         }
     }
 
     #[test]
     fn single_dimension_keeps_all_ties() {
         let r = rel! { ("a": Int); (3,), (1,), (3,), (2,) };
-        assert_eq!(dnc(&highest("a"), &r).unwrap(), vec![0, 2]);
+        assert_eq!(dnc_on(&highest("a"), &r).unwrap(), vec![0, 2]);
     }
 }

@@ -25,29 +25,17 @@
 //! equal utilities as a BNL window of its own.
 
 use pref_core::eval::{CompiledPref, Dominance, ParetoAccess};
-use pref_core::term::Pref;
 use pref_relation::Relation;
 
 use super::bnl::bnl_window;
 use super::window::{prefilter, widened, AcceptedWindow, NO_SPAN};
-use crate::error::QueryError;
 
-/// BMO evaluation by sort-filter. Fails when the preference has no
-/// monotone utility on *every* row — utility is per-value (e.g. a NULL
-/// under a scored chain has none).
-pub fn sfs(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    let c = CompiledPref::compile(pref, r.schema())?;
-    try_sfs_with(&c, r, c.score_matrix(r).as_ref()).ok_or_else(|| QueryError::AlgorithmMismatch {
-        algorithm: "sort-filter-skyline",
-        term: pref.to_string(),
-        reason: "preference admits no monotone utility on this input",
-    })
-}
-
-/// Checked SFS with the dominance backend chosen by the caller (`matrix`
-/// from [`CompiledPref::score_matrix`], or `None` for the generic path):
-/// `None` when any row lacks a utility (the sort order would not be
-/// topologically compatible and silent misresults could follow).
+/// BMO evaluation by sort-filter with the dominance backend chosen by
+/// the caller (`matrix` from [`CompiledPref::score_matrix`], or `None`
+/// for the generic path): `None` when the preference has no monotone
+/// utility on *every* row — utility is per-value (e.g. a NULL under a
+/// scored chain has none), and a sort order that is not topologically
+/// compatible could silently misresult.
 pub fn try_sfs_with<M: Dominance>(
     c: &CompiledPref,
     r: &Relation,
@@ -139,15 +127,20 @@ fn filter_pass_batch(acc: &ParetoAccess<'_>) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmo::sigma_naive;
+    use crate::bmo::sigma_naive_generic;
     use pref_core::prelude::*;
     use pref_relation::rel;
+
+    /// SFS on the score matrix when the term materializes.
+    fn sfs_on(p: &Pref, r: &Relation) -> Option<Vec<usize>> {
+        let c = CompiledPref::compile(p, r.schema()).unwrap();
+        try_sfs_with(&c, r, c.score_matrix(r).as_ref())
+    }
 
     #[test]
     fn rejects_preferences_without_utility() {
         let r = rel! { ("a": Str); ("x",) };
-        let err = sfs(&pos("a", ["x"]), &r).unwrap_err();
-        assert!(matches!(err, QueryError::AlgorithmMismatch { .. }));
+        assert!(sfs_on(&pos("a", ["x"]), &r).is_none());
     }
 
     #[test]
@@ -163,8 +156,8 @@ mod tests {
             Pref::rank(CombineFn::sum(), vec![lowest("a"), highest("b")]).unwrap(),
         ] {
             assert_eq!(
-                sfs(&p, &r).unwrap(),
-                sigma_naive(&p, &r).unwrap(),
+                sfs_on(&p, &r).unwrap(),
+                sigma_naive_generic(&p, &r).unwrap(),
                 "SFS diverged for {p}"
             );
         }
@@ -190,12 +183,11 @@ mod tests {
         // -5 and 5 have equal AROUND(0) utility but are unranked.
         let r = rel! { ("a": Int); (-5,), (5,), (7,) };
         let p = around("a", 0);
-        assert_eq!(sfs(&p, &r).unwrap(), vec![0, 1]);
+        assert_eq!(sfs_on(&p, &r).unwrap(), vec![0, 1]);
     }
 
     #[test]
     fn rounding_ties_do_not_admit_dominated_rows() {
-        use crate::bmo::sigma_naive_generic;
         use crate::{Algorithm, Engine, Optimizer};
         use pref_core::eval::ScoreMatrix;
 
@@ -207,7 +199,7 @@ mod tests {
         ] {
             let oracle = sigma_naive_generic(&p, &r).unwrap();
             assert_eq!(oracle.len(), 1);
-            assert_eq!(sfs(&p, &r).unwrap(), oracle, "matrix path");
+            assert_eq!(sfs_on(&p, &r).unwrap(), oracle, "matrix path");
             let c = CompiledPref::compile(&p, r.schema()).unwrap();
             assert_eq!(
                 try_sfs_with::<ScoreMatrix>(&c, &r, None).unwrap(),
@@ -224,6 +216,6 @@ mod tests {
     #[test]
     fn empty_input() {
         let r = rel! { ("a": Int); };
-        assert!(sfs(&lowest("a"), &r).unwrap().is_empty());
+        assert!(sfs_on(&lowest("a"), &r).unwrap().is_empty());
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! `σ[P](R) = {t ∈ R | t[A] ∈ max(P_R)}` — all best matching tuples, and
 //! only those. The naive evaluation "performs O(n²) better-than tests"
-//! (§5.1); it is the correctness oracle of the test suite and the baseline
-//! of the scaling benchmarks.
+//! (§5.1); [`sigma_naive_generic`] is the correctness oracle of the test
+//! suite, and [`sigma_naive_matrix`] the same loop on a score matrix the
+//! caller holds (the engine's `Algorithm::Naive`).
 
 use pref_core::eval::{CompiledPref, Dominance};
 use pref_core::term::Pref;
@@ -12,29 +13,10 @@ use pref_relation::Relation;
 
 use crate::error::QueryError;
 
-/// Naive `σ[P](R)` by exhaustive pairwise better-than tests.
-/// Returns the indices of the maximal tuples, in row order.
-///
-/// Still O(n²) tests, but they run on the score-matrix backend when the
-/// term materializes; [`sigma_naive_generic`] is the backend-independent
-/// oracle the test suite checks every path against.
-pub fn sigma_naive(pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    let c = CompiledPref::compile(pref, r.schema())?;
-    Ok(sigma_naive_compiled(&c, r))
-}
-
-/// Naive evaluation with a pre-compiled preference; uses the score
-/// matrix when available.
-pub fn sigma_naive_compiled(c: &CompiledPref, r: &Relation) -> Vec<usize> {
-    match c.score_matrix(r) {
-        Some(m) => sigma_naive_matrix(&m),
-        None => sigma_naive_generic_compiled(c, r),
-    }
-}
-
 /// Naive evaluation over a materialized dominance backend (a
 /// [`ScoreMatrix`](pref_core::eval::ScoreMatrix) or a
 /// [`MatrixWindow`](pref_core::eval::MatrixWindow) onto a cached one).
+/// Returns the indices of the maximal tuples, in row order.
 pub fn sigma_naive_matrix<M: Dominance>(m: &M) -> Vec<usize> {
     (0..m.len())
         .filter(|&i| (0..m.len()).all(|other| !m.better(i, other)))
@@ -78,7 +60,7 @@ mod tests {
             [("green", "yellow"), ("green", "red"), ("yellow", "white")],
         )
         .unwrap();
-        let result = r.take_rows(&sigma_naive(&p, &r).unwrap());
+        let result = r.take_rows(&sigma_naive_generic(&p, &r).unwrap());
         let colors: Vec<&str> = result.iter().map(|t| t[0].as_str().unwrap()).collect();
         assert_eq!(colors, vec!["yellow", "red"]);
     }
@@ -92,13 +74,13 @@ mod tests {
         };
         let p = around("A1", 0).pareto(lowest("A2")).pareto(highest("A3"));
         // "the Pareto-optimal set is {val1, val3, val5}"
-        assert_eq!(sigma_naive(&p, &r).unwrap(), vec![0, 2, 4]);
+        assert_eq!(sigma_naive_generic(&p, &r).unwrap(), vec![0, 2, 4]);
     }
 
     #[test]
     fn empty_relation_yields_empty_result() {
         let r = rel! { ("a": Int); };
-        assert!(sigma_naive(&lowest("a"), &r).unwrap().is_empty());
+        assert!(sigma_naive_generic(&lowest("a"), &r).unwrap().is_empty());
     }
 
     #[test]
@@ -111,7 +93,7 @@ mod tests {
             pos("a", [99i64]), // nothing matches the wish
             around("a", 1000).prior(highest("b")),
         ] {
-            assert!(!sigma_naive(&p, &r).unwrap().is_empty(), "{p}");
+            assert!(!sigma_naive_generic(&p, &r).unwrap().is_empty(), "{p}");
         }
     }
 
@@ -130,7 +112,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(
-            names(&cars1, sigma_naive(&p, &cars1).unwrap()),
+            names(&cars1, sigma_naive_generic(&p, &cars1).unwrap()),
             vec!["frog"]
         );
 
@@ -139,7 +121,7 @@ mod tests {
             .push_values(vec![Value::from(50), Value::from(10), Value::from("shark")])
             .unwrap();
         assert_eq!(
-            names(&cars2, sigma_naive(&p, &cars2).unwrap()),
+            names(&cars2, sigma_naive_generic(&p, &cars2).unwrap()),
             vec!["frog", "shark"]
         );
 
@@ -152,7 +134,7 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(
-            names(&cars3, sigma_naive(&p, &cars3).unwrap()),
+            names(&cars3, sigma_naive_generic(&p, &cars3).unwrap()),
             vec!["turtle"]
         );
     }
@@ -165,7 +147,7 @@ mod tests {
         };
         let p = lowest("a").pareto(lowest("b"));
         let c = CompiledPref::compile(&p, r.schema()).unwrap();
-        let res = sigma_naive(&p, &r).unwrap();
+        let res = sigma_naive_generic(&p, &r).unwrap();
         for &i in &res {
             for &j in &res {
                 assert!(!c.better(r.row(i), r.row(j)));
@@ -181,7 +163,7 @@ mod tests {
         };
         let p = lowest("a").pareto(lowest("b"));
         let c = CompiledPref::compile(&p, r.schema()).unwrap();
-        let res = sigma_naive(&p, &r).unwrap();
+        let res = sigma_naive_generic(&p, &r).unwrap();
         for i in 0..r.len() {
             if !res.contains(&i) {
                 assert!(

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use pref_core::term::Pref;
 use pref_relation::{predicate_fingerprint, Relation};
 
-use crate::algorithms::bnl::{bnl_compiled, bnl_matrix};
+use crate::algorithms::bnl::{bnl_generic, bnl_matrix};
 use crate::engine::Engine;
 use crate::error::QueryError;
 
@@ -117,15 +117,17 @@ fn eval(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryE
 }
 
 /// BNL over the engine-cached matrix when the sub-term materializes,
-/// generic BNL otherwise. Deliberately *not* `Prepared::execute`: that
-/// would re-enter algorithm selection (infinite recursion under a forced
+/// generic BNL when [`Prepared::matrix`](crate::Prepared::matrix)
+/// declines (the term does not materialize, or the optimizer disables
+/// materialization). Deliberately *not* `Prepared::execute`: that would
+/// re-enter algorithm selection (infinite recursion under a forced
 /// `Decomposed`), while the decomposition's fallback is BNL by
 /// construction.
 fn direct(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
     let q = engine.prepare(pref, r.schema())?;
     Ok(match q.matrix(r) {
         Some(m) => bnl_matrix(&m),
-        None => bnl_compiled(q.compiled(), r),
+        None => bnl_generic(q.compiled(), r),
     })
 }
 
@@ -152,13 +154,13 @@ impl Engine {
         };
         let max1: HashSet<usize> = match &m1 {
             Some(m) => bnl_matrix(m),
-            None => bnl_compiled(q1.compiled(), r),
+            None => bnl_generic(q1.compiled(), r),
         }
         .into_iter()
         .collect();
         let max2: HashSet<usize> = match &m2 {
             Some(m) => bnl_matrix(m),
-            None => bnl_compiled(q2.compiled(), r),
+            None => bnl_generic(q2.compiled(), r),
         }
         .into_iter()
         .collect();
@@ -256,7 +258,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmo::sigma_naive;
+    use crate::bmo::sigma_naive_generic;
     use pref_core::prelude::*;
     use pref_relation::rel;
 
@@ -273,7 +275,7 @@ mod tests {
 
         // σ[P1⊗P2](R) = R (Prop. 6 + Prop. 3g).
         let pareto = Pref::Pareto(vec![p1.clone(), p2.clone()]);
-        assert_eq!(sigma_naive(&pareto, &r).unwrap(), vec![0, 1, 2]);
+        assert_eq!(sigma_naive_generic(&pareto, &r).unwrap(), vec![0, 1, 2]);
         assert_eq!(sigma_decomposed(&pareto, &r).unwrap(), vec![0, 1, 2]);
 
         // The paper's countercheck: σ[P2](σ[P1](R)) = {3}, σ[P1](σ[P2](R))
@@ -299,7 +301,7 @@ mod tests {
         let p = lowest("price").pareto(lowest("mileage"));
         assert_eq!(
             sigma_decomposed(&p, &r).unwrap(),
-            sigma_naive(&p, &r).unwrap()
+            sigma_naive_generic(&p, &r).unwrap()
         );
         assert_eq!(sigma_decomposed(&p, &r).unwrap(), vec![2, 4]);
     }
@@ -340,7 +342,7 @@ mod tests {
         };
         let q = antichain(["make"]).prior(around("price", 40_000));
         let got = sigma_decomposed(&q, &r).unwrap();
-        assert_eq!(got, sigma_naive(&q, &r).unwrap());
+        assert_eq!(got, sigma_naive_generic(&q, &r).unwrap());
         assert_eq!(got, vec![0, 1, 2]);
     }
 
@@ -354,7 +356,7 @@ mod tests {
         assert!(p.is_chain());
         assert_eq!(
             sigma_decomposed(&p, &r).unwrap(),
-            sigma_naive(&p, &r).unwrap()
+            sigma_naive_generic(&p, &r).unwrap()
         );
         assert_eq!(sigma_decomposed(&p, &r).unwrap(), vec![1, 3]);
     }
@@ -376,7 +378,7 @@ mod tests {
         ] {
             assert_eq!(
                 sigma_decomposed(&p, &r).unwrap(),
-                sigma_naive(&p, &r).unwrap(),
+                sigma_naive_generic(&p, &r).unwrap(),
                 "decomposition diverged for {p}"
             );
         }
@@ -414,7 +416,7 @@ mod tests {
         // Chain head → Prop. 11: the tail runs on a σ[P1](R) derived view.
         let p = lowest("a").prior(pos("c", ["x"]).pareto(neg("c", ["z"])));
         let first = engine.sigma_decomposed(&p, &r).unwrap();
-        assert_eq!(first, sigma_naive(&p, &r).unwrap());
+        assert_eq!(first, sigma_naive_generic(&p, &r).unwrap());
         let stats1 = engine.cache_stats();
         let second = engine.sigma_decomposed(&p, &r).unwrap();
         let stats2 = engine.cache_stats();
@@ -434,7 +436,7 @@ mod tests {
         let p = pos("color", ["green", "yellow"]).pareto(neg("color", ["red", "green"]));
         assert_eq!(
             sigma_decomposed(&p, &r).unwrap(),
-            sigma_naive(&p, &r).unwrap()
+            sigma_naive_generic(&p, &r).unwrap()
         );
     }
 }

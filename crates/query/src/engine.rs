@@ -69,8 +69,8 @@ pub struct CacheStats {
     /// ([`CacheStatus::WindowHit`]).
     pub window_hits: u64,
     /// Executions served by an *incremental rebuild*: the relation
-    /// mutated, but its [`Delta`](pref_relation::Delta) matched a cached
-    /// prior state, so the build re-encoded only dirty and appended rows
+    /// grew, and its [`Delta`](pref_relation::Delta) matched a cached
+    /// prior state, so the build re-encoded only the appended rows
     /// ([`CacheStatus::ShardHit`]). Counted separately from both `hits`
     /// (some keys were built) and `misses` (most were not).
     pub shard_hits: u64,
@@ -303,10 +303,10 @@ impl Engine {
     ///    a [`MatrixWindow`] index indirection
     ///    ([`CacheStatus::WindowHit`]) — this is how a subset under a
     ///    never-before-seen predicate still skips materialization;
-    /// 4. for mutated relations carrying a [`Delta`](pref_relation::Delta),
+    /// 4. for dense relations carrying a [`Delta`](pref_relation::Delta),
     ///    any remembered prior content state with a resident matrix —
     ///    the matrix is rebuilt *incrementally*, copying that matrix's
-    ///    lanes and re-encoding only dirty and appended rows
+    ///    lanes and re-encoding only the appended rows
     ///    ([`CacheStatus::ShardHit`]);
     /// 5. build ([`CacheStatus::Miss`]).
     ///
@@ -381,8 +381,8 @@ impl Engine {
             // Shard tier: the relation mutated, but its delta names prior
             // content states it extends. If any of them has a resident
             // matrix of exactly the recorded prefix length, seed an
-            // incremental rebuild from it: only dirty and appended rows
-            // are re-encoded (outside the lock, below).
+            // incremental rebuild from it: only the appended rows are
+            // encoded (outside the lock, below).
             //
             // Dense relations only: the incremental build is positional
             // (base state = unchanged storage prefix of `r`), and a
@@ -403,8 +403,8 @@ impl Engine {
         // on it (a duplicate build is wasted work, never wrong results).
         if let Some((prev, prefix_len)) = reusable {
             build_scope();
-            let dirty = r.delta().map_or(&[][..], |d| d.dirty());
-            if let Some(m) = c.score_matrix_incremental(r, &prev, prefix_len, dirty, threads) {
+            // Storage only grows by appends: no prefix row ever changed.
+            if let Some(m) = c.score_matrix_incremental(r, &prev, prefix_len, &[], threads) {
                 let m = Arc::new(m);
                 // Relaxed: statistic only.
                 inner.shard_hits.fetch_add(1, Ordering::Relaxed);
@@ -431,17 +431,16 @@ impl Engine {
         }
     }
 
-    /// Does the maintained-result tier serve `r`? Not when it is
-    /// disabled, and not for lineage-carrying derived views: every
+    /// Does the maintained-result tier serve `r`? Not when caching or
+    /// materialization is disabled, and not for lineage-carrying derived
+    /// views: every
     /// derivation draws a fresh generation and carries no
     /// [`Delta`](pref_relation::Delta), so a result cached for one could
     /// only ever be read back by re-executing the very same `Relation`
     /// value — dead weight that would push live entries out of the LRU.
     fn result_tier_serves(&self, r: &Relation) -> bool {
-        let opt = &self.inner.optimizer;
         self.inner.results.capacity > 0
-            && !opt.no_result_cache
-            && !opt.no_materialize
+            && !self.inner.optimizer.no_materialize
             && r.lineage().is_none()
             && r.len() <= u32::MAX as usize
     }
@@ -455,10 +454,10 @@ impl Engine {
     /// 2. a prior content state out of `r`'s
     ///    [`Delta`](pref_relation::Delta) has a cached result — the
     ///    maintenance classifier (`maintain`) patches it
-    ///    against the delta ([`CacheStatus::MaintainedHit`]): unchanged
-    ///    result members stay, appended/updated rows are BNL-inserted
-    ///    against the old skyline, and any change touching a result
-    ///    member falls through to a full recompute.
+    ///    against the delta ([`CacheStatus::MaintainedHit`]): surviving
+    ///    result members stay, appended rows are BNL-inserted against the
+    ///    old skyline, and a delete that removes a result member falls
+    ///    through to a full recompute.
     ///
     /// Returns `(rows, status, materialized, explicit_bitsets)`, or
     /// `None` when the tier cannot answer (disabled, cold, or the
@@ -552,6 +551,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::bnl::bnl_matrix;
     use crate::bmo::sigma_naive_generic;
     use crate::optimizer::Algorithm;
     use pref_core::prelude::*;
@@ -679,39 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_ablation_exposes_the_matrix_shard_route() {
-        // Same mutation shape as above, but with the result tier
-        // disabled: the append must fall back to the incremental
-        // matrix rebuild (ShardHit), proving the knob keeps that route
-        // measurable.
-        let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
-        let mut r = rel! {
-            ("a": Int, "b": Int, "c": Str);
-            (1, 9, "x"), (2, 8, "y"), (3, 7, "x"),
-        };
-        let p = around("a", 2).pareto(lowest("b"));
-        let q = engine.prepare(&p, r.schema()).unwrap();
-        assert_eq!(q.execute(&r).unwrap().cache(), CacheStatus::Miss);
-        assert_eq!(
-            q.execute(&r).unwrap().cache(),
-            CacheStatus::Hit,
-            "matrix exact hits still serve without the result tier"
-        );
-        r.push_values(vec![Value::from(2), Value::from(0), Value::from("w")])
-            .unwrap();
-        let (rows, ex) = q.execute(&r).unwrap().into_parts();
-        assert_eq!(
-            ex.cache,
-            CacheStatus::ShardHit,
-            "append over a warmed matrix must rebuild incrementally"
-        );
-        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
-        let stats = engine.cache_stats();
-        assert_eq!(stats.maintained_hits, 0);
-        assert_eq!(stats.result_entries, 0, "ablated engines cache no results");
-    }
-
-    #[test]
     fn delete_views_bypass_the_positional_shard_tier() {
         // Regression: after `delete_row` the relation is a tombstone view
         // whose delta still names the dense pre-delete state — and that
@@ -719,34 +686,36 @@ mod tests {
         // exactly. The incremental rebuild is positional (base state =
         // unchanged storage prefix), so engaging it off a view replays
         // the old answer in stale storage coordinates. It must fall
-        // through to a cold build instead.
-        let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
+        // through to a cold build instead. (The result tier answers
+        // executions first; `Prepared::matrix` reaches the matrix route.)
+        let engine = Engine::new();
         let mut r = rel! {
             ("a": Int, "b": Int, "c": Str);
             (1, 2, "x"), (2, 0, "y"), (3, 5, "x"), (4, 1, "y"),
         };
         let p = around("b", 0).pareto(lowest("a"));
         let q = engine.prepare(&p, r.schema()).unwrap();
-        assert_eq!(q.execute(&r).unwrap().cache(), CacheStatus::Miss);
+        assert!(q.matrix(&r).is_some());
 
         // Delete a maximum: the survivors shift left and a previously
         // dominated row re-promotes — both wrong under matrix reuse.
         r.delete_row(1);
-        let (rows, ex) = q.execute(&r).unwrap().into_parts();
+        let m = q.matrix(&r).expect("materializes");
+        let stats = engine.cache_stats();
         assert_eq!(
-            ex.cache,
-            CacheStatus::Miss,
+            (stats.shard_hits, stats.misses),
+            (0, 2),
             "a tombstone view must not seed the positional shard rebuild"
         );
-        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
+        assert_eq!(bnl_matrix(&m), sigma_naive_generic(&p, &r).unwrap());
     }
 
     #[test]
-    fn appends_and_updates_rebuild_incrementally() {
-        // Result maintenance would answer these mutations before the
-        // matrix path; ablate it so the incremental rebuilds stay
-        // observable.
-        let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
+    fn appends_rebuild_the_matrix_incrementally() {
+        // Result maintenance answers an append before the matrix route
+        // (`mutation_invalidates_and_results_stay_fresh`);
+        // `Prepared::matrix` reaches the matrix route directly.
+        let engine = Engine::new();
         let mut r = rel! { ("a": Int, "b": Int); (0, 0) };
         for i in 1..10i64 {
             r.push_values(vec![Value::from(i), Value::from(100 - i)])
@@ -754,19 +723,13 @@ mod tests {
         }
         let p = around("a", 4).pareto(lowest("b"));
         let q = engine.prepare(&p, r.schema()).unwrap();
-        assert_eq!(q.execute(&r).unwrap().cache(), CacheStatus::Miss);
+        assert!(q.matrix(&r).is_some());
 
-        r.push_values(vec![Value::from(99), Value::from(99)])
-            .unwrap();
-        let (rows, ex) = q.execute(&r).unwrap().into_parts();
-        assert_eq!(ex.cache, CacheStatus::ShardHit);
-        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
-
-        r.update_row(1, vec![Value::from(4), Value::from(0)])
-            .unwrap();
-        let (rows, ex) = q.execute(&r).unwrap().into_parts();
-        assert_eq!(ex.cache, CacheStatus::ShardHit);
-        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
+        for (a, b) in [(99, 99), (4, 0)] {
+            r.push_values(vec![Value::from(a), Value::from(b)]).unwrap();
+            let m = q.matrix(&r).expect("materializes");
+            assert_eq!(bnl_matrix(&m), sigma_naive_generic(&p, &r).unwrap());
+        }
         let stats = engine.cache_stats();
         assert_eq!(stats.shard_hits, 2);
         assert_eq!(stats.misses, 1, "only the cold build was a full miss");
@@ -782,17 +745,19 @@ mod tests {
     #[test]
     fn reordering_mutations_forfeit_the_incremental_route() {
         let engine = Engine::new();
-        let mut r = sample();
+        let r = sample();
         let p = around("a", 2).pareto(lowest("b"));
         let q = engine.prepare(&p, r.schema()).unwrap();
-        q.execute(&r).unwrap();
+        // A reordered view, whose ids do not track storage order.
+        let mut v = r.take_rows(&(0..r.len()).rev().collect::<Vec<_>>());
+        q.execute(&v).unwrap();
 
-        // A sort invalidates every prefix claim: full rebuild.
-        r.sort_by_key(|t| t[0].clone());
-        assert!(r.delta().is_none());
-        let (rows, ex) = q.execute(&r).unwrap().into_parts();
+        // A delete from it records no prefix claim: full rebuild.
+        v.delete_row(0);
+        assert!(v.delta().is_none());
+        let (rows, ex) = q.execute(&v).unwrap().into_parts();
         assert_eq!(ex.cache, CacheStatus::Miss);
-        assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
+        assert_eq!(rows, sigma_naive_generic(&p, &v).unwrap());
     }
 
     #[test]
@@ -1020,7 +985,7 @@ mod tests {
         // Mutating the *view* severs its lineage — and its window.
         q.execute(&r).unwrap(); // warm the new base state
         let mut dv = r.select_derived(pred, 9);
-        dv.sort_by_key(|t| t[0].clone());
+        dv.delete_row(0);
         assert!(dv.window_ids().is_none());
         let (rows, ex) = q.execute(&dv).unwrap().into_parts();
         assert_eq!(ex.cache, CacheStatus::Miss);

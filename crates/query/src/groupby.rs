@@ -11,10 +11,11 @@
 //! groups — and all repetitions of the query on an unchanged relation.
 //! The definitional equality is checked in the tests.
 
+use pref_core::eval::CompiledPref;
 use pref_core::term::Pref;
 use pref_relation::{AttrSet, Relation};
 
-use crate::algorithms::bnl::{bnl, bnl_window};
+use crate::algorithms::bnl::{bnl_generic, bnl_window};
 use crate::engine::Engine;
 use crate::error::QueryError;
 
@@ -65,14 +66,16 @@ fn group_windows(
         .collect()
 }
 
-/// The definitional form `σ[A↔ & P](R)` (Def. 16), for cross-checking.
+/// The definitional form `σ[A↔ & P](R)` (Def. 16), for cross-checking:
+/// generic BNL over the term walk, so it shares no matrix code with the
+/// columnar path it checks.
 pub fn sigma_groupby_definitional(
     pref: &Pref,
     group_attrs: &AttrSet,
     r: &Relation,
 ) -> Result<Vec<usize>, QueryError> {
     let term = Pref::Antichain(group_attrs.clone()).prior(pref.clone());
-    bnl(&term, r)
+    Ok(bnl_generic(&CompiledPref::compile(&term, r.schema())?, r))
 }
 
 #[cfg(test)]
@@ -139,7 +142,7 @@ mod tests {
         let p = lowest("price");
         assert_eq!(
             sigma_groupby(&p, &AttrSet::empty(), &r).unwrap(),
-            crate::bmo::sigma_naive(&p, &r).unwrap()
+            crate::bmo::sigma_naive_generic(&p, &r).unwrap()
         );
     }
 

@@ -7,14 +7,16 @@
 //! no flooding effect.
 //!
 //! One way in: [`Engine::prepare`] compiles a term once and
-//! [`Prepared::execute`] evaluates `σ[P](R)`; [`bmo`] holds the naive
-//! Def. 15 oracle every route is checked against. One report out:
+//! [`Prepared::execute`] evaluates `σ[P](R)`. Nothing else compiles a
+//! term and runs it: the [`algorithms`] kernels are handed a compiled
+//! term and a dominance backend, and [`bmo::sigma_naive_generic`] is the
+//! naive Def. 15 oracle every route is checked against. One report out:
 //! every execution returns an [`Explain`], rendered by
 //! [`Explain::lines`].
 //!
 //! * [`bmo`] — the declarative O(n²) reference semantics (Def. 15);
-//! * [`algorithms`] — BNL, parallel BNL, divide & conquer maxima, and
-//!   sort-filter-skyline;
+//! * [`algorithms`] — the BNL, parallel BNL, divide & conquer maxima and
+//!   sort-filter-skyline kernels;
 //! * [`decompose`] — the decomposition theorems (Prop. 8–12) as an
 //!   executable divide & conquer evaluator, incl. `YY` sets;
 //! * [`engine`] — the prepared-query engine's tier resolution: score

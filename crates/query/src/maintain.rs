@@ -4,12 +4,13 @@
 //!
 //! Chomicki's incremental-skyline argument (PAPERS.md): for a finite
 //! strict partial order, `max(P, A ∪ B) = max(P, max(P, A) ∪ B)` — and
-//! when no member of `max(P, A)` was changed or deleted, the old maxima
-//! of the unchanged rows stay maximal (every non-maximal old row was
-//! dominated by a *surviving* maximal one). So maintenance reduces to
-//! running the BNL window again, seeded with the previous result, over
-//! only the changed rows: `O(|changed| · |result|)` dominance tests, no
-//! pass over the relation and no matrix walk.
+//! when no member of `max(P, A)` was deleted, the old maxima of the
+//! surviving rows stay maximal (every non-maximal old row was dominated
+//! by a *surviving* maximal one). Storage only grows by appends and
+//! shrinks by tombstones, so maintenance reduces to running the BNL
+//! window again, seeded with the previous result, over only the
+//! appended rows: `O(|appended| · |result|)` dominance tests, no pass
+//! over the relation and no matrix walk.
 //!
 //! The classifier is a pure function of its arguments — it reads no
 //! engine state; [`Engine`](crate::engine::Engine) decides when to call
@@ -26,9 +27,9 @@ use crate::algorithms::bnl::bnl_window;
 ///
 /// Positions are translated through the delta's storage-space claims
 /// (tombstone watermarks, see [`Delta`](pref_relation::Delta)). Returns
-/// `None` when classification cannot decide — a result member is dirty
-/// or tombstoned, or the delta's claims don't map onto the current view
-/// — and the caller recomputes from scratch (this is also how deletes
+/// `None` when classification cannot decide — a result member is
+/// tombstoned, or the delta's claims don't map onto the current view —
+/// and the caller recomputes from scratch (this is also how deletes
 /// re-promote previously dominated rows).
 pub(crate) fn maintain_result(
     c: &CompiledPref,
@@ -43,7 +44,6 @@ pub(crate) fn maintain_result(
     // Storage length at the base state: its visible rows were
     // storage `0..s_g` minus the `t` tombstones recorded before it.
     let s_g = base_len + t;
-    let dirty = delta.dirty();
 
     // Translate the cached result's *positions* (at the base state)
     // into *storage ids*. With no prior tombstones the two spaces
@@ -60,20 +60,17 @@ pub(crate) fn maintain_result(
             .collect::<Option<Vec<u32>>>()?
     };
 
-    // A changed or vanished result member breaks the
-    // survivors-stay-maximal argument: bail to a full recompute.
-    if old_ids
-        .iter()
-        .any(|id| dirty.contains(id) || since.contains(id))
-    {
+    // A vanished result member breaks the survivors-stay-maximal
+    // argument: bail to a full recompute.
+    if old_ids.iter().any(|id| since.contains(id)) {
         return None;
     }
 
     // Map the surviving result onto current positions, and collect
-    // the candidate rows (appended or updated since the base) that
-    // must be classified against it.
-    let mut window: Vec<usize>;
-    let mut candidates: Vec<usize> = Vec::new();
+    // the candidate rows (appended since the base) that must be
+    // classified against it.
+    let window: Vec<usize>;
+    let candidates: Vec<usize>;
     match r.row_ids() {
         None => {
             // Dense: positions are storage ids, and a dense relation
@@ -82,31 +79,23 @@ pub(crate) fn maintain_result(
                 return None;
             }
             window = old_ids.iter().map(|&id| id as usize).collect();
-            candidates.extend(s_g..r.len());
-            for &d in dirty {
-                if (d as usize) < s_g && !old_ids.contains(&d) {
-                    candidates.push(d as usize);
-                }
-            }
+            candidates = (s_g..r.len()).collect();
         }
         Some(ids) => {
             // Delete-chain view: ids are ascending storage ids (the
             // dense prefix minus tombstones), so binary search maps
             // each survivor; an unmapped survivor means the claims
             // are broken — recompute.
-            window = Vec::with_capacity(old_ids.len());
-            for &id in &old_ids {
-                window.push(ids.binary_search(&id).ok()?);
-            }
-            for (p, &id) in ids.iter().enumerate() {
-                if (id as usize) >= s_g || (dirty.contains(&id) && !old_ids.contains(&id)) {
-                    candidates.push(p);
-                }
-            }
+            window = old_ids
+                .iter()
+                .map(|id| ids.binary_search(id).ok())
+                .collect::<Option<_>>()?;
+            candidates = (ids.iter().enumerate())
+                .filter(|&(_, &id)| id as usize >= s_g)
+                .map(|(p, _)| p)
+                .collect();
         }
     }
-    candidates.sort_unstable();
-    candidates.dedup();
 
     // BNL-insert every candidate against the maintained window. The
     // compiled term's `better(x, y)` ("y is better than x") is the

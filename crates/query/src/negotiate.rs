@@ -59,7 +59,8 @@ impl NegotiationTable {
     /// Build the table for parties `a` and `b` over `r`.
     pub fn build(a: &Pref, b: &Pref, r: &Relation) -> Result<Self, QueryError> {
         let joint = Pref::Pareto(vec![a.clone(), b.clone()]);
-        let frontier = crate::algorithms::bnl::bnl(&joint, r)?;
+        let compiled = CompiledPref::compile(&joint, r.schema())?;
+        let frontier = crate::algorithms::bnl::bnl_generic(&compiled, r);
 
         let level_of = |p: &Pref| -> Result<Vec<u32>, QueryError> {
             let c = CompiledPref::compile(p, r.schema())?;
@@ -113,7 +114,7 @@ impl NegotiationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmo::sigma_naive;
+    use crate::bmo::sigma_naive_generic;
     use pref_core::prelude::*;
     use pref_relation::rel;
 
@@ -133,7 +134,7 @@ mod tests {
         let p = lowest("price").pareto(highest("commission"));
         assert_eq!(
             sigma_levels(&p, &r, 1).unwrap(),
-            sigma_naive(&p, &r).unwrap()
+            sigma_naive_generic(&p, &r).unwrap()
         );
     }
 
@@ -163,7 +164,10 @@ mod tests {
             v.sort_unstable();
             v
         };
-        assert_eq!(frontier, sigma_naive(&customer.pareto(vendor), &r).unwrap());
+        assert_eq!(
+            frontier,
+            sigma_naive_generic(&customer.pareto(vendor), &r).unwrap()
+        );
     }
 
     #[test]

@@ -93,12 +93,12 @@ pub enum CacheStatus {
     /// ([`MatrixWindow`]). This is the
     /// warm path for *brand-new* WHERE predicates over a warmed base.
     WindowHit,
-    /// Rebuilt *incrementally*: the relation mutated since the cached
-    /// matrix was built, but its [`Delta`](pref_relation::Delta) proved
-    /// the old rows unchanged (appends) or named the few that did change,
-    /// so the build copied the cached lanes and re-encoded only dirty and
-    /// appended rows. Not a warm serve — keys *were* computed — but the
-    /// per-value work was proportional to the mutation, not the relation.
+    /// Rebuilt *incrementally*: the relation grew since the cached matrix
+    /// was built, and its [`Delta`](pref_relation::Delta) proved the old
+    /// rows an unchanged prefix, so the build copied the cached lanes and
+    /// encoded only the appended rows. Not a warm serve — keys *were*
+    /// computed — but the per-value work was proportional to the
+    /// mutation, not the relation.
     ShardHit,
     /// Served by *maintaining* a cached BMO result across a mutation:
     /// the relation's [`Delta`](pref_relation::Delta) proved the old
@@ -134,9 +134,7 @@ impl fmt::Display for CacheStatus {
             CacheStatus::Hit => "hit",
             CacheStatus::DerivedHit => "derived-hit",
             CacheStatus::WindowHit => "window-hit (base matrix via row-id indirection)",
-            CacheStatus::ShardHit => {
-                "shard-hit (incremental rebuild: only dirty and appended rows re-encoded)"
-            }
+            CacheStatus::ShardHit => "shard-hit (incremental rebuild: only appended rows encoded)",
             CacheStatus::MaintainedHit => {
                 "maintained-hit (previous result patched against the delta)"
             }
@@ -331,18 +329,13 @@ pub struct Optimizer {
     /// — [`Engine::optimizer`](crate::engine::Engine::optimizer) always
     /// reports a concrete count.
     pub threads: usize,
-    /// Skip score-matrix materialization at the top level (forces the
-    /// term-walk backend); benchmark ablation and debugging knob. Does
-    /// not reach the decomposition evaluator's per-subquery BNL calls,
-    /// which choose their own backend.
+    /// Skip score-matrix materialization (forces the term-walk backend)
+    /// for the query and for every sub-query of the decomposition
+    /// evaluator and the grouped, quality and k-best operators, which all
+    /// fetch their matrix through
+    /// [`Prepared::matrix`](crate::engine::Prepared::matrix); benchmark
+    /// ablation and debugging knob.
     pub no_materialize: bool,
-    /// Disable the engine's maintained-result tier (exact result hits
-    /// and delta maintenance, [`CacheStatus::MaintainedHit`]); matrix
-    /// caching is unaffected. Benchmark ablation and debugging knob —
-    /// this is how the shard-hit matrix route (an incremental rebuild
-    /// that re-encodes only dirty and appended rows) stays measurable
-    /// once result maintenance would otherwise answer first.
-    pub no_result_cache: bool,
 }
 
 impl Optimizer {
@@ -365,14 +358,6 @@ impl Optimizer {
     /// Disable the score-matrix backend (ablation knob).
     pub fn without_materialization(mut self) -> Self {
         self.no_materialize = true;
-        self
-    }
-
-    /// Disable the maintained-result tier (ablation knob): every
-    /// execution goes to the matrix cache or the algorithm, never to a
-    /// cached or delta-maintained result.
-    pub fn without_result_cache(mut self) -> Self {
-        self.no_result_cache = true;
         self
     }
 
@@ -532,7 +517,6 @@ mod tests {
                         force: Some(algo),
                         threads: 2,
                         no_materialize,
-                        ..Optimizer::default()
                     };
                     assert_eq!(
                         run(opt, &p, &r).unwrap().0,
@@ -675,7 +659,7 @@ mod tests {
         let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert!(ex.rewritten);
         assert_eq!(ex.simplified, pos("c", ["x"]).to_string());
-        assert_eq!(rows, crate::bmo::sigma_naive(&p, &r).unwrap());
+        assert_eq!(rows, crate::bmo::sigma_naive_generic(&p, &r).unwrap());
         assert!(ex.to_string().contains("rewritten"));
     }
 

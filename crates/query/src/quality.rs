@@ -2,7 +2,7 @@
 //!
 //! * `LEVEL` and `DISTANCE` — the quality functions of Preference SQL
 //!   (§6.1), used by the `BUT ONLY` clause "to supervise required quality
-//!   levels" and for query explanation;
+//!   levels" ([`QualityFilter::filter_rows_with`]);
 //! * perfect-match detection (Def. 14b);
 //! * [`Engine::k_best`] / [`Engine::top_k`] — the "k-best" relaxation
 //!   of BMO used by multi-feature and full-text engines (§6.2), which
@@ -10,7 +10,6 @@
 //!   best-matches-only set is too small.
 
 use pref_core::base::BaseRef;
-use pref_core::eval::MatrixWindow;
 use pref_core::graph::BetterGraph;
 use pref_core::term::Pref;
 use pref_relation::{Attr, Relation, Tuple};
@@ -57,51 +56,15 @@ impl QualityFilter {
         &self.conds
     }
 
-    /// Evaluate the filter for one tuple under the given preference term.
-    /// The quality functions resolve against the *first* base preference
-    /// on the named attribute (Preference SQL semantics).
-    pub fn accepts(&self, pref: &Pref, r: &Relation, t: &Tuple) -> Result<bool, QueryError> {
-        for cond in &self.conds {
-            match cond {
-                QualityCond::LevelLe(attr, bound) => {
-                    let lv = level(pref, r, t, attr)?;
-                    if lv > *bound {
-                        return Ok(false);
-                    }
-                }
-                QualityCond::DistanceLe(attr, bound) => {
-                    let d = distance(pref, r, t, attr)?;
-                    if d > *bound {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Apply the filter to a set of row indices (a BMO result).
-    ///
-    /// Resolves every constraint **once** (base preference + column)
-    /// instead of re-walking the term per tuple; see
-    /// [`QualityFilter::filter_rows_with`] for the engine-backed variant
-    /// that additionally reads quality values off the cached
-    /// [`ScoreMatrix`](pref_core::eval::ScoreMatrix) — possibly through
-    /// a [`MatrixWindow`] when `r` is a row-id view.
-    pub fn filter_rows(
-        &self,
-        pref: &Pref,
-        r: &Relation,
-        rows: &[usize],
-    ) -> Result<Vec<usize>, QueryError> {
-        self.filter_rows_inner(pref, r, rows, None)
-    }
-
-    /// [`QualityFilter::filter_rows`] through an [`Engine`]: when the
-    /// engine holds (or can build) a materialized matrix for `pref` over
-    /// `r` — which the preceding BMO stage normally just paid for — each
-    /// LEVEL/DISTANCE check becomes a key read plus the base
-    /// preference's exact key inverse
+    /// Apply the filter to a set of row indices (a BMO result) through an
+    /// [`Engine`]. The quality functions resolve against the *first* base
+    /// preference on the named attribute (Preference SQL semantics), once
+    /// per constraint rather than per tuple. When the engine holds (or
+    /// can build) a materialized matrix for `pref` over `r` — which the
+    /// preceding BMO stage normally just paid for, possibly a
+    /// [`MatrixWindow`](pref_core::eval::MatrixWindow) when `r` is a
+    /// row-id view — each LEVEL/DISTANCE check becomes a key read plus
+    /// the base preference's exact key inverse
     /// ([`level_from_key`](pref_core::base::BasePreference::level_from_key) /
     /// [`distance_from_key`](pref_core::base::BasePreference::distance_from_key)),
     /// with the per-value walk as fallback for backends without one.
@@ -116,23 +79,13 @@ impl QualityFilter {
             return Ok(rows.to_vec());
         }
         let matrix = engine.matrix_for(pref, r)?;
-        self.filter_rows_inner(pref, r, rows, matrix.as_ref())
-    }
-
-    fn filter_rows_inner(
-        &self,
-        pref: &Pref,
-        r: &Relation,
-        rows: &[usize],
-        matrix: Option<&MatrixWindow>,
-    ) -> Result<Vec<usize>, QueryError> {
+        let matrix = matrix.as_ref();
         // Resolve each constraint once: base preference, column, bound,
         // and — when the matrix materialized this base — its key slot.
-        // Resolution failures are *recorded*, not raised: like the
-        // per-tuple [`QualityFilter::accepts`] loop, an unsatisfiable
-        // constraint only errors when some row actually reaches it (a
-        // row rejected by an earlier condition never evaluates it, and
-        // an empty row set evaluates nothing).
+        // Resolution failures are *recorded*, not raised: an
+        // unsatisfiable constraint only errors when some row actually
+        // reaches it (a row rejected by an earlier condition never
+        // evaluates it, and an empty row set evaluates nothing).
         struct Resolved<'a> {
             attr: &'a Attr,
             quality: &'static str,
@@ -168,9 +121,8 @@ impl QualityFilter {
         let mut out = Vec::with_capacity(rows.len());
         'rows: for &i in rows {
             for c in &resolved {
-                // Deferred resolution errors, in the per-tuple path's
-                // precedence: missing base preference first, unknown
-                // column second.
+                // Deferred resolution errors: missing base preference
+                // first, unknown column second.
                 let base = c.base.ok_or_else(|| QueryError::NoQualityFunction {
                     attr: c.attr.to_string(),
                     quality: c.quality,
@@ -224,38 +176,6 @@ impl QualityFilter {
 
 fn base_on<'a>(pref: &'a Pref, attr: &Attr) -> Option<&'a pref_core::term::BasePref> {
     pref.bases().into_iter().find(|b| &b.attr == attr)
-}
-
-/// `LEVEL(attr)` of a tuple: discrete quality level of the base
-/// preference on `attr` (Def. 2/6; 1 = best).
-pub fn level(pref: &Pref, r: &Relation, t: &Tuple, attr: &Attr) -> Result<u32, QueryError> {
-    let b = base_on(pref, attr).ok_or_else(|| QueryError::NoQualityFunction {
-        attr: attr.to_string(),
-        quality: "LEVEL",
-    })?;
-    let col = r.schema().require(attr)?;
-    b.base
-        .level(&t[col])
-        .ok_or_else(|| QueryError::NoQualityFunction {
-            attr: attr.to_string(),
-            quality: "LEVEL",
-        })
-}
-
-/// `DISTANCE(attr)` of a tuple: the continuous quality notion of AROUND /
-/// BETWEEN (Def. 7).
-pub fn distance(pref: &Pref, r: &Relation, t: &Tuple, attr: &Attr) -> Result<f64, QueryError> {
-    let b = base_on(pref, attr).ok_or_else(|| QueryError::NoQualityFunction {
-        attr: attr.to_string(),
-        quality: "DISTANCE",
-    })?;
-    let col = r.schema().require(attr)?;
-    b.base
-        .distance(&t[col])
-        .ok_or_else(|| QueryError::NoQualityFunction {
-            attr: attr.to_string(),
-            quality: "DISTANCE",
-        })
 }
 
 /// Perfect-match test (Def. 14b): is `t[A] ∈ max(P)` over the whole
@@ -368,13 +288,26 @@ mod tests {
         let p = pos_neg("color", ["yellow"], ["gray"])
             .unwrap()
             .pareto(around("price", 40_000));
-        let t = r.row(0);
-        assert_eq!(level(&p, &r, t, &attr("color")).unwrap(), 3);
-        assert_eq!(distance(&p, &r, t, &attr("price")).unwrap(), 2_000.0);
-        // LEVEL on a continuous preference is undefined.
-        assert!(level(&p, &r, t, &attr("price")).is_err());
-        // Quality functions need a constraining base preference.
-        assert!(distance(&p, &r, t, &attr("missing")).is_err());
+        // Off the matrix keys and off the per-value walk alike.
+        for engine in [Engine::new(), term_walk()] {
+            let kept = |cond| {
+                QualityFilter::new()
+                    .and(cond)
+                    .filter_rows_with(&engine, &p, &r, &[0])
+            };
+            let (color, price) = (attr("color"), attr("price"));
+            // LEVEL(color) = 3 and DISTANCE(price) = 2000, exactly.
+            assert_eq!(kept(QualityCond::LevelLe(color.clone(), 3)).unwrap(), [0]);
+            assert!(kept(QualityCond::LevelLe(color, 2)).unwrap().is_empty());
+            let at = kept(QualityCond::DistanceLe(price.clone(), 2_000.0));
+            assert_eq!(at.unwrap(), [0]);
+            let below = kept(QualityCond::DistanceLe(price.clone(), 1_999.0));
+            assert!(below.unwrap().is_empty());
+            // LEVEL on a continuous preference is undefined.
+            assert!(kept(QualityCond::LevelLe(price, 99)).is_err());
+            // Quality functions need a constraining base preference.
+            assert!(kept(QualityCond::DistanceLe(attr("missing"), 1.0)).is_err());
+        }
     }
 
     #[test]
@@ -390,44 +323,33 @@ mod tests {
             .and(QualityCond::DistanceLe(attr("start"), 2.0))
             .and(QualityCond::DistanceLe(attr("duration"), 2.0));
         let all: Vec<usize> = (0..r.len()).collect();
-        let kept = f.filter_rows(&p, &r, &all).unwrap();
+        let kept = f.filter_rows_with(&Engine::new(), &p, &r, &all).unwrap();
         assert_eq!(kept, vec![0, 3]);
     }
 
     #[test]
     fn filter_errors_stay_lazy_like_accepts() {
         // An unsatisfiable constraint only errors when a row actually
-        // reaches it — exactly like the per-tuple `accepts` loop.
+        // reaches it, as if each row were accepted one at a time.
         let r = rel! { ("a": Int); (5,) };
         let p = around("a", 0);
-        let engine = Engine::new();
         let bad = QualityFilter::new().and(QualityCond::LevelLe(attr("missing"), 1));
-
-        // Empty row set: nothing is evaluated, nothing errors.
-        assert_eq!(bad.filter_rows(&p, &r, &[]).unwrap(), Vec::<usize>::new());
-        assert_eq!(
-            bad.filter_rows_with(&engine, &p, &r, &[]).unwrap(),
-            Vec::<usize>::new()
-        );
-        // A row that reaches the constraint surfaces the error.
-        assert!(bad.filter_rows(&p, &r, &[0]).is_err());
-        assert!(bad.filter_rows_with(&engine, &p, &r, &[0]).is_err());
-
         // A row rejected by an earlier condition never evaluates the
         // invalid one (distance of 5 > 1 rejects first).
         let short_circuit = QualityFilter::new()
             .and(QualityCond::DistanceLe(attr("a"), 1.0))
             .and(QualityCond::LevelLe(attr("missing"), 1));
-        assert_eq!(
-            short_circuit.filter_rows(&p, &r, &[0]).unwrap(),
-            Vec::<usize>::new()
-        );
-        assert_eq!(
-            short_circuit
-                .filter_rows_with(&engine, &p, &r, &[0])
-                .unwrap(),
-            Vec::<usize>::new()
-        );
+        for engine in [Engine::new(), term_walk()] {
+            // Empty row set: nothing is evaluated, nothing errors.
+            assert!(bad
+                .filter_rows_with(&engine, &p, &r, &[])
+                .unwrap()
+                .is_empty());
+            // A row that reaches the constraint surfaces the error.
+            assert!(bad.filter_rows_with(&engine, &p, &r, &[0]).is_err());
+            let kept = short_circuit.filter_rows_with(&engine, &p, &r, &[0]);
+            assert!(kept.unwrap().is_empty());
+        }
     }
 
     #[test]
@@ -456,7 +378,7 @@ mod tests {
         assert_eq!(base.distance_from_key(m.key_at(1, slot)), Some(3.0));
 
         let via_engine = f.filter_rows_with(&engine, &p, &r, &all).unwrap();
-        let via_walk = f.filter_rows(&p, &r, &all).unwrap();
+        let via_walk = f.filter_rows_with(&term_walk(), &p, &r, &all).unwrap();
         assert_eq!(via_engine, via_walk);
         // Row 1 fails twice (NEG'd color, start 3 off), row 2's duration
         // is 6 off; rows 0 and 3 satisfy every bound.
@@ -470,7 +392,7 @@ mod tests {
         // preference is still undefined.
         let bad = QualityFilter::new().and(QualityCond::LevelLe(attr("start"), 1));
         assert!(bad.filter_rows_with(&engine, &p, &r, &all).is_err());
-        assert!(bad.filter_rows(&p, &r, &all).is_err());
+        assert!(bad.filter_rows_with(&term_walk(), &p, &r, &all).is_err());
     }
 
     /// The term-walk reference: the same operators with the score-matrix
@@ -559,7 +481,7 @@ mod tests {
     fn k_best_prefix_is_bmo() {
         let r = rel! { ("a": Int, "b": Int); (1, 9), (2, 8), (9, 1), (5, 5) };
         let p = lowest("a").pareto(lowest("b"));
-        let bmo = crate::bmo::sigma_naive(&p, &r).unwrap();
+        let bmo = crate::bmo::sigma_naive_generic(&p, &r).unwrap();
         let kb = Engine::new().k_best(&p, &r, r.len()).unwrap();
         assert_eq!(
             {

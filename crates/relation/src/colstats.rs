@@ -38,8 +38,7 @@ impl ColumnStats {
     /// `r`'s delta proves the rows `prev` counted an unchanged prefix,
     /// `prev`'s counts are copied and only the appended suffix is
     /// scanned; anything the delta cannot vouch for (`prev = None`,
-    /// updates, deletes, reorderings, an overflowed delta) is a full
-    /// recount.
+    /// deletes, a flattened or overflowed delta) is a full recount.
     pub fn advance(prev: Option<&ColumnStats>, r: &Relation) -> ColumnStats {
         let (mut stats, counted) = prev
             .and_then(|p| claimable_prefix(p, r).map(|base_len| (p.clone(), base_len)))
@@ -80,7 +79,7 @@ impl ColumnStats {
         }
     }
 
-    /// Move to the relation's new generation after an in-place update.
+    /// Move to the relation's new generation after a mutation.
     pub(crate) fn restamp(&mut self, generation: u64) {
         self.generation = generation;
     }
@@ -108,14 +107,11 @@ impl ColumnStats {
 }
 
 /// If `r`'s delta records `prev`'s generation as a base whose prefix is
-/// provably unchanged (no dirty rows, no tombstones since that base),
-/// return the base length — the number of leading rows whose counts can
-/// be carried over verbatim.
+/// provably unchanged (no tombstones since that base), return the base
+/// length — the number of leading rows whose counts can be carried over
+/// verbatim.
 fn claimable_prefix(prev: &ColumnStats, r: &Relation) -> Option<usize> {
     let d = r.delta()?;
-    if !d.dirty().is_empty() {
-        return None;
-    }
     let (k, &(_, base_len)) = d
         .bases()
         .iter()
@@ -166,17 +162,6 @@ mod tests {
         let fresh = ColumnStats::of(&r);
         assert_eq!(s1.distinct_by_index(0), fresh.distinct_by_index(0));
         assert_eq!(s1.distinct_by_index(1), fresh.distinct_by_index(1));
-    }
-
-    #[test]
-    fn update_falls_back_to_recount() {
-        let mut r = sample();
-        let s0 = ColumnStats::of(&r);
-        r.update_row(0, vec![Value::from(7), Value::from("q")])
-            .unwrap();
-        let s1 = ColumnStats::advance(Some(&s0), &r);
-        assert_eq!(s1.distinct_by_index(0), 4); // 7, 2, 1, 3
-        assert_eq!(s1.distinct_by_index(1), 3); // q, y, x
     }
 
     #[test]

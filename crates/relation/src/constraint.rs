@@ -9,10 +9,9 @@
 //! tuples, so `σ[P](R) = R`) or a hard selection commutable with the
 //! winnow — see `pref-query`'s plan module.
 //!
-//! Constraints are *enforced*: every way a row becomes visible in a
-//! relation ([`Relation::push`], [`Relation::update_row`],
-//! [`Relation::union_all`]) asks [`Constraint::admits`] first and refuses
-//! the mutation with [`RelationError::ConstraintViolation`](crate::RelationError::ConstraintViolation)
+//! Constraints are *enforced*: the one way a row becomes visible in a
+//! relation, [`Relation::push`], asks [`Constraint::admits`] first and
+//! refuses the mutation with [`RelationError::ConstraintViolation`](crate::RelationError::ConstraintViolation)
 //! — the relation, its generation and its delta stay untouched — so the
 //! plans that reason from a declaration can never be made wrong by a
 //! later write. Deleting and selecting only shrink the row set, which

@@ -91,27 +91,21 @@ fn fold_fingerprint(acc: u64, fp: u64) -> u64 {
 /// earlier states of the same relation, for caches that would rather
 /// patch a previous materialization than rebuild from scratch.
 ///
-/// All indices are **storage positions**. Within one delta lifetime
-/// storage is append-only (appends extend it, [`Relation::delete_row`]
-/// only drops ids from the view, in-place updates rewrite a slot), so
-/// storage positions are stable names for rows across the recorded
-/// history; any mutation that breaks this (sorts, flattens that
-/// reorder or rebuild storage) clears the delta entirely.
+/// All indices are **storage positions**. Storage only grows by
+/// [`Relation::push`] and shrinks only by [`Relation::delete_row`]
+/// tombstones, which drop ids from the view and leave the tuples in
+/// place, so storage positions are stable names for rows across the
+/// recorded history; a push that has to flatten a view rebuilds storage
+/// and restarts the delta.
 ///
 /// The contract, for every recorded base `(generation, len)` at index
 /// `k` in [`Delta::bases`]: the relation state that carried
 /// `generation` had exactly `len` visible rows, namely storage
 /// positions `0..len + t` minus the first `t` entries of
 /// [`Delta::deleted`] (in storage order), where
-/// `t = deleted().len() - deleted_since(k).len()` — and every one of
-/// those storage rows still holds the content it had at `generation`,
-/// **except possibly the positions listed in [`Delta::dirty`]**. For a
-/// relation with no deletions this degenerates to the old prefix
-/// claim: storage rows `0..len` are the state-`generation` rows.
-/// `dirty` is a single global over-approximation shared by all bases:
-/// a row listed there may in fact be unchanged relative to a newer
-/// base, which costs a cache only wasted recomputation, never
-/// staleness.
+/// `t = deleted().len() - deleted_since(k).len()`. For a relation with
+/// no deletions this is the prefix claim: storage rows `0..len` are the
+/// state-`generation` rows.
 #[derive(Debug, Clone, Default)]
 pub struct Delta {
     /// Earlier content states this relation extends, most recent first,
@@ -120,9 +114,6 @@ pub struct Delta {
     /// Parallel to `bases`: how many tombstones in `deleted` predate
     /// each base (i.e. `deleted.len()` when the base was recorded).
     tombs_at: Vec<u32>,
-    /// Storage positions whose content may differ from the recorded
-    /// bases.
-    dirty: Vec<u32>,
     /// Storage positions dropped from the visible view by
     /// [`Relation::delete_row`], in deletion order. Cumulative: a
     /// tombstoned row never becomes visible again within the delta's
@@ -133,25 +124,14 @@ pub struct Delta {
 impl Delta {
     /// How many prior content states a relation remembers.
     pub const MAX_BASES: usize = 4;
-    /// Dirty-row budget: an incremental matrix rebuild re-encodes only
-    /// dirty and appended rows; past this much in-place churn a full
-    /// rebuild is as cheap, so tracking stops and there is no delta.
-    pub const MAX_DIRTY: usize = 64;
-    /// Tombstone budget, in the spirit of [`Delta::MAX_DIRTY`]: once
-    /// this many rows have been deleted a rebuild is cheap relative to
-    /// the bookkeeping, so tracking stops.
+    /// Tombstone budget: once this many rows have been deleted a
+    /// rebuild is cheap relative to the bookkeeping, so tracking stops.
     pub const MAX_DELETED: usize = 64;
 
     /// The remembered `(generation, visible length)` base states, most
     /// recent first.
     pub fn bases(&self) -> &[(u64, usize)] {
         &self.bases
-    }
-
-    /// Storage positions of possibly-changed rows within the base
-    /// prefixes.
-    pub fn dirty(&self) -> &[u32] {
-        &self.dirty
     }
 
     /// All tombstoned storage positions, in deletion order.
@@ -303,9 +283,9 @@ impl Relation {
     }
 
     /// The relation's *generation*: a process-unique version number for
-    /// its current content. Every mutating operation ([`Relation::push`],
-    /// [`Relation::union_all`], [`Relation::sort_by_key`], …) moves the
-    /// relation to a fresh generation; derived relations (selections,
+    /// its current content. Both mutating operations ([`Relation::push`]
+    /// and [`Relation::delete_row`]) move the relation to a fresh
+    /// generation; derived relations (selections,
     /// projections) start at their own fresh generation. Clones share the
     /// generation until either side mutates.
     ///
@@ -449,20 +429,12 @@ impl Relation {
         Arc::make_mut(&mut self.rows)
     }
 
-    /// The relation's mutation provenance, when its recent history is
-    /// append/update-shaped (see [`Delta`]). `None` for fresh or derived
-    /// relations, after reordering mutations, and once in-place churn
-    /// exceeds the [`Delta::MAX_DIRTY`] budget.
+    /// The relation's mutation provenance (see [`Delta`]). `None` for
+    /// fresh or derived relations (a delete from a derived view leaves
+    /// it `None`) and once deletions exceed the [`Delta::MAX_DELETED`]
+    /// budget.
     pub fn delta(&self) -> Option<&Delta> {
         self.delta.as_ref()
-    }
-
-    /// Record that the state `(old_gen, old_len)` is a clean prefix of
-    /// the current content. Must be called *after* a successful
-    /// append-shaped mutation, with the values captured before it.
-    fn record_extension(&mut self, old_gen: u64, old_len: usize) {
-        let d = self.delta.get_or_insert_with(Delta::default);
-        d.push_base(old_gen, old_len);
     }
 
     /// This relation's column statistics: counted on first demand, kept
@@ -525,33 +497,9 @@ impl Relation {
         let (old_gen, old_len) = (self.generation, self.len());
         self.rows_mut().push(row);
         self.restamp(|stats, rows| stats.add_row(rows[old_len].values()));
-        self.record_extension(old_gen, old_len);
-        Ok(())
-    }
-
-    /// Replace the row at index `i` in place (validated against the
-    /// schema). An update moves the generation like any mutation, but
-    /// additionally records `i` as a *dirty row* in the [`Delta`], so
-    /// caches can re-derive just the storage region that changed.
-    ///
-    /// Panics when `i` is out of bounds, like [`Relation::row`].
-    pub fn update_row(&mut self, i: usize, values: Vec<Value>) -> Result<()> {
-        self.schema.check_row(&values)?;
-        assert!(i < self.len(), "update_row index {i} out of bounds");
-        let other = (0..self.len().min(2)).find(|&k| k != i);
-        self.check_constraints(&values, other.map(|k| self.row(k)))?;
-        let (old_gen, old_len) = (self.generation, self.len());
-        let old = std::mem::replace(&mut self.rows_mut()[i], Tuple::new(values));
-        self.restamp(|stats, rows| {
-            stats.remove_row(old.values());
-            stats.add_row(rows[i].values());
-        });
-        self.record_extension(old_gen, old_len);
-        let d = self.delta.as_mut().expect("record_extension ensures delta");
-        d.dirty.push(i as u32);
-        if d.dirty.len() > Delta::MAX_DIRTY {
-            self.delta = None;
-        }
+        // The state before the push is a clean prefix of the new one.
+        let d = self.delta.get_or_insert_with(Delta::default);
+        d.push_base(old_gen, old_len);
         Ok(())
     }
 
@@ -755,43 +703,6 @@ impl Relation {
         }
         Ok(seen.len())
     }
-
-    /// Append all rows of `other`; schemas must match structurally.
-    pub fn union_all(&mut self, other: &Relation) -> Result<()> {
-        if !self.schema.same_as(other.schema()) {
-            return Err(RelationError::SchemaMismatch {
-                left: self.schema.to_string(),
-                right: other.schema().to_string(),
-            });
-        }
-        let witness = self.iter().chain(other.iter()).next();
-        for t in other.iter() {
-            self.check_constraints(t.values(), witness)?;
-        }
-        let extra: Vec<Tuple> = other.iter().cloned().collect();
-        let (old_gen, old_len) = (self.generation, self.len());
-        self.rows_mut().extend(extra);
-        self.restamp(|stats, rows| {
-            for t in &rows[old_len..] {
-                stats.add_row(t.values());
-            }
-        });
-        self.record_extension(old_gen, old_len);
-        Ok(())
-    }
-
-    /// Stable sort of rows by a key function. Reordering is a mutation:
-    /// row indices change meaning, so the generation moves — and no
-    /// earlier state survives as a prefix, so the [`Delta`] clears.
-    pub fn sort_by_key<K, F>(&mut self, f: F)
-    where
-        F: FnMut(&Tuple) -> K,
-        K: Ord,
-    {
-        self.rows_mut().sort_by_key(f);
-        self.restamp(|_, _| {});
-        self.delta = None;
-    }
 }
 
 impl fmt::Display for Relation {
@@ -876,25 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn union_all_checks_schema() {
-        let mut r = cars();
-        let other = cars();
-        r.union_all(&other).unwrap();
-        assert_eq!(r.len(), 8);
-
-        let mismatched = rel! { ("make": Str); ("X",) };
-        assert!(r.union_all(&mismatched).is_err());
-    }
-
-    #[test]
-    fn sort_is_stable() {
-        let mut r = cars();
-        r.sort_by_key(|t| t[1].clone());
-        let prices: Vec<_> = r.iter().map(|t| t[1].as_int().unwrap()).collect();
-        assert_eq!(prices, vec![20_000, 35_000, 40_000, 50_000]);
-    }
-
-    #[test]
     fn generations_track_content_states() {
         let mut r = cars();
         let g0 = r.generation();
@@ -912,8 +804,8 @@ mod tests {
         assert!(r.push_values(vec![Value::from(1)]).is_err());
         assert_eq!(r.generation(), g1);
 
-        r.sort_by_key(|t| t[1].clone());
-        assert_ne!(r.generation(), g1, "reordering is a mutation");
+        r.delete_row(0);
+        assert_ne!(r.generation(), g1, "deletion is a mutation");
 
         // Derived relations live in their own generations.
         let derived = r.select(|_| true);
@@ -922,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_record_appends_updates_and_clear_on_reorder() {
+    fn deltas_record_appends_and_cap_their_bases() {
         let mut r = cars();
         assert!(r.delta().is_none(), "bulk construction carries no delta");
         let g0 = r.generation();
@@ -932,40 +824,20 @@ mod tests {
         let g1 = r.generation();
         let d = r.delta().unwrap();
         assert_eq!(d.bases(), &[(g0, 4)]);
-        assert!(d.dirty().is_empty());
 
-        r.union_all(&cars()).unwrap();
+        r.push_values(vec![Value::from("Fiat"), Value::from(2)])
+            .unwrap();
         let d = r.delta().unwrap();
         assert_eq!(d.bases(), &[(g1, 5), (g0, 4)], "most recent base first");
 
-        // In-place updates keep the prefix claim but flag the row.
-        let g2 = r.generation();
-        r.update_row(2, vec![Value::from("VW"), Value::from(19_000)])
-            .unwrap();
-        let d = r.delta().unwrap();
-        assert_eq!(d.bases().first(), Some(&(g2, 9)));
-        assert_eq!(d.dirty(), &[2]);
-
         // The base list is capped, newest kept.
         for _ in 0..Delta::MAX_BASES {
+            let g = r.generation();
             r.push_values(vec![Value::from("Fiat"), Value::from(2)])
                 .unwrap();
+            assert_eq!(r.delta().unwrap().bases()[0], (g, r.len() - 1));
         }
-        let d = r.delta().unwrap();
-        assert_eq!(d.bases().len(), Delta::MAX_BASES);
-        assert_eq!(d.dirty(), &[2], "dirty rows survive later appends");
-
-        // Reordering invalidates every prefix claim.
-        r.sort_by_key(|t| t[1].clone());
-        assert!(r.delta().is_none());
-
-        // Excessive in-place churn drops the delta instead of growing it.
-        let mut r = cars();
-        for _ in 0..=Delta::MAX_DIRTY {
-            r.update_row(0, vec![Value::from("Audi"), Value::from(1)])
-                .unwrap();
-        }
-        assert!(r.delta().is_none());
+        assert_eq!(r.delta().unwrap().bases().len(), Delta::MAX_BASES);
 
         // Derived views start with no delta; mutating one then records
         // against the flattened copy, which is still a valid prefix.
@@ -980,8 +852,6 @@ mod tests {
         // Failed mutations record nothing.
         let mut r = cars();
         assert!(r.push_values(vec![Value::from(1)]).is_err());
-        assert!(r.delta().is_none());
-        assert!(r.update_row(0, vec![Value::from(1)]).is_err());
         assert!(r.delta().is_none());
     }
 
@@ -1003,7 +873,6 @@ mod tests {
         let d = r.delta().expect("deletes keep the delta");
         assert_eq!(d.bases(), &[(g0, 4)]);
         assert_eq!(d.deleted(), &[1]);
-        assert!(d.dirty().is_empty());
         assert_eq!(d.deleted_since(0), &[1]);
 
         // Chained deletes keep tombstoning against the same storage.
@@ -1072,18 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn update_row_replaces_in_place() {
-        let mut r = cars();
-        r.update_row(1, vec![Value::from("BMW"), Value::from(1_000)])
-            .unwrap();
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.row(1)[1], Value::from(1_000));
-        assert!(r
-            .update_row(1, vec![Value::from(9), Value::from(9)])
-            .is_err());
-    }
-
-    #[test]
     fn derived_views_carry_stable_lineage() {
         let r = cars();
         let fp = predicate_fingerprint(b"make = 'BMW'");
@@ -1138,13 +995,8 @@ mod tests {
         assert!(d.lineage().is_none(), "pushed rows break the derivation");
 
         let mut d = r.select_derived(|_| true, 42);
-        d.sort_by_key(|t| t[1].clone());
-        assert!(d.lineage().is_none(), "reordering breaks the derivation");
-
-        let mut d = r.select_derived(|_| true, 42);
-        let other = cars();
-        d.union_all(&other).unwrap();
-        assert!(d.lineage().is_none());
+        d.delete_row(1);
+        assert!(d.lineage().is_none(), "deleted rows break the derivation");
 
         // Clones keep the lineage (identical content).
         let d = r.select_derived(|_| true, 42);
@@ -1198,9 +1050,10 @@ mod tests {
         // old storage.
         let mut base = cars();
         let v = base.select(|_| true);
-        base.sort_by_key(|t| t[1].clone());
+        base.push_values(vec![Value::from("Opel"), Value::from(1)])
+            .unwrap();
         assert!(!v.shares_storage_with(&base));
-        assert_eq!(v.row(0)[0], Value::from("Audi"), "view sees old order");
+        assert_eq!(v.len(), 4, "view sees the old rows");
     }
 
     #[test]
@@ -1232,7 +1085,8 @@ mod tests {
         // Mutation severs the window along with the lineage.
         let mut d = r.select_derived(|_| true, 42);
         assert!(d.window_ids().is_some());
-        d.sort_by_key(|t| t[1].clone());
+        d.push_values(vec![Value::from("Opel"), Value::from(1)])
+            .unwrap();
         assert!(d.window_ids().is_none());
 
         // Dense relations have no window.
@@ -1324,41 +1178,25 @@ mod tests {
         refused(&mut r, &|r| {
             r.push_values(vec![Value::from("BMW"), Value::from(15)])
         });
+        // A tombstone view checks against its visible rows too.
+        r.delete_row(0);
         refused(&mut r, &|r| {
-            r.update_row(0, vec![Value::from("VW"), Value::from(10)])
+            r.push_values(vec![Value::from("VW"), Value::from(20)])
         });
-        refused(&mut r, &|r| {
-            r.update_row(1, vec![Value::from("BMW"), Value::from(99)])
-        });
-        let mut strangers = Relation::empty(cars().schema().clone());
-        strangers
-            .push_values(vec![Value::from("BMW"), Value::from(10)])
-            .unwrap();
-        strangers
-            .push_values(vec![Value::from("VW"), Value::from(20)])
-            .unwrap();
-        refused(&mut r, &|r| r.union_all(&strangers));
 
         // What keeps the constraints true still goes through.
-        r.update_row(0, vec![Value::from("BMW"), Value::from(20)])
+        r.push_values(vec![Value::from("BMW"), Value::from(10)])
             .unwrap();
-        r.union_all(&strangers.select(|t| t[0] == Value::from("BMW")))
-            .unwrap();
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.len(), 2);
         for c in schema.constraints() {
             assert!(c.holds_on(&r).unwrap());
         }
-        // The only row of a table may change its CONSTANT value, and an
-        // empty table takes a union that agrees with itself.
-        let mut one = Relation::empty(schema.clone());
-        one.push_values(vec![Value::from("BMW"), Value::from(10)])
+        // A table emptied by deletes takes a new CONSTANT value.
+        r.delete_row(0);
+        r.delete_row(0);
+        r.push_values(vec![Value::from("VW"), Value::from(10)])
             .unwrap();
-        one.update_row(0, vec![Value::from("VW"), Value::from(10)])
-            .unwrap();
-        let mut empty = Relation::empty(schema);
-        assert!(empty.union_all(&strangers).is_err());
-        assert!(empty.is_empty());
-        empty.union_all(&one).unwrap();
+        assert!(schema.constraints().iter().all(|c| c.holds_on(&r).unwrap()));
     }
 
     #[test]

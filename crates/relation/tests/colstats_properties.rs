@@ -10,14 +10,14 @@ fn row(a: i64, b: usize) -> Vec<Value> {
 }
 
 proptest! {
-    /// Random histories of push / update_row / delete_row / union_all /
-    /// sort_by_key over a relation and (from a random step on) a clone
-    /// of it, with `column_stats()` first requested at a random step:
-    /// from then on the cell equals `ColumnStats::of` after every step.
+    /// Random histories of push / delete_row over a relation and (from a
+    /// random step on) a clone of it, with `column_stats()` first
+    /// requested at a random step: from then on the cell equals
+    /// `ColumnStats::of` after every step.
     #[test]
     fn in_place_statistics_equal_a_recount(
         ops in proptest::collection::vec(
-            (0usize..6, any::<bool>(), 0i64..4, 0usize..3, 0usize..16), 1..24),
+            (0usize..3, any::<bool>(), 0i64..4, 0usize..3, 0usize..16), 1..24),
         ask_at in 0usize..12,
     ) {
         let mut rs: Vec<Relation> = vec![rel! {
@@ -29,19 +29,8 @@ proptest! {
             let r = &mut rs[target];
             match kind {
                 0 => r.push_values(row(a, b)).expect("row matches schema"),
-                1 if !r.is_empty() => {
-                    r.update_row(at % r.len(), row(a, b)).expect("row matches schema");
-                }
-                2 if !r.is_empty() => r.delete_row(at % r.len()),
-                3 => {
-                    let mut other = Relation::empty(r.schema().clone());
-                    for k in 0..at % 3 {
-                        other.push_values(row(a + k as i64, b)).expect("row matches schema");
-                    }
-                    r.union_all(&other).expect("same schema");
-                }
-                4 => r.sort_by_key(|t| t[0].clone()),
-                5 if rs.len() == 1 => {
+                1 if !r.is_empty() => r.delete_row(at % r.len()),
+                2 if rs.len() == 1 => {
                     let fork = rs[0].clone();
                     rs.push(fork);
                 }

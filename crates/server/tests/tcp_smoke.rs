@@ -58,11 +58,13 @@ fn tcp_mixed_workload_zero_errors_and_every_tier_warms() {
         &mut a,
         "APPEND car\t'VW'\t'compact'\t'red'\t'manual'\t8800\t75\t9000\t2000\t350\t38\t3",
     );
-    // 7. …so the next whole-table execution re-encodes only the
-    //    appended row (shard hit), not the whole matrix.
+    // 7. …so the next whole-table execution classifies the appended row
+    //    against the cached result (maintained hit)…
     ok(&mut a, &format!("EXEC SELECT * FROM car {PREF}"));
 
-    // Prepared statements over the wire, for good measure.
+    // 8. …and a parameterized WHERE, which keeps the table's matrix warm
+    //    for its windows, rebuilds it encoding only the appended row
+    //    (shard hit).
     ok(
         &mut b,
         &format!("PREPARE caps SELECT * FROM car WHERE price <= $1 {PREF}"),

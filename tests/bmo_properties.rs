@@ -7,13 +7,19 @@ mod common;
 
 use common::{arb_pref, arb_relation, test_schema};
 use preferences::prelude::*;
-use preferences::query::bmo::{sigma_naive, sigma_naive_generic};
+use preferences::query::algorithms::{bnl, dnc, sfs};
+use preferences::query::bmo::{sigma_naive_generic, sigma_naive_matrix};
 use preferences::query::groupby::sigma_groupby_definitional;
 use preferences::query::stats::FilterEffectReport;
-use preferences::query::{algorithms, Engine};
+use preferences::query::Engine;
 use preferences::workload::cars;
 use preferences::workload::synthetic::{self, Distribution};
 use proptest::prelude::*;
+
+/// SFS on the score matrix when the term materializes.
+fn sfs_on(c: &CompiledPref, r: &Relation) -> Option<Vec<usize>> {
+    sfs::try_sfs_with(c, r, c.score_matrix(r).as_ref())
+}
 
 /// SFS, D&C (where the shape admits them) and the engine against both
 /// the generic BNL and Def. 15 — on relations large enough that the
@@ -22,21 +28,16 @@ use proptest::prelude::*;
 fn check_large(p: &Pref, r: &Relation, dnc_applies: bool) -> Result<usize, TestCaseError> {
     let c = CompiledPref::compile(p, r.schema()).expect("term compiles");
     let oracle = sigma_naive_generic(p, r).expect("term compiles");
+    prop_assert_eq!(bnl::bnl_generic(&c, r), oracle.clone(), "BNL for {}", p);
     prop_assert_eq!(
-        algorithms::bnl_generic(&c, r),
-        oracle.clone(),
-        "BNL for {}",
-        p
-    );
-    prop_assert_eq!(
-        algorithms::sfs(p, r).expect("scored shape"),
+        sfs_on(&c, r).expect("scored shape"),
         oracle.clone(),
         "SFS for {}",
         p
     );
     if dnc_applies {
         prop_assert_eq!(
-            algorithms::dnc(p, r).expect("skyline shape"),
+            dnc::try_dnc_compiled(&c, r).expect("skyline shape"),
             oracle.clone(),
             "D&C for {}",
             p
@@ -147,7 +148,7 @@ proptest! {
 
     #[test]
     fn bmo_result_invariants(p in arb_pref(), r in arb_relation(16)) {
-        let res = sigma_naive(&p, &r).expect("term compiles");
+        let res = sigma_naive_generic(&p, &r).expect("term compiles");
         let c = CompiledPref::compile(&p, &test_schema()).expect("term compiles");
 
         // Nonempty input ⟹ nonempty result (no empty-result problem).
@@ -174,24 +175,22 @@ proptest! {
     #[test]
     fn all_algorithms_agree_with_the_oracle(p in arb_pref(), r in arb_relation(16)) {
         // The generic-path naive evaluator is the backend-independent
-        // oracle; the auto-path one (score matrix when available) must
-        // match it before anything else is compared.
+        // oracle; the same loop on the score matrix (when the term
+        // materializes) must match it before anything else is compared.
         let oracle = sigma_naive_generic(&p, &r).expect("term compiles");
-        prop_assert_eq!(
-            sigma_naive(&p, &r).expect("term compiles"),
-            oracle.clone(),
-            "matrix-backed naive diverged for {}", p
-        );
-        prop_assert_eq!(
-            algorithms::bnl(&p, &r).expect("term compiles"),
-            oracle.clone(),
-            "BNL diverged for {}", p
-        );
-        prop_assert_eq!(
-            algorithms::bnl_parallel(&p, &r, 3).expect("term compiles"),
-            oracle.clone(),
-            "parallel BNL diverged for {}", p
-        );
+        let c = CompiledPref::compile(&p, r.schema()).expect("term compiles");
+        let m = c.score_matrix_parallel(&r, 3);
+        if let Some(m) = &m {
+            prop_assert_eq!(sigma_naive_matrix(m), oracle.clone(),
+                "matrix-backed naive diverged for {}", p);
+            prop_assert_eq!(bnl::bnl_matrix(m), oracle.clone(), "BNL diverged for {}", p);
+            prop_assert_eq!(bnl::bnl_parallel_matrix(m, 3), oracle.clone(),
+                "parallel BNL diverged for {}", p);
+        }
+        prop_assert_eq!(bnl::bnl_generic(&c, &r), oracle.clone(),
+            "generic BNL diverged for {}", p);
+        prop_assert_eq!(bnl::bnl_parallel_generic(&c, &r, 3), oracle.clone(),
+            "generic parallel BNL diverged for {}", p);
         prop_assert_eq!(
             Engine::new().sigma_decomposed(&p, &r).expect("term compiles"),
             oracle.clone(),
@@ -205,9 +204,10 @@ proptest! {
     #[test]
     fn dnc_and_sfs_agree_on_skyline_shapes(r in arb_relation(24)) {
         let p = lowest("a").pareto(highest("b"));
-        let oracle = sigma_naive(&p, &r).expect("term compiles");
-        prop_assert_eq!(algorithms::dnc(&p, &r).expect("skyline shape"), oracle.clone());
-        prop_assert_eq!(algorithms::sfs(&p, &r).expect("scored shape"), oracle);
+        let oracle = sigma_naive_generic(&p, &r).expect("term compiles");
+        let c = CompiledPref::compile(&p, r.schema()).expect("term compiles");
+        prop_assert_eq!(dnc::try_dnc_compiled(&c, &r).expect("skyline shape"), oracle.clone());
+        prop_assert_eq!(sfs_on(&c, &r).expect("scored shape"), oracle);
     }
 
     #[test]
@@ -230,7 +230,7 @@ proptest! {
         let d = Engine::new()
             .pareto_decomposition(&p1, &p2, &r)
             .expect("disjoint attributes");
-        let direct = sigma_naive(&p1.pareto(p2), &r).expect("term compiles");
+        let direct = sigma_naive_generic(&p1.pareto(p2), &r).expect("term compiles");
         prop_assert_eq!(d.combined(), direct);
     }
 
@@ -252,7 +252,7 @@ proptest! {
         // "query results adapted to the quality of data, not quantity":
         // re-inserting copies of already-dominated tuples is a no-op on
         // the result set of A-values.
-        let res = sigma_naive(&p, &r).expect("term compiles");
+        let res = sigma_naive_generic(&p, &r).expect("term compiles");
         if res.len() == r.len() || r.is_empty() {
             return Ok(());
         }
@@ -262,7 +262,7 @@ proptest! {
         for &i in &dominated {
             grown.push(r.row(i).clone()).expect("same schema");
         }
-        let res2 = sigma_naive(&p, &grown).expect("term compiles");
+        let res2 = sigma_naive_generic(&p, &grown).expect("term compiles");
         let values = |rel: &Relation, ix: &[usize]| {
             let mut v: Vec<Tuple> = ix.iter().map(|&i| rel.row(i).clone()).collect();
             v.sort();
@@ -277,8 +277,8 @@ proptest! {
         // Prop. 7 through the rewrite engine.
         let s = preferences::core::algebra::simplify(&p);
         prop_assert_eq!(
-            sigma_naive(&p, &r).expect("term compiles"),
-            sigma_naive(&s, &r).expect("simplified term compiles")
+            sigma_naive_generic(&p, &r).expect("term compiles"),
+            sigma_naive_generic(&s, &r).expect("simplified term compiles")
         );
     }
 }

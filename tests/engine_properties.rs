@@ -10,12 +10,27 @@ use common::{arb_pref, arb_relation, sigma, test_schema};
 use preferences::core::eval::CompiledPref;
 use preferences::prefsql::PrefSql;
 use preferences::prelude::*;
+use preferences::query::algorithms::bnl::bnl_matrix;
 use preferences::query::bmo::sigma_naive_generic;
 use preferences::query::engine::Engine;
 use preferences::query::groupby::sigma_groupby_definitional;
 use preferences::query::CacheStatus;
 use preferences::relation::Constraint;
 use proptest::prelude::*;
+
+/// Rows over the test schema, as `arb_relation` draws them.
+fn arb_rows(rows: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(i64, i64, usize)>> {
+    proptest::collection::vec((0i64..6, 0i64..6, 0usize..4), rows)
+}
+
+/// Append `rows` to `r`, one push (one mutation) each.
+fn append(r: &mut Relation, rows: &[(i64, i64, usize)]) {
+    let cats = ["x", "y", "z", "w"];
+    for &(a, b, c) in rows {
+        r.push_values(vec![Value::from(a), Value::from(b), Value::from(cats[c])])
+            .expect("row matches test schema");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -50,7 +65,7 @@ proptest! {
     fn cache_invalidation_never_yields_stale_bmo_sets(
         p in arb_pref(),
         mut r in arb_relation(10),
-        extra in arb_relation(6),
+        extra in arb_rows(1..7),
     ) {
         let engine = Engine::new();
         let q = engine.prepare(&p, &test_schema()).expect("term compiles");
@@ -61,7 +76,7 @@ proptest! {
 
         // Mutate: new rows can dominate old maxima (the paper's Example 9
         // non-monotonicity), so a stale matrix would change the BMO set.
-        r.union_all(&extra).expect("same schema");
+        append(&mut r, &extra);
         let oracle = sigma_naive_generic(&p, &r).expect("term compiles");
         let (after, ex) = q.execute(&r).expect("prepared execution runs").into_parts();
         prop_assert_eq!(&after, &oracle, "stale result after mutation for {}", p);
@@ -80,7 +95,7 @@ proptest! {
     fn derived_view_caching_agrees_with_uncached_materialized_copies(
         p in arb_pref(),
         mut r in arb_relation(12),
-        extra in arb_relation(5),
+        extra in arb_rows(1..6),
         mut thresholds in proptest::collection::vec(0i64..6, 1..4),
     ) {
         // Distinct predicates over the same base generation must cache
@@ -127,7 +142,7 @@ proptest! {
 
         // Mutating the base must invalidate every derived entry: the
         // first post-mutation execution per predicate rebuilds.
-        r.union_all(&extra).expect("same schema");
+        append(&mut r, &extra);
         for &th in &thresholds {
             check_round(&r, th);
         }
@@ -137,7 +152,7 @@ proptest! {
     fn windowed_execution_agrees_with_fresh_materialization(
         p in arb_pref(),
         mut r in arb_relation(12),
-        extra in arb_relation(5),
+        extra in arb_rows(1..6),
         subset_seeds in proptest::collection::vec(
             proptest::collection::vec(0usize..64, 0..12), 1..4),
         stack_seed in proptest::collection::vec(0usize..64, 0..8),
@@ -145,17 +160,16 @@ proptest! {
         // Windowed execution over arbitrary row subsets of a warmed base
         // must equal the Def. 15 oracle over a materialized copy of the same rows —
         // across base mutations (the generation bump must sever every
-        // window) and across stacked derivations. The result tier is
-        // ablated: this property exercises the matrix window route, and
-        // a maintained post-mutation warm-up would skip re-warming the
-        // base matrix.
-        let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
+        // window) and across stacked derivations.
+        let engine = Engine::new();
         let q = engine.prepare(&p, &test_schema()).expect("term compiles");
 
         let check_round = |r: &Relation, subsets: &[Vec<usize>], fp_salt: u64| {
-            // Warm the whole-base matrix for this content state.
-            let (_, ex_base) = q.execute(r).expect("base execution runs").into_parts();
-            let base_materialized = ex_base.materialized;
+            // Warm the whole-base matrix for this content state through
+            // the matrix route: after a mutation an execution would be
+            // answered by result maintenance and warm nothing.
+            q.matrix(r);
+            let base_materialized = q.explain(r).materialized;
 
             for (si, seeds) in subsets.iter().enumerate() {
                 if r.is_empty() {
@@ -209,7 +223,7 @@ proptest! {
         // in the old state is unreachable — post-mutation derivations
         // must run against the new content (re-warmed inside the round),
         // and results must reflect the mutated rows.
-        r.union_all(&extra).expect("same schema");
+        append(&mut r, &extra);
         check_round(&r, &subset_seeds, 0x2000);
 
         // Mutating a *view* severs its lineage (and window) and detaches
@@ -281,34 +295,26 @@ proptest! {
     fn incremental_rebuilds_equal_fresh_builds(
         p in arb_pref(),
         mut r in arb_relation(12),
-        history in proptest::collection::vec(
-            (0usize..3, 0usize..12, 0i64..6, 0i64..6, 0usize..4), 1..6),
+        history in arb_rows(1..6),
     ) {
-        // Incremental ≡ fresh: over any append/update history, when the
-        // prior matrix is resident every step is served by an incremental
-        // rebuild (ShardHit), never yields a stale BMO set, and leaves a
-        // matrix equal to a fresh build — on `better` for all pairs and
-        // on every key. The result tier is ablated: maintenance would
-        // answer these mutations before the matrix route this property
-        // targets.
-        let engine = Engine::with_optimizer(Optimizer::new().without_result_cache());
+        // Incremental ≡ fresh: over any append history, when the prior
+        // matrix is resident every step is served by an incremental
+        // rebuild (a shard hit), never yields a stale BMO set, and leaves
+        // a matrix equal to a fresh build — on `better` for all pairs and
+        // on every key. `Prepared::matrix` reaches the matrix route;
+        // executions would be answered by result maintenance first.
+        let engine = Engine::new();
         let q = engine.prepare(&p, &test_schema()).expect("term compiles");
-        let (_, mut prev) = q.execute(&r).expect("cold execution runs").into_parts();
-        let cats = ["x", "y", "z", "w"];
-        for (kind, i, a, b, ci) in history {
-            let row = vec![Value::from(a), Value::from(b), Value::from(cats[ci])];
-            if kind == 2 && !r.is_empty() {
-                r.update_row(i % r.len(), row).expect("row matches test schema");
-            } else {
-                r.push_values(row).expect("row matches test schema");
-            }
-            let oracle = sigma_naive_generic(&p, &r).expect("term compiles");
-            let (rows, ex) = q.execute(&r).expect("post-mutation execution runs").into_parts();
-            prop_assert_eq!(&rows, &oracle, "stale result after a mutation for {}", p);
-            if prev.materialized && ex.materialized {
-                prop_assert_eq!(ex.cache, CacheStatus::ShardHit,
-                    "a mutation over a resident matrix must rebuild incrementally for {}", p);
-                let served = q.matrix(&r).expect("matrix resident");
+        let mut resident = q.matrix(&r).is_some();
+        for row in history {
+            append(&mut r, &[row]);
+            let shard_hits = engine.cache_stats().shard_hits;
+            let served = q.matrix(&r);
+            if let Some(served) = &served {
+                prop_assert_eq!(&bnl_matrix(served), &sigma_naive_generic(&p, &r).expect("compiles"),
+                    "stale result after an append for {}", p);
+                prop_assert_eq!(engine.cache_stats().shard_hits, shard_hits + u64::from(resident),
+                    "an append over a resident matrix must rebuild incrementally for {}", p);
                 let served = served.matrix();
                 let fresh = q.compiled().score_matrix(&r).expect("the engine materialized it");
                 prop_assert_eq!(served.key_slots(), fresh.key_slots());
@@ -323,7 +329,7 @@ proptest! {
                     }
                 }
             }
-            prev = ex;
+            resident = served.is_some();
         }
     }
 
@@ -537,16 +543,16 @@ proptest! {
 
     /// The maintained result must be indistinguishable from a
     /// from-scratch recompute across random interleavings of appends
-    /// (dominated and deliberately dominating), in-place updates, and
-    /// deletes — every execution after every mutation, whether it was
-    /// served by delta maintenance or by a full rebuild, equals the
-    /// naive sigma over the current content.
+    /// (dominated and deliberately dominating) and deletes — every
+    /// execution after every mutation, whether it was served by delta
+    /// maintenance or by a full rebuild, equals the naive sigma over the
+    /// current content.
     #[test]
     fn maintained_results_agree_with_recompute_across_interleavings(
         p in arb_pref(),
         mut r in arb_relation(10),
         ops in proptest::collection::vec(
-            (0usize..4, 0i64..6, 0i64..6, 0usize..4, 0usize..16), 1..12),
+            (0usize..3, 0i64..6, 0i64..6, 0usize..4, 0usize..16), 1..12),
     ) {
         let cats = ["x", "y", "z", "w"];
         let engine = Engine::new();
@@ -561,18 +567,11 @@ proptest! {
                         Value::from(a), Value::from(b), Value::from(cats[ci]),
                     ])
                     .expect("row matches test schema"),
-                1 if !r.is_empty() => {
-                    let i = at % r.len();
-                    r.update_row(i, vec![
-                        Value::from(a), Value::from(b), Value::from(cats[ci]),
-                    ])
-                    .expect("row matches test schema");
-                }
-                2 if !r.is_empty() => r.delete_row(at % r.len()),
+                1 if !r.is_empty() => r.delete_row(at % r.len()),
                 // A deliberately strong row: 0 is optimal for LOWEST and
                 // near every AROUND target, so it frequently prunes old
                 // maxima (the paper's Example 9 non-monotonicity).
-                3 => r
+                2 => r
                     .push_values(vec![
                         Value::from(0i64), Value::from(0i64), Value::from(cats[ci]),
                     ])

@@ -7,13 +7,13 @@
 mod common;
 
 use common::{arb_pref, arb_relation, sigma, test_schema};
+use preferences::core::eval::ScoreMatrix;
 use preferences::prelude::*;
 use preferences::query::algorithms::bnl::{
     bnl_generic, bnl_matrix, bnl_parallel_generic, bnl_parallel_matrix,
 };
 use preferences::query::algorithms::{dnc, sfs};
 use preferences::query::bmo::{sigma_naive_generic, sigma_naive_matrix};
-use preferences::query::QueryError;
 use proptest::prelude::*;
 
 proptest! {
@@ -47,27 +47,27 @@ proptest! {
             oracle.clone(),
             "generic parallel BNL vs oracle for {}", p
         );
-        if let Some(m) = c.score_matrix(&r) {
-            prop_assert_eq!(sigma_naive_matrix(&m), oracle.clone(), "matrix naive vs oracle for {}", p);
-            prop_assert_eq!(bnl_matrix(&m), oracle.clone(), "matrix BNL vs oracle for {}", p);
+        let m = c.score_matrix(&r);
+        if let Some(m) = &m {
+            prop_assert_eq!(sigma_naive_matrix(m), oracle.clone(), "matrix naive vs oracle for {}", p);
+            prop_assert_eq!(bnl_matrix(m), oracle.clone(), "matrix BNL vs oracle for {}", p);
             prop_assert_eq!(
-                bnl_parallel_matrix(&m, 3),
+                bnl_parallel_matrix(m, 3),
                 oracle.clone(),
                 "matrix parallel BNL vs oracle for {}", p
             );
         }
 
         // D&C and SFS apply only to restricted shapes; when they do, they
-        // must agree too.
-        match dnc::dnc(&p, &r) {
-            Ok(rows) => prop_assert_eq!(rows, oracle.clone(), "D&C vs oracle for {}", p),
-            Err(QueryError::AlgorithmMismatch { .. }) => {}
-            Err(e) => prop_assert!(false, "unexpected D&C error: {e}"),
+        // must agree too — SFS on either backend.
+        if let Some(rows) = dnc::try_dnc_compiled(&c, &r) {
+            prop_assert_eq!(rows, oracle.clone(), "D&C vs oracle for {}", p);
         }
-        match sfs::sfs(&p, &r) {
-            Ok(rows) => prop_assert_eq!(rows, oracle.clone(), "SFS vs oracle for {}", p),
-            Err(QueryError::AlgorithmMismatch { .. }) => {}
-            Err(e) => prop_assert!(false, "unexpected SFS error: {e}"),
+        if let Some(rows) = sfs::try_sfs_with(&c, &r, m.as_ref()) {
+            prop_assert_eq!(rows, oracle.clone(), "SFS vs oracle for {}", p);
+        }
+        if let Some(rows) = sfs::try_sfs_with::<ScoreMatrix>(&c, &r, None) {
+            prop_assert_eq!(rows, oracle.clone(), "generic SFS vs oracle for {}", p);
         }
 
         // The engine end-to-end, with and without materialization.
