@@ -11,13 +11,19 @@
 //! terms `mutate-watch` runs over `cars::catalog(rows · 4/5, seed)` (20 000
 //! rows by default): the 2-d and 3-d watch terms (D&C; the 3-d one is
 //! where the pre-filter bails) and the BMW rows under `price AROUND 15000
-//! ⊗ LOWEST(mileage)` (SFS). Exits non-zero when any cell's rows differ
-//! from `bnl_generic` or any execution fails other than by a forced
+//! ⊗ LOWEST(mileage)` (SFS); then three lines for the routes of the shape
+//! rule that the grid does not reach: the fourth watch, `transmission =
+//! 'automatic' PRIOR TO (LOWEST(price) ⊗ HIGHEST(year))` (a POS head split),
+//! an AROUND head that keeps two values of the four-valued `d0` over the
+//! `around_pref` tail (two buckets), and a POS ⊗ layered Pareto over the
+//! car table (key lanes, no utility). Exits non-zero when any cell's rows
+//! differ from `bnl_generic` or any execution fails other than by a forced
 //! algorithm rejecting the term.
 
 use pref_bench::{around_pref, skyline_pref, time_ms};
+use pref_core::base::layered::Layer;
 use pref_core::eval::CompiledPref;
-use pref_core::prelude::{around, highest, lowest};
+use pref_core::prelude::{around, highest, layered, lowest, pos};
 use pref_core::term::Pref;
 use pref_query::algorithms::bnl::bnl_generic;
 use pref_query::{Algorithm, Engine, Optimizer, QueryError};
@@ -118,12 +124,23 @@ fn main() {
         let name = format!("unscored: four-valued d0 ({zeros} zeros) 3 skyline");
         wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r).1);
     }
+    let four_valued = low_cardinality(rows, 0.3, seed);
     let car = cars::catalog(rows * 4 / 5, seed);
     let make = car.schema().index_of(&"make".into()).expect("car schema");
     let bmw = car.select(|t| t[make] == Value::from("BMW"));
     let watch2 = lowest("price").pareto(lowest("mileage"));
     let watch3 = watch2.clone().pareto(highest("horsepower"));
     let near = around("price", 15_000).pareto(lowest("mileage"));
+    let automatic = pos("transmission", ["automatic"]);
+    let watch4 = automatic.prior(lowest("price").pareto(highest("year")));
+    let two_buckets = around("d0", 1.5).prior(around_pref(3));
+    let compact = [
+        Layer::of(["compact"]),
+        Layer::of(["station wagon"]),
+        Layer::Others,
+    ];
+    let compact = layered("category", compact.to_vec()).expect("one others layer");
+    let unscored = pos("color", ["black", "silver"]).pareto(compact);
     for (name, pref, r) in [
         (
             "car 2-d watch: LOWEST(price) ⊗ LOWEST(mileage)",
@@ -132,6 +149,17 @@ fn main() {
         ),
         ("car 3-d watch: … ⊗ HIGHEST(horsepower)", &watch3, &car),
         ("car BMW: price AROUND 15000 ⊗ LOWEST(mileage)", &near, &bmw),
+        (
+            "car 4th watch: automatic & (LOWEST(price) ⊗ HIGHEST(year))",
+            &watch4,
+            &car,
+        ),
+        (
+            "four-valued d0: AROUND(d0; 1.5) & 3 around",
+            &two_buckets,
+            &four_valued,
+        ),
+        ("car POS(color) ⊗ layered(category)", &unscored, &car),
     ] {
         wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r).1);
     }

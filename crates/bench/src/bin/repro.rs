@@ -709,25 +709,21 @@ fn optimizer_report(h: &mut Harness) {
         "optimizer: rewriting + algorithm selection (Prop. 7)",
     );
     let r = cars::catalog(2_000, 15);
-    // The expected algorithms are the serial planner's choices: with
-    // more than one worker thread the cost model may prefer parallel
-    // BNL, and this section would depend on the machine's core count.
-    let engine = Engine::with_optimizer(Optimizer::new().with_threads(1));
+    // The shape rule: D&C for chain skylines, the key-lane window (behind
+    // a Prop. 10 head split for a single-lane head) for other key orders,
+    // BNL for orders without key lanes.
+    let engine = Engine::new();
+    let (sfs, red) = ("sort-filter-skyline", pos("color", ["red"]));
     for (q, expect_algo) in [
         (
             lowest("price").pareto(highest("year")),
             "divide-and-conquer",
         ),
+        (lowest("price").prior(red.clone()), sfs),
+        (around("price", 9_000).pareto(lowest("mileage")), sfs),
+        (red.clone().pareto(neg("make", ["Fiat"])), sfs),
         (
-            lowest("price").prior(pos("color", ["red"])),
-            "chain cascade (Prop. 11)",
-        ),
-        (
-            around("price", 9_000).pareto(lowest("mileage")),
-            "sort-filter-skyline",
-        ),
-        (
-            pos("color", ["red"]).pareto(neg("make", ["Fiat"])),
+            lowest("price").pareto(highest("year")).prior(red.clone()),
             "block-nested-loops",
         ),
     ] {

@@ -1,7 +1,8 @@
 //! Dominance backends over row indices: the [`Dominance`] interface the
-//! BMO inner loops are generic over, its batch-gather side door
-//! ([`ParetoAccess`]) and the [`MatrixWindow`] view that lets one cached
-//! [`ScoreMatrix`] answer for any subset of its rows.
+//! BMO inner loops are generic over, its batch-gather side doors
+//! ([`ParetoAccess`] for flat Pareto orders, [`PriorAccess`] for
+//! prioritisations headed by one key lane) and the [`MatrixWindow`] view
+//! that lets one cached [`ScoreMatrix`] answer for any subset of its rows.
 
 use std::sync::Arc;
 
@@ -38,6 +39,13 @@ pub trait Dominance {
     /// key). `None` — the default — means the backend has no such lanes
     /// and callers must stay on the pairwise [`Dominance::better`] path.
     fn pareto_access(&self) -> Option<ParetoAccess<'_>> {
+        None
+    }
+
+    /// Head-by-head access to a prioritisation whose first operand is one
+    /// key lane (or to a lone key lane). `None` — the default — for every
+    /// other order.
+    fn prior_access(&self) -> Option<PriorAccess<'_>> {
         None
     }
 
@@ -96,14 +104,107 @@ impl<'m> ParetoAccess<'m> {
     /// Keys are never NaN — the matrix build rejects NaN embeddings.
     #[inline]
     pub fn gather(&self, row: usize, keys: &mut [f64], eqs: &mut [u64]) {
-        let base = match self.ids {
-            Some(ids) => ids[row] as usize,
-            None => row,
-        };
+        let base = base_row(self.ids, row);
         for (d, &(k, e)) in self.slots.iter().enumerate() {
             keys[d] = self.matrix.key_at(base, k);
             eqs[d] = self.matrix.eq_at(base, e);
         }
+    }
+}
+
+/// Head-by-head access to a prioritisation `P1 & … & Pn` whose leading
+/// operands are single key lanes — the *heads* — and to what follows
+/// them — the [`PriorTail`] ([`Dominance::prior_access`]). A lone key
+/// lane is the degenerate case: one head, no tail.
+///
+/// A key lane is a weak order by key whose Def. 9 equality `=A` is
+/// equality of codes, so Prop. 10 (`σ[P1&P2](R) = σ[P1](R) ∩ σ[P2 groupby
+/// A1](R)`) evaluates the order a head at a time: every row below the best
+/// head key present is dominated by any row at that key, rows at that key
+/// with different codes are incomparable, and inside one code the next
+/// head (or the tail) decides.
+#[derive(Debug, Clone)]
+pub struct PriorAccess<'m> {
+    matrix: &'m ScoreMatrix,
+    ids: Option<&'m [u32]>,
+    /// `(key slot, eq slot)` per head; see `matrix::PriorSplit`.
+    heads: Vec<(usize, Option<usize>)>,
+    tail: PriorTail<'m>,
+}
+
+/// What follows the heads of a [`PriorAccess`].
+#[derive(Debug, Clone)]
+pub enum PriorTail<'m> {
+    /// Nothing: the rows the last head keeps are maximal.
+    Empty,
+    /// One flat Pareto operand, with its key lanes.
+    Lanes(ParetoAccess<'m>),
+    /// Anything else: inside one bucket of head codes,
+    /// [`Dominance::better`] compares exactly the tail.
+    Pairwise,
+}
+
+impl<'m> PriorAccess<'m> {
+    fn new(matrix: &'m ScoreMatrix, ids: Option<&'m [u32]>) -> Option<Self> {
+        let split = matrix.prior_split()?;
+        let tail = match split.tail {
+            None => PriorTail::Empty,
+            Some(Some(slots)) => PriorTail::Lanes(ParetoAccess { matrix, slots, ids }),
+            Some(None) => PriorTail::Pairwise,
+        };
+        Some(PriorAccess {
+            matrix,
+            ids,
+            heads: split.heads,
+            tail,
+        })
+    }
+
+    /// Number of rows covered (window rows when windowed).
+    pub fn len(&self) -> usize {
+        match self.ids {
+            Some(ids) => ids.len(),
+            None => self.matrix.len(),
+        }
+    }
+
+    /// Is the row set empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of heads (at least one).
+    pub fn heads(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Head `h`'s dominance key of row `row` (higher is better, never NaN).
+    #[inline]
+    pub fn key(&self, row: usize, h: usize) -> f64 {
+        self.matrix.key_at(base_row(self.ids, row), self.heads[h].0)
+    }
+
+    /// Head `h`'s equality code of row `row`. Every head that an operand
+    /// follows has codes; the one head of a lone key lane has none, and
+    /// asking for them panics.
+    #[inline]
+    pub fn code(&self, row: usize, h: usize) -> u64 {
+        let slot = self.heads[h].1.expect("a lone key lane has no codes");
+        self.matrix.eq_at(base_row(self.ids, row), slot)
+    }
+
+    /// What follows the heads.
+    pub fn tail(&self) -> &PriorTail<'m> {
+        &self.tail
+    }
+}
+
+/// The base-matrix row behind row `row` of an access windowed by `ids`.
+#[inline]
+fn base_row(ids: Option<&[u32]>, row: usize) -> usize {
+    match ids {
+        Some(ids) => ids[row] as usize,
+        None => row,
     }
 }
 
@@ -118,6 +219,10 @@ impl Dominance for ScoreMatrix {
 
     fn pareto_access(&self) -> Option<ParetoAccess<'_>> {
         ParetoAccess::new(self, None)
+    }
+
+    fn prior_access(&self) -> Option<PriorAccess<'_>> {
+        PriorAccess::new(self, None)
     }
 
     fn chunk_alignment(&self) -> usize {
@@ -232,6 +337,10 @@ impl Dominance for MatrixWindow {
 
     fn pareto_access(&self) -> Option<ParetoAccess<'_>> {
         ParetoAccess::new(&self.matrix, self.ids.as_deref())
+    }
+
+    fn prior_access(&self) -> Option<PriorAccess<'_>> {
+        PriorAccess::new(&self.matrix, self.ids.as_deref())
     }
 
     fn chunk_alignment(&self) -> usize {

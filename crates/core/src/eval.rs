@@ -18,8 +18,8 @@ use crate::error::CoreError;
 use crate::matrix::Reuse;
 use crate::term::{CombineFn, Pref};
 
-pub use crate::dominance::{Dominance, MatrixWindow, ParetoAccess};
-pub use crate::matrix::ScoreMatrix;
+pub use crate::dominance::{Dominance, MatrixWindow, ParetoAccess, PriorAccess, PriorTail};
+pub use crate::matrix::{LaneShape, ScoreMatrix};
 
 /// A preference term compiled against a schema.
 #[derive(Debug, Clone)]
@@ -149,6 +149,14 @@ impl CompiledPref {
     /// materialization (`EXPLAIN` stays an O(n) scan).
     pub fn supports_matrix(&self, r: &Relation) -> bool {
         crate::matrix::supports(&self.node, r)
+    }
+
+    /// The batch kernel a score matrix of this term would offer — flat
+    /// Pareto lanes ([`Dominance::pareto_access`]) or a Prop. 10 head
+    /// split ([`Dominance::prior_access`]) — read off the term's structure
+    /// without a relation; `None` when its matrix compares pairwise only.
+    pub fn lane_shape(&self) -> Option<LaneShape> {
+        crate::matrix::lane_shape(&self.node)
     }
 
     /// A stable *structural fingerprint* of the compiled term: equal for
@@ -1202,6 +1210,70 @@ mod tests {
         let prior = compile(&lowest("A1").prior(lowest("A2")), &r);
         let pm = prior.score_matrix(&r).unwrap();
         assert!(Dominance::pareto_access(&pm).is_none());
+    }
+
+    #[test]
+    fn prior_access_splits_single_lane_heads_from_their_tail() {
+        let r = example2_rel();
+        let explicit = crate::term::explicit("A3", [(4, 6)]).unwrap();
+        let tail = lowest("A2").pareto(highest("A3"));
+        for (p, heads, tail_kind) in [
+            (around("A1", 0).prior(tail.clone()), 1, "lanes"),
+            (
+                Pref::Prior(vec![around("A1", 0), lowest("A2"), tail]),
+                2,
+                "lanes",
+            ),
+            (around("A1", 0).prior(lowest("A2")), 2, "empty"),
+            (around("A1", 0).prior(explicit), 1, "pairwise"),
+            (around("A1", 0), 1, "empty"),
+        ] {
+            let c = compile(&p, &r);
+            assert_eq!(c.lane_shape(), Some(LaneShape::HeadSplit), "{p}");
+            let m = Arc::new(c.score_matrix(&r).unwrap());
+            assert!(Dominance::pareto_access(&*m).is_none());
+            let ids: Arc<[u32]> = Arc::from(vec![5u32, 2, 3].as_slice());
+            let w = MatrixWindow::windowed(Arc::clone(&m), ids.clone());
+            for (acc, rows) in [
+                (m.prior_access().unwrap(), (0..r.len()).collect::<Vec<_>>()),
+                (
+                    w.prior_access().unwrap(),
+                    ids.iter().map(|&i| i as usize).collect(),
+                ),
+            ] {
+                assert_eq!((acc.heads(), acc.len()), (heads, rows.len()), "{p}");
+                let kind = match acc.tail() {
+                    PriorTail::Empty => "empty",
+                    PriorTail::Lanes(t) => {
+                        assert_eq!((t.dims(), t.len()), (2, rows.len()));
+                        "lanes"
+                    }
+                    PriorTail::Pairwise => "pairwise",
+                };
+                assert_eq!(kind, tail_kind, "{p}");
+                // Head 0 is AROUND(A1; 0): key −|A1|, code = the value.
+                for (j, &i) in rows.iter().enumerate() {
+                    let a1 = r.row(i)[0].as_int().unwrap();
+                    assert_eq!(acc.key(j, 0), -(a1.abs() as f64));
+                    if heads > 1 || tail_kind != "empty" {
+                        let same = |k: usize| acc.code(j, 0) == acc.code(k, 0);
+                        let equal = |k: usize| a1 == r.row(rows[k])[0].as_int().unwrap();
+                        assert!((0..rows.len()).all(|k| same(k) == equal(k)));
+                    }
+                }
+            }
+        }
+        // Flat Pareto orders and Pareto heads offer no head split.
+        for p in [example2_pref(), example2_pref().prior(lowest("A2"))] {
+            let c = compile(&p, &r);
+            assert!(c.score_matrix(&r).unwrap().prior_access().is_none(), "{p}");
+        }
+        assert_eq!(
+            compile(&example2_pref(), &r).lane_shape(),
+            Some(LaneShape::Flat)
+        );
+        let pareto_head = example2_pref().prior(lowest("A2"));
+        assert_eq!(compile(&pareto_head, &r).lane_shape(), None);
     }
 
     #[test]

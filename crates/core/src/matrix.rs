@@ -191,6 +191,12 @@ impl ScoreMatrix {
         }
     }
 
+    /// The heads and the tail of a plan that splits by Prop. 10 (see
+    /// [`prior_split`]).
+    pub(crate) fn prior_split(&self) -> Option<PriorSplit<'_>> {
+        prior_split(&self.plan)
+    }
+
     /// The strict better-than test on row indices: is `y` better than
     /// `x`? Agrees exactly with [`crate::eval::CompiledPref::better`] on
     /// the rows of the relation this matrix was built from.
@@ -263,6 +269,67 @@ impl ScoreMatrix {
         }
         walk(&self.plan)
     }
+}
+
+/// A plan split by Prop. 10: `heads` are the `(key slot, eq slot)` of
+/// its leading single-lane operands in priority order (the eq slot is
+/// `None` for a plan that is one key: nothing follows it, so its codes are
+/// never read), `tail` what follows them — `None` for nothing,
+/// `Some(Some(slots))` for one flat Pareto operand's lanes, `Some(None)`
+/// for anything else.
+pub(crate) struct PriorSplit<'a> {
+    pub(crate) heads: Vec<(usize, Option<usize>)>,
+    pub(crate) tail: Option<Option<&'a [(usize, usize)]>>,
+}
+
+/// The Prop. 10 split of a prioritisation whose first operand is one key
+/// lane, or of a lone key; `None` for every other plan.
+fn prior_split(plan: &ScorePlan) -> Option<PriorSplit<'_>> {
+    let children = match plan {
+        ScorePlan::Key(k) => {
+            return Some(PriorSplit {
+                heads: vec![(*k, None)],
+                tail: None,
+            })
+        }
+        ScorePlan::Prior(children) => children,
+        _ => return None,
+    };
+    let heads: Vec<(usize, Option<usize>)> = children
+        .iter()
+        .map_while(|(c, e)| match c {
+            ScorePlan::Key(k) => Some((*k, Some(*e))),
+            _ => None,
+        })
+        .collect();
+    let tail = match &children[heads.len()..] {
+        [] => None,
+        [(ScorePlan::ParetoKeys(slots), _)] => Some(Some(slots.as_slice())),
+        _ => Some(None),
+    };
+    (!heads.is_empty()).then_some(PriorSplit { heads, tail })
+}
+
+/// Which batch kernel a matrix of `node` offers, read off the structure
+/// alone (a value that does not embed can still stop the build).
+pub(crate) fn lane_shape(node: &Node) -> Option<LaneShape> {
+    let plan = MatrixBuilder::default().plan(node)?;
+    match plan {
+        ScorePlan::ParetoKeys(_) => Some(LaneShape::Flat),
+        _ => prior_split(&plan).map(|_| LaneShape::HeadSplit),
+    }
+}
+
+/// The batch kernel a materialized term offers
+/// ([`CompiledPref::lane_shape`](crate::eval::CompiledPref::lane_shape)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneShape {
+    /// A flat Pareto order of key lanes:
+    /// [`Dominance::pareto_access`](crate::eval::Dominance::pareto_access).
+    Flat,
+    /// A prioritisation headed by one key lane, or a lone key:
+    /// [`Dominance::prior_access`](crate::eval::Dominance::prior_access).
+    HeadSplit,
 }
 
 /// Would [`ScoreMatrix::build`] succeed on `r`? The same success

@@ -7,16 +7,21 @@
 //! compiled term and its dominance backend (a score matrix or the term
 //! walk) and neither compiles nor materializes anything itself.
 //!
+//! * [`dnc::try_dnc_compiled`] — divide & conquer maxima (\[KLP75\]) for
+//!   `SKYLINE OF` shaped terms (Pareto over LOWEST/HIGHEST chains), the
+//!   planner's choice for them;
+//! * [`sfs::try_sfs_with`] — Sort-Filter-Skyline: presort by the key
+//!   sum (or a monotone utility), then a single filtering pass against
+//!   accepted maxima; the planner's choice for every other flat key order
+//!   and, behind a Prop. 10 head split, for a prioritisation headed by one
+//!   key lane;
 //! * [`bnl::bnl_matrix`] / [`bnl::bnl_generic`] — Block-Nested-Loops
-//!   (\[BKS01\]), correct for *any* strict partial order, the
-//!   general-purpose workhorse;
+//!   (\[BKS01\]), correct for *any* strict partial order: the planner's
+//!   choice for orders without key lanes;
 //! * [`bnl::bnl_parallel_matrix`] / [`bnl::bnl_parallel_generic`] —
 //!   chunked BNL merging local maxima (maxima of a union are contained
-//!   in the union of local maxima);
-//! * [`dnc::try_dnc_compiled`] — divide & conquer maxima (\[KLP75\]) for
-//!   `SKYLINE OF` shaped terms (Pareto over LOWEST/HIGHEST chains);
-//! * [`sfs::try_sfs_with`] — Sort-Filter-Skyline: presort by a monotone
-//!   utility, then a single filtering pass against accepted maxima.
+//!   in the union of local maxima), reachable only when forced: no route
+//!   of the planner leads there, and `perfbench` pins them by name.
 //!
 //! SFS's filter pass and D&C's merge (and D&C's fallback on a slice its
 //! first dimension cannot split) ask the same question — does any
@@ -48,9 +53,11 @@ mod tests {
     const INF: f64 = f64::INFINITY;
 
     /// Every kernel on both backends, and the engine (unforced and forced
-    /// to each algorithm), against Def. 15. `sfs_applies = false`: SFS
-    /// has no usable utility and must refuse rather than answer.
-    fn agree(p: &Pref, r: &Relation, sfs_applies: bool) {
+    /// to each algorithm), against Def. 15. SFS must answer on a matrix
+    /// whenever the term has key lanes (a flat key order or a single-lane
+    /// head, utility or not) and may refuse only where it has neither
+    /// lanes nor a utility.
+    fn agree(p: &Pref, r: &Relation) {
         let oracle = sigma_naive_generic(p, r).unwrap();
         let c = CompiledPref::compile(p, r.schema()).unwrap();
         let m = c.score_matrix(r);
@@ -61,10 +68,13 @@ mod tests {
             assert_eq!(bnl::bnl_matrix(m), oracle, "BNL, {p}");
             assert_eq!(bnl::bnl_parallel_matrix(m, 2), oracle, "parallel BNL, {p}");
         }
-        match sfs::try_sfs_with(&c, r, m.as_ref()) {
-            Some(rows) => assert!(sfs_applies && rows == oracle, "SFS, {p}: {rows:?}"),
-            None => assert!(!sfs_applies, "SFS, {p}"),
-        }
+        let sfs = sfs::try_sfs_with(&c, r, m.as_ref());
+        assert!(sfs.as_ref().is_none_or(|rows| *rows == oracle), "SFS, {p}");
+        let lanes = m.is_some() && c.lane_shape().is_some();
+        assert!(
+            sfs.is_some() || !lanes,
+            "SFS refused a term with lanes, {p}"
+        );
         let generic = sfs::try_sfs_with::<ScoreMatrix>(&c, r, None);
         assert!(
             generic.is_none_or(|rows| rows == oracle),
@@ -86,7 +96,7 @@ mod tests {
                 Ok(out) => assert_eq!(out.rows(), oracle, "forced {a}, {p}"),
                 Err(e) => assert!(
                     matches!(e, QueryError::AlgorithmMismatch { .. })
-                        && (a == Algorithm::Dnc || !sfs_applies),
+                        && (a == Algorithm::Dnc || sfs.is_none()),
                     "forced {a}, {p}: {e}"
                 ),
             }
@@ -98,13 +108,13 @@ mod tests {
         // `+∞ + −∞` is a NaN key sum, and −∞ is a legal best dim1 of the
         // 2-d sweep.
         let r = rel! { ("a": Float, "b": Float); (5.0, -INF), (INF, -INF) };
-        agree(&highest("a").pareto(highest("b")), &r, true);
+        agree(&highest("a").pareto(highest("b")), &r);
         let r = rel! {
             ("a": Float, "b": Float, "c": Float);
             (5.0, -INF, 1.0), (INF, -INF, 1.0),
         };
         let p = highest("a").pareto(highest("b")).pareto(highest("c"));
-        agree(&p, &r, true);
+        agree(&p, &r);
         // A constant first column sends D&C through its sum-sorted
         // filter: the last row dominates every other one.
         let mut r = Relation::empty(r.schema().clone());
@@ -112,10 +122,19 @@ mod tests {
             r.push_values(vec![1.0.into(), b.into(), (-INF).into()])
                 .unwrap();
         }
-        agree(&p, &r, true);
+        agree(&p, &r);
+        // Probe-free SFS: the same rows under a POS lane (no utility), as
+        // a flat Pareto operand and as a single-lane head over the tail.
+        let is_one = pos("a", [1.0]);
+        agree(
+            &is_one.clone().pareto(highest("b")).pareto(highest("c")),
+            &r,
+        );
+        agree(&is_one.prior(highest("b").pareto(highest("c"))), &r);
+        agree(&highest("c").prior(highest("b")), &r);
         // The dual has no key lanes: SFS walks the term, whose utility of
         // (+∞, −∞) is NaN.
         let r = rel! { ("a": Float, "b": Float); (INF, -INF), (INF, 0.0) };
-        agree(&lowest("a").pareto(lowest("b")).dual(), &r, false);
+        agree(&lowest("a").pareto(lowest("b")).dual(), &r);
     }
 }

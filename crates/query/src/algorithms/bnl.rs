@@ -26,6 +26,15 @@
 //! auto-vectorizes, paying no per-row stride arithmetic and no plan
 //! interpretation.
 //!
+//! The planner sends only orders *without* key lanes here (EXPLICIT,
+//! intersection/union, a Pareto head, a dual): every flat key order and
+//! every single-lane head goes to the sort-filter window instead, and
+//! `bnl_window` also serves the head split's pairwise tails and result
+//! maintenance. The batch kernel and both parallel variants are reachable
+//! only when a caller forces [`Algorithm::Bnl`](crate::Algorithm::Bnl) or
+//! [`Algorithm::BnlParallel`](crate::Algorithm::BnlParallel) — `perfbench`
+//! times them by name, so they stay until the benchmark stops doing so.
+//!
 //! [`bnl_parallel_matrix`] and [`bnl_parallel_generic`] partition the
 //! input (`chunk_ranges`, rounded to the backend's
 //! [`Dominance::chunk_alignment`]), compute per-chunk windows on scoped

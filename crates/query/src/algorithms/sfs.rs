@@ -8,13 +8,29 @@
 //! the progressive behaviour of \[TEO01\].
 //!
 //! On a flat Pareto order over a score matrix the utility is the sum of
-//! the dominance keys the matrix already holds (a SCORE-family key *is*
-//! the score: the term walk's sum without the walk), each clamped to
+//! the dominance keys the matrix already holds, each clamped to
 //! `±f64::MAX` so that `+∞ + −∞` cannot make it NaN, and the filter pass
-//! asks the early-exit `AcceptedWindow`. Before the presort, the window's
-//! linear pre-filter drops the rows its 64 best rows dominate, so only
-//! the survivors are sorted. Other shapes walk the term per row (a NaN
-//! utility counts as none) and filter pairwise.
+//! asks the early-exit `AcceptedWindow`. The key sum is monotone for
+//! *every* such order, whether or not its operands score (POS, NEG,
+//! POS/POS and layered bases have keys but no utility): a key lane's `<`
+//! is its operand's strict order and equal codes imply equal keys, so a
+//! dominator's sum is never below its victim's. Before the presort, the
+//! window's linear pre-filter drops the rows its 64 best rows dominate, so
+//! only the survivors are sorted.
+//!
+//! **Prop. 10 head split.** A prioritisation `P1 & P2 …` whose head is one
+//! key lane (POS, NEG, POS/POS, POS/NEG, layered, AROUND, BETWEEN,
+//! LOWEST, HIGHEST, `rank(F)`) is a weak order by key on `P1`: one linear
+//! pass keeps the rows at the best head key present (everything below is
+//! dominated there) and buckets them by head code (different codes at one
+//! key are incomparable), and the tail runs inside each bucket — through
+//! the same key-lane kernel when it is one flat Pareto operand, through a
+//! BNL window otherwise. Single-lane heads that follow bucket in turn,
+//! lexicographically, and a lone key lane is one head with nothing after
+//! it. This subsumes Prop. 11's chain cascade (a chain is a key lane with
+//! one value per key) and reads the one cached matrix — no sub-relation,
+//! no cache entry. Other shapes walk the term per row (a NaN utility
+//! counts as none) and filter pairwise.
 //!
 //! **Ties.** Float addition is monotone but not strictly: `(1e16, 1.0)`
 //! and `(1e16, 0.5)` under `AROUND 0 ⊗ AROUND 0` both sum to `-1e16`,
@@ -24,7 +40,7 @@
 //! row index; the pairwise path has no keys and winnows each run of
 //! equal utilities as a BNL window of its own.
 
-use pref_core::eval::{CompiledPref, Dominance, ParetoAccess};
+use pref_core::eval::{CompiledPref, Dominance, ParetoAccess, PriorAccess, PriorTail};
 use pref_relation::Relation;
 
 use super::bnl::bnl_window;
@@ -32,23 +48,34 @@ use super::window::{prefilter, widened, AcceptedWindow, NO_SPAN};
 
 /// BMO evaluation by sort-filter with the dominance backend chosen by
 /// the caller (`matrix` from [`CompiledPref::score_matrix`], or `None`
-/// for the generic path): `None` when the preference has no monotone
-/// utility on *every* row — utility is per-value (e.g. a NULL under a
-/// scored chain has none), and a sort order that is not topologically
-/// compatible could silently misresult.
+/// for the generic path). A matrix with key lanes — a flat Pareto order
+/// or a single-lane head — always answers. Otherwise `None` when the
+/// preference has no monotone utility on *every* row: utility is
+/// per-value (e.g. a NULL under a scored chain has none), and a sort
+/// order that is not topologically compatible could silently misresult.
 pub fn try_sfs_with<M: Dominance>(
     c: &CompiledPref,
     r: &Relation,
     matrix: Option<&M>,
 ) -> Option<Vec<usize>> {
-    if let Some(acc) = matrix.and_then(|m| m.pareto_access()) {
-        // A constructor that scores at all scores every value it has a
-        // key for, so row 0 speaks for the term. (The key sum is monotone
-        // regardless; the probe keeps score-less terms ineligible.)
-        if !r.is_empty() {
-            c.utility(r.row(0))?;
+    if let Some(m) = matrix {
+        if let Some(acc) = m.pareto_access() {
+            let mut maxima = filter_pass_batch(&acc, acc.len(), |j| j);
+            maxima.sort_unstable();
+            return Some(maxima);
         }
-        return Some(filter_pass_batch(&acc));
+        if let Some(acc) = m.prior_access() {
+            let mut maxima = Vec::new();
+            head_split(
+                &acc,
+                0,
+                &mut (0..acc.len()),
+                &|x, y| m.better(x, y),
+                &mut maxima,
+            );
+            maxima.sort_unstable();
+            return Some(maxima);
+        }
     }
     // A NaN utility (`+∞ + −∞`) orders nothing: no utility at all.
     let utility = |i| c.utility(r.row(i)).filter(|u| !u.is_nan());
@@ -85,23 +112,67 @@ pub(super) fn key_sum(keys: &[f64]) -> f64 {
         .fold(0.0, |sum, k| sum + k.clamp(-f64::MAX, f64::MAX))
 }
 
-/// Sort and filter over the key lanes of a flat Pareto order: sum and
-/// range every lane, pre-filter, sort the survivors, then gather, ask
-/// the window, accept on `false`.
-fn filter_pass_batch(acc: &ParetoAccess<'_>) -> Vec<usize> {
+/// Prop. 10 from head `h` on, over `rows`: keep the rows at the best key
+/// of head `h`, bucket them by its code, and hand each bucket to the next
+/// head — after the last one, to the tail's key lanes or a BNL window over
+/// `better`. Pushes the maxima onto `out`, unordered.
+fn head_split(
+    acc: &PriorAccess<'_>,
+    h: usize,
+    rows: &mut dyn Iterator<Item = usize>,
+    better: &impl Fn(usize, usize) -> bool,
+    out: &mut Vec<usize>,
+) {
+    let (mut top, mut best) = (Vec::new(), f64::NEG_INFINITY);
+    for i in rows {
+        let k = acc.key(i, h);
+        if top.is_empty() || k > best {
+            best = k;
+            top.clear();
+        }
+        if k == best {
+            top.push(i);
+        }
+    }
+    let last = h + 1 == acc.heads();
+    if last && matches!(acc.tail(), PriorTail::Empty) {
+        out.append(&mut top);
+        return;
+    }
+    let mut coded: Vec<(u64, usize)> = top.into_iter().map(|i| (acc.code(i, h), i)).collect();
+    coded.sort_unstable();
+    for bucket in coded.chunk_by(|a, b| a.0 == b.0) {
+        let mut rows = bucket.iter().map(|&(_, i)| i);
+        match acc.tail() {
+            _ if !last => head_split(acc, h + 1, &mut rows, better, out),
+            PriorTail::Lanes(tail) => {
+                out.extend(filter_pass_batch(tail, bucket.len(), |j| bucket[j].1))
+            }
+            _ => out.extend(bnl_window(better, Vec::new(), rows)),
+        }
+    }
+}
+
+/// Sort and filter rows `row(0) … row(n − 1)` over the key lanes of a
+/// flat Pareto order: range every lane, pre-filter, sort the survivors by
+/// key sum, then gather, ask the window, accept on `false`. Returns the
+/// maxima, unordered. Rows are gathered afresh in every pass, never
+/// copied: a gather is a few ns, fresh memory for n rows is not.
+fn filter_pass_batch(acc: &ParetoAccess<'_>, n: usize, row: impl Fn(usize) -> usize) -> Vec<usize> {
     let dims = acc.dims();
     let (mut keys, mut other) = (vec![0.0f64; dims], vec![0.0f64; dims]);
     let mut eqs = vec![0u64; dims];
     let mut spans = vec![NO_SPAN; dims];
-    let sums: Vec<f64> = (0..acc.len())
-        .map(|i| {
-            acc.gather(i, &mut keys, &mut eqs);
-            (spans.iter_mut().zip(&keys)).for_each(|(s, &k)| *s = widened(*s, k));
-            key_sum(&keys)
-        })
-        .collect();
-    let rows = prefilter(acc.len(), &spans, dims, |i, k, e| acc.gather(i, k, e));
-    let mut order: Vec<(f64, usize)> = rows.into_iter().map(|i| (sums[i], i)).collect();
+    for j in 0..n {
+        acc.gather(row(j), &mut keys, &mut eqs);
+        (spans.iter_mut().zip(&keys)).for_each(|(s, &k)| *s = widened(*s, k));
+    }
+    let kept = prefilter(n, &spans, dims, |j, k, e| acc.gather(row(j), k, e));
+    let mut sum = |i: usize| {
+        acc.gather(i, &mut keys, &mut eqs);
+        (key_sum(&keys), i)
+    };
+    let mut order: Vec<(f64, usize)> = kept.into_iter().map(|j| sum(row(j))).collect();
     order.sort_unstable_by(|a, b| {
         b.0.total_cmp(&a.0)
             .then_with(|| {
@@ -120,7 +191,6 @@ fn filter_pass_batch(acc: &ParetoAccess<'_>) -> Vec<usize> {
             maxima.push(i);
         }
     }
-    maxima.sort_unstable();
     maxima
 }
 
@@ -139,8 +209,17 @@ mod tests {
 
     #[test]
     fn rejects_preferences_without_utility() {
-        let r = rel! { ("a": Str); ("x",) };
-        assert!(sfs_on(&pos("a", ["x"]), &r).is_none());
+        // The term walk needs a utility, and POS has none; its key lane
+        // on a matrix needs none (a lone key lane: the rows at the best
+        // key).
+        let r = rel! { ("a": Str); ("x",), ("y",), ("x",) };
+        let p = pos("a", ["x"]);
+        let c = CompiledPref::compile(&p, r.schema()).unwrap();
+        assert!(try_sfs_with::<pref_core::eval::ScoreMatrix>(&c, &r, None).is_none());
+        assert_eq!(sfs_on(&p, &r).unwrap(), [0, 2]);
+        // EXPLICIT has neither.
+        let p = explicit("a", [("y", "x")]).unwrap();
+        assert!(sfs_on(&p, &r).is_none());
     }
 
     #[test]

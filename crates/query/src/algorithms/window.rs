@@ -177,6 +177,9 @@ impl AcceptedWindow {
     /// Does an accepted row dominate the candidate? The head, then the
     /// partitions that can hold a dominator.
     pub(super) fn dominates(&mut self, keys: &[f64], eqs: &[u64]) -> bool {
+        if self.pivot.is_empty() {
+            return self.head.dominates(&mut self.flags, keys, eqs);
+        }
         let parts = reachable(&self.parts, mask(&self.pivot, keys));
         std::iter::once(&self.head)
             .chain(parts.map(|(_, lanes)| lanes))
@@ -217,17 +220,30 @@ pub(super) fn prefilter(
     }
     let (mut keys, mut eqs) = (vec![0.0; spans.len()], vec![0; eq_lanes]);
     let lanes = scaled(spans);
-    let mut scored: Vec<(f64, usize)> = (0..n)
-        .map(|i| {
-            gather(i, &mut keys, &mut eqs);
-            (lanes.iter().map(|&(d, lo, s)| (keys[d] - lo) * s).sum(), i)
-        })
-        .collect();
-    let descending = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0);
-    scored.select_nth_unstable_by(FILTER_ROWS - 1, descending);
-    scored[..FILTER_ROWS].sort_unstable_by(descending);
+    // The FILTER_ROWS best scores, kept while streaming (a score array of
+    // n rows is fresh memory, whose page faults cost more than the pass).
+    let mut best: Vec<(f64, usize)> = Vec::with_capacity(FILTER_ROWS);
+    let mut floor = (f64::NEG_INFINITY, 0);
+    for i in 0..n {
+        gather(i, &mut keys, &mut eqs);
+        let score = lanes.iter().map(|&(d, lo, s)| (keys[d] - lo) * s).sum();
+        if best.len() < FILTER_ROWS {
+            best.push((score, i));
+        } else if score > floor.0 {
+            best[floor.1] = (score, i);
+        } else {
+            continue;
+        }
+        if best.len() == FILTER_ROWS {
+            let lowest = (best.iter().enumerate()).min_by(|a, b| a.1 .0.total_cmp(&b.1 .0));
+            floor = lowest
+                .map(|(at, &(s, _))| (s, at))
+                .expect("FILTER_ROWS > 0");
+        }
+    }
+    best.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
     let mut window = AcceptedWindow::new(spans.len());
-    for &(_, i) in &scored[..FILTER_ROWS] {
+    for &(_, i) in &best {
         gather(i, &mut keys, &mut eqs);
         if !window.dominates(&keys, &eqs) {
             window.push(&keys, &eqs);

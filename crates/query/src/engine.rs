@@ -450,7 +450,8 @@ impl Engine {
     ///
     /// 1. exact `(generation, fp)` — the previous execution's row set is
     ///    served verbatim ([`CacheStatus::Hit`]), replaying the backend
-    ///    flags the producing execution reported;
+    ///    flags the producing execution reported (and keeping its matrix
+    ///    resident for windows over `r`, see `keep_matrix_warm`);
     /// 2. a prior content state out of `r`'s
     ///    [`Delta`](pref_relation::Delta) has a cached result — the
     ///    maintenance classifier (`maintain`) patches it
@@ -491,6 +492,9 @@ impl Engine {
         let Some(base_idx) = base_idx else {
             // Relaxed: statistic, exactly like the matrix hit arms.
             inner.hits.fetch_add(1, Ordering::Relaxed);
+            if state.materialized {
+                self.keep_matrix_warm(fp, c, r);
+            }
             let rows = state.rows.iter().map(|&p| p as usize).collect();
             return Some((
                 rows,
@@ -506,6 +510,27 @@ impl Engine {
         // tests, not a matrix backend.
         self.seed_result(fp, r, &rows, false, false);
         Some((rows, CacheStatus::MaintainedHit, false, false))
+    }
+
+    /// An exact result hit on `r` for a term whose result came off a
+    /// matrix: keep that matrix resident, because `WHERE` views of `r`
+    /// window onto it. The probe refreshes its LRU stamp; an evicted one
+    /// is rebuilt here, once, on the calling thread (counted as a miss).
+    /// Otherwise every later window over `r` would miss and build a
+    /// view-sized matrix of its own, since the exact hit never reaches the
+    /// matrix tier — on `sessions-warm` an anchor idle for ~64 inserts
+    /// turned each of its refinements into a miss for the rest of the run.
+    fn keep_matrix_warm(&self, fp: u64, c: &CompiledPref, r: &Relation) {
+        let key = MatrixKey::Generation(r.generation(), fp);
+        if self.inner.matrices.read(fp).get(&key).is_some() {
+            return;
+        }
+        build_scope();
+        if let Some(m) = c.score_matrix_parallel(r, self.inner.optimizer.threads) {
+            // Relaxed: statistic only.
+            self.inner.misses.fetch_add(1, Ordering::Relaxed);
+            self.inner.matrices.insert(fp, key, Arc::new(m));
+        }
     }
 
     /// Cache `rows` as the result of term fingerprint `fp` over `r`'s
@@ -906,6 +931,36 @@ mod tests {
         let (rows3, ex3) = q.execute(&d3).unwrap().into_parts();
         assert_eq!(ex3.cache, CacheStatus::Miss);
         assert_eq!(rows3, sigma_naive_generic(&p, &d3).unwrap());
+    }
+
+    #[test]
+    fn an_exact_result_hit_rewarms_an_evicted_base_matrix() {
+        // Two matrices fit: the base's, then two view matrices of other
+        // terms push it out while its result stays cached.
+        let engine = Engine::new().with_capacity(2);
+        let r = sample();
+        let p = pos("c", ["x"]).pareto(neg("c", ["z"]));
+        let q = engine.prepare(&p, r.schema()).unwrap();
+        let view = |fp: u64| r.select_derived(|t| t[0] <= pref_relation::Value::from(5), fp);
+        assert_eq!(q.execute(&r).unwrap().cache(), CacheStatus::Miss);
+        for other in [
+            around("a", 3).pareto(lowest("b")),
+            around("b", 6).pareto(lowest("a")),
+        ] {
+            let o = engine.prepare(&other, r.schema()).unwrap();
+            assert_eq!(o.execute(&view(1)).unwrap().cache(), CacheStatus::Miss);
+        }
+        let misses = engine.cache_stats().misses;
+        // The exact hit answers from the result tier and rebuilds the
+        // base matrix, so the next view windows onto it again.
+        assert_eq!(q.execute(&r).unwrap().cache(), CacheStatus::Hit);
+        assert_eq!(engine.cache_stats().misses, misses + 1, "one rebuild");
+        let (rows, ex) = q.execute(&view(2)).unwrap().into_parts();
+        assert_eq!(ex.cache, CacheStatus::WindowHit);
+        assert_eq!(rows, sigma_naive_generic(&p, &view(2)).unwrap());
+        // Resident: a further exact hit builds nothing.
+        assert_eq!(q.execute(&r).unwrap().cache(), CacheStatus::Hit);
+        assert_eq!(engine.cache_stats().misses, misses + 1);
     }
 
     #[test]

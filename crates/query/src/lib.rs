@@ -35,10 +35,11 @@
 //!   frontier;
 //! * [`optimizer`] — the engine's configuration ([`Optimizer`]), the
 //!   algorithm dispatch, and the [`Explain`] report;
-//! * [`plan`] — the cost-based semantic planner: rewrite derivations,
-//!   constraint-registry redundancy proofs, and algorithm choice from
-//!   the relation's own row count and column statistics, materialized
-//!   as a [`plan::Plan`];
+//! * [`plan`] — the semantic planner: rewrite derivations,
+//!   constraint-registry redundancy proofs, and algorithm choice by the
+//!   term's shape (D&C for chain skylines, the key-lane window kernel for
+//!   other flat key orders and single-lane heads, BNL otherwise),
+//!   materialized as a [`plan::Plan`];
 //! * [`stats`] — result sizes and filter strength (Def. 18/19, Prop. 13).
 //!
 //! ## Example
@@ -77,4 +78,4 @@ pub mod stats;
 pub use engine::{CacheStats, Engine, Prepared};
 pub use error::QueryError;
 pub use optimizer::{Algorithm, CacheStatus, Explain, Optimizer};
-pub use plan::{selection_commutes, CostEstimate, Plan, PlanStep};
+pub use plan::{selection_commutes, Candidate, Plan, PlanStep};

@@ -7,9 +7,11 @@
 //! 1. **algebraic rewriting** — `simplify` applies the laws of Prop. 2–4;
 //!    by Prop. 7 (`P1 ≡ P2 ⟹ σ[P1](R) = σ[P2](R)`) this never changes
 //!    results;
-//! 2. **algorithm selection** — D&C for `SKYLINE OF` shapes, cascade for
-//!    chain-headed prioritisation (Prop. 11), SFS when a monotone utility
-//!    exists, BNL otherwise; decomposition (Prop. 8–12) on request;
+//! 2. **algorithm selection** — a shape rule ([`crate::plan`]): D&C for
+//!    `SKYLINE OF` shapes, SFS for every other flat key order and, behind
+//!    a Prop. 10 head split, for a prioritisation headed by one key lane,
+//!    BNL for orders without key lanes; parallel BNL, the Prop. 11
+//!    cascade and decomposition (Prop. 8–12) on request only;
 //! 3. **dominance-backend selection** — the term is compiled once, a
 //!    [`ScoreMatrix`](pref_core::eval::ScoreMatrix) is materialized once when the term is
 //!    score-representable, and every downstream algorithm runs its
@@ -41,13 +43,15 @@ pub enum Algorithm {
     Naive,
     /// Block-Nested-Loops (any strict partial order).
     Bnl,
-    /// Chunked parallel BNL.
+    /// Chunked parallel BNL (forced only: the planner never picks it).
     BnlParallel,
     /// Divide & conquer maxima (Pareto of chains).
     Dnc,
-    /// Sort-Filter-Skyline (monotone utility).
+    /// Sort-Filter-Skyline: key-lane window (flat key orders, Prop. 10
+    /// head split) or a monotone utility.
     Sfs,
-    /// Cascade of chain prefix then tail (Prop. 11).
+    /// Cascade of chain prefix then tail (Prop. 11; forced only — the
+    /// head split under [`Algorithm::Sfs`] subsumes it).
     Cascade,
     /// Decomposition theorems (Prop. 8–12).
     Decomposed,
@@ -155,8 +159,8 @@ pub struct Explain {
     pub rewritten: bool,
     /// The plan this report was produced from: the derivation (algebra
     /// laws fired with before/after terms, semantic rewrites, the
-    /// constraints they used), the result estimate and the
-    /// per-algorithm cost table. Every execution carries one — the plan
+    /// constraints they used), the result estimate and the shape rule's
+    /// candidates. Every execution carries one — the plan
     /// is shared with the [`Prepared`](crate::engine::Prepared) that
     /// cached it and only rendered when [`Explain::lines`] is asked for.
     pub plan: Arc<Plan>,
@@ -213,7 +217,7 @@ impl Explain {
             out.push(format!("rewritten  : {}", self.simplified));
         }
         // The planner's derivation: laws fired, constraints used, the
-        // result estimate and the cost table.
+        // result estimate and the rule's candidates.
         let plan = &self.plan;
         for s in &plan.steps {
             if s.before == s.after {
@@ -232,23 +236,17 @@ impl Explain {
             "stats      : {} rows at generation {}, est. result {:.1} rows (Def. 18)",
             plan.rows, plan.generation, plan.estimated_result
         ));
-        for e in &plan.estimates {
-            if e.eligible {
-                let chosen = if e.algorithm == plan.algorithm {
-                    "  ← chosen"
-                } else {
-                    ""
-                };
-                out.push(format!(
-                    "cost       : {} = {:.0} ({}){chosen}",
-                    e.algorithm, e.cost, e.detail
-                ));
+        for e in &plan.candidates {
+            let verdict = if e.eligible { "eligible" } else { "ineligible" };
+            let chosen = if e.eligible && e.algorithm == plan.algorithm {
+                "  ← chosen"
             } else {
-                out.push(format!(
-                    "cost       : {} ineligible ({})",
-                    e.algorithm, e.detail
-                ));
-            }
+                ""
+            };
+            out.push(format!(
+                "rule       : {} {verdict} ({}){chosen}",
+                e.algorithm, e.detail
+            ));
         }
         out.push(format!("algorithm  : {}", self.algorithm));
         out.push(format!(
@@ -594,11 +592,26 @@ mod tests {
     }
 
     #[test]
-    fn selection_picks_cascade_for_chain_head() {
+    fn selection_splits_single_lane_heads() {
         let r = sample();
+        // A chain head and a POS head: the Prop. 10 head split under SFS,
+        // on the cached matrix.
+        for p in [
+            lowest("a").prior(pos("c", ["x"])),
+            pos("c", ["x"]).prior(lowest("a").pareto(highest("b"))),
+        ] {
+            let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
+            assert_eq!(ex.algorithm, Algorithm::Sfs, "{p}");
+            assert!(ex.materialized);
+            assert!(ex.reason.contains("Prop. 10 head split"), "{}", ex.reason);
+            assert_eq!(rows, crate::bmo::sigma_naive_generic(&p, &r).unwrap());
+        }
+        // The cascade is still there when forced.
+        let forced = Optimizer::new().with_algorithm(Algorithm::Cascade);
         let p = lowest("a").prior(pos("c", ["x"]));
-        let (_, ex) = run(Optimizer::new(), &p, &r).unwrap();
+        let (rows, ex) = run(forced, &p, &r).unwrap();
         assert_eq!(ex.algorithm, Algorithm::Cascade);
+        assert_eq!(rows, crate::bmo::sigma_naive_generic(&p, &r).unwrap());
     }
 
     #[test]
@@ -612,11 +625,16 @@ mod tests {
     #[test]
     fn selection_falls_back_to_bnl() {
         let r = sample();
+        // POS ⊗ NEG has key lanes and no utility: the window kernel.
         let p = pos("c", ["x"]).pareto(neg("c", ["z"]));
         let (_, ex) = run(Optimizer::new(), &p, &r).unwrap();
+        assert_eq!(ex.algorithm, Algorithm::Sfs);
+        // A Pareto head has no single lane: BNL, still on the matrix.
+        let p = lowest("a").pareto(highest("b")).prior(pos("c", ["x"]));
+        let (rows, ex) = run(Optimizer::new(), &p, &r).unwrap();
         assert_eq!(ex.algorithm, Algorithm::Bnl);
-        // POS/NEG are level-representable: still a matrix backend.
         assert!(ex.materialized);
+        assert_eq!(rows, crate::bmo::sigma_naive_generic(&p, &r).unwrap());
     }
 
     #[test]
@@ -644,9 +662,10 @@ mod tests {
             run(opt, &pos("c", ["x"]), &r),
             Err(QueryError::AlgorithmMismatch { .. })
         ));
+        // SFS refuses an order with neither key lanes nor a utility.
         let opt = Optimizer::new().with_algorithm(Algorithm::Sfs);
         assert!(matches!(
-            run(opt, &pos("c", ["x"]), &r),
+            run(opt, &explicit("c", [("z", "x")]).unwrap(), &r),
             Err(QueryError::AlgorithmMismatch { .. })
         ));
     }

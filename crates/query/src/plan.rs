@@ -1,6 +1,6 @@
-//! The cost-based semantic planner: derivation-traced rewriting,
-//! constraint-driven semantic optimization, and statistics-driven
-//! algorithm choice, reified as an explicit [`Plan`] object.
+//! The semantic planner: derivation-traced rewriting, constraint-driven
+//! semantic optimization, and a shape rule for the algorithm, reified as
+//! an explicit [`Plan`] object.
 //!
 //! The paper names "building efficient preference query optimizers" as
 //! the open problem; Chomicki's follow-up work shows the two *semantic*
@@ -18,54 +18,39 @@
 //!    executor may evaluate `P` against the (warm, cached) base relation
 //!    and filter afterwards ([`selection_commutes`]).
 //!
-//! Algorithm choice is no longer a fixed shape heuristic: every eligible
-//! algorithm gets a [`CostEstimate`] from the relation's row count and a
-//! Def. 18 style result-size estimate; the cheapest eligible plan wins.
-//! The estimate asks the relation for its column statistics
+//! **The algorithm follows the term's shape**, not a cost formula — the
+//! rule is the one the forced-algorithm `cells` table measures, applied
+//! in this order (`choose`):
+//!
+//! 1. divide & conquer for chain skylines (a Pareto of LOWEST/HIGHEST);
+//! 2. sort-filter-skyline — the accepted-window kernel over key lanes —
+//!    for every other flat key order, and behind a Prop. 10 head split
+//!    for a prioritisation headed by one key lane (or a lone key lane);
+//! 3. block-nested-loops for orders without key lanes (EXPLICIT,
+//!    intersection/union, a Pareto head, a dual, …).
+//!
+//! Parallel BNL and the Prop. 11 cascade are reachable only when forced.
+//! The Def. 18 result estimate is still computed for the `stats` line; it
+//! asks the relation for its column statistics
 //! ([`Relation::column_stats`]) only where it reads a distinct count —
 //! under a base or `rank(F)` node outside a Pareto accumulation — so a
 //! Pareto-only term plans from the row count alone and counts nothing.
-//! The whole decision — laws fired, constraints used, per-algorithm
-//! costs — is recorded on the [`Plan`] and printed by `EXPLAIN`.
+//! The whole decision — laws fired, constraints used, each candidate's
+//! eligibility and the rule that fired — is recorded on the [`Plan`] and
+//! printed by `EXPLAIN`.
 
 use pref_core::algebra::RewriteStep;
-use pref_core::eval::CompiledPref;
+use pref_core::eval::{CompiledPref, LaneShape};
 use pref_core::term::Pref;
 use pref_relation::{Attr, Constraint, Relation, Schema};
 
-use crate::optimizer::{Algorithm, Optimizer};
-
-// ---- cost-model constants ----------------------------------------------
-//
-// The cost unit is one pairwise dominance test on the columnar backend
-// (`ScoreMatrix::better`): every formula below counts work in multiples
-// of that test, so estimates are comparable across algorithms.
-
-/// A scalar comparison (sort compare, columnar min/max scan step) costs
-/// a quarter of a full dominance test: it touches one key lane instead
-/// of walking every dimension and both orderings. Shared by the SFS sort
-/// phase and the D&C per-dimension sorts.
-pub(crate) const COST_SCAN_FACTOR: f64 = 0.25;
-
-/// Parallel BNL's fixed overhead expressed in dominance-test units:
-/// thread spawn/join plus the cross-chunk merge pass are worth roughly
-/// one BNL window pass over 4096 rows, so parallelism only pays once
-/// `n · d̂ · (1 − 1/threads)` clears this bar (small inputs stay serial,
-/// matching the old fixed n ≥ 4096 threshold at typical d̂ ≈ ln n).
-pub(crate) const PLANNER_PAR_OVERHEAD: f64 = 4096.0;
-
-/// The Prop. 11 cascade resolves its chain head with linear columnar
-/// scans (no pairwise tests) and recurses only into the single best
-/// group — a geometrically shrinking series bounded by ~2 full passes.
-pub(crate) const PLANNER_CASCADE_PASSES: f64 = 2.0;
+use crate::optimizer::Algorithm;
 
 /// Replan when the row count drifts past this factor in either
-/// direction: a 2× change is where the cost ranking can actually flip
-/// (the formulas differ by log/estimate factors, not constants), while
-/// replanning on every append would defeat plan caching entirely.
+/// direction: the result estimate the `stats` line reports moves with
+/// the row count, while replanning on every append would defeat plan
+/// caching entirely. (The algorithm itself follows the term's shape.)
 pub(crate) const PLANNER_REPLAN_DRIFT: f64 = 2.0;
-
-// ---- plan objects ------------------------------------------------------
 
 /// One recorded derivation step: an algebra law fired by the traced
 /// rewriter, or a semantic (constraint-driven) rewrite.
@@ -83,22 +68,18 @@ pub struct PlanStep {
     pub after: String,
 }
 
-/// The estimated cost of one candidate algorithm, in dominance-test
-/// units, with its eligibility verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostEstimate {
+/// One candidate of the shape rule with its eligibility verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Candidate {
     pub algorithm: Algorithm,
-    /// Estimated cost in dominance-test units (meaningless when
-    /// `eligible` is false).
-    pub cost: f64,
     pub eligible: bool,
-    /// The cost formula or the ineligibility reason.
-    pub detail: String,
+    /// The shape that makes it eligible, or the reason it is not.
+    pub detail: &'static str,
 }
 
 /// The complete plan of one preference query over one relation state:
 /// the derivation that produced the evaluated term, the semantic
-/// verdict, the per-algorithm cost table and the chosen algorithm.
+/// verdict, the rule's candidates and the chosen algorithm.
 /// Rendered only through [`Explain::lines`](crate::Explain::lines).
 #[derive(Debug, Clone)]
 pub struct Plan {
@@ -110,15 +91,15 @@ pub struct Plan {
     /// `σ[P](R) = R` proven from the constraint registry: the winnow is
     /// eliminated and no algorithm runs.
     pub redundant: bool,
-    /// Row count of the relation state the costs were computed on.
+    /// Row count of the relation state the plan was made on.
     pub rows: usize,
     /// Generation of that relation state.
     pub generation: u64,
     /// Def. 18-style estimated BMO result size, in rows.
     pub estimated_result: f64,
-    /// Cost table over every candidate algorithm.
-    pub estimates: Vec<CostEstimate>,
-    /// The chosen algorithm (cheapest eligible candidate).
+    /// The rule's candidates, in rule order (empty when forced or elided).
+    pub candidates: Vec<Candidate>,
+    /// The chosen algorithm (the first eligible candidate).
     pub algorithm: Algorithm,
     /// Selection rationale, reported through [`Explain`](crate::Explain).
     pub reason: String,
@@ -332,113 +313,58 @@ fn estimated_result(p: &Pref, r: &Relation) -> f64 {
     est.clamp(1.0, n)
 }
 
-/// Cost-rank every candidate algorithm for an already-simplified,
-/// compiled term over `r` and pick the cheapest eligible one. Returns
-/// the choice, its rationale, the full cost table, and the Def. 18
-/// result estimate.
+/// The shape rule's candidates for an already-simplified, compiled
+/// term, in rule order: D&C, SFS (the key-lane kernel), BNL.
+fn candidates(c: &CompiledPref) -> [Candidate; 3] {
+    let chain = c.chain_dims().is_some();
+    let lanes = c.lane_shape();
+    let sfs = match lanes {
+        Some(LaneShape::Flat) => "flat key order: presort by key sum, then the accepted window",
+        Some(LaneShape::HeadSplit) => {
+            "single-lane head: Prop. 10 head split, then the accepted window on each \
+             bucket's tail lanes"
+        }
+        None => "no key lanes (EXPLICIT, intersection/union, a Pareto head or a dual)",
+    };
+    [
+        Candidate {
+            algorithm: Algorithm::Dnc,
+            eligible: chain,
+            detail: if chain {
+                "chain skyline: Pareto of LOWEST/HIGHEST, per-dimension sweeps"
+            } else {
+                "not a Pareto accumulation of LOWEST/HIGHEST chains"
+            },
+        },
+        Candidate {
+            algorithm: Algorithm::Sfs,
+            eligible: lanes.is_some(),
+            detail: sfs,
+        },
+        Candidate {
+            algorithm: Algorithm::Bnl,
+            eligible: true,
+            detail: "any strict partial order, pairwise window",
+        },
+    ]
+}
+
+/// Apply the shape rule to an already-simplified, compiled term over `r`:
+/// the first eligible candidate wins. Returns the choice, its rationale,
+/// the candidates and the Def. 18 result estimate.
 pub(crate) fn choose(
-    opt: &Optimizer,
     pref: &Pref,
     c: &CompiledPref,
     r: &Relation,
-) -> (Algorithm, String, Vec<CostEstimate>, f64) {
-    let n = r.len() as f64;
-    let lg = n.max(2.0).log2();
-    let d = estimated_result(pref, r).max(1.0);
-    let threads = opt.threads;
-
-    let mut estimates = Vec::with_capacity(5);
-
-    // D&C maxima: per-dimension columnar sorts dominate; the merge is
-    // absorbed into the same scan-cost series.
-    let dnc_ok = c.chain_dims().is_some();
-    estimates.push(CostEstimate {
-        algorithm: Algorithm::Dnc,
-        cost: COST_SCAN_FACTOR * n * lg,
-        eligible: dnc_ok,
-        detail: if dnc_ok {
-            format!("{COST_SCAN_FACTOR} · n · log₂ n, per-dimension sorts")
-        } else {
-            "not a Pareto accumulation of LOWEST/HIGHEST chains".to_string()
-        },
-    });
-
-    // Prop. 11 cascade: linear scans partition by the chain head, then
-    // recursion into the single surviving group.
-    let cascade_ok = matches!(pref, Pref::Prior(children)
-        if children.first().is_some_and(Pref::is_chain));
-    estimates.push(CostEstimate {
-        algorithm: Algorithm::Cascade,
-        cost: PLANNER_CASCADE_PASSES * COST_SCAN_FACTOR * n,
-        eligible: cascade_ok,
-        detail: if cascade_ok {
-            format!("{PLANNER_CASCADE_PASSES} linear head-partition passes (Prop. 11)")
-        } else {
-            "not a prioritisation headed by a chain".to_string()
-        },
-    });
-
-    // SFS: one sort by utility, then a filter pass against the running
-    // window of maxima (expected size = the result estimate d̂).
-    let sfs_ok = !r.is_empty() && c.utility(r.row(0)).is_some();
-    estimates.push(CostEstimate {
-        algorithm: Algorithm::Sfs,
-        cost: COST_SCAN_FACTOR * n * (lg + d),
-        eligible: sfs_ok,
-        detail: if sfs_ok {
-            format!("{COST_SCAN_FACTOR} · n · (log₂ n + d̂), presort then filter")
-        } else {
-            "no monotone utility on this input".to_string()
-        },
-    });
-
-    // BNL: every row runs against the window of current maxima (d̂).
-    estimates.push(CostEstimate {
-        algorithm: Algorithm::Bnl,
-        cost: n * d,
-        eligible: true,
-        detail: "n · d̂ window dominance tests".to_string(),
-    });
-
-    // Parallel BNL: the window work divides across threads, plus the
-    // fixed spawn/merge overhead.
-    let par_ok = threads >= 2;
-    estimates.push(CostEstimate {
-        algorithm: Algorithm::BnlParallel,
-        cost: n * d / (threads.max(1) as f64) + PLANNER_PAR_OVERHEAD,
-        eligible: par_ok,
-        detail: if par_ok {
-            format!("n · d̂ / {threads} threads + {PLANNER_PAR_OVERHEAD} overhead")
-        } else {
-            "single worker thread available".to_string()
-        },
-    });
-
-    let chosen = estimates
+) -> (Algorithm, String, Vec<Candidate>, f64) {
+    let candidates = candidates(c);
+    let chosen = candidates
         .iter()
-        .filter(|e| e.eligible)
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
+        .find(|e| e.eligible)
         .expect("BNL is always eligible");
-    let (algorithm, cost) = (chosen.algorithm, chosen.cost);
-    let runner_up = estimates
-        .iter()
-        .filter(|e| e.eligible && e.algorithm != algorithm)
-        .min_by(|a, b| a.cost.total_cmp(&b.cost));
-    let reason = match runner_up {
-        Some(r2) => format!(
-            "cost-based: {algorithm} estimated {cost:.0} dominance-test units vs \
-             {} at {:.0} over {} rows (est. result {d:.1})",
-            r2.algorithm,
-            r2.cost,
-            r.len()
-        ),
-        None => format!(
-            "cost-based: {algorithm} estimated {cost:.0} dominance-test units over \
-             {} rows (est. result {d:.1})",
-            r.len()
-        ),
-    };
-    (algorithm, reason, estimates, d)
+    let reason = format!("shape rule: {} — {}", chosen.algorithm, chosen.detail);
+    let estimate = estimated_result(pref, r).max(1.0);
+    (chosen.algorithm, reason, candidates.to_vec(), estimate)
 }
 
 #[cfg(test)]
@@ -538,41 +464,70 @@ mod tests {
     }
 
     #[test]
-    fn estimates_rank_algorithms_sanely() {
+    fn the_shape_rule_picks_one_algorithm_per_shape() {
         let r = sample();
-        let opt = crate::Engine::new().optimizer().clone();
-
-        // Chain skyline → D&C cheapest.
-        let p = lowest("a").pareto(highest("b"));
-        let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, reason, table, _) = choose(&opt, &p, &c, &r);
-        assert_eq!(alg, Algorithm::Dnc);
-        assert!(reason.contains("cost-based"));
-        assert_eq!(table.len(), 5, "every candidate gets an estimate");
-
-        // Chain-headed prioritisation → cascade cheapest.
-        let p = lowest("a").prior(pos("c", ["x"]));
-        let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, _, _, _) = choose(&opt, &p, &c, &r);
-        assert_eq!(alg, Algorithm::Cascade);
-
-        // Scored non-chain → SFS beats BNL whenever d̂ > 1.
-        let p = around("a", 3).pareto(lowest("b"));
-        let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, _, _, d) = choose(&opt, &p, &c, &r);
-        assert_eq!(alg, Algorithm::Sfs);
-        assert!(d > 1.0);
-
-        // No utility, small input → serial BNL (parallel overhead too big).
-        let p = pos("c", ["x"]).pareto(neg("c", ["z"]));
-        let c = pref_core::eval::CompiledPref::compile(&p, r.schema()).unwrap();
-        let (alg, _, table, _) = choose(&opt, &p, &c, &r);
-        assert_eq!(alg, Algorithm::Bnl);
-        let sfs = table
-            .iter()
-            .find(|e| e.algorithm == Algorithm::Sfs)
-            .unwrap();
-        assert!(!sfs.eligible);
+        let chains = lowest("a").pareto(highest("b"));
+        let explicit_c = || explicit("c", [("z", "x")]).unwrap();
+        for (p, algorithm, rule) in [
+            // Chain skylines, a lone chain included → D&C.
+            (chains.clone(), Algorithm::Dnc, "chain skyline"),
+            (highest("b"), Algorithm::Dnc, "chain skyline"),
+            // Every other flat key order, utility or not → the window.
+            (
+                around("a", 3).pareto(lowest("b")),
+                Algorithm::Sfs,
+                "flat key order",
+            ),
+            (
+                pos("c", ["x"]).pareto(neg("c", ["z"])),
+                Algorithm::Sfs,
+                "flat key order",
+            ),
+            // A single-lane head, a chain or not, and a lone key lane
+            // (POS, rank(F)) → the head split.
+            (
+                lowest("a").prior(pos("c", ["x"])),
+                Algorithm::Sfs,
+                "Prop. 10 head split",
+            ),
+            (
+                pos("c", ["x"]).prior(chains.clone()),
+                Algorithm::Sfs,
+                "Prop. 10 head split",
+            ),
+            (
+                pos("c", ["x"]).prior(explicit_c()),
+                Algorithm::Sfs,
+                "Prop. 10 head split",
+            ),
+            (pos("c", ["x"]), Algorithm::Sfs, "Prop. 10 head split"),
+            (
+                Pref::rank(CombineFn::sum(), vec![lowest("a"), highest("b")]).unwrap(),
+                Algorithm::Sfs,
+                "Prop. 10 head split",
+            ),
+            // No key lanes: a Pareto head, EXPLICIT, a dual → BNL.
+            (
+                chains.clone().prior(pos("c", ["x"])),
+                Algorithm::Bnl,
+                "pairwise",
+            ),
+            (explicit_c().pareto(lowest("a")), Algorithm::Bnl, "pairwise"),
+            (around("a", 3).dual(), Algorithm::Bnl, "pairwise"),
+        ] {
+            let c = CompiledPref::compile(&p, r.schema()).unwrap();
+            let (chosen, reason, candidates, estimate) = choose(&p, &c, &r);
+            assert_eq!(chosen, algorithm, "{p}");
+            assert!(
+                reason.starts_with("shape rule") && reason.contains(rule),
+                "{p}: {reason}"
+            );
+            let order: Vec<Algorithm> = candidates.iter().map(|e| e.algorithm).collect();
+            assert_eq!(order, [Algorithm::Dnc, Algorithm::Sfs, Algorithm::Bnl]);
+            let first = candidates.iter().find(|e| e.eligible).unwrap();
+            assert_eq!(first.algorithm, chosen, "the first eligible candidate wins");
+            assert!((1.0..=r.len() as f64).contains(&estimate));
+        }
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Prepared {
         // Schema-level planning happens once, here: fold the rewrite
         // trace into derivation steps and decide redundancy from the
         // schema's constraint registry. The relation-level half (result
-        // estimate, cost ranking) is computed lazily on first execution.
+        // estimate, shape rule) is computed lazily on first execution.
         let semantic = Arc::new(SemanticInfo::analyze(&simplified, schema, trace));
         Ok(Prepared {
             engine: engine.clone(),
@@ -269,8 +269,8 @@ impl Prepared {
 
     /// The relation-level [`Plan`] of this query over `r`: reuses the
     /// cached plan while the row count stays within
-    /// `PLANNER_REPLAN_DRIFT` (2×) of the planned state (the cost
-    /// ranking cannot flip on smaller drift), replans otherwise.
+    /// `PLANNER_REPLAN_DRIFT` (2×) of the planned state, replans
+    /// otherwise.
     pub fn plan(&self, r: &Relation) -> Arc<Plan> {
         {
             let cell = self.plan_cell.lock();
@@ -297,7 +297,7 @@ impl Prepared {
     fn compute_plan(&self, r: &Relation) -> Plan {
         let opt = self.engine.optimizer();
         if self.semantic.redundant && opt.force.is_none() {
-            // Redundant winnow: no stats, no cost table — nothing runs.
+            // Redundant winnow: no candidates — nothing runs.
             return Plan {
                 steps: self.semantic.steps.clone(),
                 constraints_used: self.semantic.constraints_used.clone(),
@@ -305,21 +305,21 @@ impl Prepared {
                 rows: r.len(),
                 generation: r.generation(),
                 estimated_result: r.len() as f64,
-                estimates: Vec::new(),
+                candidates: Vec::new(),
                 algorithm: Algorithm::Elided,
                 reason: "winnow eliminated: registered integrity constraints prove \
                          σ[P](R) = R — zero algorithm runs"
                     .to_string(),
             };
         }
-        let (algorithm, reason, estimates, estimated_result) = match opt.force {
+        let (algorithm, reason, candidates, estimated_result) = match opt.force {
             Some(a) => (
                 a,
                 "forced by caller".to_string(),
                 Vec::new(),
                 r.len() as f64,
             ),
-            None => plan::choose(opt, &self.simplified, &self.compiled, r),
+            None => plan::choose(&self.simplified, &self.compiled, r),
         };
         Plan {
             steps: self.semantic.steps.clone(),
@@ -328,7 +328,7 @@ impl Prepared {
             rows: r.len(),
             generation: r.generation(),
             estimated_result,
-            estimates,
+            candidates,
             algorithm,
             reason,
         }
@@ -371,7 +371,7 @@ impl Prepared {
     }
 
     /// Plan without executing — the report behind `EXPLAIN SELECT`: the
-    /// derivation, the cost table and the backend the chosen algorithm
+    /// derivation, the rule's candidates and the backend the chosen algorithm
     /// would run on. No matrix is materialized and no algorithm runs.
     pub fn explain(&self, r: &Relation) -> Explain {
         let plan = self.plan(r);

@@ -3,7 +3,7 @@
 //! ones the engine's snapshot tier used to produce.
 
 use pref_core::prelude::*;
-use pref_query::{Engine, Optimizer};
+use pref_query::Engine;
 use pref_relation::{predicate_fingerprint, DataType, Relation, Schema, Value};
 
 fn table() -> Relation {
@@ -45,9 +45,9 @@ fn terms() -> Vec<(&'static str, Pref)> {
     ]
 }
 
-/// Two threads pinned, so the cost table does not depend on the machine.
+/// A default engine: the shape rule reads no thread count.
 fn engine() -> Engine {
-    Engine::with_optimizer(Optimizer::new().with_threads(2))
+    Engine::new()
 }
 
 #[test]

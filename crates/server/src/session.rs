@@ -11,8 +11,9 @@
 //! socket at all.
 //!
 //! `WATCH` turns a session into a push consumer: the `WatchHub`
-//! re-evaluates every watched statement under each mutation's write
-//! guard (cheap — the engine's maintained-result tier serves the
+//! re-evaluates every watched statement under the write guard of each
+//! mutation that changed a row — not after a `DELETE` that matched
+//! nothing — (cheap — the engine's maintained-result tier serves the
 //! re-execution incrementally), diffs it against the last pushed
 //! answer, and hands changed frames to a dedicated dispatcher thread.
 //! Only that thread touches connection sinks, and it holds no other
@@ -345,7 +346,10 @@ impl Session {
                 let mut db = self.state.db.write();
                 match db.delete(&sql) {
                     Ok(n) => {
-                        self.state.hub.notify(&db);
+                        // A delete that removed nothing changed no answer.
+                        if n > 0 {
+                            self.state.hub.notify(&db);
+                        }
                         Reply::ok(format!("deleted {n} row(s)"))
                     }
                     Err(e) => Reply::err(e),
@@ -633,6 +637,31 @@ mod tests {
             2,
             "unwatched sessions get no pushes"
         );
+    }
+
+    #[test]
+    fn a_delete_that_matches_nothing_reruns_no_watch() {
+        let state = state();
+        let buf = Buf::default();
+        let mut watcher = state.session_with_sink(WatchSink::new(buf.clone()));
+        assert!(watcher
+            .handle_line("WATCH SELECT * FROM car PREFERRING LOWEST(price)")
+            .is_ok());
+        let before = state.engine().cache_stats();
+        let mut other = state.session();
+        let r = other.handle_line("DELETE FROM car WHERE price = 1");
+        assert_eq!(r.status, "OK deleted 0 row(s)");
+        // A re-run watch would have been an exact result-tier hit.
+        let after = state.engine().cache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+        // Deleting the champion still re-runs the watch: one push, and
+        // it is the first frame the sink sees.
+        assert!(other
+            .handle_line("DELETE FROM car WHERE price = 38000")
+            .is_ok());
+        let fs = frames(&buf, 1);
+        assert!(fs[0].starts_with("PUSH 1 2 delta(s)\n"), "{}", fs[0]);
+        assert!(fs[0].contains("-") && fs[0].contains("38000"), "{}", fs[0]);
     }
 
     #[test]

@@ -6,12 +6,13 @@
 mod common;
 
 use common::{arb_pref, arb_relation, test_schema};
+use preferences::core::base::layered::Layer;
 use preferences::prelude::*;
 use preferences::query::algorithms::{bnl, dnc, sfs};
 use preferences::query::bmo::{sigma_naive_generic, sigma_naive_matrix};
 use preferences::query::groupby::sigma_groupby_definitional;
 use preferences::query::stats::FilterEffectReport;
-use preferences::query::Engine;
+use preferences::query::{Engine, Optimizer};
 use preferences::workload::cars;
 use preferences::workload::synthetic::{self, Distribution};
 use proptest::prelude::*;
@@ -47,6 +48,91 @@ fn check_large(p: &Pref, r: &Relation, dnc_applies: bool) -> Result<usize, TestC
     let (rows, explain) = q.execute(r).expect("engine runs").into_parts();
     prop_assert_eq!(&rows, &oracle, "engine ({}) for {}", explain.algorithm, p);
     Ok(oracle.len())
+}
+
+/// The unforced engine and the engine forced to SFS against Def. 15.
+/// Returns the unforced algorithm and whether the rewritten term has key
+/// lanes; a forced SFS may refuse only a term without lanes or whose
+/// matrix does not build (the term walk then needs a utility).
+fn check_routes(p: &Pref, r: &Relation) -> Result<(Algorithm, bool), TestCaseError> {
+    let oracle = sigma_naive_generic(p, r).expect("term compiles");
+    let q = Engine::new().prepare(p, r.schema()).expect("term compiles");
+    let (rows, explain) = q.execute(r).expect("engine runs").into_parts();
+    prop_assert_eq!(&rows, &oracle, "engine ({}) for {}", explain.algorithm, p);
+    let lanes = q.compiled().lane_shape().is_some();
+    let forced = Engine::with_optimizer(Optimizer::new().with_algorithm(Algorithm::Sfs));
+    match forced
+        .prepare(p, r.schema())
+        .expect("term compiles")
+        .execute(r)
+    {
+        Ok(out) => prop_assert_eq!(out.rows(), &oracle[..], "forced SFS for {}", p),
+        Err(e) => prop_assert!(
+            !lanes || q.compiled().score_matrix(r).is_none(),
+            "forced SFS refused {}: {}",
+            p,
+            e
+        ),
+    }
+    Ok((explain.algorithm, lanes))
+}
+
+const CATS: [&str; 4] = ["x", "y", "z", "w"];
+
+/// Strategy: a single-lane base preference — one dominance key per row,
+/// no utility needed (POS, NEG, POS/POS, POS/NEG, layered) or scored
+/// (AROUND, BETWEEN, LOWEST, HIGHEST).
+fn arb_lane() -> impl Strategy<Value = Pref> {
+    let cats = || {
+        prop::collection::vec(0usize..4, 1..3)
+            .prop_map(|ix| ix.into_iter().map(|i| CATS[i]).collect::<Vec<_>>())
+    };
+    prop_oneof![
+        cats().prop_map(|v| pos("c", v)),
+        cats().prop_map(|v| neg("c", v)),
+        (0usize..4, 1usize..4)
+            .prop_map(|(i, k)| (i, (i + k) % 4))
+            .prop_map(|(i, j)| { pos_pos("c", [CATS[i]], [CATS[j]]).expect("disjoint sets") }),
+        (0usize..4, 1usize..4)
+            .prop_map(|(i, k)| (i, (i + k) % 4))
+            .prop_map(|(i, j)| { pos_neg("c", [CATS[i]], [CATS[j]]).expect("disjoint sets") }),
+        (0usize..4, 1usize..4)
+            .prop_map(|(i, k)| (i, (i + k) % 4))
+            .prop_map(|(i, j)| {
+                layered(
+                    "c",
+                    vec![Layer::of([CATS[i]]), Layer::Others, Layer::of([CATS[j]])],
+                )
+                .expect("one others layer")
+            }),
+        (0i64..6).prop_map(|z| pos("a", [z, z + 2])),
+        (0i64..6).prop_map(|z| around("a", z)),
+        (0i64..6).prop_map(|z| around("b", z)),
+        (0i64..4, 0i64..3).prop_map(|(lo, w)| between("b", lo, lo + w).expect("lo <= hi")),
+        Just(lowest("a")),
+        Just(highest("b")),
+    ]
+}
+
+/// Strategy: a flat Pareto of key lanes none of which scores — the
+/// terms SFS took only since its utility probe went.
+fn arb_lane_pareto() -> impl Strategy<Value = Pref> {
+    let unscored = prop_oneof![
+        (0usize..4).prop_map(|i| pos("c", [CATS[i]])),
+        (0usize..4).prop_map(|i| neg("c", [CATS[i]])),
+        (0i64..6).prop_map(|z| pos("a", [z])),
+        (0i64..6).prop_map(|z| neg("b", [z, 5 - z])),
+        (0usize..3).prop_map(|i| {
+            let layers = vec![
+                Layer::of([CATS[i]]),
+                Layer::of([CATS[i + 1]]),
+                Layer::Others,
+            ];
+            layered("c", layers).expect("one others layer")
+        }),
+        (0usize..3).prop_map(|i| pos_pos("c", [CATS[i]], [CATS[i + 1]]).expect("disjoint sets")),
+    ];
+    prop::collection::vec(unscored, 2..4).prop_map(Pref::Pareto)
 }
 
 /// `d0` of an independent 3-d table cut to {0, 1, 2, 3} with `zeros` of
@@ -144,7 +230,24 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn single_lane_heads_and_unscored_lanes_agree_with_the_oracle(
+        heads in prop::collection::vec(arb_lane(), 1..3),
+        tail in prop_oneof![arb_lane_pareto(), arb_pref()],
+        lanes in arb_lane_pareto(),
+        r in arb_relation(40),
+    ) {
+        // `P1 & … & tail` with one or two single-lane heads: the head
+        // split under both routes (a Pareto tail of lanes, or anything
+        // that materializes — an intersection anywhere has no matrix).
+        let prior = Pref::Prior([heads, vec![tail]].concat());
+        let (algorithm, split) = check_routes(&prior, &r)?;
+        prop_assert_eq!(split, algorithm != Algorithm::Bnl, "{} ran {}", prior, algorithm);
+        // A flat Pareto with no utility: the window kernel, probe-free.
+        prop_assert_eq!(check_routes(&lanes, &r)?, (Algorithm::Sfs, true), "{}", lanes);
+    }
 
     #[test]
     fn bmo_result_invariants(p in arb_pref(), r in arb_relation(16)) {
@@ -281,4 +384,47 @@ proptest! {
             sigma_naive_generic(&s, &r).expect("simplified term compiles")
         );
     }
+}
+
+/// The head split's edge cases, pinned.
+#[test]
+fn head_split_edge_cases_agree_with_the_oracle() {
+    let run = |p: &Pref, r: &Relation| check_routes(p, r).expect("agrees with Def. 15").0;
+    // AROUND 0 over −5 and 5: one best key, two codes — two buckets, each
+    // with its own LOWEST(b) winner.
+    let r = rel! {
+        ("a": Int, "b": Int, "c": Str);
+        (-5, 3, "x"), (5, 1, "x"), (-5, 1, "y"), (7, 0, "x"), (5, 2, "y"),
+    };
+    let p = around("a", 0).prior(lowest("b"));
+    assert_eq!(run(&p, &r), Algorithm::Sfs);
+    assert_eq!(sigma_naive_generic(&p, &r).unwrap(), [1, 2]);
+    // POS with no POS value present: x and y both sit at the top.
+    let p = pos("c", ["v"]).prior(lowest("b").pareto(around("a", 6)));
+    assert_eq!(run(&p, &r), Algorithm::Sfs);
+    assert_eq!(sigma_naive_generic(&p, &r).unwrap(), [1, 2, 3, 4]);
+    // An all-equal head: one bucket, the whole relation.
+    let same = rel! { ("a": Int, "b": Int, "c": Str); (1, 2, "x"), (2, 1, "x"), (2, 2, "x") };
+    let p = pos("c", ["x"]).prior(highest("a").pareto(highest("b")));
+    assert_eq!(run(&p, &same), Algorithm::Sfs);
+    assert_eq!(sigma_naive_generic(&p, &same).unwrap(), [2]);
+    // Nested single-lane heads bucket lexicographically.
+    let p = Pref::Prior(vec![neg("c", ["x"]), around("a", 0), lowest("b")]);
+    assert_eq!(run(&p, &r), Algorithm::Sfs);
+    // A Pareto head stays on the pairwise path.
+    let p = lowest("a").pareto(lowest("b")).prior(pos("c", ["x"]));
+    assert_eq!(run(&p, &r), Algorithm::Bnl);
+    // A NULL in the head column: no matrix, so the generic path.
+    let mut nulls = r.clone();
+    nulls
+        .push_values(vec![Value::Null, Value::from(0), Value::from("x")])
+        .unwrap();
+    let p = lowest("a").prior(lowest("b"));
+    let c = CompiledPref::compile(&p, nulls.schema()).unwrap();
+    assert!(c.score_matrix(&nulls).is_none());
+    let q = Engine::new().prepare(&p, nulls.schema()).unwrap();
+    let (rows, explain) = q.execute(&nulls).unwrap().into_parts();
+    assert_eq!(rows, sigma_naive_generic(&p, &nulls).unwrap());
+    assert_eq!(explain.algorithm, Algorithm::Bnl, "{}", explain.reason);
+    assert!(!explain.materialized);
 }
