@@ -7,10 +7,11 @@
 //! elsewhere) — the SFS-vs-D&C table a routing change is argued from;
 //! unforced, the planner chooses. Unscored lines after the pass total
 //! time the skyline of a table whose first dimension has four values
-//! (D&C cannot split below the median there), then the three car-table
+//! (many equal-dim0 runs), the independent and anti-correlated d = 3
+//! skylines (D&C's staircase at grid scale), then the three car-table
 //! terms `mutate-watch` runs over `cars::catalog(rows · 4/5, seed)` (20 000
-//! rows by default): the 2-d and 3-d watch terms (D&C; the 3-d one is
-//! where the pre-filter bails) and the BMW rows under `price AROUND 15000
+//! rows by default): the 2-d and 3-d watch terms (D&C's sweep and
+//! staircase) and the BMW rows under `price AROUND 15000
 //! ⊗ LOWEST(mileage)` (SFS); then three lines for the routes of the shape
 //! rule that the grid does not reach: the fourth watch, `transmission =
 //! 'automatic' PRIOR TO (LOWEST(price) ⊗ HIGHEST(year))` (a POS head split),
@@ -122,6 +123,11 @@ fn main() {
     for zeros in [0.3, 0.7] {
         let r = low_cardinality(rows, zeros, seed);
         let name = format!("unscored: four-valued d0 ({zeros} zeros) 3 skyline");
+        wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r).1);
+    }
+    for dist in [Distribution::Independent, Distribution::Anticorrelated] {
+        let r = synthetic::table(rows, 3, dist, seed);
+        let name = format!("unscored: {} 3 skyline", dist.name());
         wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r).1);
     }
     let four_valued = low_cardinality(rows, 0.3, seed);

@@ -109,10 +109,10 @@ impl PrefSql {
 
     /// Parse and run a `DELETE FROM <table> [WHERE <hard>]` statement
     /// **in place**, returning how many rows were removed. Deletions
-    /// tombstone the relation's row-id view
-    /// ([`pref_relation::Relation::delete_row`]): storage is untouched
-    /// and the mutation delta records each victim, so the engine can
-    /// *maintain* a cached BMO result across the delete — removing
+    /// tombstone the relation's row-id view in one mutation
+    /// ([`pref_relation::Relation::delete_rows`]): storage is untouched
+    /// and the mutation delta records one base and every victim, so the
+    /// engine can *maintain* a cached BMO result across the delete — removing
     /// non-members leaves the previous result servable
     /// (`CacheStatus::MaintainedHit`); removing a member forces the
     /// recompute that re-promotes whatever it was dominating.
@@ -137,10 +137,7 @@ impl PrefSql {
             }
             None => (0..table.len()).collect(),
         };
-        // Descending: each delete shifts every later position left.
-        for &i in victims.iter().rev() {
-            table.delete_row(i);
-        }
+        table.delete_rows(&victims);
         Ok(victims.len())
     }
 
@@ -1514,6 +1511,26 @@ mod tests {
         assert_eq!(s.execute("SELECT * FROM car").unwrap().relation.len(), 0);
         assert!(s.delete("DELETE FROM nope").is_err());
         assert!(s.delete("SELECT * FROM car").is_err());
+    }
+
+    #[test]
+    fn a_delete_of_more_rows_than_delta_bases_is_maintained() {
+        let mut s = PrefSql::new();
+        s.register(
+            "t",
+            rel! { ("x": Int); (0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,) },
+        );
+        let sql = "SELECT * FROM t PREFERRING LOWEST(x)";
+        assert_eq!(s.execute(sql).unwrap().relation.len(), 1);
+        // Six victims, one mutation: one delta base, not six.
+        const { assert!(6 > pref_relation::Delta::MAX_BASES) };
+        assert_eq!(s.delete("DELETE FROM t WHERE x >= 2").unwrap(), 6);
+        let res = s.execute(sql).unwrap();
+        assert_eq!(res.relation.row(0)[0], Value::from(0));
+        assert_eq!(
+            res.explain.unwrap().cache,
+            pref_query::CacheStatus::MaintainedHit
+        );
     }
 
     #[test]

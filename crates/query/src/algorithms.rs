@@ -28,10 +28,13 @@
 //! accepted row dominate this one? — of one private early-exit window
 //! (`window`): a flat head of the first 256 accepted rows, then
 //! partitions by a bit mask against the head's median, of which a
-//! candidate sweeps only those whose mask is a subset of its own. Ahead
-//! of SFS's presort and D&C's split (d ≥ 3), the same module's linear
-//! pre-filter drops every row that one of the 64 rows of best normalised
-//! key sum dominates, so the n log n work sees only the survivors.
+//! candidate sweeps only those whose mask is a subset of its own. The
+//! D&C merge asks it weakly (`≥` on lanes 1..d): its split already makes
+//! every upper row strictly better on dim0. Ahead of SFS's presort and
+//! D&C's split (d ≥ 4; D&C's d = 3 is a staircase sweep), the same
+//! module's linear pre-filter drops every row that one of the 64 rows of
+//! best normalised key sum dominates, so the n log n work sees only the
+//! survivors.
 //!
 //! All algorithms return sorted row-index vectors and are
 //! property-checked against the naive oracle.

@@ -6,17 +6,41 @@
 //! become score vectors (higher = better per dimension) and dominance is
 //! the coordinate-wise `≥ everywhere ∧ > somewhere` test — which, because
 //! chain scores are value-injective, coincides exactly with the strict
-//! Pareto order of Def. 8.
+//! Pareto order of Def. 8. One row-major pass over the tuples extracts
+//! the vectors (and the per-lane spans the pre-filter scales by).
 //!
-//! d = 1 is a max scan and d = 2 the classic sort-and-sweep. At d ≥ 3 the
-//! input first goes through the window's linear pre-filter (the rows the
-//! 64 best dominate are dropped before any sort; not at d = 2, whose
-//! sweep is n log n already), then splits on the first dimension and
-//! keeps a lower-half maximum iff no upper-half maximum dominates it.
-//! That merge is a filter, not the recursive KLP75 marriage step: the
-//! upper maxima are loaded into the early-exit `AcceptedWindow` in
-//! descending coordinate-sum order (likely dominators first) and every
-//! lower maximum asks it once.
+//! Each dimensionality uses what its own ordering guarantees:
+//!
+//! * d = 1 is a max scan and d = 2 the classic sort-and-sweep over
+//!   extracted `(k0, k1, row)` tuples.
+//! * **d = 3 is a staircase sweep**, O(n log n) with no pre-filter. Sorted
+//!   descending by `(k0, k1, k2)`, a row can only be dominated by an
+//!   earlier one; within a run of equal `(k0, k1)` only the rows at the
+//!   run's best `k2` survive (the strict part), and they survive iff no
+//!   maximum accepted before the run is `≥` on both `k1` and `k2` — such
+//!   a row is lexicographically greater on `(k0, k1)`, so `≥` there is
+//!   strict dominance. The accepted maxima are kept as a staircase: `k1`
+//!   ascending maps to `k2` strictly descending, so the first step at or
+//!   past `k1` holds the best `k2` any of them reaches there.
+//! * **d ≥ 4 splits.** The window's linear pre-filter first drops what
+//!   the 64 best rows dominate; then the rows are sorted once by dim0 and
+//!   split at the median, with the median's whole equal-dim0 run kept in
+//!   the upper half. Every upper row is then *strictly* better than
+//!   every lower row on dim0, so an upper row dominates a lower one iff
+//!   it is `≥` on lanes 1..d: the merge asks the window's weak arm — one
+//!   compare per lane, pivot masks over the d − 1 informative lanes —
+//!   whether a lower maximum is covered by an upper one (upper maxima
+//!   loaded by descending sum over those lanes, likely coverers first).
+//!   A slice whose median run reaches its end cannot split and is
+//!   filtered whole through the strict arm, sorted by descending sum:
+//!   equal dim0 gives the weak test nothing to stand on there.
+//!
+//! **Measured dead end.** The merge filters the lower maxima through the
+//! window; KLP75's recursive marriage step (split the merge on the next
+//! dimension) was slower on the anti-correlated d = 6 skyline at 25 000
+//! rows at every leaf size from 2¹² to 2²⁰ (44–49 ms against 40 ms).
+
+use std::collections::BTreeMap;
 
 use pref_core::eval::CompiledPref;
 use pref_relation::Relation;
@@ -27,39 +51,47 @@ use super::window::{prefilter, widened, AcceptedWindow, NO_SPAN};
 /// BMO evaluation by divide & conquer over score vectors: `None` when
 /// the term is not a Pareto accumulation of score-injective chains, or
 /// when some value in a chain column has no numeric embedding (NULLs,
-/// strings) — scoring such a row `-∞` would silently drop it, while the
-/// strict Pareto order of Def. 8 keeps it as incomparable, so callers
+/// strings, NaN) — scoring such a row `-∞` would silently drop it, while
+/// the strict Pareto order of Def. 8 keeps it as incomparable, so callers
 /// must use another algorithm.
 ///
-/// The score vectors fill one flat row-major buffer a column at a time
-/// through [`dominance_key`](pref_core::base::BasePreference::dominance_key),
+/// The score vectors fill one flat row-major buffer through
+/// [`dominance_key`](pref_core::base::BasePreference::dominance_key),
 /// whose `None`s flag exactly the values (off-axis, `-0.0`) where plain
 /// `f64` comparisons disagree with the chain's order.
 pub fn try_dnc_compiled(c: &CompiledPref, r: &Relation) -> Option<Vec<usize>> {
     let dims = c.chain_dims()?;
     let d = dims.len();
-    let mut flat = vec![0.0f64; r.len() * d];
-    // Pre-filter from d = 3 up: the 2-d sweep is one sort, and filtering
-    // first took the car table's 2-d watch term 1.6 → 1.9–2.0 ms.
-    let (prefiltered, mut spans) = (d >= 3, Vec::new());
-    for (k, (col, base)) in dims.iter().enumerate() {
-        let column = r.column(*col).map_f64(|v| base.dominance_key(v))?;
-        if prefiltered {
-            spans.push(column.iter().copied().fold(NO_SPAN, widened));
-        }
-        for (i, key) in column.into_iter().enumerate() {
-            flat[i * d + k] = key;
+    let (mut flat, mut spans) = (Vec::with_capacity(r.len() * d), vec![NO_SPAN; d]);
+    for t in r.iter() {
+        for ((col, base), span) in dims.iter().zip(&mut spans) {
+            // `+ 0.0` makes a `-0.0` key `+0.0`: `total_cmp` then agrees
+            // with `==` on every key.
+            let key = base.dominance_key(&t[*col]).filter(|k| !k.is_nan())? + 0.0;
+            *span = widened(*span, key);
+            flat.push(key);
         }
     }
-    let vectors = Vectors { d, flat };
-    let mut idx: Vec<usize> = if prefiltered {
-        prefilter(r.len(), &spans, 0, |i, keys, _| {
-            keys.copy_from_slice(vectors.row(i))
-        })
-    } else {
-        (0..r.len()).collect()
+    let v = Vectors { d, flat };
+    let mut result = match d {
+        0 => (0..r.len()).collect(), // no dimensions: nothing dominates anything
+        1 => {
+            let best = v.flat.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (0..r.len()).filter(|&i| v.flat[i] == best).collect()
+        }
+        2 => sweep_2d(keyed(&v.flat)),
+        3 => staircase(keyed(&v.flat)),
+        _ => {
+            let kept = prefilter(r.len(), &spans, 0, |i, keys, _| {
+                keys.copy_from_slice(v.row(i))
+            });
+            let mut by_dim0: Vec<(f64, usize)> =
+                kept.into_iter().map(|i| (v.row(i)[0], i)).collect();
+            by_dim0.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+            let idx: Vec<usize> = by_dim0.into_iter().map(|(_, i)| i).collect();
+            split_nd(&v, &idx)
+        }
     };
-    let mut result = maxima(&vectors, &mut idx);
     result.sort_unstable();
     Some(result)
 }
@@ -76,6 +108,29 @@ impl Vectors {
     }
 }
 
+/// Row `i`'s `D` keys as [`ordered`] integers beside `i`, sorted
+/// descending lexicographically: sweeps sort the keys themselves, with
+/// integer compares, instead of indirecting through the buffer.
+fn keyed<const D: usize>(flat: &[f64]) -> Vec<([u64; D], usize)> {
+    let rows = flat.chunks_exact(D).enumerate();
+    let mut keyed: Vec<([u64; D], usize)> = rows
+        .map(|(i, keys)| (std::array::from_fn(|d| ordered(keys[d])), i))
+        .collect();
+    keyed.sort_unstable_by_key(|row| std::cmp::Reverse(row.0));
+    keyed
+}
+
+/// `k`'s position in `f64::total_cmp` order as an unsigned integer —
+/// the order of `<` on keys, which are never NaN or `-0.0`.
+fn ordered(k: f64) -> u64 {
+    let bits = k.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// `a` dominates `b`: every coordinate ≥, at least one >.
 fn dominates(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
@@ -87,118 +142,118 @@ fn scan(v: &Vectors, idx: &[usize]) -> Vec<usize> {
     idx.iter().copied().filter(undominated).collect()
 }
 
-/// Likely dominators first: descending coordinate sum (SFS's clamped
-/// [`key_sum`]), each sum taken once. Equal float sums can hide a
+/// The maxima of a slice that does not split on dim0 (every row from the
+/// median down shares it): the sort-filter pass through the window's
+/// strict arm. Likely dominators first: descending coordinate sum (SFS's
+/// clamped [`key_sum`]), each sum taken once. Equal float sums can hide a
 /// dominator behind its victim (see `sfs`'s module doc), so ties go by
 /// descending lexicographic coordinates — after which no row is
 /// dominated by a later one.
-fn sort_by_descending_sum(v: &Vectors, idx: &mut [usize]) {
+fn filter_by_sum(v: &Vectors, idx: &[usize]) -> Vec<usize> {
     let mut keyed: Vec<(f64, usize)> = (idx.iter()).map(|&i| (key_sum(v.row(i)), i)).collect();
     keyed.sort_unstable_by(|a, b| {
         let lexicographic = || v.row(b.1).partial_cmp(v.row(a.1));
         (b.0.total_cmp(&a.0)).then_with(|| lexicographic().expect("keys are never NaN"))
     });
-    (idx.iter_mut().zip(keyed)).for_each(|(slot, (_, i))| *slot = i);
-}
-
-/// The maxima of a slice that does not split on dim0 (every row from the
-/// median down shares it): the sort-filter pass through the window.
-fn filter_by_sum(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
-    sort_by_descending_sum(v, idx);
     let mut window = AcceptedWindow::new(v.d);
-    let accept = |&i: &usize| {
+    let accept = |&(_, i): &(f64, usize)| {
         let undominated = !window.dominates(v.row(i), &[]);
         if undominated {
             window.push(v.row(i), &[]);
         }
-        undominated
+        undominated.then_some(i)
     };
-    idx.iter().copied().filter(accept).collect()
+    keyed.iter().filter_map(accept).collect()
 }
 
-fn maxima(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
-    match v.d {
-        0 => idx.to_vec(), // no dimensions: nothing dominates anything
-        1 => {
-            let best = idx
-                .iter()
-                .map(|&i| v.flat[i])
-                .fold(f64::NEG_INFINITY, f64::max);
-            idx.iter().copied().filter(|&i| v.flat[i] == best).collect()
-        }
-        2 => sweep_2d(v, idx),
-        _ => split_nd(v, idx),
-    }
-}
-
-/// Classic 2-d sweep: sort descending by (dim0, dim1); within each group
-/// of equal dim0, survivors are the group's dim1-maxima, provided they
-/// strictly exceed the best dim1 seen in higher-dim0 groups (none before
-/// the first group: a −∞ there is still a maximum).
-fn sweep_2d(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
-    idx.sort_by(|&a, &b| {
-        v.row(b)[0]
-            .total_cmp(&v.row(a)[0])
-            .then(v.row(b)[1].total_cmp(&v.row(a)[1]))
-    });
+/// Classic 2-d sweep over rows sorted descending by (dim0, dim1): within
+/// each group of equal dim0, survivors are the group's dim1-maxima,
+/// provided they strictly exceed the best dim1 seen in higher-dim0 groups
+/// (none before the first group: a −∞ there is still a maximum).
+fn sweep_2d(rows: Vec<([u64; 2], usize)>) -> Vec<usize> {
     let mut result = Vec::new();
-    let mut best1: Option<f64> = None;
-    let mut i = 0;
-    while i < idx.len() {
-        // Group of equal dim0.
-        let d0 = v.row(idx[i])[0];
-        let mut j = i;
-        while j < idx.len() && v.row(idx[j])[0] == d0 {
-            j += 1;
-        }
-        let group_max = v.row(idx[i])[1]; // sorted desc on dim1 within group
+    let mut best1: Option<u64> = None;
+    for group in rows.chunk_by(|a, b| a.0[0] == b.0[0]) {
+        let group_max = group[0].0[1]; // sorted desc on dim1 within group
         if best1.is_none_or(|best| group_max > best) {
-            for &k in &idx[i..j] {
-                if v.row(k)[1] == group_max {
-                    result.push(k);
-                }
-            }
+            let top = group.iter().take_while(|row| row.0[1] == group_max);
+            result.extend(top.map(|row| row.1));
             best1 = Some(group_max);
         }
-        i = j;
     }
     result
 }
 
-/// d ≥ 3: split by the median of dim0; the upper half's maxima filter the
-/// lower half's. A slice with no split point below the median (a
-/// low-cardinality dim0) is filtered whole — all-pairs `scan` there was a
-/// quadratic cliff.
-fn split_nd(v: &Vectors, idx: &mut [usize]) -> Vec<usize> {
+/// The d = 3 staircase sweep over rows sorted descending by
+/// `(k0, k1, k2)` (see the module doc): each run of equal `(k0, k1)`
+/// keeps its rows at the run's best `k2` unless an earlier maximum
+/// covers `(k1, k2)`; what it keeps joins the staircase.
+fn staircase(rows: Vec<([u64; 3], usize)>) -> Vec<usize> {
+    let mut stairs = Staircase::default();
+    let mut result = Vec::new();
+    for run in rows.chunk_by(|a, b| a.0[..2] == b.0[..2]) {
+        let [_, k1, k2] = run[0].0;
+        if !stairs.covers(k1, k2) {
+            let top = run.iter().take_while(|row| row.0[2] == k2);
+            result.extend(top.map(|row| row.1));
+            stairs.insert(k1, k2);
+        }
+    }
+    result
+}
+
+/// Points `(k1, k2)` none of which is `≥` another on both: by `k1`
+/// ascending, `k2` strictly descending.
+#[derive(Default)]
+struct Staircase(BTreeMap<u64, u64>);
+
+impl Staircase {
+    /// Is some point `≥ (k1, k2)` on both? The first step at or past
+    /// `k1` has the largest `k2` of all such steps.
+    fn covers(&self, k1: u64, k2: u64) -> bool {
+        let first = self.0.range(k1..).next();
+        first.is_some_and(|(_, &best)| best >= k2)
+    }
+
+    /// Add an uncovered point; the steps it covers leave.
+    fn insert(&mut self, k1: u64, k2: u64) {
+        while let Some((&s, _)) = (self.0.range(..=k1).next_back()).filter(|(_, &v)| v <= k2) {
+            self.0.remove(&s);
+        }
+        self.0.insert(k1, k2);
+    }
+}
+
+/// d ≥ 4 over `idx` sorted by descending dim0: split after the median's
+/// equal-dim0 run, so the upper half beats the lower strictly on dim0,
+/// and drop each lower maximum that an upper maximum covers on lanes
+/// 1..d (the weak merge). A slice the median's run reaches the end of
+/// has no split point (a low-cardinality dim0) and is filtered whole —
+/// all-pairs `scan` there was a quadratic cliff.
+fn split_nd(v: &Vectors, idx: &[usize]) -> Vec<usize> {
     if idx.len() <= 32 {
         return scan(v, idx);
     }
-    idx.sort_by(|&a, &b| v.row(b)[0].total_cmp(&v.row(a)[0]));
     let mid = idx.len() / 2;
-    // Keep equal-dim0 runs on one side so "upper ≥ lower on dim0" holds.
     let split_val = v.row(idx[mid])[0];
-    let mut split = mid;
-    while split < idx.len() && v.row(idx[split])[0] == split_val {
-        split += 1;
-    }
+    let run = idx[mid..].iter().take_while(|&&i| v.row(i)[0] == split_val);
+    let split = mid + run.count();
     if split == idx.len() {
         return filter_by_sum(v, idx);
     }
 
-    let (upper_slice, lower_slice) = idx.split_at_mut(split);
-    let mut result = maxima(v, upper_slice);
-    let lower_max = maxima(v, lower_slice);
+    let (upper, lower) = idx.split_at(split);
+    let mut result = split_nd(v, upper);
+    let lower_max = split_nd(v, lower);
 
-    sort_by_descending_sum(v, &mut result);
-    let mut window = AcceptedWindow::new(v.d);
-    for &u in &result {
-        window.push(v.row(u), &[]);
+    let rest = |i: usize| &v.row(i)[1..];
+    let mut by_sum: Vec<(f64, usize)> = result.iter().map(|&u| (key_sum(rest(u)), u)).collect();
+    by_sum.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+    let mut window = AcceptedWindow::new(v.d - 1);
+    for &(_, u) in &by_sum {
+        window.push(rest(u), &[]);
     }
-    result.extend(
-        lower_max
-            .into_iter()
-            .filter(|&i| !window.dominates(v.row(i), &[])),
-    );
+    result.extend(lower_max.into_iter().filter(|&i| !window.covers(rest(i))));
     result
 }
 
@@ -207,7 +262,7 @@ mod tests {
     use super::*;
     use crate::bmo::sigma_naive_generic;
     use pref_core::prelude::*;
-    use pref_relation::{rel, Relation, Schema, Value};
+    use pref_relation::{rel, DataType, Relation, Schema, Value};
 
     fn dnc_on(p: &Pref, r: &Relation) -> Option<Vec<usize>> {
         try_dnc_compiled(&CompiledPref::compile(p, r.schema()).unwrap(), r)
@@ -335,5 +390,22 @@ mod tests {
     fn single_dimension_keeps_all_ties() {
         let r = rel! { ("a": Int); (3,), (1,), (3,), (2,) };
         assert_eq!(dnc_on(&highest("a"), &r).unwrap(), vec![0, 2]);
+    }
+
+    #[test]
+    fn a_nan_key_is_refused_at_every_dimensionality() {
+        // NaN has no place among plain `f64` comparisons: the engine's
+        // fallback, not a sweep, must answer.
+        for d in 1..=5 {
+            let schema = Schema::new((0..d).map(|i| (format!("d{i}"), DataType::Float)));
+            let mut r = Relation::empty(schema.unwrap());
+            for t in pseudo_random_relation(40, d, d as u64).iter() {
+                let row = t.values().iter().map(|v| Value::from(v.as_f64().unwrap()));
+                r.push_values(row.collect()).unwrap();
+            }
+            let nan = (0..d).map(|i| Value::from(if i + 1 == d { f64::NAN } else { 0.0 }));
+            r.push_values(nan.collect()).unwrap();
+            assert_eq!(dnc_on(&skyline_pref(d), &r), None, "d = {d}");
+        }
     }
 }

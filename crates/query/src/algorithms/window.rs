@@ -1,6 +1,9 @@
 //! The grow-only window of *accepted* rows under SFS's filter pass and
 //! the D&C merge, and the one question both ask of it: does any accepted
-//! row dominate this candidate?
+//! row dominate this candidate? SFS asks it strictly (Def. 8, two flag
+//! bits per member); the D&C merge asks the *weak* arm — is any accepted
+//! row `≥` on every lane, one compare per lane — over lanes 1..d, because
+//! its split already makes every accepted row strictly better on dim0.
 //!
 //! Both callers insert likely dominators first (SFS by descending
 //! utility, the merge by descending coordinate sum), so the first
@@ -16,12 +19,13 @@
 //! same blocked loop). A candidate `q` sweeps the head and then only the
 //! partitions whose mask is a subset of `mask(q)`, fewest bits first
 //! (better than the pivot on more lanes: likelier dominators). Sound for
-//! both arms of the kernel and for *any* `v` — the pivot need not be a
+//! every arm of the kernel and for *any* `v` — the pivot need not be a
 //! row: a dominator `p` of `q` has `key_p[d] ≥ key_q[d]` on every lane
 //! (equal codes imply equal keys), so `key_p[d] < v[d] ⇒ key_q[d] < v[d]`,
 //! i.e. `mask(p) ⊆ mask(q)`; a partition with a bit the candidate lacks
 //! holds no dominator and is skipped unseen. (This is the point-based
-//! space partitioning of BSkyTree/OSP, one level deep.)
+//! space partitioning of BSkyTree/OSP, one level deep.) The weak arm's
+//! coverer is `≥` on every lane too, so the same masks prune it.
 //!
 //! **Why one level, and what remains.** Counted on the largest
 //! `skyline-scan` cell (anti-correlated d = 6 skyline, 25 000 rows,
@@ -30,9 +34,12 @@
 //! 15.9 M in 581 k. Re-pivoting full partitions (a second level almost
 //! never forms), whole-partition sweeps and a "blocked only" kernel lost;
 //! what is left is loop overhead over ~32-member blocks, not compares.
+//! Behind the pre-filter the merges' strict all-lane test made 12.3 M
+//! member tests in 451 k blocks; the weak arm over lanes 1..d makes
+//! 12.3 M in 371 k, at one compare per member and lane instead of two.
 //!
 //! **The pre-filter** ([`prefilter`], LESS's elimination filter) runs
-//! before SFS's presort and D&C's split (at d ≥ 3: the 2-d sweep is
+//! before SFS's presort and D&C's split (at d ≥ 4: D&C's sweeps are
 //! n log n already): the [`FILTER_ROWS`] rows of highest key sum, each
 //! not dominated by an earlier one, fill a window, and one pass drops the
 //! rows it dominates. Sound for any filter rows: a dominated row has a
@@ -121,6 +128,29 @@ impl Lanes {
         }
         false
     }
+
+    /// Is one of these rows `≥` the candidate on every lane? The same
+    /// blocked sweep with one compare per lane: a member ends a block at
+    /// 0 unless it is worse somewhere.
+    fn covers(&self, flags: &mut [u64; MAX_BLOCK], keys: &[f64]) -> bool {
+        let len = self.len();
+        let (mut lo, mut block) = (0, FIRST_BLOCK);
+        while lo < len {
+            let hi = (lo + block).min(len);
+            let flags = &mut flags[..hi - lo];
+            flags.fill(0);
+            for (lane, &ck) in self.keys.iter().zip(keys) {
+                let members = flags.iter_mut().zip(&lane[lo..hi]);
+                members.for_each(|(f, &k)| *f |= (k < ck) as u64);
+            }
+            if flags.contains(&0) {
+                return true;
+            }
+            lo = hi;
+            block = (2 * block).min(MAX_BLOCK);
+        }
+        false
+    }
 }
 
 /// The accepted rows: the head, then — once it is full — one [`Lanes`]
@@ -184,6 +214,17 @@ impl AcceptedWindow {
         std::iter::once(&self.head)
             .chain(parts.map(|(_, lanes)| lanes))
             .any(|lanes| lanes.dominates(&mut self.flags, keys, eqs))
+    }
+
+    /// Is an accepted row `≥` the candidate on every lane? The weak arm,
+    /// for value-injective callers that know any such row to be strictly
+    /// better on a lane outside the window; the same partitions can hold
+    /// one.
+    pub(super) fn covers(&mut self, keys: &[f64]) -> bool {
+        let parts = reachable(&self.parts, mask(&self.pivot, keys));
+        std::iter::once(&self.head)
+            .chain(parts.map(|(_, lanes)| lanes))
+            .any(|lanes| lanes.covers(&mut self.flags, keys))
     }
 }
 
@@ -308,6 +349,13 @@ mod tests {
                     .collect();
                 beats(&pk, &pe, keys, eqs)
             })
+    }
+
+    /// The weak reference: is any member `≥` the candidate on every lane?
+    fn full_cover(w: &AcceptedWindow, keys: &[f64]) -> bool {
+        let all = std::iter::once(&w.head).chain(w.parts.iter().map(|(_, lanes)| lanes));
+        all.flat_map(|l| (0..l.len()).map(move |j| (l, j)))
+            .any(|(l, j)| l.keys.iter().zip(keys).all(|(lane, &k)| lane[j] >= k))
     }
 
     /// A window whose full head puts the pivot at 128 on every lane but
@@ -508,6 +556,75 @@ mod tests {
                 dominated += usize::from(expected);
             }
             assert!(dominated > 0, "{dims} lanes: some candidate is dominated");
+        }
+    }
+
+    #[test]
+    fn an_all_equal_member_covers_but_never_dominates() {
+        // The candidate's twin among incomparable members, in the head,
+        // at a block edge and in a partition.
+        let candidate = [-1.0, 0.5];
+        for at in [0, 15, 16, 47, 255, 256, 999] {
+            let mut w = window_with_dominator(1000, None);
+            let mut twin = window_with_dominator(at, None);
+            twin.push(&candidate, &[]);
+            for j in at + 1..1000 {
+                twin.push(&[j as f64 + 1.0, -(j as f64)], &[]);
+            }
+            assert!(
+                !full_cover(&w, &candidate) && !w.covers(&candidate),
+                "no twin"
+            );
+            assert!(full_cover(&twin, &candidate), "reference, twin at {at}");
+            assert!(twin.covers(&candidate), "twin at {at}");
+            assert!(
+                !full_sweep(&twin, &candidate, &[]),
+                "reference, twin at {at}"
+            );
+            assert!(!twin.dominates(&candidate, &[]), "twin at {at}");
+        }
+        // A window of nothing but twins, past the head: every row sits on
+        // the pivot (mask {}), and still none dominates strictly.
+        let mut w = AcceptedWindow::new(3);
+        (0..HEAD + 100).for_each(|_| w.push(&[2.0, 2.0, 2.0], &[]));
+        assert_eq!(masks(&w), [0b000]);
+        assert!(w.covers(&[2.0, 2.0, 2.0]) && !w.dominates(&[2.0, 2.0, 2.0], &[]));
+        assert!(w.covers(&[2.0, 1.0, 2.0]) && w.dominates(&[2.0, 1.0, 2.0], &[]));
+        assert!(!w.covers(&[2.0, 3.0, 2.0]));
+    }
+
+    #[test]
+    fn the_weak_arm_sweeps_subset_masks_only_and_agrees_with_the_full_sweep() {
+        let mut w = pivoted(3, None);
+        [
+            [200.0, 200.0, 5.0],
+            [100.0, 300.0, 5.0],
+            [300.0, 100.0, 5.0],
+        ]
+        .iter()
+        .for_each(|p| w.push(p, &[]));
+        // Mask {1}: covered by its equal in {1}, never by {0}'s member.
+        let q = [300.0, 100.0, 5.0];
+        assert_eq!(swept(&w, &q), [0b00, 0b10]);
+        assert!(full_cover(&w, &q) && w.covers(&q));
+        assert!(!full_cover(&w, &[100.0, 300.0, 6.0]) && !w.covers(&[100.0, 300.0, 6.0]));
+        // Random integer keys tie often: ≥ and > part ways everywhere.
+        for dims in [3, 6, 10] {
+            let mut w = pivoted(dims, None);
+            let rows = lcg_rows(2_000, dims, 3 * dims as u64);
+            let (members, candidates) = rows.split_at(1_744);
+            members.iter().for_each(|p| w.push(p, &[]));
+            assert!(w.parts.len() > dims, "{dims} lanes: {:?}", masks(&w));
+            let mut covered = 0;
+            for q in candidates.iter().chain(members.iter().step_by(7)) {
+                let expected = full_cover(&w, q);
+                assert_eq!(w.covers(q), expected, "{dims} lanes, {q:?}");
+                covered += usize::from(expected);
+            }
+            assert!(
+                covered > 0 && covered < 256 + 250,
+                "{dims} lanes: {covered}"
+            );
         }
     }
 

@@ -92,7 +92,7 @@ fn fold_fingerprint(acc: u64, fp: u64) -> u64 {
 /// patch a previous materialization than rebuild from scratch.
 ///
 /// All indices are **storage positions**. Storage only grows by
-/// [`Relation::push`] and shrinks only by [`Relation::delete_row`]
+/// [`Relation::push`] and shrinks only by [`Relation::delete_rows`]
 /// tombstones, which drop ids from the view and leave the tuples in
 /// place, so storage positions are stable names for rows across the
 /// recorded history; a push that has to flatten a view rebuilds storage
@@ -115,7 +115,7 @@ pub struct Delta {
     /// each base (i.e. `deleted.len()` when the base was recorded).
     tombs_at: Vec<u32>,
     /// Storage positions dropped from the visible view by
-    /// [`Relation::delete_row`], in deletion order. Cumulative: a
+    /// [`Relation::delete_rows`], in deletion order. Cumulative: a
     /// tombstoned row never becomes visible again within the delta's
     /// lifetime.
     deleted: Vec<u32>,
@@ -284,7 +284,7 @@ impl Relation {
 
     /// The relation's *generation*: a process-unique version number for
     /// its current content. Both mutating operations ([`Relation::push`]
-    /// and [`Relation::delete_row`]) move the relation to a fresh
+    /// and [`Relation::delete_rows`]) move the relation to a fresh
     /// generation; derived relations (selections,
     /// projections) start at their own fresh generation. Clones share the
     /// generation until either side mutates.
@@ -509,55 +509,64 @@ impl Relation {
     }
 
     /// Remove the row at index `i` by tombstoning it in the row-id view:
-    /// storage is untouched, the relation becomes (or stays) a zero-copy
-    /// view over the same tuples minus the victim. Because storage
-    /// positions keep their meaning, the [`Delta`] survives — the victim
-    /// is recorded in [`Delta::deleted`] so caches can patch a previous
+    /// [`Relation::delete_rows`] of one row.
+    ///
+    /// Panics when `i` is out of bounds, like [`Relation::row`].
+    pub fn delete_row(&mut self, i: usize) {
+        self.delete_rows(&[i]);
+    }
+
+    /// Remove the rows at indices `rows` (any order; a repeated index
+    /// counts once) by tombstoning them in the row-id view: storage is
+    /// untouched, the relation becomes (or stays) a zero-copy view over
+    /// the same tuples minus the victims. Because storage positions keep
+    /// their meaning, the [`Delta`] survives — the victims are recorded
+    /// in [`Delta::deleted`] so caches can patch a previous
     /// materialization instead of rebuilding (and the new result
     /// maintenance can tell "a non-member vanished" from "a result row
     /// vanished").
     ///
     /// A deletion is a mutation like any other: the generation moves and
-    /// the lineage is severed. Deleting from a view whose ids do not
+    /// the lineage is severed — once for the whole batch, which records
+    /// one delta base and rebuilds the id vector in one pass, so a k-row
+    /// delete stays maintainable past [`Delta::MAX_BASES`]. An empty
+    /// batch changes nothing. Deleting from a view whose ids do not
     /// track storage order (e.g. a reordered [`Relation::take_rows`]) is
     /// still correct but drops the delta, as the storage-order contract
     /// cannot be maintained there.
     ///
-    /// Panics when `i` is out of bounds, like [`Relation::row`].
-    pub fn delete_row(&mut self, i: usize) {
-        assert!(i < self.len(), "delete_row index {i} out of bounds");
+    /// Panics when an index is out of bounds, like [`Relation::row`].
+    pub fn delete_rows(&mut self, rows: &[usize]) {
+        let mut doomed = rows.to_vec();
+        doomed.sort_unstable();
+        doomed.dedup();
+        let Some(&last) = doomed.last() else {
+            return;
+        };
+        assert!(last < self.len(), "delete index {last} out of bounds");
         let (old_gen, old_len) = (self.generation, self.len());
-        let victim = self.storage_id(i);
+        let victims: Vec<u32> = doomed.iter().map(|&i| self.storage_id(i)).collect();
         // The delta contract describes tombstone views over a storage
         // prefix. That holds for dense relations and for views built by
         // this method itself (which carry the delta along); a foreign
         // view (select/take_rows — arbitrary id subsets, delta `None`)
         // cannot start one.
         let trackable = self.row_ids.is_none() || self.delta.is_some();
-        let ids: Arc<[u32]> = match &self.row_ids {
-            Some(ids) => ids
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| k != i)
-                .map(|(_, &id)| id)
-                .collect(),
-            None => {
-                assert!(
-                    self.rows.len() <= u32::MAX as usize,
-                    "relation exceeds u32 row-id space"
-                );
-                (0..self.rows.len() as u32)
-                    .filter(|&id| id != victim)
-                    .collect()
-            }
-        };
+        let mut next = doomed.iter().peekable();
+        let mut kept = |k: &usize| next.next_if_eq(&k).is_none();
+        let ids: Arc<[u32]> = (0..old_len)
+            .filter(|k| kept(k))
+            .map(|k| self.storage_id(k))
+            .collect();
         self.row_ids = Some(ids);
         self.windowable = false;
-        self.restamp(|stats, rows| stats.remove_row(rows[victim as usize].values()));
+        self.restamp(|stats, rows| {
+            (victims.iter()).for_each(|&v| stats.remove_row(rows[v as usize].values()))
+        });
         if trackable {
             let d = self.delta.get_or_insert_with(Delta::default);
             d.push_base(old_gen, old_len);
-            d.deleted.push(victim);
+            d.deleted.extend(&victims);
             if d.deleted.len() > Delta::MAX_DELETED {
                 self.delta = None;
             }

@@ -2,11 +2,12 @@
 //! after every step of a random history of pushes and tombstone deletes
 //! (including pushes onto `take_rows` / `select` views, which flatten
 //! storage), every recorded base names exactly the rows the relation
-//! held at that base's generation.
+//! held at that base's generation. A batch delete leaves the content the
+//! same single deletes leave and records exactly one base.
 
 use std::collections::HashMap;
 
-use pref_relation::{rel, Relation, Tuple, Value};
+use pref_relation::{rel, Delta, Relation, Tuple, Value};
 use proptest::prelude::*;
 
 /// The storage position of every visible row: its id in a view, its
@@ -63,7 +64,7 @@ proptest! {
 
     #[test]
     fn every_base_names_the_rows_of_its_generation(
-        ops in proptest::collection::vec((0usize..5, 0i64..50, 0usize..16), 1..40),
+        ops in proptest::collection::vec((0usize..6, 0i64..50, 0usize..16), 1..40),
     ) {
         let mut r = rel! { ("a": Int); (0,), (1,), (2,), (3,) };
         let mut seen = Seen::default();
@@ -85,6 +86,27 @@ proptest! {
                     r = r.select(keep);
                     seen.record(&r);
                     r.push_values(row).expect("row matches schema");
+                }
+                // Every `stride`-th row from `a`, indices unsorted and
+                // one repeated: one mutation.
+                5 if !r.is_empty() => {
+                    let stride = 1 + at % 4;
+                    let mut doomed: Vec<usize> =
+                        (a as usize % r.len()..r.len()).step_by(stride).rev().collect();
+                    // Descending, so each single delete leaves the
+                    // positions still to go in place.
+                    let mut singly = r.clone();
+                    doomed.iter().for_each(|&i| singly.delete_row(i));
+                    doomed.push(doomed[0]);
+                    let bases = r.delta().map_or(0, |d| d.bases().len());
+                    let (gen, len) = (r.generation(), r.len());
+                    r.delete_rows(&doomed);
+                    prop_assert_eq!(r.to_owned_rows(), singly.to_owned_rows());
+                    if let Some(d) = r.delta() {
+                        prop_assert_eq!(d.bases()[0], (gen, len));
+                        prop_assert_eq!(d.bases().len(), (bases + 1).min(Delta::MAX_BASES));
+                        prop_assert_eq!(d.deleted_since(0).len(), doomed.len() - 1);
+                    }
                 }
                 _ => {}
             }

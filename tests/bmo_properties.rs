@@ -229,6 +229,68 @@ proptest! {
     }
 }
 
+/// A chain skyline over `d0 … d{d-1}` (each LOWEST or HIGHEST) and up
+/// to 200 `Float` rows drawn from `seed`: `d0` takes 1–3 values (`levels`
+/// of −∞, 0, 1, +∞), the other columns 0–3 with a rare ±∞, and every
+/// fifth row repeats an earlier one — equal-dim0 runs at every D&C split,
+/// whole slices on one dim0, and duplicates on both sides of each test.
+fn tied_skyline(d: usize, levels: usize, rows: usize, mut seed: u64) -> (Pref, Relation) {
+    let mut next = move |m: u64| {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (seed >> 33) % m
+    };
+    let inf = f64::INFINITY;
+    let first = [-inf, 0.0, 1.0, inf];
+    let skip = next(first.len() as u64 + 1 - levels as u64) as usize;
+    let d0 = &first[skip..skip + levels];
+    let mut table: Vec<Vec<f64>> = Vec::with_capacity(rows);
+    for i in 0..rows {
+        if i > 0 && next(5) == 0 {
+            table.push(table[next(i as u64) as usize].clone());
+            continue;
+        }
+        let mut row = vec![d0[next(levels as u64) as usize]];
+        row.extend((1..d).map(|_| match next(40) {
+            0 => inf,
+            1 => -inf,
+            k => (k % 4) as f64,
+        }));
+        table.push(row);
+    }
+    let lanes = (0..d).map(|i| {
+        let col = format!("d{i}");
+        if next(2) == 0 {
+            lowest(col.as_str())
+        } else {
+            highest(col.as_str())
+        }
+    });
+    let p = Pref::pareto_all(lanes.collect()).expect("d >= 1");
+    (p, float_table(table))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn dnc_agrees_with_the_oracle_on_tied_first_dimensions(
+        d in 2usize..8,
+        levels in 1usize..4,
+        rows in 1usize..201,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (p, r) = tied_skyline(d, levels, rows, seed);
+        let oracle = sigma_naive_generic(&p, &r).expect("term compiles");
+        let c = CompiledPref::compile(&p, r.schema()).expect("term compiles");
+        prop_assert_eq!(dnc::try_dnc_compiled(&c, &r).expect("skyline shape"), oracle.clone(), "{}", p);
+        let forced = Engine::with_optimizer(Optimizer::new().with_algorithm(Algorithm::Dnc));
+        let q = forced.prepare(&p, r.schema()).expect("term compiles");
+        prop_assert_eq!(q.execute(&r).expect("D&C runs").into_rows(), oracle, "forced D&C, {}", p);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
