@@ -154,15 +154,6 @@ pub trait BasePreference: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Downcast hook for parameterized base-preference *shapes*
-    /// ([`crate::param::ParamBase`]): the bind machinery
-    /// ([`crate::term::Pref::bind_params`],
-    /// [`crate::eval::CompiledPref::bind`]) uses it to find and patch
-    /// slot-bearing leaves. Concrete constructors stay `None`.
-    fn as_param(&self) -> Option<&crate::param::ParamBase> {
-        None
-    }
-
     /// Is the order total on the attribute's domain (a chain, Def. 3a)?
     /// Used by the optimizer (Prop. 11 cascades apply only to chains).
     fn is_chain(&self) -> bool {

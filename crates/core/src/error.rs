@@ -38,16 +38,6 @@ pub enum CoreError {
     RangesNotDisjoint { witness: Value },
     /// Linear sum requires disjoint carriers (Def. 12).
     CarriersNotDisjoint { witness: Value },
-    /// A parameterized shape was bound with too few values, or evaluated
-    /// without binding `$slot` at all.
-    UnboundSlot { slot: usize },
-    /// A bound value cannot inhabit its `$slot` (type mismatch, NULL, a
-    /// value the instantiated constructor rejects).
-    BadBinding {
-        slot: usize,
-        value: String,
-        expected: String,
-    },
     /// Substrate error (projection, schema lookup, …).
     Relation(RelationError),
 }
@@ -91,14 +81,6 @@ impl fmt::Display for CoreError {
             CoreError::CarriersNotDisjoint { witness } => {
                 write!(f, "linear sum: carriers overlap on {witness}")
             }
-            CoreError::UnboundSlot { slot } => {
-                write!(f, "parameter slot ${slot} has no bound value")
-            }
-            CoreError::BadBinding {
-                slot,
-                value,
-                expected,
-            } => write!(f, "slot ${slot} cannot bind {value}: expected {expected}"),
             CoreError::Relation(e) => write!(f, "{e}"),
         }
     }

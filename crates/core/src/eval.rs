@@ -11,7 +11,7 @@
 //! Example 2 (disjoint attribute sets) and Example 3 (shared attribute
 //! sets) of the paper.
 
-use pref_relation::{Relation, Schema, Tuple, Value};
+use pref_relation::{Relation, Schema, Tuple};
 
 use crate::base::BaseRef;
 use crate::error::CoreError;
@@ -79,7 +79,7 @@ impl CompiledPref {
     /// Materialize a [`ScoreMatrix`] for this preference over `r`: a
     /// one-pass, columnar encoding of everything `better` needs, so the
     /// O(n²)-ish dominance loops of BMO evaluation become plain `f64`/`u64`
-    /// comparisons instead of term-tree walks over [`Value`]s.
+    /// comparisons instead of term-tree walks over [`Value`](pref_relation::Value)s.
     ///
     /// EXPLICIT base preferences materialize too, via per-row vertex ids
     /// plus the graph's reachability bitset
@@ -182,42 +182,6 @@ impl CompiledPref {
     /// probe for `EXPLAIN`-style backend reporting.
     pub fn has_explicit(&self) -> bool {
         self.node.has_explicit()
-    }
-
-    /// Does the compiled term contain parameterized shapes
-    /// ([`crate::param::ParamBase`]) that must be [bound](CompiledPref::bind)
-    /// before evaluation? While unbound, [`CompiledPref::fingerprint`] is
-    /// the **shape fingerprint**: stable across bindings, with `$n` in
-    /// the slot positions.
-    pub fn has_params(&self) -> bool {
-        self.node.has_params()
-    }
-
-    /// The `$n` slot indices the compiled shapes read (sorted,
-    /// deduplicated; empty for concrete terms).
-    pub fn param_slots(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.node.collect_slots(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Patch every parameter slot with its bound value
-    /// (`values[0] = $1`), producing a fully concrete compiled term.
-    ///
-    /// This is the compiled half of prepared-statement binding: the node
-    /// tree, every resolved column index and every equality-projection
-    /// layout (`eq_cols`) are preserved verbatim — only the slot-bearing
-    /// base handles are swapped for their instantiations. No AST walk,
-    /// no schema lookup, no re-derivation of dominance-key layouts. The
-    /// bound term's [`fingerprint`](CompiledPref::fingerprint) equals
-    /// the fingerprint a fresh compile of the bound term would produce,
-    /// so matrices cached for either route are shared.
-    pub fn bind(&self, values: &[Value]) -> Result<CompiledPref, CoreError> {
-        Ok(CompiledPref {
-            node: self.node.bind(values)?,
-        })
     }
 
     /// The chain dimensions of a `SKYLINE OF`-shaped term (§6.1): a Pareto
@@ -412,91 +376,6 @@ impl Node {
         }
     }
 
-    fn has_params(&self) -> bool {
-        match self {
-            Node::Base { base, .. } => base.as_param().is_some(),
-            Node::Antichain => false,
-            Node::Dual(inner) => inner.has_params(),
-            Node::Pareto(children) | Node::Prior(children) => {
-                children.iter().any(|c| c.node.has_params())
-            }
-            Node::Rank { inputs, .. } => inputs.iter().any(|(_, b)| b.as_param().is_some()),
-            Node::Inter(l, r) | Node::Union(l, r) => l.has_params() || r.has_params(),
-        }
-    }
-
-    fn collect_slots(&self, out: &mut Vec<usize>) {
-        match self {
-            Node::Base { base, .. } => {
-                if let Some(p) = base.as_param() {
-                    p.spec().collect_slots(out);
-                }
-            }
-            Node::Antichain => {}
-            Node::Dual(inner) => inner.collect_slots(out),
-            Node::Pareto(children) | Node::Prior(children) => {
-                for c in children {
-                    c.node.collect_slots(out);
-                }
-            }
-            Node::Rank { inputs, .. } => {
-                for (_, b) in inputs {
-                    if let Some(p) = b.as_param() {
-                        p.spec().collect_slots(out);
-                    }
-                }
-            }
-            Node::Inter(l, r) | Node::Union(l, r) => {
-                l.collect_slots(out);
-                r.collect_slots(out);
-            }
-        }
-    }
-
-    /// Slot patching: identical tree, identical `col`/`eq_cols` layout,
-    /// only parameterized base handles replaced by their instantiations.
-    fn bind(&self, values: &[Value]) -> Result<Node, CoreError> {
-        let bind_ref = |base: &BaseRef| -> Result<BaseRef, CoreError> {
-            match base.as_param() {
-                Some(shape) => shape.instantiate(values),
-                None => Ok(base.clone()),
-            }
-        };
-        Ok(match self {
-            Node::Base { col, base } => Node::Base {
-                col: *col,
-                base: bind_ref(base)?,
-            },
-            Node::Antichain => Node::Antichain,
-            Node::Dual(inner) => Node::Dual(Box::new(inner.bind(values)?)),
-            Node::Pareto(children) | Node::Prior(children) => {
-                let bound: Vec<Child> = children
-                    .iter()
-                    .map(|c| {
-                        Ok(Child {
-                            node: c.node.bind(values)?,
-                            eq_cols: c.eq_cols.clone(),
-                        })
-                    })
-                    .collect::<Result<_, CoreError>>()?;
-                if matches!(self, Node::Pareto(_)) {
-                    Node::Pareto(bound)
-                } else {
-                    Node::Prior(bound)
-                }
-            }
-            Node::Rank { combine, inputs } => Node::Rank {
-                combine: combine.clone(),
-                inputs: inputs
-                    .iter()
-                    .map(|(col, b)| Ok((*col, bind_ref(b)?)))
-                    .collect::<Result<_, CoreError>>()?,
-            },
-            Node::Inter(l, r) => Node::Inter(Box::new(l.bind(values)?), Box::new(r.bind(values)?)),
-            Node::Union(l, r) => Node::Union(Box::new(l.bind(values)?), Box::new(r.bind(values)?)),
-        })
-    }
-
     fn better(&self, x: &Tuple, y: &Tuple) -> bool {
         match self {
             Node::Base { col, base } => base.better(&x[*col], &y[*col]),
@@ -573,7 +452,7 @@ mod tests {
     use super::*;
     use crate::spo::check_spo;
     use crate::term::{around, highest, lowest, neg, pos, Pref};
-    use pref_relation::{rel, Relation};
+    use pref_relation::{rel, Relation, Value};
     use std::sync::Arc;
 
     fn compile(p: &Pref, r: &Relation) -> CompiledPref {

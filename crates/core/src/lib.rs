@@ -58,7 +58,6 @@ pub mod error;
 pub mod eval;
 pub mod graph;
 mod matrix;
-pub mod param;
 pub mod repo;
 pub mod spo;
 pub mod term;
@@ -73,7 +72,6 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::eval::CompiledPref;
     pub use crate::graph::BetterGraph;
-    pub use crate::param::{around_slot, ParamBase, ParamSpec, SlotValue};
     pub use crate::repo::Repository;
     pub use crate::term::{
         antichain, around, between, explicit, highest, layered, lowest, neg, pos, pos_neg, pos_pos,

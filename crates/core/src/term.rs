@@ -368,72 +368,6 @@ impl Pref {
             }
         }
     }
-
-    // ---- parameterized shapes ------------------------------------------
-
-    /// Does the term contain parameterized base-preference shapes
-    /// ([`crate::param::ParamBase`]) that must be bound before
-    /// evaluation?
-    pub fn has_params(&self) -> bool {
-        self.bases().iter().any(|b| b.base.as_param().is_some())
-    }
-
-    /// The `$n` slot indices the term's shapes read (sorted,
-    /// deduplicated; empty for concrete terms).
-    pub fn param_slots(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for b in self.bases() {
-            if let Some(p) = b.base.as_param() {
-                p.spec().collect_slots(&mut out);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Instantiate every parameterized shape with `values`
-    /// (`values[0] = $1`), leaving concrete leaves untouched — the term
-    /// half of prepared-statement binding. A pure tree patch: no
-    /// rewriting, no schema resolution, cost O(term size).
-    pub fn bind_params(&self, values: &[Value]) -> Result<Pref, CoreError> {
-        Ok(match self {
-            Pref::Base(b) => Pref::Base(bind_base(b, values)?),
-            Pref::Antichain(a) => Pref::Antichain(a.clone()),
-            Pref::Dual(p) => Pref::Dual(Arc::new(p.bind_params(values)?)),
-            Pref::Pareto(ps) => Pref::Pareto(
-                ps.iter()
-                    .map(|p| p.bind_params(values))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Pref::Prior(ps) => Pref::Prior(
-                ps.iter()
-                    .map(|p| p.bind_params(values))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Pref::Rank(c, bs) => Pref::Rank(
-                c.clone(),
-                bs.iter()
-                    .map(|b| bind_base(b, values))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Pref::Inter(l, r) => Pref::Inter(
-                Arc::new(l.bind_params(values)?),
-                Arc::new(r.bind_params(values)?),
-            ),
-            Pref::Union(l, r) => Pref::Union(
-                Arc::new(l.bind_params(values)?),
-                Arc::new(r.bind_params(values)?),
-            ),
-        })
-    }
-}
-
-fn bind_base(b: &BasePref, values: &[Value]) -> Result<BasePref, CoreError> {
-    Ok(match b.base.as_param() {
-        Some(shape) => BasePref::from_ref(b.attr.clone(), shape.instantiate(values)?),
-        None => b.clone(),
-    })
 }
 
 impl fmt::Display for Pref {

@@ -106,10 +106,9 @@ pub enum CmpOp {
 
 /// Literal values as parsed (dates arrive as strings and are coerced
 /// against the column type during rewriting). `Param` is a prepared
-/// statement's `$n` placeholder: it survives parsing, becomes a typed
-/// slot of the statement's compiled shape (preference clauses) or is
-/// substituted per execution (WHERE clauses) by
-/// [`crate::executor::PreparedStatement::execute`]; evaluating it
+/// statement's `$n` placeholder: it survives parsing and is substituted
+/// per execution, in every clause, by the literal its value stands for
+/// ([`crate::executor::PreparedStatement::execute`]); evaluating it
 /// unbound is an error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
@@ -401,6 +400,25 @@ impl PrefExpr {
             PrefExpr::Atom(a) => a.walk_literals(f),
         }
     }
+
+    /// Rebuild the expression with every literal passed through `f`,
+    /// which also sees the column the literal belongs to — the
+    /// PREFERRING/CASCADE half of parameter binding.
+    pub fn map_literals<E>(
+        &self,
+        f: &mut impl FnMut(&str, &Literal) -> Result<Literal, E>,
+    ) -> Result<PrefExpr, E> {
+        let children = |cs: &[PrefExpr], f: &mut _| {
+            cs.iter()
+                .map(|c| c.map_literals(f))
+                .collect::<Result<Vec<_>, E>>()
+        };
+        Ok(match self {
+            PrefExpr::Prior(cs) => PrefExpr::Prior(children(cs, f)?),
+            PrefExpr::Pareto(cs) => PrefExpr::Pareto(children(cs, f)?),
+            PrefExpr::Atom(a) => PrefExpr::Atom(a.map_literals(f)?),
+        })
+    }
 }
 
 impl PrefAtom {
@@ -430,6 +448,52 @@ impl PrefAtom {
                 }
             }
         }
+    }
+
+    fn map_literals<E>(
+        &self,
+        f: &mut impl FnMut(&str, &Literal) -> Result<Literal, E>,
+    ) -> Result<PrefAtom, E> {
+        let mut set = |attr: &str, ls: &[Literal]| -> Result<Vec<Literal>, E> {
+            ls.iter().map(|l| f(attr, l)).collect()
+        };
+        Ok(match self {
+            PrefAtom::Pos { attr, values } => PrefAtom::Pos {
+                attr: attr.clone(),
+                values: set(attr, values)?,
+            },
+            PrefAtom::Neg { attr, values } => PrefAtom::Neg {
+                attr: attr.clone(),
+                values: set(attr, values)?,
+            },
+            PrefAtom::PosPos { attr, pos1, pos2 } => PrefAtom::PosPos {
+                attr: attr.clone(),
+                pos1: set(attr, pos1)?,
+                pos2: set(attr, pos2)?,
+            },
+            PrefAtom::PosNeg { attr, pos, neg } => PrefAtom::PosNeg {
+                attr: attr.clone(),
+                pos: set(attr, pos)?,
+                neg: set(attr, neg)?,
+            },
+            PrefAtom::Around { attr, target } => PrefAtom::Around {
+                attr: attr.clone(),
+                target: f(attr, target)?,
+            },
+            PrefAtom::Between { attr, low, up } => PrefAtom::Between {
+                attr: attr.clone(),
+                low: f(attr, low)?,
+                up: f(attr, up)?,
+            },
+            PrefAtom::Lowest { .. } | PrefAtom::Highest { .. } => self.clone(),
+            PrefAtom::Explicit { attr, edges } => PrefAtom::Explicit {
+                attr: attr.clone(),
+                edges: edges
+                    .iter()
+                    .map(|(w, b)| Ok((f(attr, w)?, f(attr, b)?)))
+                    .collect::<Result<_, E>>()?,
+            },
+        })
     }
 }
 

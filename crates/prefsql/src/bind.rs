@@ -2,12 +2,14 @@
 //!
 //! Every statement — ad hoc, prepared, `EXPLAIN` — runs as *compile to
 //! a [`CompiledStatement`] once per (statement, schema), then bind and
-//! run*. Compilation is the AST→term rewrite ([`crate::shape`]: `$n`
-//! placeholders become typed slots) plus, for plain BMO statements,
-//! [`Engine::prepare`]; binding patches the slots of the compiled shape
-//! ([`Prepared::bind`]) and substitutes the WHERE clause's placeholders
-//! ([`bind_literal`]). An ad hoc statement is simply one that binds the
-//! empty parameter list.
+//! run*. A `$n` placeholder binds the same way in every clause: its
+//! value is substituted into the AST as the literal it stands for
+//! (`HardExpr::map_literals` for WHERE, `PrefExpr::map_literals` for
+//! PREFERRING/CASCADE), and the bound AST takes the ordinary concrete
+//! path — [`pref_to_term`], then [`Engine::prepare`]. A statement
+//! without preference-side placeholders takes that path once, at
+//! compile time, and every execution borrows the prepared query. An ad
+//! hoc statement is simply one that binds the empty parameter list.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -15,13 +17,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pref_core::term::Pref;
-use pref_core::CoreError;
-use pref_query::{Engine, Prepared, QueryError};
-use pref_relation::{Relation, Schema, Value};
+use pref_query::{Engine, Prepared};
+use pref_relation::{predicate_fingerprint, Relation, Schema, Value};
 
-use crate::ast::{LimitSpec, Literal, Query};
+use crate::ast::{LimitSpec, Literal, PrefExpr, Query};
 use crate::error::SqlError;
-use crate::shape::pref_to_shape_term;
+use crate::rewrite::{column_type, literal_to_value, pref_to_term};
 
 /// What compiling a statement against one schema produces.
 #[derive(Debug)]
@@ -33,7 +34,7 @@ pub(crate) struct CompiledStatement {
     /// Does the WHERE clause contain `$n` placeholders? Every binding
     /// then derives a fresh predicate, so executions keep the table's
     /// whole-relation matrix warm for the window tier.
-    pub(crate) hard_has_params: bool,
+    pub(crate) hard_is_parameterized: bool,
     /// The compiled preference stage (`None` for an exact-match
     /// statement). A rewrite error is kept, not raised: it surfaces
     /// where the preference stage runs, so a statement with several
@@ -44,83 +45,124 @@ pub(crate) struct CompiledStatement {
 
 /// The PREFERRING/CASCADE clauses of a statement, compiled.
 #[derive(Debug)]
-pub(crate) struct PrefStage {
-    /// The assembled term: PREFERRING … CASCADE … is prioritised
-    /// accumulation, outer clause most important. A slot-bearing *shape*
-    /// when the clauses are parameterized.
-    term: Pref,
-    has_params: bool,
-    /// The engine-prepared query, for plain BMO statements — TOP and
-    /// GROUP BY run through their dedicated engine entry points, and
-    /// EXPLAIN plans the bound term itself. For a parameterized
-    /// statement this is the compiled shape, patched per binding.
-    prepared: Option<Prepared>,
-    /// Preference-binding fingerprints seen by executions of this
-    /// statement — the recurrence signal gating the whole-table
-    /// warm-keep when the preference side is parameterized.
-    seen_bindings: Mutex<HashSet<u64>>,
+pub(crate) enum PrefStage {
+    /// No `$n` in the clauses: the term, rewritten once, and — for a
+    /// plain BMO statement — the engine-prepared query every execution
+    /// borrows. TOP and GROUP BY run through their own engine entry
+    /// points, and EXPLAIN plans the term itself.
+    Concrete {
+        term: Pref,
+        prepared: Option<Box<Prepared>>,
+    },
+    /// `$n` in the clauses: every execution substitutes its values and
+    /// compiles the concrete term it gets.
+    Parameterized {
+        /// PREFERRING, then each CASCADE, with `$n` in place.
+        clauses: Vec<PrefExpr>,
+        /// The statement's fingerprint, stable across bindings — the
+        /// `shape` line of every bound execution's report.
+        fingerprint: u64,
+        /// Preference-binding fingerprints seen by executions of this
+        /// statement — the recurrence signal gating the whole-table
+        /// warm-keep.
+        seen_bindings: Mutex<HashSet<u64>>,
+    },
 }
 
 impl CompiledStatement {
     /// Compile `q` against the schema of `table`, the relation its FROM
     /// clause names.
     pub(crate) fn compile(engine: &Engine, q: &Query, table: &Relation) -> Self {
-        let mut hard_has_params = false;
+        let mut hard_is_parameterized = false;
         if let Some(h) = &q.hard {
-            h.walk_literals(&mut |l| hard_has_params |= matches!(l, Literal::Param(_)));
+            h.walk_literals(&mut |l| hard_is_parameterized |= matches!(l, Literal::Param(_)));
         }
         CompiledStatement {
             schema: table.schema_arc(),
-            hard_has_params,
+            hard_is_parameterized,
             pref: PrefStage::compile(engine, q, table.schema()),
         }
     }
 }
 
+/// Does `q` run its BMO stage through a prepared engine query? TOP and
+/// GROUP BY have their own engine entry points, EXPLAIN only plans.
+fn is_plain(q: &Query) -> bool {
+    !q.explain && q.top.is_none() && q.group_by.is_empty()
+}
+
+/// The term of a statement's preference clauses: PREFERRING … CASCADE …
+/// is prioritised accumulation, outer clause most important.
+fn term_of(clauses: &[PrefExpr], schema: &Schema, table: &str) -> Result<Pref, SqlError> {
+    let parts = (clauses.iter())
+        .map(|p| pref_to_term(p, schema, table))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Pref::prior_all(parts)?)
+}
+
 impl PrefStage {
     fn compile(engine: &Engine, q: &Query, schema: &Schema) -> Result<Option<Self>, SqlError> {
-        let parts = (q.preferring.iter().chain(&q.cascade))
-            .map(|p| pref_to_shape_term(p, schema, &q.table))
-            .collect::<Result<Vec<_>, _>>()?;
-        if parts.is_empty() {
+        let clauses: Vec<PrefExpr> = q.preferring.iter().chain(&q.cascade).cloned().collect();
+        if clauses.is_empty() {
             return Ok(None);
         }
-        let term = Pref::prior_all(parts)?;
-        let plain = !q.explain && q.top.is_none() && q.group_by.is_empty();
-        let prepared = plain.then(|| engine.prepare(&term, schema)).transpose()?;
-        Ok(Some(PrefStage {
-            has_params: term.has_params(),
-            term,
-            prepared,
-            seen_bindings: Mutex::default(),
-        }))
-    }
-
-    /// The concrete term this execution evaluates: the shape with its
-    /// slots bound (a tree patch, no AST→term rewrite).
-    pub(crate) fn bind_term(&self, params: &[Value]) -> Result<Pref, SqlError> {
-        if self.has_params {
-            self.term.bind_params(params).map_err(bind_error)
-        } else {
-            Ok(self.term.clone())
+        let mut parameterized = false;
+        for c in &clauses {
+            c.walk_literals(&mut |l| parameterized |= matches!(l, Literal::Param(_)));
         }
+        if parameterized {
+            // The AST's derived rendering is deterministic for a build:
+            // equal clauses, equal fingerprint, whatever the binding.
+            let fingerprint = predicate_fingerprint(format!("{clauses:?}").as_bytes());
+            return Ok(Some(PrefStage::Parameterized {
+                clauses,
+                fingerprint,
+                seen_bindings: Mutex::default(),
+            }));
+        }
+        let term = term_of(&clauses, schema, &q.table)?;
+        let prepared = is_plain(q)
+            .then(|| engine.prepare(&term, schema).map(Box::new))
+            .transpose()?;
+        Ok(Some(PrefStage::Concrete { term, prepared }))
     }
 
-    /// The engine query this execution runs, for a plain BMO statement:
-    /// the prepared query itself, or the compiled shape patched with the
-    /// binding.
-    pub(crate) fn bind_query(
+    /// The concrete term this execution of `q` evaluates and, for a
+    /// plain BMO statement, the engine query that runs it: the compiled
+    /// ones, borrowed, or — with `$n` in the clauses — the ones the
+    /// clauses give with `params` substituted.
+    pub(crate) fn bind(
         &self,
+        engine: &Engine,
+        q: &Query,
+        schema: &Schema,
         params: &[Value],
-    ) -> Result<Option<Cow<'_, Prepared>>, SqlError> {
-        let Some(prepared) = &self.prepared else {
-            return Ok(None);
+    ) -> Result<(Pref, Option<Cow<'_, Prepared>>), SqlError> {
+        let clauses = match self {
+            PrefStage::Concrete { term, prepared } => {
+                return Ok((term.clone(), prepared.as_deref().map(Cow::Borrowed)))
+            }
+            PrefStage::Parameterized { clauses, .. } => clauses,
         };
-        Ok(Some(if params.is_empty() {
-            Cow::Borrowed(prepared)
-        } else {
-            Cow::Owned(prepared.bind(params).map_err(bind_error)?)
-        }))
+        let mut bind =
+            |column: &str, lit: &Literal| bind_pref_literal(lit, column, schema, &q.table, params);
+        let bound = (clauses.iter())
+            .map(|c| c.map_literals(&mut bind))
+            .collect::<Result<Vec<_>, _>>()?;
+        let term = term_of(&bound, schema, &q.table)?;
+        let prepared = is_plain(q)
+            .then(|| engine.prepare(&term, schema))
+            .transpose()?;
+        Ok((term, prepared.map(Cow::Owned)))
+    }
+
+    /// The statement fingerprint a bound execution reports (`None`
+    /// without preference-side placeholders).
+    pub(crate) fn shape_fingerprint(&self) -> Option<u64> {
+        match self {
+            PrefStage::Concrete { .. } => None,
+            PrefStage::Parameterized { fingerprint, .. } => Some(*fingerprint),
+        }
     }
 
     /// Should an execution of `exec` under a *parameterized WHERE
@@ -131,21 +173,18 @@ impl PrefStage {
     /// matrix per binding. When the preference side is parameterized
     /// too, the table matrix is per-preference-binding — only pay its
     /// O(table) materialization once a binding proves to recur, so a
-    /// one-shot binding over a tiny view stays O(view).
+    /// one-shot binding over a tiny view stays O(view). The set of seen
+    /// bindings is bounded — a pathological stream of one-shot
+    /// bindings resets it rather than growing without bound.
     pub(crate) fn binding_recurs(&self, exec: &Prepared) -> bool {
-        !self.has_params || self.recurred(exec.fingerprint())
-    }
-
-    /// Record a preference-binding fingerprint; `true` once it has been
-    /// seen before (i.e. the binding recurs). The set is bounded —
-    /// a pathological stream of one-shot bindings resets it rather than
-    /// growing without bound.
-    fn recurred(&self, fingerprint: u64) -> bool {
-        let mut seen = self.seen_bindings.lock();
+        let PrefStage::Parameterized { seen_bindings, .. } = self else {
+            return true;
+        };
+        let mut seen = seen_bindings.lock();
         if seen.len() > 1024 {
             seen.clear();
         }
-        !seen.insert(fingerprint)
+        !seen.insert(exec.fingerprint())
     }
 }
 
@@ -178,6 +217,31 @@ pub(crate) fn bind_literal(lit: &Literal, params: &[Value]) -> Result<Literal, S
     }
 }
 
+/// Substitute one PREFERRING/CASCADE literal position of `column`. The
+/// value must coerce to the column exactly like the inline literal it
+/// stands for; one that does not is the caller's `$n` at fault
+/// ([`SqlError::BadParam`]), not the statement's. An unknown column is
+/// left for the rewriter to report.
+fn bind_pref_literal(
+    lit: &Literal,
+    column: &str,
+    schema: &Schema,
+    table: &str,
+    params: &[Value],
+) -> Result<Literal, SqlError> {
+    let Literal::Param(n) = lit else {
+        return Ok(lit.clone());
+    };
+    let bound = bind_literal(lit, params)?;
+    match column_type(schema, table, column) {
+        Ok(dtype) if literal_to_value(&bound, column, dtype).is_err() => Err(SqlError::BadParam {
+            index: *n,
+            value: params[*n - 1].to_string(),
+        }),
+        _ => Ok(bound),
+    }
+}
+
 /// Resolve a `LIMIT` / `TOP` position against the binding: a literal
 /// count passes through, `$n` must bind a non-negative integer.
 pub(crate) fn resolve_limit(
@@ -204,25 +268,6 @@ pub(crate) fn resolve_limit(
     })
 }
 
-/// Map bind-time core errors onto parameter errors: a value that cannot
-/// inhabit its slot is the caller's `$n` argument at fault
-/// ([`SqlError::BadParam`] naming the parameter), and a slot the binding
-/// does not reach — an ad hoc execution of parameterized SQL — is
-/// [`SqlError::UnboundParam`].
-fn bind_error<E: Into<SqlError>>(e: E) -> SqlError {
-    match e.into() {
-        SqlError::Core(CoreError::BadBinding { slot, value, .. })
-        | SqlError::Query(QueryError::Core(CoreError::BadBinding { slot, value, .. })) => {
-            SqlError::BadParam { index: slot, value }
-        }
-        SqlError::Core(CoreError::UnboundSlot { slot })
-        | SqlError::Query(QueryError::Core(CoreError::UnboundSlot { slot })) => {
-            SqlError::UnboundParam { index: slot }
-        }
-        other => other,
-    }
-}
-
 /// Turn a bound parameter value into the literal it stands for; type
 /// coercion against the column happens later, exactly as for inline
 /// literals ([`crate::rewrite::literal_to_value`]). Dates bind as
@@ -242,4 +287,98 @@ pub(crate) fn value_to_literal(v: &Value, index: usize) -> Result<Literal, SqlEr
         Value::Date(d) => Literal::Date(*d),
         Value::Null => return Err(bad()),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse;
+    use pref_core::CoreError;
+    use pref_relation::{DataType, Date};
+
+    fn schema() -> Schema {
+        Schema::new(vec![
+            ("make", DataType::Str),
+            ("price", DataType::Int),
+            ("rating", DataType::Float),
+            ("start_date", DataType::Date),
+        ])
+        .unwrap()
+    }
+
+    /// The term an execution of `sql` bound to `params` evaluates.
+    fn bound(sql: &str, params: &[Value]) -> Result<Pref, SqlError> {
+        let (engine, q) = (Engine::new(), parse(sql).unwrap());
+        let stage = PrefStage::compile(&engine, &q, &schema()).unwrap().unwrap();
+        assert!(stage.shape_fingerprint().is_some(), "{sql} has `$n`");
+        stage
+            .bind(&engine, &q, &schema(), params)
+            .map(|(term, _)| term)
+    }
+
+    #[test]
+    fn binding_coerces_against_the_column_type() {
+        // Int widens for a Float column; a typed Date binds directly.
+        let b = bound(
+            "SELECT * FROM t PREFERRING rating AROUND $1",
+            &[Value::from(3)],
+        )
+        .unwrap();
+        assert_eq!(b.to_string(), "AROUND(rating; 3)");
+
+        let sql = "SELECT * FROM t PREFERRING start_date AROUND $1";
+        let d = Date::parse("2001/11/23").unwrap();
+        let b = bound(sql, &[Value::from(d)]).unwrap();
+        assert_eq!(b.to_string(), "AROUND(start_date; 2001/11/23)");
+        // …and a string still parses, like an inline literal.
+        let b = bound(sql, &[Value::from("2001/11/24")]).unwrap();
+        assert!(b.to_string().contains("2001/11/24"));
+    }
+
+    #[test]
+    fn bad_bindings_report_the_parameter() {
+        let sql = "SELECT * FROM t PREFERRING make IN ('VW', $2) AND price AROUND $1";
+        assert!(matches!(
+            bound(sql, &[Value::from("cheap"), Value::from("BMW")]),
+            Err(SqlError::BadParam { index: 1, .. })
+        ));
+        assert!(matches!(
+            bound(sql, &[Value::from(1)]),
+            Err(SqlError::UnboundParam { index: 2 })
+        ));
+    }
+
+    #[test]
+    fn constructor_validation_defers_to_bind_time() {
+        // POS/NEG disjointness cannot be checked while a `$n` is open;
+        // a binding that overlaps surfaces the constructor's own error.
+        let sql = "SELECT * FROM t PREFERRING make = $1 ELSE make <> 'VW'";
+        assert!(bound(sql, &[Value::from("Opel")]).is_ok());
+        assert!(matches!(
+            bound(sql, &[Value::from("VW")]),
+            Err(SqlError::Core(CoreError::OverlappingSets { .. }))
+        ));
+    }
+
+    #[test]
+    fn bound_clauses_rewrite_to_the_inline_term() {
+        // prepare + bind and parse-with-inline-literals meet in the same
+        // term, hence the same compiled fingerprint.
+        let b = bound(
+            "SELECT * FROM t PREFERRING price AROUND $1 AND LOWEST(rating) CASCADE make = $2",
+            &[Value::from(40_000), Value::from("VW")],
+        )
+        .unwrap();
+        let q = parse(
+            "SELECT * FROM t PREFERRING price AROUND 40000 AND LOWEST(rating) CASCADE make = 'VW'",
+        )
+        .unwrap();
+        let stage = PrefStage::compile(&Engine::new(), &q, &schema())
+            .unwrap()
+            .unwrap();
+        let PrefStage::Concrete { term, .. } = stage else {
+            panic!("no `$n`, so the term is rewritten at compile time");
+        };
+        assert_eq!(b, term);
+    }
 }

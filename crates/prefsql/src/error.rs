@@ -31,8 +31,8 @@ pub enum SqlError {
     /// (e.g. via `execute` instead of `prepare` + bind).
     UnboundParam { index: usize },
     /// A bound parameter value cannot stand in for a literal (NULL, a
-    /// non-finite float, a type the slot's column rejects, a negative
-    /// LIMIT/TOP count).
+    /// non-finite float, a value a preference clause's column rejects,
+    /// a negative LIMIT/TOP count).
     BadParam { index: usize, value: String },
     /// `prepare` found a `$n` index the statement never reads (gapped
     /// numbering, e.g. `$1` and `$3` with no `$2`): every binding would

@@ -1,7 +1,7 @@
 //! The Preference SQL execution pipeline:
 //!
 //! ```text
-//! parse → catalog lookup → compile to a shape (once per statement and schema)
+//! parse → catalog lookup → compile (once per statement and schema)
 //!       → bind → WHERE (hard σ) → PREFERRING/CASCADE (BMO σ[P])
 //!       → BUT ONLY (quality filter) → SELECT (π) → LIMIT
 //! ```
@@ -12,8 +12,9 @@
 //!
 //! There is one statement path: [`PrefSql::execute`] compiles and runs
 //! with no parameters, [`PreparedStatement::execute`] keeps the compiled
-//! statement across calls and binds per call (`bind`); stage 1
-//! is `pushdown`.
+//! statement across calls and binds per call — every `$n` is substituted
+//! into the AST as the literal it stands for (`bind`); stage 1 is
+//! `pushdown`.
 
 use std::sync::Arc;
 
@@ -161,15 +162,16 @@ impl PrefSql {
     /// }
     /// ```
     ///
-    /// All statements — parameterized or not — additionally run the
-    /// AST→term rewriter and [`Engine::prepare`] **now**: a `$n`
-    /// placeholder becomes a typed *slot* in the compiled shape, and
-    /// executions only patch slots with bound values
-    /// ([`pref_query::Prepared::bind`]) — no re-lex, no re-parse, no
-    /// AST→term rewrite per binding. Re-registering the table with an
-    /// *identical* schema keeps the compiled shape; a different schema
-    /// (or a table unknown at prepare time) compiles it lazily — once
-    /// per schema change, not once per execution.
+    /// The statement is compiled against its table **now**: without a
+    /// `$n` in its preference clauses, the AST→term rewriter and
+    /// [`Engine::prepare`] run once here and every execution borrows the
+    /// prepared query; with one, each execution substitutes its values
+    /// into the clauses and rewrites and prepares the concrete term it
+    /// gets — the very term the inline-literal spelling gives. Neither
+    /// re-lexes nor re-parses. Re-registering the table with an
+    /// *identical* schema keeps the compiled statement; a different
+    /// schema (or a table unknown at prepare time) compiles it lazily —
+    /// once per schema change, not once per execution.
     ///
     /// Placeholder numbering must be gapless from `$1`: an index the
     /// statement never reads ([`SqlError::UnusedParam`]) would make
@@ -226,9 +228,16 @@ impl PrefSql {
         let base = base.as_ref();
         let candidates = base.len();
 
-        // 2. The preference term: compiled once, its slots bound now.
+        // 2. The preference term: compiled once, or — with `$n` in the
+        //    preference clauses — rewritten from the bound AST now.
         let stage = c.pref.as_ref().map_err(Clone::clone)?.as_ref();
-        let preference = stage.map(|s| s.bind_term(params)).transpose()?;
+        let (preference, exec) = match stage {
+            Some(stage) => {
+                let (term, exec) = stage.bind(&self.engine, q, table.schema(), params)?;
+                (Some(term), exec)
+            }
+            None => (None, None),
+        };
         if q.explain {
             return self.explain(q, base, candidates, pushed, preference);
         }
@@ -239,11 +248,15 @@ impl PrefSql {
                     // §6.2 k-best: BMO first, then deeper quality levels —
                     // the level graph runs on the engine-cached matrix.
                     (self.engine.k_best(pref, base, k)?, None)
-                } else if let Some(exec) = stage.bind_query(params)? {
-                    if c.hard_has_params && stage.binding_recurs(&exec) {
+                } else if let Some(exec) = exec {
+                    if c.hard_is_parameterized && stage.binding_recurs(&exec) {
                         let _ = exec.matrix(table);
                     }
-                    let (rows, explain) = exec.execute(base)?.into_parts();
+                    let (rows, mut explain) = exec.execute(base)?.into_parts();
+                    if let Some(fp) = stage.shape_fingerprint() {
+                        explain.shape_fingerprint = Some(fp);
+                        explain.binding = Some(params.to_vec());
+                    }
                     (rows, Some(explain))
                 } else {
                     let attrs = AttrSet::new(q.group_by.iter().map(String::as_str));
@@ -377,14 +390,15 @@ impl PrefSql {
 }
 
 /// A parsed Preference SQL statement with `$n` parameter placeholders —
-/// the lexer, parser, AST→term rewriter and engine compiler run once per
-/// statement, not once per call. Each [`PreparedStatement::execute`]
-/// validates and binds the parameter values (a slot patch over the
-/// compiled shape), runs through the session's engine, and therefore
-/// shares the score-matrix cache: the same binding over an unchanged
-/// table hits exactly, a fresh WHERE binding windows onto the warmed
-/// table matrix, and `QueryResult::explain` reports the shape
-/// fingerprint plus the binding.
+/// the lexer and parser run once per statement, and so do the AST→term
+/// rewriter and engine compiler for a statement whose preference clauses
+/// hold no `$n`. Each [`PreparedStatement::execute`] validates the
+/// parameter values, substitutes them into the AST, runs through the
+/// session's engine, and therefore shares the score-matrix cache: the
+/// same binding over an unchanged table hits exactly (the entry the
+/// inline-literal spelling uses too), a fresh WHERE binding windows onto
+/// the warmed table matrix, and `QueryResult::explain` reports the
+/// statement's fingerprint plus the binding.
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
     query: Query,
@@ -407,9 +421,10 @@ impl PreparedStatement {
         &self.query
     }
 
-    /// Is the statement compiled — the preference term built (a
-    /// slot-bearing shape for parameterized statements) and, for plain
-    /// BMO statements, the engine query prepared? True from
+    /// Is the statement compiled against its table — the preference term
+    /// built and, for plain BMO statements, the engine query prepared
+    /// (with `$n` in the preference clauses: the clauses kept for
+    /// per-execution binding)? True from
     /// [`PrefSql::prepare`] on when the table was registered by then,
     /// otherwise from the first execution that finds it.
     pub fn is_precompiled(&self) -> bool {
@@ -418,7 +433,7 @@ impl PreparedStatement {
 
     /// Bind `params` ($1 = `params[0]`, …) and run the statement on
     /// `db`. The parameter count must match exactly; unusable values —
-    /// NULL, non-finite floats, types the slot's column rejects —
+    /// NULL, non-finite floats, types the preference column rejects —
     /// surface as [`SqlError::BadParam`] naming the parameter.
     pub fn execute(&self, db: &PrefSql, params: &[Value]) -> Result<QueryResult, SqlError> {
         check_params(self.param_count, params)?;
@@ -1039,7 +1054,7 @@ mod tests {
             .unwrap();
         assert!(
             parameterized.is_precompiled(),
-            "parameterized statements compile their shape at prepare time"
+            "parameterized statements compile at prepare time"
         );
 
         // The precompiled path agrees with ad-hoc execution and shares
@@ -1075,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn parameterized_executions_bind_without_rewriting_and_run_warm() {
+    fn parameterized_executions_run_warm() {
         let s = session();
         let stmt = s
             .prepare(
@@ -1083,7 +1098,7 @@ mod tests {
                  PREFERRING price AROUND $2 AND LOWEST(mileage)",
             )
             .unwrap();
-        assert!(stmt.is_precompiled(), "shape compiled at prepare time");
+        assert!(stmt.is_precompiled(), "compiled at prepare time");
 
         // The preference side is parameterized, so the very first
         // sighting of a preference binding builds its (subset) matrix;
@@ -1107,9 +1122,11 @@ mod tests {
                 ex.cache.is_warm(),
                 "binding ({cap}, {target}) must run warm, got {ex}"
             );
-            // The shape fingerprint is stable across bindings; the
+            // The statement fingerprint is stable across bindings; the
             // binding itself is reported.
-            let fp = ex.shape_fingerprint.expect("bound shape reports itself");
+            let fp = ex
+                .shape_fingerprint
+                .expect("a bound execution reports itself");
             assert_eq!(*shape_fp.get_or_insert(fp), fp);
             assert_eq!(
                 ex.binding.as_deref(),
@@ -1312,21 +1329,22 @@ mod tests {
     }
 
     #[test]
-    fn schema_changes_recompile_the_shape_instead_of_substituting_literals() {
-        // A parameterized execution through the compiled shape reports a
-        // shape fingerprint; the literal-substitution fallback re-runs
-        // the rewriter on an inline-literal query and reports none —
-        // making the execution path externally observable.
+    fn schema_changes_recompile_the_statement() {
+        // A prepared statement stays usable across re-registrations of
+        // its table: an identical schema keeps the compiled statement, a
+        // changed one compiles it afresh on the next execution. The
+        // statement fingerprint a bound execution reports is taken from
+        // the clauses, so it survives both.
         let mut s = session();
         let stmt = s
             .prepare("SELECT * FROM car PREFERRING price AROUND $1")
             .unwrap();
         let fp = |res: QueryResult| res.explain.unwrap().shape_fingerprint;
         let shape_fp = fp(stmt.execute(&s, &[Value::from(40_000)]).unwrap());
-        assert!(shape_fp.is_some(), "prepare-time shape executes bound");
+        assert!(shape_fp.is_some(), "a bound execution reports itself");
 
-        // Re-registering with an *identical* schema keeps the
-        // prepare-time shape (fresh data, same plan).
+        // Re-registering with an *identical* schema keeps the compiled
+        // statement (fresh data, same plan).
         s.register(
             "car",
             rel! {
@@ -1338,12 +1356,10 @@ mod tests {
         assert_eq!(
             fp(stmt.execute(&s, &[Value::from(40_000)]).unwrap()),
             shape_fp,
-            "identical schema must reuse the compiled shape"
+            "identical schema, same statement"
         );
 
-        // A *changed* schema recompiles the shape lazily — executions
-        // still run bound (shape fingerprint present), not through
-        // per-call literal substitution.
+        // A *changed* schema recompiles the statement lazily.
         s.register(
             "car",
             rel! {
@@ -1354,9 +1370,10 @@ mod tests {
         let after = stmt.execute(&s, &[Value::from(21_000)]).unwrap();
         assert_eq!(after.relation.len(), 1);
         assert_eq!(after.relation.row(0)[0], Value::from(20_000));
-        assert!(
-            fp(stmt.execute(&s, &[Value::from(21_000)]).unwrap()).is_some(),
-            "changed schema must recompile the shape, not substitute literals"
+        assert_eq!(
+            fp(stmt.execute(&s, &[Value::from(21_000)]).unwrap()),
+            shape_fp,
+            "changed schema, same statement"
         );
 
         // The lazily recompiled statement is a real prepared query: the
@@ -1364,6 +1381,58 @@ mod tests {
         // cache exactly.
         let warm = stmt.execute(&s, &[Value::from(21_000)]).unwrap();
         assert!(warm.explain.unwrap().cache.is_warm());
+    }
+
+    #[test]
+    fn a_bound_execution_reports_the_inline_statements_derivation() {
+        // Binding substitutes values into the AST, so a bound execution
+        // plans the very term the inline-literal statement plans: the
+        // same `preference :` line (values, not `$n`) and the same
+        // rewrite derivation, e.g. Prop. 3l (P ⊗ P ≡ P) — whether the
+        // duplicate is written out or appears only once `$1 = $2`.
+        let s = session();
+        let cases: [(&str, &[Value], &str); 2] = [
+            (
+                "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(price) \
+                 AND mileage AROUND $1",
+                &[Value::Int(30_000)],
+                "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(price) \
+                 AND mileage AROUND 30000",
+            ),
+            (
+                "SELECT * FROM car PREFERRING price AROUND $1 AND price AROUND $2",
+                &[Value::Int(40_000), Value::Int(40_000)],
+                "SELECT * FROM car PREFERRING price AROUND 40000 AND price AROUND 40000",
+            ),
+        ];
+        for (prepared, params, inline) in cases {
+            let report = |ex: &Explain| -> Vec<String> {
+                (ex.lines().into_iter())
+                    .filter(|l| {
+                        !["shape", "cache", "reason"]
+                            .iter()
+                            .any(|k| l.starts_with(k))
+                    })
+                    .collect()
+            };
+            let inline_ex = s.execute(inline).unwrap().explain.unwrap();
+            let stmt = s.prepare(prepared).unwrap();
+            let bound_ex = stmt.execute(&s, params).unwrap().explain.unwrap();
+            assert_eq!(report(&bound_ex), report(&inline_ex), "{prepared}");
+            assert!(
+                (bound_ex.lines().iter()).any(|l| l.starts_with("law") && l.contains("Prop. 3l")),
+                "{bound_ex}"
+            );
+            let shape = (bound_ex.lines().into_iter())
+                .find(|l| l.starts_with("shape"))
+                .expect("a bound execution reports its statement and values");
+            let values: Vec<String> = params.iter().map(Value::to_string).collect();
+            assert!(
+                shape.ends_with(&format!("bound [{}]", values.join(", "))),
+                "{shape}"
+            );
+            assert_eq!(bound_ex.cache, pref_query::CacheStatus::Hit);
+        }
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! preference algebra and run under the BMO query model of `pref-query`.
 //!
 //! Every statement — ad hoc, prepared, `EXPLAIN` — takes one path,
-//! *compile to a shape once per (statement, schema), then bind and run*:
-//! [`parser`] → `shape` (the one atom table: atoms to base preferences,
-//! `$n` to typed slots; [`rewrite`] holds literal coercion, WHERE
-//! predicates and BUT ONLY filters) → `bind` (the compiled statement,
-//! parameter binding) → `pushdown` (hard selection and its commutation
+//! *compile once per (statement, schema), then bind and run*:
+//! [`parser`] → [`rewrite`] (the one atom table: atoms to Def. 6/7 base
+//! preferences over concrete values; literal coercion, WHERE predicates
+//! and BUT ONLY filters) → `bind` (the compiled statement; a `$n` binds
+//! by substituting its value into the AST as the literal it stands for,
+//! in every clause) → `pushdown` (hard selection and its commutation
 //! past the winnow) → [`executor`] ([`PrefSql`], [`PreparedStatement`],
 //! the pipeline, `EXPLAIN SELECT`).
 //!
@@ -49,7 +50,6 @@ pub mod executor;
 pub mod parser;
 mod pushdown;
 pub mod rewrite;
-mod shape;
 mod token;
 
 pub use catalog::Catalog;

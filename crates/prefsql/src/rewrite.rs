@@ -2,13 +2,13 @@
 //! predicates — the "clever rewriting of Preference SQL queries" of §6.1,
 //! except that we target the native algebra instead of SQL92.
 
+use pref_core::base::{Around, Between, Explicit, Highest, Lowest, Neg, Pos, PosNeg, PosPos};
 use pref_core::term::Pref;
 use pref_query::quality::{QualityCond, QualityFilter};
 use pref_relation::{attr, DataType, Date, Schema, Tuple, Value};
 
-use crate::ast::{CmpOp, HardExpr, Literal, PrefExpr, QualityCondAst};
+use crate::ast::{CmpOp, HardExpr, Literal, PrefAtom, PrefExpr, QualityCondAst};
 use crate::error::SqlError;
-use crate::shape::pref_to_shape_term;
 
 /// Coerce a literal against a column type. String literals coerce to
 /// dates for Date columns (the paper writes `'2001/11/23'`), integers
@@ -59,17 +59,75 @@ fn values(
         .collect()
 }
 
-/// Translate a preference expression into a concrete [`Pref`] term:
-/// `AND` → Pareto `⊗`, `PRIOR TO` → prioritised `&`, atoms → Def. 6/7
-/// base constructors — the statement's shape (`shape`) with no
-/// slot left open. A `$n` placeholder has nothing to bind here and is
-/// reported as [`SqlError::UnboundParam`].
+/// Translate a preference expression into a [`Pref`] term: `AND` →
+/// Pareto `⊗`, `PRIOR TO` → prioritised `&`, atoms → Def. 6/7 base
+/// constructors. Terms are concrete: a `$n` placeholder still in `expr`
+/// has nothing to stand for here and is reported as
+/// [`SqlError::UnboundParam`] (a prepared statement substitutes its
+/// values into the AST first, `PrefExpr::map_literals`).
 pub fn pref_to_term(expr: &PrefExpr, schema: &Schema, table: &str) -> Result<Pref, SqlError> {
-    let term = pref_to_shape_term(expr, schema, table)?;
-    match term.param_slots().first() {
-        Some(&index) => Err(SqlError::UnboundParam { index }),
-        None => Ok(term),
-    }
+    let children = |cs: &[PrefExpr]| {
+        cs.iter()
+            .map(|c| pref_to_term(c, schema, table))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    Ok(match expr {
+        PrefExpr::Prior(cs) => Pref::prior_all(children(cs)?)?,
+        PrefExpr::Pareto(cs) => Pref::pareto_all(children(cs)?)?,
+        PrefExpr::Atom(atom) => atom_to_term(atom, schema, table)?,
+    })
+}
+
+/// The one atom table: every [`PrefAtom`] to its base preference, each
+/// literal coerced against the atom's column type.
+fn atom_to_term(atom: &PrefAtom, schema: &Schema, table: &str) -> Result<Pref, SqlError> {
+    let set = |attr: &str, lits: &[Literal]| values(lits, schema, table, attr);
+    let one =
+        |attr: &str, lit: &Literal| literal_to_value(lit, attr, column_type(schema, table, attr)?);
+    Ok(match atom {
+        PrefAtom::Pos { attr, values } => Pref::base(attr.as_str(), Pos::new(set(attr, values)?)),
+        PrefAtom::Neg { attr, values } => Pref::base(attr.as_str(), Neg::new(set(attr, values)?)),
+        PrefAtom::PosPos { attr, pos1, pos2 } => Pref::base(
+            attr.as_str(),
+            PosPos::new(set(attr, pos1)?, set(attr, pos2)?)?,
+        ),
+        PrefAtom::PosNeg { attr, pos, neg } => Pref::base(
+            attr.as_str(),
+            PosNeg::new(set(attr, pos)?, set(attr, neg)?)?,
+        ),
+        PrefAtom::Around { attr, target } => {
+            let dt = column_type(schema, table, attr)?;
+            if !dt.is_ordinal() {
+                return Err(SqlError::BadLiteral {
+                    column: attr.clone(),
+                    literal: format!("AROUND on non-ordinal column of type {dt}"),
+                });
+            }
+            Pref::base(
+                attr.as_str(),
+                Around::new(literal_to_value(target, attr, dt)?),
+            )
+        }
+        PrefAtom::Between { attr, low, up } => Pref::base(
+            attr.as_str(),
+            Between::new(one(attr, low)?, one(attr, up)?)?,
+        ),
+        PrefAtom::Lowest { attr } => {
+            column_type(schema, table, attr)?;
+            Pref::base(attr.as_str(), Lowest::new())
+        }
+        PrefAtom::Highest { attr } => {
+            column_type(schema, table, attr)?;
+            Pref::base(attr.as_str(), Highest::new())
+        }
+        PrefAtom::Explicit { attr, edges } => {
+            let edges = edges
+                .iter()
+                .map(|(w, b)| Ok((one(attr, w)?, one(attr, b)?)))
+                .collect::<Result<Vec<_>, SqlError>>()?;
+            Pref::base(attr.as_str(), Explicit::new(edges)?)
+        }
+    })
 }
 
 /// A compiled hard-selection predicate.

@@ -1139,109 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn parameterized_shapes_bind_and_share_the_cache() {
-        let engine = Engine::new();
-        let r = sample();
-        let shape = engine
-            .prepare(&around_slot("a", 1).pareto(lowest("b")), r.schema())
-            .unwrap();
-        assert!(shape.has_params());
-        assert_eq!(shape.param_slots(), &[1]);
-        assert_eq!(shape.shape_fingerprint(), Some(shape.fingerprint()));
-
-        // An unbound shape refuses to execute instead of returning the
-        // empty order's "everything is maximal".
-        assert!(matches!(
-            shape.execute(&r),
-            Err(QueryError::Core(CoreError::UnboundSlot { slot: 1 }))
-        ));
-
-        // Binding patches the slot; results agree with the concrete term
-        // and the fingerprint equals a fresh concrete compile, so both
-        // routes share one matrix cache entry.
-        let bound = shape.bind(&[Value::from(3)]).unwrap();
-        assert!(!bound.has_params());
-        let concrete_term = around("a", 3).pareto(lowest("b"));
-        let (rows, ex) = bound.execute(&r).unwrap().into_parts();
-        assert_eq!(rows, sigma_naive_generic(&concrete_term, &r).unwrap());
-        assert_eq!(ex.shape_fingerprint, shape.shape_fingerprint());
-        assert_eq!(ex.binding.as_deref(), Some(&[Value::from(3)][..]));
-        assert!(ex.to_string().contains("shape"));
-
-        let concrete = engine.prepare(&concrete_term, r.schema()).unwrap();
-        assert_eq!(concrete.fingerprint(), bound.fingerprint());
-        if ex.materialized {
-            assert_eq!(concrete.execute(&r).unwrap().cache(), CacheStatus::Hit);
-        }
-
-        // Re-binding with fresh values is a different concrete query —
-        // cold once, then warm; the shape fingerprint stays put.
-        let bound2 = shape.bind(&[Value::from(5)]).unwrap();
-        assert_ne!(bound2.fingerprint(), bound.fingerprint());
-        assert_eq!(bound2.shape_fingerprint(), shape.shape_fingerprint());
-        let (rows2, e1) = bound2.execute(&r).unwrap().into_parts();
-        assert_eq!(
-            rows2,
-            sigma_naive_generic(&around("a", 5).pareto(lowest("b")), &r).unwrap()
-        );
-        if e1.materialized {
-            assert_eq!(e1.cache, CacheStatus::Miss);
-            assert_eq!(bound2.execute(&r).unwrap().cache(), CacheStatus::Hit);
-        }
-
-        // Bad bindings name the slot.
-        assert!(matches!(
-            shape.bind(&[]),
-            Err(QueryError::Core(CoreError::UnboundSlot { slot: 1 }))
-        ));
-        assert!(matches!(
-            shape.bind(&[Value::from("off-axis")]),
-            Err(QueryError::Core(CoreError::BadBinding { slot: 1, .. }))
-        ));
-
-        // Binding a concrete query is the identity.
-        let same = concrete.bind(&[Value::from(9)]).unwrap();
-        assert_eq!(same.fingerprint(), concrete.fingerprint());
-        assert!(same.execute(&r).unwrap().explain().binding.is_none());
-    }
-
-    #[test]
-    fn binding_that_collapses_slots_matches_a_fresh_prepare() {
-        // `$1 = $2` can make a Pareto of distinct shapes collapsible
-        // (Prop. 3l: P ⊗ P ≡ P). The bound query must re-simplify so its
-        // fingerprint — and hence its matrix cache entry — matches a
-        // fresh prepare of the bound term.
-        let engine = Engine::new();
-        let r = sample();
-        let shape = engine
-            .prepare(&around_slot("a", 1).pareto(around_slot("a", 2)), r.schema())
-            .unwrap();
-
-        let collapsed = shape.bind(&[Value::from(3), Value::from(3)]).unwrap();
-        let fresh = engine.prepare(&around("a", 3), r.schema()).unwrap();
-        assert_eq!(
-            collapsed.fingerprint(),
-            fresh.fingerprint(),
-            "equal bindings must collapse like inline literals"
-        );
-        assert_eq!(
-            collapsed.execute(&r).unwrap().into_rows(),
-            fresh.execute(&r).unwrap().into_rows()
-        );
-
-        // Distinct bindings keep the two-operand Pareto (fast path).
-        let distinct = shape.bind(&[Value::from(2), Value::from(4)]).unwrap();
-        let fresh2 = engine
-            .prepare(&around("a", 2).pareto(around("a", 4)), r.schema())
-            .unwrap();
-        assert_eq!(distinct.fingerprint(), fresh2.fingerprint());
-        assert_eq!(
-            distinct.execute(&r).unwrap().into_rows(),
-            fresh2.execute(&r).unwrap().into_rows()
-        );
-    }
-
-    #[test]
     fn forced_and_ablated_configurations_flow_through() {
         let r = sample();
         let p = pos("c", ["x"]).pareto(neg("c", ["z"]));

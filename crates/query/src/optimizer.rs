@@ -191,13 +191,13 @@ pub struct Explain {
     /// [`CacheStatus::DerivedHit`] resolved, reported even on misses so
     /// callers can see what later executions will be able to reuse.
     pub lineage: Option<Lineage>,
-    /// When the executed query was produced by binding a parameterized
-    /// shape ([`Prepared::bind`](crate::engine::Prepared::bind)): the
-    /// shape's stable fingerprint, identical across bindings. `None` for
-    /// queries prepared directly from concrete terms.
+    /// When a front end produced the executed term by substituting
+    /// parameter values into a statement (Preference SQL's `$n`): that
+    /// statement's stable fingerprint, identical across bindings. The
+    /// engine leaves it `None`; the front end stamps it on the report.
     pub shape_fingerprint: Option<u64>,
-    /// The bound parameter values of this execution (`binding[0] = $1`),
-    /// when the query came from [`Prepared::bind`](crate::engine::Prepared::bind).
+    /// The parameter values of that execution (`binding[0] = $1`),
+    /// stamped beside `shape_fingerprint`.
     pub binding: Option<Vec<Value>>,
     /// Human-readable selection rationale.
     pub reason: String,

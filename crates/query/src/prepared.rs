@@ -12,11 +12,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pref_core::algebra::{simplify, simplify_traced};
+use pref_core::algebra::simplify_traced;
 use pref_core::eval::{CompiledPref, MatrixWindow};
 use pref_core::term::Pref;
-use pref_core::CoreError;
-use pref_relation::{Relation, RelationError, Schema, Value};
+use pref_relation::{Relation, RelationError, Schema};
 
 use crate::cache::cache_shard_of;
 use crate::engine::Engine;
@@ -87,14 +86,9 @@ impl MaintainedResult {
 /// A preference query compiled once by [`Engine::prepare`], executable
 /// many times. Holds the rewritten term, its compiled form, the
 /// structural fingerprint, and a handle to the engine whose matrix cache
-/// serves its executions.
-///
-/// A query prepared from a term containing parameterized shapes
-/// (`$n` slots, [`pref_core::param::ParamBase`]) is a **shape**: its
-/// fingerprint is the shape fingerprint, stable across bindings, and it
-/// cannot execute until [`Prepared::bind`] patches the slots with
-/// concrete values — a cheap clone-and-patch that re-uses the compiled
-/// column resolution and equality-projection layouts verbatim.
+/// serves its executions. Terms are concrete: a front end with
+/// placeholders (Preference SQL's `$n`) substitutes its values first and
+/// prepares the term it gets.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     engine: Engine,
@@ -104,11 +98,6 @@ pub struct Prepared {
     rewritten: bool,
     compiled: CompiledPref,
     fingerprint: u64,
-    /// `$n` slots still unbound (sorted, deduplicated; empty = concrete).
-    param_slots: Vec<usize>,
-    /// Set when this query came out of [`Prepared::bind`]: the shape's
-    /// fingerprint plus the bound values, reported through [`Explain`].
-    binding: Option<(u64, Vec<Value>)>,
     schema: Schema,
     /// Schema-level planning, computed once at prepare: the rewrite
     /// derivation trace plus the constraint-registry semantic verdict.
@@ -129,7 +118,6 @@ impl Prepared {
         let simplified_str = simplified.to_string();
         let compiled = CompiledPref::compile(&simplified, schema)?;
         let fingerprint = compiled.fingerprint();
-        let param_slots = compiled.param_slots();
         // Schema-level planning happens once, here: fold the rewrite
         // trace into derivation steps and decide redundancy from the
         // schema's constraint registry. The relation-level half (result
@@ -143,8 +131,6 @@ impl Prepared {
             simplified_str,
             compiled,
             fingerprint,
-            param_slots,
-            binding: None,
             schema: schema.clone(),
             semantic,
             plan_cell: Arc::new(Mutex::new(None)),
@@ -167,87 +153,6 @@ impl Prepared {
     /// caches matrices for.
     pub fn compiled(&self) -> &CompiledPref {
         &self.compiled
-    }
-
-    /// Does this query still contain unbound `$n` slots? Such a *shape*
-    /// must be [`Prepared::bind`]-ed before execution.
-    pub fn has_params(&self) -> bool {
-        !self.param_slots.is_empty()
-    }
-
-    /// The unbound slot indices (sorted, deduplicated).
-    pub fn param_slots(&self) -> &[usize] {
-        &self.param_slots
-    }
-
-    /// The shape fingerprint this query's bindings share: for a bound
-    /// query, the fingerprint of the shape it was bound from; for an
-    /// unbound shape, its own fingerprint. `None` for queries prepared
-    /// directly from concrete terms.
-    pub fn shape_fingerprint(&self) -> Option<u64> {
-        match &self.binding {
-            Some((fp, _)) => Some(*fp),
-            None if self.has_params() => Some(self.fingerprint),
-            None => None,
-        }
-    }
-
-    /// Patch every `$n` slot with `values[n - 1]`, producing a concrete,
-    /// executable query. On the fast path the compiled node tree is
-    /// cloned and patched in place — resolved columns, equality
-    /// projections and the algebraic rewrite are all reused; cost is
-    /// O(term nodes), independent of the original statement size. The
-    /// bound query's fingerprint equals a fresh prepare of the bound
-    /// term, so repeated executions of the same binding hit the engine's
-    /// matrix cache exactly like inline literals would — including when
-    /// the binding makes previously distinct slots equal (`$1 = $2`
-    /// turning `P ⊗ P` collapsible): a cheap re-simplification check
-    /// detects that case and recompiles the reduced term instead of
-    /// keeping the unreduced patch.
-    ///
-    /// Binding a query with no slots returns a plain clone. A too-short
-    /// binding fails with [`CoreError::UnboundSlot`]; a value that cannot
-    /// inhabit its slot fails with [`CoreError::BadBinding`].
-    pub fn bind(&self, values: &[Value]) -> Result<Prepared, QueryError> {
-        if !self.has_params() {
-            return Ok(self.clone());
-        }
-        let shape_fp = self
-            .binding
-            .as_ref()
-            .map_or(self.fingerprint, |(fp, _)| *fp);
-        let bound = self.simplified.bind_params(values)?;
-        // Binding can introduce syntactic equalities the shape didn't
-        // have; only then does the slot patch diverge from a fresh
-        // prepare, and only then do we pay a recompilation.
-        let resimplified = simplify(&bound);
-        let (simplified, rewritten, compiled) = if resimplified == bound {
-            (bound, self.rewritten, self.compiled.bind(values)?)
-        } else {
-            let compiled = CompiledPref::compile(&resimplified, &self.schema)?;
-            (resimplified, true, compiled)
-        };
-        let fingerprint = compiled.fingerprint();
-        // Re-analyze on the bound term: binding can change redundancy
-        // (a slot value may land inside/outside a declared domain), and
-        // the shape's trace talks about slot placeholders. The binding
-        // path's own re-simplification is not re-traced — its laws are
-        // the ones `simplify_traced` would record on the bound term.
-        let semantic = Arc::new(SemanticInfo::analyze(&simplified, &self.schema, Vec::new()));
-        Ok(Prepared {
-            engine: self.engine.clone(),
-            original: self.original.clone(),
-            simplified_str: simplified.to_string(),
-            simplified,
-            rewritten,
-            compiled,
-            fingerprint,
-            param_slots: Vec::new(),
-            binding: Some((shape_fp, values.to_vec())),
-            schema: self.schema.clone(),
-            semantic,
-            plan_cell: Arc::new(Mutex::new(None)),
-        })
     }
 
     /// The engine-cached score matrix view of this query over `r` (built
@@ -364,8 +269,8 @@ impl Prepared {
             cache_shard: (cache != CacheStatus::Bypass).then(|| cache_shard_of(self.fingerprint)),
             generation: r.generation(),
             lineage: r.lineage(),
-            shape_fingerprint: self.binding.as_ref().map(|(fp, _)| *fp),
-            binding: self.binding.as_ref().map(|(_, values)| values.clone()),
+            shape_fingerprint: None,
+            binding: None,
             reason,
         }
     }
@@ -393,11 +298,6 @@ impl Prepared {
     /// mismatch surfaces as a schema error instead of silently reading
     /// the wrong columns.
     pub fn execute(&self, r: &Relation) -> Result<MaintainedResult, QueryError> {
-        // An unbound shape denotes the empty order — evaluating it would
-        // silently return every row. Refuse instead of guessing.
-        if let Some(&slot) = self.param_slots.first() {
-            return Err(QueryError::Core(CoreError::UnboundSlot { slot }));
-        }
         if !r.schema().same_as(&self.schema) {
             return Err(QueryError::Relation(RelationError::SchemaMismatch {
                 left: self.schema.to_string(),

@@ -59,11 +59,12 @@ impl std::fmt::Debug for WatchSink {
     }
 }
 
-/// One registered watch: the statement, where its pushes go, and the
-/// result it last pushed (the baseline the next diff runs against).
+/// One registered watch: the statement (prepared once, at `WATCH`),
+/// where its pushes go, and the result it last pushed (the baseline the
+/// next diff runs against).
 #[derive(Debug)]
 struct Watch {
-    sql: String,
+    stmt: PreparedStatement,
     sink: WatchSink,
     last: Vec<String>,
 }
@@ -105,10 +106,10 @@ impl WatchHub {
         }
     }
 
-    fn register(&self, sql: String, sink: WatchSink, last: Vec<String>) -> u64 {
+    fn register(&self, stmt: PreparedStatement, sink: WatchSink, last: Vec<String>) -> u64 {
         // Plain unique-id counter; nothing is published through it.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.watches.lock().insert(id, Watch { sql, sink, last });
+        self.watches.lock().insert(id, Watch { stmt, sink, last });
         id
     }
 
@@ -127,9 +128,10 @@ impl WatchHub {
         let mut watches = self.watches.lock();
         for (&id, w) in watches.iter_mut() {
             // A watch whose statement no longer executes (e.g. its
-            // table was replaced) just goes quiet; it still costs one
-            // failed parse per mutation until unregistered.
-            let Ok(res) = db.execute(&w.sql) else {
+            // table was replaced without a column it reads) just goes
+            // quiet; it still costs one failed compile per mutation
+            // until unregistered.
+            let Ok(res) = w.stmt.execute(db, &[]) else {
                 continue;
             };
             let lines = tuple_lines(&res.relation);
@@ -362,14 +364,20 @@ impl Session {
                     );
                 };
                 let db = self.state.db.read();
-                match db.execute(&sql) {
-                    Ok(res) => {
+                // Prepared once here, executed with no parameters on
+                // every commit: SQL with `$n` has nothing to bind and is
+                // refused now.
+                let watched = db
+                    .prepare(&sql)
+                    .and_then(|stmt| Ok((stmt.execute(&db, &[])?, stmt)));
+                match watched {
+                    Ok((res, stmt)) => {
                         let lines = tuple_lines(&res.relation);
                         // Registered while still holding the catalog
                         // read lock: no mutation can slip between this
                         // snapshot and the registration, so the first
                         // push is always a delta against the reply.
-                        let id = self.state.hub.register(sql, sink, lines.clone());
+                        let id = self.state.hub.register(stmt, sink, lines.clone());
                         self.watches.push(id);
                         Reply::ok(format!("watching {id} ({} row(s))", lines.len()))
                             .with_body(lines)
@@ -687,6 +695,21 @@ mod tests {
             0,
             "watches die with their session"
         );
+    }
+
+    #[test]
+    fn a_watch_with_placeholders_is_refused_at_registration() {
+        let state = state();
+        let buf = Buf::default();
+        let mut w = state.session_with_sink(WatchSink::new(buf.clone()));
+        let r = w.handle_line("WATCH SELECT * FROM car PREFERRING price AROUND $1");
+        assert!(r.status.starts_with("ERR "), "{}", r.status);
+        assert!(state
+            .session()
+            .handle_line("APPEND car\t'VW'\t30000\t5000")
+            .is_ok());
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(split_frames(&buf.0.lock()).len(), 0, "nothing registered");
     }
 
     #[test]

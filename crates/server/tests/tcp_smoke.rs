@@ -1,8 +1,9 @@
 //! End-to-end smoke test over real sockets: spawn the TCP server on an
 //! ephemeral port, drive a short mixed workload from several client
 //! connections, and assert zero errors plus at least one warm hit from
-//! *every* cache tier (exact, derived, window, shard) — the sequence CI
-//! runs on every push.
+//! *every* cache tier (exact, derived, window, shard), plus a bound
+//! preference-side `$n` whose EXPLAIN shows the bound term — the
+//! sequence CI runs on every push.
 
 use std::sync::Arc;
 
@@ -79,6 +80,29 @@ fn tcp_mixed_workload_zero_errors_and_every_tier_warms() {
     assert!(
         cache_line.contains("shard") && cache_line.contains("tier"),
         "EXPLAIN must name the serving shard and lock tier: {cache_line}"
+    );
+
+    // 9. A preference-side `$n` binds into the statement: the report of
+    //    a bound EXECUTE plans the concrete term (its rewrite derivation
+    //    included) and names the statement and the values it bound.
+    ok(
+        &mut a,
+        "PREPARE near SELECT * FROM car PREFERRING price AROUND $1 AND LOWEST(mileage) \
+         AND price AROUND $2",
+    );
+    ok(&mut a, "EXECUTE near\t9000\t12000");
+    ok(&mut a, "EXECUTE near\t9000\t9000");
+    let explain = ok(&mut a, "EXPLAIN");
+    assert!(
+        explain
+            .iter()
+            .any(|l| l.starts_with("shape") && l.ends_with("bound [9000, 9000]")),
+        "EXPLAIN must report the bound values: {explain:?}"
+    );
+    assert_eq!(
+        explain.iter().filter(|l| l.starts_with("law")).count(),
+        1,
+        "equal bindings collapse by Prop. 3l, as inline literals do: {explain:?}"
     );
 
     // Every tier served at least once, and nothing errored.

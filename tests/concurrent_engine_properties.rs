@@ -41,7 +41,7 @@ fn transcript(session: &mut Session, requests: &[String]) -> Vec<String> {
 
 /// The per-thread request mix: a refinement chain of EXEC statements
 /// plus a parameterized prepared statement executed under several
-/// bindings. Threads with the same parity share the prepared shape, so
+/// bindings. Threads with the same parity share one preference term, so
 /// some threads contend on the same cache entries and others don't.
 fn thread_requests(tid: usize, seed: u64) -> (Vec<String>, Vec<String>) {
     let script = &session_scripts(tid + 1, 6, seed)[tid];

@@ -367,15 +367,23 @@ proptest! {
     #[test]
     fn parameterized_prepare_bind_agrees_with_fresh_execution(
         rows in proptest::collection::vec((0i64..40, 0i64..40, 0usize..4), 1..14),
-        bindings in proptest::collection::vec((0i64..50, 0i64..50), 1..5),
+        draws in proptest::collection::vec(
+            (0i64..50, 0i64..50, 0usize..4, 1usize..4, 0i64..40, 0i64..20),
+            1..4,
+        ),
         extra in proptest::collection::vec((0i64..40, 0i64..40, 0usize..4), 1..4),
     ) {
-        // prepare + bind ≡ fresh parse/execute: a statement compiled once
-        // as a parameterized shape, re-bound per request, must agree row
-        // for row with parsing the bound literals from scratch — across
-        // random bindings and across a catalog mutation that invalidates
-        // every cached matrix.
-        let cats = ["x", "y", "z", "w"];
+        // prepare + bind ≡ inline literals: a statement prepared once
+        // with `$n` in its literal positions, bound per request, must
+        // return the rows of its inline-literal spelling parsed from
+        // scratch and evaluate the very same term — so the inline
+        // spelling, re-run on the same session, is served warm. Every
+        // preference literal position takes a `$n`: IN sets (POS, NEG),
+        // both ELSE forms (POS/POS, POS/NEG), AROUND, BETWEEN, EXPLICIT
+        // edges, a CASCADE clause and PRIOR TO; one slot is repeated
+        // inside a Pareto accumulation, which Prop. 3l collapses. This
+        // holds across random bindings and across a catalog mutation
+        // that invalidates every cached matrix.
         let make_table = |rows: &[(i64, i64, usize)]| {
             let mut r = Relation::empty(
                 Schema::new(vec![
@@ -386,53 +394,130 @@ proptest! {
                 .expect("static schema"),
             );
             for (p, m, c) in rows {
-                r.push_values(vec![Value::from(*p), Value::from(*m), Value::from(cats[*c])])
+                r.push_values(vec![Value::from(*p), Value::from(*m), Value::from(CATS[*c])])
                     .expect("row matches schema");
             }
             r
         };
-        let sql = "SELECT * FROM cars WHERE price <= $1 \
-                   PREFERRING price AROUND $2 AND LOWEST(mileage)";
+        type Draw = (i64, i64, usize, usize, i64, i64);
+        type ValuesOf = fn(&Draw) -> Vec<Value>;
+        const CATS: [&str; 4] = ["x", "y", "z", "w"];
+        // (statement, its `$n` values for one draw); ELSE branches and
+        // EXPLICIT edges get distinct values, as their constructors ask.
+        let statements: [(&str, ValuesOf); 6] = [
+            (
+                "SELECT * FROM cars WHERE price <= $1 \
+                 PREFERRING price AROUND $2 AND LOWEST(mileage)",
+                |&(cap, target, ..)| vec![Value::from(cap), Value::from(target)],
+            ),
+            (
+                "SELECT * FROM cars PREFERRING color IN ($1, $2) \
+                 AND mileage BETWEEN $3 AND $4",
+                |&(_, _, c, dc, lo, span)| {
+                    vec![
+                        Value::from(CATS[c]),
+                        Value::from(CATS[(c + dc) % 4]),
+                        Value::from(lo),
+                        Value::from(lo + span),
+                    ]
+                },
+            ),
+            (
+                "SELECT * FROM cars PREFERRING color NOT IN ($1) PRIOR TO price AROUND $2",
+                |&(_, target, c, ..)| vec![Value::from(CATS[c]), Value::from(target)],
+            ),
+            (
+                "SELECT * FROM cars PREFERRING color = $1 ELSE color = $2 \
+                 CASCADE mileage AROUND $3",
+                |&(_, target, c, dc, ..)| {
+                    vec![
+                        Value::from(CATS[c]),
+                        Value::from(CATS[(c + dc) % 4]),
+                        Value::from(target),
+                    ]
+                },
+            ),
+            (
+                "SELECT * FROM cars PREFERRING color = $1 ELSE color <> $2 \
+                 AND EXPLICIT(price, ($3, $4))",
+                |&(_, _, c, dc, lo, span)| {
+                    vec![
+                        Value::from(CATS[c]),
+                        Value::from(CATS[(c + dc) % 4]),
+                        Value::from(lo),
+                        Value::from(lo + span + 1),
+                    ]
+                },
+            ),
+            (
+                "SELECT * FROM cars WHERE mileage >= $2 \
+                 PREFERRING price AROUND $1 AND LOWEST(mileage) AND price AROUND $1",
+                |&(_, target, _, _, lo, _)| vec![Value::from(target), Value::from(lo)],
+            ),
+        ];
+        // The inline spelling: every `$n` replaced by the literal its
+        // value stands for (highest index first, so `$1` never eats
+        // into a `$1x`).
+        let inline = |sql: &str, values: &[Value]| {
+            let mut out = sql.to_string();
+            for (i, v) in values.iter().enumerate().rev() {
+                let lit = match v {
+                    Value::Str(s) => format!("'{s}'"),
+                    other => other.to_string(),
+                };
+                out = out.replace(&format!("${}", i + 1), &lit);
+            }
+            out
+        };
 
         let mut db = PrefSql::new();
         db.register("cars", make_table(&rows));
-        let stmt = db.prepare(sql).expect("statement parses");
-        prop_assert!(stmt.is_precompiled(), "parameterized shape must precompile");
+        let prepared: Vec<_> = statements
+            .iter()
+            .map(|(sql, _)| db.prepare(sql).expect("statement parses"))
+            .collect();
+        for stmt in &prepared {
+            prop_assert!(stmt.is_precompiled(), "parameterized statements precompile");
+        }
 
         let check_bindings = |db: &PrefSql, table_rows: &[(i64, i64, usize)]| {
-            for (cap, target) in &bindings {
-                let bound = stmt
-                    .execute(db, &[Value::from(*cap), Value::from(*target)])
-                    .expect("binding runs");
-                // Oracle: a cold session parsing the bound literals fresh.
-                let mut fresh = PrefSql::new();
-                fresh.register("cars", make_table(table_rows));
-                let adhoc = fresh
-                    .execute(&format!(
-                        "SELECT * FROM cars WHERE price <= {cap} \
-                         PREFERRING price AROUND {target} AND LOWEST(mileage)"
-                    ))
-                    .expect("fresh execution runs");
-                prop_assert_eq!(
-                    format!("{}", bound.relation),
-                    format!("{}", adhoc.relation),
-                    "prepare+bind diverged from fresh execution for ({}, {})",
-                    cap,
-                    target
-                );
-                // The shape reports itself, and re-executing the same
-                // binding over the unchanged table runs warm.
-                let ex = bound.explain.expect("BMO stage ran");
-                prop_assert!(ex.shape_fingerprint.is_some());
-                let again = stmt
-                    .execute(db, &[Value::from(*cap), Value::from(*target)])
-                    .expect("binding re-runs");
-                let ex2 = again.explain.expect("BMO stage ran");
-                if ex.materialized {
-                    prop_assert!(
-                        ex2.cache.is_warm(),
-                        "repeated binding must run warm, got {}", ex2
+            for ((sql, values_of), stmt) in statements.iter().zip(&prepared) {
+                let mut statement_fp = None;
+                for draw in &draws {
+                    let values = values_of(draw);
+                    let inline_sql = inline(sql, &values);
+                    let bound = stmt.execute(db, &values).expect("binding runs");
+                    // Oracle: a cold session parsing the inline literals.
+                    let mut fresh = PrefSql::new();
+                    fresh.register("cars", make_table(table_rows));
+                    let cold = fresh.execute(&inline_sql).expect("fresh execution runs");
+                    prop_assert_eq!(
+                        format!("{}", bound.relation),
+                        format!("{}", cold.relation),
+                        "prepare+bind diverged from fresh execution of {}",
+                        &inline_sql
                     );
+                    // The bound execution reports its statement, stable
+                    // across bindings, and the values it bound.
+                    let ex = bound.explain.as_ref().expect("BMO stage ran");
+                    let fp = ex.shape_fingerprint.expect("a bound execution reports itself");
+                    prop_assert_eq!(*statement_fp.get_or_insert(fp), fp);
+                    prop_assert_eq!(ex.binding.as_deref(), Some(&values[..]));
+                    // One term, one fingerprint: the inline spelling on
+                    // the same session is served warm.
+                    let warm = db.execute(&inline_sql).expect("inline execution runs");
+                    prop_assert_eq!(&warm.preference, &bound.preference);
+                    prop_assert_eq!(
+                        format!("{}", warm.relation),
+                        format!("{}", bound.relation)
+                    );
+                    let wex = warm.explain.expect("BMO stage ran");
+                    if ex.materialized {
+                        prop_assert!(
+                            wex.cache.is_warm(),
+                            "inline re-run of {} must run warm, got {}", &inline_sql, wex
+                        );
+                    }
                 }
             }
             Ok(())
