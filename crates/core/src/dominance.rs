@@ -269,12 +269,6 @@ impl MatrixWindow {
         }
     }
 
-    /// Is this a genuine window (index indirection), as opposed to the
-    /// identity view?
-    pub fn is_windowed(&self) -> bool {
-        self.ids.is_some()
-    }
-
     /// The shared underlying matrix.
     pub fn matrix(&self) -> &Arc<ScoreMatrix> {
         &self.matrix
@@ -317,12 +311,6 @@ impl MatrixWindow {
     /// The materialized dominance key of *view* row `row` in `slot`.
     pub fn key_at(&self, row: usize, slot: usize) -> f64 {
         self.matrix.key_at(self.base_row(row), slot)
-    }
-
-    /// Does the underlying matrix run EXPLICIT sub-terms on the
-    /// reachability-bitset backend?
-    pub fn explicit_backend(&self) -> bool {
-        self.matrix.explicit_backend()
     }
 }
 

@@ -109,13 +109,18 @@ impl CompiledPref {
     /// `0..prefix_len` of `r` are identical to `prev`'s rows except those
     /// listed in `dirty`, and rows `prefix_len..` are appended. Every
     /// lane whose codes are pure per-row functions — dominance keys,
-    /// value fingerprints, EXPLICIT vertex ids — copies its clean prefix
-    /// from `prev` and re-encodes only the dirty and appended rows, so
-    /// the per-value work is proportional to the mutation; only
-    /// dictionary lanes (strings, multi-attribute projections) pay a
-    /// full re-encode, because their dense first-seen ids are a
-    /// whole-column property an in-place update can perturb. The result
-    /// equals a fresh build lane for lane. (A patch runs on the calling
+    /// value fingerprints, EXPLICIT vertex ids — copies its prefix from
+    /// `prev` and encodes only the appended (and dirty) rows, so the
+    /// per-value work is proportional to the mutation; only dictionary
+    /// lanes (strings, multi-attribute projections) pay a full
+    /// re-encode, because extending dense first-seen ids needs the
+    /// whole column's dictionary. The result equals a fresh build lane
+    /// for lane.
+    ///
+    /// Storage only grows by appends, so no prefix row ever changes and
+    /// product callers pass `dirty = &[]`; the parameter stays only
+    /// because the repository benchmark (`perfbench/`) names this
+    /// signature (ROADMAP item 1(a)). (A patch runs on the calling
     /// thread; `threads` only matters when the build degenerates to a
     /// full one.)
     ///

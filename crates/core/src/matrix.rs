@@ -16,12 +16,19 @@
 //!   ranges on up to `threads` scoped workers (the per-value
 //!   `dominance_key` dispatch dominates build cost);
 //! * an *incremental build* ([`Reuse`]) goes through [`patch_lane`] —
-//!   copy the clean prefix of the previous lane, re-encode the dirty rows
-//!   inside it, encode the appended rows — for keys, value fingerprints
-//!   and EXPLICIT vertex ids alike, so its work is proportional to the
-//!   mutation. Only dictionary lanes (strings, multi-attribute
-//!   projections) re-encode in full: dense first-seen ids are a
-//!   whole-column property an in-place update can perturb.
+//!   copy the prefix of the previous lane, encode the appended rows —
+//!   for keys, value fingerprints and EXPLICIT vertex ids alike, so its
+//!   work is proportional to the append. Only dictionary lanes (strings,
+//!   multi-attribute projections) re-encode in full: extending dense
+//!   first-seen ids needs the whole column's dictionary, which the
+//!   matrix does not keep.
+//!
+//! Storage grows only by appends and shrinks only by tombstones, so no
+//! prefix row ever changes and product callers pass no dirty rows
+//! (`&[]`). The `dirty` list of
+//! [`CompiledPref::score_matrix_incremental`](crate::eval::CompiledPref::score_matrix_incremental)
+//! stays only because the repository benchmark (`perfbench/`) names
+//! that signature (ROADMAP item 1(a)).
 
 use std::collections::HashMap;
 
@@ -75,7 +82,7 @@ pub struct ScoreMatrix {
 
 /// Reuse directive for an incremental build: `prev` covers rows
 /// `0..prefix_len` of the new relation, identically except rows in
-/// `dirty`.
+/// `dirty` (empty from every product caller, see the module docs).
 #[derive(Clone, Copy)]
 pub(crate) struct Reuse<'a> {
     pub(crate) prev: &'a ScoreMatrix,

@@ -1,16 +1,15 @@
-//! The engine's one bounded cache type: a fingerprint-sharded,
-//! LRU-evicted map behind read/write locks.
+//! The engine's one bounded cache type: an LRU-evicted map behind one
+//! read/write lock.
 //!
-//! Score matrices and maintained BMO results both live in a
-//! [`ShardedLru`]; there is exactly one insert and one eviction routine
-//! ([`ShardedLru::insert`]) for the two of them.
+//! Score matrices and maintained BMO results both live in an [`Lru`];
+//! there is exactly one insert and one eviction routine
+//! ([`Lru::insert`]) for the two of them.
 //!
-//! Concurrency: a cache is split into fingerprint-selected
-//! read/write-locked shards (see `CACHE_SHARDS`), so a whole multi-tier
-//! lookup takes exactly one shard's *read* lock ([`ShardedLru::read`]).
-//! LRU stamps and the resident count are atomics; only inserts,
-//! evictions and `clear` take a write lock, and never more than one
-//! shard lock at a time.
+//! Concurrency: a whole multi-tier lookup takes the read lock once
+//! ([`Lru::read`]). LRU stamps and the resident count are atomics, so
+//! hits never take the write lock and [`Lru::len`] never takes a lock at
+//! all. An insert and its eviction run under one write guard; the values
+//! they displace are dropped after it is released.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -18,29 +17,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::{RwLock, RwLockReadGuard};
 
-/// Number of lock shards a cache is split over (power of two).
+/// `lock_diag` group name of the cache locks.
 ///
-/// Every cache key a single lookup can probe — exact generation, derived
-/// lineage, window base, delta base — embeds the same *term fingerprint*,
-/// so sharding by fingerprint keeps a whole lookup inside one shard: one
-/// read-lock acquisition resolves every tier, and lookups for *different*
-/// terms never contend on the same lock. Concurrent sessions executing
-/// distinct prepared queries therefore scale with cores instead of
-/// convoying on a global mutex; same-term readers still proceed in
-/// parallel because the shard lock is a read/write lock and warm hits
-/// only ever take the read side.
-const CACHE_SHARDS: usize = 16;
-
-/// The shard a fingerprint's cache entries live in. Fingerprints are
-/// already well-mixed 64-bit hashes; fold the high half in so the shard
-/// index uses all of them.
-pub(crate) fn cache_shard_of(fp: u64) -> usize {
-    ((fp ^ (fp >> 32)) as usize) & (CACHE_SHARDS - 1)
-}
-
-/// `lock_diag` group name of the cache shard locks.
-///
-/// Only the cache shards are tagged — not every lock in the process —
+/// Only the caches' locks are tagged — not every lock in the process —
 /// because the concurrency contract is specifically "builds run outside
 /// the *engine's cache* locks": a server session legitimately holds the
 /// catalog's read lock across a whole statement execution, matrix
@@ -49,10 +28,9 @@ const MATRIX_CACHE_GROUP: &str = "pref-query/matrix-cache";
 
 /// Marker for the start of a matrix materialization: under
 /// `--cfg lock_diag` builds, panics if the calling thread still holds
-/// any cache shard lock — the cheapest possible proof that the
-/// expensive build really runs outside the engine's cache locks
-/// (concurrent warm hits on other terms are never blocked by a build).
-/// Compiled to nothing otherwise.
+/// any cache lock — the cheapest possible proof that the expensive build
+/// really runs outside the engine's cache locks (concurrent warm hits
+/// are never blocked by a build). Compiled to nothing otherwise.
 #[inline]
 pub(crate) fn build_scope() {
     parking_lot::lock_diag::assert_group_free(MATRIX_CACHE_GROUP);
@@ -65,34 +43,28 @@ struct Entry<V> {
     last_used: AtomicU64,
 }
 
-type Shard<K, V> = HashMap<K, Entry<V>>;
-
-/// A bounded map split into [`CACHE_SHARDS`] read/write-locked shards,
-/// evicting the globally least-recently-used entry once more than
-/// `capacity` are resident. Capacity `0` stores nothing.
-pub(crate) struct ShardedLru<K, V> {
-    shards: Vec<RwLock<Shard<K, V>>>,
+/// A bounded map behind one read/write lock, evicting the
+/// least-recently-used entry once more than `capacity` are resident.
+/// Capacity `0` stores nothing.
+pub(crate) struct Lru<K, V> {
+    map: RwLock<HashMap<K, Entry<V>>>,
     /// The bound; re-set only at builder time, before anything is stored.
     pub(crate) capacity: usize,
     /// LRU clock (monotone; ties are harmless).
     tick: AtomicU64,
-    /// Entries currently resident across all shards — maintained on
-    /// insert/evict/clear so [`ShardedLru::len`] never takes a lock.
+    /// Entries currently resident — stored under the write lock on every
+    /// insert so [`Lru::len`] never takes a lock.
     resident: AtomicUsize,
 }
 
-impl<K: Copy + Eq + Hash, V> ShardedLru<K, V> {
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
     pub(crate) fn new(capacity: usize) -> Self {
-        ShardedLru {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| {
-                    let shard: RwLock<Shard<K, V>> = RwLock::default();
-                    // Tag for lock_diag builds: `build_scope` asserts
-                    // this group free before any materialization.
-                    shard.diag_set_group(MATRIX_CACHE_GROUP);
-                    shard
-                })
-                .collect(),
+        let map = RwLock::default();
+        // Tag for lock_diag builds: `build_scope` asserts this group
+        // free before any materialization.
+        map.diag_set_group(MATRIX_CACHE_GROUP);
+        Lru {
+            map,
             capacity,
             tick: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
@@ -111,25 +83,23 @@ impl<K: Copy + Eq + Hash, V> ShardedLru<K, V> {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Read-lock the shard of `shard_fp` for one lookup. Every
-    /// [`ShardRead::get`] through the returned guard probes under that
-    /// single lock acquisition and stamps what it finds with one fresh
-    /// LRU tick.
-    pub(crate) fn read(&self, shard_fp: u64) -> ShardRead<'_, K, V> {
-        ShardRead {
+    /// Read-lock the map for one lookup. Every [`LruRead::get`] through
+    /// the returned guard probes under that single lock acquisition and
+    /// stamps what it finds with one fresh LRU tick.
+    pub(crate) fn read(&self) -> LruRead<'_, K, V> {
+        LruRead {
             tick: self.next_tick(),
-            map: self.shards[cache_shard_of(shard_fp)].read(),
+            map: self.map.read(),
         }
     }
 
-    /// Insert `value` under `key` in the shard of `shard_fp`, then
-    /// LRU-evict until the *global* capacity holds. The insert
-    /// write-locks exactly one shard; the eviction scan acquires one
-    /// shard lock at a time (so concurrent inserters can never deadlock
-    /// on each other), which means the resident count can transiently
-    /// overshoot `capacity` under contention — bounded by the number of
-    /// concurrent inserters, and repaired before each of them returns.
-    pub(crate) fn insert(&self, shard_fp: u64, key: K, value: V) {
+    /// Insert `value` under `key`, evicting the least-recently-used entry
+    /// if that puts the map over capacity. Both happen under one write
+    /// guard, so `len() <= capacity` holds at every instant; the replaced
+    /// and evicted values are dropped only after the guard is released,
+    /// because freeing a score matrix is the one slow step and no reader
+    /// should wait on it.
+    pub(crate) fn insert(&self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -137,80 +107,38 @@ impl<K: Copy + Eq + Hash, V> ShardedLru<K, V> {
             value,
             last_used: AtomicU64::new(self.next_tick()),
         };
-        let fresh = self.shards[cache_shard_of(shard_fp)]
-            .write()
-            .insert(key, entry)
-            .is_none();
-        if fresh {
-            // Relaxed: `resident` is an advisory count driving the
-            // eviction loop; the shard write lock orders the map itself,
-            // and the loop re-checks under that lock.
-            self.resident.fetch_add(1, Ordering::Relaxed);
-        }
-        // Relaxed: transient over/undershoot only delays or repeats an
-        // eviction pass; every structural decision re-checks under the
-        // victim shard's write lock below.
-        while self.resident.load(Ordering::Relaxed) > self.capacity {
-            // Find the globally least-recently-used entry, one shard at
-            // a time, then re-check under that shard's write lock: if
-            // the entry was touched (or evicted) in between, retry
-            // rather than evict a freshly used value.
-            let mut victim: Option<(usize, K, u64)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                for (k, e) in shard.read().iter() {
-                    // Relaxed: a stale LRU stamp can only mis-rank the
-                    // victim; the write-locked re-check below catches it.
-                    let lu = e.last_used.load(Ordering::Relaxed);
-                    if victim.is_none_or(|(_, _, best)| lu < best) {
-                        victim = Some((i, *k, lu));
-                    }
-                }
-            }
-            let Some((i, k, lu)) = victim else { break };
-            let mut shard = self.shards[i].write();
-            // Relaxed: this re-read runs under the shard write lock,
-            // which orders it against every touch of the entry.
-            let untouched = |e: &Entry<V>| e.last_used.load(Ordering::Relaxed) == lu;
-            if shard.get(&k).is_some_and(untouched) {
-                shard.remove(&k);
-                // Relaxed: advisory count, see the insert above.
-                self.resident.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drop every entry. Clears one shard at a time; entries inserted
-    /// concurrently into already-cleared shards survive, which is the
-    /// same guarantee a single global lock gave a caller racing a
-    /// concurrent insert.
-    pub(crate) fn clear(&self) {
-        for shard in &self.shards {
-            let removed = {
-                let mut shard = shard.write();
-                let n = shard.len();
-                shard.clear();
-                n
+        let displaced = {
+            let mut map = self.map.write();
+            let replaced = map.insert(key, entry);
+            // Relaxed: the stamps are read under the write lock, which
+            // orders them against every read-locked refresh.
+            let stamp = |e: &Entry<V>| e.last_used.load(Ordering::Relaxed);
+            let evicted = if map.len() > self.capacity {
+                let oldest = map.iter().min_by_key(|(_, e)| stamp(e)).map(|(k, _)| *k);
+                oldest.and_then(|k| map.remove(&k))
+            } else {
+                None
             };
-            // Relaxed: advisory count; the shard write lock above
-            // ordered the actual map mutation.
-            self.resident.fetch_sub(removed, Ordering::Relaxed);
-        }
+            // Relaxed: advisory count; the write lock orders the map.
+            self.resident.store(map.len(), Ordering::Relaxed);
+            (replaced, evicted)
+        };
+        drop(displaced);
     }
 }
 
-/// One shard of a [`ShardedLru`], read-locked for the duration of a
-/// lookup.
-pub(crate) struct ShardRead<'a, K, V> {
-    map: RwLockReadGuard<'a, Shard<K, V>>,
+/// An [`Lru`], read-locked for the duration of a lookup.
+pub(crate) struct LruRead<'a, K, V> {
+    map: RwLockReadGuard<'a, HashMap<K, Entry<V>>>,
     tick: u64,
 }
 
-impl<K: Eq + Hash, V> ShardRead<'_, K, V> {
+impl<K: Eq + Hash, V> LruRead<'_, K, V> {
     /// The value under `key`, refreshing its LRU stamp.
     pub(crate) fn get(&self, key: &K) -> Option<&V> {
         let entry = self.map.get(key)?;
         // Relaxed: the LRU stamp is advisory; the value itself is
-        // ordered by the shard lock.
+        // ordered by the lock.
         entry.last_used.store(self.tick, Ordering::Relaxed);
         Some(&entry.value)
     }
@@ -218,20 +146,23 @@ impl<K: Eq + Hash, V> ShardRead<'_, K, V> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use std::sync::Barrier;
+
     use super::*;
 
-    /// Keys shard by themselves in these tests.
-    fn put(c: &ShardedLru<u64, u64>, k: u64) {
-        c.insert(k, k, k * 10);
+    fn put(c: &Lru<u64, u64>, k: u64) {
+        c.insert(k, k * 10);
     }
 
-    fn has(c: &ShardedLru<u64, u64>, k: u64) -> bool {
-        c.read(k).get(&k).is_some()
+    fn has(c: &Lru<u64, u64>, k: u64) -> bool {
+        c.read().get(&k).is_some()
     }
 
     #[test]
     fn never_above_capacity_once_insert_returns() {
-        let c = ShardedLru::new(5);
+        let c = Lru::new(5);
         for k in 0..200u64 {
             put(&c, k);
             assert!(c.len() <= 5, "{} resident after inserting {k}", c.len());
@@ -240,78 +171,118 @@ mod tests {
         // Re-inserting a resident key replaces, it does not grow.
         put(&c, 199);
         assert_eq!(c.len(), 5);
-        assert_eq!(c.read(199).get(&199), Some(&1990));
+        assert_eq!(c.read().get(&199), Some(&1990));
+    }
+
+    #[test]
+    fn never_above_capacity_under_concurrent_inserts() {
+        let c: Lru<u64, u64> = Lru::new(8);
+        let inserting = AtomicUsize::new(4);
+        // All five threads start together, so sampling overlaps inserts.
+        let start = Barrier::new(5);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (c, inserting, start) = (&c, &inserting, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for k in 0..2_000 {
+                        put(c, t * 2_000 + k);
+                    }
+                    // Relaxed: only the sampler's stop flag; the scope
+                    // join orders everything the asserts below read.
+                    inserting.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                // Relaxed: see the inserters' decrement.
+                while inserting.load(Ordering::Relaxed) > 0 {
+                    let n = c.len();
+                    assert!(n <= 8, "{n} resident with capacity 8");
+                    has(&c, 3);
+                }
+            });
+        });
+        assert_eq!(c.len(), 8);
+        assert_eq!(c.map.read().len(), 8);
     }
 
     #[test]
     fn evicts_the_least_recently_used_entry() {
-        let c = ShardedLru::new(3);
+        let c = Lru::new(3);
         for k in [1, 2, 3] {
             put(&c, k);
         }
-        // Touch 1 and 2 (in different shards): 3 is now the oldest.
+        // Touch 1 and 2: 3 is now the oldest.
         assert!(has(&c, 1) && has(&c, 2));
         put(&c, 4);
         assert!(!has(&c, 3), "the untouched entry is the victim");
         assert!(has(&c, 1) && has(&c, 2) && has(&c, 4));
-        // Keys of one shard evict among themselves and others alike.
-        let same_shard = 4 + CACHE_SHARDS as u64;
-        assert_eq!(cache_shard_of(4), cache_shard_of(same_shard));
-        put(&c, same_shard);
+        // A second eviction takes the next-oldest stamp.
+        put(&c, 5);
         assert_eq!(c.len(), 3);
         assert!(!has(&c, 1), "1 carried the oldest stamp");
     }
 
     #[test]
     fn capacity_zero_stores_nothing() {
-        let c = ShardedLru::new(0);
+        let c = Lru::new(0);
         put(&c, 7);
         assert_eq!(c.len(), 0);
         assert!(!has(&c, 7));
     }
 
     #[test]
-    fn clear_zeroes_the_resident_count() {
-        let c = ShardedLru::new(8);
-        for k in 0..8u64 {
-            put(&c, k);
-        }
-        assert_eq!(c.len(), 8);
-        c.clear();
-        assert_eq!(c.len(), 0);
-        assert!((0..8).all(|k| !has(&c, k)));
-        // Still usable, still bounded.
-        for k in 0..20u64 {
-            put(&c, k);
-        }
-        assert_eq!(c.len(), 8);
-    }
-
-    #[test]
     fn every_lock_of_the_type_is_in_the_build_scope_group() {
         // Only observable under `--cfg lock_diag` (the CI lock-diag job):
-        // whatever a cache stores — matrices or results — holding one
-        // of its locks makes `build_scope` panic.
+        // whatever a cache stores — matrices or results — holding its
+        // lock makes `build_scope` panic.
         if !parking_lot::lock_diag::enabled() {
             return;
         }
-        let c: ShardedLru<u64, u64> = ShardedLru::new(2);
+        let c: Lru<u64, u64> = Lru::new(2);
         build_scope();
-        let guard = c.read(1);
+        let guard = c.read();
         assert!(std::panic::catch_unwind(build_scope).is_err());
         drop(guard);
         build_scope();
     }
 
+    /// A cached value that counts its drops and, under `--cfg
+    /// lock_diag`, panics when dropped while its cache's lock is held.
+    struct DropProbe(Rc<Cell<usize>>);
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            parking_lot::lock_diag::assert_group_free(MATRIX_CACHE_GROUP);
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn displaced_values_drop_outside_the_lock() {
+        if !parking_lot::lock_diag::enabled() {
+            return;
+        }
+        let drops = Rc::new(Cell::new(0));
+        let c = Lru::new(2);
+        for k in [1u64, 2, 3] {
+            c.insert(k, DropProbe(Rc::clone(&drops)));
+        }
+        assert_eq!(drops.get(), 1, "inserting 3 evicted 1");
+        c.insert(3, DropProbe(Rc::clone(&drops)));
+        assert_eq!(drops.get(), 2, "re-inserting 3 replaced it");
+    }
+
     #[test]
     fn one_read_guard_probes_several_keys_of_a_fingerprint() {
-        // Keys (generation, fp) shard by fp, like matrices and results.
-        let c: ShardedLru<(u64, u64), &str> = ShardedLru::new(4);
-        c.insert(9, (1, 9), "old");
-        c.insert(9, (2, 9), "new");
-        let shard = c.read(9);
-        assert_eq!(shard.get(&(2, 9)), Some(&"new"));
-        assert_eq!(shard.get(&(1, 9)), Some(&"old"));
-        assert_eq!(shard.get(&(3, 9)), None);
+        // Keys (generation, fp), like matrices and results.
+        let c: Lru<(u64, u64), &str> = Lru::new(4);
+        c.insert((1, 9), "old");
+        c.insert((2, 9), "new");
+        let map = c.read();
+        assert_eq!(map.get(&(2, 9)), Some(&"new"));
+        assert_eq!(map.get(&(1, 9)), Some(&"old"));
+        assert_eq!(map.get(&(3, 9)), None);
     }
 }

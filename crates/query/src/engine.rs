@@ -24,9 +24,9 @@
 //! This module is the engine's *tier resolution*: which cached matrix
 //! or cached result answers a request. The storage behind both is the
 //! one bounded cache type of `cache`
-//! (16 fingerprint-keyed read/write-locked shards — the warm path takes
-//! exactly one shard's *read* lock, and materialization always runs
-//! outside every lock); the result-maintenance classifier is
+//! (one read/write lock per cache — a lookup takes its *read* lock once
+//! for every tier it probes, and materialization always runs outside
+//! every lock); the result-maintenance classifier is
 //! `maintain`; [`Prepared`] and the execution pipeline live in
 //! `prepared`. Cache statistics are plain atomics
 //! ([`Engine::cache_stats`] is lock-free).
@@ -43,7 +43,7 @@ use pref_core::eval::{CompiledPref, MatrixWindow, ScoreMatrix};
 use pref_core::term::Pref;
 use pref_relation::{Relation, Schema};
 
-use crate::cache::{build_scope, ShardedLru};
+use crate::cache::{build_scope, Lru};
 use crate::error::QueryError;
 use crate::maintain::maintain_result;
 use crate::optimizer::{CacheStatus, Optimizer};
@@ -132,8 +132,8 @@ impl fmt::Display for CacheStats {
 /// A matrix cache key. Whole relations key by content generation; derived
 /// views key by their [`Lineage`](pref_relation::Lineage) so a
 /// *re-derivation* of the same subset (fresh generation, equal lineage)
-/// still finds the matrix. Both key kinds end in the term fingerprint —
-/// the shard selector of every probe.
+/// still finds the matrix. Both key kinds end in the term fingerprint,
+/// the component every probe of one lookup shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum MatrixKey {
     /// `(relation generation, term fingerprint)`.
@@ -152,29 +152,26 @@ enum MatrixKey {
 struct ResultState {
     /// Result row positions at the keyed generation, ascending.
     rows: Vec<u32>,
-    /// What the producing execution reported — replayed on exact hits
-    /// so an `Explain` served from the result tier describes the
-    /// backend that actually computed the rows.
+    /// Whether the producing execution ran on a score matrix —
+    /// replayed on exact hits so an `Explain` served from the result
+    /// tier describes the backend that actually computed the rows.
     materialized: bool,
-    explicit_bitsets: bool,
 }
 
 struct EngineInner {
     optimizer: Optimizer,
-    /// Score matrices, sharded by term fingerprint. Warm lookups take
-    /// one shard's *read* lock; only inserts and evictions take a write
-    /// lock, and never more than one shard lock at a time.
-    matrices: ShardedLru<MatrixKey, Arc<ScoreMatrix>>,
+    /// Score matrices. Warm lookups take the *read* lock; only inserts
+    /// (with their evictions) take the write lock.
+    matrices: Lru<MatrixKey, Arc<ScoreMatrix>>,
     /// Maintained results, keyed `(relation generation, term
-    /// fingerprint)` and sharded by the fingerprint. Results key by
-    /// generation only — a result is a tiny `Vec<u32>`, so caching per
-    /// exact content state (rather than per lineage) is cheap, and the
-    /// maintenance classifier reaches prior states through the
-    /// relation's delta anyway. Bounded by the same capacity as the
-    /// matrices but counted (and evicted) independently: a result is
-    /// orders of magnitude smaller than a matrix, so one must never
-    /// evict the other.
-    results: ShardedLru<(u64, u64), Arc<ResultState>>,
+    /// fingerprint)`. Results key by generation only — a result is a
+    /// tiny `Vec<u32>`, so caching per exact content state (rather than
+    /// per lineage) is cheap, and the maintenance classifier reaches
+    /// prior states through the relation's delta anyway. Bounded by the
+    /// same capacity as the matrices but counted (and evicted)
+    /// independently: a result is orders of magnitude smaller than a
+    /// matrix, so one must never evict the other.
+    results: Lru<(u64, u64), Arc<ResultState>>,
     hits: AtomicU64,
     derived_hits: AtomicU64,
     window_hits: AtomicU64,
@@ -224,8 +221,8 @@ impl Engine {
         Engine {
             inner: Arc::new(EngineInner {
                 optimizer,
-                matrices: ShardedLru::new(DEFAULT_CAPACITY),
-                results: ShardedLru::new(DEFAULT_CAPACITY),
+                matrices: Lru::new(DEFAULT_CAPACITY),
+                results: Lru::new(DEFAULT_CAPACITY),
                 hits: AtomicU64::new(0),
                 derived_hits: AtomicU64::new(0),
                 window_hits: AtomicU64::new(0),
@@ -285,12 +282,6 @@ impl Engine {
         }
     }
 
-    /// Drop every cached matrix and result (counters survive).
-    pub fn clear_cache(&self) {
-        self.inner.matrices.clear();
-        self.inner.results.clear();
-    }
-
     /// Fetch or build the score matrix for term fingerprint `fp` over
     /// `r`. Lookup resolution order:
     ///
@@ -333,19 +324,16 @@ impl Engine {
         // resolved under the read lock but consumed outside it.
         let mut reusable: Option<(Arc<ScoreMatrix>, usize)> = None;
         if inner.matrices.capacity > 0 {
-            // Every probe below keys by the same term fingerprint, so the
-            // whole multi-tier lookup resolves inside this one shard —
-            // a single read-lock acquisition, shared with every other
-            // concurrent reader of this term and independent of every
-            // other term's shard.
-            let shard = inner.matrices.read(fp);
+            // The whole multi-tier lookup resolves under one read-lock
+            // acquisition, shared with every other concurrent reader.
+            let cached = inner.matrices.read();
             for (key, status) in std::iter::once((primary, CacheStatus::Hit))
                 .chain(derived.map(|k| (k, CacheStatus::DerivedHit)))
             {
-                if let Some(matrix) = shard.get(&key) {
+                if let Some(matrix) = cached.get(&key) {
                     // Relaxed throughout this arm: the hit counters are
                     // statistics; the matrix Arc itself is ordered by
-                    // the shard lock.
+                    // the cache lock.
                     inner.hits.fetch_add(1, Ordering::Relaxed);
                     if status == CacheStatus::DerivedHit {
                         // Relaxed: statistic, see above.
@@ -359,7 +347,7 @@ impl Engine {
             // base's whole-relation matrix is resident — serve it through
             // row-id indirection instead of building a subset matrix.
             if let Some((base_gen, ids)) = r.window_ids() {
-                if let Some(matrix) = shard.get(&MatrixKey::Generation(base_gen, fp)) {
+                if let Some(matrix) = cached.get(&MatrixKey::Generation(base_gen, fp)) {
                     // The windowable invariant guarantees every id indexes
                     // the base's row space; keep a release-mode guard so a
                     // broken lineage contract degrades to a rebuild, never
@@ -391,7 +379,7 @@ impl Engine {
             // maintenance tier instead, and its matrices rebuild cold.
             if let Some(delta) = r.delta().filter(|_| r.row_ids().is_none()) {
                 reusable = delta.bases().iter().find_map(|&(base_gen, base_len)| {
-                    shard
+                    cached
                         .get(&MatrixKey::Generation(base_gen, fp))
                         .filter(|m| m.len() == base_len)
                         .map(|m| (Arc::clone(m), base_len))
@@ -410,7 +398,7 @@ impl Engine {
                 inner.shard_hits.fetch_add(1, Ordering::Relaxed);
                 inner
                     .matrices
-                    .insert(fp, derived.unwrap_or(primary), Arc::clone(&m));
+                    .insert(derived.unwrap_or(primary), Arc::clone(&m));
                 return (Some(MatrixWindow::full(m)), CacheStatus::ShardHit);
             }
         }
@@ -425,7 +413,7 @@ impl Engine {
                 inner.misses.fetch_add(1, Ordering::Relaxed);
                 inner
                     .matrices
-                    .insert(fp, derived.unwrap_or(primary), Arc::clone(&m));
+                    .insert(derived.unwrap_or(primary), Arc::clone(&m));
                 (Some(MatrixWindow::full(m)), CacheStatus::Miss)
             }
         }
@@ -460,7 +448,7 @@ impl Engine {
     ///    old skyline, and a delete that removes a result member falls
     ///    through to a full recompute.
     ///
-    /// Returns `(rows, status, materialized, explicit_bitsets)`, or
+    /// Returns `(rows, status, materialized)`, or
     /// `None` when the tier cannot answer (disabled, cold, or the
     /// classifier bailed) — callers then run the normal matrix/algorithm
     /// path.
@@ -469,22 +457,22 @@ impl Engine {
         fp: u64,
         c: &CompiledPref,
         r: &Relation,
-    ) -> Option<(Vec<usize>, CacheStatus, bool, bool)> {
+    ) -> Option<(Vec<usize>, CacheStatus, bool)> {
         if !self.result_tier_serves(r) {
             return None;
         }
         let inner = &self.inner;
-        // Exact and delta probes key by the same fingerprint, so the
-        // whole lookup stays inside one shard read lock; the maintenance
-        // work itself (dominance tests over tuples) runs outside it.
+        // Exact and delta probes resolve under one read-lock
+        // acquisition; the maintenance work itself (dominance tests over
+        // tuples) runs outside it.
         let (state, base_idx) = {
-            let shard = inner.results.read(fp);
-            match shard.get(&(r.generation(), fp)) {
+            let cached = inner.results.read();
+            match cached.get(&(r.generation(), fp)) {
                 Some(state) => (Arc::clone(state), None),
                 None => {
                     let mut bases = r.delta()?.bases().iter().enumerate();
                     bases.find_map(|(k, &(g, _))| {
-                        Some((Arc::clone(shard.get(&(g, fp))?), Some(k)))
+                        Some((Arc::clone(cached.get(&(g, fp))?), Some(k)))
                     })?
                 }
             }
@@ -496,20 +484,15 @@ impl Engine {
                 self.keep_matrix_warm(fp, c, r);
             }
             let rows = state.rows.iter().map(|&p| p as usize).collect();
-            return Some((
-                rows,
-                CacheStatus::Hit,
-                state.materialized,
-                state.explicit_bitsets,
-            ));
+            return Some((rows, CacheStatus::Hit, state.materialized));
         };
         let rows = maintain_result(c, r, &state.rows, base_idx)?;
         // Relaxed: statistic only.
         inner.maintained_hits.fetch_add(1, Ordering::Relaxed);
         // The maintained rows were classified by tuple-level dominance
         // tests, not a matrix backend.
-        self.seed_result(fp, r, &rows, false, false);
-        Some((rows, CacheStatus::MaintainedHit, false, false))
+        self.seed_result(fp, r, &rows, false);
+        Some((rows, CacheStatus::MaintainedHit, false))
     }
 
     /// An exact result hit on `r` for a term whose result came off a
@@ -522,14 +505,14 @@ impl Engine {
     /// turned each of its refinements into a miss for the rest of the run.
     fn keep_matrix_warm(&self, fp: u64, c: &CompiledPref, r: &Relation) {
         let key = MatrixKey::Generation(r.generation(), fp);
-        if self.inner.matrices.read(fp).get(&key).is_some() {
+        if self.inner.matrices.read().get(&key).is_some() {
             return;
         }
         build_scope();
         if let Some(m) = c.score_matrix_parallel(r, self.inner.optimizer.threads) {
             // Relaxed: statistic only.
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
-            self.inner.matrices.insert(fp, key, Arc::new(m));
+            self.inner.matrices.insert(key, Arc::new(m));
         }
     }
 
@@ -537,23 +520,15 @@ impl Engine {
     /// current content state, for exact repeats and for the maintenance
     /// classifier after the next mutation. Gated the same way the probe
     /// is ([`Engine::cached_result`]).
-    pub(crate) fn seed_result(
-        &self,
-        fp: u64,
-        r: &Relation,
-        rows: &[usize],
-        materialized: bool,
-        explicit_bitsets: bool,
-    ) {
+    pub(crate) fn seed_result(&self, fp: u64, r: &Relation, rows: &[usize], materialized: bool) {
         if self.result_tier_serves(r) {
             let state = ResultState {
                 rows: rows.iter().map(|&p| p as u32).collect(),
                 materialized,
-                explicit_bitsets,
             };
             self.inner
                 .results
-                .insert(fp, (r.generation(), fp), Arc::new(state));
+                .insert((r.generation(), fp), Arc::new(state));
         }
     }
 
@@ -819,6 +794,19 @@ mod tests {
         assert!(ex.explicit_bitsets);
         assert!(ex.to_string().contains("reachability bitsets"));
         assert_eq!(rows, sigma_naive_generic(&p, &r).unwrap());
+
+        // An exact repeat is served by the result tier and reports the
+        // backend that computed the rows.
+        let dominance = |ex: &crate::optimizer::Explain| {
+            ex.lines().into_iter().find(|l| l.starts_with("dominance"))
+        };
+        let again = q.execute(&r).unwrap();
+        assert_eq!(again.cache(), CacheStatus::Hit);
+        assert_eq!(
+            again.explain().reason,
+            "result cached for this exact content state"
+        );
+        assert_eq!(dominance(again.explain()), dominance(&ex));
     }
 
     #[test]

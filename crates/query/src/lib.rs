@@ -21,9 +21,9 @@
 //!   executable divide & conquer evaluator, incl. `YY` sets;
 //! * [`engine`] — the prepared-query engine's tier resolution: score
 //!   matrices by `(relation generation, term fingerprint)` and
-//!   maintained results, both stored in the one bounded
-//!   fingerprint-sharded LRU type of `cache`, with the Chomicki
-//!   result-maintenance classifier a pure function in `maintain`;
+//!   maintained results, both stored in the one bounded LRU type of
+//!   `cache`, with the Chomicki result-maintenance classifier a pure
+//!   function in `maintain`;
 //! * `prepared` — [`Prepared`] and its `MaintainedResult` (re-exported
 //!   from [`engine`]): plan, probe the tiers, run the algorithm, report;
 //! * [`groupby`] — `σ[P groupby A](R)` (Def. 16), on the engine-cached

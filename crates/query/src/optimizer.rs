@@ -175,14 +175,6 @@ pub struct Explain {
     pub explicit_bitsets: bool,
     /// Score-matrix cache outcome of this execution.
     pub cache: CacheStatus,
-    /// The cache lock shard the lookup resolved in (the engine's matrix
-    /// cache is sharded by term fingerprint). `None` when the execution
-    /// never consulted the cache ([`CacheStatus::Bypass`] / plan-only).
-    /// Paired with `cache`, this also names the lock tier the request
-    /// took: warm statuses were served entirely under the shard's *read*
-    /// lock; `ShardHit` and `Miss` built outside the lock and inserted
-    /// under its *write* lock.
-    pub cache_shard: Option<usize>,
     /// The relation generation the query ran against (pairs with
     /// `cache` to make amortization assertable).
     pub generation: u64,
@@ -275,23 +267,9 @@ impl Explain {
                 values.join(", ")
             ));
         }
-        // The shard + lock-tier suffix: which of the engine's cache lock
-        // shards served the lookup, and whether the request stayed on
-        // the read side (warm) or went through a write-locked insert.
-        let shard = match self.cache_shard {
-            Some(s) => {
-                let tier = if self.cache.is_warm() {
-                    "read tier"
-                } else {
-                    "write tier"
-                };
-                format!(" [shard {s}, {tier}]")
-            }
-            None => String::new(),
-        };
         match self.lineage {
             Some(l) => out.push(format!(
-                "cache      : {}{shard} (relation generation {}; derived from base \
+                "cache      : {} (relation generation {}; derived from base \
                  generation {} via predicate {:#018x})",
                 self.cache,
                 self.generation,
@@ -299,7 +277,7 @@ impl Explain {
                 l.predicate()
             )),
             None => out.push(format!(
-                "cache      : {}{shard} (relation generation {})",
+                "cache      : {} (relation generation {})",
                 self.cache, self.generation
             )),
         }

@@ -17,7 +17,6 @@ use pref_core::eval::{CompiledPref, MatrixWindow};
 use pref_core::term::Pref;
 use pref_relation::{Relation, RelationError, Schema};
 
-use crate::cache::cache_shard_of;
 use crate::engine::Engine;
 use crate::error::QueryError;
 use crate::optimizer::{run_algorithm, Algorithm, CacheStatus, Explain, Optimizer};
@@ -241,14 +240,16 @@ impl Prepared {
 
     /// The one place an [`Explain`] is built: this query's identity,
     /// the plan it ran (or would run) under, and what the execution
-    /// observed — the algorithm that actually ran, the dominance
-    /// backend `(materialized, explicit_bitsets)`, the cache outcome.
+    /// observed — the algorithm that actually ran, whether it ran on a
+    /// score matrix, the cache outcome. A matrix runs EXPLICIT sub-terms
+    /// on reachability bitsets exactly when the term has one, so that
+    /// backend flag is derived here rather than carried along.
     fn report(
         &self,
         r: &Relation,
         plan: Arc<Plan>,
         algorithm: Algorithm,
-        (materialized, explicit_bitsets): (bool, bool),
+        materialized: bool,
         cache: CacheStatus,
         reason: String,
     ) -> Explain {
@@ -259,14 +260,8 @@ impl Prepared {
             plan,
             algorithm,
             materialized,
-            explicit_bitsets,
+            explicit_bitsets: materialized && self.compiled.has_explicit(),
             cache,
-            // Which lock shard the lookup ran through — every key a
-            // term can probe lives in the shard its fingerprint
-            // selects, so this is exact for hits, misses and
-            // incremental rebuilds alike. `None` when no cache lookup
-            // happened at all (Bypass).
-            cache_shard: (cache != CacheStatus::Bypass).then(|| cache_shard_of(self.fingerprint)),
             generation: r.generation(),
             lineage: r.lineage(),
             shape_fingerprint: None,
@@ -283,9 +278,15 @@ impl Prepared {
         let materialized = !self.engine.optimizer().no_materialize
             && Optimizer::uses_matrix(plan.algorithm)
             && self.compiled.supports_matrix(r);
-        let backend = (materialized, materialized && self.compiled.has_explicit());
         let (algorithm, reason) = (plan.algorithm, plan.reason.clone());
-        self.report(r, plan, algorithm, backend, CacheStatus::Bypass, reason)
+        self.report(
+            r,
+            plan,
+            algorithm,
+            materialized,
+            CacheStatus::Bypass,
+            reason,
+        )
     }
 
     /// Evaluate `σ[P](R)`, returning a [`MaintainedResult`]: the sorted
@@ -322,20 +323,13 @@ impl Prepared {
             // σ[P](R) = R, so answer with every row — no algorithm, no
             // matrix, no cache traffic at all.
             let reason = plan.reason.clone();
-            let explain = self.report(
-                r,
-                plan,
-                algorithm,
-                (false, false),
-                CacheStatus::Bypass,
-                reason,
-            );
+            let explain = self.report(r, plan, algorithm, false, CacheStatus::Bypass, reason);
             return Ok(((0..r.len()).collect(), explain));
         }
         // Result tier first: an exact or delta-maintained previous
         // result answers without touching the matrix cache or running
         // any algorithm at all.
-        if let Some((rows, cache, materialized, explicit_bitsets)) =
+        if let Some((rows, cache, materialized)) =
             self.engine
                 .cached_result(self.fingerprint, &self.compiled, r)
         {
@@ -345,10 +339,9 @@ impl Prepared {
                       classified against the previous skyline"
                     .to_string(),
             };
-            let backend = (materialized, explicit_bitsets);
             return Ok((
                 rows,
-                self.report(r, plan, algorithm, backend, cache, reason),
+                self.report(r, plan, algorithm, materialized, cache, reason),
             ));
         }
         let (matrix, cache) = if opt.no_materialize || !Optimizer::uses_matrix(algorithm) {
@@ -366,13 +359,11 @@ impl Prepared {
             r,
         )?;
         let materialized = matrix.is_some();
-        let explicit_bitsets = matrix.as_ref().is_some_and(MatrixWindow::explicit_backend);
         self.engine
-            .seed_result(self.fingerprint, r, &rows, materialized, explicit_bitsets);
-        let backend = (materialized, explicit_bitsets);
+            .seed_result(self.fingerprint, r, &rows, materialized);
         Ok((
             rows,
-            self.report(r, plan, algorithm, backend, cache, reason),
+            self.report(r, plan, algorithm, materialized, cache, reason),
         ))
     }
 

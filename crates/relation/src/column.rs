@@ -12,7 +12,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::relation::Relation;
-use crate::schema::Field;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -60,11 +59,6 @@ impl<'a> Column<'a> {
         Column { rel, col }
     }
 
-    /// The column's schema field (name and declared type).
-    pub fn field(&self) -> &'a Field {
-        &self.rel.schema().fields()[self.col]
-    }
-
     /// The column index within the schema.
     pub fn index(&self) -> usize {
         self.col
@@ -87,21 +81,6 @@ impl<'a> Column<'a> {
         self.rel.iter().map(move |t| &t[self.col])
     }
 
-    /// Materialize the column on the ordered numeric axis (ints, floats,
-    /// dates as day numbers). `None` as soon as one value is off-axis —
-    /// partial vectors would silently change dominance semantics.
-    pub fn ordinals(&self) -> Option<Vec<f64>> {
-        self.iter().map(Value::ordinal).collect()
-    }
-
-    /// Materialize `f` over the column; `None` if `f` rejects any value.
-    pub fn map_f64<F>(&self, f: F) -> Option<Vec<f64>>
-    where
-        F: FnMut(&Value) -> Option<f64>,
-    {
-        self.iter().map(f).collect()
-    }
-
     /// Dictionary-encode the column: per-row ids with `id[i] == id[j]`
     /// iff the values are equal. Ids are dense, assigned in first-seen
     /// order; the second component is the dictionary size.
@@ -117,31 +96,25 @@ impl<'a> Column<'a> {
         (ids, dict.len())
     }
 
-    /// Constant-size equality fingerprints: per-row `u64`s with
-    /// `fp[i] == fp[j]` **iff** the values are equal — no hashing, no
-    /// collisions. Available exactly when every value in the column has a
-    /// lossless ordinal image: floats (by total-order bit pattern), dates,
+    /// Constant-size equality fingerprint of row `row`: a `u64` with
+    /// `fp(i) == fp(j)` **iff** the values are equal — no hashing, no
+    /// collisions. Available exactly when the value has a lossless
+    /// ordinal image: floats (by total-order bit pattern), dates,
     /// booleans, and integers within the f64-exact range `|i| ≤ 2⁵³`.
-    /// Returns `None` otherwise (strings, nulls, huge ints) — callers fall
-    /// back to [`Column::dictionary`].
+    /// `None` otherwise (strings, nulls, huge ints) — callers fall back
+    /// to [`Column::dictionary`]. A schema-typed column holds one variant
+    /// (plus NULLs, which have no fingerprint), so cross-variant bit
+    /// collisions cannot occur.
     ///
-    /// A schema-typed column holds one variant (plus NULLs, which disable
-    /// the fingerprint), so cross-variant bit collisions cannot occur.
-    pub fn fingerprints(&self) -> Option<Vec<u64>> {
-        self.iter().map(value_fingerprint).collect()
-    }
-
-    /// The [`Column::fingerprints`] encoding of one row, without
-    /// materializing the whole lane. Incremental matrix rebuilds use this
-    /// to patch exactly the dirty and appended rows of a reused
-    /// fingerprint lane — the encoding is a pure per-value function, so a
-    /// row-at-a-time patch agrees bit-for-bit with a full re-encode.
+    /// The encoding is a pure per-value function, so a matrix lane of
+    /// these codes is filled, and extended by appended rows in an
+    /// incremental rebuild, one row at a time.
     pub fn fingerprint_at(&self, row: usize) -> Option<u64> {
         value_fingerprint(&self.rel.row(row)[self.col])
     }
 }
 
-/// The per-value half of [`Column::fingerprints`]: a lossless `u64`
+/// The per-value half of [`Column::fingerprint_at`]: a lossless `u64`
 /// equality image, or `None` for values without one (strings, nulls,
 /// integers beyond the f64-exact range).
 fn value_fingerprint(v: &Value) -> Option<u64> {
@@ -169,11 +142,6 @@ impl Relation {
             self.schema()
         );
         Column::new(self, col)
-    }
-
-    /// Iterate the columnar views of every attribute.
-    pub fn columns(&self) -> impl Iterator<Item = Column<'_>> {
-        (0..self.schema().arity()).map(move |c| Column::new(self, c))
     }
 
     /// Group-encode rows by their projection onto `cols`: per-row ids
@@ -204,9 +172,12 @@ impl Relation {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::rel;
-    use crate::schema::DataType;
+    use crate::schema::{DataType, Schema};
+    use crate::value::Date;
 
     fn sample() -> Relation {
         rel! {
@@ -222,17 +193,9 @@ mod tests {
     fn iter_and_field() {
         let r = sample();
         let c = r.column(1);
-        assert_eq!(c.field().dtype, DataType::Int);
         assert_eq!(c.len(), 4);
         let prices: Vec<i64> = c.iter().map(|v| v.as_int().unwrap()).collect();
         assert_eq!(prices, vec![30, 20, 30, 10]);
-    }
-
-    #[test]
-    fn ordinals_require_the_whole_column_on_axis() {
-        let r = sample();
-        assert_eq!(r.column(1).ordinals(), Some(vec![30.0, 20.0, 30.0, 10.0]));
-        assert_eq!(r.column(0).ordinals(), None); // strings are off-axis
     }
 
     #[test]
@@ -259,14 +222,117 @@ mod tests {
     }
 
     #[test]
-    fn columns_iterates_all() {
-        let r = sample();
-        assert_eq!(r.columns().count(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn column_bounds_checked() {
         sample().column(9);
+    }
+
+    /// `2⁵³`: every integer up to this magnitude is exact in an `f64`.
+    const EXACT: i64 = 1 << 53;
+
+    /// Edge values of `dtype`: ±0.0, ±∞, NaN payloads, ±2⁵³ and
+    /// ±(2⁵³ + 1), the ends of each range.
+    fn edges(dtype: DataType) -> Vec<Value> {
+        match dtype {
+            DataType::Int => [
+                0,
+                1,
+                -1,
+                EXACT,
+                -EXACT,
+                EXACT + 1,
+                -(EXACT + 1),
+                i64::MIN,
+                i64::MAX,
+            ]
+            .map(Value::Int)
+            .to_vec(),
+            DataType::Float => [
+                0.0,
+                -0.0,
+                1.0,
+                EXACT as f64,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                -f64::NAN,
+                f64::from_bits(0x7ff8_0000_0000_0001), // quiet NaN, other payload
+                f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+                f64::from_bits(1),                     // smallest subnormal
+            ]
+            .map(Value::Float)
+            .to_vec(),
+            DataType::Date => [0, 1, -1, i32::MIN, i32::MIN + 1, i32::MAX - 1, i32::MAX]
+                .map(|d| Value::Date(Date::from_days(d)))
+                .to_vec(),
+            DataType::Bool => vec![Value::Bool(false), Value::Bool(true)],
+            DataType::Str => vec![Value::from(""), Value::from("a")],
+        }
+    }
+
+    /// A value of `dtype`: one of its edges or an arbitrary one.
+    fn value_of(dtype: DataType) -> BoxedStrategy<Value> {
+        let arbitrary = match dtype {
+            DataType::Int => any::<i64>().prop_map(Value::Int).boxed(),
+            DataType::Float => any::<f64>().prop_map(Value::Float).boxed(),
+            DataType::Date => any::<i32>()
+                .prop_map(|d| Value::Date(Date::from_days(d)))
+                .boxed(),
+            DataType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
+            DataType::Str => "[a-c]{0,2}".prop_map(|s| Value::from(s.as_str())).boxed(),
+        };
+        let edges = edges(dtype);
+        prop_oneof![
+            (0..edges.len()).prop_map(move |i| edges[i].clone()),
+            arbitrary
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        /// The contract behind a single-numeric-column equality lane:
+        /// ints within ±2⁵³, floats, dates and bools get a code, and equal
+        /// codes ⟺ equal values (floats by bit pattern, so `0.0 ≠ -0.0`
+        /// and NaN payloads differ, as in `Value`'s order); strings, NULL
+        /// and ints beyond ±2⁵³ get none. Each case puts two drawn values
+        /// beside every edge value and a NULL in one column and checks
+        /// every pair.
+        #[test]
+        fn fingerprints_are_lossless_exactly_where_defined(
+            ints in (value_of(DataType::Int), value_of(DataType::Int)),
+            floats in (value_of(DataType::Float), value_of(DataType::Float)),
+            dates in (value_of(DataType::Date), value_of(DataType::Date)),
+            bools in (value_of(DataType::Bool), value_of(DataType::Bool)),
+            strs in (value_of(DataType::Str), value_of(DataType::Str)),
+        ) {
+            let coded = |v: &Value| match v {
+                Value::Int(i) => i.unsigned_abs() <= EXACT as u64,
+                Value::Str(_) | Value::Null => false,
+                _ => true,
+            };
+            for (dtype, (a, b)) in [
+                (DataType::Int, ints),
+                (DataType::Float, floats),
+                (DataType::Date, dates),
+                (DataType::Bool, bools),
+                (DataType::Str, strs),
+            ] {
+                let mut values = vec![a, b, Value::Null];
+                values.extend(edges(dtype));
+                let rows = values.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+                let r = Relation::from_rows(Schema::new(vec![("x", dtype)]).unwrap(), rows).unwrap();
+                let codes: Vec<_> = (0..r.len()).map(|i| r.column(0).fingerprint_at(i)).collect();
+                for (v, code) in values.iter().zip(&codes) {
+                    prop_assert_eq!(code.is_some(), coded(v), "{:?}", v);
+                }
+                for (v, cv) in values.iter().zip(&codes) {
+                    for (w, cw) in values.iter().zip(&codes) {
+                        if let (Some(cv), Some(cw)) = (cv, cw) {
+                            prop_assert_eq!(cv == cw, v == w, "{:?} vs {:?}", v, w);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

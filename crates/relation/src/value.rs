@@ -183,14 +183,6 @@ impl Value {
         }
     }
 
-    /// Boolean view without coercion.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Date view without coercion.
     pub fn as_date(&self) -> Option<Date> {
         match self {

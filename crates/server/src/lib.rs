@@ -4,9 +4,9 @@
 //! many interactive e-shopping sessions; this crate is that server. All
 //! sessions share one [`PrefSql`](pref_sql::PrefSql) database — one
 //! catalog, one [`Engine`](pref_query::Engine) — so a matrix any
-//! session warms is warm for every session, and the engine's sharded,
-//! read-mostly cache lets concurrent warm hits proceed without queuing
-//! on a global lock.
+//! session warms is warm for every session, and the engine's read-mostly
+//! caches let concurrent warm hits share a read lock instead of queuing
+//! behind one another.
 //!
 //! Three layers:
 //!

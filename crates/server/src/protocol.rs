@@ -54,7 +54,7 @@ pub enum Command {
     /// values override (and replace) any staged binding.
     Execute(String, Option<Vec<Value>>),
     /// `EXPLAIN` — how the session's *last* BMO stage resolved
-    /// (backend, cache tier, shard).
+    /// (backend, cache tier).
     Explain,
     /// `APPEND <table> <values…>` — append one row in place.
     Append(String, Vec<Value>),

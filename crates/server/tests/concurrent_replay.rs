@@ -72,7 +72,7 @@ fn four_concurrent_sessions_replay_the_customer_log_byte_identically() {
 
     // Under `--cfg lock_diag` builds, the replay above recorded every
     // catalog/cache acquisition in the lock-order graph and asserted
-    // every matrix build started outside the cache-shard locks (a
+    // every matrix build started outside the engine's cache locks (a
     // violation panics mid-run). Belt-and-braces: no cycle was recorded.
     assert!(
         parking_lot::lock_diag::cycle_report().is_none(),

@@ -78,8 +78,8 @@ fn tcp_mixed_workload_zero_errors_and_every_tier_warms() {
         .find(|l| l.starts_with("cache"))
         .expect("EXPLAIN reports the cache line");
     assert!(
-        cache_line.contains("shard") && cache_line.contains("tier"),
-        "EXPLAIN must name the serving shard and lock tier: {cache_line}"
+        cache_line.contains("window-hit"),
+        "EXPLAIN must name the serving status: {cache_line}"
     );
 
     // 9. A preference-side `$n` binds into the statement: the report of

@@ -2,7 +2,7 @@
 //! threads hammering one engine — ad-hoc WHERE statements, prepared and
 //! parameterized statements, interleaved mutations — must produce
 //! exactly the answers the same request sequences produce serially on a
-//! fresh engine. The sharded cache may change *how* a result is served
+//! fresh engine. The shared cache may change *how* a result is served
 //! (hit vs window vs rebuild, depending on interleaving); it must never
 //! change *what* is served.
 
