@@ -623,7 +623,8 @@ fn topk(h: &mut Harness) {
     )
     .expect("score operands");
     let (bmo, _) = h.sigma(&p, &r);
-    let top = h.engine.top_k(&p, &r, 10).expect("scored");
+    let top = (h.engine.prepare(&p, r.schema())).and_then(|q| q.top_k(&r, 10));
+    let top = top.expect("scored");
     println!(
         "  BMO result size: {} (rank(F) is almost a chain)",
         bmo.len()
@@ -739,8 +740,8 @@ fn optimizer_report(h: &mut Harness) {
         h.check("OPT", "matches the naive oracle", rows == naive);
     }
     // Grouping entry point (Def. 16).
-    let grouped = engine
-        .sigma_groupby(&around("price", 12_000), &AttrSet::single(attr("make")), &r)
+    let grouped = (engine.prepare(&around("price", 12_000), r.schema()))
+        .and_then(|q| q.sigma_groupby(&AttrSet::single(attr("make")), &r))
         .expect("compiles");
     h.check(
         "OPT",

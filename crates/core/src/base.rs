@@ -118,25 +118,6 @@ pub trait BasePreference: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Recover the LEVEL quality of a value from its
-    /// [`BasePreference::dominance_key`], when the two are in exact
-    /// correspondence (`level(v) = level_from_key(dominance_key(v))` for
-    /// every value with a key). Lets quality supervision (`BUT ONLY`)
-    /// read materialized score matrices instead of re-walking values;
-    /// `None` when the constructor has no discrete levels or the key
-    /// does not determine them.
-    fn level_from_key(&self, _key: f64) -> Option<u32> {
-        None
-    }
-
-    /// Recover the DISTANCE quality from the
-    /// [`BasePreference::dominance_key`] — the same contract as
-    /// [`BasePreference::level_from_key`], for the continuous quality
-    /// notion of AROUND/BETWEEN (which embed as negated distance).
-    fn distance_from_key(&self, _key: f64) -> Option<f64> {
-        None
-    }
-
     /// Is `v` in `max(P)` over the *whole domain* (a "dream value",
     /// Def. 14b)? `Some(false)` when certainly not (e.g. any value under
     /// HIGHEST on an unbounded domain), `None` when unknown. Drives

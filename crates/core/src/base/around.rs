@@ -62,11 +62,6 @@ impl BasePreference for Around {
         Some(-self.dist(v))
     }
 
-    // Exact inverse of the negated-distance embedding above.
-    fn distance_from_key(&self, key: f64) -> Option<f64> {
-        Some(-key)
-    }
-
     fn distance(&self, v: &Value) -> Option<f64> {
         Some(self.dist(v))
     }

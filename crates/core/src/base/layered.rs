@@ -118,11 +118,6 @@ impl BasePreference for Layered {
         Some(-(self.layer_of(v) as f64))
     }
 
-    // The key is the negated 0-based layer; levels are 1-based.
-    fn level_from_key(&self, key: f64) -> Option<u32> {
-        Some((-key) as u32 + 1)
-    }
-
     fn is_top(&self, v: &Value) -> Option<bool> {
         Some(self.layer_of(v) == 0)
     }

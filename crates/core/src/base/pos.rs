@@ -51,11 +51,6 @@ impl BasePreference for Pos {
         self.level(v).map(|l| -f64::from(l))
     }
 
-    // Exact inverse of the negated-level embedding above.
-    fn level_from_key(&self, key: f64) -> Option<u32> {
-        Some((-key) as u32)
-    }
-
     fn is_top(&self, v: &Value) -> Option<bool> {
         Some(self.pos.is_empty() || self.pos.contains(v))
     }

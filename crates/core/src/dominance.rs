@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use crate::base::BaseRef;
 use crate::matrix::ScoreMatrix;
 
 /// The granularity parallel BNL rounds its chunk boundaries to over a
@@ -300,17 +299,6 @@ impl MatrixWindow {
     #[inline]
     pub fn better(&self, x: usize, y: usize) -> bool {
         self.matrix.better(self.base_row(x), self.base_row(y))
-    }
-
-    /// [`ScoreMatrix::base_key_slot`], unchanged by windowing (slots are
-    /// per-term, not per-row).
-    pub fn base_key_slot(&self, col: usize, base: &BaseRef) -> Option<usize> {
-        self.matrix.base_key_slot(col, base)
-    }
-
-    /// The materialized dominance key of *view* row `row` in `slot`.
-    pub fn key_at(&self, row: usize, slot: usize) -> f64 {
-        self.matrix.key_at(self.base_row(row), slot)
     }
 }
 

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 
 use pref_relation::{Relation, Tuple};
 
-use crate::base::{base_eq, BaseRef, Reachability};
+use crate::base::{BaseRef, Reachability};
 use crate::eval::{rank_value, Child, Node};
 use crate::term::CombineFn;
 
@@ -65,12 +65,6 @@ pub struct ScoreMatrix {
     rows: usize,
     /// Slot-major dominance keys: `keys[slot][row]`.
     keys: Vec<Vec<f64>>,
-    /// Per key slot: the `(column, base preference)` whose
-    /// `dominance_key` filled it, for slots that came from a base
-    /// preference (`None` for `rank(F)` slots). Lets quality functions
-    /// (LEVEL/DISTANCE of `BUT ONLY`) read the materialized keys back
-    /// instead of re-walking values.
-    key_bases: Vec<Option<(usize, BaseRef)>>,
     /// Slot-major equality codes: `eqs[slot][row]`.
     eqs: Vec<Vec<u64>>,
     /// Per eq slot: is the encoding a pure per-row function (value
@@ -136,7 +130,6 @@ impl ScoreMatrix {
         Some(ScoreMatrix {
             rows: r.len(),
             keys,
-            key_bases: b.key_bases,
             eqs,
             eq_row_pure,
             plan,
@@ -155,7 +148,7 @@ impl ScoreMatrix {
 
     /// Number of materialized key columns.
     pub fn key_slots(&self) -> usize {
-        self.key_bases.len()
+        self.keys.len()
     }
 
     /// Number of materialized equality-id columns.
@@ -163,22 +156,7 @@ impl ScoreMatrix {
         self.eqs.len()
     }
 
-    /// The key slot filled by `base`'s `dominance_key` over column
-    /// `col`, when this matrix materialized that base preference
-    /// (identified like [`crate::base::base_eq`]: name + printed
-    /// parameters).
-    pub fn base_key_slot(&self, col: usize, base: &BaseRef) -> Option<usize> {
-        self.key_bases.iter().position(|slot| {
-            slot.as_ref()
-                .is_some_and(|(c, b)| *c == col && base_eq(b, base))
-        })
-    }
-
-    /// The materialized dominance key of `row` in `slot` (a
-    /// [`ScoreMatrix::base_key_slot`] result). The inverse quality
-    /// lookups [`crate::base::BasePreference::level_from_key`] /
-    /// [`distance_from_key`](crate::base::BasePreference::distance_from_key)
-    /// apply to exactly these values.
+    /// The materialized dominance key of `row` in key slot `slot`.
     #[inline]
     pub fn key_at(&self, row: usize, slot: usize) -> f64 {
         self.keys[slot][row]
@@ -418,8 +396,6 @@ impl EqSpec {
 #[derive(Default)]
 struct MatrixBuilder {
     key_specs: Vec<KeySpec>,
-    /// Per key slot: origin `(col, base)` for base-preference slots.
-    key_bases: Vec<Option<(usize, BaseRef)>>,
     eq_specs: Vec<EqSpec>,
     /// Dedup equality slots by their column signature — Pareto and Prior
     /// operands over the same attribute set share one encoding.
@@ -449,23 +425,17 @@ impl MatrixBuilder {
                         reach,
                     });
                 }
-                Some(ScorePlan::Key(self.push_key(
-                    KeySpec::Base {
-                        col: *col,
-                        base: base.clone(),
-                    },
-                    Some((*col, base.clone())),
-                )))
+                Some(ScorePlan::Key(self.push_key(KeySpec::Base {
+                    col: *col,
+                    base: base.clone(),
+                })))
             }
             Node::Antichain => Some(ScorePlan::Antichain),
             Node::Dual(inner) => Some(ScorePlan::Dual(Box::new(self.plan(inner)?))),
-            Node::Rank { combine, inputs } => Some(ScorePlan::Key(self.push_key(
-                KeySpec::Rank {
-                    combine: combine.clone(),
-                    inputs: inputs.clone(),
-                },
-                None,
-            ))),
+            Node::Rank { combine, inputs } => Some(ScorePlan::Key(self.push_key(KeySpec::Rank {
+                combine: combine.clone(),
+                inputs: inputs.clone(),
+            }))),
             Node::Pareto(children) => {
                 let built = self.children(children)?;
                 // Flatten all-key Pareto terms into the tight loop.
@@ -501,9 +471,8 @@ impl MatrixBuilder {
             .collect()
     }
 
-    fn push_key(&mut self, spec: KeySpec, origin: Option<(usize, BaseRef)>) -> usize {
+    fn push_key(&mut self, spec: KeySpec) -> usize {
         self.key_specs.push(spec);
-        self.key_bases.push(origin);
         self.key_specs.len() - 1
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Kießling's BMO semantics make a winnow result a pure function of
 //! `(preference, relation)`, so the concurrent server is only correct if
-//! locking stays *invisible*: a warm hit takes exactly one cache-shard
-//! read lock, matrix builds run outside the engine's cache locks, and
+//! locking stays *invisible*: a warm hit takes exactly one cache read
+//! lock, matrix builds run outside the engine's cache locks, and
 //! statistics are lock-free. Those rules used to live in doc comments;
 //! this crate machine-checks them on every CI run.
 //!
@@ -32,8 +32,7 @@
 //! | `ordering-documented`          | every atomic `Ordering::*` use carries a rationale comment |
 //! | `seqcst-suspect`               | `Ordering::SeqCst` needs an explicit suppression (it is almost never what the code means) |
 //! | `no-panic-in-connection-path`  | no `unwrap`/`expect`/`panic!` in `crates/server/src` non-test code |
-//! | `shard-count-pow2`             | `*SHARD*` consts that feed mask addressing are literal powers of two |
-//! | `cache-key-discipline`         | every `MatrixKey` construction ends in the term fingerprint (the shard selector) |
+//! | `cost-constant-documented`     | every `COST_*` / `PLANNER_*` planner constant carries a rationale comment |
 
 pub mod lexer;
 pub mod rules;
@@ -73,8 +72,6 @@ pub const ALL_RULES: &[&str] = &[
     rules::ORDERING_DOCUMENTED,
     rules::SEQCST_SUSPECT,
     rules::NO_PANIC_IN_CONNECTION_PATH,
-    rules::SHARD_COUNT_POW2,
-    rules::CACHE_KEY_DISCIPLINE,
     rules::COST_CONSTANT_DOCUMENTED,
 ];
 

@@ -19,10 +19,6 @@ pub const ORDERING_DOCUMENTED: &str = "ordering-documented";
 pub const SEQCST_SUSPECT: &str = "seqcst-suspect";
 /// R4: no panicking call in the server's connection path.
 pub const NO_PANIC_IN_CONNECTION_PATH: &str = "no-panic-in-connection-path";
-/// R5a: `*SHARD*` constants feeding mask addressing are powers of two.
-pub const SHARD_COUNT_POW2: &str = "shard-count-pow2";
-/// R5b: `MatrixKey` constructions end in the term fingerprint.
-pub const CACHE_KEY_DISCIPLINE: &str = "cache-key-discipline";
 /// R7: every planner cost-model constant carries a rationale comment.
 pub const COST_CONSTANT_DOCUMENTED: &str = "cost-constant-documented";
 
@@ -34,8 +30,6 @@ pub fn run_all(display_path: &str, lx: &Lexed) -> Vec<Diagnostic> {
     parking_lot_only(display_path, lx, &mut out);
     ordering_documented(display_path, lx, &mut out);
     no_panic_in_connection_path(display_path, lx, &mut out);
-    shard_count_pow2(display_path, lx, &mut out);
-    cache_key_discipline(display_path, lx, &mut out);
     cost_constant_documented(display_path, lx, &mut out);
     out
 }
@@ -431,138 +425,6 @@ fn no_panic_in_connection_path(path: &str, lx: &Lexed, out: &mut Vec<Diagnostic>
 }
 
 // ---------------------------------------------------------------------
-// R5a — shard-count-pow2
-// ---------------------------------------------------------------------
-
-/// `const NAME: _ = <literal>;` where NAME contains `SHARD` must be a
-/// power of two: shard selection uses mask addressing (`fp & (N - 1)`),
-/// which silently drops shards for any other value.
-fn shard_count_pow2(path: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
-    let toks = &lx.tokens;
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if ident(&toks[i]) != Some("const") {
-            i += 1;
-            continue;
-        }
-        let Some(name) = toks.get(i + 1).and_then(ident) else {
-            i += 1;
-            continue;
-        };
-        if !name.contains("SHARD") {
-            i += 1;
-            continue;
-        }
-        // Find `= <num> ;` — a single literal; computed values are out
-        // of a lexer's reach and stay unchecked.
-        let mut j = i + 2;
-        while j < toks.len() && !is_punct(&toks[j], '=') && !is_punct(&toks[j], ';') {
-            j += 1;
-        }
-        if j + 2 < toks.len() && is_punct(&toks[j], '=') && is_punct(&toks[j + 2], ';') {
-            if let Tok::Num(raw) = &toks[j + 1].tok {
-                match parse_int(raw) {
-                    Some(v) if v.is_power_of_two() => {}
-                    Some(v) => out.push(Diagnostic {
-                        file: path.to_string(),
-                        line: toks[j + 1].line,
-                        rule: SHARD_COUNT_POW2,
-                        message: format!(
-                            "`{name} = {v}` is not a power of two — mask addressing \
-                             (`x & ({name} - 1)`) would skip shards"
-                        ),
-                    }),
-                    None => {}
-                }
-            }
-        }
-        i = j.max(i + 1);
-    }
-}
-
-/// Parse an integer literal with `_` separators, radix prefix and type
-/// suffix (`32_768`, `0xFFusize`).
-fn parse_int(raw: &str) -> Option<u128> {
-    let s: String = raw.chars().filter(|c| *c != '_').collect();
-    let (radix, digits) = match s.as_bytes() {
-        [b'0', b'x', ..] => (16, &s[2..]),
-        [b'0', b'o', ..] => (8, &s[2..]),
-        [b'0', b'b', ..] => (2, &s[2..]),
-        _ => (10, s.as_str()),
-    };
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return None;
-    }
-    u128::from_str_radix(&digits[..end], radix).ok()
-}
-
-// ---------------------------------------------------------------------
-// R5b — cache-key-discipline
-// ---------------------------------------------------------------------
-
-/// Every `MatrixKey::Variant(...)` construction (and pattern) must end
-/// in the term fingerprint — `fp`, or something named `*fingerprint*`.
-/// The cache shards by `key.fingerprint()`; a key whose last field is
-/// anything else would be filed in one shard and probed in another.
-fn cache_key_discipline(path: &str, lx: &Lexed, out: &mut Vec<Diagnostic>) {
-    let toks = &lx.tokens;
-    let mut i = 0;
-    while i + 4 < toks.len() {
-        let is_key = ident(&toks[i]) == Some("MatrixKey")
-            && is_punct(&toks[i + 1], ':')
-            && is_punct(&toks[i + 2], ':')
-            && ident(&toks[i + 3]).is_some()
-            && is_punct(&toks[i + 4], '(');
-        if !is_key {
-            i += 1;
-            continue;
-        }
-        let variant = ident(&toks[i + 3]).unwrap_or_default().to_string();
-        let line = toks[i + 4].line;
-        // Collect the last top-level argument's tokens.
-        let mut j = i + 5;
-        let mut depth = 1i32;
-        let mut last_arg: Vec<&Token> = Vec::new();
-        while j < toks.len() && depth > 0 {
-            match &toks[j].tok {
-                Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => {
-                    depth += 1;
-                    last_arg.push(&toks[j]);
-                }
-                Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => {
-                    depth -= 1;
-                    if depth > 0 {
-                        last_arg.push(&toks[j]);
-                    }
-                }
-                Tok::Punct(',') if depth == 1 => last_arg.clear(),
-                _ => last_arg.push(&toks[j]),
-            }
-            j += 1;
-        }
-        let fingerprint_last = last_arg.iter().any(|t| {
-            ident(t).is_some_and(|s| s == "fp" || s.to_ascii_lowercase().contains("fingerprint"))
-        });
-        if !fingerprint_last {
-            out.push(Diagnostic {
-                file: path.to_string(),
-                line,
-                rule: CACHE_KEY_DISCIPLINE,
-                message: format!(
-                    "`MatrixKey::{variant}` does not end in the term fingerprint \
-                     (`fp` / `*fingerprint*`) — the cache shards by the key's \
-                     final field, so every key kind must put the fingerprint last"
-                ),
-            });
-        }
-        i = j;
-    }
-}
-
-// ---------------------------------------------------------------------
 // R7 — cost-constant-documented
 // ---------------------------------------------------------------------
 
@@ -687,24 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn r5_pow2_and_key_discipline() {
-        assert!(check("a.rs", "const CACHE_SHARDS: usize = 16;\n").is_empty());
-        let d = check("a.rs", "const CACHE_SHARDS: usize = 12;\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, SHARD_COUNT_POW2);
-
-        assert!(check("a.rs", "let k = MatrixKey::Generation(g, fp);\n").is_empty());
-        assert!(check(
-            "a.rs",
-            "let k = MatrixKey::Derived(g, p, c.fingerprint());\n"
-        )
-        .is_empty());
-        let d = check("a.rs", "let k = MatrixKey::Generation(fp, gen);\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, CACHE_KEY_DISCIPLINE);
-    }
-
-    #[test]
     fn r7_requires_rationale_on_cost_constants() {
         let bare = "const COST_SCAN_FACTOR: f64 = 0.25;\n";
         let d = check("crates/query/src/plan.rs", bare);
@@ -737,13 +581,5 @@ mod tests {
             d.iter().any(|d| d.message.contains("requires a reason")),
             "{d:?}"
         );
-    }
-
-    #[test]
-    fn parse_int_handles_radix_suffix_and_separators() {
-        assert_eq!(parse_int("32_768"), Some(32_768));
-        assert_eq!(parse_int("0xFFusize"), Some(255));
-        assert_eq!(parse_int("16"), Some(16));
-        assert_eq!(parse_int("0b1010"), Some(10));
     }
 }

@@ -250,88 +250,20 @@ impl HardExpr {
     /// A stable structural fingerprint of this hard condition: equal for
     /// structurally equal conditions (same shape, columns, operators and
     /// literal values), distinct with overwhelming probability otherwise,
-    /// and reproducible across processes (no hash-map iteration, no
-    /// default-hasher keys). This is the *predicate fingerprint* of the
-    /// derived view a WHERE clause produces
+    /// and reproducible across processes. This is the *predicate
+    /// fingerprint* of the derived view a WHERE clause produces
     /// ([`pref_relation::Relation::select_derived`]) — the key that lets
     /// the engine recognize a repeated WHERE over an unchanged table.
     ///
-    /// Placeholders must be bound before fingerprinting (the executor
-    /// fingerprints the *bound* condition); an unbound `$n` fingerprints
-    /// by its index, which is still sound — it simply never matches a
-    /// bound variant.
+    /// It hashes the tree's derived `Debug` rendering, the rule the
+    /// preference clauses of a `$n` statement use too: variant names tag
+    /// every node and literal type, strings are quoted and escaped, and
+    /// floats keep their sign (`-0.0`). Placeholders must be bound before
+    /// fingerprinting (the executor fingerprints the *bound* condition);
+    /// an unbound `$n` fingerprints by its index, which is still sound —
+    /// it simply never matches a bound variant.
     pub fn fingerprint(&self) -> u64 {
-        let mut buf = Vec::new();
-        self.fingerprint_into(&mut buf);
-        pref_relation::predicate_fingerprint(&buf)
-    }
-
-    fn fingerprint_into(&self, buf: &mut Vec<u8>) {
-        fn str_into(s: &str, buf: &mut Vec<u8>) {
-            buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
-        }
-        fn lit_into(l: &Literal, buf: &mut Vec<u8>) {
-            match l {
-                Literal::Int(v) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                Literal::Float(v) => {
-                    buf.push(2);
-                    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-                Literal::Str(s) => {
-                    buf.push(3);
-                    str_into(s, buf);
-                }
-                Literal::Bool(b) => buf.extend_from_slice(&[4, u8::from(*b)]),
-                Literal::Param(n) => {
-                    buf.push(5);
-                    buf.extend_from_slice(&(*n as u64).to_le_bytes());
-                }
-                Literal::Date(d) => {
-                    buf.push(6);
-                    buf.extend_from_slice(&d.days().to_le_bytes());
-                }
-            }
-        }
-        match self {
-            HardExpr::Cmp(a, op, l) => {
-                buf.push(10);
-                str_into(a, buf);
-                buf.push(*op as u8);
-                lit_into(l, buf);
-            }
-            HardExpr::Between(a, lo, hi) => {
-                buf.push(11);
-                str_into(a, buf);
-                lit_into(lo, buf);
-                lit_into(hi, buf);
-            }
-            HardExpr::In(a, ls, negated) => {
-                buf.push(12);
-                str_into(a, buf);
-                buf.push(u8::from(*negated));
-                buf.extend_from_slice(&(ls.len() as u64).to_le_bytes());
-                for l in ls {
-                    lit_into(l, buf);
-                }
-            }
-            HardExpr::And(l, r) | HardExpr::Or(l, r) => {
-                buf.push(if matches!(self, HardExpr::And(..)) {
-                    13
-                } else {
-                    14
-                });
-                l.fingerprint_into(buf);
-                r.fingerprint_into(buf);
-            }
-            HardExpr::Not(inner) => {
-                buf.push(15);
-                inner.fingerprint_into(buf);
-            }
-        }
+        pref_relation::predicate_fingerprint(format!("{self:?}").as_bytes())
     }
 
     /// Visit every column name the condition reads — the input to the
@@ -528,6 +460,18 @@ mod tests {
             HardExpr::Between("price".into(), Literal::Int(2), Literal::Int(1)),
             HardExpr::In("make".into(), vec![Literal::Str("Opel".into())], false),
             HardExpr::In("make".into(), vec![Literal::Str("Opel".into())], true),
+            cmp("price", CmpOp::Eq, Literal::Float(0.0)),
+            cmp("price", CmpOp::Eq, Literal::Float(-0.0)),
+            cmp("price", CmpOp::Eq, Literal::Str("1".into())),
+            cmp("price", CmpOp::Eq, Literal::Param(1)),
+            // A string that embeds the rendering's own separators: plain
+            // concatenation of the two IN lists would collide.
+            HardExpr::In("make".into(), vec![Literal::Str(r#"a", "b"#.into())], false),
+            HardExpr::In(
+                "make".into(),
+                vec![Literal::Str("a".into()), Literal::Str("b".into())],
+                false,
+            ),
         ];
         let fps: Vec<u64> = distinct.iter().map(HardExpr::fingerprint).collect();
         for i in 0..fps.len() {

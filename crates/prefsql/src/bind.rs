@@ -10,6 +10,11 @@
 //! without preference-side placeholders takes that path once, at
 //! compile time, and every execution borrows the prepared query. An ad
 //! hoc statement is simply one that binds the empty parameter list.
+//!
+//! Either way a statement with a preference clause runs on exactly one
+//! [`Prepared`] per execution: the BMO winnow, TOP's k-best relaxation,
+//! GROUP BY's per-group windows and EXPLAIN's plan are all operators of
+//! it, and this module is the only caller of [`Engine::prepare`].
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -46,16 +51,11 @@ pub(crate) struct CompiledStatement {
 /// The PREFERRING/CASCADE clauses of a statement, compiled.
 #[derive(Debug)]
 pub(crate) enum PrefStage {
-    /// No `$n` in the clauses: the term, rewritten once, and — for a
-    /// plain BMO statement — the engine-prepared query every execution
-    /// borrows. TOP and GROUP BY run through their own engine entry
-    /// points, and EXPLAIN plans the term itself.
-    Concrete {
-        term: Pref,
-        prepared: Option<Box<Prepared>>,
-    },
+    /// No `$n` in the clauses: the term, rewritten once, and the
+    /// engine-prepared query every execution borrows.
+    Concrete { term: Pref, prepared: Box<Prepared> },
     /// `$n` in the clauses: every execution substitutes its values and
-    /// compiles the concrete term it gets.
+    /// prepares the concrete term it gets.
     Parameterized {
         /// PREFERRING, then each CASCADE, with `$n` in place.
         clauses: Vec<PrefExpr>,
@@ -83,12 +83,6 @@ impl CompiledStatement {
             pref: PrefStage::compile(engine, q, table.schema()),
         }
     }
-}
-
-/// Does `q` run its BMO stage through a prepared engine query? TOP and
-/// GROUP BY have their own engine entry points, EXPLAIN only plans.
-fn is_plain(q: &Query) -> bool {
-    !q.explain && q.top.is_none() && q.group_by.is_empty()
 }
 
 /// The term of a statement's preference clauses: PREFERRING … CASCADE …
@@ -121,26 +115,24 @@ impl PrefStage {
             }));
         }
         let term = term_of(&clauses, schema, &q.table)?;
-        let prepared = is_plain(q)
-            .then(|| engine.prepare(&term, schema).map(Box::new))
-            .transpose()?;
+        let prepared = Box::new(engine.prepare(&term, schema)?);
         Ok(Some(PrefStage::Concrete { term, prepared }))
     }
 
-    /// The concrete term this execution of `q` evaluates and, for a
-    /// plain BMO statement, the engine query that runs it: the compiled
-    /// ones, borrowed, or — with `$n` in the clauses — the ones the
-    /// clauses give with `params` substituted.
+    /// The concrete term this execution of `q` evaluates and the engine
+    /// query that runs it: the compiled ones, borrowed, or — with `$n`
+    /// in the clauses — the ones the clauses give with `params`
+    /// substituted.
     pub(crate) fn bind(
         &self,
         engine: &Engine,
         q: &Query,
         schema: &Schema,
         params: &[Value],
-    ) -> Result<(Pref, Option<Cow<'_, Prepared>>), SqlError> {
+    ) -> Result<(Pref, Cow<'_, Prepared>), SqlError> {
         let clauses = match self {
             PrefStage::Concrete { term, prepared } => {
-                return Ok((term.clone(), prepared.as_deref().map(Cow::Borrowed)))
+                return Ok((term.clone(), Cow::Borrowed(prepared)))
             }
             PrefStage::Parameterized { clauses, .. } => clauses,
         };
@@ -150,10 +142,8 @@ impl PrefStage {
             .map(|c| c.map_literals(&mut bind))
             .collect::<Result<Vec<_>, _>>()?;
         let term = term_of(&bound, schema, &q.table)?;
-        let prepared = is_plain(q)
-            .then(|| engine.prepare(&term, schema))
-            .transpose()?;
-        Ok((term, prepared.map(Cow::Owned)))
+        let prepared = engine.prepare(&term, schema)?;
+        Ok((term, Cow::Owned(prepared)))
     }
 
     /// The statement fingerprint a bound execution reports (`None`

@@ -16,11 +16,12 @@
 //! into the AST as the literal it stands for (`bind`); stage 1 is
 //! `pushdown`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pref_core::term::Pref;
-use pref_query::{Engine, Explain, Optimizer};
+use pref_query::{Algorithm, Engine, Explain, Optimizer, Prepared};
 use pref_relation::{AttrSet, DataType, Relation, Schema, Value};
 
 use crate::ast::{DeleteStmt, Query, SelectList, Statement};
@@ -38,7 +39,8 @@ pub struct QueryResult {
     pub relation: Relation,
     /// The preference term that was evaluated, if any.
     pub preference: Option<Pref>,
-    /// Optimizer explanation for the BMO stage, if any.
+    /// The report of the preference stage, if any: the BMO winnow, or
+    /// the TOP (k-best) or GROUP BY operator that produced the rows.
     pub explain: Option<Explain>,
     /// Rows scanned after the WHERE stage (for stats/EXPLAIN).
     pub candidates: usize,
@@ -93,11 +95,12 @@ impl PrefSql {
     /// re-registering a rebuilt table, this keeps the relation's
     /// mutation [`Delta`](pref_relation::Delta) intact, so the next
     /// query over the table first *maintains* its cached BMO result
-    /// against the appended row (`CacheStatus::MaintainedHit`). Only the
-    /// callers that read the score matrix directly — `GROUP BY`, `TOP`,
-    /// `BUT ONLY`, and a parameterized `WHERE` keeping the table's matrix
-    /// warm for its windows — rebuild it, and incrementally: the appended
-    /// row is the only one encoded (`CacheStatus::ShardHit`).
+    /// against the appended row (`CacheStatus::MaintainedHit`); `BUT
+    /// ONLY` then reads the values of the result rows and builds no
+    /// matrix. Only the operators that read the score matrix directly —
+    /// `GROUP BY`, `TOP`, and a parameterized `WHERE` keeping the table's
+    /// matrix warm for its windows — rebuild it, and incrementally: the
+    /// appended row is the only one encoded (`CacheStatus::ShardHit`).
     pub fn append_row(&mut self, table: &str, values: Vec<Value>) -> Result<(), SqlError> {
         self.catalog.get_mut(table)?.push_values(values)?;
         Ok(())
@@ -228,37 +231,24 @@ impl PrefSql {
         let base = base.as_ref();
         let candidates = base.len();
 
-        // 2. The preference term: compiled once, or — with `$n` in the
-        //    preference clauses — rewritten from the bound AST now.
+        // 2. The preference stage: the statement's one prepared query,
+        //    compiled once — or, with `$n` in the preference clauses,
+        //    rewritten and prepared from the bound AST now.
         let stage = c.pref.as_ref().map_err(Clone::clone)?.as_ref();
-        let (preference, exec) = match stage {
-            Some(stage) => {
-                let (term, exec) = stage.bind(&self.engine, q, table.schema(), params)?;
-                (Some(term), exec)
-            }
-            None => (None, None),
-        };
+        let bound = (stage.map(|s| s.bind(&self.engine, q, table.schema(), params))).transpose()?;
         if q.explain {
-            return self.explain(q, base, candidates, pushed, preference);
+            return self.explain(q, base, candidates, pushed, bound);
         }
 
-        let (rows, explain) = match (stage, &preference) {
-            (Some(stage), Some(pref)) => {
-                if let Some(k) = top {
+        let (rows, explain) = match (stage, &bound) {
+            (Some(stage), Some((_, exec))) => {
+                let (rows, mut explain) = if let Some(k) = top {
                     // §6.2 k-best: BMO first, then deeper quality levels —
-                    // the level graph runs on the engine-cached matrix.
-                    (self.engine.k_best(pref, base, k)?, None)
-                } else if let Some(exec) = exec {
-                    if c.hard_is_parameterized && stage.binding_recurs(&exec) {
-                        let _ = exec.matrix(table);
-                    }
-                    let (rows, mut explain) = exec.execute(base)?.into_parts();
-                    if let Some(fp) = stage.shape_fingerprint() {
-                        explain.shape_fingerprint = Some(fp);
-                        explain.binding = Some(params.to_vec());
-                    }
-                    (rows, Some(explain))
-                } else {
+                    // the level graph runs on the statement's matrix.
+                    let reason = format!("k-best relaxation to {k} rows (§6.2)");
+                    let report = exec.explain_as(base, Algorithm::Naive, reason);
+                    (exec.k_best(base, k)?, report)
+                } else if !q.group_by.is_empty() {
                     let attrs = AttrSet::new(q.group_by.iter().map(String::as_str));
                     for a in attrs.iter() {
                         if base.schema().index_of(a).is_none() {
@@ -268,18 +258,31 @@ impl PrefSql {
                             });
                         }
                     }
-                    (self.engine.sigma_groupby(pref, &attrs, base)?, None)
+                    (
+                        exec.sigma_groupby(&attrs, base)?,
+                        grouping_report(q, exec, base),
+                    )
+                } else {
+                    if c.hard_is_parameterized && stage.binding_recurs(exec) {
+                        let _ = exec.matrix(table);
+                    }
+                    exec.execute(base)?.into_parts()
+                };
+                if let Some(fp) = stage.shape_fingerprint() {
+                    explain.shape_fingerprint = Some(fp);
+                    explain.binding = Some(params.to_vec());
                 }
+                (rows, Some(explain))
             }
             _ => ((0..base.len()).collect::<Vec<_>>(), None),
         };
 
-        // 3. BUT ONLY quality supervision — on the matrix the BMO stage
-        //    just used, where the backend supports it.
-        let rows = match (&preference, q.but_only.is_empty()) {
-            (Some(pref), false) => {
+        // 3. BUT ONLY quality supervision: LEVEL/DISTANCE of each
+        //    surviving row's values.
+        let rows = match (&bound, q.but_only.is_empty()) {
+            (Some((pref, _)), false) => {
                 let filter = quality_to_filter(&q.but_only, base.schema(), &q.table)?;
-                filter.filter_rows_with(&self.engine, pref, base, &rows)?
+                filter.filter_rows(pref, base, &rows)?
             }
             _ => rows,
         };
@@ -310,7 +313,7 @@ impl PrefSql {
 
         Ok(QueryResult {
             relation,
-            preference,
+            preference: bound.map(|(pref, _)| pref),
             explain,
             candidates,
         })
@@ -324,7 +327,7 @@ impl PrefSql {
         base: &Relation,
         candidates: usize,
         pushed: bool,
-        preference: Option<Pref>,
+        bound: Option<(Pref, Cow<'_, Prepared>)>,
     ) -> Result<QueryResult, SqlError> {
         let mut lines: Vec<String> = vec![format!(
             "scan       : {} ({} candidate rows after WHERE)",
@@ -337,23 +340,18 @@ impl PrefSql {
                     .to_string(),
             );
         }
-        let explain = match &preference {
+        let explain = match &bound {
             None => {
                 lines.push("preference : none (exact-match query)".to_string());
                 None
             }
-            Some(pref) if q.group_by.is_empty() => {
-                let plan = self.engine.prepare(pref, base.schema())?.explain(base);
+            Some((_, exec)) => {
+                let plan = match q.group_by.is_empty() {
+                    true => exec.explain(base),
+                    false => grouping_report(q, exec, base),
+                };
                 lines.extend(plan.lines());
                 Some(plan)
-            }
-            Some(pref) => {
-                lines.push(format!("preference : {pref}"));
-                lines.push(format!(
-                    "algorithm  : hash grouping by {} (Def. 16)",
-                    q.group_by.join(", ")
-                ));
-                None
             }
         };
         // Post-BMO stages must appear in the plan exactly as — and in
@@ -382,11 +380,21 @@ impl PrefSql {
         }
         Ok(QueryResult {
             relation,
-            preference,
+            preference: bound.map(|(pref, _)| pref),
             explain,
             candidates,
         })
     }
+}
+
+/// The report of a GROUP BY statement: its prepared query's plan, run as
+/// one BNL window per group of equal grouping values (Def. 16).
+fn grouping_report(q: &Query, exec: &Prepared, base: &Relation) -> Explain {
+    let reason = format!(
+        "hash grouping by {}: one BNL window per group (Def. 16)",
+        q.group_by.join(", ")
+    );
+    exec.explain_as(base, Algorithm::Bnl, reason)
 }
 
 /// A parsed Preference SQL statement with `$n` parameter placeholders —
@@ -422,9 +430,8 @@ impl PreparedStatement {
     }
 
     /// Is the statement compiled against its table — the preference term
-    /// built and, for plain BMO statements, the engine query prepared
-    /// (with `$n` in the preference clauses: the clauses kept for
-    /// per-execution binding)? True from
+    /// built and the engine query prepared (with `$n` in the preference
+    /// clauses: the clauses kept for per-execution binding)? True from
     /// [`PrefSql::prepare`] on when the table was registered by then,
     /// otherwise from the first execution that finds it.
     pub fn is_precompiled(&self) -> bool {
@@ -458,6 +465,7 @@ impl PreparedStatement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::PrefStage;
     use pref_relation::{rel, Value};
 
     fn session() -> PrefSql {
@@ -634,6 +642,36 @@ mod tests {
             .execute("SELECT TOP 99 * FROM car PREFERRING LOWEST(price)")
             .unwrap();
         assert_eq!(all.relation.len(), 5);
+    }
+
+    #[test]
+    fn but_only_after_an_append_serves_the_maintained_result() {
+        let mut s = session();
+        let sql = "SELECT * FROM car PREFERRING price AROUND 40000 AND LOWEST(mileage) \
+                   BUT ONLY DISTANCE(price) <= 1000";
+        s.execute(sql).unwrap();
+        // A new best match inside the bound: the maintained result grows.
+        let vw = ["VW", "van", "white"].map(Value::from);
+        let vw = vw.into_iter().chain([40_500, 100, 25_000].map(Value::from));
+        s.append_row("car", vw.collect()).unwrap();
+        let before = s.engine().cache_stats();
+        let res = s.execute(sql).unwrap();
+        assert_eq!(
+            res.explain.expect("BMO stage ran").cache,
+            pref_query::CacheStatus::MaintainedHit
+        );
+        let after = s.engine().cache_stats();
+        assert_eq!(
+            (after.shard_hits, after.misses, after.entries),
+            (before.shard_hits, before.misses, before.entries),
+            "BUT ONLY reads values: no matrix is rebuilt after the append"
+        );
+        // The answer a fresh session gives over the same rows.
+        let mut fresh = PrefSql::new();
+        fresh.register("car", s.catalog().get("car").unwrap().clone());
+        let expected = fresh.execute(sql).unwrap().relation;
+        assert_eq!(res.relation.to_string(), expected.to_string());
+        assert_eq!(res.relation.len(), 2);
     }
 
     #[test]
@@ -1492,16 +1530,18 @@ mod tests {
         for (sql, fingerprint) in cases {
             let s = session();
             let adhoc = s.execute(sql);
-            let prepared = s.prepare(sql).and_then(|stmt| stmt.execute(&s, &[]));
+            let stmt = s.prepare(sql);
+            let prepared = (stmt.as_ref().map_err(Clone::clone)).and_then(|st| st.execute(&s, &[]));
             match (adhoc, prepared) {
                 (Ok(a), Ok(p)) => {
                     assert_eq!(a.relation.to_string(), p.relation.to_string(), "{sql}");
                     assert_eq!(a.preference, p.preference, "{sql}");
                     if let Some(fp) = fingerprint {
-                        let schema = s.catalog().get("car").unwrap().schema();
-                        let term = a.preference.expect("preference statement");
-                        let q = s.engine().prepare(&term, schema).unwrap();
-                        assert_eq!(q.fingerprint(), fp, "fingerprint moved: {sql}");
+                        let c = stmt.unwrap().compiled.lock().clone().expect("compiled");
+                        let Ok(Some(PrefStage::Concrete { prepared, .. })) = &c.pref else {
+                            panic!("{sql} prepares at compile time");
+                        };
+                        assert_eq!(prepared.fingerprint(), fp, "fingerprint moved: {sql}");
                         // Same term, same table: one cache entry for both.
                         assert_eq!(
                             p.explain.expect("BMO stage ran").cache,

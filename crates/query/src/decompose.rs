@@ -21,7 +21,7 @@ use pref_core::term::Pref;
 use pref_relation::{predicate_fingerprint, Relation};
 
 use crate::algorithms::bnl::{bnl_generic, bnl_matrix};
-use crate::engine::Engine;
+use crate::engine::{Engine, Prepared};
 use crate::error::QueryError;
 
 impl Engine {
@@ -89,13 +89,14 @@ fn eval(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryE
             if a1.is_disjoint(&rest.attributes()) {
                 // Prop. 10: grouping — over the engine's shared matrix.
                 let s1: HashSet<usize> = eval(engine, &p1, r)?.into_iter().collect();
-                let grouped = engine.sigma_groupby(&rest, &a1, r)?;
+                let rest = engine.prepare(&rest, r.schema())?;
+                let grouped = rest.sigma_groupby(&a1, r)?;
                 return Ok(grouped.into_iter().filter(|i| s1.contains(i)).collect());
             }
             // Shared attributes: no decomposition theorem — evaluate
             // directly (the optimizer's rewrite pass usually removes
             // this case via Prop. 4a first).
-            direct(engine, pref, r)
+            Ok(direct(&engine.prepare(pref, r.schema())?, r))
         }
         Pref::Pareto(children) if children.len() >= 2 => {
             // Prop. 5 / Prop. 12: ⊗ → (&, &) ♦-composition, then recurse.
@@ -112,7 +113,7 @@ fn eval(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryE
             eval(engine, &nondiscrimination, r)
         }
         // Leaves and terms without a decomposition: direct evaluation.
-        _ => direct(engine, pref, r),
+        _ => Ok(direct(&engine.prepare(pref, r.schema())?, r)),
     }
 }
 
@@ -123,12 +124,11 @@ fn eval(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryE
 /// re-enter algorithm selection (infinite recursion under a forced
 /// `Decomposed`), while the decomposition's fallback is BNL by
 /// construction.
-fn direct(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryError> {
-    let q = engine.prepare(pref, r.schema())?;
-    Ok(match q.matrix(r) {
+fn direct(q: &Prepared, r: &Relation) -> Vec<usize> {
+    match q.matrix(r) {
         Some(m) => bnl_matrix(&m),
         None => bnl_generic(q.compiled(), r),
-    })
+    }
 }
 
 impl Engine {
@@ -234,10 +234,11 @@ impl Engine {
             });
         }
 
-        let s1: HashSet<usize> = direct(self, p1, r)?.into_iter().collect();
-        let s2: HashSet<usize> = direct(self, p2, r)?.into_iter().collect();
-        let g1 = self.sigma_groupby(p2, &a1, r)?; // σ[P2 groupby A1](R)
-        let g2 = self.sigma_groupby(p1, &a2, r)?; // σ[P1 groupby A2](R)
+        let (q1, q2) = (self.prepare(p1, r.schema())?, self.prepare(p2, r.schema())?);
+        let s1: HashSet<usize> = direct(&q1, r).into_iter().collect();
+        let s2: HashSet<usize> = direct(&q2, r).into_iter().collect();
+        let g1 = q2.sigma_groupby(&a1, r)?; // σ[P2 groupby A1](R)
+        let g2 = q1.sigma_groupby(&a2, r)?; // σ[P1 groupby A2](R)
 
         let first: Vec<usize> = g1.into_iter().filter(|i| s1.contains(i)).collect();
         let second: Vec<usize> = g2.into_iter().filter(|i| s2.contains(i)).collect();

@@ -531,21 +531,6 @@ impl Engine {
                 .insert((r.generation(), fp), Arc::new(state));
         }
     }
-
-    /// The cached (or freshly built and cached) score matrix view for
-    /// `pref` over `r`, or `None` when the term does not materialize on
-    /// `r` (or materialization is disabled). This is the handle the
-    /// decomposition evaluator and the quality machinery use to run
-    /// their per-tuple work on the columnar backend the preference stage
-    /// already paid for — possibly a [`MatrixWindow`] onto the base's
-    /// cached matrix when `r` is a row-id view.
-    pub fn matrix_for(
-        &self,
-        pref: &Pref,
-        r: &Relation,
-    ) -> Result<Option<MatrixWindow>, QueryError> {
-        Ok(self.prepare(pref, r.schema())?.matrix(r))
-    }
 }
 
 #[cfg(test)]
@@ -1069,13 +1054,14 @@ mod tests {
         let attrs = pref_relation::AttrSet::new(["c"]);
 
         // Warm the base matrix through the groupby path itself.
-        let base_rows = engine.sigma_groupby(&p, &attrs, &r).unwrap();
+        let q = engine.prepare(&p, r.schema()).unwrap();
+        let base_rows = q.sigma_groupby(&attrs, &r).unwrap();
         assert_eq!(engine.cache_stats().misses, 1);
 
         // Grouped evaluation over a fresh derived view reuses it via a
         // window instead of building a subset matrix.
         let d = r.select_derived(|_| true, 0x51);
-        let grouped = engine.sigma_groupby(&p, &attrs, &d).unwrap();
+        let grouped = q.sigma_groupby(&attrs, &d).unwrap();
         assert_eq!(grouped, base_rows);
         let stats = engine.cache_stats();
         assert_eq!(
@@ -1116,14 +1102,15 @@ mod tests {
         let r = sample();
         let p = around("a", 2).pareto(lowest("b"));
         let attrs = pref_relation::AttrSet::new(["c"]);
-        let rows = engine.sigma_groupby(&p, &attrs, &r).unwrap();
+        let grouped = |e: &Engine| e.prepare(&p, r.schema())?.sigma_groupby(&attrs, &r);
+        let rows = grouped(&engine).unwrap();
         let stats = engine.cache_stats();
         assert_eq!(
             (stats.hits, stats.misses, stats.entries),
             (0, 0, 0),
             "no_materialize groupby must not touch the matrix cache"
         );
-        assert_eq!(rows, Engine::new().sigma_groupby(&p, &attrs, &r).unwrap());
+        assert_eq!(rows, grouped(&Engine::new()).unwrap());
     }
 
     #[test]

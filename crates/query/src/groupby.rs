@@ -3,40 +3,39 @@
 //!
 //! Operationally "a grouping of R by equal A-values, evaluating for each
 //! group Gi of tuples the preference query σ\[P\](Gi)" — implemented by
-//! [`Engine::sigma_groupby`] on the columnar path:
-//! [`Relation::group_ids`] partitions the row ids once
-//! (dictionary/fingerprint encoding, no per-row `Tuple` projection
-//! keys), and every group's BMO window runs over the engine-cached score
-//! matrix of the *whole* relation, so one materialization serves all
-//! groups — and all repetitions of the query on an unchanged relation.
-//! The definitional equality is checked in the tests.
+//! [`Prepared::sigma_groupby`], an operator of the prepared query `P`
+//! on the columnar path: [`Relation::group_ids`] partitions the row ids
+//! once (dictionary/fingerprint encoding, no per-row `Tuple` projection
+//! keys), and every group's BMO window runs over `P`'s engine-cached
+//! score matrix of the *whole* relation, so one materialization serves
+//! all groups — and all repetitions of the query on an unchanged
+//! relation. The definitional equality is checked in the tests.
 
 use pref_core::eval::CompiledPref;
 use pref_core::term::Pref;
 use pref_relation::{AttrSet, Relation};
 
 use crate::algorithms::bnl::{bnl_generic, bnl_window};
-use crate::engine::Engine;
+use crate::engine::Prepared;
 use crate::error::QueryError;
 
-impl Engine {
+impl Prepared {
     /// `σ[P groupby A](R)` (Def. 16) on the columnar path: partition row
     /// ids once via [`Relation::group_ids`], then run the per-group BMO
-    /// windows over the engine-cached score matrix, so the same matrix
-    /// serves every group — and every later query on the same relation
-    /// generation. Falls back to the generic term-walk backend when the
-    /// term does not materialize (or the optimizer disables
-    /// materialization).
+    /// windows over this query's engine-cached score matrix
+    /// ([`Prepared::matrix`]), so the same matrix serves every group —
+    /// and every later query on the same relation generation. Falls back
+    /// to the generic term-walk backend when the term does not
+    /// materialize (or the optimizer disables materialization).
     pub fn sigma_groupby(
         &self,
-        pref: &Pref,
         group_attrs: &AttrSet,
         r: &Relation,
     ) -> Result<Vec<usize>, QueryError> {
+        self.check_schema(r)?;
         let group_cols = r.schema().resolve(group_attrs)?;
-        let prepared = self.prepare(pref, r.schema())?;
         let (ids, n_groups) = r.group_ids(&group_cols);
-        let matrix = prepared.matrix(r);
+        let matrix = self.matrix(r);
 
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
         for (i, &g) in ids.iter().enumerate() {
@@ -45,9 +44,7 @@ impl Engine {
 
         let mut result = match &matrix {
             Some(m) => group_windows(members, |x, y| m.better(x, y)),
-            None => group_windows(members, |x, y| {
-                prepared.compiled().better(r.row(x), r.row(y))
-            }),
+            None => group_windows(members, |x, y| self.compiled().better(r.row(x), r.row(y))),
         };
         result.sort_unstable();
         Ok(result)
@@ -81,6 +78,7 @@ pub fn sigma_groupby_definitional(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use pref_core::prelude::*;
     use pref_relation::{attr, rel};
 
@@ -89,7 +87,7 @@ mod tests {
         group_attrs: &AttrSet,
         r: &Relation,
     ) -> Result<Vec<usize>, QueryError> {
-        Engine::new().sigma_groupby(pref, group_attrs, r)
+        (Engine::new().prepare(pref, r.schema())?).sigma_groupby(group_attrs, r)
     }
 
     fn cars() -> pref_relation::Relation {
@@ -152,9 +150,10 @@ mod tests {
         let r = cars();
         let p = around("price", 40_000);
         let attrs = AttrSet::single(attr("make"));
-        let first = engine.sigma_groupby(&p, &attrs, &r).unwrap();
+        let q = engine.prepare(&p, r.schema()).unwrap();
+        let first = q.sigma_groupby(&attrs, &r).unwrap();
         assert_eq!(engine.cache_stats().misses, 1);
-        let second = engine.sigma_groupby(&p, &attrs, &r).unwrap();
+        let second = q.sigma_groupby(&attrs, &r).unwrap();
         assert_eq!(first, second);
         let stats = engine.cache_stats();
         assert_eq!(

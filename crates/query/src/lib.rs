@@ -26,10 +26,11 @@
 //!   function in `maintain`;
 //! * `prepared` — [`Prepared`] and its `MaintainedResult` (re-exported
 //!   from [`engine`]): plan, probe the tiers, run the algorithm, report;
-//! * [`groupby`] — `σ[P groupby A](R)` (Def. 16), on the engine-cached
-//!   matrix;
-//! * [`quality`] — LEVEL/DISTANCE quality functions, `BUT ONLY` filters,
-//!   perfect matches (Def. 14b), top-k ranked queries (§6.2);
+//! * [`groupby`] — `σ[P groupby A](R)` (Def. 16), an operator of
+//!   [`Prepared`] on its engine-cached matrix;
+//! * [`quality`] — LEVEL/DISTANCE quality functions and the `BUT ONLY`
+//!   filter over row values, perfect matches (Def. 14b), and the k-best
+//!   and top-k operators of [`Prepared`] (§6.2);
 //! * [`negotiate`] — §7 e-negotiation groundwork: level-based
 //!   relaxation and two-party negotiation tables over the Pareto
 //!   frontier;

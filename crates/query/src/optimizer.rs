@@ -307,8 +307,8 @@ pub struct Optimizer {
     pub threads: usize,
     /// Skip score-matrix materialization (forces the term-walk backend)
     /// for the query and for every sub-query of the decomposition
-    /// evaluator and the grouped, quality and k-best operators, which all
-    /// fetch their matrix through
+    /// evaluator and the grouped and k-best operators, which all fetch
+    /// their matrix through
     /// [`Prepared::matrix`](crate::engine::Prepared::matrix); benchmark
     /// ablation and debugging knob.
     pub no_materialize: bool,

@@ -91,7 +91,7 @@ impl MaintainedResult {
 #[derive(Debug, Clone)]
 pub struct Prepared {
     engine: Engine,
-    original: String,
+    pub(crate) original: String,
     simplified: Pref,
     simplified_str: String,
     rewritten: bool,
@@ -275,10 +275,18 @@ impl Prepared {
     /// would run on. No matrix is materialized and no algorithm runs.
     pub fn explain(&self, r: &Relation) -> Explain {
         let plan = self.plan(r);
+        self.explain_as(r, plan.algorithm, plan.reason.clone())
+    }
+
+    /// [`Prepared::explain`] for an operator other than the planned
+    /// winnow — [`Prepared::k_best`] or [`Prepared::sigma_groupby`]: the
+    /// same plan, with `algorithm` as what runs and `reason` naming the
+    /// operator. Runs nothing.
+    pub fn explain_as(&self, r: &Relation, algorithm: Algorithm, reason: String) -> Explain {
+        let plan = self.plan(r);
         let materialized = !self.engine.optimizer().no_materialize
-            && Optimizer::uses_matrix(plan.algorithm)
+            && Optimizer::uses_matrix(algorithm)
             && self.compiled.supports_matrix(r);
-        let (algorithm, reason) = (plan.algorithm, plan.reason.clone());
         self.report(
             r,
             plan,
@@ -299,12 +307,7 @@ impl Prepared {
     /// mismatch surfaces as a schema error instead of silently reading
     /// the wrong columns.
     pub fn execute(&self, r: &Relation) -> Result<MaintainedResult, QueryError> {
-        if !r.schema().same_as(&self.schema) {
-            return Err(QueryError::Relation(RelationError::SchemaMismatch {
-                left: self.schema.to_string(),
-                right: r.schema().to_string(),
-            }));
-        }
+        self.check_schema(r)?;
         let (rows, explain) = self.run(r)?;
         Ok(MaintainedResult {
             rows,
@@ -312,6 +315,18 @@ impl Prepared {
             generation: r.generation(),
             fingerprint: self.fingerprint,
         })
+    }
+
+    /// The schema guard of [`Prepared::execute`], shared by every other
+    /// operator of this query.
+    pub(crate) fn check_schema(&self, r: &Relation) -> Result<(), QueryError> {
+        if r.schema().same_as(&self.schema) {
+            return Ok(());
+        }
+        Err(QueryError::Relation(RelationError::SchemaMismatch {
+            left: self.schema.to_string(),
+            right: r.schema().to_string(),
+        }))
     }
 
     fn run(&self, r: &Relation) -> Result<(Vec<usize>, Explain), QueryError> {

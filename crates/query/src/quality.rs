@@ -2,19 +2,20 @@
 //!
 //! * `LEVEL` and `DISTANCE` — the quality functions of Preference SQL
 //!   (§6.1), used by the `BUT ONLY` clause "to supervise required quality
-//!   levels" ([`QualityFilter::filter_rows_with`]);
+//!   levels" ([`QualityFilter::filter_rows`]). They are functions of
+//!   attribute values, so the filter reads each surviving row's value
+//!   and never the BMO stage's score matrix;
 //! * perfect-match detection (Def. 14b);
-//! * [`Engine::k_best`] / [`Engine::top_k`] — the "k-best" relaxation
-//!   of BMO used by multi-feature and full-text engines (§6.2), which
-//!   deliberately returns some non-maximal tuples when the
+//! * [`Prepared::k_best`] / [`Prepared::top_k`] — the "k-best"
+//!   relaxation of BMO used by multi-feature and full-text engines
+//!   (§6.2), which deliberately returns some non-maximal tuples when the
 //!   best-matches-only set is too small.
 
-use pref_core::base::BaseRef;
 use pref_core::graph::BetterGraph;
 use pref_core::term::Pref;
 use pref_relation::{Attr, Relation, Tuple};
 
-use crate::engine::Engine;
+use crate::engine::Prepared;
 use crate::error::QueryError;
 
 /// A conjunction of quality constraints (the `BUT ONLY` clause).
@@ -56,126 +57,62 @@ impl QualityFilter {
         &self.conds
     }
 
-    /// Apply the filter to a set of row indices (a BMO result) through an
-    /// [`Engine`]. The quality functions resolve against the *first* base
-    /// preference on the named attribute (Preference SQL semantics), once
-    /// per constraint rather than per tuple. When the engine holds (or
-    /// can build) a materialized matrix for `pref` over `r` — which the
-    /// preceding BMO stage normally just paid for, possibly a
-    /// [`MatrixWindow`](pref_core::eval::MatrixWindow) when `r` is a
-    /// row-id view — each LEVEL/DISTANCE check becomes a key read plus
-    /// the base preference's exact key inverse
-    /// ([`level_from_key`](pref_core::base::BasePreference::level_from_key) /
-    /// [`distance_from_key`](pref_core::base::BasePreference::distance_from_key)),
-    /// with the per-value walk as fallback for backends without one.
-    pub fn filter_rows_with(
+    /// Apply the filter to a set of row indices (a BMO result) of `r`.
+    /// The quality functions resolve against the *first* base preference
+    /// of `pref` on the named attribute (Preference SQL semantics), once
+    /// per constraint rather than per tuple, and read each row's value.
+    ///
+    /// Resolution failures are *recorded*, not raised: an unsatisfiable
+    /// constraint only errors when some row actually reaches it (a row
+    /// rejected by an earlier condition never evaluates it, and an empty
+    /// row set evaluates nothing) — a missing base preference first, an
+    /// unknown column second.
+    pub fn filter_rows(
         &self,
-        engine: &Engine,
         pref: &Pref,
         r: &Relation,
         rows: &[usize],
     ) -> Result<Vec<usize>, QueryError> {
-        if self.conds.is_empty() {
-            return Ok(rows.to_vec());
-        }
-        let matrix = engine.matrix_for(pref, r)?;
-        let matrix = matrix.as_ref();
-        // Resolve each constraint once: base preference, column, bound,
-        // and — when the matrix materialized this base — its key slot.
-        // Resolution failures are *recorded*, not raised: an
-        // unsatisfiable constraint only errors when some row actually
-        // reaches it (a row rejected by an earlier condition never
-        // evaluates it, and an empty row set evaluates nothing).
-        struct Resolved<'a> {
-            attr: &'a Attr,
-            quality: &'static str,
-            base: Option<&'a BaseRef>,
-            col: Option<usize>,
-            slot: Option<usize>,
-            bound: Bound,
-        }
-        enum Bound {
-            Level(u32),
-            Distance(f64),
-        }
-        let mut resolved = Vec::with_capacity(self.conds.len());
-        for cond in &self.conds {
-            let (attr, quality, bound) = match cond {
-                QualityCond::LevelLe(a, b) => (a, "LEVEL", Bound::Level(*b)),
-                QualityCond::DistanceLe(a, b) => (a, "DISTANCE", Bound::Distance(*b)),
-            };
-            let base = base_on(pref, attr).map(|b| &b.base);
-            let col = r.schema().index_of(attr);
-            resolved.push(Resolved {
-                attr,
-                quality,
-                base,
-                col,
-                slot: base
-                    .zip(col)
-                    .and_then(|(b, c)| matrix.and_then(|m| m.base_key_slot(c, b))),
-                bound,
-            });
-        }
-
+        let resolved: Vec<_> = (self.conds.iter())
+            .map(|cond| {
+                let attr = match cond {
+                    QualityCond::LevelLe(a, _) | QualityCond::DistanceLe(a, _) => a,
+                };
+                let base = pref.bases().into_iter().find(|b| &b.attr == attr);
+                (cond, attr, base.map(|b| &b.base), r.schema().index_of(attr))
+            })
+            .collect();
         let mut out = Vec::with_capacity(rows.len());
         'rows: for &i in rows {
-            for c in &resolved {
-                // Deferred resolution errors: missing base preference
-                // first, unknown column second.
-                let base = c.base.ok_or_else(|| QueryError::NoQualityFunction {
-                    attr: c.attr.to_string(),
-                    quality: c.quality,
-                })?;
-                let col = match c.col {
-                    Some(col) => col,
-                    None => r.schema().require(c.attr)?,
+            for &(cond, attr, base, col) in &resolved {
+                let quality = match cond {
+                    QualityCond::LevelLe(..) => "LEVEL",
+                    QualityCond::DistanceLe(..) => "DISTANCE",
                 };
-                match c.bound {
-                    Bound::Level(bound) => {
-                        let lv = c
-                            .slot
-                            .and_then(|s| {
-                                base.level_from_key(
-                                    matrix.expect("slot implies matrix").key_at(i, s),
-                                )
-                            })
-                            .or_else(|| base.level(&r.row(i)[col]))
-                            .ok_or_else(|| QueryError::NoQualityFunction {
-                                attr: c.attr.to_string(),
-                                quality: "LEVEL",
-                            })?;
-                        if lv > bound {
-                            continue 'rows;
-                        }
+                let undefined = || QueryError::NoQualityFunction {
+                    attr: attr.to_string(),
+                    quality,
+                };
+                let base = base.ok_or_else(undefined)?;
+                let col = match col {
+                    Some(col) => col,
+                    None => r.schema().require(attr)?,
+                };
+                let v = &r.row(i)[col];
+                let within = match *cond {
+                    QualityCond::LevelLe(_, bound) => base.level(v).ok_or_else(undefined)? <= bound,
+                    QualityCond::DistanceLe(_, bound) => {
+                        base.distance(v).ok_or_else(undefined)? <= bound
                     }
-                    Bound::Distance(bound) => {
-                        let d = c
-                            .slot
-                            .and_then(|s| {
-                                base.distance_from_key(
-                                    matrix.expect("slot implies matrix").key_at(i, s),
-                                )
-                            })
-                            .or_else(|| base.distance(&r.row(i)[col]))
-                            .ok_or_else(|| QueryError::NoQualityFunction {
-                                attr: c.attr.to_string(),
-                                quality: "DISTANCE",
-                            })?;
-                        if d > bound {
-                            continue 'rows;
-                        }
-                    }
+                };
+                if !within {
+                    continue 'rows;
                 }
             }
             out.push(i);
         }
         Ok(out)
     }
-}
-
-fn base_on<'a>(pref: &'a Pref, attr: &Attr) -> Option<&'a pref_core::term::BasePref> {
-    pref.bases().into_iter().find(|b| &b.attr == attr)
 }
 
 /// Perfect-match test (Def. 14b): is `t[A] ∈ max(P)` over the whole
@@ -223,26 +160,26 @@ fn all_tops<'a>(
     Ok(all)
 }
 
-impl Engine {
+impl Prepared {
     /// The "k-best" query model by quality level: all of `σ[P](R)`
     /// (level 1), then level 2, and so on until `k` rows are collected —
     /// "in BMO-terms this amounts to retrieve some non-maximal objects,
     /// too" (§6.2). Works for *any* preference, not just scored ones;
     /// ties within the cutting level break by row order.
     ///
-    /// The O(n²) better-than graph is built from the engine-cached
-    /// [`ScoreMatrix`](pref_core::eval::ScoreMatrix) when the term
+    /// The O(n²) better-than graph is built from this query's
+    /// engine-cached score matrix ([`Prepared::matrix`]) when the term
     /// materializes (numeric key comparisons instead of per-pair term
     /// walks), with the compiled-term walk as fallback.
-    pub fn k_best(&self, pref: &Pref, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
-        let q = self.prepare(pref, r.schema())?;
-        let g = match q.matrix(r) {
+    pub fn k_best(&self, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
+        self.check_schema(r)?;
+        let g = match self.matrix(r) {
             Some(m) => BetterGraph::from_fn(r.len(), |x, y| m.better(x, y)),
-            None => BetterGraph::from_relation(q.compiled(), r),
+            None => BetterGraph::from_relation(self.compiled(), r),
         }
         .map_err(|_| QueryError::AlgorithmMismatch {
             algorithm: "k-best",
-            term: pref.to_string(),
+            term: self.original.clone(),
             reason: "preference violates the strict-partial-order axioms",
         })?;
         let mut idx: Vec<usize> = (0..r.len()).collect();
@@ -257,18 +194,17 @@ impl Engine {
     /// BMO-maximal tuples always precede non-maximal ones. The utility
     /// scan needs no matrix — it is a single O(n) pass, not a pairwise
     /// loop.
-    pub fn top_k(&self, pref: &Pref, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
-        let q = self.prepare(pref, r.schema())?;
+    pub fn top_k(&self, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
+        self.check_schema(r)?;
         let mut scored: Vec<(f64, usize)> = Vec::with_capacity(r.len());
         for i in 0..r.len() {
-            let u =
-                q.compiled()
-                    .utility(r.row(i))
-                    .ok_or_else(|| QueryError::AlgorithmMismatch {
-                        algorithm: "top-k",
-                        term: pref.to_string(),
-                        reason: "preference admits no monotone utility",
-                    })?;
+            let u = (self.compiled().utility(r.row(i))).ok_or_else(|| {
+                QueryError::AlgorithmMismatch {
+                    algorithm: "top-k",
+                    term: self.original.clone(),
+                    reason: "preference admits no monotone utility",
+                }
+            })?;
             scored.push((u, i));
         }
         scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -279,6 +215,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use pref_core::prelude::*;
     use pref_relation::{attr, rel};
 
@@ -288,26 +225,19 @@ mod tests {
         let p = pos_neg("color", ["yellow"], ["gray"])
             .unwrap()
             .pareto(around("price", 40_000));
-        // Off the matrix keys and off the per-value walk alike.
-        for engine in [Engine::new(), term_walk()] {
-            let kept = |cond| {
-                QualityFilter::new()
-                    .and(cond)
-                    .filter_rows_with(&engine, &p, &r, &[0])
-            };
-            let (color, price) = (attr("color"), attr("price"));
-            // LEVEL(color) = 3 and DISTANCE(price) = 2000, exactly.
-            assert_eq!(kept(QualityCond::LevelLe(color.clone(), 3)).unwrap(), [0]);
-            assert!(kept(QualityCond::LevelLe(color, 2)).unwrap().is_empty());
-            let at = kept(QualityCond::DistanceLe(price.clone(), 2_000.0));
-            assert_eq!(at.unwrap(), [0]);
-            let below = kept(QualityCond::DistanceLe(price.clone(), 1_999.0));
-            assert!(below.unwrap().is_empty());
-            // LEVEL on a continuous preference is undefined.
-            assert!(kept(QualityCond::LevelLe(price, 99)).is_err());
-            // Quality functions need a constraining base preference.
-            assert!(kept(QualityCond::DistanceLe(attr("missing"), 1.0)).is_err());
-        }
+        let kept = |cond| QualityFilter::new().and(cond).filter_rows(&p, &r, &[0]);
+        let (color, price) = (attr("color"), attr("price"));
+        // LEVEL(color) = 3 and DISTANCE(price) = 2000, exactly.
+        assert_eq!(kept(QualityCond::LevelLe(color.clone(), 3)).unwrap(), [0]);
+        assert!(kept(QualityCond::LevelLe(color, 2)).unwrap().is_empty());
+        let at = kept(QualityCond::DistanceLe(price.clone(), 2_000.0));
+        assert_eq!(at.unwrap(), [0]);
+        let below = kept(QualityCond::DistanceLe(price.clone(), 1_999.0));
+        assert!(below.unwrap().is_empty());
+        // LEVEL on a continuous preference is undefined.
+        assert!(kept(QualityCond::LevelLe(price, 99)).is_err());
+        // Quality functions need a constraining base preference.
+        assert!(kept(QualityCond::DistanceLe(attr("missing"), 1.0)).is_err());
     }
 
     #[test]
@@ -323,7 +253,7 @@ mod tests {
             .and(QualityCond::DistanceLe(attr("start"), 2.0))
             .and(QualityCond::DistanceLe(attr("duration"), 2.0));
         let all: Vec<usize> = (0..r.len()).collect();
-        let kept = f.filter_rows_with(&Engine::new(), &p, &r, &all).unwrap();
+        let kept = f.filter_rows(&p, &r, &all).unwrap();
         assert_eq!(kept, vec![0, 3]);
     }
 
@@ -334,26 +264,21 @@ mod tests {
         let r = rel! { ("a": Int); (5,) };
         let p = around("a", 0);
         let bad = QualityFilter::new().and(QualityCond::LevelLe(attr("missing"), 1));
+        // Empty row set: nothing is evaluated, nothing errors.
+        assert!(bad.filter_rows(&p, &r, &[]).unwrap().is_empty());
+        // A row that reaches the constraint surfaces the error.
+        assert!(bad.filter_rows(&p, &r, &[0]).is_err());
         // A row rejected by an earlier condition never evaluates the
         // invalid one (distance of 5 > 1 rejects first).
         let short_circuit = QualityFilter::new()
             .and(QualityCond::DistanceLe(attr("a"), 1.0))
             .and(QualityCond::LevelLe(attr("missing"), 1));
-        for engine in [Engine::new(), term_walk()] {
-            // Empty row set: nothing is evaluated, nothing errors.
-            assert!(bad
-                .filter_rows_with(&engine, &p, &r, &[])
-                .unwrap()
-                .is_empty());
-            // A row that reaches the constraint surfaces the error.
-            assert!(bad.filter_rows_with(&engine, &p, &r, &[0]).is_err());
-            let kept = short_circuit.filter_rows_with(&engine, &p, &r, &[0]);
-            assert!(kept.unwrap().is_empty());
-        }
+        let kept = short_circuit.filter_rows(&p, &r, &[0]);
+        assert!(kept.unwrap().is_empty());
     }
 
     #[test]
-    fn engine_backed_filter_reads_the_cached_matrix() {
+    fn filter_reads_the_values_of_result_rows() {
         let r = rel! {
             ("color": Str, "start": Int, "duration": Int);
             ("red", 10, 14), ("gray", 13, 14), ("red", 10, 20), ("blue", 11, 15),
@@ -367,32 +292,33 @@ mod tests {
             .and(QualityCond::DistanceLe(attr("start"), 2.0))
             .and(QualityCond::DistanceLe(attr("duration"), 2.0));
         let all: Vec<usize> = (0..r.len()).collect();
-
-        let engine = Engine::new();
-        // The term materializes: the filter must run off matrix keys and
-        // agree with the per-value walk.
-        let m = engine.matrix_for(&p, &r).unwrap().expect("materializes");
-        let col = r.schema().require(&attr("start")).unwrap();
-        let base = &base_on(&p, &attr("start")).unwrap().base;
-        let slot = m.base_key_slot(col, base).expect("AROUND slot recorded");
-        assert_eq!(base.distance_from_key(m.key_at(1, slot)), Some(3.0));
-
-        let via_engine = f.filter_rows_with(&engine, &p, &r, &all).unwrap();
-        let via_walk = f.filter_rows_with(&term_walk(), &p, &r, &all).unwrap();
-        assert_eq!(via_engine, via_walk);
         // Row 1 fails twice (NEG'd color, start 3 off), row 2's duration
         // is 6 off; rows 0 and 3 satisfy every bound.
-        assert_eq!(via_engine, vec![0, 3]);
-        assert!(
-            engine.cache_stats().hits >= 1 || engine.cache_stats().misses == 1,
-            "the filter shares the engine matrix, not a private rebuild"
-        );
+        assert_eq!(f.filter_rows(&p, &r, &all).unwrap(), vec![0, 3]);
+        // The same rows through a row-id view: the filter reads the
+        // view's rows, not the base's.
+        let view = r.take_rows(&[3, 1, 0]);
+        assert_eq!(f.filter_rows(&p, &view, &[0, 1, 2]).unwrap(), vec![0, 2]);
 
-        // Error semantics survive the fast path: LEVEL on a continuous
-        // preference is still undefined.
+        // LEVEL on a continuous preference is undefined, and a missing
+        // base preference reports before an unknown column.
         let bad = QualityFilter::new().and(QualityCond::LevelLe(attr("start"), 1));
-        assert!(bad.filter_rows_with(&engine, &p, &r, &all).is_err());
-        assert!(bad.filter_rows_with(&term_walk(), &p, &r, &all).is_err());
+        assert!(matches!(
+            bad.filter_rows(&p, &r, &all),
+            Err(QueryError::NoQualityFunction {
+                quality: "LEVEL",
+                ..
+            })
+        ));
+        let unknown = QualityFilter::new().and(QualityCond::DistanceLe(attr("nope"), 1.0));
+        assert!(matches!(
+            unknown.filter_rows(&around("nope", 0), &r, &all),
+            Err(QueryError::Relation(_))
+        ));
+        assert!(matches!(
+            unknown.filter_rows(&p, &r, &all),
+            Err(QueryError::NoQualityFunction { .. })
+        ));
     }
 
     /// The term-walk reference: the same operators with the score-matrix
@@ -401,16 +327,19 @@ mod tests {
         Engine::with_optimizer(crate::Optimizer::new().without_materialization())
     }
 
+    /// `engine`'s prepared query of `p` over `r`.
+    fn prepared(engine: &Engine, p: &Pref, r: &Relation) -> Prepared {
+        engine.prepare(p, r.schema()).unwrap()
+    }
+
     #[test]
     fn k_best_with_engine_agrees_and_reuses_matrices() {
         let r = rel! { ("a": Int, "b": Int); (1, 9), (2, 8), (9, 1), (5, 5) };
         let p = around("a", 1).pareto(lowest("b"));
         let engine = Engine::new();
+        let (q, walk) = (prepared(&engine, &p, &r), prepared(&term_walk(), &p, &r));
         for k in 0..=r.len() {
-            assert_eq!(
-                engine.k_best(&p, &r, k).unwrap(),
-                term_walk().k_best(&p, &r, k).unwrap()
-            );
+            assert_eq!(q.k_best(&r, k).unwrap(), walk.k_best(&r, k).unwrap());
         }
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "one matrix serves every k");
@@ -423,13 +352,13 @@ mod tests {
         let p = around("a", 1).pareto(lowest("b"));
         let engine = Engine::new();
         assert_eq!(
-            engine.k_best(&p, &r, 3).unwrap(),
-            term_walk().k_best(&p, &r, 3).unwrap()
+            prepared(&engine, &p, &r).k_best(&r, 3).unwrap(),
+            prepared(&term_walk(), &p, &r).k_best(&r, 3).unwrap()
         );
         let ranked = Pref::rank(CombineFn::sum(), vec![highest("a"), highest("b")]).unwrap();
         assert_eq!(
-            engine.top_k(&ranked, &r, 3).unwrap(),
-            term_walk().top_k(&ranked, &r, 3).unwrap()
+            prepared(&engine, &ranked, &r).top_k(&r, 3).unwrap(),
+            prepared(&term_walk(), &ranked, &r).top_k(&r, 3).unwrap()
         );
         assert_eq!(
             engine.sigma_decomposed(&p, &r).unwrap(),
@@ -465,16 +394,19 @@ mod tests {
     #[test]
     fn k_best_walks_down_the_levels() {
         let r = rel! { ("a": Int); (3,), (1,), (2,), (1,) };
-        let p = lowest("a");
         let engine = Engine::new();
+        let q = prepared(&engine, &lowest("a"), &r);
         // Levels: the two 1s, then 2, then 3.
-        assert_eq!(engine.k_best(&p, &r, 1).unwrap(), vec![1]);
-        assert_eq!(engine.k_best(&p, &r, 2).unwrap(), vec![1, 3]);
-        assert_eq!(engine.k_best(&p, &r, 3).unwrap(), vec![1, 3, 2]);
-        assert_eq!(engine.k_best(&p, &r, 99).unwrap().len(), 4);
+        assert_eq!(q.k_best(&r, 1).unwrap(), vec![1]);
+        assert_eq!(q.k_best(&r, 2).unwrap(), vec![1, 3]);
+        assert_eq!(q.k_best(&r, 3).unwrap(), vec![1, 3, 2]);
+        assert_eq!(q.k_best(&r, 99).unwrap().len(), 4);
         // Works for non-scored preferences too (unlike utility top_k).
-        let q = pos("a", [2i64]);
-        assert_eq!(engine.k_best(&q, &r, 1).unwrap(), vec![2]);
+        let q = prepared(&engine, &pos("a", [2i64]), &r);
+        assert_eq!(q.k_best(&r, 1).unwrap(), vec![2]);
+        // A relation of another schema is refused, not misread.
+        let other = rel! { ("b": Int); (1,) };
+        assert!(q.k_best(&other, 1).is_err() && q.top_k(&other, 1).is_err());
     }
 
     #[test]
@@ -482,7 +414,9 @@ mod tests {
         let r = rel! { ("a": Int, "b": Int); (1, 9), (2, 8), (9, 1), (5, 5) };
         let p = lowest("a").pareto(lowest("b"));
         let bmo = crate::bmo::sigma_naive_generic(&p, &r).unwrap();
-        let kb = Engine::new().k_best(&p, &r, r.len()).unwrap();
+        let kb = prepared(&Engine::new(), &p, &r)
+            .k_best(&r, r.len())
+            .unwrap();
         assert_eq!(
             {
                 let mut head: Vec<usize> = kb[..bmo.len()].to_vec();
@@ -500,10 +434,12 @@ mod tests {
         let r = rel! { ("a": Int, "b": Int); (1, 1), (2, 2), (3, 3), (4, 4) };
         let p = Pref::rank(CombineFn::sum(), vec![highest("a"), highest("b")]).unwrap();
         let engine = Engine::new();
-        assert_eq!(engine.top_k(&p, &r, 1).unwrap(), vec![3]);
-        assert_eq!(engine.top_k(&p, &r, 3).unwrap(), vec![3, 2, 1]);
-        assert_eq!(engine.top_k(&p, &r, 99).unwrap().len(), 4);
+        let q = prepared(&engine, &p, &r);
+        assert_eq!(q.top_k(&r, 1).unwrap(), vec![3]);
+        assert_eq!(q.top_k(&r, 3).unwrap(), vec![3, 2, 1]);
+        assert_eq!(q.top_k(&r, 99).unwrap().len(), 4);
         // Non-scorable terms are rejected.
-        assert!(engine.top_k(&pos("a", [1i64]), &r, 1).is_err());
+        let unscored = prepared(&engine, &pos("a", [1i64]), &r);
+        assert!(unscored.top_k(&r, 1).is_err());
     }
 }

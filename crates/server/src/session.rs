@@ -531,6 +531,32 @@ mod tests {
     }
 
     #[test]
+    fn explain_after_top_and_group_by_names_the_operator() {
+        let mut s = state().session();
+        for (sql, operator) in [
+            (
+                "EXEC SELECT TOP 2 * FROM car PREFERRING LOWEST(price)",
+                "reason     : k-best relaxation to 2 rows (§6.2)",
+            ),
+            (
+                "EXEC SELECT * FROM car PREFERRING LOWEST(price) GROUP BY make",
+                "reason     : hash grouping by make: one BNL window per group (Def. 16)",
+            ),
+        ] {
+            assert!(s.handle_line(sql).is_ok(), "{sql}");
+            let r = s.handle_line("EXPLAIN");
+            assert!(r.is_ok(), "{sql}");
+            assert!(r.body.iter().all(|l| !l.contains("exact-match")), "{sql}");
+            assert!(r.body.contains(&"preference : LOWEST(price)".to_string()));
+            assert!(
+                r.body.contains(&operator.to_string()),
+                "{sql}: {:?}",
+                r.body
+            );
+        }
+    }
+
+    #[test]
     fn append_mutates_in_place_and_errors_surface() {
         let mut s = state().session();
         assert!(s.handle_line("APPEND car\t'VW'\t30000\t5000").is_ok());

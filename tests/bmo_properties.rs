@@ -382,8 +382,9 @@ proptest! {
     ) {
         // Def. 16: σ[P groupby A](R) = σ[A↔ & P](R), grouping by `c`.
         let by = AttrSet::single(attr("c"));
+        let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
         prop_assert_eq!(
-            Engine::new().sigma_groupby(&p, &by, &r).expect("term compiles"),
+            q.sigma_groupby(&by, &r).expect("term compiles"),
             sigma_groupby_definitional(&p, &by, &r).expect("term compiles")
         );
     }

@@ -249,7 +249,8 @@ proptest! {
         // on the group_ids + engine-cached-matrix path, the right on
         // generic BNL over the derived term.
         let attrs = AttrSet::new(["c"]);
-        let a = Engine::new().sigma_groupby(&p, &attrs, &r).expect("term compiles");
+        let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
+        let a = q.sigma_groupby(&attrs, &r).expect("term compiles");
         let b = sigma_groupby_definitional(&p, &attrs, &r).expect("term compiles");
         prop_assert_eq!(a, b, "groupby paths diverged for {}", p);
     }
@@ -532,6 +533,77 @@ proptest! {
         mutated.extend(extra.iter().cloned());
         db.register("cars", make_table(&mutated));
         check_bindings(&db, &mutated)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sql_group_by_and_but_only_agree_with_their_definitions(
+        r in arb_relation(14),
+        extra in arb_rows(1..4),
+        target in 0i64..6,
+        bound in 0i64..4,
+    ) {
+        // GROUP BY and BUT ONLY run on the statement's one prepared
+        // query: `PREFERRING … GROUP BY` must be Def. 16's σ[A↔ & P], and
+        // `BUT ONLY DISTANCE(a) <= k` the value filter over the inline
+        // statement's BMO rows — ad hoc and with a `$n` binding, before
+        // and after an in-place append (whose BMO stage is maintained).
+        // BUT ONLY bounds are literals in the grammar, so `$1` binds the
+        // AROUND target and `k` is drawn inline.
+        let statements = [
+            "SELECT * FROM t PREFERRING a AROUND $1 AND LOWEST(b) GROUP BY c".to_string(),
+            "SELECT * FROM t PREFERRING HIGHEST(b) GROUP BY c CASCADE a AROUND $1".to_string(),
+            format!("SELECT * FROM t PREFERRING a AROUND $1 AND b AROUND 3 \
+                     BUT ONLY DISTANCE(a) <= {bound}"),
+            format!("SELECT * FROM t PREFERRING c IN ('x') PRIOR TO a AROUND $1 \
+                     BUT ONLY DISTANCE(a) <= {bound} AND LEVEL(c) <= 1"),
+        ];
+        let mut db = PrefSql::new();
+        db.register("t", r);
+        for round in 0..2 {
+            if round == 1 {
+                for &(a, b, c) in &extra {
+                    let cat = ["x", "y", "z", "w"][c];
+                    db.append_row("t", vec![Value::from(a), Value::from(b), Value::from(cat)])
+                        .expect("row matches test schema");
+                }
+            }
+            let r = db.catalog().get("t").expect("registered").clone();
+            for sql in &statements {
+                let inline = sql.replace("$1", &target.to_string());
+                let bound_res = (db.prepare(sql).expect("parses"))
+                    .execute(&db, &[Value::from(target)])
+                    .expect("bound statement runs");
+                let adhoc = db.execute(&inline).expect("inline statement runs");
+                let pref = adhoc.preference.clone().expect("preference statement");
+                prop_assert_eq!(&bound_res.preference, &adhoc.preference);
+
+                let rows = match sql.contains("GROUP BY") {
+                    true => {
+                        let by = AttrSet::single(attr("c"));
+                        let mut rows = sigma_groupby_definitional(&pref, &by, &r)
+                            .expect("term compiles");
+                        rows.sort_unstable();
+                        rows
+                    }
+                    false => {
+                        let bmo = sigma_naive_generic(&pref, &r).expect("term compiles");
+                        let mut filter = QualityFilter::new()
+                            .and(QualityCond::DistanceLe(attr("a"), bound as f64));
+                        if sql.contains("LEVEL") {
+                            filter = filter.and(QualityCond::LevelLe(attr("c"), 1));
+                        }
+                        filter.filter_rows(&pref, &r, &bmo).expect("quality defined")
+                    }
+                };
+                let expected = r.take_rows(&rows).to_string();
+                prop_assert_eq!(adhoc.relation.to_string(), expected.clone(), "{}", &inline);
+                prop_assert_eq!(bound_res.relation.to_string(), expected, "{}", sql);
+            }
+        }
     }
 }
 
