@@ -742,7 +742,8 @@ fn optimizer_report(h: &mut Harness) {
     // Grouping entry point (Def. 16).
     let grouped = (engine.prepare(&around("price", 12_000), r.schema()))
         .and_then(|q| q.sigma_groupby(&AttrSet::single(attr("make")), &r))
-        .expect("compiles");
+        .expect("compiles")
+        .0;
     h.check(
         "OPT",
         "groupby returns one best offer per make (≥ #makes)",

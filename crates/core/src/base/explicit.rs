@@ -242,11 +242,6 @@ impl Explicit {
         &self.vertices
     }
 
-    /// Is `v` a vertex of the explicit graph?
-    pub fn in_graph(&self, v: &Value) -> bool {
-        self.index.contains_key(v)
-    }
-
     /// Number of graph vertices.
     pub fn vertex_count(&self) -> usize {
         self.vertices.len()

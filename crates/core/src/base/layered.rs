@@ -89,11 +89,6 @@ impl Layered {
         }
         others_at
     }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 impl BasePreference for Layered {

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use pref_relation::{Relation, Tuple, Value};
+use pref_relation::{Relation, Value};
 
 use crate::base::BasePreference;
 use crate::eval::CompiledPref;
@@ -186,11 +186,6 @@ impl BetterGraph {
         }
         s
     }
-}
-
-/// Convenience: label list from a relation's tuples.
-pub fn tuple_labels(rel: &Relation) -> Vec<String> {
-    rel.iter().map(Tuple::to_string).collect()
 }
 
 #[cfg(test)]

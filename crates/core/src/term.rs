@@ -181,11 +181,6 @@ impl Pref {
         Pref::Base(BasePref::new(attr, base))
     }
 
-    /// Wrap a shared base preference handle.
-    pub fn base_ref(attr: impl Into<Attr>, base: BaseRef) -> Pref {
-        Pref::Base(BasePref::from_ref(attr, base))
-    }
-
     // ---- combinators ---------------------------------------------------
 
     /// Dual preference `P∂`.

@@ -185,13 +185,17 @@ pub enum PrefAtom {
     },
 }
 
-/// One BUT ONLY constraint.
+/// One BUT ONLY constraint: `LEVEL(attr)` or `DISTANCE(attr)` `<=` a
+/// numeric literal or a `$n` placeholder, resolved when the statement
+/// runs. A strict `<` lowers a LEVEL bound by one and reads as `<=` for
+/// DISTANCE.
 #[derive(Debug, Clone, PartialEq)]
-pub enum QualityCondAst {
-    /// `LEVEL(attr) <= n` (or `<` n).
-    LevelLe { attr: String, bound: u32 },
-    /// `DISTANCE(attr) <= x`.
-    DistanceLe { attr: String, bound: f64 },
+pub struct QualityCondAst {
+    /// `LEVEL` rather than `DISTANCE`.
+    pub level: bool,
+    pub attr: String,
+    pub strict: bool,
+    pub bound: Literal,
 }
 
 impl PrefExpr {
@@ -210,7 +214,7 @@ impl PrefExpr {
 
 impl Query {
     /// Visit every literal in the query (hard conditions, preference
-    /// atoms; quality bounds are plain numbers, not literals).
+    /// atoms, quality bounds).
     pub fn walk_literals(&self, f: &mut impl FnMut(&Literal)) {
         if let Some(h) = &self.hard {
             h.walk_literals(f);
@@ -221,6 +225,7 @@ impl Query {
         for c in &self.cascade {
             c.walk_literals(f);
         }
+        self.but_only.iter().for_each(|q| f(&q.bound));
     }
 
     /// Every `$n` placeholder index this query reads, across literals

@@ -14,7 +14,8 @@
 //! Either way a statement with a preference clause runs on exactly one
 //! [`Prepared`] per execution: the BMO winnow, TOP's k-best relaxation,
 //! GROUP BY's per-group windows and EXPLAIN's plan are all operators of
-//! it, and this module is the only caller of [`Engine::prepare`].
+//! it (TOP with GROUP BY peels the layers of its [`Prepared::grouped`]
+//! query), and this module is the only caller of [`Engine::prepare`].
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pref_core::term::Pref;
 use pref_query::{Engine, Prepared};
-use pref_relation::{predicate_fingerprint, Relation, Schema, Value};
+use pref_relation::{predicate_fingerprint, DataType, Relation, Schema, Value};
 
 use crate::ast::{LimitSpec, Literal, PrefExpr, Query};
 use crate::error::SqlError;
@@ -136,8 +137,14 @@ impl PrefStage {
             }
             PrefStage::Parameterized { clauses, .. } => clauses,
         };
-        let mut bind =
-            |column: &str, lit: &Literal| bind_pref_literal(lit, column, schema, &q.table, params);
+        let mut bind = |column: &str, lit: &Literal| {
+            bind_typed(
+                lit,
+                column,
+                column_type(schema, &q.table, column).ok(),
+                params,
+            )
+        };
         let bound = (clauses.iter())
             .map(|c| c.map_literals(&mut bind))
             .collect::<Result<Vec<_>, _>>()?;
@@ -207,27 +214,29 @@ pub(crate) fn bind_literal(lit: &Literal, params: &[Value]) -> Result<Literal, S
     }
 }
 
-/// Substitute one PREFERRING/CASCADE literal position of `column`. The
-/// value must coerce to the column exactly like the inline literal it
-/// stands for; one that does not is the caller's `$n` at fault
-/// ([`SqlError::BadParam`]), not the statement's. An unknown column is
-/// left for the rewriter to report.
-fn bind_pref_literal(
+/// Substitute one PREFERRING/CASCADE literal position of `column`, or
+/// a BUT ONLY bound on it, whose value must coerce to `dtype` exactly
+/// like the inline literal it stands for; one that does not is the
+/// caller's `$n` at fault ([`SqlError::BadParam`]), not the statement's.
+/// An unknown type (an unknown column) is left for the rewriter to
+/// report.
+pub(crate) fn bind_typed(
     lit: &Literal,
     column: &str,
-    schema: &Schema,
-    table: &str,
+    dtype: Option<DataType>,
     params: &[Value],
 ) -> Result<Literal, SqlError> {
     let Literal::Param(n) = lit else {
         return Ok(lit.clone());
     };
     let bound = bind_literal(lit, params)?;
-    match column_type(schema, table, column) {
-        Ok(dtype) if literal_to_value(&bound, column, dtype).is_err() => Err(SqlError::BadParam {
-            index: *n,
-            value: params[*n - 1].to_string(),
-        }),
+    match dtype {
+        Some(dtype) if literal_to_value(&bound, column, dtype).is_err() => {
+            Err(SqlError::BadParam {
+                index: *n,
+                value: params[*n - 1].to_string(),
+            })
+        }
         _ => Ok(bound),
     }
 }

@@ -242,31 +242,25 @@ impl PrefSql {
 
         let (rows, explain) = match (stage, &bound) {
             (Some(stage), Some((_, exec))) => {
-                let (rows, mut explain) = if let Some(k) = top {
-                    // §6.2 k-best: BMO first, then deeper quality levels —
-                    // the level graph runs on the statement's matrix.
-                    let reason = format!("k-best relaxation to {k} rows (§6.2)");
-                    let report = exec.explain_as(base, Algorithm::Naive, reason);
-                    (exec.k_best(base, k)?, report)
-                } else if !q.group_by.is_empty() {
-                    let attrs = AttrSet::new(q.group_by.iter().map(String::as_str));
-                    for a in attrs.iter() {
-                        if base.schema().index_of(a).is_none() {
-                            return Err(SqlError::UnknownColumn {
-                                table: q.table.clone(),
-                                column: a.to_string(),
-                            });
+                let grouping = grouping_attrs(q, base)?;
+                let (rows, mut explain) = match (top, &grouping) {
+                    // §6.2 k-best: the BMO layers, peeled until k rows —
+                    // with GROUP BY those of `A↔ & P` (Def. 16), so rows
+                    // rank by their level within their group.
+                    (Some(k), None) => exec.k_best(base, k)?,
+                    (Some(k), Some(attrs)) => exec.grouped(attrs)?.k_best(base, k)?,
+                    (None, Some(attrs)) => {
+                        let (rows, cache) = exec.sigma_groupby(attrs, base)?;
+                        let mut report = grouping_report(q, exec, base);
+                        report.cache = cache;
+                        (rows, report)
+                    }
+                    (None, None) => {
+                        if c.hard_is_parameterized && stage.binding_recurs(exec) {
+                            let _ = exec.matrix(table);
                         }
+                        exec.execute(base)?.into_parts()
                     }
-                    (
-                        exec.sigma_groupby(&attrs, base)?,
-                        grouping_report(q, exec, base),
-                    )
-                } else {
-                    if c.hard_is_parameterized && stage.binding_recurs(exec) {
-                        let _ = exec.matrix(table);
-                    }
-                    exec.execute(base)?.into_parts()
                 };
                 if let Some(fp) = stage.shape_fingerprint() {
                     explain.shape_fingerprint = Some(fp);
@@ -281,7 +275,7 @@ impl PrefSql {
         //    surviving row's values.
         let rows = match (&bound, q.but_only.is_empty()) {
             (Some((pref, _)), false) => {
-                let filter = quality_to_filter(&q.but_only, base.schema(), &q.table)?;
+                let filter = quality_to_filter(&q.but_only, base.schema(), &q.table, params)?;
                 filter.filter_rows(pref, base, &rows)?
             }
             _ => rows,
@@ -346,9 +340,10 @@ impl PrefSql {
                 None
             }
             Some((_, exec)) => {
-                let plan = match q.group_by.is_empty() {
-                    true => exec.explain(base),
-                    false => grouping_report(q, exec, base),
+                let plan = match (&q.top, grouping_attrs(q, base)?) {
+                    (_, None) => exec.explain(base),
+                    (Some(_), Some(attrs)) => exec.grouped(&attrs)?.explain(base),
+                    (None, Some(_)) => grouping_report(q, exec, base),
                 };
                 lines.extend(plan.lines());
                 Some(plan)
@@ -385,6 +380,19 @@ impl PrefSql {
             candidates,
         })
     }
+}
+
+/// The GROUP BY attributes of `q`, each checked against `base`'s schema
+/// (`None` without GROUP BY).
+fn grouping_attrs(q: &Query, base: &Relation) -> Result<Option<AttrSet>, SqlError> {
+    let attrs = AttrSet::new(q.group_by.iter().map(String::as_str));
+    if let Some(a) = attrs.iter().find(|a| base.schema().index_of(a).is_none()) {
+        return Err(SqlError::UnknownColumn {
+            table: q.table.clone(),
+            column: a.to_string(),
+        });
+    }
+    Ok((!attrs.is_empty()).then_some(attrs))
 }
 
 /// The report of a GROUP BY statement: its prepared query's plan, run as
@@ -1315,6 +1323,103 @@ mod tests {
             stmt.execute(&s, &[Value::from("three")]),
             Err(SqlError::BadParam { index: 1, .. })
         ));
+    }
+
+    #[test]
+    fn but_only_bounds_take_params() {
+        let s = session();
+        let stmt = s
+            .prepare(
+                "SELECT * FROM car PREFERRING price AROUND 40000 AND color IN ('red') \
+                 BUT ONLY DISTANCE(price) <= $1 AND LEVEL(color) < $2",
+            )
+            .unwrap();
+        for (distance, level) in [(0i64, 9i64), (2_000, 9), (2_000, 2), (9_000, 2), (9_000, 1)] {
+            let res = stmt.execute(&s, &[Value::from(distance), Value::from(level)]);
+            let sql = format!(
+                "SELECT * FROM car PREFERRING price AROUND 40000 AND color IN ('red') \
+                 BUT ONLY DISTANCE(price) <= {distance} AND LEVEL(color) < {level}"
+            );
+            let inline = s.execute(&sql).unwrap().relation.to_string();
+            assert_eq!(res.unwrap().relation.to_string(), inline, "{sql}");
+        }
+        // A float bound binds too; a non-numeric one is the caller's `$n`.
+        assert!(stmt
+            .execute(&s, &[Value::from(0.5), Value::from(1)])
+            .is_ok());
+        assert!(matches!(
+            stmt.execute(&s, &[Value::from("near"), Value::from(1)]),
+            Err(SqlError::BadParam { index: 1, .. })
+        ));
+        assert!(matches!(
+            stmt.execute(&s, &[Value::from(1), Value::from(true)]),
+            Err(SqlError::BadParam { index: 2, .. })
+        ));
+        // The bound is a statement slot like any other.
+        assert!(matches!(
+            s.prepare("SELECT * FROM car PREFERRING LOWEST(price) BUT ONLY LEVEL(price) <= $2"),
+            Err(SqlError::UnusedParam { index: 1 })
+        ));
+    }
+
+    /// `(level, row)` order of `car`'s rows under `p`'s better-than graph
+    /// (Def. 2) — the oracle of a TOP statement.
+    fn graph_order(s: &PrefSql, p: &Pref) -> Vec<usize> {
+        let r = s.catalog().get("car").unwrap();
+        let c = pref_core::eval::CompiledPref::compile(p, r.schema()).unwrap();
+        let g = pref_core::graph::BetterGraph::from_relation(&c, r).unwrap();
+        let mut rows: Vec<usize> = (0..r.len()).collect();
+        rows.sort_by_key(|&i| (g.level(i), i));
+        rows
+    }
+
+    #[test]
+    fn top_with_group_by_ranks_by_level_within_the_group() {
+        let s = session();
+        let car = s.catalog().get("car").unwrap().clone();
+        let grouped = Pref::Antichain(AttrSet::single(pref_relation::attr("make")))
+            .prior(pref_core::term::lowest("price"));
+        let order = graph_order(&s, &grouped);
+        for k in 0..=car.len() + 1 {
+            let sql = format!("SELECT TOP {k} * FROM car PREFERRING LOWEST(price) GROUP BY make");
+            let res = s.execute(&sql).unwrap();
+            let want = car.take_rows(&order[..k.min(car.len())]);
+            assert_eq!(res.relation.to_string(), want.to_string(), "k = {k}");
+            // The report and EXPLAIN SELECT both describe the grouped term.
+            let ran = res.explain.unwrap();
+            assert_eq!(ran.original, grouped.to_string());
+            assert_ne!(ran.cache, pref_query::CacheStatus::Bypass);
+            let plan = s.execute(&format!("EXPLAIN {sql}")).unwrap().relation;
+            let lines: Vec<&str> = plan.iter().map(|t| t[0].as_str().unwrap()).collect();
+            assert!(
+                lines.contains(&format!("preference : {grouped}").as_str()),
+                "{lines:?}"
+            );
+            assert!(lines.iter().any(|l| l.starts_with("top")), "{lines:?}");
+        }
+        // Both Opels at 38 000 and 39 500 come before the BMW's level 1
+        // ends: the BMW is level 1 of its group, so TOP 2 is one car of
+        // each make.
+        let two = s
+            .execute("SELECT TOP 2 make FROM car PREFERRING LOWEST(price) GROUP BY make")
+            .unwrap();
+        let makes: Vec<&Value> = two.relation.iter().map(|t| &t[0]).collect();
+        assert_eq!(makes.len(), 2);
+        assert_ne!(makes[0], makes[1]);
+    }
+
+    #[test]
+    fn repeated_top_and_group_by_report_a_warm_tier() {
+        for sql in [
+            "SELECT TOP 3 * FROM car PREFERRING price AROUND 40000",
+            "SELECT * FROM car PREFERRING price AROUND 40000 GROUP BY make",
+            "SELECT TOP 3 * FROM car PREFERRING price AROUND 40000 GROUP BY make",
+        ] {
+            let s = session();
+            let cache = || s.execute(sql).unwrap().explain.unwrap().cache;
+            assert_eq!(cache(), pref_query::CacheStatus::Miss, "{sql}");
+            assert_eq!(cache(), pref_query::CacheStatus::Hit, "{sql}");
+        }
     }
 
     #[test]

@@ -115,33 +115,17 @@ impl Parser {
     }
 
     fn literal(&mut self) -> Result<Literal, SqlError> {
-        match self.peek().clone() {
-            Tok::Int(v) => {
-                self.pos += 1;
-                Ok(Literal::Int(v))
-            }
-            Tok::Float(v) => {
-                self.pos += 1;
-                Ok(Literal::Float(v))
-            }
-            Tok::Str(s) => {
-                self.pos += 1;
-                Ok(Literal::Str(s))
-            }
-            Tok::Param(n) => {
-                self.pos += 1;
-                Ok(Literal::Param(n))
-            }
-            Tok::Keyword(Kw::True) => {
-                self.pos += 1;
-                Ok(Literal::Bool(true))
-            }
-            Tok::Keyword(Kw::False) => {
-                self.pos += 1;
-                Ok(Literal::Bool(false))
-            }
-            _ => self.err("literal"),
-        }
+        let lit = match self.peek().clone() {
+            Tok::Int(v) => Literal::Int(v),
+            Tok::Float(v) => Literal::Float(v),
+            Tok::Str(s) => Literal::Str(s),
+            Tok::Param(n) => Literal::Param(n),
+            Tok::Keyword(Kw::True) => Literal::Bool(true),
+            Tok::Keyword(Kw::False) => Literal::Bool(false),
+            _ => return self.err("literal"),
+        };
+        self.pos += 1;
+        Ok(lit)
     }
 
     fn literal_list(&mut self) -> Result<Vec<Literal>, SqlError> {
@@ -315,31 +299,20 @@ impl Parser {
             return Ok(inner);
         }
         let attr = self.ident()?;
-        match self.peek().clone() {
-            Tok::Eq => {
-                self.pos += 1;
-                Ok(HardExpr::Cmp(attr, CmpOp::Eq, self.literal()?))
-            }
-            Tok::Ne => {
-                self.pos += 1;
-                Ok(HardExpr::Cmp(attr, CmpOp::Ne, self.literal()?))
-            }
-            Tok::Lt => {
-                self.pos += 1;
-                Ok(HardExpr::Cmp(attr, CmpOp::Lt, self.literal()?))
-            }
-            Tok::Le => {
-                self.pos += 1;
-                Ok(HardExpr::Cmp(attr, CmpOp::Le, self.literal()?))
-            }
-            Tok::Gt => {
-                self.pos += 1;
-                Ok(HardExpr::Cmp(attr, CmpOp::Gt, self.literal()?))
-            }
-            Tok::Ge => {
-                self.pos += 1;
-                Ok(HardExpr::Cmp(attr, CmpOp::Ge, self.literal()?))
-            }
+        let op = match self.peek() {
+            Tok::Eq => Some(CmpOp::Eq),
+            Tok::Ne => Some(CmpOp::Ne),
+            Tok::Lt => Some(CmpOp::Lt),
+            Tok::Le => Some(CmpOp::Le),
+            Tok::Gt => Some(CmpOp::Gt),
+            Tok::Ge => Some(CmpOp::Ge),
+            _ => None,
+        };
+        if let Some(op) = op {
+            self.pos += 1;
+            return Ok(HardExpr::Cmp(attr, op, self.literal()?));
+        }
+        match self.peek() {
             Tok::Keyword(Kw::Between) => {
                 self.pos += 1;
                 let lo = self.literal()?;
@@ -395,19 +368,15 @@ impl Parser {
                 self.expect_tok(Tok::RParen, ")")?;
                 Ok(inner)
             }
-            Tok::Keyword(Kw::Lowest) => {
+            Tok::Keyword(kw @ (Kw::Lowest | Kw::Highest)) => {
                 self.pos += 1;
                 self.expect_tok(Tok::LParen, "(")?;
                 let attr = self.ident()?;
                 self.expect_tok(Tok::RParen, ")")?;
-                Ok(PrefExpr::Atom(PrefAtom::Lowest { attr }))
-            }
-            Tok::Keyword(Kw::Highest) => {
-                self.pos += 1;
-                self.expect_tok(Tok::LParen, "(")?;
-                let attr = self.ident()?;
-                self.expect_tok(Tok::RParen, ")")?;
-                Ok(PrefExpr::Atom(PrefAtom::Highest { attr }))
+                Ok(PrefExpr::Atom(match kw {
+                    Kw::Lowest => PrefAtom::Lowest { attr },
+                    _ => PrefAtom::Highest { attr },
+                }))
             }
             Tok::Keyword(Kw::Explicit) => {
                 self.pos += 1;
@@ -435,20 +404,12 @@ impl Parser {
     }
 
     fn pref_tail(&mut self, attr: String) -> Result<PrefExpr, SqlError> {
-        match self.peek().clone() {
-            Tok::Eq => {
-                self.pos += 1;
-                let v = self.literal()?;
-                self.maybe_else(attr, vec![v])
-            }
-            Tok::Ne => {
-                self.pos += 1;
-                let v = self.literal()?;
-                Ok(PrefExpr::Atom(PrefAtom::Neg {
-                    attr,
-                    values: vec![v],
-                }))
-            }
+        match self.membership()? {
+            Some((false, values)) => return self.maybe_else(attr, values),
+            Some((true, values)) => return Ok(PrefExpr::Atom(PrefAtom::Neg { attr, values })),
+            None => {}
+        }
+        match self.peek() {
             Tok::Keyword(Kw::Around) => {
                 self.pos += 1;
                 let target = self.literal()?;
@@ -461,18 +422,26 @@ impl Parser {
                 let up = self.literal()?;
                 Ok(PrefExpr::Atom(PrefAtom::Between { attr, low, up }))
             }
-            Tok::Keyword(Kw::In) => {
-                self.pos += 1;
-                let values = self.literal_list()?;
-                self.maybe_else(attr, values)
-            }
-            Tok::Keyword(Kw::Not) if self.peek2() == &Tok::Keyword(Kw::In) => {
-                self.pos += 2;
-                let values = self.literal_list()?;
-                Ok(PrefExpr::Atom(PrefAtom::Neg { attr, values }))
-            }
             _ => self.err("preference operator (=, <>, IN, AROUND, BETWEEN)"),
         }
+    }
+
+    /// A set test on an attribute: `= v` or `IN (…)` (`false`), `<> v` or
+    /// `NOT IN (…)` (`true`), with its values — `None` when none follows.
+    fn membership(&mut self) -> Result<Option<(bool, Vec<Literal>)>, SqlError> {
+        let (negated, list, width) = match (self.peek(), self.peek2()) {
+            (Tok::Eq, _) => (false, false, 1),
+            (Tok::Keyword(Kw::In), _) => (false, true, 1),
+            (Tok::Ne, _) => (true, false, 1),
+            (Tok::Keyword(Kw::Not), Tok::Keyword(Kw::In)) => (true, true, 2),
+            _ => return Ok(None),
+        };
+        self.pos += width;
+        let values = match list {
+            true => self.literal_list()?,
+            false => vec![self.literal()?],
+        };
+        Ok(Some((negated, values)))
     }
 
     /// After a POS head (`attr = v` or `attr IN (…)`), an optional
@@ -489,94 +458,47 @@ impl Parser {
                 found: format!("identifier `{attr2}`"),
             });
         }
-        match self.peek().clone() {
-            Tok::Eq => {
-                self.pos += 1;
-                let v = self.literal()?;
-                Ok(PrefExpr::Atom(PrefAtom::PosPos {
-                    attr,
-                    pos1: pos,
-                    pos2: vec![v],
-                }))
-            }
-            Tok::Keyword(Kw::In) => {
-                self.pos += 1;
-                let pos2 = self.literal_list()?;
-                Ok(PrefExpr::Atom(PrefAtom::PosPos {
-                    attr,
-                    pos1: pos,
-                    pos2,
-                }))
-            }
-            Tok::Ne => {
-                self.pos += 1;
-                let v = self.literal()?;
-                Ok(PrefExpr::Atom(PrefAtom::PosNeg {
-                    attr,
-                    pos,
-                    neg: vec![v],
-                }))
-            }
-            Tok::Keyword(Kw::Not) if self.peek2() == &Tok::Keyword(Kw::In) => {
-                self.pos += 2;
-                let neg = self.literal_list()?;
-                Ok(PrefExpr::Atom(PrefAtom::PosNeg { attr, pos, neg }))
-            }
-            _ => self.err("=, <>, IN or NOT IN after ELSE"),
+        match self.membership()? {
+            Some((false, pos2)) => Ok(PrefExpr::Atom(PrefAtom::PosPos {
+                attr,
+                pos1: pos,
+                pos2,
+            })),
+            Some((true, neg)) => Ok(PrefExpr::Atom(PrefAtom::PosNeg { attr, pos, neg })),
+            None => self.err("=, <>, IN or NOT IN after ELSE"),
         }
     }
 
     // ---- quality constraints ----------------------------------------------
 
     fn quality_atom(&mut self) -> Result<QualityCondAst, SqlError> {
-        let is_level = match self.bump() {
+        let level = match self.peek() {
             Tok::Keyword(Kw::Level) => true,
             Tok::Keyword(Kw::Distance) => false,
-            other => {
-                return Err(SqlError::Parse {
-                    pos: self.pos - 1,
-                    expected: "LEVEL or DISTANCE".into(),
-                    found: other.to_string(),
-                })
-            }
+            _ => return self.err("LEVEL or DISTANCE"),
         };
+        self.pos += 1;
         self.expect_tok(Tok::LParen, "(")?;
         let attr = self.ident()?;
         self.expect_tok(Tok::RParen, ")")?;
-        let strict = match self.bump() {
+        let strict = match self.peek() {
             Tok::Le => false,
             Tok::Lt => true,
-            other => {
-                return Err(SqlError::Parse {
-                    pos: self.pos - 1,
-                    expected: "<= or <".into(),
-                    found: other.to_string(),
-                })
-            }
+            _ => return self.err("<= or <"),
         };
-        let bound = match self.bump() {
-            Tok::Int(v) => v as f64,
-            Tok::Float(v) => v,
-            other => {
-                return Err(SqlError::Parse {
-                    pos: self.pos - 1,
-                    expected: "numeric bound".into(),
-                    found: other.to_string(),
-                })
-            }
+        self.pos += 1;
+        let bound = match *self.peek() {
+            Tok::Int(v) => Literal::Int(v),
+            Tok::Float(v) => Literal::Float(v),
+            Tok::Param(n) => Literal::Param(n),
+            _ => return self.err("numeric bound or $n"),
         };
-        Ok(if is_level {
-            let b = if strict { bound - 1.0 } else { bound };
-            QualityCondAst::LevelLe {
-                attr,
-                bound: b.max(0.0) as u32,
-            }
-        } else {
-            // `DISTANCE(a) < x` is kept as `<= x - ulp`-ish via strict
-            // flag folding: we conservatively treat `<` as `<=` on the
-            // previous representable bound for integers only; floats keep
-            // `<=` semantics (documented simplification).
-            QualityCondAst::DistanceLe { attr, bound }
+        self.pos += 1;
+        Ok(QualityCondAst {
+            level,
+            attr,
+            strict,
+            bound,
         })
     }
 }
@@ -619,10 +541,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.but_only.len(), 2);
-        assert!(matches!(
-            q.but_only[0],
-            QualityCondAst::DistanceLe { ref attr, bound } if attr == "start_date" && bound == 2.0
-        ));
+        let distance = |attr: &str| QualityCondAst {
+            level: false,
+            attr: attr.into(),
+            strict: false,
+            bound: Literal::Int(2),
+        };
+        assert_eq!(q.but_only, [distance("start_date"), distance("duration")]);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use pref_query::quality::{QualityCond, QualityFilter};
 use pref_relation::{attr, DataType, Date, Schema, Tuple, Value};
 
 use crate::ast::{CmpOp, HardExpr, Literal, PrefAtom, PrefExpr, QualityCondAst};
+use crate::bind::bind_typed;
 use crate::error::SqlError;
 
 /// Coerce a literal against a column type. String literals coerce to
@@ -214,19 +215,22 @@ pub fn quality_to_filter(
     conds: &[QualityCondAst],
     schema: &Schema,
     table: &str,
+    params: &[Value],
 ) -> Result<QualityFilter, SqlError> {
     let mut filter = QualityFilter::new();
     for c in conds {
-        filter = match c {
-            QualityCondAst::LevelLe { attr: a, bound } => {
-                column_type(schema, table, a)?;
-                filter.and(QualityCond::LevelLe(attr(a), *bound))
+        column_type(schema, table, &c.attr)?;
+        let bound = bind_typed(&c.bound, &c.attr, Some(DataType::Float), params)?;
+        // Coerced to a Float value, which always has an `f64`.
+        let bound = literal_to_value(&bound, &c.attr, DataType::Float)?.as_f64();
+        let bound = bound.unwrap_or_default();
+        filter = filter.and(match c.level {
+            true => {
+                let level = bound - f64::from(u8::from(c.strict));
+                QualityCond::LevelLe(attr(&c.attr), level.max(0.0) as u32)
             }
-            QualityCondAst::DistanceLe { attr: a, bound } => {
-                column_type(schema, table, a)?;
-                filter.and(QualityCond::DistanceLe(attr(a), *bound))
-            }
-        };
+            false => QualityCond::DistanceLe(attr(&c.attr), bound),
+        });
     }
     Ok(filter)
 }

@@ -90,7 +90,7 @@ fn eval(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryE
                 // Prop. 10: grouping — over the engine's shared matrix.
                 let s1: HashSet<usize> = eval(engine, &p1, r)?.into_iter().collect();
                 let rest = engine.prepare(&rest, r.schema())?;
-                let grouped = rest.sigma_groupby(&a1, r)?;
+                let (grouped, _) = rest.sigma_groupby(&a1, r)?;
                 return Ok(grouped.into_iter().filter(|i| s1.contains(i)).collect());
             }
             // Shared attributes: no decomposition theorem — evaluate
@@ -237,8 +237,8 @@ impl Engine {
         let (q1, q2) = (self.prepare(p1, r.schema())?, self.prepare(p2, r.schema())?);
         let s1: HashSet<usize> = direct(&q1, r).into_iter().collect();
         let s2: HashSet<usize> = direct(&q2, r).into_iter().collect();
-        let g1 = q2.sigma_groupby(&a1, r)?; // σ[P2 groupby A1](R)
-        let g2 = q1.sigma_groupby(&a2, r)?; // σ[P1 groupby A2](R)
+        let (g1, _) = q2.sigma_groupby(&a1, r)?; // σ[P2 groupby A1](R)
+        let (g2, _) = q1.sigma_groupby(&a2, r)?; // σ[P1 groupby A2](R)
 
         let first: Vec<usize> = g1.into_iter().filter(|i| s1.contains(i)).collect();
         let second: Vec<usize> = g2.into_iter().filter(|i| s2.contains(i)).collect();

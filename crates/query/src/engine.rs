@@ -1055,14 +1055,14 @@ mod tests {
 
         // Warm the base matrix through the groupby path itself.
         let q = engine.prepare(&p, r.schema()).unwrap();
-        let base_rows = q.sigma_groupby(&attrs, &r).unwrap();
+        let (base_rows, _) = q.sigma_groupby(&attrs, &r).unwrap();
         assert_eq!(engine.cache_stats().misses, 1);
 
         // Grouped evaluation over a fresh derived view reuses it via a
         // window instead of building a subset matrix.
         let d = r.select_derived(|_| true, 0x51);
-        let grouped = q.sigma_groupby(&attrs, &d).unwrap();
-        assert_eq!(grouped, base_rows);
+        let (grouped, cache) = q.sigma_groupby(&attrs, &d).unwrap();
+        assert_eq!((grouped, cache), (base_rows, CacheStatus::WindowHit));
         let stats = engine.cache_stats();
         assert_eq!(
             (stats.window_hits, stats.misses),
@@ -1102,7 +1102,9 @@ mod tests {
         let r = sample();
         let p = around("a", 2).pareto(lowest("b"));
         let attrs = pref_relation::AttrSet::new(["c"]);
-        let grouped = |e: &Engine| e.prepare(&p, r.schema())?.sigma_groupby(&attrs, &r);
+        let grouped = |e: &Engine| {
+            Ok::<_, QueryError>(e.prepare(&p, r.schema())?.sigma_groupby(&attrs, &r)?.0)
+        };
         let rows = grouped(&engine).unwrap();
         let stats = engine.cache_stats();
         assert_eq!(

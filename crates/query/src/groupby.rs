@@ -18,6 +18,7 @@ use pref_relation::{AttrSet, Relation};
 use crate::algorithms::bnl::{bnl_generic, bnl_window};
 use crate::engine::Prepared;
 use crate::error::QueryError;
+use crate::optimizer::CacheStatus;
 
 impl Prepared {
     /// `σ[P groupby A](R)` (Def. 16) on the columnar path: partition row
@@ -26,16 +27,17 @@ impl Prepared {
     /// ([`Prepared::matrix`]), so the same matrix serves every group —
     /// and every later query on the same relation generation. Falls back
     /// to the generic term-walk backend when the term does not
-    /// materialize (or the optimizer disables materialization).
+    /// materialize (or the optimizer disables materialization). Returns
+    /// the rows and the tier the matrix came from.
     pub fn sigma_groupby(
         &self,
         group_attrs: &AttrSet,
         r: &Relation,
-    ) -> Result<Vec<usize>, QueryError> {
+    ) -> Result<(Vec<usize>, CacheStatus), QueryError> {
         self.check_schema(r)?;
         let group_cols = r.schema().resolve(group_attrs)?;
         let (ids, n_groups) = r.group_ids(&group_cols);
-        let matrix = self.matrix(r);
+        let (matrix, cache) = self.tiered_matrix(r);
 
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
         for (i, &g) in ids.iter().enumerate() {
@@ -47,7 +49,16 @@ impl Prepared {
             None => group_windows(members, |x, y| self.compiled().better(r.row(x), r.row(y))),
         };
         result.sort_unstable();
-        Ok(result)
+        Ok((result, cache))
+    }
+
+    /// The prepared query of `A↔ & P` (Def. 16) on this query's engine:
+    /// its BMO is `σ[P groupby A](R)`, and its levels are `P`'s levels
+    /// within each group of equal `A`-values — what a grouped k-best
+    /// ranks by.
+    pub fn grouped(&self, group_attrs: &AttrSet) -> Result<Prepared, QueryError> {
+        let term = Pref::Antichain(group_attrs.clone()).prior(self.term().clone());
+        self.engine.prepare(&term, &self.schema)
     }
 }
 
@@ -87,7 +98,9 @@ mod tests {
         group_attrs: &AttrSet,
         r: &Relation,
     ) -> Result<Vec<usize>, QueryError> {
-        (Engine::new().prepare(pref, r.schema())?).sigma_groupby(group_attrs, r)
+        Ok((Engine::new().prepare(pref, r.schema())?)
+            .sigma_groupby(group_attrs, r)?
+            .0)
     }
 
     fn cars() -> pref_relation::Relation {
@@ -151,10 +164,11 @@ mod tests {
         let p = around("price", 40_000);
         let attrs = AttrSet::single(attr("make"));
         let q = engine.prepare(&p, r.schema()).unwrap();
-        let first = q.sigma_groupby(&attrs, &r).unwrap();
+        let (first, cold) = q.sigma_groupby(&attrs, &r).unwrap();
         assert_eq!(engine.cache_stats().misses, 1);
-        let second = q.sigma_groupby(&attrs, &r).unwrap();
+        let (second, warm) = q.sigma_groupby(&attrs, &r).unwrap();
         assert_eq!(first, second);
+        assert_eq!((cold, warm), (CacheStatus::Miss, CacheStatus::Hit));
         let stats = engine.cache_stats();
         assert_eq!(
             (stats.hits, stats.misses),

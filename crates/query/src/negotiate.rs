@@ -10,27 +10,28 @@
 //! * **levels generalise BMO** (Def. 2): `σ[P](R)` is level 1 of the
 //!   database preference; conceding one level at a time exposes the
 //!   next-best alternatives without ever flooding.
+//!
+//! Both run through the engine: the frontier is one
+//! [`Prepared::execute`], and levels are [`Prepared::layers`].
 
-use pref_core::eval::CompiledPref;
-use pref_core::graph::BetterGraph;
 use pref_core::term::Pref;
 use pref_relation::Relation;
 
+use crate::engine::{Engine, Prepared};
 use crate::error::QueryError;
 
-/// Level-based relaxation: all rows whose level in the database
-/// preference `P_R` is at most `max_level`. `max_level = 1` is exactly
-/// `σ[P](R)`; higher levels concede one better-than step at a time.
-pub fn sigma_levels(pref: &Pref, r: &Relation, max_level: u32) -> Result<Vec<usize>, QueryError> {
-    let c = CompiledPref::compile(pref, r.schema())?;
-    // The SPO check cannot fail for terms built from this crate's
-    // constructors (Prop. 1); it surfaces bugs in custom base preferences.
-    let g = BetterGraph::from_relation(&c, r).map_err(|_| QueryError::AlgorithmMismatch {
-        algorithm: "level relaxation",
-        term: pref.to_string(),
-        reason: "preference violates the strict-partial-order axioms",
-    })?;
-    Ok((0..r.len()).filter(|&i| g.level(i) <= max_level).collect())
+impl Prepared {
+    /// Level-based relaxation: all rows whose level in the database
+    /// preference `P_R` is at most `max_level`, ascending. `max_level =
+    /// 1` is exactly `σ[P](R)`; higher levels concede one better-than
+    /// step at a time.
+    pub fn sigma_levels(&self, r: &Relation, max_level: u32) -> Result<Vec<usize>, QueryError> {
+        let max = max_level as usize;
+        let (layers, _) = self.layers(r, |layers| layers.len() >= max)?;
+        let mut rows: Vec<usize> = layers.into_iter().take(max).flatten().collect();
+        rows.sort_unstable();
+        Ok(rows)
+    }
 }
 
 /// One row of a two-party negotiation table.
@@ -56,21 +57,23 @@ pub struct NegotiationTable {
 }
 
 impl NegotiationTable {
-    /// Build the table for parties `a` and `b` over `r`.
-    pub fn build(a: &Pref, b: &Pref, r: &Relation) -> Result<Self, QueryError> {
+    /// Build the table for parties `a` and `b` over `r` on `engine`.
+    pub fn build(engine: &Engine, a: &Pref, b: &Pref, r: &Relation) -> Result<Self, QueryError> {
         let joint = Pref::Pareto(vec![a.clone(), b.clone()]);
-        let compiled = CompiledPref::compile(&joint, r.schema())?;
-        let frontier = crate::algorithms::bnl::bnl_generic(&compiled, r);
+        let frontier = engine.prepare(&joint, r.schema())?.execute(r)?.into_rows();
 
+        // Each party's levels, peeled until every frontier row has one.
         let level_of = |p: &Pref| -> Result<Vec<u32>, QueryError> {
-            let c = CompiledPref::compile(p, r.schema())?;
-            let g =
-                BetterGraph::from_relation(&c, r).map_err(|_| QueryError::AlgorithmMismatch {
-                    algorithm: "negotiation",
-                    term: p.to_string(),
-                    reason: "preference violates the strict-partial-order axioms",
-                })?;
-            Ok((0..r.len()).map(|i| g.level(i)).collect())
+            let mut level = vec![0; r.len()];
+            let mut unranked = frontier.len();
+            engine.prepare(p, r.schema())?.layers(r, |layers| {
+                for &i in layers.last().into_iter().flatten() {
+                    level[i] = layers.len() as u32;
+                    unranked -= usize::from(frontier.binary_search(&i).is_ok());
+                }
+                unranked == 0
+            })?;
+            Ok(level)
         };
         let la = level_of(a)?;
         let lb = level_of(b)?;
@@ -118,6 +121,16 @@ mod tests {
     use pref_core::prelude::*;
     use pref_relation::rel;
 
+    fn sigma_levels(p: &Pref, r: &Relation, max_level: u32) -> Result<Vec<usize>, QueryError> {
+        Engine::new()
+            .prepare(p, r.schema())?
+            .sigma_levels(r, max_level)
+    }
+
+    fn build(a: &Pref, b: &Pref, r: &Relation) -> Result<NegotiationTable, QueryError> {
+        NegotiationTable::build(&Engine::new(), a, b, r)
+    }
+
     fn car_db() -> Relation {
         rel! {
             ("price": Int, "commission": Int);
@@ -158,7 +171,7 @@ mod tests {
         let r = car_db();
         let customer = lowest("price");
         let vendor = highest("commission");
-        let table = NegotiationTable::build(&customer, &vendor, &r).unwrap();
+        let table = build(&customer, &vendor, &r).unwrap();
         let frontier: Vec<usize> = {
             let mut v: Vec<usize> = table.offers().iter().map(|o| o.row).collect();
             v.sort_unstable();
@@ -173,7 +186,7 @@ mod tests {
     #[test]
     fn levels_expose_the_tradeoff() {
         let r = car_db();
-        let table = NegotiationTable::build(&lowest("price"), &highest("commission"), &r).unwrap();
+        let table = build(&lowest("price"), &highest("commission"), &r).unwrap();
         for o in table.offers() {
             // On this anti-correlated toy set, nobody gets a unanimous
             // deal: what one party loves the other ranks worse.
@@ -192,7 +205,7 @@ mod tests {
             (10_000, 900), // cheapest AND highest commission
             (12_000, 300),
         };
-        let table = NegotiationTable::build(&lowest("price"), &highest("commission"), &r).unwrap();
+        let table = build(&lowest("price"), &highest("commission"), &r).unwrap();
         let unanimous = table.unanimous();
         assert_eq!(unanimous.len(), 1);
         assert_eq!(unanimous[0].row, 0);

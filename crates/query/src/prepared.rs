@@ -90,14 +90,14 @@ impl MaintainedResult {
 /// prepares the term it gets.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    engine: Engine,
+    pub(crate) engine: Engine,
     pub(crate) original: String,
     simplified: Pref,
     simplified_str: String,
     rewritten: bool,
     compiled: CompiledPref,
     fingerprint: u64,
-    schema: Schema,
+    pub(crate) schema: Schema,
     /// Schema-level planning, computed once at prepare: the rewrite
     /// derivation trace plus the constraint-registry semantic verdict.
     semantic: Arc<SemanticInfo>,
@@ -163,12 +163,16 @@ impl Prepared {
     /// warmed base returns a [`MatrixWindow`] onto the base's matrix
     /// even when the subset itself was never seen.
     pub fn matrix(&self, r: &Relation) -> Option<MatrixWindow> {
+        self.tiered_matrix(r).0
+    }
+
+    /// [`Prepared::matrix`] and the tier that served it.
+    pub(crate) fn tiered_matrix(&self, r: &Relation) -> (Option<MatrixWindow>, CacheStatus) {
         if self.engine.optimizer().no_materialize {
-            return None;
+            return (None, CacheStatus::Bypass);
         }
         self.engine
             .cached_matrix(self.fingerprint, &self.compiled, r)
-            .0
     }
 
     /// The relation-level [`Plan`] of this query over `r`: reuses the
@@ -279,9 +283,9 @@ impl Prepared {
     }
 
     /// [`Prepared::explain`] for an operator other than the planned
-    /// winnow — [`Prepared::k_best`] or [`Prepared::sigma_groupby`]: the
-    /// same plan, with `algorithm` as what runs and `reason` naming the
-    /// operator. Runs nothing.
+    /// winnow, such as [`Prepared::sigma_groupby`]'s per-group windows:
+    /// the same plan, with `algorithm` as what runs and `reason` naming
+    /// the operator. Runs nothing.
     pub fn explain_as(&self, r: &Relation, algorithm: Algorithm, reason: String) -> Explain {
         let plan = self.plan(r);
         let materialized = !self.engine.optimizer().no_materialize

@@ -6,17 +6,22 @@
 //!   attribute values, so the filter reads each surviving row's value
 //!   and never the BMO stage's score matrix;
 //! * perfect-match detection (Def. 14b);
+//! * [`Prepared::layers`] — Def. 2's levels of a relation, peeled as
+//!   iterated winnow: every layer is one [`Prepared::execute`] over the
+//!   rows not yet peeled, windowed onto one resident score matrix;
 //! * [`Prepared::k_best`] / [`Prepared::top_k`] — the "k-best"
 //!   relaxation of BMO used by multi-feature and full-text engines
 //!   (§6.2), which deliberately returns some non-maximal tuples when the
 //!   best-matches-only set is too small.
 
-use pref_core::graph::BetterGraph;
+use std::borrow::Cow;
+
 use pref_core::term::Pref;
-use pref_relation::{Attr, Relation, Tuple};
+use pref_relation::{predicate_fingerprint, Attr, Relation, Tuple};
 
 use crate::engine::Prepared;
 use crate::error::QueryError;
+use crate::optimizer::{CacheStatus, Explain, Optimizer};
 
 /// A conjunction of quality constraints (the `BUT ONLY` clause).
 #[derive(Debug, Clone, Default)]
@@ -161,31 +166,69 @@ fn all_tops<'a>(
 }
 
 impl Prepared {
-    /// The "k-best" query model by quality level: all of `σ[P](R)`
-    /// (level 1), then level 2, and so on until `k` rows are collected —
-    /// "in BMO-terms this amounts to retrieve some non-maximal objects,
-    /// too" (§6.2). Works for *any* preference, not just scored ones;
-    /// ties within the cutting level break by row order.
-    ///
-    /// The O(n²) better-than graph is built from this query's
-    /// engine-cached score matrix ([`Prepared::matrix`]) when the term
-    /// materializes (numeric key comparisons instead of per-pair term
-    /// walks), with the compiled-term walk as fallback.
-    pub fn k_best(&self, r: &Relation, k: usize) -> Result<Vec<usize>, QueryError> {
+    /// Def. 2's levels of `r`, best first, as ascending row indices: on
+    /// a strict partial order, peeling the maxima again and again gives
+    /// the longest-path levels (Chomicki's iterated winnow). Each layer
+    /// is one [`Prepared::execute`] over a [`Relation::take_rows_derived`]
+    /// view of the rows left, windowed onto one matrix warmed before the
+    /// first layer: `r`'s, its [`Relation::window_base`]'s, or a dense
+    /// copy's. The first layer always runs; peeling stops at an empty
+    /// layer or once `until(&layers)` holds. The report is the first
+    /// layer's, on `r` and the warmed matrix's tier.
+    pub fn layers(
+        &self,
+        r: &Relation,
+        mut until: impl FnMut(&[Vec<usize>]) -> bool,
+    ) -> Result<(Vec<Vec<usize>>, Explain), QueryError> {
         self.check_schema(r)?;
-        let g = match self.matrix(r) {
-            Some(m) => BetterGraph::from_fn(r.len(), |x, y| m.better(x, y)),
-            None => BetterGraph::from_relation(self.compiled(), r),
+        let copy;
+        let (peel, anchor) = match r.window_base() {
+            _ if r.row_ids().is_none() => (r, Cow::Borrowed(r)),
+            Some(base) => (r, Cow::Owned(base)),
+            None => {
+                copy = Relation::from_rows(r.schema().clone(), r.to_owned_rows())?;
+                (&copy, Cow::Borrowed(&copy))
+            }
+        };
+        let cache = match Optimizer::uses_matrix(self.plan(peel).algorithm) {
+            true => self.tiered_matrix(&anchor).1,
+            false => CacheStatus::Bypass,
+        };
+        let layer_of = |rest: &[usize], depth: usize| -> Result<_, QueryError> {
+            let fp = predicate_fingerprint(format!("σ-layer {depth}").as_bytes());
+            let run = self.execute(&peel.take_rows_derived(rest, fp))?;
+            let layer: Vec<usize> = run.rows().iter().map(|&v| rest[v]).collect();
+            Ok((layer, run.into_parts().1))
+        };
+        let mut rest: Vec<usize> = (0..r.len()).collect();
+        let (mut layer, mut report) = layer_of(&rest, 0)?;
+        (report.cache, report.generation, report.lineage) = (cache, r.generation(), r.lineage());
+        let mut layers = Vec::new();
+        while !layer.is_empty() {
+            rest.retain(|i| layer.binary_search(i).is_err());
+            layers.push(layer);
+            if until(&layers) || rest.is_empty() {
+                break;
+            }
+            layer = layer_of(&rest, layers.len())?.0;
         }
-        .map_err(|_| QueryError::AlgorithmMismatch {
-            algorithm: "k-best",
-            term: self.original.clone(),
-            reason: "preference violates the strict-partial-order axioms",
+        Ok((layers, report))
+    }
+
+    /// The "k-best" query model by quality level (§6.2): the levels of
+    /// [`Prepared::layers`], each in row order, until `k` rows — "in
+    /// BMO-terms this amounts to retrieve some non-maximal objects, too".
+    /// Works for *any* preference; the report is the first layer's.
+    pub fn k_best(&self, r: &Relation, k: usize) -> Result<(Vec<usize>, Explain), QueryError> {
+        let mut taken = 0;
+        let (layers, mut report) = self.layers(r, |layers| {
+            taken += layers.last().map_or(0, Vec::len);
+            taken >= k
         })?;
-        let mut idx: Vec<usize> = (0..r.len()).collect();
-        idx.sort_by_key(|&i| (g.level(i), i));
-        idx.truncate(k);
-        Ok(idx)
+        report.reason = format!("k-best relaxation to {k} rows (§6.2)");
+        let mut rows = layers.concat();
+        rows.truncate(k);
+        Ok((rows, report))
     }
 
     /// The "k-best" ranked query model (§6.2): order by the preference's
@@ -217,7 +260,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use pref_core::prelude::*;
-    use pref_relation::{attr, rel};
+    use pref_relation::{attr, rel, Value};
 
     #[test]
     fn level_and_distance_lookup() {
@@ -339,7 +382,7 @@ mod tests {
         let engine = Engine::new();
         let (q, walk) = (prepared(&engine, &p, &r), prepared(&term_walk(), &p, &r));
         for k in 0..=r.len() {
-            assert_eq!(q.k_best(&r, k).unwrap(), walk.k_best(&r, k).unwrap());
+            assert_eq!(q.k_best(&r, k).unwrap().0, walk.k_best(&r, k).unwrap().0);
         }
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1, "one matrix serves every k");
@@ -352,8 +395,8 @@ mod tests {
         let p = around("a", 1).pareto(lowest("b"));
         let engine = Engine::new();
         assert_eq!(
-            prepared(&engine, &p, &r).k_best(&r, 3).unwrap(),
-            prepared(&term_walk(), &p, &r).k_best(&r, 3).unwrap()
+            prepared(&engine, &p, &r).k_best(&r, 3).unwrap().0,
+            prepared(&term_walk(), &p, &r).k_best(&r, 3).unwrap().0
         );
         let ranked = Pref::rank(CombineFn::sum(), vec![highest("a"), highest("b")]).unwrap();
         assert_eq!(
@@ -397,13 +440,14 @@ mod tests {
         let engine = Engine::new();
         let q = prepared(&engine, &lowest("a"), &r);
         // Levels: the two 1s, then 2, then 3.
-        assert_eq!(q.k_best(&r, 1).unwrap(), vec![1]);
-        assert_eq!(q.k_best(&r, 2).unwrap(), vec![1, 3]);
-        assert_eq!(q.k_best(&r, 3).unwrap(), vec![1, 3, 2]);
-        assert_eq!(q.k_best(&r, 99).unwrap().len(), 4);
+        let k_best = |q: &Prepared, k| q.k_best(&r, k).unwrap().0;
+        assert_eq!(k_best(&q, 1), vec![1]);
+        assert_eq!(k_best(&q, 2), vec![1, 3]);
+        assert_eq!(k_best(&q, 3), vec![1, 3, 2]);
+        assert_eq!(k_best(&q, 99), vec![1, 3, 2, 0]);
         // Works for non-scored preferences too (unlike utility top_k).
         let q = prepared(&engine, &pos("a", [2i64]), &r);
-        assert_eq!(q.k_best(&r, 1).unwrap(), vec![2]);
+        assert_eq!(k_best(&q, 1), vec![2]);
         // A relation of another schema is refused, not misread.
         let other = rel! { ("b": Int); (1,) };
         assert!(q.k_best(&other, 1).is_err() && q.top_k(&other, 1).is_err());
@@ -416,7 +460,8 @@ mod tests {
         let bmo = crate::bmo::sigma_naive_generic(&p, &r).unwrap();
         let kb = prepared(&Engine::new(), &p, &r)
             .k_best(&r, r.len())
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(
             {
                 let mut head: Vec<usize> = kb[..bmo.len()].to_vec();
@@ -425,6 +470,93 @@ mod tests {
             },
             bmo
         );
+    }
+
+    /// `(level, row)` order under the better-than graph of `p` over `r`
+    /// — Def. 2 by its definition, the oracle the peel is checked against.
+    fn graph_order(p: &Pref, r: &Relation) -> Vec<usize> {
+        let c = pref_core::eval::CompiledPref::compile(p, r.schema()).unwrap();
+        let g = pref_core::graph::BetterGraph::from_relation(&c, r).unwrap();
+        let mut rows: Vec<usize> = (0..r.len()).collect();
+        rows.sort_by_key(|&i| (g.level(i), i));
+        rows
+    }
+
+    #[test]
+    fn layers_are_the_graph_levels_on_every_kind_of_relation() {
+        let mut r = rel! {
+            ("a": Int, "b": Int, "c": Str);
+            (3, 1, "x"), (1, 9, "y"), (2, 8, "x"), (1, 9, "x"), (9, 1, "y"),
+            (5, 5, "x"), (4, 4, "y"), (2, 2, "x"), (7, 3, "y"), (6, 6, "x"),
+        };
+        let terms = [
+            lowest("a"),
+            around("a", 4).pareto(lowest("b")),
+            pos("c", ["x"]).prior(highest("b")),
+            lowest("a").pareto(lowest("b")).pareto(pos("c", ["y"])),
+        ];
+        let engine = Engine::new();
+        let check = |r: &Relation| {
+            for p in &terms {
+                let q = prepared(&engine, p, r);
+                let order = graph_order(p, r);
+                for k in 0..=r.len() + 1 {
+                    let want = &order[..k.min(r.len())];
+                    assert_eq!(q.k_best(r, k).unwrap().0, want, "{p}, k = {k}");
+                }
+                let (layers, _) = q.layers(r, |_| false).unwrap();
+                assert_eq!(layers.concat(), order, "{p}");
+                for level in 0..4 {
+                    let mut want = layers[..level.min(layers.len())].concat();
+                    want.sort_unstable();
+                    assert_eq!(q.sigma_levels(r, level as u32).unwrap(), want);
+                }
+            }
+        };
+        // A dense table, a windowable view of it, and a table with a
+        // tombstone (its views do not window: the peel copies it once).
+        check(&r);
+        check(&r.select_derived(|t| t[2] != Value::from("z"), 7));
+        r.delete_rows(&[4]);
+        check(&r);
+    }
+
+    #[test]
+    fn a_top_statement_adds_one_matrix_and_no_result() {
+        let r = forty_rows();
+        let p = around("a", 40).pareto(highest("b"));
+        let engine = Engine::new();
+        let q = prepared(&engine, &p, &r);
+        let view = r.select_derived(|t| t[0] != Value::from(3), 11);
+        for (rel, entries) in [(&view, 1), (&r, 1), (&view, 1)] {
+            for k in [0, 1, 5, 40, 41] {
+                let (_, report) = q.k_best(rel, k).unwrap();
+                let stats = engine.cache_stats();
+                assert_eq!(
+                    (stats.entries, stats.result_entries),
+                    (entries, 0),
+                    "k = {k}"
+                );
+                assert_ne!(report.algorithm, crate::Algorithm::Naive);
+                assert_eq!(report.generation, rel.generation());
+            }
+        }
+        // The windowed view warmed the table's own matrix: a repeat is
+        // a hit, on the table and through the view alike.
+        assert_eq!(q.k_best(&r, 3).unwrap().1.cache, CacheStatus::Hit);
+        assert_eq!(q.k_best(&view, 3).unwrap().1.cache, CacheStatus::Hit);
+        let fresh = prepared(&Engine::new(), &p, &r);
+        assert_eq!(fresh.k_best(&r, 3).unwrap().1.cache, CacheStatus::Miss);
+    }
+
+    /// Forty rows of two key columns with ties.
+    fn forty_rows() -> Relation {
+        let mut r = rel! { ("a": Int, "b": Int); (0, 0) };
+        for i in 1..40i64 {
+            r.push_values(vec![Value::from(i * 7 % 13), Value::from(i * 5 % 11)])
+                .unwrap();
+        }
+        r
     }
 
     #[test]

@@ -72,16 +72,6 @@ impl FilterEffectReport {
             && self.size_pareto >= self.size_p1_prior_p2
             && self.size_pareto >= self.size_p2_prior_p1
     }
-
-    /// The §5.5 "AND/OR" reading:
-    /// `P1⊗P2 ⇚ P1&P2 ⇛ P1` — prioritisation filters like AND, Pareto
-    /// relaxes like OR.
-    pub fn and_or_effect(&self) -> String {
-        format!(
-            "size(P1&P2)={} ≤ size(P1)={} ; size(P1⊗P2)={} ≥ size(P1&P2)={}",
-            self.size_p1_prior_p2, self.size_p1, self.size_pareto, self.size_p1_prior_p2
-        )
-    }
 }
 
 #[cfg(test)]

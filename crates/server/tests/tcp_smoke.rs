@@ -3,9 +3,11 @@
 //! connections, and assert zero errors plus at least one warm hit from
 //! *every* cache tier (exact, derived, window, shard), plus a bound
 //! preference-side `$n` whose EXPLAIN shows the bound term — the
-//! sequence CI runs on every push.
+//! sequence CI runs on every push — and a `TOP k` over a 20 000-row
+//! table answered within a read timeout.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pref_server::{Client, Server, ServerState};
 use pref_sql::PrefSql;
@@ -182,6 +184,49 @@ fn overlong_request_line_is_refused_and_only_that_connection_closes() {
     // Everyone else is still served.
     let mut c = Client::connect(addr).expect("second connection connects");
     assert!(c.request("PING").expect("ping").is_ok());
+    server.shutdown();
+}
+
+#[test]
+fn top_k_over_twenty_thousand_rows_answers_in_time() {
+    use std::io::{BufRead, BufReader, Write};
+
+    // TOP k peels BMO layers, each one winnow over the rows not yet
+    // peeled; a better-than graph over these rows costs O(n³).
+    let table = cars::catalog(20_000, 1);
+    let mut prices: Vec<i64> = (table.iter())
+        .map(|t| t[4].as_int().expect("price"))
+        .collect();
+    prices.sort_unstable();
+    let mut db = PrefSql::new();
+    db.register("car", table);
+    let server = Server::bind(ServerState::new(db), "127.0.0.1:0").expect("bind ephemeral port");
+
+    // A raw connection with a read timeout: a slow answer fails the test
+    // instead of hanging it.
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout set");
+    let started = Instant::now();
+    stream
+        .write_all(b"EXEC SELECT TOP 3 * FROM car PREFERRING LOWEST(price)\n")
+        .expect("request sent");
+    let reply: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map(|l| l.expect("reply line within the read timeout"))
+        .take_while(|l| l != ".")
+        .collect();
+    eprintln!("TOP 3 over 20 000 rows: {:?}", started.elapsed());
+    // Status, schema header, then the three cheapest cars, cheapest
+    // first.
+    assert!(reply[0].starts_with("OK"), "{reply:?}");
+    let price = |row: &String| -> i64 {
+        let field = row.trim_matches(['(', ')']).split(", ").nth(4);
+        field.expect("price field").parse().expect("int")
+    };
+    let got: Vec<i64> = reply[2..].iter().map(price).collect();
+    assert_eq!(got, prices[..3], "{reply:?}");
     server.shutdown();
 }
 

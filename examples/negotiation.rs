@@ -8,17 +8,18 @@
 //! ```
 
 use preferences::prelude::*;
-use preferences::query::negotiate::{sigma_levels, NegotiationTable};
+use preferences::query::negotiate::NegotiationTable;
 use preferences::workload::cars;
 
 fn main() {
     let stock = cars::catalog(800, 2002);
+    let engine = Engine::new();
 
     // The conflict: Julia wants it cheap, Michael wants his commission.
     let julia = lowest("price");
     let michael = highest("commission");
 
-    let table = NegotiationTable::build(&julia, &michael, &stock)
+    let table = NegotiationTable::build(&engine, &julia, &michael, &stock)
         .expect("catalog schema covers both preferences");
     println!(
         "Pareto frontier σ[julia ⊗ michael] has {} offers — neither party's\n\
@@ -54,8 +55,11 @@ fn main() {
     // Iterative concession: BMO is level 1; each level concedes one
     // better-than step — controlled relaxation, never flooding.
     println!("\nJulia's concession ladder (LOWEST(price) levels):");
+    let julia = engine
+        .prepare(&julia, stock.schema())
+        .expect("catalog schema covers julia");
     for level in 1..=4 {
-        let rows = sigma_levels(&julia, &stock, level).expect("catalog schema covers julia");
+        let rows = julia.sigma_levels(&stock, level).expect("same schema");
         let cheapest: Vec<i64> = rows
             .iter()
             .map(|&i| stock.row(i)[4].as_int().expect("price is Int"))

@@ -7,6 +7,7 @@ mod common;
 
 use common::{arb_pref, arb_relation, test_schema};
 use preferences::core::base::layered::Layer;
+use preferences::core::graph::BetterGraph;
 use preferences::prelude::*;
 use preferences::query::algorithms::{bnl, dnc, sfs};
 use preferences::query::bmo::{sigma_naive_generic, sigma_naive_matrix};
@@ -384,9 +385,35 @@ proptest! {
         let by = AttrSet::single(attr("c"));
         let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
         prop_assert_eq!(
-            q.sigma_groupby(&by, &r).expect("term compiles"),
+            q.sigma_groupby(&by, &r).expect("term compiles").0,
             sigma_groupby_definitional(&p, &by, &r).expect("term compiles")
         );
+    }
+
+    #[test]
+    fn k_best_and_sigma_levels_are_the_graph_levels(p in arb_pref(), r in arb_relation(14)) {
+        // Def. 2 by its definition — the better-than graph's longest-path
+        // levels — against the engine's peel of BMO layers.
+        let c = CompiledPref::compile(&p, r.schema()).expect("term compiles");
+        let g = BetterGraph::from_relation(&c, &r).expect("terms are SPOs (Prop. 1)");
+        let mut order: Vec<usize> = (0..r.len()).collect();
+        order.sort_by_key(|&i| (g.level(i), i));
+        let engine = Engine::new();
+        let q = engine.prepare(&p, r.schema()).expect("term compiles");
+        for k in 0..=r.len() + 1 {
+            let (rows, report) = q.k_best(&r, k).expect("peel runs");
+            prop_assert_eq!(rows, &order[..k.min(r.len())], "k = {} for {}", k, p);
+            prop_assert_ne!(report.algorithm, Algorithm::Naive);
+        }
+        let depth = (0..r.len()).map(|i| g.level(i)).max().unwrap_or(0);
+        for level in 0..=depth + 1 {
+            let want: Vec<usize> = (0..r.len()).filter(|&i| g.level(i) <= level).collect();
+            let got = q.sigma_levels(&r, level).expect("peel runs");
+            prop_assert_eq!(got, want, "level {} for {}", level, p);
+        }
+        // Every layer windowed onto one matrix and seeded no result.
+        let stats = engine.cache_stats();
+        prop_assert!(stats.entries <= 1 && stats.result_entries == 0, "{:?}", stats);
     }
 
     #[test]

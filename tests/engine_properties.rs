@@ -8,6 +8,7 @@ mod common;
 
 use common::{arb_pref, arb_relation, sigma, test_schema};
 use preferences::core::eval::CompiledPref;
+use preferences::core::graph::BetterGraph;
 use preferences::prefsql::PrefSql;
 use preferences::prelude::*;
 use preferences::query::algorithms::bnl::bnl_matrix;
@@ -250,7 +251,7 @@ proptest! {
         // generic BNL over the derived term.
         let attrs = AttrSet::new(["c"]);
         let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
-        let a = q.sigma_groupby(&attrs, &r).expect("term compiles");
+        let (a, _) = q.sigma_groupby(&attrs, &r).expect("term compiles");
         let b = sigma_groupby_definitional(&p, &attrs, &r).expect("term compiles");
         prop_assert_eq!(a, b, "groupby paths diverged for {}", p);
     }
@@ -546,21 +547,24 @@ proptest! {
         target in 0i64..6,
         bound in 0i64..4,
     ) {
-        // GROUP BY and BUT ONLY run on the statement's one prepared
-        // query: `PREFERRING … GROUP BY` must be Def. 16's σ[A↔ & P], and
-        // `BUT ONLY DISTANCE(a) <= k` the value filter over the inline
-        // statement's BMO rows — ad hoc and with a `$n` binding, before
-        // and after an in-place append (whose BMO stage is maintained).
-        // BUT ONLY bounds are literals in the grammar, so `$1` binds the
-        // AROUND target and `k` is drawn inline.
+        // GROUP BY, TOP and BUT ONLY run on the statement's one prepared
+        // query: `PREFERRING … GROUP BY` must be Def. 16's σ[A↔ & P],
+        // `TOP k … GROUP BY` the first k rows of A↔ & P's better-than
+        // graph in (level, row) order, and `BUT ONLY DISTANCE(a) <= k`
+        // the value filter over the inline statement's BMO rows — ad hoc
+        // and with `$n` bindings (`$1` the AROUND target, `$2` the TOP
+        // count or the DISTANCE bound, `$3` the LEVEL bound), before and
+        // after an in-place append (whose BMO stage is maintained).
         let statements = [
-            "SELECT * FROM t PREFERRING a AROUND $1 AND LOWEST(b) GROUP BY c".to_string(),
-            "SELECT * FROM t PREFERRING HIGHEST(b) GROUP BY c CASCADE a AROUND $1".to_string(),
-            format!("SELECT * FROM t PREFERRING a AROUND $1 AND b AROUND 3 \
-                     BUT ONLY DISTANCE(a) <= {bound}"),
-            format!("SELECT * FROM t PREFERRING c IN ('x') PRIOR TO a AROUND $1 \
-                     BUT ONLY DISTANCE(a) <= {bound} AND LEVEL(c) <= 1"),
+            "SELECT * FROM t PREFERRING a AROUND $1 AND LOWEST(b) GROUP BY c",
+            "SELECT * FROM t PREFERRING HIGHEST(b) GROUP BY c CASCADE a AROUND $1",
+            "SELECT TOP $2 * FROM t PREFERRING a AROUND $1 AND LOWEST(b) GROUP BY c",
+            "SELECT * FROM t PREFERRING a AROUND $1 AND b AROUND 3 \
+             BUT ONLY DISTANCE(a) <= $2",
+            "SELECT * FROM t PREFERRING c IN ('x') PRIOR TO a AROUND $1 \
+             BUT ONLY DISTANCE(a) <= $2 AND LEVEL(c) <= $3",
         ];
+        let params = [target, bound, 1].map(Value::from);
         let mut db = PrefSql::new();
         db.register("t", r);
         for round in 0..2 {
@@ -572,32 +576,39 @@ proptest! {
                 }
             }
             let r = db.catalog().get("t").expect("registered").clone();
-            for sql in &statements {
-                let inline = sql.replace("$1", &target.to_string());
-                let bound_res = (db.prepare(sql).expect("parses"))
-                    .execute(&db, &[Value::from(target)])
-                    .expect("bound statement runs");
+            for sql in statements {
+                let stmt = db.prepare(sql).expect("parses");
+                let params = &params[..stmt.param_count()];
+                let inline = (1..=params.len()).rev().fold(sql.to_string(), |sql, n| {
+                    sql.replace(&format!("${n}"), &params[n - 1].to_string())
+                });
+                let bound_res = stmt.execute(&db, params).expect("bound statement runs");
                 let adhoc = db.execute(&inline).expect("inline statement runs");
                 let pref = adhoc.preference.clone().expect("preference statement");
                 prop_assert_eq!(&bound_res.preference, &adhoc.preference);
 
-                let rows = match sql.contains("GROUP BY") {
-                    true => {
-                        let by = AttrSet::single(attr("c"));
-                        let mut rows = sigma_groupby_definitional(&pref, &by, &r)
-                            .expect("term compiles");
-                        rows.sort_unstable();
-                        rows
+                let by = AttrSet::single(attr("c"));
+                let rows = if sql.contains("TOP") {
+                    let grouped = Pref::Antichain(by).prior(pref.clone());
+                    let c = CompiledPref::compile(&grouped, r.schema()).expect("term compiles");
+                    let g = BetterGraph::from_relation(&c, &r).expect("terms are SPOs");
+                    let mut order: Vec<usize> = (0..r.len()).collect();
+                    order.sort_by_key(|&i| (g.level(i), i));
+                    order.truncate(bound as usize);
+                    order
+                } else if sql.contains("GROUP BY") {
+                    let mut rows = sigma_groupby_definitional(&pref, &by, &r)
+                        .expect("term compiles");
+                    rows.sort_unstable();
+                    rows
+                } else {
+                    let bmo = sigma_naive_generic(&pref, &r).expect("term compiles");
+                    let mut filter = QualityFilter::new()
+                        .and(QualityCond::DistanceLe(attr("a"), bound as f64));
+                    if sql.contains("LEVEL") {
+                        filter = filter.and(QualityCond::LevelLe(attr("c"), 1));
                     }
-                    false => {
-                        let bmo = sigma_naive_generic(&pref, &r).expect("term compiles");
-                        let mut filter = QualityFilter::new()
-                            .and(QualityCond::DistanceLe(attr("a"), bound as f64));
-                        if sql.contains("LEVEL") {
-                            filter = filter.and(QualityCond::LevelLe(attr("c"), 1));
-                        }
-                        filter.filter_rows(&pref, &r, &bmo).expect("quality defined")
-                    }
+                    filter.filter_rows(&pref, &r, &bmo).expect("quality defined")
                 };
                 let expected = r.take_rows(&rows).to_string();
                 prop_assert_eq!(adhoc.relation.to_string(), expected.clone(), "{}", &inline);
