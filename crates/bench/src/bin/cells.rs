@@ -17,14 +17,18 @@
 //! 'automatic' PRIOR TO (LOWEST(price) ⊗ HIGHEST(year))` (a POS head split),
 //! an AROUND head that keeps two values of the four-valued `d0` over the
 //! `around_pref` tail (two buckets), and a POS ⊗ layered Pareto over the
-//! car table (key lanes, no utility). Exits non-zero when any cell's rows
-//! differ from `bnl_generic` or any execution fails other than by a forced
-//! algorithm rejecting the term.
+//! car table (key lanes, no utility); last, three `adhoc-cold` shapes —
+//! two Pareto terms over string and numeric columns of the BMW rows and
+//! `transmission = 'automatic' PRIOR TO (AROUND(horsepower) ⊗
+//! LOWEST(price))` over the car table — each with its score-matrix build
+//! time (best of 3) after the total. Exits non-zero when any cell's rows differ from `bnl_generic` or
+//! any execution fails other than by a forced algorithm rejecting the
+//! term.
 
 use pref_bench::{around_pref, skyline_pref, time_ms};
 use pref_core::base::layered::Layer;
 use pref_core::eval::CompiledPref;
-use pref_core::prelude::{around, highest, layered, lowest, pos};
+use pref_core::prelude::{around, highest, layered, lowest, neg, pos};
 use pref_core::term::Pref;
 use pref_query::algorithms::bnl::bnl_generic;
 use pref_query::{Algorithm, Engine, Optimizer, QueryError};
@@ -40,9 +44,16 @@ fn not_applicable(force: Option<Algorithm>, e: &QueryError) -> bool {
 
 /// Print one cell — `name |σ| algorithm ms`, best of 3 through a fresh
 /// engine each, `n/a` when the forced algorithm rejects the term, the
-/// error on any other failure — and return its time and whether its
-/// rows equal `bnl_generic`'s.
-fn cell(name: &str, force: Option<Algorithm>, pref: &Pref, r: &Relation) -> (f64, bool) {
+/// error on any other failure; with `build`, then `build ms`, the best
+/// of 3 score-matrix builds — and return its time and whether its rows
+/// equal `bnl_generic`'s.
+fn cell(
+    name: &str,
+    force: Option<Algorithm>,
+    pref: &Pref,
+    r: &Relation,
+    build: bool,
+) -> (f64, bool) {
     let optimizer = force.map_or_else(Optimizer::new, |a| Optimizer::new().with_algorithm(a));
     let (mut best, mut report) = (f64::INFINITY, None);
     for _ in 0..3 {
@@ -69,7 +80,13 @@ fn cell(name: &str, force: Option<Algorithm>, pref: &Pref, r: &Relation) -> (f64
     let c = CompiledPref::compile(pref, r.schema()).expect("cell compiles");
     let ok = got == bnl_generic(&c, r);
     let mark = if ok { "" } else { "  ≠ bnl_generic" };
-    println!("{name} {n} {algorithm} {best:.2}{mark}");
+    let build = if build {
+        let ms = (0..3).map(|_| time_ms(|| c.score_matrix(r)).1);
+        format!(" build {:.2}", ms.fold(f64::INFINITY, f64::min))
+    } else {
+        String::new()
+    };
+    println!("{name} {n} {algorithm} {best:.2}{build}{mark}");
     (best, ok)
 }
 
@@ -113,7 +130,7 @@ fn main() {
             let r = synthetic::table(rows, d, dist, seed);
             for (shape, pref) in [("skyline", skyline_pref(d)), ("around", around_pref(d))] {
                 let name = format!("{} {d} {shape}", dist.name());
-                let (ms, ok) = cell(&name, force, &pref, &r);
+                let (ms, ok) = cell(&name, force, &pref, &r, false);
                 total += ms;
                 wrong += usize::from(!ok);
             }
@@ -123,12 +140,12 @@ fn main() {
     for zeros in [0.3, 0.7] {
         let r = low_cardinality(rows, zeros, seed);
         let name = format!("unscored: four-valued d0 ({zeros} zeros) 3 skyline");
-        wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r).1);
+        wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r, false).1);
     }
     for dist in [Distribution::Independent, Distribution::Anticorrelated] {
         let r = synthetic::table(rows, 3, dist, seed);
         let name = format!("unscored: {} 3 skyline", dist.name());
-        wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r).1);
+        wrong += usize::from(!cell(&name, force, &skyline_pref(3), &r, false).1);
     }
     let four_valued = low_cardinality(rows, 0.3, seed);
     let car = cars::catalog(rows * 4 / 5, seed);
@@ -138,7 +155,9 @@ fn main() {
     let watch3 = watch2.clone().pareto(highest("horsepower"));
     let near = around("price", 15_000).pareto(lowest("mileage"));
     let automatic = pos("transmission", ["automatic"]);
-    let watch4 = automatic.prior(lowest("price").pareto(highest("year")));
+    let watch4 = automatic
+        .clone()
+        .prior(lowest("price").pareto(highest("year")));
     let two_buckets = around("d0", 1.5).prior(around_pref(3));
     let compact = [
         Layer::of(["compact"]),
@@ -167,7 +186,33 @@ fn main() {
         ),
         ("car POS(color) ⊗ layered(category)", &unscored, &car),
     ] {
-        wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r).1);
+        wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r, false).1);
+    }
+    let red_near = pos("color", ["red"])
+        .pareto(around("price", 15_000))
+        .pareto(lowest("mileage"));
+    let not_red_german = neg("color", ["red"])
+        .pareto(pos("make", ["BMW", "Audi"]))
+        .pareto(highest("year"));
+    let automatic_near = automatic.prior(around("horsepower", 120).pareto(lowest("price")));
+    for (name, pref, r) in [
+        (
+            "adhoc BMW: POS(color) ⊗ AROUND(price) ⊗ LOWEST(mileage)",
+            &red_near,
+            &bmw,
+        ),
+        (
+            "adhoc BMW: NEG(color) ⊗ POS(make) ⊗ HIGHEST(year)",
+            &not_red_german,
+            &bmw,
+        ),
+        (
+            "adhoc car: automatic & (AROUND(horsepower) ⊗ LOWEST(price))",
+            &automatic_near,
+            &car,
+        ),
+    ] {
+        wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r, true).1);
     }
     std::process::exit(i32::from(wrong > 0));
 }

@@ -184,11 +184,11 @@ impl<'m> PriorAccess<'m> {
     }
 
     /// Head `h`'s equality code of row `row`. Every head that an operand
-    /// follows has codes; the one head of a lone key lane has none, and
-    /// asking for them panics.
+    /// follows has codes; the last operand of the prioritisation and the
+    /// one head of a lone key lane have none, and asking for them panics.
     #[inline]
     pub fn code(&self, row: usize, h: usize) -> u64 {
-        let slot = self.heads[h].1.expect("a lone key lane has no codes");
+        let slot = self.heads[h].1.expect("nothing follows the last head");
         self.matrix.eq_at(base_row(self.ids, row), slot)
     }
 

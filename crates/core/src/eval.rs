@@ -80,6 +80,7 @@ impl CompiledPref {
     /// one-pass, columnar encoding of everything `better` needs, so the
     /// O(n²)-ish dominance loops of BMO evaluation become plain `f64`/`u64`
     /// comparisons instead of term-tree walks over [`Value`](pref_relation::Value)s.
+    /// The pass reads each tuple once, on the calling thread.
     ///
     /// EXPLICIT base preferences materialize too, via per-row vertex ids
     /// plus the graph's reachability bitset
@@ -93,15 +94,14 @@ impl CompiledPref {
     ///
     /// `r` must have the schema this preference was compiled against.
     pub fn score_matrix(&self, r: &Relation) -> Option<ScoreMatrix> {
-        self.score_matrix_parallel(r, 1)
+        ScoreMatrix::build(&self.node, r, None)
     }
 
-    /// [`CompiledPref::score_matrix`] with the key lanes filled over
-    /// disjoint row ranges on up to `threads` scoped worker threads (`0`
-    /// and `1` both mean sequential — callers resolve "auto" to a
-    /// concrete count; small relations stay on the calling thread).
-    pub fn score_matrix_parallel(&self, r: &Relation, threads: usize) -> Option<ScoreMatrix> {
-        ScoreMatrix::build(&self.node, r, threads, None)
+    /// [`CompiledPref::score_matrix`]. The build no longer reads
+    /// `threads`; the parameter stays only because the repository
+    /// benchmark (`perfbench/`) names this signature (ROADMAP item 1(a)).
+    pub fn score_matrix_parallel(&self, r: &Relation, _threads: usize) -> Option<ScoreMatrix> {
+        self.score_matrix(r)
     }
 
     /// Incremental rebuild against `prev`, a matrix this same preference
@@ -118,11 +118,10 @@ impl CompiledPref {
     /// for lane.
     ///
     /// Storage only grows by appends, so no prefix row ever changes and
-    /// product callers pass `dirty = &[]`; the parameter stays only
-    /// because the repository benchmark (`perfbench/`) names this
-    /// signature (ROADMAP item 1(a)). (A patch runs on the calling
-    /// thread; `threads` only matters when the build degenerates to a
-    /// full one.)
+    /// product callers pass `dirty = &[]`. The `dirty` and `threads`
+    /// parameters stay only because the repository benchmark
+    /// (`perfbench/`) names this signature (ROADMAP item 1(a)); the
+    /// build does not read `threads`.
     ///
     /// Returns `None` when the term does not materialize on `r` or the
     /// prefix claim is inconsistent. A `prev` with a mismatched slot
@@ -134,7 +133,7 @@ impl CompiledPref {
         prev: &ScoreMatrix,
         prefix_len: usize,
         dirty: &[u32],
-        threads: usize,
+        _threads: usize,
     ) -> Option<ScoreMatrix> {
         if prefix_len > prev.len() || prefix_len > r.len() {
             return None;
@@ -144,7 +143,7 @@ impl CompiledPref {
             prefix_len,
             dirty,
         };
-        ScoreMatrix::build(&self.node, r, threads, Some(reuse))
+        ScoreMatrix::build(&self.node, r, Some(reuse))
     }
 
     /// Would [`CompiledPref::score_matrix`] succeed on `r`? The build's
@@ -866,11 +865,11 @@ mod tests {
         big_rel_patched(n, |_| None)
     }
 
-    /// Rows for three workers' ranges plus a one-row remainder.
+    /// Rows for three 4096-row ranges plus a one-row remainder.
     const BIG: usize = 3 * 4096 + 1;
 
     /// `big_rel(BIG)` with a NULL — no dominance key under a chain — in
-    /// its last row, i.e. in the last worker's range of every split.
+    /// its last row.
     fn big_rel_with_a_late_null() -> Relation {
         big_rel_patched(BIG, |i| {
             (i == BIG - 1).then(|| vec![Value::from(0), Value::Null, Value::from(0)])
@@ -908,8 +907,8 @@ mod tests {
             }
         }
 
-        // One value that cannot embed, in the last worker's range, fails
-        // the whole build whichever worker meets it.
+        // One value that cannot embed, in the last row, fails the whole
+        // build whatever the thread count.
         let r = big_rel_with_a_late_null();
         let c = compile(&example2_pref(), &r);
         for threads in [1, 2, 3, 8] {

@@ -314,7 +314,6 @@ impl Engine {
         r: &Relation,
     ) -> (Option<MatrixWindow>, CacheStatus) {
         let inner = &self.inner;
-        let threads = inner.optimizer.threads;
         let primary = MatrixKey::Generation(r.generation(), fp);
         let derived = r
             .lineage()
@@ -392,7 +391,7 @@ impl Engine {
         if let Some((prev, prefix_len)) = reusable {
             build_scope();
             // Storage only grows by appends: no prefix row ever changed.
-            if let Some(m) = c.score_matrix_incremental(r, &prev, prefix_len, &[], threads) {
+            if let Some(m) = c.score_matrix_incremental(r, &prev, prefix_len, &[], 1) {
                 let m = Arc::new(m);
                 // Relaxed: statistic only.
                 inner.shard_hits.fetch_add(1, Ordering::Relaxed);
@@ -403,7 +402,7 @@ impl Engine {
             }
         }
         build_scope();
-        match c.score_matrix_parallel(r, threads) {
+        match c.score_matrix(r) {
             None => (None, CacheStatus::Bypass),
             Some(m) => {
                 let m = Arc::new(m);
@@ -509,7 +508,7 @@ impl Engine {
             return;
         }
         build_scope();
-        if let Some(m) = c.score_matrix_parallel(r, self.inner.optimizer.threads) {
+        if let Some(m) = c.score_matrix(r) {
             // Relaxed: statistic only.
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
             self.inner.matrices.insert(key, Arc::new(m));

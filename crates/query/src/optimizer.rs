@@ -298,9 +298,9 @@ impl fmt::Display for Explain {
 pub struct Optimizer {
     /// Force a specific algorithm (skips selection, not rewriting).
     pub force: Option<Algorithm>,
-    /// Number of worker threads for parallel evaluation and parallel
-    /// matrix builds. `0` = auto: [`std::thread::available_parallelism`],
-    /// resolved once by
+    /// Number of worker threads for parallel BNL, which runs only when
+    /// forced (matrix builds run on the calling thread). `0` = auto:
+    /// [`std::thread::available_parallelism`], resolved once by
     /// [`Engine::with_optimizer`](crate::engine::Engine::with_optimizer)
     /// — [`Engine::optimizer`](crate::engine::Engine::optimizer) always
     /// reports a concrete count.

@@ -85,48 +85,37 @@ impl<'a> Column<'a> {
     /// iff the values are equal. Ids are dense, assigned in first-seen
     /// order; the second component is the dictionary size.
     pub fn dictionary(&self) -> (Vec<u32>, usize) {
-        let mut dict: FastMap<&Value, u32> = FastMap::default();
-        let ids = self
-            .iter()
-            .map(|v| {
-                let next = dict.len() as u32;
-                *dict.entry(v).or_insert(next)
-            })
-            .collect();
+        let mut dict = Dictionary::default();
+        let ids = self.iter().map(|v| dict.id(v)).collect();
         (ids, dict.len())
-    }
-
-    /// Constant-size equality fingerprint of row `row`: a `u64` with
-    /// `fp(i) == fp(j)` **iff** the values are equal — no hashing, no
-    /// collisions. Available exactly when the value has a lossless
-    /// ordinal image: floats (by total-order bit pattern), dates,
-    /// booleans, and integers within the f64-exact range `|i| ≤ 2⁵³`.
-    /// `None` otherwise (strings, nulls, huge ints) — callers fall back
-    /// to [`Column::dictionary`]. A schema-typed column holds one variant
-    /// (plus NULLs, which have no fingerprint), so cross-variant bit
-    /// collisions cannot occur.
-    ///
-    /// The encoding is a pure per-value function, so a matrix lane of
-    /// these codes is filled, and extended by appended rows in an
-    /// incremental rebuild, one row at a time.
-    pub fn fingerprint_at(&self, row: usize) -> Option<u64> {
-        value_fingerprint(&self.rel.row(row)[self.col])
     }
 }
 
-/// The per-value half of [`Column::fingerprint_at`]: a lossless `u64`
-/// equality image, or `None` for values without one (strings, nulls,
-/// integers beyond the f64-exact range).
-fn value_fingerprint(v: &Value) -> Option<u64> {
-    const EXACT: i64 = 1 << 53;
-    match v {
-        Value::Int(i) if (-EXACT..=EXACT).contains(i) => Some((*i as f64).to_bits()),
-        // total_cmp equality ⟺ bit equality (distinguishes ±0.0
-        // and NaN payloads exactly like `Value`'s total order).
-        Value::Float(f) => Some(f.to_bits()),
-        Value::Date(d) => Some((d.days() as f64).to_bits()),
-        Value::Bool(b) => Some(*b as u64),
-        _ => None,
+/// First-seen equality ids over values, assigned one value at a time:
+/// `id(v) == id(w)` iff `v == w`, ids dense from 0 in the order values
+/// are first seen. [`Column::dictionary`] runs it over one column; a
+/// caller that reads row by row keeps one per column and feeds it only
+/// the values it needs ids for.
+#[derive(Default)]
+pub struct Dictionary<'a> {
+    ids: FastMap<&'a Value, u32>,
+}
+
+impl<'a> Dictionary<'a> {
+    /// The id of `v`: its existing one, or the next free one.
+    pub fn id(&mut self, v: &'a Value) -> u32 {
+        let next = self.ids.len() as u32;
+        *self.ids.entry(v).or_insert(next)
+    }
+
+    /// Number of distinct values seen.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Has no value been seen?
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
     }
 }
 
@@ -321,7 +310,7 @@ mod tests {
                 values.extend(edges(dtype));
                 let rows = values.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
                 let r = Relation::from_rows(Schema::new(vec![("x", dtype)]).unwrap(), rows).unwrap();
-                let codes: Vec<_> = (0..r.len()).map(|i| r.column(0).fingerprint_at(i)).collect();
+                let codes: Vec<_> = r.column(0).iter().map(Value::fingerprint).collect();
                 for (v, code) in values.iter().zip(&codes) {
                     prop_assert_eq!(code.is_some(), coded(v), "{:?}", v);
                 }

@@ -41,7 +41,7 @@ mod macros;
 
 pub use attr::{attr, Attr, AttrSet};
 pub use colstats::ColumnStats;
-pub use column::Column;
+pub use column::{Column, Dictionary};
 pub use constraint::Constraint;
 pub use error::RelationError;
 pub use relation::{predicate_fingerprint, Delta, Lineage, Relation, Rows};

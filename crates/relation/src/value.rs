@@ -197,6 +197,30 @@ impl Value {
         Some((self.ordinal()? - other.ordinal()?).abs())
     }
 
+    /// Constant-size equality fingerprint: a `u64` with `fp(v) == fp(w)`
+    /// **iff** `v == w` — no hashing, no collisions. Available exactly
+    /// when the value has a lossless ordinal image: floats (by
+    /// total-order bit pattern, so `0.0 ≠ -0.0` and NaN payloads differ,
+    /// as in `Value`'s order), dates, booleans, and integers within the
+    /// f64-exact range `|i| ≤ 2⁵³`. `None` otherwise (strings, NULL,
+    /// huge ints) — callers fall back to a
+    /// [`Dictionary`](crate::column::Dictionary). A schema-typed column
+    /// holds one variant (plus NULLs, which have no fingerprint), so
+    /// cross-variant bit collisions cannot occur within a column.
+    ///
+    /// A pure per-value function, so a score-matrix lane of these codes
+    /// is filled, and extended by appended rows, one row at a time.
+    pub fn fingerprint(&self) -> Option<u64> {
+        const EXACT: i64 = 1 << 53;
+        match self {
+            Value::Int(i) if (-EXACT..=EXACT).contains(i) => Some((*i as f64).to_bits()),
+            Value::Float(f) => Some(f.to_bits()),
+            Value::Date(d) => Some((d.days() as f64).to_bits()),
+            Value::Bool(b) => Some(*b as u64),
+            _ => None,
+        }
+    }
+
     /// Comparison that treats `Int` and `Float` as one numeric axis
     /// (`2 == 2.0`), used by hard-constraint predicates. Values of
     /// incomparable types return `None`.
