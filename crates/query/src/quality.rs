@@ -178,7 +178,7 @@ impl Prepared {
     pub fn layers(
         &self,
         r: &Relation,
-        mut until: impl FnMut(&[Vec<usize>]) -> bool,
+        until: impl FnMut(&[Vec<usize>]) -> bool,
     ) -> Result<(Vec<Vec<usize>>, Explain), QueryError> {
         self.check_schema(r)?;
         let copy;
@@ -190,8 +190,26 @@ impl Prepared {
                 (&copy, Cow::Borrowed(&copy))
             }
         };
+        let peeled = self.peel(r, peel, &anchor, until);
+        // The copy's generation never recurs: its matrix would only push a
+        // live entry out.
+        if !std::ptr::eq(peel, r) {
+            self.engine.forget_matrix(self.fingerprint(), peel);
+        }
+        peeled
+    }
+
+    /// [`Prepared::layers`] of `r`, peeled from `peel` (`r` or its dense
+    /// copy) with `anchor`'s matrix warmed first.
+    fn peel(
+        &self,
+        r: &Relation,
+        peel: &Relation,
+        anchor: &Relation,
+        mut until: impl FnMut(&[Vec<usize>]) -> bool,
+    ) -> Result<(Vec<Vec<usize>>, Explain), QueryError> {
         let cache = match Optimizer::uses_matrix(self.plan(peel).algorithm) {
-            true => self.tiered_matrix(&anchor).1,
+            true => self.tiered_matrix(anchor).1,
             false => CacheStatus::Bypass,
         };
         let layer_of = |rest: &[usize], depth: usize| -> Result<_, QueryError> {
@@ -547,6 +565,25 @@ mod tests {
         assert_eq!(q.k_best(&view, 3).unwrap().1.cache, CacheStatus::Hit);
         let fresh = prepared(&Engine::new(), &p, &r);
         assert_eq!(fresh.k_best(&r, 3).unwrap().1.cache, CacheStatus::Miss);
+    }
+
+    #[test]
+    fn a_top_over_a_table_that_cannot_window_leaves_the_matrix_cache_as_it_was() {
+        // A tombstone: the table's views do not window, so each peel
+        // warms a dense copy's matrix.
+        let mut r = forty_rows();
+        r.delete_rows(&[3, 17]);
+        let p = around("a", 40).pareto(highest("b"));
+        let engine = Engine::new();
+        let q = prepared(&engine, &p, &r);
+        q.execute(&r).unwrap();
+        let before = engine.cache_stats().entries;
+        assert!(before > 0);
+        let order = graph_order(&p, &r);
+        for run in 0..3 {
+            assert_eq!(q.k_best(&r, 5).unwrap().0, order[..5], "run {run}");
+            assert_eq!(engine.cache_stats().entries, before, "run {run}");
+        }
     }
 
     /// Forty rows of two key columns with ties.

@@ -1,23 +1,27 @@
 #!/bin/sh
 # Alternating parent/change pairs of one perfbench workload. Pair i runs
-# both binaries with `--seed i --trace 0`, the parent first on even i and
-# the change first on odd i, and prints each run's end-to-end metrics
-# beside `attempted`, `failed` and `correct`. Then, per metric: the
-# parent and change medians, change / parent, and on how many pairs the
-# change was better (higher for `*_rps`, lower for everything else).
+# both binaries with `--seed <first-seed + i> --trace 0` (first seed 0
+# unless given), the parent first on even i and the change first on odd i, and prints each run's end-to-end metrics
+# beside `attempted`, `failed` and `correct`. Then, per metric: each
+# side's quartiles (q1 median q3, linear interpolation), change / parent
+# of the medians, on how many pairs the change was better (higher for
+# `*_rps`, lower for everything else; ties count for neither), and
+# whether a gain claim holds: the change wins at least 9 of every 10
+# pairs and its median is better than the parent's by more than the
+# parent's interquartile range (`claim`, else `-`).
 #
-#   scripts/paired_bench.sh <parent-bench> <change-bench> <workload> <pairs> <seconds>
+#   scripts/paired_bench.sh <parent-bench> <change-bench> <workload> <pairs> <seconds> [first-seed]
 #
 # Build `bench` in each tree first (`cargo build --release --offline
 # --manifest-path perfbench/Cargo.toml`) and copy
 # `perfbench/target/release/bench` aside: the binary needs nothing from
 # its tree at run time. Run nothing else meanwhile.
 set -eu
-[ $# -eq 5 ] || {
-    echo "usage: $0 <parent-bench> <change-bench> <workload> <pairs> <seconds>" >&2
+[ $# -eq 5 ] || [ $# -eq 6 ] || {
+    echo "usage: $0 <parent-bench> <change-bench> <workload> <pairs> <seconds> [first-seed]" >&2
     exit 2
 }
-parent=$1 change=$2 workload=$3 pairs=$4 seconds=$5
+parent=$1 change=$2 workload=$3 pairs=$4 seconds=$5 first=${6:-0}
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
@@ -42,24 +46,28 @@ run() {
 
 i=0
 while [ "$i" -lt "$pairs" ]; do
+    seed=$((first + i))
     if [ $((i % 2)) -eq 0 ]; then
-        run parent "$i"
-        run change "$i"
+        run parent "$seed"
+        run change "$seed"
     else
-        run change "$i"
-        run parent "$i"
+        run change "$seed"
+        run parent "$seed"
     fi
     i=$((i + 1))
 done
 
 echo
-echo "metric parent_median change_median change/parent change_better"
+echo "metric parent_q1 parent_median parent_q3 change_q1 change_median change_q3 change/parent change_better claim"
 awk '$3 != "correct" && $3 != "attempted" && $3 != "failed"' "$runs" |
     sort -k3,3 -k2,2 -k4,4g |
     awk '
-        function median(side, key,    n) {
+        function quantile(side, key, p,    n, h, lo) {
             n = count[side, key]
-            return (vals[side, key, int((n + 1) / 2)] + vals[side, key, int(n / 2) + 1]) / 2
+            h = (n - 1) * p + 1
+            lo = int(h)
+            if (lo >= n) return vals[side, key, n]
+            return vals[side, key, lo] + (h - lo) * (vals[side, key, lo + 1] - vals[side, key, lo])
         }
         {
             vals[$2, $3, ++count[$2, $3]] = $4
@@ -70,6 +78,7 @@ awk '$3 != "correct" && $3 != "attempted" && $3 != "failed"' "$runs" |
         END {
             for (k = 1; k <= nkeys; k++) {
                 key = keys[k]
+                higher = key ~ /_rps$/
                 wins = 0
                 total = 0
                 for (p in pairs) {
@@ -77,10 +86,16 @@ awk '$3 != "correct" && $3 != "attempted" && $3 != "failed"' "$runs" |
                     total++
                     a = at[p, "parent", key]
                     b = at[p, "change", key]
-                    if (key ~ /_rps$/ ? b > a : b < a) wins++
+                    if (higher ? b > a : b < a) wins++
                 }
-                pm = median("parent", key)
-                cm = median("change", key)
-                printf "%s %.4g %.4g %.3f %d/%d\n", key, pm, cm, (pm == 0 ? 0 : cm / pm), wins, total
+                p1 = quantile("parent", key, 0.25)
+                pm = quantile("parent", key, 0.5)
+                p3 = quantile("parent", key, 0.75)
+                c1 = quantile("change", key, 0.25)
+                cm = quantile("change", key, 0.5)
+                c3 = quantile("change", key, 0.75)
+                gain = higher ? cm - pm : pm - cm
+                claim = (total > 0 && 10 * wins >= 9 * total && gain > p3 - p1) ? "claim" : "-"
+                printf "%s %.4g %.4g %.4g %.4g %.4g %.4g %.3f %d/%d %s\n", key, p1, pm, p3, c1, cm, c3, (pm == 0 ? 0 : cm / pm), wins, total, claim
             }
         }'

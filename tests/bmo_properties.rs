@@ -7,6 +7,7 @@ mod common;
 
 use common::{arb_pref, arb_relation, test_schema};
 use preferences::core::base::layered::Layer;
+use preferences::core::base::Explicit;
 use preferences::core::graph::BetterGraph;
 use preferences::prelude::*;
 use preferences::query::algorithms::{bnl, dnc, sfs};
@@ -517,4 +518,50 @@ fn head_split_edge_cases_agree_with_the_oracle() {
     assert_eq!(rows, sigma_naive_generic(&p, &nulls).unwrap());
     assert_eq!(explain.algorithm, Algorithm::Bnl, "{}", explain.reason);
     assert!(!explain.materialized);
+}
+
+/// `P1 + P2` (Def. 11b, disjoint union) of two EXPLICIT fragments over
+/// disjoint value sets of one attribute: its `better` is `P1 ∨ P2` on
+/// every pair, the engine's σ is Def. 15's, and operands over different
+/// attributes are refused. (A fragment ranks no outside value: a full
+/// EXPLICIT puts every other value below its graph, so two of them never
+/// have disjoint ranges.)
+#[test]
+fn disjoint_union_is_the_or_of_its_operands() {
+    let fragment = |edges: &[(&str, &str)]| {
+        Pref::base("c", Explicit::fragment(edges.iter().copied()).unwrap())
+    };
+    let left = fragment(&[("b", "a"), ("c", "b")]);
+    let right = fragment(&[("y", "x"), ("z", "x")]);
+    let union = left.clone().disjoint_union(right.clone()).unwrap();
+    let r = rel! {
+        ("c": Str, "n": Int);
+        ("b", 1), ("z", 2), ("a", 3), ("q", 4), ("c", 5), ("x", 6), ("y", 7), ("b", 8),
+    };
+    let compile = |p: &Pref| CompiledPref::compile(p, r.schema()).unwrap();
+    let (l, rt, u) = (compile(&left), compile(&right), compile(&union));
+    let mut pairs = 0;
+    for i in 0..r.len() {
+        for j in 0..r.len() {
+            let (x, y) = (r.row(i), r.row(j));
+            assert_eq!(
+                u.better(x, y),
+                l.better(x, y) || rt.better(x, y),
+                "{i}, {j}"
+            );
+            pairs += usize::from(u.better(x, y));
+        }
+    }
+    // a beats b (twice) and c, b beats c (twice); x beats y and z.
+    assert_eq!(pairs, 7);
+    let oracle = sigma_naive_generic(&union, &r).unwrap();
+    // a, q (in neither range: unranked) and x.
+    assert_eq!(oracle, [2, 3, 5]);
+    let q = Engine::new().prepare(&union, r.schema()).unwrap();
+    assert_eq!(q.execute(&r).unwrap().rows(), &oracle[..]);
+    let other = explicit("n", [(1, 2)]).unwrap();
+    assert!(matches!(
+        left.disjoint_union(other),
+        Err(CoreError::AttrSetMismatch { .. })
+    ));
 }
