@@ -150,7 +150,8 @@ impl Lanes {
     fn beats(&self, j: usize, keys: &[f64], eqs: &[u64]) -> bool {
         let mut f = 0;
         for (d, (lane, &ck)) in self.keys.iter().zip(keys).enumerate() {
-            let (k, lt) = (lane[j], (ck < lane[j]) as u64);
+            let k = lane[j];
+            let lt = (ck < k) as u64;
             f |= match eqs.get(d) {
                 Some(&ce) => lt | (((lt ^ 1) & (ce != self.eqs[d][j]) as u64) << 1),
                 None => lt | (((k < ck) as u64) << 1),
@@ -574,15 +575,10 @@ mod tests {
     }
 
     /// Deterministic rows in `[0, 256)^dims`, last lane ≥ 0.
-    fn lcg_rows(n: usize, dims: usize, mut state: u64) -> Vec<Vec<f64>> {
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) % 256) as f64
-        };
+    fn lcg_rows(n: usize, dims: usize, state: u64) -> Vec<Vec<f64>> {
+        let mut rng = Lcg(state);
         (0..n)
-            .map(|_| (0..dims).map(|_| next()).collect())
+            .map(|_| (0..dims).map(|_| rng.below(256) as f64).collect())
             .collect()
     }
 
@@ -813,7 +809,7 @@ mod tests {
         assert!(filtered(bulk, &no_codes(bulk)).len() < bulk.len() / 2);
     }
 
-    /// The LCG of [`lcg_rows`], drawn from one value at a time.
+    /// A deterministic generator: `below(b)` draws from `0..b`.
     struct Lcg(u64);
 
     impl Lcg {
