@@ -17,7 +17,10 @@
 //! 'automatic' PRIOR TO (LOWEST(price) ⊗ HIGHEST(year))` (a POS head split),
 //! an AROUND head that keeps two values of the four-valued `d0` over the
 //! `around_pref` tail (two buckets), and a POS ⊗ layered Pareto over the
-//! car table (key lanes, no utility); last, three `adhoc-cold` shapes —
+//! car table (key lanes, no utility); then two GROUP BY terms over the
+//! car table (Def. 16's `A↔ & P`, an anti-chain head split): `make↔ &
+//! (LOWEST(price) ⊗ LOWEST(mileage))` and `{make, category}↔ & (price
+//! AROUND 15000 ⊗ LOWEST(mileage))`; last, three `adhoc-cold` shapes —
 //! two Pareto terms over string and numeric columns of the BMW rows and
 //! `transmission = 'automatic' PRIOR TO (AROUND(horsepower) ⊗
 //! LOWEST(price))` over the car table — each with its score-matrix build
@@ -28,7 +31,7 @@
 use pref_bench::{around_pref, skyline_pref, time_ms};
 use pref_core::base::layered::Layer;
 use pref_core::eval::CompiledPref;
-use pref_core::prelude::{around, highest, layered, lowest, neg, pos};
+use pref_core::prelude::{antichain, around, highest, layered, lowest, neg, pos};
 use pref_core::term::Pref;
 use pref_query::algorithms::bnl::bnl_generic;
 use pref_query::{Algorithm, Engine, Optimizer, QueryError};
@@ -166,6 +169,8 @@ fn main() {
     ];
     let compact = layered("category", compact.to_vec()).expect("one others layer");
     let unscored = pos("color", ["black", "silver"]).pareto(compact);
+    let by_make = antichain(["make"]).prior(watch2.clone());
+    let by_make_category = antichain(["make", "category"]).prior(near.clone());
     for (name, pref, r) in [
         (
             "car 2-d watch: LOWEST(price) ⊗ LOWEST(mileage)",
@@ -185,6 +190,16 @@ fn main() {
             &four_valued,
         ),
         ("car POS(color) ⊗ layered(category)", &unscored, &car),
+        (
+            "car grouped: make↔ & (LOWEST(price) ⊗ LOWEST(mileage))",
+            &by_make,
+            &car,
+        ),
+        (
+            "car grouped: {make, category}↔ & (price AROUND 15000 ⊗ LOWEST(mileage))",
+            &by_make_category,
+            &car,
+        ),
     ] {
         wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r, false).1);
     }

@@ -741,9 +741,9 @@ fn optimizer_report(h: &mut Harness) {
     }
     // Grouping entry point (Def. 16).
     let grouped = (engine.prepare(&around("price", 12_000), r.schema()))
-        .and_then(|q| q.sigma_groupby(&AttrSet::single(attr("make")), &r))
+        .and_then(|q| q.grouped(&AttrSet::single(attr("make")))?.execute(&r))
         .expect("compiles")
-        .0;
+        .into_rows();
     h.check(
         "OPT",
         "groupby returns one best offer per make (≥ #makes)",

@@ -112,22 +112,25 @@ impl<'m> ParetoAccess<'m> {
 }
 
 /// Head-by-head access to a prioritisation `P1 & … & Pn` whose leading
-/// operands are single key lanes — the *heads* — and to what follows
-/// them — the [`PriorTail`] ([`Dominance::prior_access`]). A lone key
-/// lane is the degenerate case: one head, no tail.
+/// operands are single key lanes or anti-chains — the *heads* — and to
+/// what follows them — the [`PriorTail`] ([`Dominance::prior_access`]).
+/// A lone key lane or anti-chain is the degenerate case: one head, no
+/// tail.
 ///
 /// A key lane is a weak order by key whose Def. 9 equality `=A` is
 /// equality of codes, so Prop. 10 (`σ[P1&P2](R) = σ[P1](R) ∩ σ[P2 groupby
 /// A1](R)`) evaluates the order a head at a time: every row below the best
 /// head key present is dominated by any row at that key, rows at that key
 /// with different codes are incomparable, and inside one code the next
-/// head (or the tail) decides.
+/// head (or the tail) decides. An anti-chain head `A↔` is the weak order
+/// with one key: every row ties on it, and its codes are the groups of
+/// Def. 16's `σ[P groupby A](R) = σ[A↔ & P](R)`.
 #[derive(Debug, Clone)]
 pub struct PriorAccess<'m> {
     matrix: &'m ScoreMatrix,
     ids: Option<&'m [u32]>,
     /// `(key slot, eq slot)` per head; see `matrix::PriorSplit`.
-    heads: Vec<(usize, Option<usize>)>,
+    heads: Vec<(Option<usize>, Option<usize>)>,
     tail: PriorTail<'m>,
 }
 
@@ -177,10 +180,11 @@ impl<'m> PriorAccess<'m> {
         self.heads.len()
     }
 
-    /// Head `h`'s dominance key of row `row` (higher is better, never NaN).
-    #[inline]
-    pub fn key(&self, row: usize, h: usize) -> f64 {
-        self.matrix.key_at(base_row(self.ids, row), self.heads[h].0)
+    /// Head `h`'s dominance key of a row (higher is better, never NaN);
+    /// `None` for an anti-chain head, on which every row ties.
+    pub fn key(&self, h: usize) -> Option<impl Fn(usize) -> f64 + '_> {
+        let slot = self.heads[h].0?;
+        Some(move |row| self.matrix.key_at(base_row(self.ids, row), slot))
     }
 
     /// Head `h`'s equality code of row `row`. Every head that an operand

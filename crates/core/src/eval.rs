@@ -1103,7 +1103,7 @@ mod tests {
         for (p, heads, tail_kind) in [
             (around("A1", 0).prior(tail.clone()), 1, "lanes"),
             (
-                Pref::Prior(vec![around("A1", 0), lowest("A2"), tail]),
+                Pref::Prior(vec![around("A1", 0), lowest("A2"), tail.clone()]),
                 2,
                 "lanes",
             ),
@@ -1137,7 +1137,7 @@ mod tests {
                 // Head 0 is AROUND(A1; 0): key −|A1|, code = the value.
                 for (j, &i) in rows.iter().enumerate() {
                     let a1 = r.row(i)[0].as_int().unwrap();
-                    assert_eq!(acc.key(j, 0), -(a1.abs() as f64));
+                    assert_eq!(acc.key(0).unwrap()(j), -(a1.abs() as f64));
                     if heads > 1 || tail_kind != "empty" {
                         let same = |k: usize| acc.code(j, 0) == acc.code(k, 0);
                         let equal = |k: usize| a1 == r.row(rows[k])[0].as_int().unwrap();
@@ -1145,6 +1145,30 @@ mod tests {
                     }
                 }
             }
+        }
+        // An anti-chain that an operand follows is a head with no key
+        // (Def. 16's grouping), and so is a lone one; a last anti-chain
+        // is a pairwise tail.
+        for (p, keyed, tail_kind) in [
+            (crate::term::antichain(["A1"]).prior(tail), false, "lanes"),
+            (crate::term::antichain(["A1"]), false, "empty"),
+            (
+                lowest("A1").prior(crate::term::antichain(["A2"])),
+                true,
+                "pairwise",
+            ),
+        ] {
+            let c = compile(&p, &r);
+            assert_eq!(c.lane_shape(), Some(LaneShape::HeadSplit), "{p}");
+            let m = c.score_matrix(&r).unwrap();
+            let acc = m.prior_access().unwrap();
+            assert_eq!((acc.heads(), acc.key(0).is_some()), (1, keyed), "{p}");
+            let kind = match acc.tail() {
+                PriorTail::Empty => "empty",
+                PriorTail::Lanes(_) => "lanes",
+                PriorTail::Pairwise => "pairwise",
+            };
+            assert_eq!(kind, tail_kind, "{p}");
         }
         // Flat Pareto orders and Pareto heads offer no head split.
         for p in [example2_pref(), example2_pref().prior(lowest("A2"))] {

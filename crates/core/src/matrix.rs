@@ -265,33 +265,37 @@ impl ScoreMatrix {
 }
 
 /// A plan split by Prop. 10: `heads` are the `(key slot, eq slot)` of
-/// its leading single-lane operands in priority order (the eq slot is
+/// its leading single-lane operands in priority order (the key slot is
+/// `None` for an anti-chain, on which every row ties; the eq slot is
 /// `None` for the last operand and for a plan that is one key: nothing
 /// follows it, so its codes are never read), `tail` what follows them —
 /// `None` for nothing, `Some(Some(slots))` for one flat Pareto operand's
 /// lanes, `Some(None)` for anything else.
 pub(crate) struct PriorSplit<'a> {
-    pub(crate) heads: Vec<(usize, Option<usize>)>,
+    pub(crate) heads: Vec<(Option<usize>, Option<usize>)>,
     pub(crate) tail: Option<Option<&'a [(usize, usize)]>>,
 }
 
 /// The Prop. 10 split of a prioritisation whose first operand is one key
-/// lane, or of a lone key; `None` for every other plan.
+/// lane or an anti-chain that an operand follows (`A↔ & P`, Def. 16's
+/// grouping), or of a lone key or anti-chain; `None` for every other
+/// plan.
 fn prior_split(plan: &ScorePlan) -> Option<PriorSplit<'_>> {
+    let lone = |key| PriorSplit {
+        heads: vec![(key, None)],
+        tail: None,
+    };
     let children = match plan {
-        ScorePlan::Key(k) => {
-            return Some(PriorSplit {
-                heads: vec![(*k, None)],
-                tail: None,
-            })
-        }
+        ScorePlan::Key(k) => return Some(lone(Some(*k))),
+        ScorePlan::Antichain => return Some(lone(None)),
         ScorePlan::Prior(children) => children,
         _ => return None,
     };
-    let heads: Vec<(usize, Option<usize>)> = children
+    let heads: Vec<(Option<usize>, Option<usize>)> = children
         .iter()
-        .map_while(|(c, e)| match c {
-            ScorePlan::Key(k) => Some((*k, *e)),
+        .map_while(|(c, e)| match (c, e) {
+            (ScorePlan::Key(k), _) => Some((Some(*k), *e)),
+            (ScorePlan::Antichain, Some(_)) => Some((None, *e)),
             _ => None,
         })
         .collect();
@@ -320,7 +324,8 @@ pub enum LaneShape {
     /// A flat Pareto order of key lanes:
     /// [`Dominance::pareto_access`](crate::eval::Dominance::pareto_access).
     Flat,
-    /// A prioritisation headed by one key lane, or a lone key:
+    /// A prioritisation headed by one key lane or an anti-chain, or a
+    /// lone key or anti-chain:
     /// [`Dominance::prior_access`](crate::eval::Dominance::prior_access).
     HeadSplit,
 }

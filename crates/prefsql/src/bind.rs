@@ -12,10 +12,12 @@
 //! hoc statement is simply one that binds the empty parameter list.
 //!
 //! Either way a statement with a preference clause runs on exactly one
-//! [`Prepared`] per execution: the BMO winnow, TOP's k-best relaxation,
-//! GROUP BY's per-group windows and EXPLAIN's plan are all operators of
-//! it (TOP with GROUP BY peels the layers of its [`Prepared::grouped`]
-//! query), and this module is the only caller of [`Engine::prepare`].
+//! [`Prepared`] per execution: the BMO winnow, TOP's k-best relaxation
+//! and EXPLAIN's plan are all operators of it, and this module is the
+//! only caller of [`Engine::prepare`]. GROUP BY `A` is part of the term:
+//! Def. 16's `σ[P groupby A](R) := σ[A↔ & P](R)`, so a grouped statement
+//! is an ordinary winnow with every cache tier, and TOP with GROUP BY
+//! ranks by the levels within each group.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -24,7 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pref_core::term::Pref;
 use pref_query::{Engine, Prepared};
-use pref_relation::{predicate_fingerprint, DataType, Relation, Schema, Value};
+use pref_relation::{predicate_fingerprint, AttrSet, DataType, Relation, Schema, Value};
 
 use crate::ast::{LimitSpec, Literal, PrefExpr, Query};
 use crate::error::SqlError;
@@ -86,13 +88,22 @@ impl CompiledStatement {
     }
 }
 
-/// The term of a statement's preference clauses: PREFERRING … CASCADE …
-/// is prioritised accumulation, outer clause most important.
-fn term_of(clauses: &[PrefExpr], schema: &Schema, table: &str) -> Result<Pref, SqlError> {
+/// The term of `q`'s preference clauses `clauses`: PREFERRING … CASCADE
+/// … is prioritised accumulation, outer clause most important, and GROUP
+/// BY `A` puts the anti-chain `A↔` in front of it (Def. 16), each of its
+/// columns checked like a LOWEST column.
+fn term_of(q: &Query, clauses: &[PrefExpr], schema: &Schema) -> Result<Pref, SqlError> {
     let parts = (clauses.iter())
-        .map(|p| pref_to_term(p, schema, table))
+        .map(|p| pref_to_term(p, schema, &q.table))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(Pref::prior_all(parts)?)
+    let term = Pref::prior_all(parts)?;
+    for column in &q.group_by {
+        column_type(schema, &q.table, column)?;
+    }
+    Ok(match q.group_by.as_slice() {
+        [] => term,
+        by => Pref::Antichain(AttrSet::new(by.iter().map(String::as_str))).prior(term),
+    })
 }
 
 impl PrefStage {
@@ -107,15 +118,17 @@ impl PrefStage {
         }
         if parameterized {
             // The AST's derived rendering is deterministic for a build:
-            // equal clauses, equal fingerprint, whatever the binding.
-            let fingerprint = predicate_fingerprint(format!("{clauses:?}").as_bytes());
+            // equal clauses and grouping, equal fingerprint, whatever the
+            // binding.
+            let shape = format!("{clauses:?} {:?}", q.group_by);
+            let fingerprint = predicate_fingerprint(shape.as_bytes());
             return Ok(Some(PrefStage::Parameterized {
                 clauses,
                 fingerprint,
                 seen_bindings: Mutex::default(),
             }));
         }
-        let term = term_of(&clauses, schema, &q.table)?;
+        let term = term_of(q, &clauses, schema)?;
         let prepared = Box::new(engine.prepare(&term, schema)?);
         Ok(Some(PrefStage::Concrete { term, prepared }))
     }
@@ -148,7 +161,7 @@ impl PrefStage {
         let bound = (clauses.iter())
             .map(|c| c.map_literals(&mut bind))
             .collect::<Result<Vec<_>, _>>()?;
-        let term = term_of(&bound, schema, &q.table)?;
+        let term = term_of(q, &bound, schema)?;
         let prepared = engine.prepare(&term, schema)?;
         Ok((term, Cow::Owned(prepared)))
     }

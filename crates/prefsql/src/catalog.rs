@@ -33,10 +33,11 @@ impl Catalog {
     /// returned reference (e.g. [`Relation::push_values`]) bumps the
     /// table's generation, so cached results and score matrices can
     /// never serve stale data: the engine maintains a cached result
-    /// across the mutation first, and a caller that reads the matrix
-    /// itself (`GROUP BY`, `TOP`, `BUT ONLY`, a parameterized `WHERE`'s
-    /// window warm-up) gets it rebuilt incrementally after an append,
-    /// with only the appended rows encoded.
+    /// across the mutation first (a `GROUP BY` statement's result too:
+    /// it is the term `A↔ & P`), and a caller that reads the matrix
+    /// itself (`TOP`, a parameterized `WHERE`'s window warm-up) gets it
+    /// rebuilt incrementally after an append, with only the appended rows
+    /// encoded.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Relation, SqlError> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())

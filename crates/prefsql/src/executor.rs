@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pref_core::term::Pref;
-use pref_query::{Algorithm, Engine, Explain, Optimizer, Prepared};
+use pref_query::{Engine, Explain, Optimizer, Prepared};
 use pref_relation::{AttrSet, DataType, Relation, Schema, Value};
 
 use crate::ast::{DeleteStmt, Query, SelectList, Statement};
@@ -37,10 +37,12 @@ use crate::rewrite::{hard_to_predicate, quality_to_filter};
 pub struct QueryResult {
     /// The result tuples, projected per the SELECT list.
     pub relation: Relation,
-    /// The preference term that was evaluated, if any.
+    /// The preference term that was evaluated, if any (with GROUP BY
+    /// `A`, the grouped term `A↔ & P`).
     pub preference: Option<Pref>,
-    /// The report of the preference stage, if any: the BMO winnow, or
-    /// the TOP (k-best) or GROUP BY operator that produced the rows.
+    /// The report of the preference stage, if any: the BMO winnow (of
+    /// `A↔ & P` with GROUP BY), or the TOP (k-best) operator that
+    /// produced the rows.
     pub explain: Option<Explain>,
     /// Rows scanned after the WHERE stage (for stats/EXPLAIN).
     pub candidates: usize,
@@ -97,8 +99,9 @@ impl PrefSql {
     /// query over the table first *maintains* its cached BMO result
     /// against the appended row (`CacheStatus::MaintainedHit`); `BUT
     /// ONLY` then reads the values of the result rows and builds no
-    /// matrix. Only the operators that read the score matrix directly —
-    /// `GROUP BY`, `TOP`, and a parameterized `WHERE` keeping the table's
+    /// matrix; a `GROUP BY` statement is its term `A↔ & P`, maintained
+    /// the same way. Only the operators that read the score matrix
+    /// directly — `TOP`, and a parameterized `WHERE` keeping the table's
     /// matrix warm for its windows — rebuild it, and incrementally: the
     /// appended row is the only one encoded (`CacheStatus::ShardHit`).
     pub fn append_row(&mut self, table: &str, values: Vec<Value>) -> Result<(), SqlError> {
@@ -231,9 +234,10 @@ impl PrefSql {
         let base = base.as_ref();
         let candidates = base.len();
 
-        // 2. The preference stage: the statement's one prepared query,
-        //    compiled once — or, with `$n` in the preference clauses,
-        //    rewritten and prepared from the bound AST now.
+        // 2. The preference stage: the statement's one prepared query
+        //    (with GROUP BY, of `A↔ & P`), compiled once — or, with `$n`
+        //    in the preference clauses, rewritten and prepared from the
+        //    bound AST now.
         let stage = c.pref.as_ref().map_err(Clone::clone)?.as_ref();
         let bound = (stage.map(|s| s.bind(&self.engine, q, table.schema(), params))).transpose()?;
         if q.explain {
@@ -242,20 +246,12 @@ impl PrefSql {
 
         let (rows, explain) = match (stage, &bound) {
             (Some(stage), Some((_, exec))) => {
-                let grouping = grouping_attrs(q, base)?;
-                let (rows, mut explain) = match (top, &grouping) {
+                let (rows, mut explain) = match top {
                     // §6.2 k-best: the BMO layers, peeled until k rows —
                     // with GROUP BY those of `A↔ & P` (Def. 16), so rows
                     // rank by their level within their group.
-                    (Some(k), None) => exec.k_best(base, k)?,
-                    (Some(k), Some(attrs)) => exec.grouped(attrs)?.k_best(base, k)?,
-                    (None, Some(attrs)) => {
-                        let (rows, cache) = exec.sigma_groupby(attrs, base)?;
-                        let mut report = grouping_report(q, exec, base);
-                        report.cache = cache;
-                        (rows, report)
-                    }
-                    (None, None) => {
+                    Some(k) => exec.k_best(base, k)?,
+                    None => {
                         if c.hard_is_parameterized && stage.binding_recurs(exec) {
                             let _ = exec.matrix(table);
                         }
@@ -340,11 +336,7 @@ impl PrefSql {
                 None
             }
             Some((_, exec)) => {
-                let plan = match (&q.top, grouping_attrs(q, base)?) {
-                    (_, None) => exec.explain(base),
-                    (Some(_), Some(attrs)) => exec.grouped(&attrs)?.explain(base),
-                    (None, Some(_)) => grouping_report(q, exec, base),
-                };
+                let plan = exec.explain(base);
                 lines.extend(plan.lines());
                 Some(plan)
             }
@@ -380,29 +372,6 @@ impl PrefSql {
             candidates,
         })
     }
-}
-
-/// The GROUP BY attributes of `q`, each checked against `base`'s schema
-/// (`None` without GROUP BY).
-fn grouping_attrs(q: &Query, base: &Relation) -> Result<Option<AttrSet>, SqlError> {
-    let attrs = AttrSet::new(q.group_by.iter().map(String::as_str));
-    if let Some(a) = attrs.iter().find(|a| base.schema().index_of(a).is_none()) {
-        return Err(SqlError::UnknownColumn {
-            table: q.table.clone(),
-            column: a.to_string(),
-        });
-    }
-    Ok((!attrs.is_empty()).then_some(attrs))
-}
-
-/// The report of a GROUP BY statement: its prepared query's plan, run as
-/// one BNL window per group of equal grouping values (Def. 16).
-fn grouping_report(q: &Query, exec: &Prepared, base: &Relation) -> Explain {
-    let reason = format!(
-        "hash grouping by {}: one BNL window per group (Def. 16)",
-        q.group_by.join(", ")
-    );
-    exec.explain_as(base, Algorithm::Bnl, reason)
 }
 
 /// A parsed Preference SQL statement with `$n` parameter placeholders —
@@ -719,12 +688,19 @@ mod tests {
             .collect();
         assert!(lines[0].contains("4 candidate rows"));
         assert!(lines.iter().any(|l| l.contains("divide-and-conquer")));
-        // grouped plans are reported too
+        // A grouped plan is the plan of its term `A↔ & P` (Def. 16).
         let res = s
             .execute("EXPLAIN SELECT * FROM car PREFERRING price AROUND 40000 GROUP BY make")
             .unwrap();
         let text = format!("{}", res.relation);
-        assert!(text.contains("hash grouping"));
+        assert!(
+            text.contains("preference : ({make}↔ & AROUND(price; 40000))"),
+            "{text}"
+        );
+        assert!(
+            text.contains("anti-chain head: Prop. 10 head split"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -1420,6 +1396,90 @@ mod tests {
             assert_eq!(cache(), pref_query::CacheStatus::Miss, "{sql}");
             assert_eq!(cache(), pref_query::CacheStatus::Hit, "{sql}");
         }
+    }
+
+    /// `σ[P groupby make](car)` by Def. 16's definitional form, rendered.
+    fn def16(p: &Pref, car: &Relation) -> String {
+        let by = AttrSet::single(pref_relation::attr("make"));
+        let rows = pref_query::groupby::sigma_groupby_definitional(p, &by, car).unwrap();
+        car.take_rows(&rows).to_string()
+    }
+
+    #[test]
+    fn a_grouped_statement_runs_on_the_result_tier() {
+        use pref_core::term::lowest;
+        use pref_query::CacheStatus;
+        // GROUP BY is the term `make↔ & P`: a repeat is an exact result
+        // hit, an append and a delete of a dominated row are maintained,
+        // and deleting a group's best row promotes what it dominated.
+        let mut s = session();
+        let sql = "SELECT * FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) GROUP BY make";
+        let p = lowest("price").pareto(lowest("mileage"));
+        let run = |s: &PrefSql| {
+            let res = s.execute(sql).unwrap();
+            let car = s.catalog().get("car").unwrap();
+            assert_eq!(res.relation.to_string(), def16(&p, car));
+            (res.relation.to_string(), res.explain.unwrap().cache)
+        };
+        assert_eq!(run(&s).1, CacheStatus::Miss);
+        assert_eq!(run(&s).1, CacheStatus::Hit);
+        assert_eq!(s.engine().cache_stats().result_entries, 1);
+        let worse = ["Opel", "van", "white"].map(Value::from);
+        let worse = [
+            worse.to_vec(),
+            [50_000, 100, 90_000].map(Value::from).to_vec(),
+        ]
+        .concat();
+        s.append_row("car", worse).unwrap();
+        assert_eq!(run(&s).1, CacheStatus::MaintainedHit);
+        s.delete("DELETE FROM car WHERE price = 50000").unwrap();
+        let (before, cache) = run(&s);
+        assert_eq!(cache, CacheStatus::MaintainedHit);
+        // The Opel at 38 000 / 20 000 dominates every other Opel; without
+        // it, 40 000 / 30 000 and 39 500 / 80 000 are the Opel group's best.
+        assert!(!before.contains("40000"), "{before}");
+        s.delete("DELETE FROM car WHERE price = 38000").unwrap();
+        let (after, _) = run(&s);
+        assert!(
+            after.contains("40000") && after.contains("39500"),
+            "{after}"
+        );
+    }
+
+    #[test]
+    fn a_grouped_where_binding_windows_onto_the_table_matrix() {
+        use pref_core::term::lowest;
+        let s = session();
+        let stmt = s
+            .prepare("SELECT * FROM car WHERE price <= $1 PREFERRING LOWEST(mileage) GROUP BY make")
+            .unwrap();
+        for cap in [45_000, 40_000, 39_000] {
+            let res = stmt.execute(&s, &[Value::from(cap)]).unwrap();
+            let car = s.catalog().get("car").unwrap();
+            let view = car.select(|t| t[3] <= Value::from(cap));
+            assert_eq!(res.relation.to_string(), def16(&lowest("mileage"), &view));
+            let cache = res.explain.unwrap().cache;
+            assert_eq!(cache, pref_query::CacheStatus::WindowHit, "{cap}");
+        }
+    }
+
+    #[test]
+    fn the_shape_line_covers_group_by() {
+        let s = session();
+        let shape = |sql: &str| {
+            let stmt = s.prepare(sql).unwrap();
+            let res = stmt.execute(&s, &[Value::from(40_000)]).unwrap();
+            let lines = res.explain.unwrap().lines();
+            lines.into_iter().find(|l| l.starts_with("shape")).unwrap()
+        };
+        let by_make = shape("SELECT * FROM car PREFERRING price AROUND $1 GROUP BY make");
+        let by_color = shape("SELECT * FROM car PREFERRING price AROUND $1 GROUP BY color");
+        assert_ne!(by_make, by_color);
+        // The grouping is part of the shape, not of the binding.
+        assert_eq!(
+            by_make,
+            shape("SELECT * FROM car PREFERRING price AROUND $1 GROUP BY make")
+        );
     }
 
     #[test]

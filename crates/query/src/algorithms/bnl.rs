@@ -28,7 +28,8 @@
 //!
 //! The planner sends only orders *without* key lanes here (EXPLICIT,
 //! intersection/union, a Pareto head, a dual): every flat key order and
-//! every single-lane head goes to the sort-filter window instead, and
+//! every single-lane or anti-chain head goes to the sort-filter window
+//! instead, and
 //! `bnl_window` also serves the head split's pairwise tails and result
 //! maintenance. The batch kernel and both parallel variants are reachable
 //! only when a caller forces [`Algorithm::Bnl`](crate::Algorithm::Bnl) or

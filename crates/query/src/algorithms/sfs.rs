@@ -27,10 +27,14 @@
 //! the same key-lane kernel when it is one flat Pareto operand, through a
 //! BNL window otherwise. Single-lane heads that follow bucket in turn,
 //! lexicographically, and a lone key lane is one head with nothing after
-//! it. This subsumes Prop. 11's chain cascade (a chain is a key lane with
-//! one value per key) and reads the one cached matrix — no sub-relation,
-//! no cache entry. Other shapes walk the term per row (a NaN utility
-//! counts as none) and filter pairwise.
+//! it. An anti-chain head `A↔` is the weak order with one key: every row
+//! ties, so the pass keeps them all and buckets them by the projection's
+//! code — Def. 16's `σ[P groupby A](R) = σ[A↔ & P](R)`, one group per
+//! bucket, with no per-group evaluator of its own (a lone `A↔` keeps
+//! every row). This subsumes Prop. 11's chain cascade (a chain is a key lane
+//! with one value per key) and reads the one cached matrix — no
+//! sub-relation, no cache entry. Other shapes walk the term per row (a
+//! NaN utility counts as none) and filter pairwise.
 //!
 //! **Ties.** Float addition is monotone but not strictly: `(1e16, 1.0)`
 //! and `(1e16, 0.5)` under `AROUND 0 ⊗ AROUND 0` both sum to `-1e16`,
@@ -49,8 +53,8 @@ use super::window::{prefilter, widened, AcceptedWindow, NO_SPAN};
 /// BMO evaluation by sort-filter with the dominance backend chosen by
 /// the caller (`matrix` from [`CompiledPref::score_matrix`], or `None`
 /// for the generic path). A matrix with key lanes — a flat Pareto order
-/// or a single-lane head — always answers. Otherwise `None` when the
-/// preference has no monotone utility on *every* row: utility is
+/// or a single-lane or anti-chain head — always answers. Otherwise `None`
+/// when the preference has no monotone utility on *every* row: utility is
 /// per-value (e.g. a NULL under a scored chain has none), and a sort
 /// order that is not topologically compatible could silently misresult.
 pub fn try_sfs_with<M: Dominance>(
@@ -113,9 +117,10 @@ pub(super) fn key_sum(keys: &[f64]) -> f64 {
 }
 
 /// Prop. 10 from head `h` on, over `rows`: keep the rows at the best key
-/// of head `h`, bucket them by its code, and hand each bucket to the next
-/// head — after the last one, to the tail's key lanes or a BNL window over
-/// `better`. Pushes the maxima onto `out`, unordered.
+/// of head `h` (all of them under an anti-chain head), bucket them by its
+/// code, and hand each bucket to the next head — after the last one, to
+/// the tail's key lanes or a BNL window over `better`. Pushes the maxima
+/// onto `out`, unordered.
 fn head_split(
     acc: &PriorAccess<'_>,
     h: usize,
@@ -123,17 +128,24 @@ fn head_split(
     better: &impl Fn(usize, usize) -> bool,
     out: &mut Vec<usize>,
 ) {
-    let (mut top, mut best) = (Vec::new(), f64::NEG_INFINITY);
-    for i in rows {
-        let k = acc.key(i, h);
-        if top.is_empty() || k > best {
-            best = k;
-            top.clear();
+    let mut top: Vec<usize> = match acc.key(h) {
+        // An anti-chain head: every row ties.
+        None => rows.collect(),
+        Some(key) => {
+            let (mut top, mut best) = (Vec::new(), f64::NEG_INFINITY);
+            for i in rows {
+                let k = key(i);
+                if top.is_empty() || k > best {
+                    best = k;
+                    top.clear();
+                }
+                if k == best {
+                    top.push(i);
+                }
+            }
+            top
         }
-        if k == best {
-            top.push(i);
-        }
-    }
+    };
     let last = h + 1 == acc.heads();
     if last && matches!(acc.tail(), PriorTail::Empty) {
         out.append(&mut top);

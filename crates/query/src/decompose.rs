@@ -86,16 +86,18 @@ fn eval(engine: &Engine, pref: &Pref, r: &Relation) -> Result<Vec<usize>, QueryE
                 let inner = eval(engine, &rest, &sub)?;
                 return Ok(inner.into_iter().map(|i| s1[i]).collect());
             }
-            if a1.is_disjoint(&rest.attributes()) {
-                // Prop. 10: grouping — over the engine's shared matrix.
+            // Prop. 10: grouping, the term `A1↔ & P2` (Def. 16). With an
+            // anti-chain head the pref *is* that term: evaluating it so
+            // would recur on it forever, so it runs directly below.
+            if a1.is_disjoint(&rest.attributes()) && !matches!(p1, Pref::Antichain(_)) {
                 let s1: HashSet<usize> = eval(engine, &p1, r)?.into_iter().collect();
                 let rest = engine.prepare(&rest, r.schema())?;
-                let (grouped, _) = rest.sigma_groupby(&a1, r)?;
+                let grouped = rest.grouped(&a1)?.execute(r)?.into_rows();
                 return Ok(grouped.into_iter().filter(|i| s1.contains(i)).collect());
             }
-            // Shared attributes: no decomposition theorem — evaluate
-            // directly (the optimizer's rewrite pass usually removes
-            // this case via Prop. 4a first).
+            // Shared attributes (the optimizer's rewrite pass usually
+            // removes this case via Prop. 4a first) or a grouping head:
+            // no decomposition theorem — evaluate directly.
             Ok(direct(&engine.prepare(pref, r.schema())?, r))
         }
         Pref::Pareto(children) if children.len() >= 2 => {
@@ -237,8 +239,8 @@ impl Engine {
         let (q1, q2) = (self.prepare(p1, r.schema())?, self.prepare(p2, r.schema())?);
         let s1: HashSet<usize> = direct(&q1, r).into_iter().collect();
         let s2: HashSet<usize> = direct(&q2, r).into_iter().collect();
-        let (g1, _) = q2.sigma_groupby(&a1, r)?; // σ[P2 groupby A1](R)
-        let (g2, _) = q1.sigma_groupby(&a2, r)?; // σ[P1 groupby A2](R)
+        let g1 = q2.grouped(&a1)?.execute(r)?.into_rows(); // σ[P2 groupby A1](R)
+        let g2 = q1.grouped(&a2)?.execute(r)?.into_rows(); // σ[P1 groupby A2](R)
 
         let first: Vec<usize> = g1.into_iter().filter(|i| s1.contains(i)).collect();
         let second: Vec<usize> = g2.into_iter().filter(|i| s2.contains(i)).collect();

@@ -1058,16 +1058,17 @@ mod tests {
         let p = around("a", 2).pareto(lowest("b"));
         let attrs = pref_relation::AttrSet::new(["c"]);
 
-        // Warm the base matrix through the groupby path itself.
+        // Warm the base matrix through the grouped term itself.
         let q = engine.prepare(&p, r.schema()).unwrap();
-        let (base_rows, _) = q.sigma_groupby(&attrs, &r).unwrap();
+        let q = q.grouped(&attrs).unwrap();
+        let base_rows = q.execute(&r).unwrap().into_rows();
         assert_eq!(engine.cache_stats().misses, 1);
 
         // Grouped evaluation over a fresh derived view reuses it via a
         // window instead of building a subset matrix.
         let d = r.select_derived(|_| true, 0x51);
-        let (grouped, cache) = q.sigma_groupby(&attrs, &d).unwrap();
-        assert_eq!((grouped, cache), (base_rows, CacheStatus::WindowHit));
+        let (grouped, ex) = q.execute(&d).unwrap().into_parts();
+        assert_eq!((grouped, ex.cache), (base_rows, CacheStatus::WindowHit));
         let stats = engine.cache_stats();
         assert_eq!(
             (stats.window_hits, stats.misses),
@@ -1108,7 +1109,8 @@ mod tests {
         let p = around("a", 2).pareto(lowest("b"));
         let attrs = pref_relation::AttrSet::new(["c"]);
         let grouped = |e: &Engine| {
-            Ok::<_, QueryError>(e.prepare(&p, r.schema())?.sigma_groupby(&attrs, &r)?.0)
+            let q = e.prepare(&p, r.schema())?.grouped(&attrs)?;
+            Ok::<_, QueryError>(q.execute(&r)?.into_rows())
         };
         let rows = grouped(&engine).unwrap();
         let stats = engine.cache_stats();

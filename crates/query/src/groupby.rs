@@ -2,56 +2,27 @@
 //! `σ[P groupby A](R) := σ[A↔ & P](R)`.
 //!
 //! Operationally "a grouping of R by equal A-values, evaluating for each
-//! group Gi of tuples the preference query σ\[P\](Gi)" — implemented by
-//! [`Prepared::sigma_groupby`], an operator of the prepared query `P`
-//! on the columnar path: [`Relation::group_ids`] partitions the row ids
-//! once (dictionary/fingerprint encoding, no per-row `Tuple` projection
-//! keys), and every group's BMO window runs over `P`'s engine-cached
-//! score matrix of the *whole* relation, so one materialization serves
-//! all groups — and all repetitions of the query on an unchanged
-//! relation. The definitional equality is checked in the tests.
+//! group Gi of tuples the preference query σ\[P\](Gi)" — and that is
+//! what the term `A↔ & P` does on the one evaluation path: its score
+//! matrix holds `A`'s projection codes ([`Relation::group_ids`] for
+//! several columns), the planner reads `A↔` as a Prop. 10 head on which
+//! every row ties, and the head split buckets the rows by code and runs
+//! `P`'s kernel inside each bucket. [`Prepared::grouped`] prepares that
+//! term, so a grouped query has the result, maintained and window tiers
+//! of every other one. The definitional equality is checked in the
+//! tests.
+//!
+//! [`Relation::group_ids`]: pref_relation::Relation::group_ids
 
 use pref_core::eval::CompiledPref;
 use pref_core::term::Pref;
 use pref_relation::{AttrSet, Relation};
 
-use crate::algorithms::bnl::{bnl_generic, bnl_window};
+use crate::algorithms::bnl::bnl_generic;
 use crate::engine::Prepared;
 use crate::error::QueryError;
-use crate::optimizer::CacheStatus;
 
 impl Prepared {
-    /// `σ[P groupby A](R)` (Def. 16) on the columnar path: partition row
-    /// ids once via [`Relation::group_ids`], then run the per-group BMO
-    /// windows over this query's engine-cached score matrix
-    /// ([`Prepared::matrix`]), so the same matrix serves every group —
-    /// and every later query on the same relation generation. Falls back
-    /// to the generic term-walk backend when the term does not
-    /// materialize (or the optimizer disables materialization). Returns
-    /// the rows and the tier the matrix came from.
-    pub fn sigma_groupby(
-        &self,
-        group_attrs: &AttrSet,
-        r: &Relation,
-    ) -> Result<(Vec<usize>, CacheStatus), QueryError> {
-        self.check_schema(r)?;
-        let group_cols = r.schema().resolve(group_attrs)?;
-        let (ids, n_groups) = r.group_ids(&group_cols);
-        let (matrix, cache) = self.tiered_matrix(r);
-
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        for (i, &g) in ids.iter().enumerate() {
-            members[g as usize].push(i);
-        }
-
-        let mut result = match &matrix {
-            Some(m) => group_windows(members, |x, y| m.better(x, y)),
-            None => group_windows(members, |x, y| self.compiled().better(r.row(x), r.row(y))),
-        };
-        result.sort_unstable();
-        Ok((result, cache))
-    }
-
     /// The prepared query of `A↔ & P` (Def. 16) on this query's engine:
     /// its BMO is `σ[P groupby A](R)`, and its levels are `P`'s levels
     /// within each group of equal `A`-values — what a grouped k-best
@@ -60,18 +31,6 @@ impl Prepared {
         let term = Pref::Antichain(group_attrs.clone()).prior(self.term().clone());
         self.engine.prepare(&term, &self.schema)
     }
-}
-
-/// One BNL window per group of pre-partitioned (global) row ids, with a
-/// pluggable dominance backend.
-fn group_windows(
-    members: Vec<Vec<usize>>,
-    better: impl Fn(usize, usize) -> bool + Copy,
-) -> Vec<usize> {
-    members
-        .into_iter()
-        .flat_map(|group| bnl_window(better, Vec::new(), group))
-        .collect()
 }
 
 /// The definitional form `σ[A↔ & P](R)` (Def. 16), for cross-checking:
@@ -90,17 +49,17 @@ pub fn sigma_groupby_definitional(
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::optimizer::CacheStatus;
     use pref_core::prelude::*;
     use pref_relation::{attr, rel};
 
-    fn sigma_groupby(
+    fn groupby_term(
         pref: &Pref,
         group_attrs: &AttrSet,
         r: &Relation,
     ) -> Result<Vec<usize>, QueryError> {
-        Ok((Engine::new().prepare(pref, r.schema())?)
-            .sigma_groupby(group_attrs, r)?
-            .0)
+        let q = Engine::new().prepare(pref, r.schema())?;
+        Ok(q.grouped(group_attrs)?.execute(r)?.into_rows())
     }
 
     fn cars() -> pref_relation::Relation {
@@ -121,7 +80,7 @@ mod tests {
         // BMW 35000 on distance to 40000).
         let r = cars();
         let p2 = around("price", 40_000);
-        let got = sigma_groupby(&p2, &AttrSet::single(attr("make")), &r).unwrap();
+        let got = groupby_term(&p2, &AttrSet::single(attr("make")), &r).unwrap();
         assert_eq!(got, vec![0, 1, 2]);
     }
 
@@ -133,7 +92,7 @@ mod tests {
             lowest("price"),
             highest("oid").pareto(lowest("price")),
         ] {
-            let a = sigma_groupby(&p, &AttrSet::single(attr("make")), &r).unwrap();
+            let a = groupby_term(&p, &AttrSet::single(attr("make")), &r).unwrap();
             let b = sigma_groupby_definitional(&p, &AttrSet::single(attr("make")), &r).unwrap();
             assert_eq!(a, b, "Def. 16 equality failed for {p}");
         }
@@ -143,7 +102,7 @@ mod tests {
     fn grouping_by_all_attrs_keeps_everything() {
         let r = cars();
         let all = r.schema().attr_set();
-        let got = sigma_groupby(&lowest("price"), &all, &r).unwrap();
+        let got = groupby_term(&lowest("price"), &all, &r).unwrap();
         assert_eq!(got, vec![0, 1, 2, 3]);
     }
 
@@ -152,7 +111,7 @@ mod tests {
         let r = cars();
         let p = lowest("price");
         assert_eq!(
-            sigma_groupby(&p, &AttrSet::empty(), &r).unwrap(),
+            groupby_term(&p, &AttrSet::empty(), &r).unwrap(),
             crate::bmo::sigma_naive_generic(&p, &r).unwrap()
         );
     }
@@ -163,17 +122,24 @@ mod tests {
         let r = cars();
         let p = around("price", 40_000);
         let attrs = AttrSet::single(attr("make"));
-        let q = engine.prepare(&p, r.schema()).unwrap();
-        let (first, cold) = q.sigma_groupby(&attrs, &r).unwrap();
+        let q = engine
+            .prepare(&p, r.schema())
+            .unwrap()
+            .grouped(&attrs)
+            .unwrap();
+        let first = q.execute(&r).unwrap();
         assert_eq!(engine.cache_stats().misses, 1);
-        let (second, warm) = q.sigma_groupby(&attrs, &r).unwrap();
-        assert_eq!(first, second);
-        assert_eq!((cold, warm), (CacheStatus::Miss, CacheStatus::Hit));
+        let second = q.execute(&r).unwrap();
+        assert_eq!(first.rows(), second.rows());
+        assert_eq!(
+            (first.cache(), second.cache()),
+            (CacheStatus::Miss, CacheStatus::Hit)
+        );
         let stats = engine.cache_stats();
         assert_eq!(
             (stats.hits, stats.misses),
             (1, 1),
-            "second groupby must reuse the whole-relation matrix"
+            "the second groupby is the cached result"
         );
     }
 
@@ -184,7 +150,7 @@ mod tests {
         let r = cars();
         let p = lowest("make");
         let attrs = AttrSet::single(attr("make"));
-        let a = sigma_groupby(&p, &attrs, &r).unwrap();
+        let a = groupby_term(&p, &attrs, &r).unwrap();
         let b = sigma_groupby_definitional(&p, &attrs, &r).unwrap();
         assert_eq!(a, b);
     }
@@ -195,7 +161,7 @@ mod tests {
             ("a": Str, "b": Str, "x": Int);
             ("p", "q", 3), ("p", "q", 1), ("p", "r", 9), ("s", "q", 2),
         };
-        let got = sigma_groupby(&lowest("x"), &AttrSet::new(["a", "b"]), &r).unwrap();
+        let got = groupby_term(&lowest("x"), &AttrSet::new(["a", "b"]), &r).unwrap();
         assert_eq!(got, vec![1, 2, 3]);
     }
 }

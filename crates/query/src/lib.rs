@@ -39,7 +39,8 @@
 //! * [`plan`] — the semantic planner: rewrite derivations,
 //!   constraint-registry redundancy proofs, and algorithm choice by the
 //!   term's shape (D&C for chain skylines, the key-lane window kernel for
-//!   other flat key orders and single-lane heads, BNL otherwise),
+//!   other flat key orders and single-lane or anti-chain heads, BNL
+//!   otherwise),
 //!   materialized as a [`plan::Plan`];
 //! * [`stats`] — result sizes and filter strength (Def. 18/19, Prop. 13).
 //!

@@ -321,8 +321,8 @@ fn candidates(c: &CompiledPref) -> [Candidate; 3] {
     let sfs = match lanes {
         Some(LaneShape::Flat) => "flat key order: presort by key sum, then the accepted window",
         Some(LaneShape::HeadSplit) => {
-            "single-lane head: Prop. 10 head split, then the accepted window on each \
-             bucket's tail lanes"
+            "single-lane or anti-chain head: Prop. 10 head split, then the accepted \
+             window on each bucket's tail lanes"
         }
         None => "no key lanes (EXPLICIT, intersection/union, a Pareto head or a dual)",
     };
@@ -501,6 +501,12 @@ mod tests {
                 "Prop. 10 head split",
             ),
             (pos("c", ["x"]), Algorithm::Sfs, "Prop. 10 head split"),
+            // An anti-chain head (Def. 16's grouping `A↔ & P`) too.
+            (
+                antichain(["c"]).prior(chains.clone()),
+                Algorithm::Sfs,
+                "Prop. 10 head split",
+            ),
             (
                 Pref::rank(CombineFn::sum(), vec![lowest("a"), highest("b")]).unwrap(),
                 Algorithm::Sfs,

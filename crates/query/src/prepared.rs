@@ -279,15 +279,7 @@ impl Prepared {
     /// would run on. No matrix is materialized and no algorithm runs.
     pub fn explain(&self, r: &Relation) -> Explain {
         let plan = self.plan(r);
-        self.explain_as(r, plan.algorithm, plan.reason.clone())
-    }
-
-    /// [`Prepared::explain`] for an operator other than the planned
-    /// winnow, such as [`Prepared::sigma_groupby`]'s per-group windows:
-    /// the same plan, with `algorithm` as what runs and `reason` naming
-    /// the operator. Runs nothing.
-    pub fn explain_as(&self, r: &Relation, algorithm: Algorithm, reason: String) -> Explain {
-        let plan = self.plan(r);
+        let (algorithm, reason) = (plan.algorithm, plan.reason.clone());
         let materialized = !self.engine.optimizer().no_materialize
             && Optimizer::uses_matrix(algorithm)
             && self.compiled.supports_matrix(r);

@@ -533,21 +533,30 @@ mod tests {
     #[test]
     fn explain_after_top_and_group_by_names_the_operator() {
         let mut s = state().session();
-        for (sql, operator) in [
+        for (sql, preference, operator) in [
             (
                 "EXEC SELECT TOP 2 * FROM car PREFERRING LOWEST(price)",
+                "preference : LOWEST(price)",
                 "reason     : k-best relaxation to 2 rows (§6.2)",
             ),
             (
+                // GROUP BY is the term `{make}↔ & P` (Def. 16), planned
+                // like any other.
                 "EXEC SELECT * FROM car PREFERRING LOWEST(price) GROUP BY make",
-                "reason     : hash grouping by make: one BNL window per group (Def. 16)",
+                "preference : ({make}↔ & LOWEST(price))",
+                "reason     : shape rule: sort-filter-skyline — single-lane or anti-chain \
+                 head: Prop. 10 head split, then the accepted window on each bucket's tail lanes",
             ),
         ] {
             assert!(s.handle_line(sql).is_ok(), "{sql}");
             let r = s.handle_line("EXPLAIN");
             assert!(r.is_ok(), "{sql}");
             assert!(r.body.iter().all(|l| !l.contains("exact-match")), "{sql}");
-            assert!(r.body.contains(&"preference : LOWEST(price)".to_string()));
+            assert!(
+                r.body.contains(&preference.to_string()),
+                "{sql}: {:?}",
+                r.body
+            );
             assert!(
                 r.body.contains(&operator.to_string()),
                 "{sql}: {:?}",
@@ -669,6 +678,43 @@ mod tests {
             split_frames(&buf.0.lock()).len(),
             2,
             "unwatched sessions get no pushes"
+        );
+    }
+
+    #[test]
+    fn a_grouped_watch_pushes_the_rows_that_enter_or_leave() {
+        let state = state();
+        let buf = Buf::default();
+        let mut watcher = state.session_with_sink(WatchSink::new(buf.clone()));
+        let r =
+            watcher.handle_line("WATCH SELECT * FROM car PREFERRING LOWEST(price) GROUP BY make");
+        assert!(r.is_ok(), "{}", r.status);
+        // One best car per make: the Opel at 38 000 and the BMW.
+        assert_eq!(r.body.len(), 2, "{:?}", r.body);
+        let mut other = state.session();
+        // A dominated Opel: the maintained result absorbs it, no push.
+        let before = state.engine().cache_stats().maintained_hits;
+        assert!(other.handle_line("APPEND car\t'Opel'\t50000\t1000").is_ok());
+        assert_eq!(state.engine().cache_stats().maintained_hits, before + 1);
+        // A new make enters on its own; no other group moves.
+        assert!(other.handle_line("APPEND car\t'VW'\t60000\t5000").is_ok());
+        let fs = frames(&buf, 1);
+        assert!(fs[0].starts_with("PUSH 1 1 delta(s)\n+"), "{}", fs[0]);
+        assert!(fs[0].contains("VW"), "{}", fs[0]);
+        // Deleting the Opel group's best promotes the Opel it dominated.
+        assert!(other
+            .handle_line("DELETE FROM car WHERE price = 38000")
+            .is_ok());
+        let fs = frames(&buf, 2);
+        assert!(fs[1].starts_with("PUSH 1 2 delta(s)\n"), "{}", fs[1]);
+        let deltas: Vec<&str> = fs[1].lines().skip(1).collect();
+        assert!(
+            deltas[0].starts_with('-') && deltas[0].contains("38000"),
+            "{deltas:?}"
+        );
+        assert!(
+            deltas[1].starts_with('+') && deltas[1].contains("44000"),
+            "{deltas:?}"
         );
     }
 

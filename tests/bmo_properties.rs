@@ -385,8 +385,9 @@ proptest! {
         // Def. 16: σ[P groupby A](R) = σ[A↔ & P](R), grouping by `c`.
         let by = AttrSet::single(attr("c"));
         let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
+        let q = q.grouped(&by).expect("term compiles");
         prop_assert_eq!(
-            q.sigma_groupby(&by, &r).expect("term compiles").0,
+            q.execute(&r).expect("term runs").into_rows(),
             sigma_groupby_definitional(&p, &by, &r).expect("term compiles")
         );
     }
@@ -518,6 +519,91 @@ fn head_split_edge_cases_agree_with_the_oracle() {
     assert_eq!(rows, sigma_naive_generic(&p, &nulls).unwrap());
     assert_eq!(explain.algorithm, Algorithm::Bnl, "{}", explain.reason);
     assert!(!explain.materialized);
+}
+
+/// A relation over [`test_schema`] plus the grouping columns `g` (Str)
+/// and `h` (Int): two values each, repeated, and a NULL in a third of
+/// the rows.
+fn arb_grouped_relation(max_rows: usize) -> impl Strategy<Value = Relation> {
+    let row = (0i64..6, 0i64..6, 0usize..4, 0usize..3, 0usize..3);
+    prop::collection::vec(row, 0..=max_rows).prop_map(|rows| {
+        let schema = Schema::new(vec![
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("c", DataType::Str),
+            ("g", DataType::Str),
+            ("h", DataType::Int),
+        ]);
+        let mut r = Relation::empty(schema.expect("valid schema"));
+        for (a, b, c, g, h) in rows {
+            let g = ["p", "q"].get(g).map_or(Value::Null, |&s| Value::from(s));
+            let h = [0i64, 1].get(h).map_or(Value::Null, |&i| Value::from(i));
+            let row = vec![Value::from(a), Value::from(b), Value::from(CATS[c]), g, h];
+            r.push_values(row).expect("row matches schema");
+        }
+        r
+    })
+}
+
+/// Strategy: the `P` of a grouped term — one key lane, a flat Pareto of
+/// key lanes, a POS head over a Pareto, or a pairwise (EXPLICIT) tail.
+fn arb_grouped_pref() -> impl Strategy<Value = Pref> {
+    let explicit_c = || explicit("c", [("y", "x"), ("z", "y")]).expect("acyclic");
+    prop_oneof![
+        arb_lane(),
+        prop::collection::vec(arb_lane(), 2..4).prop_map(Pref::Pareto),
+        (0usize..4, arb_lane(), arb_lane())
+            .prop_map(|(i, x, y)| pos("c", [CATS[i]]).prior(x.pareto(y))),
+        arb_lane().prop_map(move |head| head.prior(explicit_c())),
+        Just(explicit_c()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn anti_chain_heads_agree_with_def16_and_the_oracle(
+        p in arb_grouped_pref(),
+        by in prop_oneof![
+            Just(vec!["g"]),
+            Just(vec!["h"]),
+            Just(vec!["g", "h"]),
+            Just(vec!["c", "g"]),
+        ],
+        middle in any::<bool>(),
+        r in arb_grouped_relation(40),
+    ) {
+        // `A↔ & P` (Def. 16), or `LOWEST(a) & A↔ & P` with the anti-chain
+        // in the middle, planned and forced to SFS, over the table and
+        // over a view windowed onto the table's warmed matrix. Grouping
+        // by `c` covers a `P` over `c` alone, which leaves a lone `A↔`.
+        let attrs = AttrSet::new(by);
+        let grouping = Pref::Antichain(attrs.clone());
+        let term = match middle {
+            false => grouping.prior(p.clone()),
+            true => Pref::Prior(vec![lowest("a"), grouping, p.clone()]),
+        };
+        let view = r.select_derived(|t| t[1] != Value::from(0), 0x6b);
+        let planned = Engine::new();
+        let forced = Engine::with_optimizer(Optimizer::new().with_algorithm(Algorithm::Sfs));
+        for engine in [&planned, &forced] {
+            let q = engine.prepare(&term, r.schema()).expect("term compiles");
+            for (rel, windowed) in [(&r, false), (&view, true)] {
+                let oracle = sigma_naive_generic(&term, rel).expect("term compiles");
+                if !middle {
+                    let def16 = sigma_groupby_definitional(&p, &attrs, rel).expect("term compiles");
+                    prop_assert_eq!(&def16, &oracle, "Def. 16 for {}", term);
+                }
+                let (rows, explain) = q.execute(rel).expect("term runs").into_parts();
+                prop_assert_eq!(&rows, &oracle, "{} for {}", explain.algorithm, term);
+                prop_assert_eq!(explain.algorithm, Algorithm::Sfs, "{}", term);
+                if windowed {
+                    prop_assert_eq!(explain.cache, CacheStatus::WindowHit, "{}", term);
+                }
+            }
+        }
+    }
 }
 
 /// `P1 + P2` (Def. 11b, disjoint union) of two EXPLICIT fragments over

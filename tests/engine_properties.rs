@@ -247,11 +247,11 @@ proptest! {
         r in arb_relation(12),
     ) {
         // Def. 16: σ[P groupby A](R) = σ[A↔ & P](R). The left side runs
-        // on the group_ids + engine-cached-matrix path, the right on
-        // generic BNL over the derived term.
+        // the planned term on the engine-cached matrix, the right generic
+        // BNL over the term walk.
         let attrs = AttrSet::new(["c"]);
         let q = Engine::new().prepare(&p, r.schema()).expect("term compiles");
-        let (a, _) = q.sigma_groupby(&attrs, &r).expect("term compiles");
+        let a = q.grouped(&attrs).and_then(|g| g.execute(&r)).expect("term runs").into_rows();
         let b = sigma_groupby_definitional(&p, &attrs, &r).expect("term compiles");
         prop_assert_eq!(a, b, "groupby paths diverged for {}", p);
     }
