@@ -24,9 +24,15 @@
 //! two Pareto terms over string and numeric columns of the BMW rows and
 //! `transmission = 'automatic' PRIOR TO (AROUND(horsepower) ⊗
 //! LOWEST(price))` over the car table — each with its score-matrix build
-//! time (best of 3) after the total. Exits non-zero when any cell's rows differ from `bnl_generic` or
-//! any execution fails other than by a forced algorithm rejecting the
-//! term.
+//! time (best of 3) after the total; then four unforced `TOP k` lines
+//! over the car table, dense and after a `DELETE … WHERE year = 1988`
+//! (tombstones): `TOP 5 … LOWEST(price) ⊗ LOWEST(mileage)` (D&C, no
+//! matrix) and `TOP 50 … price AROUND 15000 ⊗ LOWEST(mileage)` (one
+//! matrix), each the first and the repeated `k_best` on one engine with
+//! its time and matrix tier. Exits non-zero when any cell's rows differ
+//! from `bnl_generic` (a TOP line's from a peel of `bnl_generic` over the
+//! rows left) or any execution fails other than by a forced algorithm
+//! rejecting the term.
 
 use pref_bench::{around_pref, skyline_pref, time_ms};
 use pref_core::base::layered::Layer;
@@ -91,6 +97,51 @@ fn cell(
     };
     println!("{name} {n} {algorithm} {best:.2}{build}{mark}");
     (best, ok)
+}
+
+/// The first `k` rows of the BMO layers of `c` over `r`, each layer a
+/// `bnl_generic` over the rows left — the reference a TOP line checks.
+fn reference_peel(c: &CompiledPref, r: &Relation, k: usize) -> Vec<usize> {
+    let mut rest: Vec<usize> = (0..r.len()).collect();
+    let mut rows = Vec::new();
+    while rows.len() < k && !rest.is_empty() {
+        let layer: Vec<usize> = (bnl_generic(c, &r.take_rows(&rest)).into_iter())
+            .map(|v| rest[v])
+            .collect();
+        rest.retain(|i| layer.binary_search(i).is_err());
+        rows.extend(layer);
+    }
+    rows.truncate(k);
+    rows
+}
+
+/// Print one TOP line — `name |rows| algorithm`, then `first <ms>
+/// <tier>` and `repeat <ms> <tier>` of two `k_best` calls on one fresh
+/// engine — and return whether both answers equal [`reference_peel`].
+fn top(name: &str, pref: &Pref, r: &Relation, k: usize) -> bool {
+    let engine = Engine::new();
+    let q = engine.prepare(pref, r.schema()).expect("compiles");
+    let (first, first_ms) = time_ms(|| q.k_best(r, k));
+    let (repeat, repeat_ms) = time_ms(|| q.k_best(r, k));
+    let ((first, report), (repeat, again)) = match (first, repeat) {
+        (Ok(first), Ok(repeat)) => (first, repeat),
+        (Err(e), _) | (_, Err(e)) => {
+            println!("{name} - error -  {e}");
+            return false;
+        }
+    };
+    let c = CompiledPref::compile(pref, r.schema()).expect("compiles");
+    let want = reference_peel(&c, r, k);
+    let ok = first == want && repeat == want;
+    let mark = if ok { "" } else { "  ≠ reference peel" };
+    println!(
+        "{name} {} {} first {first_ms:.2} {} repeat {repeat_ms:.2} {}{mark}",
+        first.len(),
+        report.algorithm,
+        report.cache,
+        again.cache
+    );
+    ok
 }
 
 /// `d0` of an independent 3-d table cut to {0, 1, 2, 3} with `zeros` of
@@ -228,6 +279,20 @@ fn main() {
         ),
     ] {
         wrong += usize::from(!cell(&format!("unscored: {name}"), force, pref, r, true).1);
+    }
+    let year = car.schema().index_of(&"year".into()).expect("car schema");
+    let mut deleted = car.clone();
+    let doomed: Vec<usize> = (0..car.len())
+        .filter(|&i| car.row(i)[year] == Value::from(1988))
+        .collect();
+    deleted.delete_rows(&doomed);
+    for (table, r) in [("car", &car), ("car after DELETE year = 1988", &deleted)] {
+        for (k, name, pref) in [
+            (5, "LOWEST(price) ⊗ LOWEST(mileage)", &watch2),
+            (50, "price AROUND 15000 ⊗ LOWEST(mileage)", &near),
+        ] {
+            wrong += usize::from(!top(&format!("top: {table}: TOP {k} {name}"), pref, r, k));
+        }
     }
     std::process::exit(i32::from(wrong > 0));
 }

@@ -272,6 +272,13 @@ impl MatrixWindow {
         }
     }
 
+    /// The window onto rows `rows` of this view: row `k` of the result
+    /// is view row `rows[k]`, composed onto the same base matrix.
+    pub fn restrict(&self, rows: &[usize]) -> Self {
+        let ids = rows.iter().map(|&k| self.base_row(k) as u32).collect();
+        MatrixWindow::windowed(Arc::clone(&self.matrix), ids)
+    }
+
     /// The shared underlying matrix.
     pub fn matrix(&self) -> &Arc<ScoreMatrix> {
         &self.matrix

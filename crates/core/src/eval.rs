@@ -1088,6 +1088,15 @@ mod tests {
                 assert_eq!(gathered_better(&wacc, x, y), w.better(x, y));
             }
         }
+        // A restriction composes its rows onto the window's ids.
+        let inner = w.restrict(&[2, 0]);
+        let base = [3, 6];
+        assert_eq!(inner.len(), 2);
+        for x in 0..2 {
+            for y in 0..2 {
+                assert_eq!(inner.better(x, y), m.better(base[x], base[y]));
+            }
+        }
 
         // Non-flat plans expose no lanes.
         let prior = compile(&lowest("A1").prior(lowest("A2")), &r);

@@ -34,7 +34,9 @@
 //! every row). This subsumes Prop. 11's chain cascade (a chain is a key lane
 //! with one value per key) and reads the one cached matrix — no
 //! sub-relation, no cache entry. Other shapes walk the term per row (a
-//! NaN utility counts as none) and filter pairwise.
+//! NaN utility counts as none) and filter pairwise; an `A↔ & P` with
+//! neither a matrix nor a utility still buckets by `A`, one BNL window
+//! per group (`group_walk`).
 //!
 //! **Ties.** Float addition is monotone but not strictly: `(1e16, 1.0)`
 //! and `(1e16, 0.5)` under `AROUND 0 ⊗ AROUND 0` both sum to `-1e16`,
@@ -163,6 +165,23 @@ fn head_split(
             _ => out.extend(bnl_window(better, Vec::new(), rows)),
         }
     }
+}
+
+/// The term-walk form of [`head_split`]'s anti-chain head, for an
+/// `A↔ & P` whose matrix does not build: bucket the rows by their
+/// projection on `A`'s columns `cols` ([`Relation::group_ids`]) and run a
+/// BNL window over [`CompiledPref::better`] inside each bucket — rows of
+/// different groups are incomparable (Def. 16). Returns sorted rows.
+pub(crate) fn group_walk(c: &CompiledPref, r: &Relation, cols: &[usize]) -> Vec<usize> {
+    let (ids, _) = r.group_ids(cols);
+    let mut rows: Vec<usize> = (0..r.len()).collect();
+    rows.sort_by_key(|&i| ids[i]);
+    let better = |x: usize, y: usize| c.better(r.row(x), r.row(y));
+    let mut maxima: Vec<usize> = (rows.chunk_by(|&x, &y| ids[x] == ids[y]))
+        .flat_map(|group| bnl_window(better, Vec::new(), group.iter().copied()))
+        .collect();
+    maxima.sort_unstable();
+    maxima
 }
 
 /// Sort and filter rows `row(0) … row(n − 1)` over the key lanes of a

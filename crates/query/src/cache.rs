@@ -125,19 +125,6 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         };
         drop(displaced);
     }
-
-    /// Remove the entry under `key`, if any; its value is dropped after
-    /// the write guard is released, as [`Lru::insert`]'s are.
-    pub(crate) fn remove(&self, key: &K) {
-        let removed = {
-            let mut map = self.map.write();
-            let removed = map.remove(key);
-            // Relaxed: advisory count; the write lock orders the map.
-            self.resident.store(map.len(), Ordering::Relaxed);
-            removed
-        };
-        drop(removed);
-    }
 }
 
 /// An [`Lru`], read-locked for the duration of a lookup.

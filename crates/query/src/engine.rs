@@ -494,12 +494,6 @@ impl Engine {
         Some((rows, CacheStatus::MaintainedHit, false))
     }
 
-    /// Drop the matrix of term fingerprint `fp` over `r`'s content state.
-    pub(crate) fn forget_matrix(&self, fp: u64, r: &Relation) {
-        let key = MatrixKey::Generation(r.generation(), fp);
-        self.inner.matrices.remove(&key);
-    }
-
     /// An exact result hit on `r` for a term whose result came off a
     /// matrix: keep that matrix resident, because `WHERE` views of `r`
     /// window onto it. The probe refreshes its LRU stamp; an evicted one

@@ -408,10 +408,22 @@ pub(crate) fn run_algorithm(
             // Utility is per-row (a NULL under a scored chain has none),
             // so the checked entry decides; a first-row probe would miss
             // later rows.
-            match sfs::try_sfs_with(c, r, matrix) {
-                Some(rows) => rows,
+            let head = match simplified {
+                Pref::Prior(operands) if matrix.is_none() => operands.first(),
+                _ => None,
+            };
+            match (sfs::try_sfs_with(c, r, matrix), head) {
+                (Some(rows), _) => rows,
+                // No matrix and no utility: Def. 16's anti-chain head
+                // still splits the rows, by the term walk.
+                (None, Some(Pref::Antichain(attrs))) => {
+                    reason = "no matrix and no utility on this input: one \
+                              block-nested-loops window per group of the anti-chain head"
+                        .to_string();
+                    sfs::group_walk(c, r, &r.schema().resolve(attrs)?)
+                }
                 // Forced by the caller: surface the mismatch.
-                None if opt.force.is_some() => {
+                (None, _) if opt.force.is_some() => {
                     return Err(QueryError::AlgorithmMismatch {
                         algorithm: "sort-filter-skyline",
                         term: simplified.to_string(),
@@ -421,7 +433,7 @@ pub(crate) fn run_algorithm(
                 // Auto-selected from a first-row probe: some later row
                 // lacks a utility — fall back to BNL rather than failing
                 // a valid query.
-                None => {
+                (None, _) => {
                     algorithm = Algorithm::Bnl;
                     reason = "utility incomplete on this input: fell back to \
                               block-nested-loops"

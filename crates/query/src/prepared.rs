@@ -163,12 +163,22 @@ impl Prepared {
     /// warmed base returns a [`MatrixWindow`] onto the base's matrix
     /// even when the subset itself was never seen.
     pub fn matrix(&self, r: &Relation) -> Option<MatrixWindow> {
-        self.tiered_matrix(r).0
+        if self.engine.optimizer().no_materialize {
+            return None;
+        }
+        let (matrix, _) = (self.engine).cached_matrix(self.fingerprint, &self.compiled, r);
+        matrix
     }
 
-    /// [`Prepared::matrix`] and the tier that served it.
-    pub(crate) fn tiered_matrix(&self, r: &Relation) -> (Option<MatrixWindow>, CacheStatus) {
-        if self.engine.optimizer().no_materialize {
+    /// The matrix `plan`'s algorithm reads over `r` ([`Prepared::matrix`])
+    /// and the tier that served it: none ([`CacheStatus::Bypass`]) when
+    /// it reads no matrix or materialization is off.
+    pub(crate) fn tiered_matrix(
+        &self,
+        plan: &Plan,
+        r: &Relation,
+    ) -> (Option<MatrixWindow>, CacheStatus) {
+        if self.engine.optimizer().no_materialize || !Optimizer::uses_matrix(plan.algorithm) {
             return (None, CacheStatus::Bypass);
         }
         self.engine
@@ -248,7 +258,7 @@ impl Prepared {
     /// score matrix, the cache outcome. A matrix runs EXPLICIT sub-terms
     /// on reachability bitsets exactly when the term has one, so that
     /// backend flag is derived here rather than carried along.
-    fn report(
+    pub(crate) fn report(
         &self,
         r: &Relation,
         plan: Arc<Plan>,
@@ -326,56 +336,62 @@ impl Prepared {
     }
 
     fn run(&self, r: &Relation) -> Result<(Vec<usize>, Explain), QueryError> {
-        let opt = self.engine.optimizer();
         let plan = self.plan(r);
-        let algorithm = plan.algorithm;
-        if plan.redundant {
-            // Chomicki elimination: the constraint registry proves
-            // σ[P](R) = R, so answer with every row — no algorithm, no
-            // matrix, no cache traffic at all.
-            let reason = plan.reason.clone();
-            let explain = self.report(r, plan, algorithm, false, CacheStatus::Bypass, reason);
-            return Ok(((0..r.len()).collect(), explain));
-        }
         // Result tier first: an exact or delta-maintained previous
         // result answers without touching the matrix cache or running
-        // any algorithm at all.
-        if let Some((rows, cache, materialized)) =
+        // any algorithm at all. An elided winnow touches no cache.
+        let cached = (!plan.redundant).then(|| {
             self.engine
                 .cached_result(self.fingerprint, &self.compiled, r)
-        {
+        });
+        if let Some((rows, cache, materialized)) = cached.flatten() {
             let reason = match cache {
                 CacheStatus::Hit => "result cached for this exact content state".to_string(),
                 _ => "result maintained across the relation's delta: changed rows \
                       classified against the previous skyline"
                     .to_string(),
             };
+            let algorithm = plan.algorithm;
             return Ok((
                 rows,
                 self.report(r, plan, algorithm, materialized, cache, reason),
             ));
         }
-        let (matrix, cache) = if opt.no_materialize || !Optimizer::uses_matrix(algorithm) {
-            (None, CacheStatus::Bypass)
-        } else {
-            self.engine
-                .cached_matrix(self.fingerprint, &self.compiled, r)
-        };
-        let (rows, algorithm, reason) = run_algorithm(
-            &self.engine,
-            &self.simplified,
-            &self.compiled,
-            matrix.as_ref(),
-            (algorithm, plan.reason.clone()),
-            r,
-        )?;
+        let (matrix, cache) = self.tiered_matrix(&plan, r);
+        let (rows, algorithm, reason) = self.evaluate(&plan, matrix.as_ref(), r)?;
         let materialized = matrix.is_some();
-        self.engine
-            .seed_result(self.fingerprint, r, &rows, materialized);
+        if !plan.redundant {
+            self.engine
+                .seed_result(self.fingerprint, r, &rows, materialized);
+        }
         Ok((
             rows,
             self.report(r, plan, algorithm, materialized, cache, reason),
         ))
+    }
+
+    /// The evaluation step of every winnow of this query: every row of
+    /// `r` when `plan` elides it (Chomicki elimination: the constraint
+    /// registry proves σ[P](R) = R — no algorithm, no matrix), otherwise
+    /// `plan`'s algorithm over `matrix` (rows of `r`, row for row) or the
+    /// term walk. Returns the rows, the algorithm that ran and why.
+    pub(crate) fn evaluate(
+        &self,
+        plan: &Plan,
+        matrix: Option<&MatrixWindow>,
+        r: &Relation,
+    ) -> Result<(Vec<usize>, Algorithm, String), QueryError> {
+        if plan.redundant {
+            return Ok(((0..r.len()).collect(), plan.algorithm, plan.reason.clone()));
+        }
+        run_algorithm(
+            &self.engine,
+            &self.simplified,
+            &self.compiled,
+            matrix,
+            (plan.algorithm, plan.reason.clone()),
+            r,
+        )
     }
 
     /// Evaluate and materialize the sub-relation of best matches.

@@ -7,21 +7,20 @@
 //!   and never the BMO stage's score matrix;
 //! * perfect-match detection (Def. 14b);
 //! * [`Prepared::layers`] — Def. 2's levels of a relation, peeled as
-//!   iterated winnow: every layer is one [`Prepared::execute`] over the
-//!   rows not yet peeled, windowed onto one resident score matrix;
+//!   iterated winnow: one plan and one score matrix per peel, every
+//!   layer the query's evaluation step over a window of that matrix onto
+//!   the rows not yet peeled;
 //! * [`Prepared::k_best`] / [`Prepared::top_k`] — the "k-best"
 //!   relaxation of BMO used by multi-feature and full-text engines
 //!   (§6.2), which deliberately returns some non-maximal tuples when the
 //!   best-matches-only set is too small.
 
-use std::borrow::Cow;
-
 use pref_core::term::Pref;
-use pref_relation::{predicate_fingerprint, Attr, Relation, Tuple};
+use pref_relation::{Attr, Relation, Tuple};
 
 use crate::engine::Prepared;
 use crate::error::QueryError;
-use crate::optimizer::{CacheStatus, Explain, Optimizer};
+use crate::optimizer::Explain;
 
 /// A conjunction of quality constraints (the `BUT ONLY` clause).
 #[derive(Debug, Clone, Default)]
@@ -168,59 +167,25 @@ fn all_tops<'a>(
 impl Prepared {
     /// Def. 2's levels of `r`, best first, as ascending row indices: on
     /// a strict partial order, peeling the maxima again and again gives
-    /// the longest-path levels (Chomicki's iterated winnow). Each layer
-    /// is one [`Prepared::execute`] over a [`Relation::take_rows_derived`]
-    /// view of the rows left, windowed onto one matrix warmed before the
-    /// first layer: `r`'s, its [`Relation::window_base`]'s, or a dense
-    /// copy's. The first layer always runs; peeling stops at an empty
-    /// layer or once `until(&layers)` holds. The report is the first
-    /// layer's, on `r` and the warmed matrix's tier.
+    /// the longest-path levels (Chomicki's iterated winnow). The peel
+    /// plans once on `r` and resolves one matrix once, through the tiers
+    /// a first [`Prepared::execute`] over `r` walks; each layer is this
+    /// query's evaluation step over the rows left — a window of that
+    /// matrix onto them, and a [`Relation::take_rows`] view for the
+    /// algorithms that read rows. No layer is cached: the peel adds at
+    /// most the one matrix and no result. The first layer always runs;
+    /// peeling stops at an empty layer or once `until(&layers)` holds.
+    /// The report is the first layer's.
     pub fn layers(
         &self,
         r: &Relation,
-        until: impl FnMut(&[Vec<usize>]) -> bool,
-    ) -> Result<(Vec<Vec<usize>>, Explain), QueryError> {
-        self.check_schema(r)?;
-        let copy;
-        let (peel, anchor) = match r.window_base() {
-            _ if r.row_ids().is_none() => (r, Cow::Borrowed(r)),
-            Some(base) => (r, Cow::Owned(base)),
-            None => {
-                copy = Relation::from_rows(r.schema().clone(), r.to_owned_rows())?;
-                (&copy, Cow::Borrowed(&copy))
-            }
-        };
-        let peeled = self.peel(r, peel, &anchor, until);
-        // The copy's generation never recurs: its matrix would only push a
-        // live entry out.
-        if !std::ptr::eq(peel, r) {
-            self.engine.forget_matrix(self.fingerprint(), peel);
-        }
-        peeled
-    }
-
-    /// [`Prepared::layers`] of `r`, peeled from `peel` (`r` or its dense
-    /// copy) with `anchor`'s matrix warmed first.
-    fn peel(
-        &self,
-        r: &Relation,
-        peel: &Relation,
-        anchor: &Relation,
         mut until: impl FnMut(&[Vec<usize>]) -> bool,
     ) -> Result<(Vec<Vec<usize>>, Explain), QueryError> {
-        let cache = match Optimizer::uses_matrix(self.plan(peel).algorithm) {
-            true => self.tiered_matrix(anchor).1,
-            false => CacheStatus::Bypass,
-        };
-        let layer_of = |rest: &[usize], depth: usize| -> Result<_, QueryError> {
-            let fp = predicate_fingerprint(format!("σ-layer {depth}").as_bytes());
-            let run = self.execute(&peel.take_rows_derived(rest, fp))?;
-            let layer: Vec<usize> = run.rows().iter().map(|&v| rest[v]).collect();
-            Ok((layer, run.into_parts().1))
-        };
+        self.check_schema(r)?;
+        let plan = self.plan(r);
+        let (matrix, cache) = self.tiered_matrix(&plan, r);
+        let (mut layer, algorithm, reason) = self.evaluate(&plan, matrix.as_ref(), r)?;
         let mut rest: Vec<usize> = (0..r.len()).collect();
-        let (mut layer, mut report) = layer_of(&rest, 0)?;
-        (report.cache, report.generation, report.lineage) = (cache, r.generation(), r.lineage());
         let mut layers = Vec::new();
         while !layer.is_empty() {
             rest.retain(|i| layer.binary_search(i).is_err());
@@ -228,8 +193,11 @@ impl Prepared {
             if until(&layers) || rest.is_empty() {
                 break;
             }
-            layer = layer_of(&rest, layers.len())?.0;
+            let window = matrix.as_ref().map(|m| m.restrict(&rest));
+            let (rows, ..) = self.evaluate(&plan, window.as_ref(), &r.take_rows(&rest))?;
+            layer = rows.iter().map(|&v| rest[v]).collect();
         }
+        let report = self.report(r, plan, algorithm, matrix.is_some(), cache, reason);
         Ok((layers, report))
     }
 
@@ -277,6 +245,7 @@ impl Prepared {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::optimizer::CacheStatus;
     use pref_core::prelude::*;
     use pref_relation::{attr, rel, Value};
 
@@ -532,48 +501,65 @@ mod tests {
             }
         };
         // A dense table, a windowable view of it, and a table with a
-        // tombstone (its views do not window: the peel copies it once).
+        // tombstone (its views do not window).
         check(&r);
         check(&r.select_derived(|t| t[2] != Value::from("z"), 7));
         r.delete_rows(&[4]);
         check(&r);
     }
 
+    /// A peel of `r` reports the tier two executions on a fresh engine
+    /// report, adds at most the one matrix and no result, and builds its
+    /// matrix anew on every call when nothing stays resident.
+    fn assert_a_peel_takes_the_tier_a_winnow_takes(p: &Pref, name: &str, r: &Relation) {
+        let winnow = prepared(&Engine::new(), p, r);
+        let execute = || winnow.execute(r).unwrap().cache();
+        let (first, repeat) = (execute(), execute());
+        assert!(repeat.is_warm(), "{name}");
+        let engine = Engine::new();
+        let q = prepared(&engine, p, r);
+        let order = graph_order(p, r);
+        let (rows, report) = q.k_best(r, 5).unwrap();
+        assert_eq!((rows, report.cache), (order[..5].to_vec(), first), "{name}");
+        assert_eq!(report.generation, r.generation(), "{name}");
+        for k in [0, 1, 5, 40, 41] {
+            let (rows, report) = q.k_best(r, k).unwrap();
+            assert_eq!(rows, order[..k.min(r.len())], "{name}, k = {k}");
+            assert_eq!(report.cache, repeat, "{name}, k = {k}");
+            let stats = engine.cache_stats();
+            assert_eq!((stats.entries, stats.result_entries), (1, 0), "{name}");
+        }
+        let engine = Engine::new().with_capacity(0);
+        let q = prepared(&engine, p, r);
+        for calls in 1..=3 {
+            assert_eq!(q.k_best(r, 50).unwrap().0, order, "{name}");
+            assert_eq!(engine.cache_stats().misses, calls, "{name}");
+        }
+    }
+
     #[test]
     fn a_top_statement_adds_one_matrix_and_no_result() {
-        let r = forty_rows();
         let p = around("a", 40).pareto(highest("b"));
+        let table = forty_rows();
+        let view = table.select_derived(|t| t[0] != Value::from(3), 11);
+        assert_a_peel_takes_the_tier_a_winnow_takes(&p, "table", &table);
+        assert_a_peel_takes_the_tier_a_winnow_takes(&p, "view", &view);
+        // A view over a warmed table windows onto the table's matrix.
         let engine = Engine::new();
-        let q = prepared(&engine, &p, &r);
-        let view = r.select_derived(|t| t[0] != Value::from(3), 11);
-        for (rel, entries) in [(&view, 1), (&r, 1), (&view, 1)] {
-            for k in [0, 1, 5, 40, 41] {
-                let (_, report) = q.k_best(rel, k).unwrap();
-                let stats = engine.cache_stats();
-                assert_eq!(
-                    (stats.entries, stats.result_entries),
-                    (entries, 0),
-                    "k = {k}"
-                );
-                assert_ne!(report.algorithm, crate::Algorithm::Naive);
-                assert_eq!(report.generation, rel.generation());
-            }
-        }
-        // The windowed view warmed the table's own matrix: a repeat is
-        // a hit, on the table and through the view alike.
-        assert_eq!(q.k_best(&r, 3).unwrap().1.cache, CacheStatus::Hit);
-        assert_eq!(q.k_best(&view, 3).unwrap().1.cache, CacheStatus::Hit);
-        let fresh = prepared(&Engine::new(), &p, &r);
-        assert_eq!(fresh.k_best(&r, 3).unwrap().1.cache, CacheStatus::Miss);
+        let q = prepared(&engine, &p, &table);
+        q.execute(&table).unwrap();
+        assert_eq!(q.k_best(&view, 5).unwrap().1.cache, CacheStatus::WindowHit);
+        assert_eq!(engine.cache_stats().entries, 1);
     }
 
     #[test]
     fn a_top_over_a_table_that_cannot_window_leaves_the_matrix_cache_as_it_was() {
-        // A tombstone: the table's views do not window, so each peel
-        // warms a dense copy's matrix.
+        // A tombstone: the peel builds and keeps the table's own matrix.
         let mut r = forty_rows();
         r.delete_rows(&[3, 17]);
         let p = around("a", 40).pareto(highest("b"));
+        assert_a_peel_takes_the_tier_a_winnow_takes(&p, "tombstoned", &r);
+        // After an execution has warmed that matrix, peels add nothing.
         let engine = Engine::new();
         let q = prepared(&engine, &p, &r);
         q.execute(&r).unwrap();

@@ -396,20 +396,6 @@ impl Relation {
         }
     }
 
-    /// The dense base a windowable view's [`Relation::window_ids`] index:
-    /// the view's whole storage at its lineage's base generation (that
-    /// base was dense over it, and mutating shared storage copies it).
-    pub fn window_base(&self) -> Option<Relation> {
-        let (generation, _) = self.window_ids()?;
-        Some(Relation {
-            row_ids: None,
-            windowable: false,
-            generation,
-            lineage: None,
-            ..self.clone()
-        })
-    }
-
     /// The row-id view a derivation of `self` carries for the row at
     /// *view position* `k`: storage-relative, composing through this
     /// relation's own ids when it is itself a view.
@@ -1114,27 +1100,6 @@ mod tests {
 
         // Dense relations have no window.
         assert!(r.window_ids().is_none());
-    }
-
-    #[test]
-    fn a_window_base_is_the_base_the_ids_index() {
-        let mut r = cars();
-        let d = r.select_derived(|t| t[0] == Value::from("BMW"), 7);
-        let dd = d.take_rows_derived(&[1], 9);
-        // The base outlives a later mutation of the table it came from.
-        r.push_values(vec![Value::from("Opel"), Value::from(1)])
-            .unwrap();
-        for view in [&d, &dd] {
-            let (gen, ids) = view.window_ids().unwrap();
-            let base = view.window_base().unwrap();
-            assert_eq!((base.generation(), base.row_ids()), (gen, None));
-            assert_eq!((base.len(), base.lineage()), (4, None));
-            for (k, &id) in ids.iter().enumerate() {
-                assert_eq!(base.row(id as usize), view.row(k));
-            }
-        }
-        assert!(r.window_base().is_none());
-        assert!(r.select(|_| true).window_base().is_none());
     }
 
     #[test]

@@ -393,29 +393,23 @@ proptest! {
     }
 
     #[test]
-    fn k_best_and_sigma_levels_are_the_graph_levels(p in arb_pref(), r in arb_relation(14)) {
-        // Def. 2 by its definition — the better-than graph's longest-path
-        // levels — against the engine's peel of BMO layers.
-        let c = CompiledPref::compile(&p, r.schema()).expect("term compiles");
-        let g = BetterGraph::from_relation(&c, &r).expect("terms are SPOs (Prop. 1)");
-        let mut order: Vec<usize> = (0..r.len()).collect();
-        order.sort_by_key(|&i| (g.level(i), i));
-        let engine = Engine::new();
-        let q = engine.prepare(&p, r.schema()).expect("term compiles");
-        for k in 0..=r.len() + 1 {
-            let (rows, report) = q.k_best(&r, k).expect("peel runs");
-            prop_assert_eq!(rows, &order[..k.min(r.len())], "k = {} for {}", k, p);
-            prop_assert_ne!(report.algorithm, Algorithm::Naive);
+    fn k_best_and_sigma_levels_are_the_graph_levels(
+        p in arb_pref(),
+        r in arb_relation(14),
+        doomed in prop::collection::vec(0usize..14, 1..4),
+        picked in prop::collection::vec(any::<bool>(), 14),
+    ) {
+        // The table, the table after a delete (tombstones), and a plain
+        // `take_rows` view, each peeled by a caching engine and by one
+        // that keeps nothing.
+        let mut tombstoned = r.clone();
+        tombstoned.delete_rows(&doomed.into_iter().filter(|&i| i < r.len()).collect::<Vec<_>>());
+        let view = r.take_rows(&(0..r.len()).filter(|&i| picked[i]).collect::<Vec<_>>());
+        for rel in [&r, &tombstoned, &view] {
+            for engine in [Engine::new(), Engine::new().with_capacity(0)] {
+                check_peel(&p, rel, &engine)?;
+            }
         }
-        let depth = (0..r.len()).map(|i| g.level(i)).max().unwrap_or(0);
-        for level in 0..=depth + 1 {
-            let want: Vec<usize> = (0..r.len()).filter(|&i| g.level(i) <= level).collect();
-            let got = q.sigma_levels(&r, level).expect("peel runs");
-            prop_assert_eq!(got, want, "level {} for {}", level, p);
-        }
-        // Every layer windowed onto one matrix and seeded no result.
-        let stats = engine.cache_stats();
-        prop_assert!(stats.entries <= 1 && stats.result_entries == 0, "{:?}", stats);
     }
 
     #[test]
@@ -476,6 +470,40 @@ proptest! {
             sigma_naive_generic(&s, &r).expect("simplified term compiles")
         );
     }
+}
+
+/// Every `k_best` and `sigma_levels` of `p` over `r` through `engine`
+/// against Def. 2 by its definition — the better-than graph's
+/// longest-path levels. Each peel builds at most one matrix and seeds no
+/// result.
+fn check_peel(p: &Pref, r: &Relation, engine: &Engine) -> Result<(), TestCaseError> {
+    let c = CompiledPref::compile(p, r.schema()).expect("term compiles");
+    let g = BetterGraph::from_relation(&c, r).expect("terms are SPOs (Prop. 1)");
+    let mut order: Vec<usize> = (0..r.len()).collect();
+    order.sort_by_key(|&i| (g.level(i), i));
+    let q = engine.prepare(p, r.schema()).expect("term compiles");
+    let mut calls = 0;
+    for k in 0..=r.len() + 1 {
+        let (rows, report) = q.k_best(r, k).expect("peel runs");
+        prop_assert_eq!(rows, &order[..k.min(r.len())], "k = {} for {}", k, p);
+        prop_assert_ne!(report.algorithm, Algorithm::Naive);
+        calls += 1;
+    }
+    let depth = (0..r.len()).map(|i| g.level(i)).max().unwrap_or(0);
+    for level in 0..=depth + 1 {
+        let want: Vec<usize> = (0..r.len()).filter(|&i| g.level(i) <= level).collect();
+        let got = q.sigma_levels(r, level).expect("peel runs");
+        prop_assert_eq!(got, want, "level {} for {}", level, p);
+        calls += 1;
+    }
+    let stats = engine.cache_stats();
+    prop_assert!(
+        stats.entries <= 1 && stats.result_entries == 0,
+        "{:?}",
+        stats
+    );
+    prop_assert!(stats.misses <= calls, "{} calls: {:?}", calls, stats);
+    Ok(())
 }
 
 /// The head split's edge cases, pinned.
@@ -572,14 +600,22 @@ proptest! {
             Just(vec!["c", "g"]),
         ],
         middle in any::<bool>(),
+        unscored in any::<bool>(),
         r in arb_grouped_relation(40),
     ) {
         // `A↔ & P` (Def. 16), or `LOWEST(a) & A↔ & P` with the anti-chain
         // in the middle, planned and forced to SFS, over the table and
         // over a view windowed onto the table's warmed matrix. Grouping
         // by `c` covers a `P` over `c` alone, which leaves a lone `A↔`.
+        // An unscored `P` leads with a Str `LOWEST`: no matrix builds and
+        // nothing has a utility, so a head `A↔` splits by the term walk
+        // and a middle one leaves a planned BNL and a refused forced SFS.
         let attrs = AttrSet::new(by);
         let grouping = Pref::Antichain(attrs.clone());
+        let p = match unscored {
+            true => lowest("c").pareto(p),
+            false => p,
+        };
         let term = match middle {
             false => grouping.prior(p.clone()),
             true => Pref::Prior(vec![lowest("a"), grouping, p.clone()]),
@@ -595,10 +631,23 @@ proptest! {
                     let def16 = sigma_groupby_definitional(&p, &attrs, rel).expect("term compiles");
                     prop_assert_eq!(&def16, &oracle, "Def. 16 for {}", term);
                 }
-                let (rows, explain) = q.execute(rel).expect("term runs").into_parts();
+                let builds = q.compiled().score_matrix(rel).is_some();
+                let run = q.execute(rel);
+                if !builds && middle && std::ptr::eq(engine, &forced) {
+                    prop_assert!(run.is_err(), "forced SFS ran {}", term);
+                    continue;
+                }
+                let (rows, explain) = run.expect("term runs").into_parts();
                 prop_assert_eq!(&rows, &oracle, "{} for {}", explain.algorithm, term);
-                prop_assert_eq!(explain.algorithm, Algorithm::Sfs, "{}", term);
-                if windowed {
+                let want = match builds || !middle {
+                    true => Algorithm::Sfs,
+                    false => Algorithm::Bnl,
+                };
+                prop_assert_eq!(explain.algorithm, want, "{}", term);
+                if !builds && !middle {
+                    prop_assert!(explain.reason.contains("per group"), "{}", explain.reason);
+                }
+                if windowed && builds {
                     prop_assert_eq!(explain.cache, CacheStatus::WindowHit, "{}", term);
                 }
             }
