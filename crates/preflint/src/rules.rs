@@ -555,7 +555,7 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, COST_CONSTANT_DOCUMENTED);
 
-        let bare2 = "pub(crate) const PLANNER_REPLAN_DRIFT: f64 = 2.0;\n";
+        let bare2 = "pub(crate) const PLANNER_BATCH_ROWS: usize = 64;\n";
         let d = check("crates/query/src/plan.rs", bare2);
         assert_eq!(d.len(), 1, "{d:?}");
 

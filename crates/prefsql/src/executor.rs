@@ -1755,6 +1755,28 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_explain_reports_the_table_it_runs_on() {
+        let mut s = session();
+        let stmt = s
+            .prepare("EXPLAIN SELECT * FROM car PREFERRING LOWEST(price)")
+            .unwrap();
+        let explain = |s: &PrefSql| stmt.execute(s, &[]).unwrap().relation.to_string();
+        // The `stats` line's head for the table as it is now.
+        let now = |s: &PrefSql, rows: usize| {
+            let generation = s.catalog().get("car").unwrap().generation();
+            format!("stats      : {rows} rows at generation {generation},")
+        };
+        let text = explain(&s);
+        assert!(text.contains(&now(&s, 5)), "{text}");
+        let row = ["VW", "van", "white"].map(Value::from);
+        let nums = [30_000, 100, 5_000].map(Value::from);
+        s.append_row("car", row.into_iter().chain(nums).collect())
+            .unwrap();
+        let text = explain(&s);
+        assert!(text.contains(&now(&s, 6)), "{text}");
+    }
+
+    #[test]
     fn delete_statement_removes_matching_rows_and_maintains_results() {
         let mut s = session();
         // Warm a cached BMO result before mutating.

@@ -41,7 +41,7 @@
 //!   term's shape (D&C for chain skylines, the key-lane window kernel for
 //!   other flat key orders and single-lane or anti-chain heads, BNL
 //!   otherwise),
-//!   materialized as a [`plan::Plan`];
+//!   made once per prepare as a [`plan::Plan`];
 //! * [`stats`] — result sizes and filter strength (Def. 18/19, Prop. 13).
 //!
 //! ## Example
@@ -80,4 +80,4 @@ pub mod stats;
 pub use engine::{CacheStats, Engine, Prepared};
 pub use error::QueryError;
 pub use optimizer::{Algorithm, CacheStatus, Explain, Optimizer};
-pub use plan::{selection_commutes, Candidate, Plan, PlanStep};
+pub use plan::{selection_commutes, Candidate, Plan, PlanStep, RelationPlan};

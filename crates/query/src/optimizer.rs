@@ -24,7 +24,6 @@
 //! the `EXPLAIN` of Preference SQL.
 
 use std::fmt;
-use std::sync::Arc;
 
 use pref_core::eval::{CompiledPref, MatrixWindow};
 use pref_core::term::Pref;
@@ -34,7 +33,7 @@ use crate::algorithms::{bnl, dnc, sfs};
 use crate::bmo::{sigma_naive_generic_compiled, sigma_naive_matrix};
 use crate::engine::Engine;
 use crate::error::QueryError;
-use crate::plan::Plan;
+use crate::plan::RelationPlan;
 
 /// Evaluation strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,11 +158,11 @@ pub struct Explain {
     pub rewritten: bool,
     /// The plan this report was produced from: the derivation (algebra
     /// laws fired with before/after terms, semantic rewrites, the
-    /// constraints they used), the result estimate and the shape rule's
-    /// candidates. Every execution carries one — the plan
-    /// is shared with the [`Prepared`](crate::engine::Prepared) that
-    /// cached it and only rendered when [`Explain::lines`] is asked for.
-    pub plan: Arc<Plan>,
+    /// constraints they used) and the shape rule's candidates, shared
+    /// with the [`Prepared`](crate::engine::Prepared) that made it, plus
+    /// the row count and result estimate of the relation it ran on. Only
+    /// rendered when [`Explain::lines`] is asked for.
+    pub plan: RelationPlan,
     /// The evaluation strategy that ran (the plan's choice, or the
     /// fallback when the chosen algorithm did not apply to the input).
     pub algorithm: Algorithm,
@@ -210,7 +209,7 @@ impl Explain {
         }
         // The planner's derivation: laws fired, constraints used, the
         // result estimate and the rule's candidates.
-        let plan = &self.plan;
+        let plan = &self.plan.plan;
         for s in &plan.steps {
             if s.before == s.after {
                 out.push(format!("{:<11}: {}", s.kind, s.rule));
@@ -226,7 +225,7 @@ impl Explain {
         }
         out.push(format!(
             "stats      : {} rows at generation {}, est. result {:.1} rows (Def. 18)",
-            plan.rows, plan.generation, plan.estimated_result
+            self.plan.rows, self.plan.generation, self.plan.estimated_result
         ));
         for e in &plan.candidates {
             let verdict = if e.eligible { "eligible" } else { "ineligible" };

@@ -30,27 +30,25 @@
 //!    intersection/union, a Pareto head, a dual, …).
 //!
 //! Parallel BNL and the Prop. 11 cascade are reachable only when forced.
-//! The Def. 18 result estimate is still computed for the `stats` line; it
-//! asks the relation for its column statistics
-//! ([`Relation::column_stats`]) only where it reads a distinct count —
-//! under a base or `rank(F)` node outside a Pareto accumulation — so a
-//! Pareto-only term plans from the row count alone and counts nothing.
-//! The whole decision — laws fired, constraints used, each candidate's
-//! eligibility and the rule that fired — is recorded on the [`Plan`] and
-//! printed by `EXPLAIN`.
+//!
+//! Neither lever nor the rule reads the relation: the whole decision —
+//! laws fired, constraints used, each candidate's eligibility and the
+//! rule that fired — depends on the term, the schema and the engine's
+//! optimizer alone, so it is made once per prepare as a [`Plan`]. Over a
+//! relation state the plan becomes a [`RelationPlan`]: the same plan plus
+//! the row count, the generation and the Def. 18 result estimate, all
+//! three read off the relation on every call. The estimate is a function
+//! of the term and the row count; it reads no column statistics.
+//! `EXPLAIN` prints both halves.
+
+use std::sync::Arc;
 
 use pref_core::algebra::RewriteStep;
 use pref_core::eval::{CompiledPref, LaneShape};
 use pref_core::term::Pref;
-use pref_relation::{Attr, Constraint, Relation, Schema};
+use pref_relation::{Attr, Constraint, Schema};
 
 use crate::optimizer::Algorithm;
-
-/// Replan when the row count drifts past this factor in either
-/// direction: the result estimate the `stats` line reports moves with
-/// the row count, while replanning on every append would defeat plan
-/// caching entirely. (The algorithm itself follows the term's shape.)
-pub(crate) const PLANNER_REPLAN_DRIFT: f64 = 2.0;
 
 /// One recorded derivation step: an algebra law fired by the traced
 /// rewriter, or a semantic (constraint-driven) rewrite.
@@ -77,10 +75,12 @@ pub struct Candidate {
     pub detail: &'static str,
 }
 
-/// The complete plan of one preference query over one relation state:
-/// the derivation that produced the evaluated term, the semantic
-/// verdict, the rule's candidates and the chosen algorithm.
-/// Rendered only through [`Explain::lines`](crate::Explain::lines).
+/// The plan of one prepared query: the derivation that produced the
+/// evaluated term, the semantic verdict, the rule's candidates and the
+/// chosen algorithm. Everything here depends only on the term, the
+/// schema and the engine's optimizer, so it is made once per prepare and
+/// shared by every execution. Rendered only through
+/// [`Explain::lines`](crate::Explain::lines).
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Derivation steps: algebraic trace first, semantic steps after.
@@ -91,12 +91,6 @@ pub struct Plan {
     /// `σ[P](R) = R` proven from the constraint registry: the winnow is
     /// eliminated and no algorithm runs.
     pub redundant: bool,
-    /// Row count of the relation state the plan was made on.
-    pub rows: usize,
-    /// Generation of that relation state.
-    pub generation: u64,
-    /// Def. 18-style estimated BMO result size, in rows.
-    pub estimated_result: f64,
     /// The rule's candidates, in rule order (empty when forced or elided).
     pub candidates: Vec<Candidate>,
     /// The chosen algorithm (the first eligible candidate).
@@ -105,27 +99,34 @@ pub struct Plan {
     pub reason: String,
 }
 
-// ---- semantic analysis (prepare time, schema-level) --------------------
-
-/// Prepare-time planning state: the algebraic derivation trace plus the
-/// constraint-driven semantic verdict. Everything here depends only on
-/// the term and the schema, so it is computed once per prepare and
-/// shared by all executions.
+/// A prepared query's [`Plan`] over one relation state: the shared plan
+/// plus the three numbers EXPLAIN's `stats` line prints, read off the
+/// relation on every call.
 #[derive(Debug, Clone)]
-pub(crate) struct SemanticInfo {
-    pub steps: Vec<PlanStep>,
-    pub redundant: bool,
-    pub constraints_used: Vec<String>,
+pub struct RelationPlan {
+    /// The prepare-time plan.
+    pub plan: Arc<Plan>,
+    /// Row count of the relation state.
+    pub rows: usize,
+    /// Generation of that relation state.
+    pub generation: u64,
+    /// Def. 18-style estimated BMO result size, in rows.
+    pub estimated_result: f64,
 }
 
-impl SemanticInfo {
-    /// Analyze `simplified` against `schema`'s constraint registry,
-    /// folding the recorded algebra `trace` into derivation steps.
-    pub(crate) fn analyze(
+impl Plan {
+    /// Plan `simplified` (compiled as `compiled`) against `schema`: fold
+    /// the recorded algebra `trace` into derivation steps, decide
+    /// redundancy from the schema's constraint registry, then elide the
+    /// winnow, take the caller's `force`d algorithm, or apply the shape
+    /// rule — in that order.
+    pub(crate) fn new(
         simplified: &Pref,
+        compiled: &CompiledPref,
         schema: &Schema,
         trace: Vec<RewriteStep>,
-    ) -> SemanticInfo {
+        force: Option<Algorithm>,
+    ) -> Plan {
         let mut steps: Vec<PlanStep> = trace
             .into_iter()
             .map(|s| PlanStep {
@@ -157,10 +158,29 @@ impl SemanticInfo {
         }
         used.sort();
         used.dedup();
-        SemanticInfo {
+        let (redundant, candidates, algorithm, reason) = match force {
+            // Redundant winnow: no candidates — nothing runs.
+            None if redundant => (
+                true,
+                Vec::new(),
+                Algorithm::Elided,
+                "winnow eliminated: registered integrity constraints prove \
+                 σ[P](R) = R — zero algorithm runs"
+                    .to_string(),
+            ),
+            Some(a) => (false, Vec::new(), a, "forced by caller".to_string()),
+            None => {
+                let (algorithm, reason, candidates) = choose(compiled);
+                (false, candidates, algorithm, reason)
+            }
+        };
+        Plan {
             steps,
-            redundant,
             constraints_used: used,
+            redundant,
+            candidates,
+            algorithm,
+            reason,
         }
     }
 }
@@ -256,61 +276,40 @@ pub fn selection_commutes<'a>(schema: &Schema, attrs: impl IntoIterator<Item = &
     attrs.into_iter().all(|a| schema.attr_is_constant(a))
 }
 
-// ---- statistics-driven algorithm choice (execute time) -----------------
+// ---- algorithm choice and result estimate ------------------------------
 
-/// Distinct values of `attr` in `r`, when the relation has statistics
-/// to ask ([`Relation::column_stats`]). They may describe a *superset*
-/// of the rows (a derived view answering with its base table's counts),
-/// so the count is capped at the row count.
-fn distinct(r: &Relation, attr: &Attr) -> Option<usize> {
-    let d = r.column_stats()?.distinct(r.schema(), attr)?;
-    Some(d.clamp(1, r.len().max(1)))
-}
-
-/// Def. 18-style estimate of `|σ[P](R)|` from per-attribute distinct
-/// counts. Chains keep only the rows sharing the single best value
-/// (`n / distinct`); Pareto accumulations follow the classic
-/// independent-dimension skyline estimate `(ln n)^(k−1)`; prioritised
-/// accumulation refines the head's maxima by the tail's selectivity.
-/// All heuristic, all clamped to `[1, n]` — the planner needs relative
-/// magnitudes, not exact cardinalities.
-fn estimated_result(p: &Pref, r: &Relation) -> f64 {
-    let n = r.len() as f64;
-    if r.len() <= 1 {
-        return n;
+/// Def. 18-style estimate of `|σ[P](R)|` over `n` rows. A base or
+/// `rank(F)` node keeps `ln n` rows; Pareto accumulations follow the
+/// classic independent-dimension skyline estimate `(ln n)^(k−1)`;
+/// prioritised accumulation refines the head's maxima by the tail's
+/// selectivity. All heuristic, all clamped to `[1, n]`.
+pub(crate) fn estimated_result(p: &Pref, n: usize) -> f64 {
+    let rows = n as f64;
+    if n <= 1 {
+        return rows;
     }
     let est = match p {
-        Pref::Base(b) => match distinct(r, &b.attr) {
-            Some(d) => n / d as f64,
-            None => n.ln().max(1.0),
-        },
-        Pref::Antichain(_) => n,
-        Pref::Dual(x) => estimated_result(x, r),
+        Pref::Base(_) | Pref::Rank(..) => rows.ln().max(1.0),
+        Pref::Antichain(_) => rows,
+        Pref::Dual(x) => estimated_result(x, n),
         Pref::Pareto(cs) => {
             let k = cs.len().max(1) as f64;
-            n.ln().max(1.0).powf(k - 1.0)
+            rows.ln().max(1.0).powf(k - 1.0)
         }
         Pref::Prior(cs) => {
-            let mut est = n;
+            let mut est = rows;
             for c in cs {
-                est *= estimated_result(c, r) / n;
+                est *= estimated_result(c, n) / rows;
             }
             est
         }
-        // rank(F) totally preorders rows by combined score: like a chain
-        // whose distinct count is the coarsest operand's.
-        Pref::Rank(_, bases) => bases
-            .iter()
-            .filter_map(|b| distinct(r, &b.attr))
-            .map(|d| n / d as f64)
-            .fold(n.ln().max(1.0), f64::min),
         // Intersection keeps a pair comparable only when both operands
         // agree — fewer comparable pairs, more maxima than either side.
-        Pref::Inter(l, rhs) => estimated_result(l, r).max(estimated_result(rhs, r)),
+        Pref::Inter(l, r) => estimated_result(l, n).max(estimated_result(r, n)),
         // Disjoint union adds comparable pairs — fewer maxima.
-        Pref::Union(l, rhs) => estimated_result(l, r).min(estimated_result(rhs, r)),
+        Pref::Union(l, r) => estimated_result(l, n).min(estimated_result(r, n)),
     };
-    est.clamp(1.0, n)
+    est.clamp(1.0, rows)
 }
 
 /// The shape rule's candidates for an already-simplified, compiled
@@ -349,22 +348,17 @@ fn candidates(c: &CompiledPref) -> [Candidate; 3] {
     ]
 }
 
-/// Apply the shape rule to an already-simplified, compiled term over `r`:
-/// the first eligible candidate wins. Returns the choice, its rationale,
-/// the candidates and the Def. 18 result estimate.
-pub(crate) fn choose(
-    pref: &Pref,
-    c: &CompiledPref,
-    r: &Relation,
-) -> (Algorithm, String, Vec<Candidate>, f64) {
+/// Apply the shape rule to an already-simplified, compiled term: the
+/// first eligible candidate wins. Returns the choice, its rationale and
+/// the candidates.
+fn choose(c: &CompiledPref) -> (Algorithm, String, Vec<Candidate>) {
     let candidates = candidates(c);
     let chosen = candidates
         .iter()
         .find(|e| e.eligible)
         .expect("BNL is always eligible");
     let reason = format!("shape rule: {} — {}", chosen.algorithm, chosen.detail);
-    let estimate = estimated_result(pref, r).max(1.0);
-    (chosen.algorithm, reason, candidates.to_vec(), estimate)
+    (chosen.algorithm, reason, candidates.to_vec())
 }
 
 #[cfg(test)]
@@ -372,7 +366,7 @@ mod tests {
     use super::*;
     use pref_core::algebra::simplify_traced;
     use pref_core::prelude::*;
-    use pref_relation::{attr, rel, Value};
+    use pref_relation::{attr, rel, Relation, Value};
 
     fn sample() -> Relation {
         rel! {
@@ -390,9 +384,10 @@ mod tests {
             .unwrap()
     }
 
-    fn analyze(p: &Pref, s: &Schema) -> SemanticInfo {
+    fn analyze(p: &Pref, s: &Schema) -> Plan {
         let (simplified, trace) = simplify_traced(p);
-        SemanticInfo::analyze(&simplified, s, trace)
+        let compiled = CompiledPref::compile(&simplified, s).unwrap();
+        Plan::new(&simplified, &compiled, s, trace, None)
     }
 
     #[test]
@@ -522,7 +517,7 @@ mod tests {
             (around("a", 3).dual(), Algorithm::Bnl, "pairwise"),
         ] {
             let c = CompiledPref::compile(&p, r.schema()).unwrap();
-            let (chosen, reason, candidates, estimate) = choose(&p, &c, &r);
+            let (chosen, reason, candidates) = choose(&c);
             assert_eq!(chosen, algorithm, "{p}");
             assert!(
                 reason.starts_with("shape rule") && reason.contains(rule),
@@ -532,6 +527,7 @@ mod tests {
             assert_eq!(order, [Algorithm::Dnc, Algorithm::Sfs, Algorithm::Bnl]);
             let first = candidates.iter().find(|e| e.eligible).unwrap();
             assert_eq!(first.algorithm, chosen, "the first eligible candidate wins");
+            let estimate = estimated_result(&p, r.len());
             assert!((1.0..=r.len() as f64).contains(&estimate));
         }
     }
@@ -546,7 +542,7 @@ mod tests {
         }
         let p = Pref::Pareto(vec![pos("c", ["x"]), pos("c", ["x"])]);
         let q = crate::Engine::new().prepare(&p, r.schema()).unwrap();
-        let plan = q.plan(&r);
+        let plan = q.plan(&r).plan;
         assert!(plan.redundant);
         assert_eq!(plan.algorithm, Algorithm::Elided);
         let text = q.explain(&r).to_string();

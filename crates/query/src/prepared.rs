@@ -2,15 +2,13 @@
 //! [`Engine::prepare`], executable many times — and the
 //! [`MaintainedResult`] each execution returns.
 //!
-//! This is the execution pipeline of `σ[P](R)`: plan (cached per
-//! query, replanned on row-count drift) → elide when the constraint
-//! registry proves the winnow redundant → result tier → matrix tier →
-//! algorithm → one [`Explain`] report. Which cache entry answers each
-//! tier is the engine's business ([`crate::engine`]).
+//! This is the execution pipeline of `σ[P](R)`: the [`Plan`] made once
+//! at prepare → elide when the constraint registry proves the winnow
+//! redundant → result tier → matrix tier → algorithm → one [`Explain`]
+//! report, whose `stats` line reads the relation it ran on. Which cache
+//! entry answers each tier is the engine's business ([`crate::engine`]).
 
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use pref_core::algebra::simplify_traced;
 use pref_core::eval::{CompiledPref, MatrixWindow};
@@ -20,7 +18,7 @@ use pref_relation::{Relation, RelationError, Schema};
 use crate::engine::Engine;
 use crate::error::QueryError;
 use crate::optimizer::{run_algorithm, Algorithm, CacheStatus, Explain, Optimizer};
-use crate::plan::{self, Plan, SemanticInfo, PLANNER_REPLAN_DRIFT};
+use crate::plan::{self, Plan, RelationPlan};
 
 /// The result of one [`Prepared::execute`]: the BMO row set plus the
 /// identity it was computed at — the relation generation and the term
@@ -98,14 +96,8 @@ pub struct Prepared {
     compiled: CompiledPref,
     fingerprint: u64,
     pub(crate) schema: Schema,
-    /// Schema-level planning, computed once at prepare: the rewrite
-    /// derivation trace plus the constraint-registry semantic verdict.
-    semantic: Arc<SemanticInfo>,
-    /// The relation-level [`Plan`] of the most recent execution, shared
-    /// across clones. Replaced lazily when the row count drifts past
-    /// [`PLANNER_REPLAN_DRIFT`]; the guard is never held across
-    /// planning, matrix builds, or any other lock.
-    plan_cell: Arc<Mutex<Option<Arc<Plan>>>>,
+    /// The plan, made once at prepare and shared across clones.
+    plan: Arc<Plan>,
 }
 
 impl Prepared {
@@ -117,11 +109,8 @@ impl Prepared {
         let simplified_str = simplified.to_string();
         let compiled = CompiledPref::compile(&simplified, schema)?;
         let fingerprint = compiled.fingerprint();
-        // Schema-level planning happens once, here: fold the rewrite
-        // trace into derivation steps and decide redundancy from the
-        // schema's constraint registry. The relation-level half (result
-        // estimate, shape rule) is computed lazily on first execution.
-        let semantic = Arc::new(SemanticInfo::analyze(&simplified, schema, trace));
+        let force = engine.optimizer().force;
+        let plan = Arc::new(Plan::new(&simplified, &compiled, schema, trace, force));
         Ok(Prepared {
             engine: engine.clone(),
             rewritten: simplified_str != original,
@@ -131,8 +120,7 @@ impl Prepared {
             compiled,
             fingerprint,
             schema: schema.clone(),
-            semantic,
-            plan_cell: Arc::new(Mutex::new(None)),
+            plan,
         })
     }
 
@@ -170,98 +158,46 @@ impl Prepared {
         matrix
     }
 
-    /// The matrix `plan`'s algorithm reads over `r` ([`Prepared::matrix`])
-    /// and the tier that served it: none ([`CacheStatus::Bypass`]) when
-    /// it reads no matrix or materialization is off.
-    pub(crate) fn tiered_matrix(
-        &self,
-        plan: &Plan,
-        r: &Relation,
-    ) -> (Option<MatrixWindow>, CacheStatus) {
-        if self.engine.optimizer().no_materialize || !Optimizer::uses_matrix(plan.algorithm) {
+    /// The matrix this query's algorithm reads over `r`
+    /// ([`Prepared::matrix`]) and the tier that served it: none
+    /// ([`CacheStatus::Bypass`]) when it reads no matrix or
+    /// materialization is off.
+    pub(crate) fn tiered_matrix(&self, r: &Relation) -> (Option<MatrixWindow>, CacheStatus) {
+        if self.engine.optimizer().no_materialize || !Optimizer::uses_matrix(self.plan.algorithm) {
             return (None, CacheStatus::Bypass);
         }
         self.engine
             .cached_matrix(self.fingerprint, &self.compiled, r)
     }
 
-    /// The relation-level [`Plan`] of this query over `r`: reuses the
-    /// cached plan while the row count stays within
-    /// `PLANNER_REPLAN_DRIFT` (2×) of the planned state, replans
-    /// otherwise.
-    pub fn plan(&self, r: &Relation) -> Arc<Plan> {
-        {
-            let cell = self.plan_cell.lock();
-            if let Some(p) = cell.as_ref() {
-                let (lo, hi) = if p.rows <= r.len() {
-                    (p.rows, r.len())
-                } else {
-                    (r.len(), p.rows)
-                };
-                if p.generation == r.generation()
-                    || (lo > 0 && hi as f64 <= lo as f64 * PLANNER_REPLAN_DRIFT)
-                {
-                    return Arc::clone(p);
-                }
-            }
-        }
-        // Plan outside the cell guard: an estimate that reads a distinct
-        // count may scan the relation to fill its statistics cell.
-        let plan = Arc::new(self.compute_plan(r));
-        *self.plan_cell.lock() = Some(Arc::clone(&plan));
-        plan
-    }
-
-    fn compute_plan(&self, r: &Relation) -> Plan {
-        let opt = self.engine.optimizer();
-        if self.semantic.redundant && opt.force.is_none() {
-            // Redundant winnow: no candidates — nothing runs.
-            return Plan {
-                steps: self.semantic.steps.clone(),
-                constraints_used: self.semantic.constraints_used.clone(),
-                redundant: true,
-                rows: r.len(),
-                generation: r.generation(),
-                estimated_result: r.len() as f64,
-                candidates: Vec::new(),
-                algorithm: Algorithm::Elided,
-                reason: "winnow eliminated: registered integrity constraints prove \
-                         σ[P](R) = R — zero algorithm runs"
-                    .to_string(),
-            };
-        }
-        let (algorithm, reason, candidates, estimated_result) = match opt.force {
-            Some(a) => (
-                a,
-                "forced by caller".to_string(),
-                Vec::new(),
-                r.len() as f64,
-            ),
-            None => plan::choose(&self.simplified, &self.compiled, r),
+    /// This query's [`Plan`] over `r`: the prepare-time plan plus `r`'s
+    /// row count, generation and the Def. 18 result estimate.
+    pub fn plan(&self, r: &Relation) -> RelationPlan {
+        let rows = r.len();
+        // A plan that applied no shape rule — forced or elided — makes
+        // no estimate: every row.
+        let estimated_result = if self.plan.candidates.is_empty() {
+            rows as f64
+        } else {
+            plan::estimated_result(&self.simplified, rows).max(1.0)
         };
-        Plan {
-            steps: self.semantic.steps.clone(),
-            constraints_used: self.semantic.constraints_used.clone(),
-            redundant: false,
-            rows: r.len(),
+        RelationPlan {
+            plan: Arc::clone(&self.plan),
+            rows,
             generation: r.generation(),
             estimated_result,
-            candidates,
-            algorithm,
-            reason,
         }
     }
 
-    /// The one place an [`Explain`] is built: this query's identity,
-    /// the plan it ran (or would run) under, and what the execution
-    /// observed — the algorithm that actually ran, whether it ran on a
-    /// score matrix, the cache outcome. A matrix runs EXPLICIT sub-terms
-    /// on reachability bitsets exactly when the term has one, so that
-    /// backend flag is derived here rather than carried along.
+    /// The one place an [`Explain`] is built: this query's identity, its
+    /// plan over `r`, and what the execution observed — the algorithm
+    /// that actually ran, whether it ran on a score matrix, the cache
+    /// outcome. A matrix runs EXPLICIT sub-terms on reachability bitsets
+    /// exactly when the term has one, so that backend flag is derived
+    /// here rather than carried along.
     pub(crate) fn report(
         &self,
         r: &Relation,
-        plan: Arc<Plan>,
         algorithm: Algorithm,
         materialized: bool,
         cache: CacheStatus,
@@ -271,7 +207,7 @@ impl Prepared {
             original: self.original.clone(),
             simplified: self.simplified_str.clone(),
             rewritten: self.rewritten,
-            plan,
+            plan: self.plan(r),
             algorithm,
             materialized,
             explicit_bitsets: materialized && self.compiled.has_explicit(),
@@ -288,19 +224,12 @@ impl Prepared {
     /// derivation, the rule's candidates and the backend the chosen algorithm
     /// would run on. No matrix is materialized and no algorithm runs.
     pub fn explain(&self, r: &Relation) -> Explain {
-        let plan = self.plan(r);
-        let (algorithm, reason) = (plan.algorithm, plan.reason.clone());
+        let algorithm = self.plan.algorithm;
         let materialized = !self.engine.optimizer().no_materialize
             && Optimizer::uses_matrix(algorithm)
             && self.compiled.supports_matrix(r);
-        self.report(
-            r,
-            plan,
-            algorithm,
-            materialized,
-            CacheStatus::Bypass,
-            reason,
-        )
+        let reason = self.plan.reason.clone();
+        self.report(r, algorithm, materialized, CacheStatus::Bypass, reason)
     }
 
     /// Evaluate `σ[P](R)`, returning a [`MaintainedResult`]: the sorted
@@ -336,11 +265,11 @@ impl Prepared {
     }
 
     fn run(&self, r: &Relation) -> Result<(Vec<usize>, Explain), QueryError> {
-        let plan = self.plan(r);
+        let redundant = self.plan.redundant;
         // Result tier first: an exact or delta-maintained previous
         // result answers without touching the matrix cache or running
         // any algorithm at all. An elided winnow touches no cache.
-        let cached = (!plan.redundant).then(|| {
+        let cached = (!redundant).then(|| {
             self.engine
                 .cached_result(self.fingerprint, &self.compiled, r)
         });
@@ -351,36 +280,30 @@ impl Prepared {
                       classified against the previous skyline"
                     .to_string(),
             };
-            let algorithm = plan.algorithm;
-            return Ok((
-                rows,
-                self.report(r, plan, algorithm, materialized, cache, reason),
-            ));
+            let algorithm = self.plan.algorithm;
+            return Ok((rows, self.report(r, algorithm, materialized, cache, reason)));
         }
-        let (matrix, cache) = self.tiered_matrix(&plan, r);
-        let (rows, algorithm, reason) = self.evaluate(&plan, matrix.as_ref(), r)?;
+        let (matrix, cache) = self.tiered_matrix(r);
+        let (rows, algorithm, reason) = self.evaluate(matrix.as_ref(), r)?;
         let materialized = matrix.is_some();
-        if !plan.redundant {
+        if !redundant {
             self.engine
                 .seed_result(self.fingerprint, r, &rows, materialized);
         }
-        Ok((
-            rows,
-            self.report(r, plan, algorithm, materialized, cache, reason),
-        ))
+        Ok((rows, self.report(r, algorithm, materialized, cache, reason)))
     }
 
     /// The evaluation step of every winnow of this query: every row of
-    /// `r` when `plan` elides it (Chomicki elimination: the constraint
+    /// `r` when the plan elides it (Chomicki elimination: the constraint
     /// registry proves σ[P](R) = R — no algorithm, no matrix), otherwise
-    /// `plan`'s algorithm over `matrix` (rows of `r`, row for row) or the
-    /// term walk. Returns the rows, the algorithm that ran and why.
+    /// the plan's algorithm over `matrix` (rows of `r`, row for row) or
+    /// the term walk. Returns the rows, the algorithm that ran and why.
     pub(crate) fn evaluate(
         &self,
-        plan: &Plan,
         matrix: Option<&MatrixWindow>,
         r: &Relation,
     ) -> Result<(Vec<usize>, Algorithm, String), QueryError> {
+        let plan = &self.plan;
         if plan.redundant {
             return Ok(((0..r.len()).collect(), plan.algorithm, plan.reason.clone()));
         }

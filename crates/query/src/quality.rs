@@ -182,9 +182,8 @@ impl Prepared {
         mut until: impl FnMut(&[Vec<usize>]) -> bool,
     ) -> Result<(Vec<Vec<usize>>, Explain), QueryError> {
         self.check_schema(r)?;
-        let plan = self.plan(r);
-        let (matrix, cache) = self.tiered_matrix(&plan, r);
-        let (mut layer, algorithm, reason) = self.evaluate(&plan, matrix.as_ref(), r)?;
+        let (matrix, cache) = self.tiered_matrix(r);
+        let (mut layer, algorithm, reason) = self.evaluate(matrix.as_ref(), r)?;
         let mut rest: Vec<usize> = (0..r.len()).collect();
         let mut layers = Vec::new();
         while !layer.is_empty() {
@@ -194,10 +193,10 @@ impl Prepared {
                 break;
             }
             let window = matrix.as_ref().map(|m| m.restrict(&rest));
-            let (rows, ..) = self.evaluate(&plan, window.as_ref(), &r.take_rows(&rest))?;
+            let (rows, ..) = self.evaluate(window.as_ref(), &r.take_rows(&rest))?;
             layer = rows.iter().map(|&v| rest[v]).collect();
         }
-        let report = self.report(r, plan, algorithm, matrix.is_some(), cache, reason);
+        let report = self.report(r, algorithm, matrix.is_some(), cache, reason);
         Ok((layers, report))
     }
 

@@ -1,9 +1,10 @@
-//! Statistics live with the relation: the planner reads them only where
-//! an estimate needs a distinct count, and the plans it makes are the
-//! ones the engine's snapshot tier used to produce.
+//! A prepared query plans once; its `stats` line reads the relation it
+//! is explained or executed on, every time. The plans are the ones the
+//! engine's snapshot tier used to produce, with every estimate taken
+//! from the row count alone.
 
 use pref_core::prelude::*;
-use pref_query::Engine;
+use pref_query::{Engine, Prepared};
 use pref_relation::{predicate_fingerprint, DataType, Relation, Schema, Value};
 
 fn table() -> Relation {
@@ -50,28 +51,6 @@ fn engine() -> Engine {
     Engine::new()
 }
 
-#[test]
-fn pareto_plans_leave_the_statistics_cell_empty() {
-    let engine = engine();
-    let r = table();
-    let pareto = lowest("a").pareto(highest("b"));
-    let q = engine.prepare(&pareto, r.schema()).unwrap();
-    q.explain(&r);
-    q.execute(&r).unwrap();
-    // Observable through a view: it inherits whatever its base has.
-    assert!(
-        upper_half(&r).column_stats().is_none(),
-        "a Pareto estimate reads the row count only"
-    );
-    let counted = pos("c", ["x"]).prior(lowest("a"));
-    engine.prepare(&counted, r.schema()).unwrap().explain(&r);
-    let stats = upper_half(&r)
-        .column_stats()
-        .expect("POS(c) read distinct(c)");
-    assert_eq!(stats.generation(), r.generation());
-    assert_eq!(stats.rows(), r.len());
-}
-
 /// `text` with every `generation <n>` renamed through `names`, so the
 /// process-wide generation counter does not leak into the literals.
 fn normalize(text: &str, names: &[(u64, &str)]) -> String {
@@ -92,23 +71,29 @@ fn normalize(text: &str, names: &[(u64, &str)]) -> String {
     out
 }
 
-/// Plan (without executing), then execute, every term over `r` on fresh
-/// prepared queries: the planned report in full, and the lines of the
-/// executed report that differ from it — generation-normalized.
+/// Plan (without executing), then execute, `q` over `r`: the planned
+/// report in full, and the lines of the executed report that differ
+/// from it — generation-normalized.
+fn report(q: &Prepared, heading: &str, r: &Relation, names: &[(u64, &str)]) -> String {
+    let planned = q.explain(r).lines();
+    let ran = q.execute(r).unwrap().explain().lines();
+    let mut out = format!("== {heading}\n");
+    for line in &planned {
+        out.push_str(&normalize(line, names));
+        out.push('\n');
+    }
+    for line in ran.iter().filter(|l| !planned.contains(l)) {
+        out.push_str(&format!("executed: {}\n", normalize(line, names)));
+    }
+    out
+}
+
+/// [`report`] of every term over `r`, each on a fresh prepared query.
 fn reports(engine: &Engine, state: &str, r: &Relation, names: &[(u64, &str)]) -> String {
     let mut out = String::new();
     for (name, p) in terms() {
         let q = engine.prepare(&p, r.schema()).unwrap();
-        let planned = q.explain(r).lines();
-        let ran = q.execute(r).unwrap().explain().lines();
-        out.push_str(&format!("== {state} / {name}\n"));
-        for line in &planned {
-            out.push_str(&normalize(line, names));
-            out.push('\n');
-        }
-        for line in ran.iter().filter(|l| !planned.contains(l)) {
-            out.push_str(&format!("executed: {}\n", normalize(line, names)));
-        }
+        out += &report(&q, &format!("{state} / {name}"), r, names);
     }
     out
 }
@@ -118,26 +103,27 @@ fn plans_equal_the_snapshot_tier_literals() {
     let engine = engine();
     let mut actual = String::new();
 
-    // A base table; its first count-reading plan gives it statistics.
     let mut r = table();
     let g0 = r.generation();
     actual += &reports(&engine, "base", &r, &[(g0, "<table>")]);
+    // One query prepared and run on the base table, kept for reuse.
+    let (name, prior) = terms().swap_remove(1);
+    let reused = engine.prepare(&prior, r.schema()).unwrap();
+    reused.execute(&r).unwrap();
 
-    // A derived view of a base that has statistics answers with them.
     let v = upper_half(&r);
     let names = [(g0, "<table>"), (v.generation(), "<view>")];
-    actual += &reports(&engine, "view of counted base", &v, &names);
-
-    // A derived view of a base nobody planned over has none to inherit.
-    let fresh = table();
-    let v = upper_half(&fresh);
-    let names = [(fresh.generation(), "<table>"), (v.generation(), "<view>")];
-    actual += &reports(&engine, "view of uncounted base", &v, &names);
+    actual += &reports(&engine, "view", &v, &names);
 
     // The same table after an append and a delete.
     r.push_values(vec![Value::from(9), Value::from(9), Value::from("w")])
         .unwrap();
-    actual += &reports(&engine, "after append", &r, &[(r.generation(), "<table>")]);
+    let names = [(r.generation(), "<table>")];
+    actual += &reports(&engine, "after append", &r, &names);
+    // The reused query reports the table it runs on now, not the one it
+    // was prepared and first run on.
+    let heading = format!("reused prepared after append / {name}");
+    actual += &report(&reused, &heading, &r, &names);
     r.delete_row(1);
     actual += &reports(&engine, "after delete", &r, &[(r.generation(), "<table>")]);
 
@@ -152,5 +138,7 @@ fn plans_equal_the_snapshot_tier_literals() {
 }
 
 /// Captured from engine-held `ColumnStats` snapshots; the `after delete`
-/// stanza from the table with the delete straight after the append.
+/// stanza from the table with the delete straight after the append. The
+/// `est. result` of every `stats` line is the estimate from the row count
+/// alone: `ln n` rows for a base or `rank(F)` node.
 const EXPECTED: &str = include_str!("plan_statistics.expected");

@@ -1,16 +1,13 @@
-//! Column statistics: one object per relation, owned by the relation it
-//! describes.
+//! Column statistics as a standalone value.
 //!
 //! A [`ColumnStats`] records a row count and a per-column value multiset
-//! (value → occurrence count) — enough to answer `distinct(attr)`
-//! exactly, which is the one number the query planner's Def. 18-style
-//! result-size estimates read. A [`Relation`] fills its statistics cell
-//! on first demand ([`Relation::column_stats`]) and from then on keeps
-//! it **exact in place**: every mutation counts the rows it adds
-//! (`add_row`) and removes (`remove_row`), O(arity) each, and restamps
-//! the generation. There is exactly one counting loop — `add_row` — and
-//! the out-of-place constructors [`ColumnStats::of`] /
-//! [`ColumnStats::advance`] are written over it.
+//! (value → occurrence count) of one relation content state — enough to
+//! answer `distinct(attr)` exactly. Nothing in the workspace keeps one:
+//! a [`Relation`] carries no statistics and the query planner reads
+//! none. [`ColumnStats::of`] counts a relation from scratch and
+//! [`ColumnStats::advance`] carries a previous count forward over an
+//! append-only delta; both are written over the one counting loop,
+//! `add_row`.
 
 use std::collections::HashMap;
 
@@ -59,29 +56,11 @@ impl ColumnStats {
     }
 
     /// Count one more row. O(arity).
-    pub(crate) fn add_row(&mut self, row: &[Value]) {
+    fn add_row(&mut self, row: &[Value]) {
         self.rows += 1;
         for (counts, v) in self.per_column.iter_mut().zip(row) {
             *counts.entry(v.clone()).or_insert(0) += 1;
         }
-    }
-
-    /// Forget one previously counted row. O(arity).
-    pub(crate) fn remove_row(&mut self, row: &[Value]) {
-        self.rows -= 1;
-        for (counts, v) in self.per_column.iter_mut().zip(row) {
-            match counts.get_mut(v) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    counts.remove(v);
-                }
-            }
-        }
-    }
-
-    /// Move to the relation's new generation after a mutation.
-    pub(crate) fn restamp(&mut self, generation: u64) {
-        self.generation = generation;
     }
 
     /// The relation generation these statistics describe.

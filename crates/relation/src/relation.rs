@@ -3,10 +3,9 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::attr::AttrSet;
-use crate::colstats::ColumnStats;
 use crate::error::RelationError;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -171,21 +170,6 @@ impl Delta {
 /// the base's. Mutating either side is copy-on-write: the mutated
 /// relation flattens (or `Arc::make_mut`s) its own storage, the other
 /// keeps reading the old tuples.
-///
-/// ## The statistics cell
-///
-/// A relation owns the one [`ColumnStats`] object that describes it, in
-/// a write-once cell that stays empty until somebody asks
-/// ([`Relation::column_stats`]) — construction, derivation and mutation
-/// of a relation nobody plans over count nothing. Once filled, every
-/// mutation keeps the counts **exact in place**, O(arity) per row added
-/// or removed, and restamps them with the new generation; a clone shares
-/// the handle and copies on its first write, like storage. Views follow
-/// their lineage: a lineage-carrying view ([`Relation::select_derived`],
-/// [`Relation::take_rows_derived`]) carries the handle its parent had
-/// when it was derived and answers with it — an approximation by the
-/// base table, or nothing when the base had none — while a lineage-less
-/// derivation starts empty and counts itself on first demand.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Arc<Schema>,
@@ -209,8 +193,6 @@ pub struct Relation {
     lineage: Option<Lineage>,
     /// See [`Relation::delta`].
     delta: Option<Delta>,
-    /// See [`Relation::column_stats`].
-    stats: OnceLock<Arc<ColumnStats>>,
 }
 
 /// Iterator over a relation's tuples (dense storage or a row-id view).
@@ -257,7 +239,6 @@ impl Relation {
             generation: next_generation(),
             lineage: None,
             delta: None,
-            stats: OnceLock::new(),
         }
     }
 
@@ -437,39 +418,11 @@ impl Relation {
         self.delta.as_ref()
     }
 
-    /// This relation's column statistics: counted on first demand, kept
-    /// exact in place by every later mutation (see the type-level docs).
-    /// A lineage-carrying view answers with the handle its parent had
-    /// when it was derived — `None` when the parent had never been asked,
-    /// because counting a per-request view whose generation never recurs
-    /// costs more than a statistics-driven plan saves. Such inherited
-    /// counts describe a *superset* of the view's rows, so callers cap
-    /// them at [`Relation::len`].
-    pub fn column_stats(&self) -> Option<Arc<ColumnStats>> {
-        if self.lineage.is_some() {
-            return self.stats.get().cloned();
-        }
-        let stats = self.stats.get_or_init(|| Arc::new(ColumnStats::of(self)));
-        Some(Arc::clone(stats))
-    }
-
-    /// The tail of every mutation: draw a fresh generation, sever the
-    /// lineage, and bring the statistics cell along — `recount` gets the
-    /// (restamped) statistics and the storage, to count the rows the
-    /// mutation added or removed. Nothing runs for an empty cell, and a
-    /// view's inherited handle is dropped instead: it describes the
-    /// base, not the view being mutated.
-    fn restamp(&mut self, recount: impl FnOnce(&mut ColumnStats, &[Tuple])) {
+    /// The tail of every mutation: draw a fresh generation and sever the
+    /// lineage.
+    fn restamp(&mut self) {
         self.generation = next_generation();
-        if self.lineage.take().is_some() {
-            self.stats = OnceLock::new();
-        }
-        if let Some(stats) = self.stats.get_mut() {
-            // Copy-on-write: a clone (or a view) may still share the handle.
-            let stats = Arc::make_mut(stats);
-            stats.restamp(self.generation);
-            recount(stats, &self.rows);
-        }
+        self.lineage = None;
     }
 
     /// Would a (schema-valid) row keep every declared constraint true?
@@ -496,7 +449,7 @@ impl Relation {
         self.check_constraints(row.values(), self.iter().next())?;
         let (old_gen, old_len) = (self.generation, self.len());
         self.rows_mut().push(row);
-        self.restamp(|stats, rows| stats.add_row(rows[old_len].values()));
+        self.restamp();
         // The state before the push is a clean prefix of the new one.
         let d = self.delta.get_or_insert_with(Delta::default);
         d.push_base(old_gen, old_len);
@@ -560,9 +513,7 @@ impl Relation {
             .collect();
         self.row_ids = Some(ids);
         self.windowable = false;
-        self.restamp(|stats, rows| {
-            (victims.iter()).for_each(|&v| stats.remove_row(rows[v as usize].values()))
-        });
+        self.restamp();
         if trackable {
             let d = self.delta.get_or_insert_with(Delta::default);
             d.push_base(old_gen, old_len);
@@ -610,12 +561,6 @@ impl Relation {
             row_ids: Some(ids),
             windowable: lineage.is_some() && self.derivable_window(),
             generation: next_generation(),
-            // A derived view answers with its parent's statistics; a
-            // lineage-less one counts itself (`column_stats`).
-            stats: match lineage {
-                Some(_) => self.stats.clone(),
-                None => OnceLock::new(),
-            },
             lineage,
             delta: None,
         }
@@ -685,7 +630,6 @@ impl Relation {
             generation: next_generation(),
             lineage: None,
             delta: None,
-            stats: OnceLock::new(),
         })
     }
 
@@ -1103,44 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn views_answer_with_the_statistics_their_lineage_names() {
-        let r = cars();
-        // A base nobody asked has nothing for a derived view to inherit…
-        let blank = r.select_derived(|t| t[0] == Value::from("BMW"), 7);
-        assert!(blank.column_stats().is_none());
-        // …a plain selection counts itself…
-        let own = r.select(|t| t[0] == Value::from("BMW"));
-        let s = own.column_stats().unwrap();
-        assert_eq!((s.rows(), s.generation()), (2, own.generation()));
-        assert_eq!(s.distinct_by_index(0), 1);
-        // …and neither of them made the base count anything.
-        assert!(r.select_derived(|_| true, 8).column_stats().is_none());
-
-        // Once the base has statistics, a derived view answers with the
-        // base's counts, and so does a derivation stacked on it.
-        let base_stats = r.column_stats().unwrap();
-        assert_eq!(base_stats.distinct_by_index(0), 3);
-        let d = r.select_derived(|t| t[0] == Value::from("BMW"), 7);
-        let inherited = d.column_stats().unwrap();
-        assert!(Arc::ptr_eq(&inherited, &base_stats));
-        let dd = d.take_rows_derived(&[0], 9);
-        assert!(Arc::ptr_eq(&dd.column_stats().unwrap(), &base_stats));
-        // The view derived earlier keeps what it was derived with.
-        assert!(blank.column_stats().is_none());
-
-        // Pushing into a derived view drops the inherited handle: the
-        // view is a relation of its own now and counts itself.
-        let mut d = d;
-        d.push_values(vec![Value::from("Opel"), Value::from(1)])
-            .unwrap();
-        let s = d.column_stats().unwrap();
-        assert_eq!((s.rows(), s.generation()), (3, d.generation()));
-        assert_eq!(s.distinct_by_index(0), 2);
-        // The base's own object was never written through the view.
-        assert_eq!(r.column_stats().unwrap().rows(), 4);
-    }
-
-    #[test]
     fn declared_constraints_are_enforced_on_every_mutation() {
         use crate::constraint::Constraint;
         let schema = cars()
@@ -1162,7 +1068,6 @@ mod tests {
             .unwrap();
         r.push_values(vec![Value::from("BMW"), Value::from(20)])
             .unwrap();
-        r.column_stats();
 
         let refused = |r: &mut Relation, f: &dyn Fn(&mut Relation) -> Result<()>| {
             let before = (r.generation(), r.to_owned_rows(), r.delta().cloned());
@@ -1174,7 +1079,6 @@ mod tests {
                 r.delta().map(Delta::bases),
                 before.2.as_ref().map(Delta::bases)
             );
-            assert_eq!(r.column_stats().unwrap().rows(), r.len());
             err
         };
         let err = refused(&mut r, &|r| {

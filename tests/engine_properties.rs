@@ -698,7 +698,7 @@ proptest! {
         prop_assert_eq!(rows, (0..r.len()).collect::<Vec<_>>());
         prop_assert_eq!(ex.algorithm, preferences::query::Algorithm::Elided);
         prop_assert_eq!(ex.cache, CacheStatus::Bypass);
-        prop_assert!(ex.plan.steps.iter().any(|s| s.rule.contains("eliminated")),
+        prop_assert!(ex.plan.plan.steps.iter().any(|s| s.rule.contains("eliminated")),
             "derivation must record the elimination for {}", p);
         let stats = planned.cache_stats();
         prop_assert_eq!(stats.misses + stats.hits, 0,
