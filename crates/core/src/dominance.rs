@@ -8,15 +8,6 @@ use std::sync::Arc;
 
 use crate::matrix::ScoreMatrix;
 
-/// The granularity parallel BNL rounds its chunk boundaries to over a
-/// whole matrix (and the identity view of one): inputs of up to this
-/// many rows run as one chunk, larger ones split at its multiples.
-/// Windowed views report `1` and always split. This is a scheduling
-/// rule, not a storage fact — key lanes are flat — and the per-backend
-/// distinction is load-bearing: both uniform replacements that were
-/// measured moved one benchmark workload the wrong way (ROADMAP item 2).
-const BNL_CHUNK_ROWS: usize = 4096;
-
 /// A pairwise dominance backend over row indices — the interface the
 /// BMO inner loops (BNL windows, SFS filter passes, naive scans) are
 /// generic over, implemented by the [`ScoreMatrix`] itself and by
@@ -46,13 +37,6 @@ pub trait Dominance {
     /// other order.
     fn prior_access(&self) -> Option<PriorAccess<'_>> {
         None
-    }
-
-    /// Preferred row-chunk alignment for parallel partitioning (`1` = no
-    /// preference): parallel BNL rounds its chunk size up to a multiple
-    /// of this.
-    fn chunk_alignment(&self) -> usize {
-        1
     }
 }
 
@@ -227,10 +211,6 @@ impl Dominance for ScoreMatrix {
     fn prior_access(&self) -> Option<PriorAccess<'_>> {
         PriorAccess::new(self, None)
     }
-
-    fn chunk_alignment(&self) -> usize {
-        BNL_CHUNK_ROWS
-    }
 }
 
 /// A view of a shared [`ScoreMatrix`], optionally *windowed* onto a row
@@ -328,13 +308,5 @@ impl Dominance for MatrixWindow {
 
     fn prior_access(&self) -> Option<PriorAccess<'_>> {
         PriorAccess::new(&self.matrix, self.ids.as_deref())
-    }
-
-    fn chunk_alignment(&self) -> usize {
-        // A windowed view's rows are not a contiguous run of base rows.
-        match self.ids {
-            Some(_) => 1,
-            None => BNL_CHUNK_ROWS,
-        }
     }
 }

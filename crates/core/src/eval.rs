@@ -106,22 +106,21 @@ impl CompiledPref {
 
     /// Incremental rebuild against `prev`, a matrix this same preference
     /// materialized for an earlier content state of `r`: rows
-    /// `0..prefix_len` of `r` are identical to `prev`'s rows except those
-    /// listed in `dirty`, and rows `prefix_len..` are appended. Every
-    /// lane whose codes are pure per-row functions — dominance keys,
-    /// value fingerprints, EXPLICIT vertex ids — copies its prefix from
-    /// `prev` and encodes only the appended (and dirty) rows, so the
-    /// per-value work is proportional to the mutation; only dictionary
-    /// lanes (strings, multi-attribute projections) pay a full
-    /// re-encode, because extending dense first-seen ids needs the
-    /// whole column's dictionary. The result equals a fresh build lane
-    /// for lane.
+    /// `0..prefix_len` of `r` are identical to `prev`'s rows, and rows
+    /// `prefix_len..` are appended. Every lane whose codes are pure
+    /// per-row functions — dominance keys, value fingerprints, EXPLICIT
+    /// vertex ids — copies its prefix from `prev` and encodes only the
+    /// appended rows, so the per-value work is proportional to the
+    /// append; only dictionary lanes (strings, multi-attribute
+    /// projections) pay a full re-encode, because extending dense
+    /// first-seen ids needs the whole column's dictionary. The result
+    /// equals a fresh build lane for lane.
     ///
-    /// Storage only grows by appends, so no prefix row ever changes and
-    /// product callers pass `dirty = &[]`. The `dirty` and `threads`
-    /// parameters stay only because the repository benchmark
-    /// (`perfbench/`) names this signature (ROADMAP item 1(a)); the
-    /// build does not read `threads`.
+    /// Storage only grows by appends, so no prefix row ever changes: a
+    /// non-empty `dirty` (rows changed in place) returns `None`. The
+    /// `dirty` and `threads` parameters stay only because the repository
+    /// benchmark (`perfbench/`) names this signature (ROADMAP item 1(a));
+    /// the build reads neither.
     ///
     /// Returns `None` when the term does not materialize on `r` or the
     /// prefix claim is inconsistent. A `prev` with a mismatched slot
@@ -135,14 +134,10 @@ impl CompiledPref {
         dirty: &[u32],
         _threads: usize,
     ) -> Option<ScoreMatrix> {
-        if prefix_len > prev.len() || prefix_len > r.len() {
+        if !dirty.is_empty() || prefix_len > prev.len() || prefix_len > r.len() {
             return None;
         }
-        let reuse = Reuse {
-            prev,
-            prefix_len,
-            dirty,
-        };
+        let reuse = Reuse { prev, prefix_len };
         ScoreMatrix::build(&self.node, r, Some(reuse))
     }
 
@@ -949,14 +944,12 @@ mod tests {
         assert_eq!(prev.key_slots(), 2);
         assert_eq!(take(), 2 * n);
 
-        // `r1` with row 7 rewritten and one row appended.
-        let mut r2 = big_rel_patched(n, |i| {
-            (i == 7).then(|| vec![Value::from(100), Value::from(0), Value::from(0)])
-        });
+        // `r1` with one row appended.
+        let mut r2 = r1.clone();
         r2.push_values(vec![Value::from(-100), Value::from(0), Value::from(0)])
             .unwrap();
-        let m = c.score_matrix_incremental(&r2, &prev, n, &[7], 2).unwrap();
-        assert_eq!(take(), 2 * 2, "one appended and one dirty row, c = 2");
+        let m = c.score_matrix_incremental(&r2, &prev, n, &[], 2).unwrap();
+        assert_eq!(take(), 2, "one appended row, c = 2");
         let fresh = c.score_matrix(&r2).unwrap();
         take();
         assert_eq!(m.len(), n + 1);
@@ -971,12 +964,13 @@ mod tests {
 
         // A `prev` with another slot count reuses nothing: a full build.
         let other = compile(&lowest("A2"), &r1).score_matrix(&r1).unwrap();
-        let m = c.score_matrix_incremental(&r2, &other, n, &[7], 1).unwrap();
+        let m = c.score_matrix_incremental(&r2, &other, n, &[], 1).unwrap();
         assert_eq!(take(), 2 * (n + 1));
         assert!((0..=n).all(|x| m.key_at(x, 0) == fresh.key_at(x, 0)));
 
-        // A prefix claim longer than `prev` or than the relation is
-        // refused outright.
+        // A prefix claim longer than `prev` or than the relation, or one
+        // with rows changed in place, is refused outright.
+        assert!(c.score_matrix_incremental(&r2, &prev, n, &[7], 1).is_none());
         assert!(c
             .score_matrix_incremental(&r2, &prev, n + 1, &[], 1)
             .is_none());
@@ -991,13 +985,17 @@ mod tests {
     /// re-encode in full.
     #[test]
     fn incremental_rebuild_patches_eq_lanes_consistently() {
-        let check = |p: &Pref, prev_rel: &Relation, next: &Relation, dirty: &[u32]| {
+        let check = |p: &Pref, prev_rel: &Relation, rows: Vec<Vec<Value>>| {
             let c = compile(p, prev_rel);
             let prev = c.score_matrix(prev_rel).unwrap();
+            let mut next = prev_rel.clone();
+            for row in rows {
+                next.push_values(row).unwrap();
+            }
             let m = c
-                .score_matrix_incremental(next, &prev, prev_rel.len(), dirty, 1)
+                .score_matrix_incremental(&next, &prev, prev_rel.len(), &[], 1)
                 .unwrap();
-            let fresh = c.score_matrix(next).unwrap();
+            let fresh = c.score_matrix(&next).unwrap();
             for x in 0..next.len() {
                 for y in 0..next.len() {
                     assert_eq!(
@@ -1010,40 +1008,39 @@ mod tests {
         };
 
         // AROUND 5 sends 3 and 7 to the same key; only the fingerprint
-        // lane separates them. The dirty row swaps 3 for its mirror 7.
+        // lane separates them. The appended rows mirror and repeat
+        // existing keys, so their fingerprints must extend the reused
+        // lane.
         let r1 = rel! {
             ("A1": Int, "A2": Int);
             (3, 1), (7, 1), (5, 2), (9, 0), (1, 3),
         };
-        let r2 = rel! {
-            ("A1": Int, "A2": Int);
-            (7, 1), (7, 1), (5, 2), (9, 0), (1, 3),
-        };
         let p = around("A1", 5).pareto(lowest("A2"));
-        check(&p, &r1, &r2, &[0]);
-
-        // Append: the appended row mirrors an
-        // existing key, so its fingerprint must extend the reused lane.
-        let mut r3 = r1.clone();
-        r3.push(pref_relation::Tuple::new(vec![
-            Value::from(7),
-            Value::from(9),
-        ]))
-        .unwrap();
-        check(&p, &r1, &r3, &[]);
+        check(
+            &p,
+            &r1,
+            vec![
+                vec![Value::from(7), Value::from(9)],
+                vec![Value::from(3), Value::from(1)],
+            ],
+        );
 
         // String operands take the dictionary encoding (no row-pure
-        // patching): a full re-encode must still agree with fresh.
+        // patching): a full re-encode must still agree with fresh, for a
+        // new string and for a repeated one.
         let s1 = rel! {
             ("A1": Str, "A2": Int);
             ("red", 1), ("blue", 2), ("red", 3), ("green", 0),
         };
-        let s2 = rel! {
-            ("A1": Str, "A2": Int);
-            ("red", 1), ("cyan", 2), ("red", 3), ("green", 0),
-        };
         let p = crate::term::pos("A1", ["red", "green"]).pareto(lowest("A2"));
-        check(&p, &s1, &s2, &[1]);
+        check(
+            &p,
+            &s1,
+            vec![
+                vec![Value::from("cyan"), Value::from(2)],
+                vec![Value::from("red"), Value::from(0)],
+            ],
+        );
     }
 
     #[test]

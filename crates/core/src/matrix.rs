@@ -28,19 +28,13 @@
 //!
 //! An *incremental build* ([`Reuse`]) copies the prefix of every lane
 //! whose codes are pure per-row functions — keys, fingerprint lanes,
-//! EXPLICIT vertex ids — and runs the same pass over the dirty and
-//! appended rows only, so its per-value work is proportional to the
-//! append. A dictionary lane re-encodes its column in full: extending
-//! first-seen ids needs the whole column's dictionary, which the matrix
-//! does not keep. The [`supports`] probe is the same pass, its lanes
-//! dropped.
-//!
-//! Storage grows only by appends and shrinks only by tombstones, so no
-//! prefix row ever changes and product callers pass no dirty rows
-//! (`&[]`). The `dirty` list of
-//! [`CompiledPref::score_matrix_incremental`](crate::eval::CompiledPref::score_matrix_incremental)
-//! stays only because the repository benchmark (`perfbench/`) names
-//! that signature (ROADMAP item 1(a)).
+//! EXPLICIT vertex ids — and runs the same pass over the appended rows
+//! only, so its per-value work is proportional to the append. Storage
+//! grows only by appends and shrinks only by tombstones, so no prefix row
+//! ever changes. A dictionary lane re-encodes its column in full:
+//! extending first-seen ids needs the whole column's dictionary, which
+//! the matrix does not keep. The [`supports`] probe is the same pass, its
+//! lanes dropped.
 
 use std::collections::HashMap;
 
@@ -84,13 +78,11 @@ pub struct ScoreMatrix {
 }
 
 /// Reuse directive for an incremental build: `prev` covers rows
-/// `0..prefix_len` of the new relation, identically except rows in
-/// `dirty` (empty from every product caller, see the module docs).
+/// `0..prefix_len` of the new relation, identically.
 #[derive(Clone, Copy)]
 pub(crate) struct Reuse<'a> {
     pub(crate) prev: &'a ScoreMatrix,
     pub(crate) prefix_len: usize,
-    pub(crate) dirty: &'a [u32],
 }
 
 /// The structural skeleton `better` interprets over the materialized
@@ -510,8 +502,8 @@ impl MatrixBuilder {
     }
 
     /// The one pass over `r`: every row, or with `reuse` the previous
-    /// lanes' prefixes plus the dirty and appended rows. `None` at the
-    /// first value that fails to embed.
+    /// lanes' prefixes plus the appended rows. `None` at the first value
+    /// that fails to embed.
     fn pass<'s, 'r>(&'s self, r: &'r Relation, reuse: Option<Reuse<'_>>) -> Option<Pass<'s, 'r>> {
         let rows = r.len();
         let prefix = reuse.map_or(0, |ru| ru.prefix_len);
@@ -565,15 +557,8 @@ impl MatrixBuilder {
                 EqSpec::Projection(_) => {}
             }
         }
-        // Dirty rows inside the prefix, then the appended rows, in order.
-        for &row in reuse.map_or(&[][..], |ru| ru.dirty) {
-            let row = row as usize;
-            if row < prefix {
-                pass.row(row, prefix, r.row(row))?;
-            }
-        }
         for row in prefix..rows {
-            pass.row(row, row, r.row(row))?;
+            pass.row(row, r.row(row))?;
         }
         Some(pass)
     }
@@ -589,11 +574,11 @@ struct Pass<'s, 'r> {
 }
 
 impl<'s, 'r> Pass<'s, 'r> {
-    /// Encode row `row`, tuple `t`, into every lane; rows `0..done` hold
+    /// Encode row `row`, tuple `t`, into every lane; rows `0..row` hold
     /// codes already (see [`ColumnCodes::dictionary_lane`]).
-    fn row(&mut self, row: usize, done: usize, t: &'r Tuple) -> Option<()> {
+    fn row(&mut self, row: usize, t: &'r Tuple) -> Option<()> {
         for codes in &mut self.columns {
-            codes.encode(self.r, row, done, &t[codes.col]);
+            codes.encode(self.r, row, &t[codes.col]);
         }
         for key in &mut self.keys {
             key.lane[row] = key.key(t, &self.columns)?;
@@ -663,9 +648,9 @@ impl<'r> ColumnCodes<'r> {
         }
     }
 
-    /// Code row `row`'s value `v`; rows `0..done` hold codes already.
+    /// Code row `row`'s value `v`; rows `0..row` hold codes already.
     #[inline]
-    fn encode(&mut self, r: &'r Relation, row: usize, done: usize, v: &'r Value) {
+    fn encode(&mut self, r: &'r Relation, row: usize, v: &'r Value) {
         if self.fingerprints {
             if let Some(fp) = v.fingerprint() {
                 if let Some(lane) = &mut self.lane {
@@ -675,7 +660,7 @@ impl<'r> ColumnCodes<'r> {
                 return;
             }
             if self.lane.is_some() {
-                self.dictionary_lane(r, done);
+                self.dictionary_lane(r, row);
             }
         }
         let id = self.dict.id(v);

@@ -18,10 +18,6 @@
 //! * [`bnl::bnl_matrix`] / [`bnl::bnl_generic`] — Block-Nested-Loops
 //!   (\[BKS01\]), correct for *any* strict partial order: the planner's
 //!   choice for orders without key lanes;
-//! * [`bnl::bnl_parallel_matrix`] / [`bnl::bnl_parallel_generic`] —
-//!   chunked BNL merging local maxima (maxima of a union are contained
-//!   in the union of local maxima), reachable only when forced: no route
-//!   of the planner leads there, and `perfbench` pins them by name.
 //!
 //! SFS's filter pass and D&C's merge (and D&C's fallback on a slice its
 //! first dimension cannot split) ask the same question — does any
@@ -65,11 +61,8 @@ mod tests {
         let c = CompiledPref::compile(p, r.schema()).unwrap();
         let m = c.score_matrix(r);
         assert_eq!(bnl::bnl_generic(&c, r), oracle, "generic BNL, {p}");
-        let parallel = bnl::bnl_parallel_generic(&c, r, 2);
-        assert_eq!(parallel, oracle, "generic parallel BNL, {p}");
         if let Some(m) = &m {
             assert_eq!(bnl::bnl_matrix(m), oracle, "BNL, {p}");
-            assert_eq!(bnl::bnl_parallel_matrix(m, 2), oracle, "parallel BNL, {p}");
         }
         let sfs = sfs::try_sfs_with(&c, r, m.as_ref());
         assert!(sfs.as_ref().is_none_or(|rows| *rows == oracle), "SFS, {p}");

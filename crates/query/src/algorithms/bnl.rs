@@ -31,22 +31,11 @@
 //! every single-lane or anti-chain head goes to the sort-filter window
 //! instead, and
 //! `bnl_window` also serves the head split's pairwise tails and result
-//! maintenance. The batch kernel and both parallel variants are reachable
-//! only when a caller forces [`Algorithm::Bnl`](crate::Algorithm::Bnl) or
-//! [`Algorithm::BnlParallel`](crate::Algorithm::BnlParallel) — `perfbench`
-//! times them by name, so they stay until the benchmark stops doing so.
-//!
-//! [`bnl_parallel_matrix`] and [`bnl_parallel_generic`] partition the
-//! input (`chunk_ranges`, rounded to the backend's
-//! [`Dominance::chunk_alignment`]), compute per-chunk windows on scoped
-//! threads, and **tree-merge** the local windows pairwise — O(log k)
-//! merge rounds, each round's merges in parallel, instead of one
-//! sequential pass over the full union. Sound because
-//! `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)` for any chunking. Threads come
-//! from `std::thread::scope`; there is no thread-pool dependency and no
-//! cargo feature.
-
-use std::ops::Range;
+//! maintenance. The batch kernel is reachable only when a caller forces
+//! [`Algorithm::Bnl`](crate::Algorithm::Bnl) (or its pinned alias
+//! [`Algorithm::BnlParallel`](crate::Algorithm::BnlParallel)) on a flat
+//! Pareto order — `perfbench` times it by name, so it stays until the
+//! benchmark stops doing so (ROADMAP item 1(a)).
 
 use pref_core::eval::{CompiledPref, Dominance, ParetoAccess};
 use pref_relation::Relation;
@@ -59,7 +48,7 @@ use pref_relation::Relation;
 /// [`MatrixWindow`]: pref_core::eval::MatrixWindow
 pub fn bnl_matrix<M: Dominance>(m: &M) -> Vec<usize> {
     let mut window = match m.pareto_access() {
-        Some(acc) => bnl_batch(&acc, 0..acc.len()),
+        Some(acc) => bnl_batch(&acc),
         None => bnl_window(|x, y| m.better(x, y), Vec::new(), 0..m.len()),
     };
     window.sort_unstable();
@@ -67,7 +56,7 @@ pub fn bnl_matrix<M: Dominance>(m: &M) -> Vec<usize> {
 }
 
 /// The batch BNL window loop over the structure-of-arrays lanes of a
-/// flat Pareto order, for rows `range` of the access.
+/// flat Pareto order, over every row of the access.
 ///
 /// The window's per-dimension keys and equality codes are kept in
 /// caller-owned contiguous lanes (copied on insert, `swap_remove`d on
@@ -92,7 +81,7 @@ pub fn bnl_matrix<M: Dominance>(m: &M) -> Vec<usize> {
 /// classic loop because window members are mutually incomparable: a
 /// candidate dominated by one member dominates no other (transitivity
 /// would rank two members).
-fn bnl_batch(acc: &ParetoAccess<'_>, range: Range<usize>) -> Vec<usize> {
+fn bnl_batch(acc: &ParetoAccess<'_>) -> Vec<usize> {
     let dims = acc.dims();
     let mut wrows: Vec<usize> = Vec::new();
     let mut wkeys: Vec<Vec<f64>> = vec![Vec::new(); dims];
@@ -101,7 +90,7 @@ fn bnl_batch(acc: &ParetoAccess<'_>, range: Range<usize>) -> Vec<usize> {
     let mut ceqs = vec![0u64; dims];
     let mut flags: Vec<u8> = Vec::new();
 
-    'next: for i in range {
+    'next: for i in 0..acc.len() {
         acc.gather(i, &mut ckeys, &mut ceqs);
         let w = wrows.len();
         flags.clear();
@@ -153,9 +142,8 @@ pub fn bnl_generic(c: &CompiledPref, r: &Relation) -> Vec<usize> {
 /// The one plain BNL window loop, over an arbitrary strict-partial-order
 /// test on row indices: insert `indices` into `window`, returning the
 /// unsorted candidates. `window` seeds the loop and must already be
-/// mutually incomparable — empty for a fresh evaluation, one operand's
-/// local maxima for a pairwise merge, or a previous result that is being
-/// maintained across a mutation (Chomicki's
+/// mutually incomparable — empty for a fresh evaluation, or a previous
+/// result that is being maintained across a mutation (Chomicki's
 /// `max(P, A ∪ B) = max(P, max(P, A) ∪ B)`).
 pub(crate) fn bnl_window(
     better: impl Fn(usize, usize) -> bool,
@@ -181,116 +169,11 @@ pub(crate) fn bnl_window(
     window
 }
 
-/// Parallel partitioned BNL over a materialized dominance backend: split
-/// the row range into up to `threads` chunks, compute local maxima per
-/// scoped thread, then merge the local windows. Sound because
-/// `max(P_R) ⊆ max(P_R1) ∪ … ∪ max(P_Rk)` for any chunking
-/// `R = R1 ∪ … ∪ Rk`: a globally maximal tuple is maximal in its chunk.
-/// Chunk boundaries round to the backend's
-/// [`Dominance::chunk_alignment`], and each chunk takes the batch kernel
-/// when the order is flat Pareto.
-pub fn bnl_parallel_matrix<M: Dominance + Sync>(m: &M, threads: usize) -> Vec<usize> {
-    let threads = threads.max(1);
-    if threads == 1 || m.len() < 2 * threads {
-        return bnl_matrix(m);
-    }
-    partitioned(
-        |x, y| m.better(x, y),
-        |range| match m.pareto_access() {
-            Some(acc) => bnl_batch(&acc, range),
-            None => bnl_window(|x, y| m.better(x, y), Vec::new(), range),
-        },
-        m.len(),
-        threads,
-        m.chunk_alignment(),
-    )
-}
-
-/// Parallel partitioned BNL over the generic term-walk backend.
-pub fn bnl_parallel_generic(c: &CompiledPref, r: &Relation, threads: usize) -> Vec<usize> {
-    let threads = threads.max(1);
-    if threads == 1 || r.len() < 2 * threads {
-        return bnl_generic(c, r);
-    }
-    let better = |x: usize, y: usize| c.better(r.row(x), r.row(y));
-    partitioned(
-        better,
-        |range| bnl_window(better, Vec::new(), range),
-        r.len(),
-        threads,
-        1,
-    )
-}
-
-/// The one place a BNL chunk is chosen: cut `0..rows` into up to
-/// `threads` chunks whose size is rounded up to a multiple of `align`.
-fn chunk_ranges(rows: usize, threads: usize, align: usize) -> Vec<Range<usize>> {
-    let mut chunk = rows.div_ceil(threads).max(1);
-    if align > 1 {
-        chunk = chunk.div_ceil(align) * align;
-    }
-    let n_chunks = rows.div_ceil(chunk);
-    (0..n_chunks)
-        .map(|t| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(rows);
-            lo..hi
-        })
-        .collect()
-}
-
-/// Run `job` over every item and collect the results in item order: the
-/// first item on the calling thread, each further one on a scoped thread
-/// of its own — a single item spawns nothing.
-fn fan_out<I: Send, T: Send>(
-    items: impl IntoIterator<Item = I>,
-    job: impl Fn(I) -> T + Sync,
-) -> Vec<T> {
-    let mut items = items.into_iter();
-    let Some(first) = items.next() else {
-        return Vec::new();
-    };
-    let job = &job;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items.map(|item| scope.spawn(move || job(item))).collect();
-        let mut out = vec![job(first)];
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("BNL worker panicked")),
-        );
-        out
-    })
-}
-
-/// Partition `0..rows` by [`chunk_ranges`], solve each chunk locally,
-/// then pairwise tree-merge the local windows.
-///
-/// The merge is a reduction tree: each round halves the window count,
-/// running its pairwise merges side by side ([`fan_out`]), so merge
-/// latency is O(log k) rounds instead of one sequential pass over the
-/// union of all local windows. Pairwise merging is sound for the same
-/// reason chunking is — `max(max(A) ∪ max(B)) = max(A ∪ B)` for strict
-/// partial orders.
-fn partitioned(
-    better: impl Fn(usize, usize) -> bool + Sync,
-    local: impl Fn(Range<usize>) -> Vec<usize> + Sync,
-    rows: usize,
-    threads: usize,
-    align: usize,
-) -> Vec<usize> {
-    let mut queue = fan_out(chunk_ranges(rows, threads, align), local);
-    while queue.len() > 1 {
-        queue = fan_out(queue.chunks(2), |pair| match pair {
-            [a, b] => bnl_window(&better, a.clone(), b.iter().copied()),
-            [odd] => odd.clone(),
-            _ => unreachable!("chunks(2) yields one or two"),
-        });
-    }
-
-    let mut result = queue.pop().unwrap_or_default();
-    result.sort_unstable();
-    result
+/// [`bnl_matrix`]: sequential BNL, whatever `_threads` says. The name
+/// and the parameter stay only because `perfbench` calls them (ROADMAP
+/// item 1(a)).
+pub fn bnl_parallel_matrix<M: Dominance>(m: &M, _threads: usize) -> Vec<usize> {
+    bnl_matrix(m)
 }
 
 #[cfg(test)]
@@ -351,33 +234,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bnl_matches_naive_oracle() {
-        let r = sample();
-        for p in prefs() {
-            let c = CompiledPref::compile(&p, r.schema()).unwrap();
-            let oracle = sigma_naive_generic(&p, &r).unwrap();
-            for threads in [1, 2, 3, 8] {
-                assert_eq!(
-                    bnl_parallel_generic(&c, &r, threads),
-                    oracle,
-                    "generic parallel BNL ({threads} threads) diverged for {p}"
-                );
-                if let Some(m) = c.score_matrix_parallel(&r, threads) {
-                    assert_eq!(
-                        bnl_parallel_matrix(&m, threads),
-                        oracle,
-                        "matrix parallel BNL ({threads} threads) diverged for {p}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batch_kernel_agrees_across_views_and_chunkings() {
-        // A whole matrix of 8 rows is one chunk; windowed views and the
-        // generic backend (alignment 1) split it into real chunks, so the
-        // gather, the batch flags and the merge tree all run.
+        // The batch kernel over the whole matrix and over two windowed
+        // views of it: the gather runs through the window's row ids, and
+        // a subset's answer is a fresh subset's.
         let r = sample();
         let ids: Vec<u32> = vec![6, 0, 3, 7, 4];
         let sub = r.take_rows(&ids.iter().map(|&i| i as usize).collect::<Vec<_>>());
@@ -387,130 +247,13 @@ mod tests {
             let m = Arc::new(c.score_matrix(&r).expect("every sample term materializes"));
             assert_eq!(bnl_matrix(&*m), oracle, "batch path diverged for {p}");
             let all = MatrixWindow::windowed(Arc::clone(&m), (0..r.len() as u32).collect());
+            assert_eq!(bnl_matrix(&all), oracle, "whole window diverged for {p}");
             let some = MatrixWindow::windowed(Arc::clone(&m), ids.clone().into());
-            for threads in [1, 2, 3, 8] {
-                assert_eq!(bnl_parallel_matrix(&*m, threads), oracle, "{p}");
-                assert_eq!(bnl_parallel_matrix(&all, threads), oracle, "{p}");
-                assert_eq!(bnl_parallel_generic(&c, &r, threads), oracle, "{p}");
-                assert_eq!(
-                    bnl_parallel_matrix(&some, threads),
-                    bnl_generic(&c, &sub),
-                    "windowed parallel path diverged for {p} ({threads} threads)"
-                );
-            }
-        }
-    }
-
-    /// The schedule is frozen: these are the boundaries the 4096-row
-    /// shard layout produced, and two measured replacements each moved a
-    /// benchmark workload (ROADMAP item 2).
-    #[test]
-    fn chunk_boundaries_are_pinned() {
-        assert_eq!(
-            chunk_ranges(4096, 2, 4096),
-            vec![Range {
-                start: 0,
-                end: 4096
-            }]
-        );
-        assert_eq!(chunk_ranges(5000, 2, 4096), [0..4096, 4096..5000]);
-        assert_eq!(chunk_ranges(9000, 2, 4096), [0..8192, 8192..9000]);
-        assert_eq!(chunk_ranges(9000, 2, 1), [0..4500, 4500..9000]);
-        assert_eq!(chunk_ranges(12289, 3, 4096), [0..8192, 8192..12289]);
-        assert!(chunk_ranges(0, 2, 4096).is_empty());
-
-        let r = sample();
-        let c = CompiledPref::compile(&lowest("a").pareto(lowest("b")), r.schema()).unwrap();
-        let m = Arc::new(c.score_matrix(&r).unwrap());
-        assert_eq!(m.chunk_alignment(), 4096);
-        assert_eq!(MatrixWindow::full(Arc::clone(&m)).chunk_alignment(), 4096);
-        assert_eq!(
-            MatrixWindow::windowed(m, vec![0, 1].into()).chunk_alignment(),
-            1
-        );
-    }
-
-    #[test]
-    fn first_chunk_and_first_merges_run_on_the_calling_thread() {
-        use parking_lot::Mutex;
-        use std::thread::{current, ThreadId};
-        let me = current().id();
-
-        // One chunk: nothing is spawned.
-        let chunks: Mutex<Vec<(Range<usize>, ThreadId)>> = Mutex::new(Vec::new());
-        let local = |range: Range<usize>| {
-            chunks.lock().push((range.clone(), current().id()));
-            range.collect::<Vec<_>>()
-        };
-        partitioned(|_, _| false, local, 4096, 2, 4096);
-        assert_eq!(*chunks.lock(), [(0..4096, me)]);
-
-        // Four chunks of two rows: chunk 0 here, the rest elsewhere; the
-        // merge of chunks 0 and 1 and the final merge here — every test
-        // that involves a row below 4 — the merge of chunks 2 and 3
-        // elsewhere.
-        chunks.lock().clear();
-        let tests: Mutex<Vec<(bool, bool, ThreadId)>> = Mutex::new(Vec::new());
-        let better = |x: usize, y: usize| {
-            tests.lock().push((x < 4, y < 4, current().id()));
-            false
-        };
-        assert_eq!(
-            partitioned(better, local, 8, 4, 1),
-            (0..8).collect::<Vec<_>>()
-        );
-        let mut chunks = chunks.into_inner();
-        chunks.sort_by_key(|(range, _)| range.start);
-        assert_eq!(chunks.len(), 4);
-        for (range, thread) in chunks {
-            assert_eq!(thread == me, range == (0..2), "chunk {range:?}");
-        }
-        let tests = tests.into_inner();
-        assert!(tests
-            .iter()
-            .all(|&(x_low, y_low, thread)| thread == me || !(x_low || y_low)));
-        assert!(tests.iter().any(|&(.., thread)| thread != me));
-    }
-
-    #[test]
-    fn full_matrices_split_only_above_the_chunk_granularity() {
-        // A low skyline keeps the quadratic oracle cheap: every bulk row
-        // is dominated by three maxima placed in three different chunks.
-        let build = |n: usize| {
-            let mut r = rel! { ("a": Int, "b": Int); };
-            for i in 0..n as i64 {
-                let (a, b) = match i {
-                    100 => (0, 10),
-                    5000 => (5, 5),
-                    8192 => (10, 0),
-                    _ => (1000 + i % 50, 1000 + (i * 7) % 50),
-                };
-                r.push_values(vec![a.into(), b.into()]).unwrap();
-            }
-            r
-        };
-        let p = lowest("a").pareto(lowest("b"));
-
-        // 2 × 4096 + 1 rows: chunks 0..8192 | 8192..8193 on two threads,
-        // 0..4096 | 4096..8192 | 8192..8193 on three and on eight.
-        let r = build(2 * 4096 + 1);
-        let c = CompiledPref::compile(&p, r.schema()).unwrap();
-        let m = c.score_matrix(&r).unwrap();
-        let sequential = bnl_matrix(&m);
-        assert_eq!(sequential, vec![100, 5000, 8192]);
-        assert_eq!(sequential, bnl_generic(&c, &r));
-        for threads in [2, 3, 8] {
-            assert_eq!(bnl_parallel_matrix(&m, threads), sequential);
-            assert_eq!(bnl_parallel_generic(&c, &r, threads), sequential);
-        }
-
-        // Exactly 4096 rows: a single chunk, the sequential result.
-        let r = build(4096);
-        let c = CompiledPref::compile(&p, r.schema()).unwrap();
-        let m = c.score_matrix(&r).unwrap();
-        assert_eq!(chunk_ranges(m.len(), 8, m.chunk_alignment()).len(), 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(bnl_parallel_matrix(&m, threads), bnl_matrix(&m));
+            assert_eq!(
+                bnl_matrix(&some),
+                bnl_generic(&c, &sub),
+                "windowed path diverged for {p}"
+            );
         }
     }
 
@@ -530,7 +273,5 @@ mod tests {
         let m = c.score_matrix(&r).unwrap();
         assert!(bnl_generic(&c, &r).is_empty());
         assert!(bnl_matrix(&m).is_empty());
-        assert!(bnl_parallel_generic(&c, &r, 4).is_empty());
-        assert!(bnl_parallel_matrix(&m, 4).is_empty());
     }
 }

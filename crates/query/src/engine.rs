@@ -209,15 +209,9 @@ impl Engine {
         Engine::with_optimizer(Optimizer::new())
     }
 
-    /// Engine with a custom optimizer configuration (forced algorithms,
-    /// thread counts, materialization ablation — all honored per query).
-    pub fn with_optimizer(mut optimizer: Optimizer) -> Self {
-        // "Auto" is resolved here, once: `available_parallelism` reads
-        // the affinity mask and the cgroup quota files (~15 µs), several
-        // times what a warm request costs.
-        if optimizer.threads == 0 {
-            optimizer.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        }
+    /// Engine with a custom optimizer configuration (a forced algorithm,
+    /// the materialization ablation — both honored per query).
+    pub fn with_optimizer(optimizer: Optimizer) -> Self {
         Engine {
             inner: Arc::new(EngineInner {
                 optimizer,
@@ -245,8 +239,7 @@ impl Engine {
         self
     }
 
-    /// The engine's optimizer configuration, with `threads` resolved to
-    /// a concrete count (≥ 1).
+    /// The engine's optimizer configuration.
     pub fn optimizer(&self) -> &Optimizer {
         &self.inner.optimizer
     }
@@ -717,13 +710,6 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.shard_hits, 2);
         assert_eq!(stats.misses, 1, "only the cold build was a full miss");
-    }
-
-    #[test]
-    fn auto_threads_resolve_once_at_construction() {
-        assert!(Engine::new().optimizer().threads >= 1);
-        let pinned = Engine::with_optimizer(Optimizer::new().with_threads(3));
-        assert_eq!(pinned.optimizer().threads, 3);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! [`Explain::lines`].
 //!
 //! * [`bmo`] — the declarative O(n²) reference semantics (Def. 15);
-//! * [`algorithms`] — the BNL, parallel BNL, divide & conquer maxima and
-//!   sort-filter-skyline kernels;
+//! * [`algorithms`] — the BNL, divide & conquer maxima and
+//!   sort-filter-skyline kernels, all sequential;
 //! * [`decompose`] — the decomposition theorems (Prop. 8–12) as an
 //!   executable divide & conquer evaluator, incl. `YY` sets;
 //! * [`engine`] — the prepared-query engine's tier resolution: score

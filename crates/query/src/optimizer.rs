@@ -10,8 +10,8 @@
 //! 2. **algorithm selection** — a shape rule ([`crate::plan`]): D&C for
 //!    `SKYLINE OF` shapes, SFS for every other flat key order and, behind
 //!    a Prop. 10 head split, for a prioritisation headed by one key lane,
-//!    BNL for orders without key lanes; parallel BNL, the Prop. 11
-//!    cascade and decomposition (Prop. 8–12) on request only;
+//!    BNL for orders without key lanes; the Prop. 11 cascade and
+//!    decomposition (Prop. 8–12) on request only;
 //! 3. **dominance-backend selection** — the term is compiled once, a
 //!    [`ScoreMatrix`](pref_core::eval::ScoreMatrix) is materialized once when the term is
 //!    score-representable, and every downstream algorithm runs its
@@ -42,7 +42,9 @@ pub enum Algorithm {
     Naive,
     /// Block-Nested-Loops (any strict partial order).
     Bnl,
-    /// Chunked parallel BNL (forced only: the planner never picks it).
+    /// Forces [`Algorithm::Bnl`]: the plan reports `Bnl` and a reason
+    /// naming the substitution. The variant stays only because
+    /// `perfbench` names it (ROADMAP item 1(a)).
     BnlParallel,
     /// Divide & conquer maxima (Pareto of chains).
     Dnc,
@@ -295,15 +297,9 @@ impl fmt::Display for Explain {
 /// ([`Engine::with_optimizer`](crate::engine::Engine::with_optimizer)).
 #[derive(Debug, Clone, Default)]
 pub struct Optimizer {
-    /// Force a specific algorithm (skips selection, not rewriting).
+    /// Force a specific algorithm (skips selection and the redundancy
+    /// proof, not rewriting).
     pub force: Option<Algorithm>,
-    /// Number of worker threads for parallel BNL, which runs only when
-    /// forced (matrix builds run on the calling thread). `0` = auto:
-    /// [`std::thread::available_parallelism`], resolved once by
-    /// [`Engine::with_optimizer`](crate::engine::Engine::with_optimizer)
-    /// — [`Engine::optimizer`](crate::engine::Engine::optimizer) always
-    /// reports a concrete count.
-    pub threads: usize,
     /// Skip score-matrix materialization (forces the term-walk backend)
     /// for the query and for every sub-query of the decomposition
     /// evaluator and the grouped and k-best operators, which all fetch
@@ -324,12 +320,6 @@ impl Optimizer {
         self
     }
 
-    /// Set the worker-thread count (`0` = auto-detect).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Disable the score-matrix backend (ablation knob).
     pub fn without_materialization(mut self) -> Self {
         self.no_materialize = true;
@@ -344,7 +334,7 @@ impl Optimizer {
     pub(crate) fn uses_matrix(algorithm: Algorithm) -> bool {
         matches!(
             algorithm,
-            Algorithm::Naive | Algorithm::Bnl | Algorithm::BnlParallel | Algorithm::Sfs
+            Algorithm::Naive | Algorithm::Bnl | Algorithm::Sfs
         )
     }
 }
@@ -369,17 +359,11 @@ pub(crate) fn run_algorithm(
             Some(m) => sigma_naive_matrix(m),
             None => sigma_naive_generic_compiled(c, r),
         },
-        Algorithm::Bnl => match matrix {
+        // `Plan::new` turns a forced `BnlParallel` into `Bnl`.
+        Algorithm::Bnl | Algorithm::BnlParallel => match matrix {
             Some(m) => bnl::bnl_matrix(m),
             None => bnl::bnl_generic(c, r),
         },
-        Algorithm::BnlParallel => {
-            let threads = opt.threads.max(2);
-            match matrix {
-                Some(m) => bnl::bnl_parallel_matrix(m, threads),
-                None => bnl::bnl_parallel_generic(c, r, threads),
-            }
-        }
         Algorithm::Dnc => {
             // Selection checks the term's *shape*, but evaluability is
             // per-value (a NULL in a chain column has no embedding), so
@@ -502,14 +486,18 @@ mod tests {
                 for no_materialize in [false, true] {
                     let opt = Optimizer {
                         force: Some(algo),
-                        threads: 2,
                         no_materialize,
                     };
+                    let (rows, ex) = run(opt, &p, &r).unwrap();
                     assert_eq!(
-                        run(opt, &p, &r).unwrap().0,
-                        baseline,
+                        rows, baseline,
                         "{algo} (no_materialize={no_materialize}) diverged on {p}"
                     );
+                    // The pinned name runs, and reports, the one BNL.
+                    if algo == Algorithm::BnlParallel {
+                        assert_eq!(ex.algorithm, Algorithm::Bnl, "{p}");
+                        assert!(ex.reason.contains("parallel"), "{}", ex.reason);
+                    }
                 }
             }
         }

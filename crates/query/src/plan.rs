@@ -29,7 +29,9 @@
 //! 3. block-nested-loops for orders without key lanes (EXPLICIT,
 //!    intersection/union, a Pareto head, a dual, …).
 //!
-//! Parallel BNL and the Prop. 11 cascade are reachable only when forced.
+//! The Prop. 11 cascade is reachable only when forced. Forcing
+//! [`Algorithm::BnlParallel`] plans plain BNL: the name stays, the
+//! parallel variant is gone.
 //!
 //! Neither lever nor the rule reads the relation: the whole decision —
 //! laws fired, constraints used, each candidate's eligibility and the
@@ -116,10 +118,11 @@ pub struct RelationPlan {
 
 impl Plan {
     /// Plan `simplified` (compiled as `compiled`) against `schema`: fold
-    /// the recorded algebra `trace` into derivation steps, decide
-    /// redundancy from the schema's constraint registry, then elide the
-    /// winnow, take the caller's `force`d algorithm, or apply the shape
-    /// rule — in that order.
+    /// the recorded algebra `trace` into derivation steps, then take the
+    /// caller's `force`d algorithm, or elide the winnow when the schema's
+    /// constraint registry proves it redundant, or apply the shape rule —
+    /// in that order. A forced algorithm always runs, so a forced plan
+    /// asks no constraint and reports none.
     pub(crate) fn new(
         simplified: &Pref,
         compiled: &CompiledPref,
@@ -142,7 +145,8 @@ impl Plan {
         // term, vacuously non-discriminating) does not elide — the
         // planner only changes behaviour where the application declared
         // semantic knowledge to license it.
-        let redundant = winnow_redundant(simplified, schema, &mut used) && !used.is_empty();
+        let redundant =
+            force.is_none() && winnow_redundant(simplified, schema, &mut used) && !used.is_empty();
         if redundant {
             let t = simplified.to_string();
             steps.push(PlanStep {
@@ -155,23 +159,34 @@ impl Plan {
                 before: t.clone(),
                 after: t,
             });
+        } else {
+            // A live winnow relied on no constraint, whatever a partial
+            // proof over its operands collected.
+            used.clear();
         }
         used.sort();
         used.dedup();
-        let (redundant, candidates, algorithm, reason) = match force {
+        let (candidates, algorithm, reason) = match force {
+            // `BnlParallel` is a pinned name for the one BNL.
+            Some(Algorithm::BnlParallel) => (
+                Vec::new(),
+                Algorithm::Bnl,
+                "forced by caller as parallel block-nested-loops: ran block-nested-loops, \
+                 the only BNL (there is no parallel variant)"
+                    .to_string(),
+            ),
+            Some(a) => (Vec::new(), a, "forced by caller".to_string()),
             // Redundant winnow: no candidates — nothing runs.
             None if redundant => (
-                true,
                 Vec::new(),
                 Algorithm::Elided,
                 "winnow eliminated: registered integrity constraints prove \
                  σ[P](R) = R — zero algorithm runs"
                     .to_string(),
             ),
-            Some(a) => (false, Vec::new(), a, "forced by caller".to_string()),
             None => {
                 let (algorithm, reason, candidates) = choose(compiled);
-                (false, candidates, algorithm, reason)
+                (candidates, algorithm, reason)
             }
         };
         Plan {
@@ -407,9 +422,11 @@ mod tests {
         // An unconstrained attribute keeps the winnow live.
         let info = analyze(&lowest("a"), &s);
         assert!(!info.redundant);
-        // A mixed Pareto is live: the `a` child can still discriminate.
+        // A mixed Pareto is live: the `a` child can still discriminate,
+        // and the `c` child's partial proof is no constraint it used.
         let info = analyze(&pos("c", ["x"]).pareto(lowest("a")), &s);
         assert!(!info.redundant);
+        assert!(info.constraints_used.is_empty());
         // …but Inter needs only one trivial side: under DOMAIN(c ∈ {x, y})
         // the POS side cannot discriminate while the EXPLICIT side can.
         let s = sample()
@@ -551,5 +568,17 @@ mod tests {
         assert!(text.contains("zero algorithm runs"));
         assert!(text.contains("CONSTANT(c)"));
         assert!(text.contains("stats      : 8 rows"));
+
+        // A forced algorithm runs, so its plan neither elides the winnow
+        // nor cites the constraint that would have.
+        let forced =
+            crate::Engine::with_optimizer(crate::Optimizer::new().with_algorithm(Algorithm::Bnl));
+        let q = forced.prepare(&pos("c", ["x"]), r.schema()).unwrap();
+        let (rows, explain) = q.execute(&r).unwrap().into_parts();
+        assert_eq!(rows, (0..r.len()).collect::<Vec<_>>());
+        let text = explain.to_string();
+        assert!(!text.contains("semantic"), "{text}");
+        assert!(!text.contains("constraint :"), "{text}");
+        assert!(text.contains("algorithm  : block-nested-loops"), "{text}");
     }
 }

@@ -351,13 +351,9 @@ proptest! {
             prop_assert_eq!(sigma_naive_matrix(m), oracle.clone(),
                 "matrix-backed naive diverged for {}", p);
             prop_assert_eq!(bnl::bnl_matrix(m), oracle.clone(), "BNL diverged for {}", p);
-            prop_assert_eq!(bnl::bnl_parallel_matrix(m, 3), oracle.clone(),
-                "parallel BNL diverged for {}", p);
         }
         prop_assert_eq!(bnl::bnl_generic(&c, &r), oracle.clone(),
             "generic BNL diverged for {}", p);
-        prop_assert_eq!(bnl::bnl_parallel_generic(&c, &r, 3), oracle.clone(),
-            "generic parallel BNL diverged for {}", p);
         prop_assert_eq!(
             Engine::new().sigma_decomposed(&p, &r).expect("term compiles"),
             oracle.clone(),

@@ -12,9 +12,7 @@ use common::{
 };
 use preferences::core::eval::ScoreMatrix;
 use preferences::prelude::*;
-use preferences::query::algorithms::bnl::{
-    bnl_generic, bnl_matrix, bnl_parallel_generic, bnl_parallel_matrix,
-};
+use preferences::query::algorithms::bnl::{bnl_generic, bnl_matrix};
 use preferences::query::algorithms::{dnc, sfs};
 use preferences::query::bmo::{sigma_naive_generic, sigma_naive_matrix};
 use proptest::prelude::*;
@@ -45,20 +43,10 @@ proptest! {
         let c = CompiledPref::compile(&p, &test_schema()).expect("term compiles");
 
         prop_assert_eq!(bnl_generic(&c, &r), oracle.clone(), "generic BNL vs oracle for {}", p);
-        prop_assert_eq!(
-            bnl_parallel_generic(&c, &r, 3),
-            oracle.clone(),
-            "generic parallel BNL vs oracle for {}", p
-        );
         let m = c.score_matrix(&r);
         if let Some(m) = &m {
             prop_assert_eq!(sigma_naive_matrix(m), oracle.clone(), "matrix naive vs oracle for {}", p);
             prop_assert_eq!(bnl_matrix(m), oracle.clone(), "matrix BNL vs oracle for {}", p);
-            prop_assert_eq!(
-                bnl_parallel_matrix(m, 3),
-                oracle.clone(),
-                "matrix parallel BNL vs oracle for {}", p
-            );
         }
 
         // D&C and SFS apply only to restricted shapes; when they do, they
