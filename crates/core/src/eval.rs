@@ -15,7 +15,6 @@ use pref_relation::{Relation, Schema, Tuple};
 
 use crate::base::BaseRef;
 use crate::error::CoreError;
-use crate::matrix::Reuse;
 use crate::term::{CombineFn, Pref};
 
 pub use crate::dominance::{Dominance, MatrixWindow, ParetoAccess, PriorAccess, PriorTail};
@@ -94,7 +93,7 @@ impl CompiledPref {
     ///
     /// `r` must have the schema this preference was compiled against.
     pub fn score_matrix(&self, r: &Relation) -> Option<ScoreMatrix> {
-        ScoreMatrix::build(&self.node, r, None)
+        ScoreMatrix::build(&self.node, r)
     }
 
     /// [`CompiledPref::score_matrix`]. The build no longer reads
@@ -104,41 +103,19 @@ impl CompiledPref {
         self.score_matrix(r)
     }
 
-    /// Incremental rebuild against `prev`, a matrix this same preference
-    /// materialized for an earlier content state of `r`: rows
-    /// `0..prefix_len` of `r` are identical to `prev`'s rows, and rows
-    /// `prefix_len..` are appended. Every lane whose codes are pure
-    /// per-row functions — dominance keys, value fingerprints, EXPLICIT
-    /// vertex ids — copies its prefix from `prev` and encodes only the
-    /// appended rows, so the per-value work is proportional to the
-    /// append; only dictionary lanes (strings, multi-attribute
-    /// projections) pay a full re-encode, because extending dense
-    /// first-seen ids needs the whole column's dictionary. The result
-    /// equals a fresh build lane for lane.
-    ///
-    /// Storage only grows by appends, so no prefix row ever changes: a
-    /// non-empty `dirty` (rows changed in place) returns `None`. The
-    /// `dirty` and `threads` parameters stay only because the repository
-    /// benchmark (`perfbench/`) names this signature (ROADMAP item 1(a));
-    /// the build reads neither.
-    ///
-    /// Returns `None` when the term does not materialize on `r` or the
-    /// prefix claim is inconsistent. A `prev` with a mismatched slot
-    /// count is not an error — it simply reuses nothing and degenerates
-    /// to a full build.
+    /// [`CompiledPref::score_matrix`]: a matrix is built one way, in
+    /// full. `prev`, `prefix_len`, `dirty` and `threads` are ignored; the
+    /// signature stays only because the repository benchmark's
+    /// `perfbench/src/layers.rs` names it (ROADMAP item 1(a)).
     pub fn score_matrix_incremental(
         &self,
         r: &Relation,
-        prev: &ScoreMatrix,
-        prefix_len: usize,
-        dirty: &[u32],
+        _prev: &ScoreMatrix,
+        _prefix_len: usize,
+        _dirty: &[u32],
         _threads: usize,
     ) -> Option<ScoreMatrix> {
-        if !dirty.is_empty() || prefix_len > prev.len() || prefix_len > r.len() {
-            return None;
-        }
-        let reuse = Reuse { prev, prefix_len };
-        ScoreMatrix::build(&self.node, r, Some(reuse))
+        self.score_matrix(r)
     }
 
     /// Would [`CompiledPref::score_matrix`] succeed on `r`? The build's
@@ -910,137 +887,6 @@ mod tests {
             assert!(c.score_matrix_parallel(&r, threads).is_none());
         }
         assert!(!c.supports_matrix(&r));
-    }
-
-    /// Work proportional to the mutation, observed directly: a SCORE base
-    /// whose closure counts its calls.
-    #[test]
-    fn incremental_rebuild_scores_only_dirty_and_appended_rows() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counted = {
-            let calls = Arc::clone(&calls);
-            crate::term::score("A1", "counted", move |v| {
-                // Relaxed: a plain counter, read between builds.
-                calls.fetch_add(1, Ordering::Relaxed);
-                v.ordinal()
-            })
-        };
-        // Relaxed: as above. Reads the count and resets it.
-        let take = || calls.swap(0, Ordering::Relaxed);
-        // The closure feeds one key slot directly and one through rank(F):
-        // c = 2 calls per row.
-        let p = counted.clone().pareto(
-            Pref::rank(
-                CombineFn::sum(),
-                vec![counted, crate::term::score("A2", "plain", |v| v.ordinal())],
-            )
-            .unwrap(),
-        );
-        let n = 50;
-        let r1 = big_rel(n);
-        let c = compile(&p, &r1);
-        let prev = c.score_matrix(&r1).unwrap();
-        assert_eq!(prev.key_slots(), 2);
-        assert_eq!(take(), 2 * n);
-
-        // `r1` with one row appended.
-        let mut r2 = r1.clone();
-        r2.push_values(vec![Value::from(-100), Value::from(0), Value::from(0)])
-            .unwrap();
-        let m = c.score_matrix_incremental(&r2, &prev, n, &[], 2).unwrap();
-        assert_eq!(take(), 2, "one appended row, c = 2");
-        let fresh = c.score_matrix(&r2).unwrap();
-        take();
-        assert_eq!(m.len(), n + 1);
-        for x in 0..=n {
-            for slot in 0..2 {
-                assert_eq!(m.key_at(x, slot), fresh.key_at(x, slot));
-            }
-            for y in 0..=n {
-                assert_eq!(m.better(x, y), fresh.better(x, y));
-            }
-        }
-
-        // A `prev` with another slot count reuses nothing: a full build.
-        let other = compile(&lowest("A2"), &r1).score_matrix(&r1).unwrap();
-        let m = c.score_matrix_incremental(&r2, &other, n, &[], 1).unwrap();
-        assert_eq!(take(), 2 * (n + 1));
-        assert!((0..=n).all(|x| m.key_at(x, 0) == fresh.key_at(x, 0)));
-
-        // A prefix claim longer than `prev` or than the relation, or one
-        // with rows changed in place, is refused outright.
-        assert!(c.score_matrix_incremental(&r2, &prev, n, &[7], 1).is_none());
-        assert!(c
-            .score_matrix_incremental(&r2, &prev, n + 1, &[], 1)
-            .is_none());
-        assert!(c.score_matrix_incremental(&r1, &m, n + 1, &[], 1).is_none());
-        assert_eq!(take(), 0);
-    }
-
-    /// Eq-lane patching is where incremental correctness is subtle:
-    /// `around` maps distinct values to *equal* dominance keys, so the
-    /// Pareto equality test rides entirely on the patched fingerprint
-    /// lane; string operands exercise the dictionary fallback that must
-    /// re-encode in full.
-    #[test]
-    fn incremental_rebuild_patches_eq_lanes_consistently() {
-        let check = |p: &Pref, prev_rel: &Relation, rows: Vec<Vec<Value>>| {
-            let c = compile(p, prev_rel);
-            let prev = c.score_matrix(prev_rel).unwrap();
-            let mut next = prev_rel.clone();
-            for row in rows {
-                next.push_values(row).unwrap();
-            }
-            let m = c
-                .score_matrix_incremental(&next, &prev, prev_rel.len(), &[], 1)
-                .unwrap();
-            let fresh = c.score_matrix(&next).unwrap();
-            for x in 0..next.len() {
-                for y in 0..next.len() {
-                    assert_eq!(
-                        m.better(x, y),
-                        fresh.better(x, y),
-                        "patched eq lanes diverged for {p} at ({x}, {y})"
-                    );
-                }
-            }
-        };
-
-        // AROUND 5 sends 3 and 7 to the same key; only the fingerprint
-        // lane separates them. The appended rows mirror and repeat
-        // existing keys, so their fingerprints must extend the reused
-        // lane.
-        let r1 = rel! {
-            ("A1": Int, "A2": Int);
-            (3, 1), (7, 1), (5, 2), (9, 0), (1, 3),
-        };
-        let p = around("A1", 5).pareto(lowest("A2"));
-        check(
-            &p,
-            &r1,
-            vec![
-                vec![Value::from(7), Value::from(9)],
-                vec![Value::from(3), Value::from(1)],
-            ],
-        );
-
-        // String operands take the dictionary encoding (no row-pure
-        // patching): a full re-encode must still agree with fresh, for a
-        // new string and for a repeated one.
-        let s1 = rel! {
-            ("A1": Str, "A2": Int);
-            ("red", 1), ("blue", 2), ("red", 3), ("green", 0),
-        };
-        let p = crate::term::pos("A1", ["red", "green"]).pareto(lowest("A2"));
-        check(
-            &p,
-            &s1,
-            vec![
-                vec![Value::from("cyan"), Value::from(2)],
-                vec![Value::from("red"), Value::from(0)],
-            ],
-        );
     }
 
     #[test]

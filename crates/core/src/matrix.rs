@@ -25,16 +25,7 @@
 //! Multi-column projections take [`Relation::group_ids`] after the pass.
 //! The last operand of a prioritisation gets no equality lane: Def. 9
 //! decides before it or not at all, so its codes would never be read.
-//!
-//! An *incremental build* ([`Reuse`]) copies the prefix of every lane
-//! whose codes are pure per-row functions — keys, fingerprint lanes,
-//! EXPLICIT vertex ids — and runs the same pass over the appended rows
-//! only, so its per-value work is proportional to the append. Storage
-//! grows only by appends and shrinks only by tombstones, so no prefix row
-//! ever changes. A dictionary lane re-encodes its column in full:
-//! extending first-seen ids needs the whole column's dictionary, which
-//! the matrix does not keep. The [`supports`] probe is the same pass, its
-//! lanes dropped.
+//! The [`supports`] probe is the same pass, its lanes dropped.
 
 use std::collections::HashMap;
 
@@ -70,19 +61,7 @@ pub struct ScoreMatrix {
     keys: Vec<Vec<f64>>,
     /// Slot-major equality codes: `eqs[slot][row]`.
     eqs: Vec<Vec<u64>>,
-    /// Per eq slot: is the encoding a pure per-row function (value
-    /// fingerprints, EXPLICIT vertex ids)? Those lanes are patched by an
-    /// incremental rebuild; dictionary lanes are not.
-    eq_row_pure: Vec<bool>,
     plan: ScorePlan,
-}
-
-/// Reuse directive for an incremental build: `prev` covers rows
-/// `0..prefix_len` of the new relation, identically.
-#[derive(Clone, Copy)]
-pub(crate) struct Reuse<'a> {
-    pub(crate) prev: &'a ScoreMatrix,
-    pub(crate) prefix_len: usize,
 }
 
 /// The structural skeleton `better` interprets over the materialized
@@ -110,26 +89,16 @@ enum ScorePlan {
 }
 
 impl ScoreMatrix {
-    /// The one build: a full pass, or a patch of `reuse.prev`. `None`
-    /// when the term does not materialize on `r`.
-    pub(crate) fn build(
-        node: &Node,
-        r: &Relation,
-        reuse: Option<Reuse<'_>>,
-    ) -> Option<ScoreMatrix> {
+    /// The one build: a full pass over `r`. `None` when the term does
+    /// not materialize on `r`.
+    pub(crate) fn build(node: &Node, r: &Relation) -> Option<ScoreMatrix> {
         let mut b = MatrixBuilder::default();
         let plan = b.plan(node)?;
-        // A `prev` with other slot counts is a different term's matrix:
-        // it reuses nothing and the build degenerates to a full one.
-        let reuse = reuse.filter(|ru| {
-            ru.prev.key_slots() == b.key_specs.len() && ru.prev.eq_slots() == b.eq_specs.len()
-        });
-        let (keys, eqs, eq_row_pure) = b.pass(r, reuse)?.lanes(&b.eq_specs);
+        let (keys, eqs) = b.pass(r)?.lanes(&b.eq_specs);
         Some(ScoreMatrix {
             rows: r.len(),
             keys,
             eqs,
-            eq_row_pure,
             plan,
         })
     }
@@ -329,7 +298,7 @@ pub enum LaneShape {
 /// (Equality lanes always encode.)
 pub(crate) fn supports(node: &Node, r: &Relation) -> bool {
     let mut b = MatrixBuilder::default();
-    b.plan(node).is_some() && b.pass(r, None).is_some()
+    b.plan(node).is_some() && b.pass(r).is_some()
 }
 
 /// How one key slot is computed from a row. Structural — carries no
@@ -501,19 +470,10 @@ impl MatrixBuilder {
         slot
     }
 
-    /// The one pass over `r`: every row, or with `reuse` the previous
-    /// lanes' prefixes plus the appended rows. `None` at the first value
+    /// The one pass over every row of `r`. `None` at the first value
     /// that fails to embed.
-    fn pass<'s, 'r>(&'s self, r: &'r Relation, reuse: Option<Reuse<'_>>) -> Option<Pass<'s, 'r>> {
+    fn pass<'s, 'r>(&'s self, r: &'r Relation) -> Option<Pass<'s, 'r>> {
         let rows = r.len();
-        let prefix = reuse.map_or(0, |ru| ru.prefix_len);
-        // A previous lane's first `prefix` codes, extended to `rows`.
-        fn extend<T: Copy + Default>(prev: &[T], rows: usize) -> Vec<T> {
-            let mut lane = Vec::with_capacity(rows);
-            lane.extend_from_slice(prev);
-            lane.resize(rows, T::default());
-            lane
-        }
         let mut pass = Pass {
             r,
             columns: self
@@ -521,43 +481,32 @@ impl MatrixBuilder {
                 .iter()
                 .map(|&col| ColumnCodes::new(col))
                 .collect(),
-            keys: (self.key_specs.iter().enumerate())
-                .map(|(slot, spec)| KeyLane {
+            keys: self
+                .key_specs
+                .iter()
+                .map(|spec| KeyLane {
                     spec,
-                    lane: extend(
-                        reuse.map_or(&[][..], |ru| &ru.prev.keys[slot][..prefix]),
-                        rows,
-                    ),
+                    lane: vec![0.0; rows],
                     memo: Vec::new(),
                 })
                 .collect(),
             explicit: Vec::new(),
         };
-        for (slot, spec) in self.eq_specs.iter().enumerate() {
-            // With `reuse`, the previous lane's prefix when it holds
-            // per-row codes, `Some(None)` when it is a dictionary lane.
-            let prev =
-                reuse.map(|ru| ru.prev.eq_row_pure[slot].then(|| &ru.prev.eqs[slot][..prefix]));
+        for spec in &self.eq_specs {
             match spec {
-                EqSpec::Column(column) => {
-                    let codes = &mut pass.columns[*column];
-                    codes.lane = Some(extend(prev.flatten().unwrap_or_default(), rows));
-                    if let Some(None) = prev {
-                        codes.dictionary_lane(r, prefix);
-                    }
-                }
+                EqSpec::Column(column) => pass.columns[*column].lane = Some(vec![0; rows]),
                 EqSpec::ExplicitIds { col, base, outside } => pass.explicit.push(ExplicitLane {
                     col: *col,
                     explicit: base
                         .as_explicit()
                         .expect("ExplicitIds specs are built from EXPLICIT bases"),
                     outside: *outside,
-                    lane: extend(prev.flatten().unwrap_or_default(), rows),
+                    lane: vec![0; rows],
                 }),
                 EqSpec::Projection(_) => {}
             }
         }
-        for row in prefix..rows {
+        for row in 0..rows {
             pass.row(row, r.row(row))?;
         }
         Some(pass)
@@ -592,33 +541,27 @@ impl<'s, 'r> Pass<'s, 'r> {
         Some(())
     }
 
-    /// The lanes in slot order, and per eq slot whether its codes are
-    /// per-row (patchable by an incremental build).
-    fn lanes(mut self, eq_specs: &[EqSpec]) -> (Vec<Vec<f64>>, Vec<Vec<u64>>, Vec<bool>) {
+    /// The key lanes and the equality lanes, each in slot order.
+    fn lanes(mut self, eq_specs: &[EqSpec]) -> (Vec<Vec<f64>>, Vec<Vec<u64>>) {
         let keys = self.keys.into_iter().map(|k| k.lane).collect();
         let mut explicit = self.explicit.into_iter();
-        let (eqs, pure) = eq_specs
+        let eqs = eq_specs
             .iter()
             .map(|spec| match spec {
-                EqSpec::Column(column) => {
-                    let codes = &mut self.columns[*column];
-                    let lane = codes
-                        .lane
-                        .take()
-                        .expect("an eq slot's column keeps its lane");
-                    (lane, codes.fingerprints)
-                }
+                EqSpec::Column(column) => self.columns[*column]
+                    .lane
+                    .take()
+                    .expect("an eq slot's column keeps its lane"),
                 EqSpec::Projection(cols) => {
                     let (ids, _) = self.r.group_ids(cols);
-                    (ids.into_iter().map(u64::from).collect(), false)
+                    ids.into_iter().map(u64::from).collect()
                 }
                 EqSpec::ExplicitIds { .. } => {
-                    let e = explicit.next().expect("one lane per ExplicitIds slot");
-                    (e.lane, true)
+                    explicit.next().expect("one lane per ExplicitIds slot").lane
                 }
             })
-            .unzip();
-        (keys, eqs, pure)
+            .collect();
+        (keys, eqs)
     }
 }
 
@@ -842,8 +785,7 @@ mod tests {
     /// The lanes the pass fills hold what a column-at-a-time encoding
     /// would: fingerprints where every value has one, the column's
     /// first-seen dictionary ids ([`Relation::group_ids`]) where one does
-    /// not — also when the first value without one comes late, and when
-    /// it arrives in an append to a fingerprint lane.
+    /// not — also when the first value without one comes late.
     #[test]
     fn single_column_lanes_hold_fingerprints_or_the_columns_group_ids() {
         let fingerprints = |r: &Relation, col: usize| -> Vec<u64> {
@@ -870,31 +812,9 @@ mod tests {
                 fingerprints(&dense, 2)
             ]
         );
-        assert_eq!(m.eq_row_pure, vec![false, true, true]);
 
         let late = table(40, 25);
         let m = c(&late).score_matrix(&late).unwrap();
         assert_eq!(m.eqs[2], group_ids(&late, 2));
-        assert_eq!(m.eq_row_pure, vec![false, true, false]);
-
-        // An append of a NULL to the fingerprint lane, and one more row
-        // after a dictionary lane: both equal the fresh build.
-        let mut grown = dense.clone();
-        for f in [Value::Null, Value::from(2.0)] {
-            grown
-                .push_values(vec![Value::from("zz"), Value::from(-1), f])
-                .unwrap();
-            let prev = c(&grown)
-                .score_matrix(&grown.take_rows(&(0..grown.len() - 1).collect::<Vec<_>>()))
-                .unwrap();
-            let patched = c(&grown)
-                .score_matrix_incremental(&grown, &prev, grown.len() - 1, &[], 1)
-                .unwrap();
-            let fresh = c(&grown).score_matrix(&grown).unwrap();
-            assert_eq!(patched.keys, fresh.keys);
-            assert_eq!(patched.eqs, fresh.eqs);
-            assert_eq!(patched.eq_row_pure, fresh.eq_row_pure);
-            assert_eq!(fresh.eqs[2], group_ids(&grown, 2));
-        }
     }
 }

@@ -36,8 +36,7 @@ impl Catalog {
     /// across the mutation first (a `GROUP BY` statement's result too:
     /// it is the term `A↔ & P`), and a caller that reads the matrix
     /// itself (`TOP`, a parameterized `WHERE`'s window warm-up) gets it
-    /// rebuilt incrementally after an append, with only the appended rows
-    /// encoded.
+    /// rebuilt in full.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Relation, SqlError> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())

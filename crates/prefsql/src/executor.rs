@@ -102,8 +102,8 @@ impl PrefSql {
     /// matrix; a `GROUP BY` statement is its term `A↔ & P`, maintained
     /// the same way. Only the operators that read the score matrix
     /// directly — `TOP`, and a parameterized `WHERE` keeping the table's
-    /// matrix warm for its windows — rebuild it, and incrementally: the
-    /// appended row is the only one encoded (`CacheStatus::ShardHit`).
+    /// matrix warm for its windows — rebuild it, in full
+    /// (`CacheStatus::Miss`).
     pub fn append_row(&mut self, table: &str, values: Vec<Value>) -> Result<(), SqlError> {
         self.catalog.get_mut(table)?.push_values(values)?;
         Ok(())
@@ -639,8 +639,8 @@ mod tests {
         );
         let after = s.engine().cache_stats();
         assert_eq!(
-            (after.shard_hits, after.misses, after.entries),
-            (before.shard_hits, before.misses, before.entries),
+            (after.misses, after.entries),
+            (before.misses, before.entries),
             "BUT ONLY reads values: no matrix is rebuilt after the append"
         );
         // The answer a fresh session gives over the same rows.

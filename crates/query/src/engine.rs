@@ -56,8 +56,10 @@ const DEFAULT_CAPACITY: usize = 64;
 /// Aggregate cache counters of an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Executions served from a cached matrix (generation, lineage, or
-    /// window route).
+    /// Executions served warm without a build: from a cached matrix
+    /// (generation, lineage, or window route), or by an exact
+    /// result-tier hit, which serves the cached row set and reads no
+    /// matrix.
     pub hits: u64,
     /// The subset of `hits` resolved through a derived relation's
     /// lineage `(base generation, predicate fingerprint)` rather than an
@@ -68,18 +70,17 @@ pub struct CacheStats {
     /// predicate) running warm through index indirection
     /// ([`CacheStatus::WindowHit`]).
     pub window_hits: u64,
-    /// Executions served by an *incremental rebuild*: the relation
-    /// grew, and its [`Delta`](pref_relation::Delta) matched a cached
-    /// prior state, so the build re-encoded only the appended rows
-    /// ([`CacheStatus::ShardHit`]). Counted separately from both `hits`
-    /// (some keys were built) and `misses` (most were not).
+    /// Always 0: a matrix is never rebuilt incrementally, so no
+    /// execution reports [`CacheStatus::ShardHit`]. The field stays only
+    /// because the repository benchmark (`perfbench/src/sql_trace.rs`)
+    /// names it (ROADMAP item 1(a)); the wire format omits it.
     pub shard_hits: u64,
     /// Executions served by *maintaining* a cached BMO result across a
     /// mutation ([`CacheStatus::MaintainedHit`]): the changed rows were
     /// classified against the previous skyline instead of re-running the
     /// algorithm — no matrix was consulted at all. Counted separately
     /// from `hits` (the result was patched, not served verbatim) and
-    /// from `shard_hits` (no matrix was rebuilt either).
+    /// from `misses` (no matrix was built either).
     pub maintained_hits: u64,
     /// Executions that had to build (and then cached) a matrix.
     pub misses: u64,
@@ -97,12 +98,11 @@ impl CacheStats {
     /// the Rust view cannot drift.
     pub fn wire_format(&self) -> String {
         format!(
-            "hits={} derived_hits={} window_hits={} shard_hits={} maintained_hits={} \
+            "hits={} derived_hits={} window_hits={} maintained_hits={} \
              misses={} entries={} result_entries={}",
             self.hits,
             self.derived_hits,
             self.window_hits,
-            self.shard_hits,
             self.maintained_hits,
             self.misses,
             self.entries,
@@ -115,12 +115,11 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits ({} derived, {} windowed) / {} shard-incremental / {} maintained / \
-             {} misses, {} resident (+{} results)",
+            "{} hits ({} derived, {} windowed) / {} maintained / {} misses, \
+             {} resident (+{} results)",
             self.hits,
             self.derived_hits,
             self.window_hits,
-            self.shard_hits,
             self.maintained_hits,
             self.misses,
             self.entries,
@@ -175,7 +174,6 @@ struct EngineInner {
     hits: AtomicU64,
     derived_hits: AtomicU64,
     window_hits: AtomicU64,
-    shard_hits: AtomicU64,
     maintained_hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -220,7 +218,6 @@ impl Engine {
                 hits: AtomicU64::new(0),
                 derived_hits: AtomicU64::new(0),
                 window_hits: AtomicU64::new(0),
-                shard_hits: AtomicU64::new(0),
                 maintained_hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
             }),
@@ -267,7 +264,7 @@ impl Engine {
             hits: ld(&inner.hits),
             derived_hits: ld(&inner.derived_hits),
             window_hits: ld(&inner.window_hits),
-            shard_hits: ld(&inner.shard_hits),
+            shard_hits: 0,
             maintained_hits: ld(&inner.maintained_hits),
             misses: ld(&inner.misses),
             entries: inner.matrices.len(),
@@ -287,12 +284,7 @@ impl Engine {
     ///    a [`MatrixWindow`] index indirection
     ///    ([`CacheStatus::WindowHit`]) — this is how a subset under a
     ///    never-before-seen predicate still skips materialization;
-    /// 4. for dense relations carrying a [`Delta`](pref_relation::Delta),
-    ///    any remembered prior content state with a resident matrix —
-    ///    the matrix is rebuilt *incrementally*, copying that matrix's
-    ///    lanes and re-encoding only the appended rows
-    ///    ([`CacheStatus::ShardHit`]);
-    /// 5. build ([`CacheStatus::Miss`]).
+    /// 4. build, in full ([`CacheStatus::Miss`]).
     ///
     /// Returns [`CacheStatus::Bypass`] when the term does not materialize
     /// on `r`, so callers can tell "reused" from "not applicable". A
@@ -311,10 +303,6 @@ impl Engine {
         let derived = r
             .lineage()
             .map(|l| MatrixKey::Derived(l.base_generation(), l.predicate(), fp));
-        // A prior content state whose matrix is resident, found through
-        // the relation's mutation delta — the incremental-rebuild seed,
-        // resolved under the read lock but consumed outside it.
-        let mut reusable: Option<(Arc<ScoreMatrix>, usize)> = None;
         if inner.matrices.capacity > 0 {
             // The whole multi-tier lookup resolves under one read-lock
             // acquisition, shared with every other concurrent reader.
@@ -358,57 +346,32 @@ impl Engine {
                     }
                 }
             }
-            // Shard tier: the relation mutated, but its delta names prior
-            // content states it extends. If any of them has a resident
-            // matrix of exactly the recorded prefix length, seed an
-            // incremental rebuild from it: only the appended rows are
-            // encoded (outside the lock, below).
-            //
-            // Dense relations only: the incremental build is positional
-            // (base state = unchanged storage prefix of `r`), and a
-            // tombstone view carrying a delta shifts every position after
-            // the victim — its deletes are served by the *result*
-            // maintenance tier instead, and its matrices rebuild cold.
-            if let Some(delta) = r.delta().filter(|_| r.row_ids().is_none()) {
-                reusable = delta.bases().iter().find_map(|&(base_gen, base_len)| {
-                    cached
-                        .get(&MatrixKey::Generation(base_gen, fp))
-                        .filter(|m| m.len() == base_len)
-                        .map(|m| (Arc::clone(m), base_len))
-                });
-            }
         }
         // Build outside any lock: materialization is the expensive part,
         // and concurrent executions of the same query should not serialize
         // on it (a duplicate build is wasted work, never wrong results).
-        if let Some((prev, prefix_len)) = reusable {
-            build_scope();
-            // Storage only grows by appends: no prefix row ever changed.
-            if let Some(m) = c.score_matrix_incremental(r, &prev, prefix_len, &[], 1) {
-                let m = Arc::new(m);
-                // Relaxed: statistic only.
-                inner.shard_hits.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .matrices
-                    .insert(derived.unwrap_or(primary), Arc::clone(&m));
-                return (Some(MatrixWindow::full(m)), CacheStatus::ShardHit);
-            }
-        }
-        build_scope();
-        match c.score_matrix(r) {
+        match self.build_matrix(derived.unwrap_or(primary), c, r) {
             None => (None, CacheStatus::Bypass),
-            Some(m) => {
-                let m = Arc::new(m);
-                // Relaxed: statistic. Count every fresh build, cached or
-                // not, so stats stay consistent with the `Miss` the
-                // Explain reports.
-                inner.misses.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .matrices
-                    .insert(derived.unwrap_or(primary), Arc::clone(&m));
-                (Some(MatrixWindow::full(m)), CacheStatus::Miss)
-            }
+            Some(m) => (Some(MatrixWindow::full(m)), CacheStatus::Miss),
         }
+    }
+
+    /// Build `c`'s matrix over `r` in full and cache it under `key`;
+    /// `None` when the term does not materialize on `r`. Counts every
+    /// fresh build as a miss, cached or not, so stats stay consistent
+    /// with the `Miss` the Explain reports.
+    fn build_matrix(
+        &self,
+        key: MatrixKey,
+        c: &CompiledPref,
+        r: &Relation,
+    ) -> Option<Arc<ScoreMatrix>> {
+        build_scope();
+        let m = Arc::new(c.score_matrix(r)?);
+        // Relaxed: statistic only.
+        self.inner.misses.fetch_add(1, Ordering::Relaxed);
+        self.inner.matrices.insert(key, Arc::clone(&m));
+        Some(m)
     }
 
     /// Does the maintained-result tier serve `r`? Not when caching or
@@ -497,14 +460,8 @@ impl Engine {
     /// turned each of its refinements into a miss for the rest of the run.
     fn keep_matrix_warm(&self, fp: u64, c: &CompiledPref, r: &Relation) {
         let key = MatrixKey::Generation(r.generation(), fp);
-        if self.inner.matrices.read().get(&key).is_some() {
-            return;
-        }
-        build_scope();
-        if let Some(m) = c.score_matrix(r) {
-            // Relaxed: statistic only.
-            self.inner.misses.fetch_add(1, Ordering::Relaxed);
-            self.inner.matrices.insert(key, Arc::new(m));
+        if self.inner.matrices.read().get(&key).is_none() {
+            self.build_matrix(key, c, r);
         }
     }
 
@@ -656,15 +613,13 @@ mod tests {
     }
 
     #[test]
-    fn delete_views_bypass_the_positional_shard_tier() {
-        // Regression: after `delete_row` the relation is a tombstone view
-        // whose delta still names the dense pre-delete state — and that
-        // state's resident matrix matches the recorded prefix length
-        // exactly. The incremental rebuild is positional (base state =
-        // unchanged storage prefix), so engaging it off a view replays
-        // the old answer in stale storage coordinates. It must fall
-        // through to a cold build instead. (The result tier answers
-        // executions first; `Prepared::matrix` reaches the matrix route.)
+    fn a_matrix_after_a_delete_agrees_with_the_oracle() {
+        // After `delete_row` the relation is a tombstone view whose delta
+        // still names the dense pre-delete state, and that state's matrix
+        // is resident. Its rows sit at the old storage positions, so
+        // reusing it would answer in stale coordinates: the view builds a
+        // matrix of its own. (The result tier answers executions first;
+        // `Prepared::matrix` reaches the matrix route.)
         let engine = Engine::new();
         let mut r = rel! {
             ("a": Int, "b": Int, "c": Str);
@@ -678,17 +633,12 @@ mod tests {
         // dominated row re-promotes — both wrong under matrix reuse.
         r.delete_row(1);
         let m = q.matrix(&r).expect("materializes");
-        let stats = engine.cache_stats();
-        assert_eq!(
-            (stats.shard_hits, stats.misses),
-            (0, 2),
-            "a tombstone view must not seed the positional shard rebuild"
-        );
+        assert_eq!(engine.cache_stats().misses, 2);
         assert_eq!(bnl_matrix(&m), sigma_naive_generic(&p, &r).unwrap());
     }
 
     #[test]
-    fn appends_rebuild_the_matrix_incrementally() {
+    fn appends_rebuild_the_matrix_in_full() {
         // Result maintenance answers an append before the matrix route
         // (`mutation_invalidates_and_results_stay_fresh`);
         // `Prepared::matrix` reaches the matrix route directly.
@@ -702,14 +652,13 @@ mod tests {
         let q = engine.prepare(&p, r.schema()).unwrap();
         assert!(q.matrix(&r).is_some());
 
-        for (a, b) in [(99, 99), (4, 0)] {
+        for (misses, (a, b)) in (2..).zip([(99, 99), (4, 0)]) {
             r.push_values(vec![Value::from(a), Value::from(b)]).unwrap();
             let m = q.matrix(&r).expect("materializes");
+            let stats = engine.cache_stats();
+            assert_eq!((stats.misses, stats.shard_hits), (misses, 0));
             assert_eq!(bnl_matrix(&m), sigma_naive_generic(&p, &r).unwrap());
         }
-        let stats = engine.cache_stats();
-        assert_eq!(stats.shard_hits, 2);
-        assert_eq!(stats.misses, 1, "only the cold build was a full miss");
     }
 
     #[test]

@@ -81,7 +81,9 @@ impl fmt::Display for Algorithm {
 /// Outcome of the engine's score-matrix cache for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheStatus {
-    /// Served from a matrix cached for this `(generation, fingerprint)`.
+    /// Served warm for this `(generation, fingerprint)`: from a cached
+    /// matrix, or by an exact result-tier hit, which replays the cached
+    /// row set and reads no matrix.
     Hit,
     /// Served from a matrix cached for this relation's *lineage* —
     /// `(base generation, predicate fingerprint, term fingerprint)`. The
@@ -98,12 +100,10 @@ pub enum CacheStatus {
     /// ([`MatrixWindow`]). This is the
     /// warm path for *brand-new* WHERE predicates over a warmed base.
     WindowHit,
-    /// Rebuilt *incrementally*: the relation grew since the cached matrix
-    /// was built, and its [`Delta`](pref_relation::Delta) proved the old
-    /// rows an unchanged prefix, so the build copied the cached lanes and
-    /// encoded only the appended rows. Not a warm serve — keys *were*
-    /// computed — but the per-value work was proportional to the
-    /// mutation, not the relation.
+    /// Never produced: a matrix is always built in full, so an append
+    /// the result tier does not answer is a [`CacheStatus::Miss`]. The
+    /// variant stays only because `perfbench` names it (ROADMAP item
+    /// 1(a)).
     ShardHit,
     /// Served by *maintaining* a cached BMO result across a mutation:
     /// the relation's [`Delta`](pref_relation::Delta) proved the old
@@ -139,7 +139,7 @@ impl fmt::Display for CacheStatus {
             CacheStatus::Hit => "hit",
             CacheStatus::DerivedHit => "derived-hit",
             CacheStatus::WindowHit => "window-hit (base matrix via row-id indirection)",
-            CacheStatus::ShardHit => "shard-hit (incremental rebuild: only appended rows encoded)",
+            CacheStatus::ShardHit => "shard-hit",
             CacheStatus::MaintainedHit => {
                 "maintained-hit (previous result patched against the delta)"
             }

@@ -145,7 +145,7 @@ fn a_capacity_zero_engine_serves_sessions_cold_and_a_shared_one_warm() {
 
     let s = cold.engine().cache_stats();
     assert_eq!(
-        s.hits + s.derived_hits + s.window_hits + s.shard_hits + s.maintained_hits,
+        s.hits + s.derived_hits + s.window_hits + s.maintained_hits,
         0,
         "a capacity-0 engine never serves warm: {s:?}"
     );

@@ -1,7 +1,7 @@
 //! End-to-end smoke test over real sockets: spawn the TCP server on an
 //! ephemeral port, drive a short mixed workload from several client
 //! connections, and assert zero errors plus at least one warm hit from
-//! *every* cache tier (exact, derived, window, shard), plus a bound
+//! *every* cache tier (exact, derived, window, maintained), plus a bound
 //! preference-side `$n` whose EXPLAIN shows the bound term — the
 //! sequence CI runs on every push — and a `TOP k` over a 20 000-row
 //! table answered within a read timeout.
@@ -66,8 +66,7 @@ fn tcp_mixed_workload_zero_errors_and_every_tier_warms() {
     ok(&mut a, &format!("EXEC SELECT * FROM car {PREF}"));
 
     // 8. …and a parameterized WHERE, which keeps the table's matrix warm
-    //    for its windows, rebuilds it encoding only the appended row
-    //    (shard hit).
+    //    for its windows, rebuilds it (miss).
     ok(
         &mut b,
         &format!("PREPARE caps SELECT * FROM car WHERE price <= $1 {PREF}"),
@@ -120,7 +119,7 @@ fn tcp_mixed_workload_zero_errors_and_every_tier_warms() {
     assert!(field("hits") >= 1, "exact tier: {stats}");
     assert!(field("derived_hits") >= 1, "derived tier: {stats}");
     assert!(field("window_hits") >= 1, "window tier: {stats}");
-    assert!(field("shard_hits") >= 1, "shard tier: {stats}");
+    assert!(field("maintained_hits") >= 1, "maintained tier: {stats}");
     assert!(field("misses") >= 1, "cold builds happened: {stats}");
 
     // Clean lifecycle: explicit QUIT, then server shutdown.

@@ -2,13 +2,16 @@
 # Alternating parent/change pairs of one perfbench workload. Pair i runs
 # both binaries with `--seed <first-seed + i> --trace 0` (first seed 0
 # unless given), the parent first on even i and the change first on odd i, and prints each run's end-to-end metrics
-# beside `attempted`, `failed` and `correct`. Then, per metric: each
+# beside `attempted`, `failed`, `correct` and the run's exit status
+# (perfbench exits 1 when any operation failed). Then, per metric: each
 # side's quartiles (q1 median q3, linear interpolation), change / parent
 # of the medians, on how many pairs the change was better (higher for
 # `*_rps`, lower for everything else; ties count for neither), and
 # whether a gain claim holds: the change wins at least 9 of every 10
 # pairs and its median is better than the parent's by more than the
-# parent's interquartile range (`claim`, else `-`).
+# parent's interquartile range (`claim`, else `-`). Last, each side's
+# `failed/attempted` total over all its runs; the script exits 1 when
+# the change side failed more operations than the parent side.
 #
 #   scripts/paired_bench.sh <parent-bench> <change-bench> <workload> <pairs> <seconds> [first-seed]
 #
@@ -23,14 +26,17 @@ set -eu
 }
 parent=$1 change=$2 workload=$3 pairs=$4 seconds=$5 first=${6:-0}
 runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
+out=$(mktemp)
+trap 'rm -f "$runs" "$out"' EXIT
 
-# One run: its result line (the last on stdout) as `pair side key value`
-# rows, appended to $runs and echoed as one line.
+# One run: its exit status and its result line (the last on stdout) as
+# `pair side key value` rows, appended to $runs and echoed as one line.
 run() {
     bin=$parent
     [ "$1" = change ] && bin=$change
-    "$bin" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1 |
+    status=0
+    "$bin" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 >"$out" || status=$?
+    tail -n 1 "$out" |
         awk -v side="$1" -v pair="$2" '{
             gsub(/[{}",:]/, " ")
             for (i = 1; i <= NF; i++) {
@@ -39,9 +45,9 @@ run() {
                 else if ($i == "value")
                     print pair, side, $(i - 1), $(i + 1)
             }
-        }' | tee -a "$runs" | awk -v side="$1" -v pair="$2" '
+        }' | tee -a "$runs" | awk -v side="$1" -v pair="$2" -v status="$status" '
             { line = line " " $3 " " $4 }
-            END { printf "pair %s %-6s%s\n", pair, side, line }'
+            END { printf "pair %s %-6s%s exit %s\n", pair, side, line, status }'
 }
 
 i=0
@@ -99,3 +105,15 @@ awk '$3 != "correct" && $3 != "attempted" && $3 != "failed"' "$runs" |
                 printf "%s %.4g %.4g %.4g %.4g %.4g %.4g %.3f %d/%d %s\n", key, p1, pm, p3, c1, cm, c3, (pm == 0 ? 0 : cm / pm), wins, total, claim
             }
         }'
+
+echo
+awk '
+    $3 == "failed" { failed[$2] += $4 }
+    $3 == "attempted" { attempted[$2] += $4 }
+    END {
+        printf "failed/attempted parent %d/%d change %d/%d\n", failed["parent"], attempted["parent"], failed["change"], attempted["change"]
+        if (failed["change"] > failed["parent"]) {
+            print "the change side failed more operations than the parent side"
+            exit 1
+        }
+    }' "$runs"

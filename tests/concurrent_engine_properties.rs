@@ -184,7 +184,7 @@ fn shared_engine_replay_matches_serial_and_stats_add_up() {
     );
 
     // Counter accounting. Matrix-backed executions always count exactly
-    // one of hits / shard_hits / maintained_hits / misses. Terms that
+    // one of hits / maintained_hits / misses. Terms that
     // never materialize (Bypass) count nothing on their *first* (cold)
     // execution but serve — and count — result-tier hits afterwards, so
     // under concurrency the exact total depends on how many threads
@@ -196,7 +196,7 @@ fn shared_engine_replay_matches_serial_and_stats_add_up() {
     let stats = engine.cache_stats();
     let matrix_executions = (THREADS * ROUNDS) as u64 * materializing;
     let total_executions = (THREADS * ROUNDS * serial_prepared.len()) as u64;
-    let accounted = stats.hits + stats.shard_hits + stats.maintained_hits + stats.misses;
+    let accounted = stats.hits + stats.maintained_hits + stats.misses;
     assert!(
         accounted >= matrix_executions,
         "atomic counters lost updates: {stats:?} over {matrix_executions} matrix executions"

@@ -7,8 +7,8 @@
 mod common;
 
 use common::{
-    arb_nullable_pref, arb_nullable_relation, arb_nullable_row, arb_pref, arb_relation,
-    nullable_schema, sigma, test_schema,
+    arb_nullable_pref, arb_nullable_relation, arb_pref, arb_relation, nullable_schema, sigma,
+    test_schema,
 };
 use preferences::core::eval::ScoreMatrix;
 use preferences::prelude::*;
@@ -99,7 +99,6 @@ proptest! {
     fn builds_over_nulls_floats_and_views_agree_with_the_term(
         p in arb_nullable_pref(),
         r in arb_nullable_relation(14),
-        appended in prop::collection::vec(arb_nullable_row(), 1..4),
     ) {
         // The build's inputs beyond `arb_relation`: NULLs in a string and
         // a Float column, `-0.0`, row-id views and tombstones.
@@ -114,36 +113,6 @@ proptest! {
                         c.better(r.row(x), r.row(y)),
                         "backends disagree on rows ({}, {}) under {}", x, y, p
                     );
-                }
-            }
-        }
-
-        // An incremental build after appends equals a fresh one, lane
-        // for lane.
-        let mut grown = r.clone();
-        for row in appended {
-            grown.push_values(row).expect("row matches the schema");
-        }
-        let fresh = c.score_matrix(&grown);
-        let patched = built
-            .as_ref()
-            .and_then(|prev| c.score_matrix_incremental(&grown, prev, r.len(), &[], 1));
-        if built.is_some() {
-            prop_assert_eq!(patched.is_some(), fresh.is_some(), "incremental vs fresh for {}", p);
-        }
-        if let (Some(patched), Some(fresh)) = (&patched, &fresh) {
-            prop_assert_eq!(
-                (patched.len(), patched.key_slots(), patched.eq_slots()),
-                (fresh.len(), fresh.key_slots(), fresh.eq_slots())
-            );
-            for row in 0..grown.len() {
-                for slot in 0..fresh.key_slots() {
-                    prop_assert_eq!(patched.key_at(row, slot).to_bits(), fresh.key_at(row, slot).to_bits(),
-                        "key ({}, {}) diverged for {}", row, slot, p);
-                }
-                for slot in 0..fresh.eq_slots() {
-                    prop_assert_eq!(patched.eq_at(row, slot), fresh.eq_at(row, slot),
-                        "eq code ({}, {}) diverged for {}", row, slot, p);
                 }
             }
         }
